@@ -8,7 +8,6 @@ Identical configuration yields byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -20,7 +19,6 @@ from .eigensolve import (
     fundamental_tone,
     smallest_eigenpairs,
     truncation_probe,
-    worker_count,
 )
 from .errors import CatalogError, DiraclabError, SchemaError
 from .operators import (
@@ -113,7 +111,7 @@ class _ScenarioRun:
         if key not in self._cache:
             op = assemble_dirac_square(self.scenario.surface,
                                        self.scenario.spin, nu, self.grid)
-            res = smallest_eigenpairs(op, 1, solver=self.policy.solver)
+            res = smallest_eigenpairs(op, 1)
             self._cache[key] = res.sections[0]
         return self._cache[key]
 
@@ -305,7 +303,7 @@ def run_scenario(scenario, policy: GridPolicy = GridPolicy(),
     }
     provenance = {
         "package_version": __version__,
-        "policy": asdict(replace(run.policy)),
+        "policy": asdict(run.policy),
         "tol_scale": tol_scale,
         "margin_bar_factor": bounds.MARGIN_BAR_FACTOR,
     }
@@ -376,8 +374,6 @@ def _parse_range(spec: str):
 
 def _sweep_rows(param: str, values, spin: SpinStructure,
                 policy: GridPolicy):
-    jobs = list(values)
-
     def one(value):
         if param == "L":
             sc = scenarios.flat_cylinder_scenario(float(value), spin)
@@ -418,11 +414,7 @@ def _sweep_rows(param: str, values, spin: SpinStructure,
             }
         raise CatalogError(f"unknown sweep parameter {param!r}")
 
-    workers = worker_count()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(one, jobs))
-    return [one(v) for v in jobs]
+    return [one(v) for v in values]
 
 
 def cmd_sweep(param: str, values, spin: SpinStructure, policy: GridPolicy,
@@ -466,8 +458,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diraclab",
         description="Spectral bounds laboratory for surfaces of revolution. "
-                    "Config precedence: CLI flags > scenario file > "
-                    "built-in defaults.")
+                    "Grid and tolerance settings come from CLI flags, else "
+                    "built-in defaults; a scenario file only supplies the "
+                    "scenario and its expected checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run one scenario's expected checks")

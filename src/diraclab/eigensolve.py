@@ -1,17 +1,16 @@
 """Generalized eigensolves, mode sweeps, and refinement studies.
 
 Solvers work on one tridiagonal block at a time after the diagonal-mass
-congruence M^(-1/2) S M^(-1/2), which keeps the bandwidth.  The dense path
-is LAPACK bisection on the tridiagonal pair; the Lanczos path is ARPACK
-shift-invert with a deterministic start vector.  Fundamental tones come
-from a pruned sweep over circle modes with Richardson extrapolation over
-a geometric (h, delta) refinement sequence.
+congruence M^(-1/2) S M^(-1/2), which keeps the bandwidth.  Blocks of up
+to DENSE_MAX_N nodes go to LAPACK bisection on the tridiagonal pair,
+larger ones to ARPACK shift-invert with a deterministic start vector.
+Fundamental tones come from a pruned sweep over circle modes with
+Richardson extrapolation over a geometric (h, delta) refinement sequence.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,6 @@ class GridPolicy:
     cusp_tail_rel: float = 1e-6
     mode_cutoff: int = 8
     max_mode_cutoff: int = 64
-    solver: str | None = None  # None = dense below DENSE_MAX_N, else lanczos
 
     def level_n(self, level: int) -> int:
         return self.base_n * 2 ** level
@@ -96,19 +94,20 @@ class ProbeResult:
     stable: bool
 
 
-def _solve_block_dense(diag, off, scale, count, vecs):
-    d = diag * scale * scale
-    e = off * scale[:-1] * scale[1:]
-    if vecs:
-        vals, V = eigh_tridiagonal(d, e, select="i",
-                                   select_range=(0, count - 1))
-        return vals, V * scale[:, None]
-    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
-                            eigvals_only=True)
-    return vals, None
+def _congruence(block):
+    """Scale M^(-1/2) and the diagonals of M^(-1/2) S M^(-1/2) of a block."""
+    scale = 1.0 / np.sqrt(block.mass.weights)
+    return (scale, block.diag * scale * scale,
+            block.off * scale[:-1] * scale[1:])
 
 
-def _solve_block_lanczos(block, count, vecs):
+def _solve_block_dense(block, count):
+    scale, d, e = _congruence(block)
+    vals, V = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
+    return vals, V * scale[:, None]
+
+
+def _solve_block_lanczos(block, count):
     n = block.n
     S = scipy.sparse.diags(
         [block.off, block.diag, block.off], [-1, 0, 1], format="csc")
@@ -128,40 +127,35 @@ def _solve_block_lanczos(block, count, vecs):
         raise ConvergenceError(
             f"Lanczos did not converge for block size {n}: {exc}") from exc
     order = np.argsort(vals)
-    return vals[order], (V[:, order] if vecs else None)
+    return vals[order], V[:, order]
 
 
 def _count_block_below(block, threshold: float) -> int:
-    scale = 1.0 / np.sqrt(block.mass.weights)
-    d = block.diag * scale * scale
-    e = block.off * scale[:-1] * scale[1:]
+    _, d, e = _congruence(block)
     vals = eigh_tridiagonal(d, e, select="v",
                             select_range=(-1e300, threshold),
                             eigvals_only=True)
     return int(len(vals))
 
 
-def smallest_eigenpairs(op: ReducedOperator, count: int,
-                        solver: str | None = None) -> EigenResult:
-    """The `count` lowest generalized eigenpairs of (stiffness, mass)."""
+def smallest_eigenpairs(op: ReducedOperator, count: int) -> EigenResult:
+    """The `count` lowest generalized eigenpairs of (stiffness, mass).
+
+    Operators whose blocks all fit in DENSE_MAX_N nodes are solved by LAPACK
+    bisection ("dense"), larger ones by ARPACK shift-invert ("lanczos").
+    """
     if count < 1 or count > op.size - 2:
         raise AssemblyError(
             f"count must be in [1, {op.size - 2}], got {count}")
-    if solver is None:
-        solver = "dense" if max(b.n for b in op.blocks) <= DENSE_MAX_N \
-            else "lanczos"
-    if solver not in ("dense", "lanczos"):
-        raise AssemblyError(f"unknown solver {solver!r}")
+    if max(b.n for b in op.blocks) <= DENSE_MAX_N:
+        solver, solve = "dense", _solve_block_dense
+    else:
+        solver, solve = "lanczos", _solve_block_lanczos
     per_block = min(count, min(b.n for b in op.blocks) - 2)
     per_block = max(per_block, 1)
     merged = []
     for bi, block in enumerate(op.blocks):
-        scale = 1.0 / np.sqrt(block.mass.weights)
-        if solver == "dense":
-            vals, V = _solve_block_dense(block.diag, block.off, scale,
-                                         per_block, vecs=True)
-        else:
-            vals, V = _solve_block_lanczos(block, per_block, vecs=True)
+        vals, V = solve(block, per_block)
         for j, lam in enumerate(vals):
             merged.append((float(lam), bi, V[:, j]))
     merged.sort(key=lambda rec: (rec[0], rec[1]))
@@ -190,9 +184,8 @@ def smallest_eigenpairs(op: ReducedOperator, count: int,
     if np.any(residuals > RESIDUAL_TOL):
         raise ConvergenceError(
             f"eigenpair residual {residuals.max():.2e} above {RESIDUAL_TOL}")
-    return EigenResult(eigenvalues=eigenvalues, sections=sections,
-                       residuals=residuals, solver=solver, grid=op.grid,
-                       block_index=block_index)
+    return EigenResult(eigenvalues, sections, residuals, solver, op.grid,
+                       block_index)
 
 
 def richardson(seq) -> tuple:
@@ -239,8 +232,7 @@ def _mode_value(surface, kind, spin, nu, policy, take_second):
         grid = make_grid(surface, n, delta_ratio=policy.delta_ratio,
                          cusp_tail_rel=policy.cusp_tail_rel)
         op = _assemble(surface, kind, spin, nu, grid)
-        res = smallest_eigenpairs(op, 2 if take_second else 1,
-                                  solver=policy.solver)
+        res = smallest_eigenpairs(op, 2 if take_second else 1)
         value = float(res.eigenvalues[1] if take_second
                       else res.eigenvalues[0])
         seq.append(value)
@@ -354,11 +346,3 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
     stable = len(counts) >= 2 and counts[-1] == counts[-2]
     return ProbeResult(threshold=threshold, windows=windows, counts=counts,
                        stable=stable)
-
-
-def worker_count() -> int:
-    """Worker cap for embarrassingly parallel sweeps (DIRACLAB_THREADS)."""
-    try:
-        return max(1, int(os.environ.get("DIRACLAB_THREADS", "1")))
-    except ValueError:
-        return 1

@@ -8,12 +8,11 @@ the one acting on 1-forms is K itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, GeometryError, InfiniteAreaError
 
@@ -38,6 +37,9 @@ class CosineWarp:
 
     def second(self, t):
         return -np.cos(t)
+
+    def integral(self, a, b):
+        return math.sin(b) - math.sin(a)
 
     def to_json(self):
         return {"variant": self.variant}
@@ -65,6 +67,9 @@ class ConstantWarp:
     def second(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
+    def integral(self, a, b):
+        return self.c * (b - a)
+
     def to_json(self):
         return {"variant": self.variant, "c": self.c}
 
@@ -91,6 +96,11 @@ class ExpCuspWarp:
     def second(self, t):
         return self.c * np.exp(-np.asarray(t, dtype=float))
 
+    def integral(self, a, b):
+        # finite for b = inf; a = -inf diverges and is rejected by area()
+        with np.errstate(over="ignore"):
+            return self.c * float(np.exp(-a) - np.exp(-b))
+
     def to_json(self):
         return {"variant": self.variant, "c": self.c}
 
@@ -102,8 +112,9 @@ class TabulatedWarp:
     """Cubic-spline warp through sample points (natural end conditions).
 
     Lets callers inject custom metrics without symbolic machinery; first and
-    second derivatives come from the spline.  Samples must be strictly
-    increasing in t and strictly positive in f.
+    second derivatives and the integral come from the spline, which is built
+    on first use.  Samples must be strictly increasing in t and strictly
+    positive in f.
     """
 
     variant = "tabulated"
@@ -119,7 +130,12 @@ class TabulatedWarp:
             raise GeometryError("tabulated warp samples must be positive")
         self.ts = ts
         self.fs = fs
-        self._spline = CubicSpline(ts, fs, bc_type="natural")
+
+    @functools.cached_property
+    def _spline(self):
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline(self.ts, self.fs, bc_type="natural")
 
     def value(self, t):
         return self._spline(np.asarray(t, dtype=float))
@@ -129,6 +145,9 @@ class TabulatedWarp:
 
     def second(self, t):
         return self._spline(np.asarray(t, dtype=float), 2)
+
+    def integral(self, a, b):
+        return float(self._spline.integrate(a, b))
 
     def to_json(self):
         return {
@@ -268,14 +287,13 @@ def gauss_curvature(surface: WarpedSurface, t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
-def area(surface: WarpedSurface, rel_tol: float = 1e-12) -> float:
-    """P * integral of f over the interval, with analytic cusp tails.
+def area(surface: WarpedSurface) -> float:
+    """P * integral of f over the interval, in closed form for each warp.
 
     Raises InfiniteAreaError when the integral diverges (e.g. a constant
     warp on an infinite interval).
     """
     lo, hi = surface.t_min, surface.t_max
-    total = 0.0
     if math.isinf(lo) or math.isinf(hi):
         if not isinstance(surface.warp, ExpCuspWarp):
             raise InfiniteAreaError(
@@ -284,18 +302,7 @@ def area(surface: WarpedSurface, rel_tol: float = 1e-12) -> float:
         # c*exp(-t) has finite mass only toward +infinity
         if math.isinf(lo):
             raise InfiniteAreaError("exp cusp diverges toward t -> -infinity")
-        t_split = lo + 1.0
-        head, _ = quad(lambda x: float(surface.f(x)), lo, t_split,
-                       epsabs=1e-14, epsrel=rel_tol, limit=200)
-        tail = float(surface.f(t_split))  # integral of c e^{-t} beyond t_split
-        total = head + tail
-    else:
-        val, err = quad(lambda x: float(surface.f(x)), lo, hi,
-                        epsabs=1e-14, epsrel=rel_tol, limit=200)
-        if not math.isfinite(val):
-            raise InfiniteAreaError("warp integral diverged")
-        total = val
-    result = surface.period * total
+    result = surface.period * surface.warp.integral(lo, hi)
     if not math.isfinite(result) or result <= 0:
         raise InfiniteAreaError(f"area came out {result}")
     return result

@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from . import geometry
 from .errors import AssemblyError
@@ -444,9 +442,19 @@ def leibniz_defect(surface, spin, nu: float, grid: Grid,
 
 
 def dump_operator(op: ReducedOperator, stiffness_path, mass_path=None):
-    """Write the pair in MatrixMarket coordinate format (debug aid)."""
-    s = scipy.sparse.csr_matrix(op.stiffness_dense())
+    """Write the pair in MatrixMarket coordinate format (debug aid).
+
+    Both matrices are built sparse from the block diagonals, so the cost is
+    linear in the operator size.
+    """
+    import scipy.io
+    import scipy.sparse
+
+    s = scipy.sparse.block_diag(
+        [scipy.sparse.diags([b.off, b.diag, b.off], [-1, 0, 1])
+         for b in op.blocks], format="csr")
     scipy.io.mmwrite(str(stiffness_path), s, symmetry="symmetric")
     if mass_path is not None:
-        m = scipy.sparse.csr_matrix(op.mass_dense())
+        m = scipy.sparse.diags(
+            np.concatenate([b.mass.weights for b in op.blocks]), format="csr")
         scipy.io.mmwrite(str(mass_path), m, symmetry="symmetric")

@@ -87,11 +87,6 @@ def enumerate_modes(structure, period: float, cutoff: int) -> ModeSet:
     return ModeSet(frequencies=freqs, field_kind=kind, cutoff=cutoff)
 
 
-def extend_modes(modes: ModeSet, structure, period: float) -> ModeSet:
-    """Double the cutoff; used when the sweep cannot yet certify pruning."""
-    return enumerate_modes(structure, period, 2 * modes.cutoff)
-
-
 def mode_in_structure(nu: float, structure, period: float) -> bool:
     """Whether nu lies on the Fourier lattice of the given field."""
     eps = _offset(structure)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +159,21 @@ def test_report_schema_version_mismatch(tmp_path, capsys):
     code, _, err = run(["report", str(bad)], capsys)
     assert code == 1
     assert "schema" in err
+
+
+def test_import_and_catalog_load_stay_lean():
+    # the CLI import path and catalog load must not pull in scipy modules
+    # that only quadrature, spline warps or MatrixMarket dumps need
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys\n"
+        "import diraclab.cli\n"
+        "lean = ('scipy.integrate', 'scipy.interpolate', 'scipy.io')\n"
+        "print(sorted(m for m in lean if m in sys.modules))\n"
+        "diraclab.cli.scenarios.builtin_catalog()\n"
+        "print(sorted(m for m in lean if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "[]"]

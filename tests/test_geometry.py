@@ -91,12 +91,32 @@ def test_area_exp_cusp_analytic_tail():
     assert area(s) == pytest.approx(4 * math.pi, rel=1e-10)
 
 
+def test_area_tabulated_linear_exact():
+    # a natural cubic spline reproduces f = 1 + t exactly; its integral over
+    # (0.5, 2.5) is 2 + (2.5^2 - 0.5^2) / 2 = 5
+    ts = np.linspace(0.0, 3.0, 7)
+    s = WarpedSurface(warp=TabulatedWarp(ts, 1.0 + ts), t_min=0.5, t_max=2.5,
+                      period=2 * math.pi)
+    assert area(s) == pytest.approx(10 * math.pi, rel=1e-12)
+
+
 def test_area_divergent_raises():
-    s = WarpedSurface(warp=ConstantWarp(1.0), t_min=0.0, t_max=math.inf,
+    ts = np.linspace(0.0, 3.0, 7)
+    upper_cusp = (geometry.END_BOUNDARY, geometry.END_CUSP)
+    for s in (
+        WarpedSurface(warp=ConstantWarp(1.0), t_min=0.0, t_max=math.inf,
+                      period=2 * math.pi, end_labels=upper_cusp),
+        WarpedSurface(warp=TabulatedWarp(ts, 1.0 + ts), t_min=0.0,
+                      t_max=math.inf, period=2 * math.pi,
+                      end_labels=upper_cusp),
+        WarpedSurface(warp=CosineWarp(), t_min=0.0, t_max=math.inf,
+                      period=2 * math.pi, end_labels=upper_cusp),
+        WarpedSurface(warp=ExpCuspWarp(1.0), t_min=-math.inf, t_max=0.0,
                       period=2 * math.pi,
-                      end_labels=(geometry.END_BOUNDARY, geometry.END_CUSP))
-    with pytest.raises(InfiniteAreaError):
-        area(s)
+                      end_labels=(geometry.END_CUSP, geometry.END_BOUNDARY)),
+    ):
+        with pytest.raises(InfiniteAreaError):
+            area(s)
 
 
 def test_curvature_profile_sphere():

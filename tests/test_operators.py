@@ -249,14 +249,17 @@ def test_leibniz_defect_cutoff_multiplier_bound():
 
 def test_dump_operator_matrix_market(tmp_path):
     s = cylinder()
-    op = assemble_laplacian(s, 1.0, make_grid(s, 32))
-    sp = tmp_path / "stiff.mtx"
-    mp = tmp_path / "mass.mtx"
-    dump_operator(op, sp, mp)
-    S = scipy.io.mmread(str(sp)).toarray()
-    M = scipy.io.mmread(str(mp)).toarray()
-    assert np.allclose(S, op.stiffness_dense())
-    assert np.allclose(M, op.mass_dense())
+    grid = make_grid(s, 32)
+    for op in (assemble_laplacian(s, 1.0, grid),
+               assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)):
+        sp = tmp_path / "stiff.mtx"
+        mp = tmp_path / "mass.mtx"
+        dump_operator(op, sp, mp)
+        S = scipy.io.mmread(str(sp)).toarray()
+        M = scipy.io.mmread(str(mp)).toarray()
+        assert S.shape == M.shape == (op.size, op.size)
+        assert np.allclose(S, op.stiffness_dense())
+        assert np.allclose(M, op.mass_dense())
 
 
 def test_section_shape_validation():
