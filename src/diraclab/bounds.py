@@ -30,7 +30,7 @@ import numpy as np
 
 from . import geometry
 from .eigensolve import GridPolicy, ToneResult, truncation_probe
-from .errors import AssemblyError, SchemaError
+from .errors import AssemblyError, InfiniteAreaError, SchemaError
 from .operators import (
     KIND_DIRAC,
     KIND_LAPLACIAN,
@@ -125,8 +125,19 @@ def _decide(value, hyp_ok, margin, tol, predicted, source, notes):
     return INAPPLICABLE
 
 
-def _margin_tol(error_bar: float) -> float:
-    return MARGIN_BAR_FACTOR * error_bar + MARGIN_ABS_FLOOR
+def _verdict(bound, value, hyps, statistic, error_bar, predicted,
+             source) -> BoundVerdict:
+    """Margin of a statistic over a bound value, decided within
+    MARGIN_BAR_FACTOR error bars plus MARGIN_ABS_FLOOR."""
+    notes = []
+    margin = statistic - value
+    verdict = _decide(value, all(p for _, p in hyps), margin,
+                      MARGIN_BAR_FACTOR * error_bar + MARGIN_ABS_FLOOR,
+                      predicted, source, notes)
+    return BoundVerdict(bound=bound, value=value, hypotheses=hyps,
+                        lambda_star=statistic, error_bar=error_bar,
+                        margin=margin, verdict=verdict,
+                        statistic_source=source, notes=notes)
 
 
 def friedrich_check(surface, profile, tone: ToneResult,
@@ -136,14 +147,8 @@ def friedrich_check(surface, profile, tone: ToneResult,
     value = friedrich_bound(n, kappa) if kappa > 0 else 0.0
     hyps = [("curvature term bounded below by a positive constant",
              kappa > 0)]
-    margin = tone.lambda_star - value
-    notes = []
-    verdict = _decide(value, all(p for _, p in hyps), margin,
-                      _margin_tol(tone.error_bar), False, SOURCE_TONE, notes)
-    return BoundVerdict(bound="friedrich", value=value, hypotheses=hyps,
-                        lambda_star=tone.lambda_star,
-                        error_bar=tone.error_bar, margin=margin,
-                        verdict=verdict, notes=notes)
+    return _verdict("friedrich", value, hyps, tone.lambda_star,
+                    tone.error_bar, False, SOURCE_TONE)
 
 
 def area_bound_check(surface, spin, statistic: float, error_bar: float,
@@ -154,29 +159,19 @@ def area_bound_check(surface, spin, statistic: float, error_bar: float,
     bound; only the latter can exhibit a violation on surfaces whose tone
     is not desk-computable.
     """
-    notes = []
     try:
-        a = geometry.area(surface)
-        finite = True
-    except Exception:
-        a = math.inf
-        finite = False
-    value = area_bound(a) if finite else 0.0
-    bounding = isinstance(spin, SpinStructure) and spin is SpinStructure.BOUNDING
+        value = area_bound(geometry.area(surface))
+    except InfiniteAreaError:
+        value = 0.0
+    bounding = spin is SpinStructure.BOUNDING
     hyps = [
         ("genus zero (surface of revolution over an interval)", True),
-        ("finite area", finite),
+        ("finite area", value > 0),
         ("spin structure bounding at infinity", bounding),
     ]
-    margin = statistic - value
-    predicted = not bounding  # dropping the spin hypothesis is the tracked case
-    verdict = _decide(value, all(p for _, p in hyps), margin,
-                      _margin_tol(error_bar), predicted, statistic_source,
-                      notes)
-    return BoundVerdict(bound="area", value=value, hypotheses=hyps,
-                        lambda_star=statistic, error_bar=error_bar,
-                        margin=margin, verdict=verdict,
-                        statistic_source=statistic_source, notes=notes)
+    # dropping the spin hypothesis is the tracked case
+    return _verdict("area", value, hyps, statistic, error_bar,
+                    not bounding, statistic_source)
 
 
 def lichnerowicz_check(surface, profile, statistic: float, error_bar: float,
@@ -195,18 +190,11 @@ def lichnerowicz_check(surface, profile, statistic: float, error_bar: float,
         ("Ricci curvature bounded below by a positive constant", kappa > 0),
         ("complete (hence compact) surface", complete),
     ]
-    notes = []
-    margin = statistic - value
     # a mean-zero Rayleigh quotient IS a certificate against a lower bound
     # for the first nonzero eigenvalue, so the upper-bound source may both
     # certify violations and (when above the bound) leave it open
-    verdict = _decide(value, all(p for _, p in hyps), margin,
-                      _margin_tol(error_bar), predicted, statistic_source,
-                      notes)
-    return BoundVerdict(bound="lichnerowicz", value=value, hypotheses=hyps,
-                        lambda_star=statistic, error_bar=error_bar,
-                        margin=margin, verdict=verdict,
-                        statistic_source=statistic_source, notes=notes)
+    return _verdict("lichnerowicz", value, hyps, statistic, error_bar,
+                    predicted, statistic_source)
 
 
 @dataclass
@@ -387,18 +375,14 @@ def essential_bound_check(surface, spin, profile,
     probe_worthy = ("cusp" in ends) or profile.kappa_growing_ends
     hyps = [("curvature term bounded below at infinity by a positive "
              "constant", kappa_inf > 0)]
-    notes = []
-    if value <= 0:
-        notes.append("bound value is degenerate; nothing to test")
+    if value <= 0 or not probe_worthy:
+        verdict, note = (
+            (INAPPLICABLE, "bound value is degenerate; nothing to test")
+            if value <= 0 else
+            (HOLDS, "no end can carry essential spectrum; holds trivially"))
         return BoundVerdict(bound="essential", value=value, hypotheses=hyps,
                             lambda_star=math.nan, error_bar=math.nan,
-                            margin=math.nan, verdict=INAPPLICABLE,
-                            notes=notes)
-    if not probe_worthy:
-        notes.append("no end can carry essential spectrum; holds trivially")
-        return BoundVerdict(bound="essential", value=value, hypotheses=hyps,
-                            lambda_star=math.nan, error_bar=math.nan,
-                            margin=math.nan, verdict=HOLDS, notes=notes)
+                            margin=math.nan, verdict=verdict, notes=[note])
     base = make_grid(surface, policy.base_n, delta_ratio=policy.delta_ratio,
                      cusp_tail_rel=policy.cusp_tail_rel)
     center = 0.5 * (base.a + base.b)
@@ -408,7 +392,7 @@ def essential_bound_check(surface, spin, profile,
     threshold = probe_margin * value
     probe = truncation_probe(surface, KIND_DIRAC, spin, windows, threshold,
                              n_base=min(policy.base_n, 800))
-    notes.append(f"counts below {threshold:.6g}: {probe.counts}")
+    notes = [f"counts below {threshold:.6g}: {probe.counts}"]
     verdict = HOLDS if probe.stable else VIOLATED_UNEXPECTED
     if not probe.stable:
         notes.append("window counts kept growing below the floor")
@@ -454,19 +438,9 @@ CSV_COLUMNS = ["scenario", "bound", "value", "lambda_star", "error_bar",
 
 def report_rows(doc: dict) -> list:
     """Flatten a report JSON dict into CSV rows (one per verdict)."""
-    rows = []
-    for v in doc.get("verdicts", []):
-        rows.append({
-            "scenario": doc["scenario"],
-            "bound": v["bound"],
-            "value": v["value"],
-            "lambda_star": v["lambda_star"],
-            "error_bar": v["error_bar"],
-            "margin": v["margin"],
-            "verdict": v["verdict"],
-            "statistic_source": v["statistic_source"],
-        })
-    return rows
+    return [{"scenario": doc["scenario"],
+             **{col: v[col] for col in CSV_COLUMNS[1:]}}
+            for v in doc.get("verdicts", [])]
 
 
 def reports_to_csv(docs: list) -> str:
@@ -480,7 +454,13 @@ def reports_to_csv(docs: list) -> str:
 
 
 def load_report(text: str) -> dict:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"report is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(
+            f"report must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise SchemaError(
             f"report schema_version {doc.get('schema_version')!r} is not "

@@ -1,7 +1,8 @@
 """Command-line front end: verify scenarios, sweep parameters, merge reports.
 
 Exit codes: 0 all expected checks matched, 2 verdict/value mismatch,
-1 internal error, 64 usage error (unknown scenario, bad flags).
+1 internal error, 64 usage error (unknown scenario, bad flags, malformed
+scenario document, missing report file).
 Identical configuration yields byte-identical JSON output.
 """
 
@@ -11,7 +12,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
+from dataclasses import asdict, replace
 
 from . import __version__, bounds, geometry, scenarios
 from .eigensolve import (
@@ -37,28 +39,19 @@ EXIT_MISMATCH = 2
 EXIT_USAGE = 64
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of one verify run.
-
-    Precedence: CLI flags override built-in defaults; scenario documents
-    only contribute the scenario itself and its expected checks.
-    """
-
-    scenario: str
-    policy: GridPolicy = GridPolicy()
-    tol_scale: float = 1.0
-    out_format: str = "json"  # json | csv | pretty
-    out_path: str | None = None
+def _read_input(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise CatalogError(f"{what} file not found: {path}") from exc
 
 
 def _resolve_scenario(selector: str) -> scenarios.Scenario:
     if selector.endswith(".json"):
+        text = _read_input(selector, "scenario")
         try:
-            with open(selector) as fh:
-                return scenarios.scenario_from_json(json.load(fh))
-        except FileNotFoundError as exc:
-            raise CatalogError(f"scenario file not found: {selector}") from exc
+            return scenarios.scenario_from_json(json.loads(text))
         except json.JSONDecodeError as exc:
             raise CatalogError(
                 f"scenario file {selector} is not valid JSON: {exc}") from exc
@@ -66,7 +59,7 @@ def _resolve_scenario(selector: str) -> scenarios.Scenario:
 
 
 class _ScenarioRun:
-    """Lazy per-scenario computation cache used by the check dispatcher."""
+    """Lazy per-scenario computation cache used by the check evaluators."""
 
     def __init__(self, scenario, policy: GridPolicy, tol_scale: float = 1.0):
         self.scenario = scenario
@@ -76,53 +69,41 @@ class _ScenarioRun:
                               delta_ratio=policy.delta_ratio,
                               cusp_tail_rel=policy.cusp_tail_rel)
         self.profile = geometry.curvature_profile(scenario.surface, self.grid)
+        self.diagnostics = {}
+        self.verdicts = []
         self._cache = {}
 
+    def _memo(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     def tone(self, kind: str):
-        key = ("tone", kind)
-        if key not in self._cache:
-            self._cache[key] = fundamental_tone(
-                self.scenario.surface, kind, self.scenario.spin, self.policy)
-        return self._cache[key]
+        return self._memo(("tone", kind), lambda: fundamental_tone(
+            self.scenario.surface, kind, self.scenario.spin, self.policy))
 
-    def section(self, name: str):
-        key = ("section", name)
-        if key not in self._cache:
-            self._cache[key] = scenarios.eval_test_section(
-                self.scenario, name, self.grid)
-        return self._cache[key]
-
-    def section_rayleigh(self, name: str, kind: str) -> float:
-        key = ("rq", name, kind)
-        if key not in self._cache:
-            sec = self.section(name)
-            if kind == KIND_LAPLACIAN:
-                op = assemble_laplacian(self.scenario.surface, sec.nu,
-                                        self.grid)
+    def section_rayleigh(self, name: str) -> float:
+        """Rayleigh quotient of a named section for its own field kind."""
+        def compute():
+            sc, grid = self.scenario, self.grid
+            sec = scenarios.eval_test_section(sc, name, grid)
+            if sc.section_spec(name).field_kind == KIND_LAPLACIAN:
+                op = assemble_laplacian(sc.surface, sec.nu, grid)
             else:
-                op = assemble_dirac_square(self.scenario.surface,
-                                           self.scenario.spin, sec.nu,
-                                           self.grid)
-            self._cache[key] = rayleigh_quotient(op, sec)
-        return self._cache[key]
-
-    def ground_section(self, nu: float):
-        key = ("ground", nu)
-        if key not in self._cache:
-            op = assemble_dirac_square(self.scenario.surface,
-                                       self.scenario.spin, nu, self.grid)
-            res = smallest_eigenpairs(op, 1)
-            self._cache[key] = res.sections[0]
-        return self._cache[key]
+                op = assemble_dirac_square(sc.surface, sc.spin, sec.nu, grid)
+            return rayleigh_quotient(op, sec)
+        return self._memo(("rq", name), compute)
 
     def area(self) -> float:
-        if "area" not in self._cache:
-            self._cache["area"] = geometry.area(self.scenario.surface)
-        return self._cache["area"]
+        return self._memo("area", lambda: geometry.area(self.scenario.surface))
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _json_num(value):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return float(value) if math.isfinite(value) else None
     return value
 
@@ -146,151 +127,192 @@ def _tone_json(tone) -> dict:
 
 
 def _bound_statistic(run: _ScenarioRun, exp: dict):
-    which = exp.get("statistic", "tone")
-    if which == "tone":
-        kind = KIND_LAPLACIAN if exp["bound"] == "lichnerowicz" \
-            else KIND_DIRAC
-        tone = run.tone(kind)
+    if exp.get("statistic", "tone") == "tone":
+        tone = run.tone(KIND_LAPLACIAN if exp["bound"] == "lichnerowicz"
+                        else KIND_DIRAC)
         return tone.lambda_star, tone.error_bar, bounds.SOURCE_TONE
-    name = exp["section"]
-    spec = run.scenario.section_spec(name)
-    rq = run.section_rayleigh(name, spec.field_kind)
+    rq = run.section_rayleigh(exp["section"])
     return rq, 1e-6 * abs(rq) + 1e-12, bounds.SOURCE_UPPER
 
 
-def _evaluate_bound(run: _ScenarioRun, exp: dict) -> bounds.BoundVerdict:
-    name = exp["bound"]
-    if name == "friedrich":
-        return bounds.friedrich_check(run.scenario.surface, run.profile,
-                                      run.tone(KIND_DIRAC))
-    if name == "area":
-        stat, bar, source = _bound_statistic(run, exp)
-        return bounds.area_bound_check(run.scenario.surface,
-                                       run.scenario.spin, stat, bar,
-                                       statistic_source=source)
-    if name == "lichnerowicz":
-        stat, bar, source = _bound_statistic(run, exp)
-        complete = all(
-            geometry.end_kind(run.scenario.surface, s) == "cusp"
-            for s in ("lower", "upper"))
-        return bounds.lichnerowicz_check(
-            run.scenario.surface, run.profile, stat, bar,
-            complete=complete, predicted=bool(exp.get("predicted", False)),
-            statistic_source=source)
-    if name == "essential":
-        return bounds.essential_bound_check(
-            run.scenario.surface, run.scenario.spin, run.profile, run.policy)
-    raise CatalogError(f"unknown bound {name!r}")
+def _lichnerowicz(run: _ScenarioRun, exp: dict) -> bounds.BoundVerdict:
+    stat, bar, source = _bound_statistic(run, exp)
+    complete = all(geometry.end_kind(run.scenario.surface, s) == "cusp"
+                   for s in ("lower", "upper"))
+    return bounds.lichnerowicz_check(
+        run.scenario.surface, run.profile, stat, bar, complete=complete,
+        predicted=bool(exp.get("predicted", False)), statistic_source=source)
+
+
+# bound name -> evaluator (run, expected entry) -> BoundVerdict
+BOUNDS = {
+    "friedrich": lambda run, exp: bounds.friedrich_check(
+        run.scenario.surface, run.profile, run.tone(KIND_DIRAC)),
+    "area": lambda run, exp: bounds.area_bound_check(
+        run.scenario.surface, run.scenario.spin, *_bound_statistic(run, exp)),
+    "lichnerowicz": _lichnerowicz,
+    "essential": lambda run, exp: bounds.essential_bound_check(
+        run.scenario.surface, run.scenario.spin, run.profile, run.policy),
+}
+
+# keys: entry keys the evaluator needs; evaluate: (run, entry) ->
+# (passed, detail); name: report name, formatted with the entry
+_Check = namedtuple("_Check", "keys evaluate name")
+
+
+def _value_check(name, detail, keys=("value", "tol")) -> _Check:
+    """|computed - value| <= tol * tol_scale; detail(run, entry) gives the
+    "computed" value (and extra detail), and tol is relative to the value
+    (rel_tol, default 1e-9) when the check takes no tol key."""
+    def evaluate(run, exp):
+        out = detail(run, exp)
+        tol = exp["tol"] if "tol" in keys \
+            else exp.get("rel_tol", 1e-9) * abs(exp["value"])
+        out.update(expected=exp["value"], tol=tol * run.tol_scale)
+        return abs(out["computed"] - exp["value"]) <= out["tol"], out
+    return _Check(keys, evaluate, name)
+
+
+def _tone_value(check: str, kind: str) -> _Check:
+    def detail(run, exp):
+        tone = run.tone(kind)
+        run.diagnostics[check] = _tone_json(tone)
+        return {"computed": tone.lambda_star, "error_bar": tone.error_bar}
+    return _value_check(check, detail)
+
+
+def _orthogonality(run, exp):
+    value = scenarios.mk_orthogonality(run.scenario, run.grid, exp["section"])
+    return (abs(value) <= exp["max_abs"] * run.tol_scale,
+            {"computed": value, "max_abs": exp["max_abs"]})
+
+
+def _bound_verdict(run, exp):
+    verdict = BOUNDS[exp["bound"]](run, exp)
+    run.verdicts.append(verdict)
+    return (verdict.verdict == exp["verdict"],
+            {"computed": verdict.verdict, "expected": exp["verdict"],
+             "margin": _json_num(verdict.margin)})
+
+
+def _killing(run, exp):
+    sc, tone = run.scenario, run.tone(KIND_DIRAC)
+    ground = smallest_eigenpairs(assemble_dirac_square(
+        sc.surface, sc.spin, tone.nu_star, run.grid), 1).sections[0]
+    diag = bounds.killing_equality_check(
+        sc.surface, sc.spin, ground, math.sqrt(max(tone.lambda_star, 0.0)))
+    run.diagnostics["killing"] = detail = diag.to_json()
+    if not exp.get("applicable", True):
+        return not diag.applicable, detail
+    scale = run.tol_scale
+    return (diag.applicable
+            and diag.norm_variation <= exp["max_norm_variation"] * scale
+            and diag.bochner_ratio_deviation
+            <= exp["max_bochner_ratio"] * scale), detail
+
+
+def _probe(run, exp):
+    probe = truncation_probe(
+        run.scenario.surface, exp.get("operator", KIND_DIRAC),
+        run.scenario.spin, [tuple(w) for w in exp["windows"]],
+        exp["threshold"], n_base=min(run.policy.base_n, 800))
+    run.diagnostics["probe"] = detail = {
+        "threshold": probe.threshold,
+        "windows": [list(w) for w in probe.windows],
+        "counts": probe.counts,
+        "stable": probe.stable,
+    }
+    if exp["behavior"] == "stable":
+        return probe.stable, detail
+    counts = probe.counts
+    return (not probe.stable
+            and all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
+            and counts[-1] > counts[0]), detail
+
+
+_SECTION_VALUE = ("section", "value", "tol")
+
+# check name -> _Check; killing also needs max_norm_variation and
+# max_bochner_ratio unless "applicable": false
+CHECKS = {
+    "area": _value_check(
+        "area", lambda run, exp: {"computed": run.area()}, ("value",)),
+    "kappa_spinor": _value_check(
+        "kappa_spinor",
+        lambda run, exp: {"computed": run.profile.kappa_spinor}),
+    "laplace_tone": _tone_value("laplace_tone", KIND_LAPLACIAN),
+    "dirac_tone": _tone_value("dirac_tone", KIND_DIRAC),
+    "tone_attaining_mode": _value_check(
+        "tone_attaining_mode",
+        lambda run, exp: {"computed": run.tone(KIND_DIRAC).nu_star}),
+    "section_norm2": _value_check(
+        "section_norm2:{section}",
+        lambda run, exp: {"computed": scenarios.section_norm2(
+            run.scenario, exp["section"], run.grid)}, _SECTION_VALUE),
+    "section_rayleigh": _value_check(
+        "section_rayleigh:{section}",
+        lambda run, exp: {"computed": run.section_rayleigh(exp["section"])},
+        _SECTION_VALUE),
+    "orthogonality": _Check(("section", "max_abs"), _orthogonality,
+                            "orthogonality:{section}"),
+    "bound_verdict": _Check(("bound", "verdict"), _bound_verdict,
+                            "bound:{bound}"),
+    "killing": _Check((), _killing, "killing"),
+    "probe": _Check(("windows", "threshold", "behavior"), _probe, "probe"),
+}
+
+_NUMERIC_KEYS = ("value", "tol", "rel_tol", "max_abs", "threshold",
+                 "max_norm_variation", "max_bochner_ratio")
+
+
+def _validate_expected(scenario) -> None:
+    """Reject a malformed expected list before anything is solved."""
+    for i, exp in enumerate(scenario.expected):
+        where = f"scenario {scenario.id!r} expected[{i}]"
+        kind = exp.get("check")
+        if not (isinstance(kind, str) and kind in CHECKS):
+            raise CatalogError(f"{where}: unknown expected check {kind!r}"
+                               if "check" in exp
+                               else f"{where}: missing key 'check'")
+        keys = list(CHECKS[kind].keys)
+        if kind == "killing" and exp.get("applicable", True):
+            keys += ["max_norm_variation", "max_bochner_ratio"]
+        if exp.get("statistic", "tone") != "tone":
+            keys.append("section")
+        for key in keys:
+            if key not in exp:
+                raise CatalogError(f"{where}: missing key {key!r}")
+        for key in _NUMERIC_KEYS:
+            if key in exp and not _is_number(exp[key]):
+                raise CatalogError(f"{where}: key {key!r} must be a number, "
+                                   f"got {exp[key]!r}")
+        windows = exp.get("windows", [])
+        if not (isinstance(windows, list) and all(
+                isinstance(w, list) and len(w) == 2
+                and all(_is_number(x) for x in w) for w in windows)):
+            raise CatalogError(
+                f"{where}: key 'windows' must list [start, stop] pairs")
+        if "bound" in keys and not (isinstance(exp["bound"], str)
+                                    and exp["bound"] in BOUNDS):
+            raise CatalogError(f"{where}: unknown bound {exp['bound']!r}")
+        if "section" in keys:
+            scenario.section_spec(exp["section"])
 
 
 def run_scenario(scenario, policy: GridPolicy = GridPolicy(),
                  tol_scale: float = 1.0) -> bounds.SpectralReport:
     """Evaluate every expected check of a scenario into a SpectralReport."""
+    _validate_expected(scenario)
     run = _ScenarioRun(scenario, policy, tol_scale)
     checks = []
-    verdicts = []
-    diagnostics = {}
-
-    def record(name, passed, detail):
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
-
     for exp in scenario.expected:
-        kind = exp["check"]
-        if kind == "area":
-            value = run.area()
-            tol = exp.get("rel_tol", 1e-9) * abs(exp["value"]) * tol_scale
-            record("area", abs(value - exp["value"]) <= tol,
-                   {"computed": value, "expected": exp["value"], "tol": tol})
-        elif kind == "kappa_spinor":
-            value = run.profile.kappa_spinor
-            tol = exp["tol"] * tol_scale
-            record("kappa_spinor", abs(value - exp["value"]) <= tol,
-                   {"computed": value, "expected": exp["value"], "tol": tol})
-        elif kind in ("laplace_tone", "dirac_tone"):
-            tone = run.tone(KIND_LAPLACIAN if kind == "laplace_tone"
-                            else KIND_DIRAC)
-            diagnostics[kind] = _tone_json(tone)
-            tol = exp["tol"] * tol_scale
-            record(kind, abs(tone.lambda_star - exp["value"]) <= tol,
-                   {"computed": tone.lambda_star, "expected": exp["value"],
-                    "tol": tol, "error_bar": tone.error_bar})
-        elif kind == "tone_attaining_mode":
-            tone = run.tone(KIND_DIRAC)
-            tol = exp["tol"] * tol_scale
-            record(kind, abs(tone.nu_star - exp["value"]) <= tol,
-                   {"computed": tone.nu_star, "expected": exp["value"]})
-        elif kind == "section_norm2":
-            value = scenarios.section_norm2(scenario, exp["section"],
-                                            run.grid)
-            tol = exp["tol"] * tol_scale
-            record(f"section_norm2:{exp['section']}",
-                   abs(value - exp["value"]) <= tol,
-                   {"computed": value, "expected": exp["value"], "tol": tol})
-        elif kind == "section_rayleigh":
-            spec = scenario.section_spec(exp["section"])
-            value = run.section_rayleigh(exp["section"], spec.field_kind)
-            tol = exp["tol"] * tol_scale
-            record(f"section_rayleigh:{exp['section']}",
-                   abs(value - exp["value"]) <= tol,
-                   {"computed": value, "expected": exp["value"], "tol": tol})
-        elif kind == "orthogonality":
-            value = scenarios.mk_orthogonality(scenario, run.grid,
-                                               exp["section"])
-            record(f"orthogonality:{exp['section']}",
-                   abs(value) <= exp["max_abs"] * tol_scale,
-                   {"computed": value, "max_abs": exp["max_abs"]})
-        elif kind == "bound_verdict":
-            verdict = _evaluate_bound(run, exp)
-            verdicts.append(verdict)
-            margin = float(verdict.margin) \
-                if math.isfinite(verdict.margin) else None
-            record(f"bound:{exp['bound']}",
-                   verdict.verdict == exp["verdict"],
-                   {"computed": verdict.verdict,
-                    "expected": exp["verdict"], "margin": margin})
-        elif kind == "killing":
-            tone = run.tone(KIND_DIRAC)
-            phi = run.ground_section(tone.nu_star)
-            diag = bounds.killing_equality_check(
-                scenario.surface, scenario.spin, phi,
-                math.sqrt(max(tone.lambda_star, 0.0)))
-            diagnostics["killing"] = diag.to_json()
-            if exp.get("applicable", True):
-                ok = (diag.applicable
-                      and diag.norm_variation
-                      <= exp["max_norm_variation"] * tol_scale
-                      and diag.bochner_ratio_deviation
-                      <= exp["max_bochner_ratio"] * tol_scale)
-            else:
-                ok = not diag.applicable
-            record("killing", ok, diag.to_json())
-        elif kind == "probe":
-            op_kind = exp.get("operator", KIND_DIRAC)
-            probe = truncation_probe(
-                scenario.surface, op_kind, scenario.spin,
-                [tuple(w) for w in exp["windows"]], exp["threshold"],
-                n_base=min(run.policy.base_n, 800))
-            diagnostics["probe"] = {
-                "threshold": probe.threshold,
-                "windows": [list(w) for w in probe.windows],
-                "counts": probe.counts,
-                "stable": probe.stable,
-            }
-            if exp["behavior"] == "stable":
-                ok = probe.stable
-            else:
-                ok = (not probe.stable
-                      and all(c1 <= c2 for c1, c2 in
-                              zip(probe.counts, probe.counts[1:]))
-                      and probe.counts[-1] > probe.counts[0])
-            record("probe", ok, diagnostics["probe"])
-        else:
-            raise CatalogError(f"unknown expected check {kind!r}")
+        check = CHECKS[exp["check"]]
+        passed, detail = check.evaluate(run, exp)
+        checks.append({"name": check.name.format(**exp),
+                       "passed": bool(passed), "detail": detail})
 
     try:
-        area_val = run.area()
-        area_json = float(area_val)
+        area_json = float(run.area())
     except DiraclabError:
         area_json = None
     geometry_summary = {
@@ -309,7 +331,7 @@ def run_scenario(scenario, policy: GridPolicy = GridPolicy(),
     }
     return bounds.SpectralReport(
         scenario_id=scenario.id, geometry_summary=geometry_summary,
-        verdicts=verdicts, diagnostics=diagnostics, checks=checks,
+        verdicts=run.verdicts, diagnostics=run.diagnostics, checks=checks,
         provenance=provenance)
 
 
@@ -342,16 +364,16 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def cmd_verify(config: RunConfig) -> int:
-    scenario = _resolve_scenario(config.scenario)
-    report = run_scenario(scenario, config.policy, config.tol_scale)
+def cmd_verify(selector: str, policy: GridPolicy, tol_scale: float,
+               out_format: str, out_path: str | None) -> int:
+    report = run_scenario(_resolve_scenario(selector), policy, tol_scale)
     doc = report.to_json_dict()
-    if config.out_format == "json":
-        _emit(report.to_json(), config.out_path)
-    elif config.out_format == "csv":
-        _emit(bounds.reports_to_csv([doc]), config.out_path)
+    if out_format == "json":
+        _emit(report.to_json(), out_path)
+    elif out_format == "csv":
+        _emit(bounds.reports_to_csv([doc]), out_path)
     else:
-        _emit(_format_pretty(doc), config.out_path)
+        _emit(_format_pretty(doc), out_path)
     return EXIT_OK if report.all_expected_match else EXIT_MISMATCH
 
 
@@ -376,9 +398,10 @@ def _sweep_rows(param: str, values, spin: SpinStructure,
                 policy: GridPolicy):
     def one(value):
         if param == "L":
-            sc = scenarios.flat_cylinder_scenario(float(value), spin)
-            tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin, policy)
-            bound = bounds.area_bound(geometry.area(sc.surface))
+            run = _ScenarioRun(
+                scenarios.flat_cylinder_scenario(float(value), spin), policy)
+            tone = run.tone(KIND_DIRAC)
+            bound = bounds.area_bound(run.area())
             return {
                 "L": float(value),
                 "lambda_star": tone.lambda_star,
@@ -388,14 +411,9 @@ def _sweep_rows(param: str, values, spin: SpinStructure,
             }
         if param == "k":
             k = int(round(value))
-            sc = scenarios.cover_scenario(k)
-            grid = make_grid(sc.surface, policy.base_n,
-                             delta_ratio=policy.delta_ratio)
-            sec = scenarios.eval_test_section(sc, "f_k", grid)
-            op = assemble_laplacian(sc.surface, sec.nu, grid)
-            rq = rayleigh_quotient(op, sec)
-            profile = geometry.curvature_profile(sc.surface, grid)
-            bound = bounds.friedrich_bound(2, profile.kappa_oneform)
+            run = _ScenarioRun(scenarios.cover_scenario(k), policy)
+            rq = run.section_rayleigh("f_k")
+            bound = bounds.friedrich_bound(2, run.profile.kappa_oneform)
             return {
                 "k": k,
                 "rayleigh": rq,
@@ -436,8 +454,7 @@ def cmd_sweep(param: str, values, spin: SpinStructure, policy: GridPolicy,
 def cmd_report(paths, out_format: str, out_path: str | None) -> int:
     merged = {}
     for path in paths:
-        with open(path) as fh:
-            doc = bounds.load_report(fh.read())
+        doc = bounds.load_report(_read_input(path, "report"))
         if doc["scenario"] in merged:
             print(f"warning: duplicate scenario {doc['scenario']!r}, "
                   f"keeping the later file {path}", file=sys.stderr)
@@ -512,10 +529,8 @@ def main(argv=None) -> int:
                                    "and tol > 0 required")
             policy = GridPolicy(base_n=args.grid_n, levels=args.levels,
                                 mode_cutoff=args.modes)
-            config = RunConfig(scenario=args.scenario, policy=policy,
-                               tol_scale=args.tol, out_format=args.format,
-                               out_path=args.out)
-            return cmd_verify(config)
+            return cmd_verify(args.scenario, policy, args.tol, args.format,
+                              args.out)
         if args.command == "sweep":
             if "=" not in args.sweep:
                 raise CatalogError("--sweep needs param=range")

@@ -90,7 +90,7 @@ def scenario_from_json(doc: dict) -> Scenario:
             sections=sections,
             expected=tuple(dict(e) for e in doc.get("expected", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed scenario document: {exc}") from exc
 
 

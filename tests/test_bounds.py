@@ -24,7 +24,13 @@ from diraclab.bounds import (
 )
 from diraclab.eigensolve import GridPolicy, ToneResult, smallest_eigenpairs
 from diraclab.errors import AssemblyError, SchemaError
-from diraclab.geometry import curvature_profile
+from diraclab.geometry import (
+    END_BOUNDARY,
+    END_CUSP,
+    ConstantWarp,
+    WarpedSurface,
+    curvature_profile,
+)
 from diraclab.operators import (
     KIND_DIRAC,
     Section,
@@ -110,6 +116,18 @@ def test_area_check_nonbounding_violation_only_when_predicted():
     v2 = area_bound_check(sc2.surface, sc2.spin, math.pi ** 2 / 4, 1e-9)
     assert v2.verdict == HOLDS
     assert any("hypothesis fails" in n for n in v2.notes)
+
+
+def test_area_check_infinite_area_is_inapplicable():
+    # a constant warp on [0, inf) is complete but has infinite area
+    surface = WarpedSurface(warp=ConstantWarp(1.0), t_min=0.0,
+                            t_max=math.inf, period=2.0 * math.pi,
+                            end_labels=(END_BOUNDARY, END_CUSP))
+    v = area_bound_check(surface, SpinStructure.BOUNDING, 1.0, 1e-9)
+    assert v.verdict == INAPPLICABLE
+    assert v.value == 0.0
+    assert dict(v.hypotheses)["finite area"] is False
+    assert any("degenerate" in n for n in v.notes)
 
 
 def test_lichnerowicz_sphere_equality_and_cover_violation():

@@ -154,11 +154,143 @@ def test_report_merge_union_and_duplicate_warning(tmp_path, capsys):
 
 
 def test_report_schema_version_mismatch(tmp_path, capsys):
+    # a wrong version, invalid JSON and a non-object are all schema errors
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema_version": 99}))
-    code, _, err = run(["report", str(bad)], capsys)
-    assert code == 1
-    assert "schema" in err
+    for text in (json.dumps({"schema_version": 99}), "{not json",
+                 json.dumps([1, 2])):
+        bad.write_text(text)
+        code, _, err = run(["report", str(bad)], capsys)
+        assert code == 1, text
+        assert err.startswith("schema error:"), err
+
+
+def test_report_missing_file_is_usage_error(tmp_path, capsys):
+    code, _, err = run(["report", str(tmp_path / "absent.json")], capsys)
+    assert code == 64
+    assert "report file not found" in err
+
+
+# one valid entry per check kind, and the keys each one cannot do without
+VALID_ENTRIES = {
+    "area": {"value": 1.0},
+    "kappa_spinor": {"value": 0.0, "tol": 1e-9},
+    "laplace_tone": {"value": 1.0, "tol": 1e-3},
+    "dirac_tone": {"value": 1.0, "tol": 1e-3},
+    "tone_attaining_mode": {"value": 0.0, "tol": 1e-9},
+    "section_norm2": {"section": "dirichlet_sine", "value": 1.0,
+                      "tol": 1e-6},
+    "section_rayleigh": {"section": "dirichlet_sine", "value": 1.0,
+                         "tol": 1e-3},
+    "orthogonality": {"section": "dirichlet_sine", "max_abs": 1e-12},
+    "bound_verdict": {"bound": "area", "verdict": "holds"},
+    "killing": {"max_norm_variation": 1e-2, "max_bochner_ratio": 1e-2},
+    "probe": {"windows": [[0.0, 1.0], [0.0, 2.0]], "threshold": 0.1,
+              "behavior": "stable"},
+}
+MISSING_KEY_CASES = [
+    pytest.param({"check": check, **{k: v for k, v in entry.items()
+                                     if k != key}}, key,
+                 id=f"{check}-without-{key}")
+    for check, entry in VALID_ENTRIES.items() for key in entry
+]
+OTHER_CASES = [
+    pytest.param({"value": 1.0}, "check", id="no-check"),
+    pytest.param({"check": "dirac_tone", "value": "x", "tol": 1e-3},
+                 "value", id="non-numeric-value"),
+    pytest.param({"check": "probe", "windows": "x", "threshold": 0.1,
+                  "behavior": "stable"}, "windows", id="bad-windows"),
+    pytest.param({"check": "no_such_check"}, "no_such_check",
+                 id="unknown-check"),
+    pytest.param({"check": ["area"]}, "area", id="list-as-check"),
+    pytest.param({"check": "bound_verdict", "bound": "no_such_bound",
+                  "verdict": "holds"}, "no_such_bound", id="unknown-bound"),
+    pytest.param({"check": "bound_verdict", "bound": ["area"],
+                  "verdict": "holds"}, "area", id="list-as-bound"),
+    pytest.param({"check": "bound_verdict", "bound": "area",
+                  "verdict": "holds", "statistic": "section"}, "section",
+                 id="section-statistic-without-section"),
+    pytest.param({"check": "section_norm2", "section": "undeclared",
+                  "value": 1.0, "tol": 1e-6}, "undeclared",
+                 id="undeclared-section"),
+]
+
+
+def _nothing_solved(monkeypatch):
+    import diraclab.cli as cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a tone was solved before validation")
+    monkeypatch.setattr(cli, "fundamental_tone", boom)
+
+
+@pytest.mark.parametrize("entry,key", MISSING_KEY_CASES + OTHER_CASES)
+def test_malformed_scenario_is_usage_error_before_any_solve(
+        tmp_path, capsys, monkeypatch, entry, key):
+    from diraclab.scenarios import flat_cylinder_scenario
+    from diraclab.spin import SpinStructure
+    _nothing_solved(monkeypatch)
+    doc = flat_cylinder_scenario(3.0, SpinStructure.NON_BOUNDING).to_json()
+    # a valid tone check first: skipping validation would solve it
+    doc["expected"] = [{"check": "dirac_tone", "value": 1.0, "tol": 1e-3},
+                       entry]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--scenario", str(path)], capsys)
+    assert code == 64, err
+    assert err.startswith("usage error:")
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("doc", [[{"id": "x"}], {"id": "x", "surface": []}],
+                         ids=["list-document", "list-surface"])
+def test_non_object_scenario_document_is_usage_error(tmp_path, capsys,
+                                                      monkeypatch, doc):
+    _nothing_solved(monkeypatch)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--scenario", str(path)], capsys)
+    assert code == 64
+    assert "malformed scenario document" in err
+
+
+def test_valid_entries_and_inapplicable_killing_pass_validation():
+    from dataclasses import replace
+
+    from diraclab import cli
+    from diraclab.scenarios import flat_cylinder_scenario
+    from diraclab.spin import SpinStructure
+    sc = flat_cylinder_scenario(3.0, SpinStructure.NON_BOUNDING)
+    entries = [{"check": c, **e} for c, e in VALID_ENTRIES.items()]
+    entries.append({"check": "killing", "applicable": False})
+    cli._validate_expected(replace(sc, expected=tuple(entries)))
+
+
+def test_check_tables_match_the_catalog():
+    # no dead table entry, and no catalog kind without an entry
+    from diraclab import cli
+    from diraclab.scenarios import builtin_catalog
+    entries = [e for sc in builtin_catalog() for e in sc.expected]
+    assert set(cli.CHECKS) == {e["check"] for e in entries}
+    assert set(cli.CHECKS) == set(VALID_ENTRIES)
+    assert set(cli.BOUNDS) == {e["bound"] for e in entries
+                               if e["check"] == "bound_verdict"}
+
+
+def test_tone_attaining_mode_detail_carries_tol():
+    from dataclasses import replace
+
+    from diraclab.cli import run_scenario
+    from diraclab.eigensolve import GridPolicy
+    from diraclab.scenarios import find_scenario
+    sc = find_scenario("round-sphere")
+    entry = next(e for e in sc.expected
+                 if e["check"] == "tone_attaining_mode")
+    report = run_scenario(replace(sc, expected=(entry,)),
+                          GridPolicy(base_n=64, levels=2), tol_scale=2.0)
+    (check,) = report.checks
+    assert check["name"] == "tone_attaining_mode"
+    assert check["detail"]["tol"] == entry["tol"] * 2.0
+    assert check["detail"]["computed"] == pytest.approx(0.5)
 
 
 def test_import_and_catalog_load_stay_lean():
