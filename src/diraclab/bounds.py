@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .eigensolve import GridPolicy, ToneResult, truncation_probe
+from .eigensolve import ToneResult, truncation_probe
 from .errors import AssemblyError, InfiniteAreaError, SchemaError
 from .operators import (
     KIND_DIRAC,
@@ -41,7 +41,6 @@ from .operators import (
     bochner_gradient_energy,
     dirac_energy,
     leibniz_defect,
-    make_grid,
 )
 from .spin import SpinStructure
 
@@ -355,8 +354,7 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos,
         monotone=bool(mono))
 
 
-def essential_bound_check(surface, spin, profile,
-                          policy: GridPolicy = GridPolicy(),
+def essential_bound_check(surface, spin, profile, grid,
                           window_fractions=(0.8, 0.9, 1.0),
                           probe_margin: float = 0.95) -> BoundVerdict:
     """Essential-spectrum floor n*kappa_inf/(n-1) via window stability.
@@ -366,7 +364,8 @@ def essential_bound_check(surface, spin, profile,
     spectrum is empty and the verdict holds trivially.  Otherwise the
     check counts eigenvalues below a threshold just under the floor on
     growing windows: a stabilizing count means only discrete spectrum
-    lives below the floor.
+    lives below the floor.  The windows are fractions of `grid`, the grid
+    `profile` was sampled on.
     """
     ends = (geometry.end_kind(surface, "lower"),
             geometry.end_kind(surface, "upper"))
@@ -383,15 +382,13 @@ def essential_bound_check(surface, spin, profile,
         return BoundVerdict(bound="essential", value=value, hypotheses=hyps,
                             lambda_star=math.nan, error_bar=math.nan,
                             margin=math.nan, verdict=verdict, notes=[note])
-    base = make_grid(surface, policy.base_n, delta_ratio=policy.delta_ratio,
-                     cusp_tail_rel=policy.cusp_tail_rel)
-    center = 0.5 * (base.a + base.b)
-    span = base.b - base.a
+    center = 0.5 * (grid.a + grid.b)
+    span = grid.b - grid.a
     windows = [(center - 0.5 * f * span, center + 0.5 * f * span)
                for f in window_fractions]
     threshold = probe_margin * value
     probe = truncation_probe(surface, KIND_DIRAC, spin, windows, threshold,
-                             n_base=min(policy.base_n, 800))
+                             n_base=min(grid.n, 800))
     notes = [f"counts below {threshold:.6g}: {probe.counts}"]
     verdict = HOLDS if probe.stable else VIOLATED_UNEXPECTED
     if not probe.stable:

@@ -152,7 +152,7 @@ BOUNDS = {
         run.scenario.surface, run.scenario.spin, *_bound_statistic(run, exp)),
     "lichnerowicz": _lichnerowicz,
     "essential": lambda run, exp: bounds.essential_bound_check(
-        run.scenario.surface, run.scenario.spin, run.profile, run.policy),
+        run.scenario.surface, run.scenario.spin, run.profile, run.grid),
 }
 
 # keys: entry keys the evaluator needs; evaluate: (run, entry) ->

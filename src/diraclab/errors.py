@@ -22,7 +22,7 @@ class AssemblyError(DiraclabError):
 
 
 class ConvergenceError(DiraclabError):
-    """Eigensolver did not converge within its iteration budget."""
+    """An eigenpair's normwise backward error is above n * eps."""
 
 
 class CatalogError(DiraclabError):

@@ -13,8 +13,13 @@ factor
 
     A_mu = d/dt + f'/(2f) + mu/f ,      mu in {+nu, -nu} ,
 
-assembled as a sum of per-element squares (midpoint coefficients), which
-makes the stiffness symmetric positive semidefinite by construction.
+assembled as a sum of per-element squares over all n + 1 elements of the
+window (midpoint coefficients, ghost zeros at both fenceposts), which
+makes the stiffness symmetric positive semidefinite by construction.  A
+free side gets element weight zero instead of a boundary element.  The
+scalar mode is the same sum with A = d/dt plus the node potential.
+Block.energy evaluates the form from the element differences, so it keeps
+relative accuracy where u^T S u would cancel digits of size eps/h^2.
 
 Boundary treatment.  Regular boundary circles and cusp truncations get a
 Dirichlet ghost node (the Friedrichs condition).  At a singular end where
@@ -139,23 +144,36 @@ class MassMatrix:
 
 @dataclass(frozen=True)
 class Block:
-    """One tridiagonal stiffness/mass pair of a reduced operator."""
+    """One tridiagonal stiffness/mass pair of a reduced operator.
+
+    The stiffness is the form energy(u); diag and off are its matrix.  w_e
+    and a_e are the weights P f h (zero at a free side) and coefficients
+    f'/(2f) + mu/f (zero for the scalar mode) of the n + 1 elements; pot is
+    the scalar node potential P h nu^2 / f (zero for a Dirac block).
+    """
 
     coef: float  # mu for a Dirac block, nu for the scalar mode
     diag: np.ndarray
     off: np.ndarray
     mass: MassMatrix
     bc: tuple  # (left, right), each DIRICHLET or FREE
+    h: float
+    w_e: np.ndarray
+    a_e: np.ndarray
+    pot: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.diag)
 
-    def quad_form(self, v: np.ndarray) -> float:
+    def energy(self, v: np.ndarray) -> float:
+        """sum_e w_e |(u_{e+1} - u_e)/h + a_e (u_e + u_{e+1})/2|^2
+        + sum_i pot_i |u_i|^2, with ghost zeros at both fenceposts."""
         v = np.asarray(v)
-        s = np.sum(self.diag * np.abs(v) ** 2)
-        s += 2.0 * np.sum(np.real(self.off * v[:-1] * np.conj(v[1:])))
-        return float(np.real(s))
+        u = np.concatenate([[0.0], v, [0.0]])
+        au = (u[1:] - u[:-1]) / self.h + self.a_e * 0.5 * (u[:-1] + u[1:])
+        return float(np.sum(self.w_e * np.abs(au) ** 2)
+                     + np.sum(self.pot * np.abs(v) ** 2))
 
     def mass_form(self, v: np.ndarray) -> float:
         return float(np.sum(self.mass.weights * np.abs(np.asarray(v)) ** 2))
@@ -250,76 +268,56 @@ def _check_positive(f_vals, what: str):
         raise AssemblyError(f"warp must be strictly positive on the {what}")
 
 
-def _mass_weights(surface, grid: Grid, bc: tuple) -> MassMatrix:
+def _at_free_sides(x, bc: tuple, factor: float) -> np.ndarray:
+    """A copy of x with each end entry scaled by factor where bc is free."""
+    x = np.array(x, dtype=float)
+    if bc[0] == FREE:
+        x[0] *= factor
+    if bc[1] == FREE:
+        x[-1] *= factor
+    return x
+
+
+def _samples(surface, grid: Grid, kind: str) -> tuple:
+    """f at the nodes and at all n + 1 element midpoints, and f'/(2f) at the
+    midpoints for a Dirac operator; both of its blocks share them."""
+    mids = grid.a + grid.h * (np.arange(grid.n + 1) + 0.5)
     f_nodes = np.asarray(surface.f(grid.nodes), dtype=float)
     _check_positive(f_nodes, "grid nodes")
-    w = surface.period * f_nodes * grid.h
-    if bc[0] == FREE:
-        w = w.copy()
-        w[0] *= 0.5
-    if bc[1] == FREE:
-        w = w.copy()
-        w[-1] *= 0.5
-    return MassMatrix(weights=w)
+    fm = np.asarray(surface.f(mids), dtype=float)
+    _check_positive(fm, "element midpoints")
+    half_log = (np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm)
+                if kind == KIND_DIRAC else None)
+    return f_nodes, fm, half_log
 
 
 def _assemble_block(surface, grid: Grid, kind: str, coef: float,
-                    bc: tuple) -> Block:
+                    samples: tuple) -> Block:
+    f_nodes, fm, half_log = samples
     h = grid.h
     P = surface.period
-    t = grid.nodes
-    mids = grid.midpoints
-    fm = np.asarray(surface.f(mids), dtype=float)
-    _check_positive(fm, "element midpoints")
-    diag = np.zeros(grid.n)
-    off = np.zeros(grid.n - 1)
-    w_e = P * fm * h
+    bc = block_boundary_conditions(kind, coef, grid)
+    w_e = _at_free_sides(P * fm * h, bc, 0.0)
     if kind == KIND_DIRAC:
-        am = np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm) + coef / fm
-        bL = -1.0 / h + 0.5 * am
-        bR = 1.0 / h + 0.5 * am
-        diag[:-1] += w_e * bL * bL
-        diag[1:] += w_e * bR * bR
-        off += w_e * bL * bR
+        a_e = half_log + coef / fm
+        pot = np.zeros(grid.n)
     else:
-        diag[:-1] += w_e / h ** 2
-        diag[1:] += w_e / h ** 2
-        off -= w_e / h ** 2
-    # boundary elements carry the implied Dirichlet zero at the fencepost
-    if bc[0] == DIRICHLET:
-        m = grid.a + 0.5 * h
-        fb = float(surface.f(m))
-        _check_positive(np.array([fb]), "lower boundary element")
-        if kind == KIND_DIRAC:
-            ab = float(surface.fprime(m)) / (2.0 * fb) + coef / fb
-            diag[0] += P * fb * h * (1.0 / h + 0.5 * ab) ** 2
-        else:
-            diag[0] += P * fb / h
-    if bc[1] == DIRICHLET:
-        m = grid.b - 0.5 * h
-        fb = float(surface.f(m))
-        _check_positive(np.array([fb]), "upper boundary element")
-        if kind == KIND_DIRAC:
-            ab = float(surface.fprime(m)) / (2.0 * fb) + coef / fb
-            diag[-1] += P * fb * h * (-1.0 / h + 0.5 * ab) ** 2
-        else:
-            diag[-1] += P * fb / h
-    mass = _mass_weights(surface, grid, bc)
-    if kind == KIND_LAPLACIAN and coef != 0.0:
-        f_nodes = np.asarray(surface.f(t), dtype=float)
-        pot = P * grid.h * coef ** 2 / f_nodes
-        if bc[0] == FREE:
-            pot[0] *= 0.5
-        if bc[1] == FREE:
-            pot[-1] *= 0.5
-        diag += pot
-    return Block(coef=coef, diag=diag, off=off, mass=mass, bc=bc)
+        a_e = np.zeros(grid.n + 1)
+        pot = _at_free_sides(P * h * coef ** 2 / f_nodes, bc, 0.5)
+    # (A u)_e = left_e u_e + right_e u_{e+1}
+    left = -1.0 / h + 0.5 * a_e
+    right = 1.0 / h + 0.5 * a_e
+    diag = (w_e * right * right)[:-1] + (w_e * left * left)[1:] + pot
+    off = (w_e * left * right)[1:-1]
+    mass = MassMatrix(weights=_at_free_sides(P * f_nodes * h, bc, 0.5))
+    return Block(coef=coef, diag=diag, off=off, mass=mass, bc=bc, h=h,
+                 w_e=w_e, a_e=a_e, pot=pot)
 
 
 def assemble_laplacian(surface, nu: float, grid: Grid) -> ReducedOperator:
     """Mode-nu scalar Laplacian as a (stiffness, mass) pair."""
-    bc = block_boundary_conditions(KIND_LAPLACIAN, nu, grid)
-    block = _assemble_block(surface, grid, KIND_LAPLACIAN, float(nu), bc)
+    samples = _samples(surface, grid, KIND_LAPLACIAN)
+    block = _assemble_block(surface, grid, KIND_LAPLACIAN, float(nu), samples)
     return ReducedOperator(kind=KIND_LAPLACIAN, nu=float(nu),
                            period=surface.period, grid=grid, blocks=(block,))
 
@@ -333,22 +331,20 @@ def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
         raise AssemblyError(
             f"mode {nu} is not on the {spin.value} spinor lattice "
             f"for period {surface.period}")
-    blocks = []
-    for mu in (-float(nu), +float(nu)):
-        bc = block_boundary_conditions(KIND_DIRAC, mu, grid)
-        blocks.append(_assemble_block(surface, grid, KIND_DIRAC, mu, bc))
+    samples = _samples(surface, grid, KIND_DIRAC)
+    blocks = tuple(_assemble_block(surface, grid, KIND_DIRAC, mu, samples)
+                   for mu in (-float(nu), +float(nu)))
     return ReducedOperator(kind=KIND_DIRAC, nu=float(nu),
-                           period=surface.period, grid=grid,
-                           blocks=tuple(blocks))
+                           period=surface.period, grid=grid, blocks=blocks)
 
 
 def rayleigh_quotient(op: ReducedOperator, phi: Section) -> float:
-    """(stiffness phi, phi) / (mass phi, phi); an upper bound for the tone."""
+    """energy(phi) / (mass phi, phi); an upper bound for the tone."""
     if phi.kind != op.kind:
         raise AssemblyError(
             f"section kind {phi.kind} does not match operator {op.kind}")
     comps = phi.components()
-    num = sum(b.quad_form(v) for b, v in zip(op.blocks, comps))
+    num = sum(b.energy(v) for b, v in zip(op.blocks, comps))
     den = sum(b.mass_form(v) for b, v in zip(op.blocks, comps))
     if den <= 0:
         raise AssemblyError("section has zero norm")
@@ -431,7 +427,9 @@ def leibniz_defect(surface, spin, nu: float, grid: Grid,
     h = grid.h
     df = (fv[1:] - fv[:-1]) / h
     total = 0.0
-    w = _mass_weights(surface, grid, (DIRICHLET, DIRICHLET)).weights
+    f_nodes = np.asarray(surface.f(grid.nodes), dtype=float)
+    _check_positive(f_nodes, "grid nodes")
+    w = surface.period * f_nodes * h
     for comp in phi.components():
         u = np.asarray(comp)
         dfu = (fv[1:] * u[1:] - fv[:-1] * u[:-1]) / h

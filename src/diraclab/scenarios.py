@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import geometry
-from .errors import CatalogError
+from .errors import CatalogError, GeometryError
 from .operators import KIND_DIRAC, KIND_LAPLACIAN, Grid, Section
 from .spin import SpinStructure
 
@@ -35,6 +35,20 @@ class SectionSpec:
     profile: str  # 'cos_cap' or 'boxed_sine'
     params: dict = field(default_factory=dict)
     angular: str = ANGULAR_FULL
+
+    def __post_init__(self):
+        where = f"section {self.name!r}"
+        if self.field_kind not in (KIND_LAPLACIAN, KIND_DIRAC):
+            raise CatalogError(
+                f"{where}: unknown field_kind {self.field_kind!r}")
+        if self.profile not in ("cos_cap", "boxed_sine"):
+            raise CatalogError(f"{where}: unknown profile {self.profile!r}")
+        for key in ("t0", "length") if self.profile == "boxed_sine" else ():
+            x = self.params.get(key)
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise CatalogError(
+                    f"{where}: boxed_sine param {key!r} must be a number, "
+                    f"got {x!r}")
 
     def to_json(self):
         return {
@@ -92,6 +106,9 @@ def scenario_from_json(doc: dict) -> Scenario:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed scenario document: {exc}") from exc
+    except GeometryError as exc:
+        raise CatalogError(
+            f"malformed scenario document: key 'surface': {exc}") from exc
 
 
 def catalog_to_json(scenarios) -> dict:
@@ -139,14 +156,12 @@ def eval_test_section(scenario: Scenario, name: str, grid: Grid) -> Section:
     t = grid.nodes
     if spec.profile == "cos_cap":
         values = np.cos(t)
-    elif spec.profile == "boxed_sine":
+    else:  # boxed_sine
         t0 = float(spec.params["t0"])
         length = float(spec.params["length"])
         inside = (t > t0) & (t < t0 + length)
         values = np.where(inside,
                           np.sin(np.pi * (t - t0) / length), 0.0)
-    else:
-        raise CatalogError(f"unknown section profile {spec.profile!r}")
     if spec.field_kind == KIND_LAPLACIAN:
         return Section(kind=KIND_LAPLACIAN, nu=spec.mode, grid=grid,
                        values=values)

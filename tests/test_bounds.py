@@ -217,25 +217,28 @@ def test_cutoff_rejects_oversized_radius():
 
 def test_essential_check_three_regimes():
     sphere = find_scenario("round-sphere")
-    prof = curvature_profile(sphere.surface, make_grid(sphere.surface, 256))
-    v = essential_bound_check(sphere.surface, sphere.spin, prof)
+    grid = make_grid(sphere.surface, 256)
+    prof = curvature_profile(sphere.surface, grid)
+    v = essential_bound_check(sphere.surface, sphere.spin, prof, grid)
     assert v.verdict == HOLDS  # no essential ends, positive floor
 
     cyl = find_scenario("flat-cylinder-l5-bounding")
-    prof = curvature_profile(cyl.surface, make_grid(cyl.surface, 128))
-    v = essential_bound_check(cyl.surface, cyl.spin, prof)
+    grid = make_grid(cyl.surface, 128)
+    prof = curvature_profile(cyl.surface, grid)
+    v = essential_bound_check(cyl.surface, cyl.spin, prof, grid)
     assert v.verdict == INAPPLICABLE  # degenerate floor
 
     grow = find_scenario("growing-curvature")
-    prof = curvature_profile(grow.surface, make_grid(grow.surface, 256))
-    v = essential_bound_check(grow.surface, grow.spin, prof,
-                              GridPolicy(base_n=256))
+    grid = make_grid(grow.surface, 256)
+    prof = curvature_profile(grow.surface, grid)
+    v = essential_bound_check(grow.surface, grow.spin, prof, grid)
     assert v.verdict == HOLDS
     assert any("counts below" in n for n in v.notes)
 
     cusp = find_scenario("cusp-cylinder-l10")
-    prof = curvature_profile(cusp.surface, make_grid(cusp.surface, 256))
-    v = essential_bound_check(cusp.surface, cusp.spin, prof)
+    grid = make_grid(cusp.surface, 256)
+    prof = curvature_profile(cusp.surface, grid)
+    v = essential_bound_check(cusp.surface, cusp.spin, prof, grid)
     assert v.verdict == INAPPLICABLE  # negative curvature tail
 
 

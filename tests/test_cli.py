@@ -38,6 +38,20 @@ def test_verify_bad_flags_usage_error(capsys):
     assert code == 64
 
 
+def test_verify_refined_grid_exits_zero(capsys):
+    code, _, err = run(["verify", "--scenario", "flat-cylinder-l5-bounding",
+                        "--grid-n", "8192"], capsys)
+    assert code == 0, err
+
+
+def test_sweep_refinement_to_2_17_decreases_error(capsys):
+    code, out, err = run(["sweep", "--sweep", "N=2048,8192,32768,131072",
+                          "--format", "json"], capsys)
+    assert code == 0, err
+    errors = [row["abs_error"] for row in json.loads(out)["rows"]]
+    assert all(e1 < e0 for e0, e1 in zip(errors, errors[1:])), errors
+
+
 def test_verify_nonbounding_cylinder_reports_predicted_violation(
         tmp_path, capsys):
     out = tmp_path / "c5.json"
@@ -215,6 +229,31 @@ OTHER_CASES = [
 ]
 
 
+def _edit(path, value):
+    """A document edit: set the item at `path` of the document to value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+# defects outside the expected list, given as document edits
+DOCUMENT_CASES = [
+    pytest.param(_edit(("surface", "t_min"), 5.0), "surface",
+                 id="t-min-above-t-max"),
+    pytest.param(_edit(("sections", 0, "profile"), "nope"), "nope",
+                 id="unknown-section-profile"),
+    pytest.param(_edit(("sections", 0, "field_kind"), "nope"), "nope",
+                 id="unknown-field-kind"),
+    pytest.param(_edit(("sections", 0, "params"), {"length": 3.0}), "t0",
+                 id="boxed-sine-without-t0"),
+    pytest.param(_edit(("sections", 0, "params"),
+                       {"t0": 0.0, "length": "x"}), "length",
+                 id="boxed-sine-non-numeric-length"),
+]
+
+
 def _nothing_solved(monkeypatch):
     import diraclab.cli as cli
 
@@ -223,7 +262,8 @@ def _nothing_solved(monkeypatch):
     monkeypatch.setattr(cli, "fundamental_tone", boom)
 
 
-@pytest.mark.parametrize("entry,key", MISSING_KEY_CASES + OTHER_CASES)
+@pytest.mark.parametrize("entry,key",
+                         MISSING_KEY_CASES + OTHER_CASES + DOCUMENT_CASES)
 def test_malformed_scenario_is_usage_error_before_any_solve(
         tmp_path, capsys, monkeypatch, entry, key):
     from diraclab.scenarios import flat_cylinder_scenario
@@ -231,8 +271,11 @@ def test_malformed_scenario_is_usage_error_before_any_solve(
     _nothing_solved(monkeypatch)
     doc = flat_cylinder_scenario(3.0, SpinStructure.NON_BOUNDING).to_json()
     # a valid tone check first: skipping validation would solve it
-    doc["expected"] = [{"check": "dirac_tone", "value": 1.0, "tol": 1e-3},
-                       entry]
+    doc["expected"] = [{"check": "dirac_tone", "value": 1.0, "tol": 1e-3}]
+    if callable(entry):
+        entry(doc)
+    else:
+        doc["expected"].append(entry)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     code, _, err = run(["verify", "--scenario", str(path)], capsys)
@@ -301,7 +344,8 @@ def test_import_and_catalog_load_stay_lean():
     code = (
         "import sys\n"
         "import diraclab.cli\n"
-        "lean = ('scipy.integrate', 'scipy.interpolate', 'scipy.io')\n"
+        "lean = ('scipy.integrate', 'scipy.interpolate', 'scipy.io',\n"
+        "        'scipy.sparse', 'scipy.sparse.linalg')\n"
         "print(sorted(m for m in lean if m in sys.modules))\n"
         "diraclab.cli.scenarios.builtin_catalog()\n"
         "print(sorted(m for m in lean if m in sys.modules))\n"

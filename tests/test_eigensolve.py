@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from diraclab.errors import AssemblyError
+from diraclab import eigensolve
+from diraclab.errors import AssemblyError, ConvergenceError
 from diraclab.eigensolve import (
     GridPolicy,
-    _solve_block_dense,
-    _solve_block_lanczos,
+    _backward_error,
     fundamental_tone,
     richardson,
     smallest_eigenpairs,
@@ -17,6 +19,7 @@ from diraclab.geometry import ConstantWarp, CosineWarp, WarpedSurface
 from diraclab.operators import (
     KIND_DIRAC,
     KIND_LAPLACIAN,
+    MassMatrix,
     assemble_dirac_square,
     assemble_laplacian,
     make_grid,
@@ -43,27 +46,63 @@ def test_residuals_within_tolerance():
     for op in (assemble_laplacian(s, 1.0, grid),
                assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)):
         res = smallest_eigenpairs(op, 3)
-        assert np.all(res.residuals <= 1e-8)
+        assert np.all(res.residuals <= grid.n * np.finfo(float).eps)
         assert np.all(np.diff(res.eigenvalues) >= 0)
 
 
-def test_dense_and_lanczos_agree():
+def test_blocks_match_dense_generalized_eigh():
     s = sphere()
     grid = make_grid(s, 512)
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
     for block in op.blocks:
-        dense, _ = _solve_block_dense(block, 4)
-        lanczos, _ = _solve_block_lanczos(block, 4)
-        assert np.max(np.abs(dense - lanczos)) <= 1e-8
-    assert smallest_eigenpairs(op, 4).solver == "dense"
+        S = (np.diag(block.diag) + np.diag(block.off, 1)
+             + np.diag(block.off, -1))
+        ref = scipy.linalg.eigh(S, np.diag(block.mass.weights),
+                                eigvals_only=True, subset_by_index=[0, 3])
+        got = smallest_eigenpairs(replace(op, blocks=(block,)), 4)
+        assert np.max(np.abs(got.eigenvalues - ref)) <= 1e-8
 
 
-def test_lanczos_is_default_above_dense_threshold():
+def test_cylinder_scalar_ground_above_512_nodes():
     s = cylinder()
     op = assemble_laplacian(s, 0.0, make_grid(s, 600))
     res = smallest_eigenpairs(op, 2)
-    assert res.solver == "lanczos"
     assert res.eigenvalues[0] == pytest.approx(math.pi ** 2 / 25, rel=1e-4)
+
+
+def test_perturbed_eigenvector_fails_backward_error_gate(monkeypatch):
+    lapack = eigensolve.eigh_tridiagonal
+
+    def perturbed(*args, **kwargs):
+        vals, V = lapack(*args, **kwargs)
+        noise = np.random.default_rng(7).standard_normal(V.shape)
+        return vals, V + 1e-6 * noise / math.sqrt(V.shape[0])
+    monkeypatch.setattr(eigensolve, "eigh_tridiagonal", perturbed)
+    s = sphere()
+    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5,
+                               make_grid(s, 512))
+    with pytest.raises(ConvergenceError, match="backward error"):
+        smallest_eigenpairs(op, 1)
+
+
+def test_backward_error_is_scale_free():
+    s = sphere()
+    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5,
+                               make_grid(s, 512))
+    res = smallest_eigenpairs(op, 1)
+    block = op.blocks[res.block_index[0]]
+    lam = res.eigenvalues[0]
+    vec = res.sections[0].values[res.block_index[0]]
+    # a perturbed pair, so the residual is well above rounding
+    vec = vec + 1e-6 * np.random.default_rng(7).standard_normal(vec.shape)
+    err = _backward_error(block, lam, vec)
+    assert err > block.n * np.finfo(float).eps
+    both = replace(block, diag=1e6 * block.diag, off=1e6 * block.off,
+                   mass=MassMatrix(1e6 * block.mass.weights))
+    assert _backward_error(both, lam, vec) == pytest.approx(err, rel=1e-8)
+    stiff = replace(block, diag=1e6 * block.diag, off=1e6 * block.off)
+    assert _backward_error(stiff, 1e6 * lam, vec) == \
+        pytest.approx(err, rel=1e-8)
 
 
 def test_cylinder_dirac_ground_single_grid():

@@ -57,6 +57,20 @@ def test_stiffness_exactly_symmetric():
         assert np.array_equal(dense, dense.T)
 
 
+def test_energy_is_the_quadratic_form_of_the_stiffness():
+    # free sides (scalar mode 0, Dirac blocks on the sphere), Dirichlet
+    # sides and the scalar potential
+    s = sphere()
+    grid = make_grid(s, 64)
+    u = np.random.default_rng(3).standard_normal(grid.n)
+    for op in (assemble_laplacian(s, 0.0, grid),
+               assemble_laplacian(s, 1.0, grid),
+               assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)):
+        for block in op.blocks:
+            assert block.energy(u) == pytest.approx(
+                float(u @ block.matvec(u)), rel=1e-12)
+
+
 def test_mass_positive_and_tracks_span_area():
     s = cylinder(5.0)
     grid = make_grid(s, 256)
