@@ -36,7 +36,6 @@ from .operators import (
     KIND_LAPLACIAN,
     Section,
     apply_block_forward,
-    apply_block_midpoint,
     assemble_dirac_square,
     bochner_gradient_energy,
     dirac_energy,
@@ -249,19 +248,17 @@ def killing_equality_check(surface, spin, phi: Section, alpha: float,
         raise AssemblyError("zero section")
     # pointwise |phi|^2 on element midpoints; a one-sided (single-block)
     # eigenvector gets its partner component from the first-order factor
+    mids_avg = [0.5 * (c[1:] + c[:-1]) for c in comps]
     populated = [i for i, nrm in enumerate(norms) if nrm > 1e-12 * total]
     if len(populated) == 1:
         c = populated[0]
-        _, au, ua, w_e = apply_block_midpoint(surface, op.blocks[c].coef,
-                                              grid, comps[c])
-        dens = np.abs(ua) ** 2 + np.abs(au / alpha) ** 2
+        au = op.blocks[c].factor(comps[c])[1:-1]
+        dens = np.abs(mids_avg[c]) ** 2 + np.abs(au / alpha) ** 2
     else:
-        mids_avg = [0.5 * (np.asarray(c)[1:] + np.asarray(c)[:-1])
-                    for c in comps]
         dens = sum(np.abs(v) ** 2 for v in mids_avg)
     mean = float(np.mean(dens))
     variation = float((np.max(dens) - np.min(dens)) / mean)
-    energy = dirac_energy(surface, op, phi)
+    energy = dirac_energy(op, phi)
     ratio_dev = abs(bochner_gradient_energy(surface, op, phi) / energy
                     - 1.0 / n)
     return KillingDiagnostics(applicable=True, norm_variation=variation,
@@ -367,11 +364,9 @@ def essential_bound_check(surface, spin, profile, grid,
     lives below the floor.  The windows are fractions of `grid`, the grid
     `profile` was sampled on.
     """
-    ends = (geometry.end_kind(surface, "lower"),
-            geometry.end_kind(surface, "upper"))
     kappa_inf = min(profile.tail_kappa)
     value = friedrich_bound(2, kappa_inf) if kappa_inf > 0 else 0.0
-    probe_worthy = ("cusp" in ends) or profile.kappa_growing_ends
+    probe_worthy = "cusp" in grid.side_kinds or profile.kappa_growing_ends
     hyps = [("curvature term bounded below at infinity by a positive "
              "constant", kappa_inf > 0)]
     if value <= 0 or not probe_worthy:

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from . import __version__, bounds, geometry, scenarios
 from .eigensolve import (
@@ -26,8 +26,8 @@ from .errors import CatalogError, DiraclabError, SchemaError
 from .operators import (
     KIND_DIRAC,
     KIND_LAPLACIAN,
+    assemble,
     assemble_dirac_square,
-    assemble_laplacian,
     make_grid,
     rayleigh_quotient,
 )
@@ -65,9 +65,7 @@ class _ScenarioRun:
         self.scenario = scenario
         self.policy = policy
         self.tol_scale = tol_scale
-        self.grid = make_grid(scenario.surface, policy.base_n,
-                              delta_ratio=policy.delta_ratio,
-                              cusp_tail_rel=policy.cusp_tail_rel)
+        self.grid = make_grid(scenario.surface, policy.base_n)
         self.profile = geometry.curvature_profile(scenario.surface, self.grid)
         self.diagnostics = {}
         self.verdicts = []
@@ -87,10 +85,8 @@ class _ScenarioRun:
         def compute():
             sc, grid = self.scenario, self.grid
             sec = scenarios.eval_test_section(sc, name, grid)
-            if sc.section_spec(name).field_kind == KIND_LAPLACIAN:
-                op = assemble_laplacian(sc.surface, sec.nu, grid)
-            else:
-                op = assemble_dirac_square(sc.surface, sc.spin, sec.nu, grid)
+            op = assemble(sc.surface, sc.section_spec(name).field_kind,
+                          sc.spin, sec.nu, grid)
             return rayleigh_quotient(op, sec)
         return self._memo(("rq", name), compute)
 
@@ -137,8 +133,7 @@ def _bound_statistic(run: _ScenarioRun, exp: dict):
 
 def _lichnerowicz(run: _ScenarioRun, exp: dict) -> bounds.BoundVerdict:
     stat, bar, source = _bound_statistic(run, exp)
-    complete = all(geometry.end_kind(run.scenario.surface, s) == "cusp"
-                   for s in ("lower", "upper"))
+    complete = all(k == "cusp" for k in run.grid.side_kinds)
     return bounds.lichnerowicz_check(
         run.scenario.surface, run.profile, stat, bar, complete=complete,
         predicted=bool(exp.get("predicted", False)), statistic_source=source)
@@ -325,7 +320,7 @@ def run_scenario(scenario, policy: GridPolicy = GridPolicy(),
     }
     provenance = {
         "package_version": __version__,
-        "policy": asdict(run.policy),
+        "policy": run.policy.to_json(),
         "tol_scale": tol_scale,
         "margin_bar_factor": bounds.MARGIN_BAR_FACTOR,
     }
@@ -377,18 +372,28 @@ def cmd_verify(selector: str, policy: GridPolicy, tol_scale: float,
     return EXIT_OK if report.all_expected_match else EXIT_MISMATCH
 
 
+def _sweep_number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise CatalogError(f"sweep value {text!r} is not a finite number")
+    return value
+
+
 def _parse_range(spec: str):
     # "a:b:step" or comma list
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise CatalogError(f"range must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_sweep_number(p) for p in parts)
         if step <= 0 or stop < start:
             raise CatalogError(f"empty range {spec!r}")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(n)]
-    values = [float(p) for p in spec.split(",") if p]
+    values = [_sweep_number(p) for p in spec.split(",") if p]
     if not values:
         raise CatalogError("empty sweep range")
     return values
@@ -398,6 +403,8 @@ def _sweep_rows(param: str, values, spin: SpinStructure,
                 policy: GridPolicy):
     def one(value):
         if param == "L":
+            if not value > 0:
+                raise CatalogError(f"L must be > 0, got {value}")
             run = _ScenarioRun(
                 scenarios.flat_cylinder_scenario(float(value), spin), policy)
             tone = run.tone(KIND_DIRAC)
@@ -423,6 +430,8 @@ def _sweep_rows(param: str, values, spin: SpinStructure,
         if param == "N":
             sc = scenarios.round_sphere_scenario()
             n = int(round(value))
+            if n < 16:
+                raise CatalogError(f"grid size N must be >= 16, got {n}")
             pol = replace(policy, base_n=n, levels=1)
             tone = fundamental_tone(sc.surface, KIND_LAPLACIAN, None, pol)
             return {
@@ -515,6 +524,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grid_policy(args, **fields) -> GridPolicy:
+    """The GridPolicy of --grid-n and --levels, which both commands take."""
+    if args.grid_n < 16 or args.levels < 1:
+        raise CatalogError("grid-n >= 16 and levels >= 1 required")
+    return GridPolicy(base_n=args.grid_n, levels=args.levels, **fields)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -523,22 +539,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         if args.command == "verify":
-            if args.grid_n < 16 or args.levels < 1 or args.modes < 1 \
-                    or args.tol <= 0:
-                raise CatalogError("grid-n >= 16, levels >= 1, modes >= 1 "
-                                   "and tol > 0 required")
-            policy = GridPolicy(base_n=args.grid_n, levels=args.levels,
-                                mode_cutoff=args.modes)
-            return cmd_verify(args.scenario, policy, args.tol, args.format,
-                              args.out)
+            if args.modes < 1 or args.tol <= 0:
+                raise CatalogError("modes >= 1 and tol > 0 required")
+            return cmd_verify(args.scenario,
+                              _grid_policy(args, mode_cutoff=args.modes),
+                              args.tol, args.format, args.out)
         if args.command == "sweep":
             if "=" not in args.sweep:
                 raise CatalogError("--sweep needs param=range")
             param, spec = args.sweep.split("=", 1)
-            values = _parse_range(spec)
-            policy = GridPolicy(base_n=args.grid_n, levels=args.levels)
-            return cmd_sweep(param, values, SpinStructure(args.spin),
-                             policy, args.format, args.out)
+            return cmd_sweep(param, _parse_range(spec),
+                             SpinStructure(args.spin), _grid_policy(args),
+                             args.format, args.out)
         if args.command == "report":
             return cmd_report(args.paths, args.format, args.out)
         raise CatalogError(f"unknown command {args.command!r}")

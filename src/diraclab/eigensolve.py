@@ -15,24 +15,28 @@ Richardson extrapolation over a geometric (h, delta) refinement sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from . import geometry
 from .errors import AssemblyError, ConvergenceError
 from .operators import (
+    CUSP_TAIL_REL,
+    DELTA_RATIO,
     KIND_DIRAC,
     KIND_LAPLACIAN,
     Grid,
     ReducedOperator,
     Section,
-    assemble_dirac_square,
-    assemble_laplacian,
+    assemble,
     make_grid,
 )
 from .spin import SCALAR, enumerate_modes, mode_lower_bound_term
+
+
+# The mode sweep doubles its cutoff from GridPolicy.mode_cutoff up to this.
+MAX_MODE_CUTOFF = 64
 
 
 @dataclass(frozen=True)
@@ -40,21 +44,27 @@ class GridPolicy:
     """Refinement policy for tone computations.
 
     base_n is the coarsest node count; each of the `levels` refinement
-    steps doubles it.  Singular-end truncation distances are tied to the
-    spacing (delta = delta_ratio * h), so one geometric sequence refines h
-    and delta together and a single estimated-order Richardson step
+    steps doubles it; mode_cutoff is the sweep's first mode cutoff.
+    Singular-end truncation distances are tied to the spacing (delta =
+    DELTA_RATIO * h, a constant), so one geometric sequence refines h and
+    delta together and a single estimated-order Richardson step
     extrapolates both.
     """
 
     base_n: int = 512
     levels: int = 3
-    delta_ratio: float = 0.5
-    cusp_tail_rel: float = 1e-6
     mode_cutoff: int = 8
-    max_mode_cutoff: int = 64
 
-    def level_n(self, level: int) -> int:
-        return self.base_n * 2 ** level
+    def to_json(self) -> dict:
+        """The fields and the three grid constants, for provenance."""
+        return {**asdict(self), "delta_ratio": DELTA_RATIO,
+                "cusp_tail_rel": CUSP_TAIL_REL,
+                "max_mode_cutoff": MAX_MODE_CUTOFF}
+
+    def grids(self, surface) -> list:
+        """The `levels` refinement grids of a surface, coarsest first."""
+        return [make_grid(surface, self.base_n * 2 ** level)
+                for level in range(self.levels)]
 
 
 @dataclass
@@ -191,33 +201,19 @@ def richardson(seq) -> tuple:
     return val, abs(val - l2) + 1e-14, p
 
 
-def _assemble(surface, kind, spin, nu, grid):
-    if kind == KIND_LAPLACIAN:
-        return assemble_laplacian(surface, nu, grid)
-    return assemble_dirac_square(surface, spin, nu, grid)
-
-
-def _has_regular_end(surface) -> bool:
-    return any(geometry.end_kind(surface, s) == "regular"
-               for s in ("lower", "upper"))
-
-
-def _mode_value(surface, kind, spin, nu, policy, take_second):
+def _mode_value(surface, kind, spin, nu, grids, take_second):
     """Per-level ground value of one mode and its extrapolation."""
     seq = []
     rows = []
-    for level in range(policy.levels):
-        n = policy.level_n(level)
-        grid = make_grid(surface, n, delta_ratio=policy.delta_ratio,
-                         cusp_tail_rel=policy.cusp_tail_rel)
-        op = _assemble(surface, kind, spin, nu, grid)
+    for level, grid in enumerate(grids):
+        op = assemble(surface, kind, spin, nu, grid)
         res = smallest_eigenpairs(op, 2 if take_second else 1)
         value = float(res.eigenvalues[1] if take_second
                       else res.eigenvalues[0])
         seq.append(value)
-        delta = policy.delta_ratio * grid.h \
+        delta = DELTA_RATIO * grid.h \
             if "singular" in grid.side_kinds else 0.0
-        rows.append({"nu": nu, "level": level, "n": n, "h": grid.h,
+        rows.append({"nu": nu, "level": level, "n": grid.n, "h": grid.h,
                      "delta": delta, "value": value})
     val, bar, order = richardson(seq)
     return val, bar, order, rows
@@ -238,18 +234,17 @@ def fundamental_tone(surface, kind: str, spin=None,
     if kind == KIND_DIRAC and spin is None:
         raise AssemblyError("dirac tone needs a spin structure")
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
-    kernel_skip = kind == KIND_LAPLACIAN and not _has_regular_end(surface)
+    grids = policy.grids(surface)
+    ends = grids[0].side_kinds
+    kernel_skip = kind == KIND_LAPLACIAN and "regular" not in ends
 
     flags = []
-    if any(geometry.end_kind(surface, s) == "cusp" for s in ("lower", "upper")):
+    if "cusp" in ends:
         flags.append("cusp-truncated-upper-estimate")
 
     cutoff = policy.mode_cutoff
     modes = enumerate_modes(structure, surface.period, cutoff)
     pending = sorted({nu for nu in modes.frequencies if nu >= 0})
-    probe_grid = make_grid(surface, policy.base_n,
-                           delta_ratio=policy.delta_ratio,
-                           cusp_tail_rel=policy.cusp_tail_rel)
 
     best = math.inf
     best_nu = math.nan
@@ -259,25 +254,25 @@ def fundamental_tone(surface, kind: str, spin=None,
     certified = False
     while True:
         for nu in pending:
-            term = mode_lower_bound_term(nu, surface.warp, probe_grid)
+            term = mode_lower_bound_term(nu, surface.warp, grids[0])
             if best < math.inf and term > best:
                 per_mode[nu] = {"pruned_at": term}
                 continue
             take_second = kernel_skip and abs(nu) < 1e-12
             val, bar, order, rows = _mode_value(surface, kind, spin, nu,
-                                                policy, take_second)
+                                                grids, take_second)
             per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
             table.extend(rows)
             if val < best:
                 best, best_nu, best_bar = val, nu, bar
         top = max(abs(nu) for nu in per_mode)
-        top_term = mode_lower_bound_term(top, surface.warp, probe_grid)
+        top_term = mode_lower_bound_term(top, surface.warp, grids[0])
         if best < math.inf and top_term > best:
             certified = True
             break
-        if cutoff >= policy.max_mode_cutoff:
+        if cutoff >= MAX_MODE_CUTOFF:
             break
-        new_cutoff = min(2 * cutoff, policy.max_mode_cutoff)
+        new_cutoff = min(2 * cutoff, MAX_MODE_CUTOFF)
         bigger = enumerate_modes(structure, surface.period, new_cutoff)
         pending = sorted({nu for nu in bigger.frequencies
                           if nu >= 0 and nu not in per_mode})
@@ -316,7 +311,7 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
             term = mode_lower_bound_term(nu, surface.warp, grid)
             if term > threshold:
                 continue
-            op = _assemble(surface, kind, spin, nu, grid)
+            op = assemble(surface, kind, spin, nu, grid)
             c = sum(_count_block_below(blk, threshold) for blk in op.blocks)
             if nu > 1e-12:
                 c *= 2  # modes +-nu carry identical spectra

@@ -18,8 +18,9 @@ window (midpoint coefficients, ghost zeros at both fenceposts), which
 makes the stiffness symmetric positive semidefinite by construction.  A
 free side gets element weight zero instead of a boundary element.  The
 scalar mode is the same sum with A = d/dt plus the node potential.
-Block.energy evaluates the form from the element differences, so it keeps
-relative accuracy where u^T S u would cancel digits of size eps/h^2.
+Block.factor gives (A_mu u)_e on those elements; Block.energy and
+dirac_energy sum its weighted squares, so they keep relative accuracy where
+u^T S u would cancel digits of size eps/h^2.
 
 Boundary treatment.  Regular boundary circles and cusp truncations get a
 Dirichlet ghost node (the Friedrichs condition).  At a singular end where
@@ -53,6 +54,9 @@ FREE = "free"
 
 _GAMMA_EPS = 1e-9
 
+DELTA_RATIO = 0.5
+CUSP_TAIL_REL = 1e-6
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -85,19 +89,14 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return self.a + self.h * np.arange(1, self.n + 1)
 
-    @property
-    def midpoints(self) -> np.ndarray:
-        t = self.nodes
-        return 0.5 * (t[:-1] + t[1:])
 
-
-def make_grid(surface, n: int, delta_ratio: float = 0.5,
-              cusp_tail_rel: float = 1e-6) -> Grid:
+def make_grid(surface, n: int) -> Grid:
     """Compute the solve window for a surface and lay down n nodes.
 
-    Singular ends are truncated at distance delta = delta_ratio * h (the
+    Singular ends are truncated at distance delta = DELTA_RATIO * h (the
     coupling keeps a single refinement parameter); cusp ends are cut where
-    the remaining tail area drops below cusp_tail_rel of the cusp mass.
+    the remaining tail area drops below CUSP_TAIL_REL of the cusp mass.
+    This is the one place that classifies the ends (Grid.side_kinds).
     """
     kinds = (geometry.end_kind(surface, "lower"),
              geometry.end_kind(surface, "upper"))
@@ -106,13 +105,13 @@ def make_grid(surface, n: int, delta_ratio: float = 0.5,
     slopes = [None, None]
     for i, side in enumerate(("lower", "upper")):
         if kinds[i] == "singular":
-            ratios[i] = delta_ratio
+            ratios[i] = DELTA_RATIO
             slopes[i] = geometry.edge_slope(surface, side)
         elif kinds[i] == "cusp" and math.isinf(bounds[i]):
             if not isinstance(surface.warp, geometry.ExpCuspWarp) or i == 0:
                 raise AssemblyError(
                     "an infinite end needs a decaying cusp profile")
-            cut = math.log(1.0 / cusp_tail_rel)
+            cut = math.log(1.0 / CUSP_TAIL_REL)
             bounds[i] = surface.t_min + cut
     span = bounds[1] - bounds[0]
     if not (math.isfinite(span) and span > 0):
@@ -166,14 +165,16 @@ class Block:
     def n(self) -> int:
         return len(self.diag)
 
+    def factor(self, v: np.ndarray) -> np.ndarray:
+        """(A u)_e = (u_{e+1} - u_e)/h + a_e (u_e + u_{e+1})/2 on all n + 1
+        elements, with ghost zeros at both fenceposts."""
+        u = np.concatenate([[0.0], np.asarray(v), [0.0]])
+        return (u[1:] - u[:-1]) / self.h + self.a_e * 0.5 * (u[:-1] + u[1:])
+
     def energy(self, v: np.ndarray) -> float:
-        """sum_e w_e |(u_{e+1} - u_e)/h + a_e (u_e + u_{e+1})/2|^2
-        + sum_i pot_i |u_i|^2, with ghost zeros at both fenceposts."""
-        v = np.asarray(v)
-        u = np.concatenate([[0.0], v, [0.0]])
-        au = (u[1:] - u[:-1]) / self.h + self.a_e * 0.5 * (u[:-1] + u[1:])
-        return float(np.sum(self.w_e * np.abs(au) ** 2)
-                     + np.sum(self.pot * np.abs(v) ** 2))
+        """sum_e w_e |(A u)_e|^2 + sum_i pot_i |u_i|^2."""
+        return float(np.sum(self.w_e * np.abs(self.factor(v)) ** 2)
+                     + np.sum(self.pot * np.abs(np.asarray(v)) ** 2))
 
     def mass_form(self, v: np.ndarray) -> float:
         return float(np.sum(self.mass.weights * np.abs(np.asarray(v)) ** 2))
@@ -338,6 +339,14 @@ def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
                            period=surface.period, grid=grid, blocks=blocks)
 
 
+def assemble(surface, kind: str, spin, nu: float,
+             grid: Grid) -> ReducedOperator:
+    """Mode-nu operator of either kind; spin is unused for the Laplacian."""
+    if kind == KIND_LAPLACIAN:
+        return assemble_laplacian(surface, nu, grid)
+    return assemble_dirac_square(surface, spin, nu, grid)
+
+
 def rayleigh_quotient(op: ReducedOperator, phi: Section) -> float:
     """energy(phi) / (mass phi, phi); an upper bound for the tone."""
     if phi.kind != op.kind:
@@ -349,22 +358,6 @@ def rayleigh_quotient(op: ReducedOperator, phi: Section) -> float:
     if den <= 0:
         raise AssemblyError("section has zero norm")
     return num / den
-
-
-def apply_block_midpoint(surface, mu: float, grid: Grid, values) -> tuple:
-    """(A_mu u) at interior element midpoints, plus the averaged u there.
-
-    Returns (midpoints, A_mu u, u averages, element weights).  Boundary
-    elements are excluded, so the result is independent of the block bc.
-    """
-    u = np.asarray(values)
-    mids = grid.midpoints
-    fm = np.asarray(surface.f(mids), dtype=float)
-    am = np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm) + mu / fm
-    du = (u[1:] - u[:-1]) / grid.h
-    ua = 0.5 * (u[1:] + u[:-1])
-    w_e = surface.period * fm * grid.h
-    return mids, du + am * ua, ua, w_e
 
 
 def apply_block_forward(surface, mu: float, grid: Grid, values) -> np.ndarray:
@@ -383,14 +376,14 @@ def apply_block_forward(surface, mu: float, grid: Grid, values) -> np.ndarray:
     return (ext[1:] - ext[:-1]) / grid.h + a * u
 
 
-def dirac_energy(surface, op: ReducedOperator, phi: Section) -> float:
+def dirac_energy(op: ReducedOperator, phi: Section) -> float:
     """||D phi||^2 over the open window (interior elements only)."""
     if op.kind != KIND_DIRAC:
         raise AssemblyError("dirac_energy needs a dirac_square operator")
     total = 0.0
     for block, comp in zip(op.blocks, phi.components()):
-        _, au, _, w_e = apply_block_midpoint(surface, block.coef, op.grid, comp)
-        total += float(np.sum(w_e * np.abs(au) ** 2))
+        au = block.factor(comp)[1:-1]
+        total += float(np.sum(block.w_e[1:-1] * np.abs(au) ** 2))
     return total
 
 
@@ -408,7 +401,7 @@ def bochner_gradient_energy(surface, op: ReducedOperator,
     curv = 0.0
     for block, comp in zip(op.blocks, phi.components()):
         curv += float(np.sum(block.mass.weights * kap * np.abs(comp) ** 2))
-    return dirac_energy(surface, op, phi) - curv
+    return dirac_energy(op, phi) - curv
 
 
 def leibniz_defect(surface, spin, nu: float, grid: Grid,

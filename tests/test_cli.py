@@ -145,6 +145,15 @@ def test_sweep_empty_range_usage_error(capsys):
     assert code == 64
     code, _, _ = run(["sweep", "--sweep", "L=5:4:1"], capsys)
     assert code == 64
+    # non-numbers, non-finite values, out-of-range rows and grid flags
+    for argv in (["--sweep", "L=a:b:c"], ["--sweep", "k=1,x"],
+                 ["--sweep", "k=nan"], ["--sweep", "N=nan"],
+                 ["--sweep", "L=0"], ["--sweep", "L=-1"],
+                 ["--sweep", "L=nan"], ["--sweep", "L=inf"],
+                 ["--sweep", "N=8"], ["--sweep", "L=5", "--grid-n", "8"],
+                 ["--sweep", "L=5", "--levels", "0"]):
+        code, _, err = run(["sweep", *argv], capsys)
+        assert (code, err.startswith("usage error")) == (64, True), argv
 
 
 def test_report_merge_union_and_duplicate_warning(tmp_path, capsys):
@@ -353,3 +362,57 @@ def test_import_and_catalog_load_stay_lean():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def _count_calls(monkeypatch, counts, key, module, attr):
+    real = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, attr, counted)
+
+
+def test_only_make_grid_classifies_ends(monkeypatch):
+    # every end_kind call comes from make_grid, two per grid: the tone,
+    # bound and completeness code read Grid.side_kinds instead
+    from diraclab import cli, eigensolve, geometry
+    from diraclab.scenarios import find_scenario
+    counts = {"end_kind": 0, "make_grid": 0}
+    _count_calls(monkeypatch, counts, "end_kind", geometry, "end_kind")
+    for module in (cli, eigensolve):
+        _count_calls(monkeypatch, counts, "make_grid", module, "make_grid")
+    for sid in ("round-sphere", "cusp-cylinder-l10", "growing-curvature"):
+        cli.run_scenario(find_scenario(sid))
+    assert counts["make_grid"] > 0
+    assert counts["end_kind"] == 2 * counts["make_grid"]
+
+
+def test_default_report_records_the_grid_constants():
+    from dataclasses import replace
+
+    from diraclab.cli import run_scenario
+    from diraclab.scenarios import find_scenario
+    sc = find_scenario("round-sphere")
+    area = next(e for e in sc.expected if e["check"] == "area")
+    doc = run_scenario(replace(sc, expected=(area,))).to_json_dict()
+    assert doc["provenance"]["policy"] == {
+        "base_n": 512, "levels": 3, "delta_ratio": 0.5,
+        "cusp_tail_rel": 1e-6, "mode_cutoff": 8, "max_mode_cutoff": 64}
+
+
+def test_bench_tracer_targets_resolve():
+    # bench/tracer.py patches these functions by name; a rename in the
+    # package would otherwise surface only in a traced benchmark run
+    import importlib.util
+
+    import diraclab.cli  # noqa: F401  (loads every module the tracer lists)
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("diraclab_bench_tracer",
+                                                  path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, (targets, _) in tracer.LAYERS.items():
+        for target in targets:
+            owner, attr = tracer._resolve(target)
+            assert callable(getattr(owner, attr, None)), (layer, target)

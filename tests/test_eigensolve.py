@@ -218,14 +218,31 @@ def test_probe_growing_curvature_counts_stabilize():
 
 def test_sweep_exhaustion_sets_warning_flag():
     # a very fat cylinder keeps every centrifugal floor below the tone,
-    # so a small cutoff cap can never certify the pruning
-    fat = WarpedSurface(warp=ConstantWarp(100.0), t_min=0.0, t_max=5.0,
+    # so even the sweep's cap of MAX_MODE_CUTOFF can never certify the
+    # pruning
+    fat = WarpedSurface(warp=ConstantWarp(1000.0), t_min=0.0, t_max=5.0,
                         period=2 * math.pi)
     tone = fundamental_tone(
         fat, KIND_DIRAC, SpinStructure.NON_BOUNDING,
-        GridPolicy(base_n=64, levels=1, mode_cutoff=4, max_mode_cutoff=8))
+        GridPolicy(base_n=64, levels=1, mode_cutoff=4))
     assert "sweep-exhausted-without-pruning-certificate" in tone.flags
     assert tone.lambda_star == pytest.approx(math.pi ** 2 / 25, rel=1e-3)
+
+
+def test_tone_lays_each_level_grid_once(monkeypatch):
+    # one grid per refinement level, shared by every solved mode and by
+    # the pruning terms
+    sizes = []
+    real = eigensolve.make_grid
+
+    def counted(surface, n, **kwargs):
+        sizes.append(n)
+        return real(surface, n, **kwargs)
+    monkeypatch.setattr(eigensolve, "make_grid", counted)
+    tone = fundamental_tone(sphere(), KIND_LAPLACIAN, None,
+                            GridPolicy(base_n=64, levels=3))
+    assert sum("value" in rec for rec in tone.per_mode.values()) > 1
+    assert sizes == [64, 128, 256]
 
 
 def test_probe_rejects_non_nested_windows():

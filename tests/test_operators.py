@@ -201,7 +201,7 @@ def test_bochner_energy_half_split_on_sphere_ground(sphere_dirac_tone):
     res = smallest_eigenpairs(op, 1)
     phi = res.sections[0]
     bge = bochner_gradient_energy(s, op, phi)
-    assert bge / dirac_energy(s, op, phi) == pytest.approx(0.5, abs=1e-3)
+    assert bge / dirac_energy(op, phi) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_bochner_energy_nonnegative_on_curved_scenarios():
