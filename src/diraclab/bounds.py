@@ -35,13 +35,13 @@ from .operators import (
     KIND_DIRAC,
     KIND_LAPLACIAN,
     Section,
-    apply_block_forward,
+    _check_positive,
     assemble_dirac_square,
     bochner_gradient_energy,
     dirac_energy,
     leibniz_defect,
 )
-from .spin import SpinStructure
+from .spin import SpinStructure, mode_in_structure
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -55,6 +55,14 @@ SOURCE_UPPER = "rayleigh-upper-bound"
 
 MARGIN_BAR_FACTOR = 3.0
 MARGIN_ABS_FLOOR = 1e-9
+
+DIM = 2  # the dimension n of every surface checked here
+# equality-case diagnostics apply when alpha^2 is this close to the bound
+EQUALITY_REL_TOL = 0.05
+# the essential probe counts below this fraction of the floor, on windows
+# that are these fractions of the solve window
+ESSENTIAL_PROBE_MARGIN = 0.95
+ESSENTIAL_WINDOW_FRACTIONS = (0.8, 0.9, 1.0)
 
 
 def friedrich_bound(n: int, kappa: float) -> float:
@@ -138,11 +146,10 @@ def _verdict(bound, value, hyps, statistic, error_bar, predicted,
                         statistic_source=source, notes=notes)
 
 
-def friedrich_check(surface, profile, tone: ToneResult,
-                    n: int = 2) -> BoundVerdict:
+def friedrich_check(surface, profile, tone: ToneResult) -> BoundVerdict:
     """Compare the D^2 tone against n*kappa/(n-1)."""
     kappa = profile.kappa_spinor
-    value = friedrich_bound(n, kappa) if kappa > 0 else 0.0
+    value = friedrich_bound(DIM, kappa) if kappa > 0 else 0.0
     hyps = [("curvature term bounded below by a positive constant",
              kappa > 0)]
     return _verdict("friedrich", value, hyps, tone.lambda_star,
@@ -174,8 +181,7 @@ def area_bound_check(surface, spin, statistic: float, error_bar: float,
 
 def lichnerowicz_check(surface, profile, statistic: float, error_bar: float,
                        complete: bool = False, predicted: bool = False,
-                       statistic_source: str = SOURCE_TONE,
-                       n: int = 2) -> BoundVerdict:
+                       statistic_source: str = SOURCE_TONE) -> BoundVerdict:
     """First nonzero Laplace eigenvalue against n*kappa_ric/(n-1).
 
     The Ricci constant on a surface is the Gauss curvature infimum.  The
@@ -183,7 +189,7 @@ def lichnerowicz_check(surface, profile, statistic: float, error_bar: float,
     quotient of a mean-zero test function, which upper-bounds it.
     """
     kappa = profile.kappa_oneform
-    value = friedrich_bound(n, kappa) if kappa > 0 else 0.0
+    value = friedrich_bound(DIM, kappa) if kappa > 0 else 0.0
     hyps = [
         ("Ricci curvature bounded below by a positive constant", kappa > 0),
         ("complete (hence compact) surface", complete),
@@ -224,22 +230,20 @@ class KillingDiagnostics:
         }
 
 
-def killing_equality_check(surface, spin, phi: Section, alpha: float,
-                           equality_rel_tol: float = 0.05,
-                           n: int = 2) -> KillingDiagnostics:
-    """Norm-constancy and energy-ratio diagnostics for an equality case."""
+def killing_equality_check(surface, spin, profile, phi: Section,
+                           alpha: float) -> KillingDiagnostics:
+    """Norm-constancy and energy-ratio diagnostics for an equality case;
+    profile is the surface's curvature profile on phi's grid."""
     if phi.kind != KIND_DIRAC:
         raise AssemblyError("killing check needs a spinor section")
-    grid = phi.grid
-    profile = geometry.curvature_profile(surface, grid)
-    bound = friedrich_bound(n, profile.kappa_spinor) \
+    bound = friedrich_bound(DIM, profile.kappa_spinor) \
         if profile.kappa_spinor > 0 else 0.0
-    if bound <= 0 or abs(alpha * alpha - bound) > equality_rel_tol * bound:
+    if bound <= 0 or abs(alpha * alpha - bound) > EQUALITY_REL_TOL * bound:
         return KillingDiagnostics(
             applicable=False, alpha=alpha,
             note="tone does not attain the curvature bound; equality-case "
                  "diagnostics are not applicable")
-    op = assemble_dirac_square(surface, spin, phi.nu, grid)
+    op = assemble_dirac_square(surface, spin, phi.nu, phi.grid)
     comps = phi.components()
     norms = [float(np.sum(b.mass.weights * np.abs(c) ** 2))
              for b, c in zip(op.blocks, comps)]
@@ -260,7 +264,7 @@ def killing_equality_check(surface, spin, phi: Section, alpha: float,
     variation = float((np.max(dens) - np.min(dens)) / mean)
     energy = dirac_energy(op, phi)
     ratio_dev = abs(bochner_gradient_energy(surface, op, phi) / energy
-                    - 1.0 / n)
+                    - 1.0 / DIM)
     return KillingDiagnostics(applicable=True, norm_variation=variation,
                               bochner_ratio_deviation=float(ratio_dev),
                               alpha=alpha)
@@ -305,6 +309,8 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos,
     """
     if phi.kind != KIND_DIRAC:
         raise AssemblyError("cutoff check needs a spinor section")
+    if not mode_in_structure(phi.nu, spin, surface.period):
+        raise AssemblyError(f"mode {phi.nu} is off the {spin} lattice")
     grid = phi.grid
     if center is None:
         center = 0.5 * (grid.a + grid.b)
@@ -312,13 +318,17 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos,
     rhos = [float(r) for r in rhos]
     if any(r <= 0 or r > radius * (1 + 1e-12) for r in rhos):
         raise AssemblyError(f"rho values must lie in (0, {radius}]")
-    mus = [b.coef for b in
-           assemble_dirac_square(surface, spin, phi.nu, grid).blocks]
-    w = surface.period * np.asarray(surface.f(grid.nodes)) * grid.h
+    f = np.asarray(surface.f(grid.nodes), dtype=float)
+    _check_positive(f, "grid nodes")
+    half_log = np.asarray(surface.fprime(grid.nodes), dtype=float) / (2.0 * f)
+    coefs = [half_log + mu / f for mu in (-float(phi.nu), float(phi.nu))]
+    w = surface.period * f * grid.h
 
     def d_apply(values):
-        return [apply_block_forward(surface, mu, grid, comp)
-                for mu, comp in zip(mus, values)]
+        # first-order node factor (A_mu u)_i = (u_{i+1} - u_i)/h + a_mu u_i,
+        # a_mu = f'/(2f) + mu/f, with a ghost zero past the upper end
+        return [np.diff(u, append=0.0) / grid.h + a * u
+                for a, u in zip(coefs, values)]
 
     def l2(vectors):
         return math.sqrt(sum(float(np.sum(w * np.abs(v) ** 2))
@@ -334,7 +344,7 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos,
                     zip(d_apply([f_rho * c for c in comps]), d_phi)]
         lhs = l2(lhs_vecs)
         fm = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=f_rho)
-        prod_defect = leibniz_defect(surface, spin, phi.nu, grid, fm, phi)
+        prod_defect = leibniz_defect(surface, fm, phi)
         tail = l2([(f_rho - 1.0) * v for v in d_phi])
         rhs = phi_norm / rho + tail + prod_defect + 1e-10
         slope = float(np.max(np.abs(np.diff(f_rho))) / grid.h)
@@ -351,9 +361,7 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos,
         monotone=bool(mono))
 
 
-def essential_bound_check(surface, spin, profile, grid,
-                          window_fractions=(0.8, 0.9, 1.0),
-                          probe_margin: float = 0.95) -> BoundVerdict:
+def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
     """Essential-spectrum floor n*kappa_inf/(n-1) via window stability.
 
     kappa_inf is the curvature-term infimum over the outermost windows of
@@ -365,7 +373,7 @@ def essential_bound_check(surface, spin, profile, grid,
     `profile` was sampled on.
     """
     kappa_inf = min(profile.tail_kappa)
-    value = friedrich_bound(2, kappa_inf) if kappa_inf > 0 else 0.0
+    value = friedrich_bound(DIM, kappa_inf) if kappa_inf > 0 else 0.0
     probe_worthy = "cusp" in grid.side_kinds or profile.kappa_growing_ends
     hyps = [("curvature term bounded below at infinity by a positive "
              "constant", kappa_inf > 0)]
@@ -380,10 +388,10 @@ def essential_bound_check(surface, spin, profile, grid,
     center = 0.5 * (grid.a + grid.b)
     span = grid.b - grid.a
     windows = [(center - 0.5 * f * span, center + 0.5 * f * span)
-               for f in window_fractions]
-    threshold = probe_margin * value
+               for f in ESSENTIAL_WINDOW_FRACTIONS]
+    threshold = ESSENTIAL_PROBE_MARGIN * value
     probe = truncation_probe(surface, KIND_DIRAC, spin, windows, threshold,
-                             n_base=min(grid.n, 800))
+                             n_base=grid.n)
     notes = [f"counts below {threshold:.6g}: {probe.counts}"]
     verdict = HOLDS if probe.stable else VIOLATED_UNEXPECTED
     if not probe.stable:

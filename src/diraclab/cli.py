@@ -16,21 +16,9 @@ from collections import namedtuple
 from dataclasses import replace
 
 from . import __version__, bounds, geometry, scenarios
-from .eigensolve import (
-    GridPolicy,
-    fundamental_tone,
-    smallest_eigenpairs,
-    truncation_probe,
-)
+from .eigensolve import GridPolicy, fundamental_tone, truncation_probe
 from .errors import CatalogError, DiraclabError, SchemaError
-from .operators import (
-    KIND_DIRAC,
-    KIND_LAPLACIAN,
-    assemble,
-    assemble_dirac_square,
-    make_grid,
-    rayleigh_quotient,
-)
+from .operators import KIND_DIRAC, KIND_LAPLACIAN, assemble, rayleigh_quotient
 from .spin import SpinStructure
 
 EXIT_OK = 0
@@ -59,13 +47,15 @@ def _resolve_scenario(selector: str) -> scenarios.Scenario:
 
 
 class _ScenarioRun:
-    """Lazy per-scenario computation cache used by the check evaluators."""
+    """Lazy per-scenario computation cache used by the check evaluators;
+    the tones share one grid ladder, the rest its coarsest grid."""
 
     def __init__(self, scenario, policy: GridPolicy, tol_scale: float = 1.0):
         self.scenario = scenario
         self.policy = policy
         self.tol_scale = tol_scale
-        self.grid = make_grid(scenario.surface, policy.base_n)
+        self.grids = policy.grids(scenario.surface)
+        self.grid = self.grids[0]
         self.profile = geometry.curvature_profile(scenario.surface, self.grid)
         self.diagnostics = {}
         self.verdicts = []
@@ -78,7 +68,8 @@ class _ScenarioRun:
 
     def tone(self, kind: str):
         return self._memo(("tone", kind), lambda: fundamental_tone(
-            self.scenario.surface, kind, self.scenario.spin, self.policy))
+            self.scenario.surface, kind, self.scenario.spin, self.policy,
+            self.grids))
 
     def section_rayleigh(self, name: str) -> float:
         """Rayleigh quotient of a named section for its own field kind."""
@@ -192,10 +183,9 @@ def _bound_verdict(run, exp):
 
 def _killing(run, exp):
     sc, tone = run.scenario, run.tone(KIND_DIRAC)
-    ground = smallest_eigenpairs(assemble_dirac_square(
-        sc.surface, sc.spin, tone.nu_star, run.grid), 1).sections[0]
     diag = bounds.killing_equality_check(
-        sc.surface, sc.spin, ground, math.sqrt(max(tone.lambda_star, 0.0)))
+        sc.surface, sc.spin, run.profile, tone.ground,
+        math.sqrt(max(tone.lambda_star, 0.0)))
     run.diagnostics["killing"] = detail = diag.to_json()
     if not exp.get("applicable", True):
         return not diag.applicable, detail
@@ -210,7 +200,7 @@ def _probe(run, exp):
     probe = truncation_probe(
         run.scenario.surface, exp.get("operator", KIND_DIRAC),
         run.scenario.spin, [tuple(w) for w in exp["windows"]],
-        exp["threshold"], n_base=min(run.policy.base_n, 800))
+        exp["threshold"], n_base=run.policy.base_n)
     run.diagnostics["probe"] = detail = {
         "threshold": probe.threshold,
         "windows": [list(w) for w in probe.windows],
@@ -401,10 +391,18 @@ def _parse_range(spec: str):
 
 def _sweep_rows(param: str, values, spin: SpinStructure,
                 policy: GridPolicy):
+    """One row per value; every value is checked before the first solve."""
+    least = min(values)  # each range is bounded below only
+    in_range = {"L": least > 0, "k": round(least) >= 1,
+                "N": round(least) >= 16}
+    if param not in in_range:
+        raise CatalogError(f"unknown sweep parameter {param!r}")
+    if not in_range[param]:
+        raise CatalogError(f"sweep needs L > 0, k >= 1 and N >= 16, got "
+                           f"{param}={least}")
+
     def one(value):
         if param == "L":
-            if not value > 0:
-                raise CatalogError(f"L must be > 0, got {value}")
             run = _ScenarioRun(
                 scenarios.flat_cylinder_scenario(float(value), spin), policy)
             tone = run.tone(KIND_DIRAC)
@@ -427,19 +425,15 @@ def _sweep_rows(param: str, values, spin: SpinStructure,
                 "lichnerowicz_bound": bound,
                 "margin": rq - bound,
             }
-        if param == "N":
-            sc = scenarios.round_sphere_scenario()
-            n = int(round(value))
-            if n < 16:
-                raise CatalogError(f"grid size N must be >= 16, got {n}")
-            pol = replace(policy, base_n=n, levels=1)
-            tone = fundamental_tone(sc.surface, KIND_LAPLACIAN, None, pol)
-            return {
-                "N": n,
-                "lambda_star": tone.lambda_star,
-                "abs_error": abs(tone.lambda_star - 2.0),
-            }
-        raise CatalogError(f"unknown sweep parameter {param!r}")
+        sc = scenarios.round_sphere_scenario()
+        n = int(round(value))
+        pol = replace(policy, base_n=n, levels=1)
+        tone = fundamental_tone(sc.surface, KIND_LAPLACIAN, None, pol)
+        return {
+            "N": n,
+            "lambda_star": tone.lambda_star,
+            "abs_error": abs(tone.lambda_star - 2.0),
+        }
 
     return [one(v) for v in values]
 

@@ -38,6 +38,8 @@ from .spin import SCALAR, enumerate_modes, mode_lower_bound_term
 # The mode sweep doubles its cutoff from GridPolicy.mode_cutoff up to this.
 MAX_MODE_CUTOFF = 64
 
+PROBE_MAX_BASE_N = 800  # node cap of a probe's first window
+
 
 @dataclass(frozen=True)
 class GridPolicy:
@@ -80,7 +82,7 @@ class EigenResult:
 
 @dataclass
 class ToneResult:
-    """Extrapolated fundamental tone of a mode sweep."""
+    """Extrapolated fundamental tone of a mode sweep, and its minimizer."""
 
     kind: str
     lambda_star: float
@@ -90,6 +92,7 @@ class ToneResult:
     table: list  # per (nu, level): n, h, delta, value
     flags: list
     kernel_skipped: bool = False
+    ground: Section | None = None  # level-0 section of mode nu_star
 
 
 @dataclass
@@ -201,26 +204,28 @@ def richardson(seq) -> tuple:
     return val, abs(val - l2) + 1e-14, p
 
 
-def _mode_value(surface, kind, spin, nu, grids, take_second):
-    """Per-level ground value of one mode and its extrapolation."""
+def _mode_value(surface, kind, spin, nu, grids, pick):
+    """Pair `pick` of one mode per level, extrapolated; its level-0 section."""
     seq = []
     rows = []
     for level, grid in enumerate(grids):
         op = assemble(surface, kind, spin, nu, grid)
-        res = smallest_eigenpairs(op, 2 if take_second else 1)
-        value = float(res.eigenvalues[1] if take_second
-                      else res.eigenvalues[0])
+        res = smallest_eigenpairs(op, pick + 1)
+        value = float(res.eigenvalues[pick])
+        if level == 0:
+            ground = res.sections[pick]
         seq.append(value)
         delta = DELTA_RATIO * grid.h \
             if "singular" in grid.side_kinds else 0.0
         rows.append({"nu": nu, "level": level, "n": grid.n, "h": grid.h,
                      "delta": delta, "value": value})
     val, bar, order = richardson(seq)
-    return val, bar, order, rows
+    return val, bar, order, rows, ground
 
 
 def fundamental_tone(surface, kind: str, spin=None,
-                     policy: GridPolicy = GridPolicy()) -> ToneResult:
+                     policy: GridPolicy = GridPolicy(),
+                     grids=None) -> ToneResult:
     """min over circle modes of the extrapolated ground eigenvalue.
 
     For the scalar Laplacian on surfaces with no honest boundary circle
@@ -228,13 +233,16 @@ def fundamental_tone(surface, kind: str, spin=None,
     so the nu = 0 ground is the kernel surrogate and the sweep reports the
     first nonzero eigenvalue instead; with a Dirichlet boundary present the
     kernel is empty and the plain minimum is returned.
+
+    grids is the ladder to refine on, policy.grids(surface) if not given;
+    the result's ground is the attaining mode's level-0 section.
     """
     if kind not in (KIND_LAPLACIAN, KIND_DIRAC):
         raise AssemblyError(f"unknown operator kind {kind!r}")
     if kind == KIND_DIRAC and spin is None:
         raise AssemblyError("dirac tone needs a spin structure")
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
-    grids = policy.grids(surface)
+    grids = grids or policy.grids(surface)
     ends = grids[0].side_kinds
     kernel_skip = kind == KIND_LAPLACIAN and "regular" not in ends
 
@@ -249,6 +257,7 @@ def fundamental_tone(surface, kind: str, spin=None,
     best = math.inf
     best_nu = math.nan
     best_bar = math.inf
+    best_ground = None
     per_mode = {}
     table = []
     certified = False
@@ -258,13 +267,13 @@ def fundamental_tone(surface, kind: str, spin=None,
             if best < math.inf and term > best:
                 per_mode[nu] = {"pruned_at": term}
                 continue
-            take_second = kernel_skip and abs(nu) < 1e-12
-            val, bar, order, rows = _mode_value(surface, kind, spin, nu,
-                                                grids, take_second)
+            pick = int(kernel_skip and abs(nu) < 1e-12)  # skip the kernel
+            val, bar, order, rows, ground = _mode_value(
+                surface, kind, spin, nu, grids, pick)
             per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
             table.extend(rows)
             if val < best:
-                best, best_nu, best_bar = val, nu, bar
+                best, best_nu, best_bar, best_ground = val, nu, bar, ground
         top = max(abs(nu) for nu in per_mode)
         top_term = mode_lower_bound_term(top, surface.warp, grids[0])
         if best < math.inf and top_term > best:
@@ -281,7 +290,8 @@ def fundamental_tone(surface, kind: str, spin=None,
         flags.append("sweep-exhausted-without-pruning-certificate")
     return ToneResult(kind=kind, lambda_star=best, nu_star=abs(best_nu),
                       error_bar=best_bar, per_mode=per_mode, table=table,
-                      flags=flags, kernel_skipped=kernel_skip)
+                      flags=flags, kernel_skipped=kernel_skip,
+                      ground=best_ground)
 
 
 def truncation_probe(surface, kind: str, spin, windows, threshold: float,
@@ -292,7 +302,8 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
     threshold (compact perturbations do not move the essential spectrum);
     counts that keep growing signal spectrum accumulating below it.
     All probe windows use Dirichlet walls and share one node spacing so the
-    discrete spaces are genuinely nested.
+    discrete spaces are genuinely nested; the first window gets n_base
+    nodes, at most PROBE_MAX_BASE_N.
     """
     windows = [(float(a), float(b)) for a, b in windows]
     for (a0, b0), (a1, b1) in zip(windows, windows[1:]):
@@ -300,7 +311,7 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
             raise AssemblyError("probe windows must be nested and growing")
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
     span0 = windows[0][1] - windows[0][0]
-    h = span0 / (n_base + 1)
+    h = span0 / (min(n_base, PROBE_MAX_BASE_N) + 1)
     modes = enumerate_modes(structure, surface.period, 32)
     counts = []
     for a, b in windows:

@@ -136,10 +136,6 @@ class MassMatrix:
         if np.any(self.weights <= 0):
             raise AssemblyError("mass weights must be positive")
 
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.weights))
-
 
 @dataclass(frozen=True)
 class Block:
@@ -360,22 +356,6 @@ def rayleigh_quotient(op: ReducedOperator, phi: Section) -> float:
     return num / den
 
 
-def apply_block_forward(surface, mu: float, grid: Grid, values) -> np.ndarray:
-    """First-order node realization of A_mu with a ghost zero past the end.
-
-    (A u)_i = (u_{i+1} - u_i)/h + a(t_i) u_i.  This is the discrete
-    square-root factor used by the product-rule and cutoff diagnostics; it
-    is consistent of order one, which is exactly what those checks probe.
-    """
-    u = np.asarray(values)
-    t = grid.nodes
-    f = np.asarray(surface.f(t), dtype=float)
-    _check_positive(f, "grid nodes")
-    a = np.asarray(surface.fprime(t), dtype=float) / (2.0 * f) + mu / f
-    ext = np.concatenate([u, [0.0]])
-    return (ext[1:] - ext[:-1]) / grid.h + a * u
-
-
 def dirac_energy(op: ReducedOperator, phi: Section) -> float:
     """||D phi||^2 over the open window (interior elements only)."""
     if op.kind != KIND_DIRAC:
@@ -404,9 +384,8 @@ def bochner_gradient_energy(surface, op: ReducedOperator,
     return dirac_energy(op, phi) - curv
 
 
-def leibniz_defect(surface, spin, nu: float, grid: Grid,
-                   fmul: Section, phi: Section) -> float:
-    """Discrete L2 norm of D(f phi) - grad f . phi - f D phi.
+def leibniz_defect(surface, fmul: Section, phi: Section) -> float:
+    """Discrete L2 norm of D(f phi) - grad f . phi - f D phi on phi's grid.
 
     Uses the first-order node operator and the forward-difference gradient
     of the sampled multiplier; the defect is O(h) under refinement with
@@ -416,6 +395,9 @@ def leibniz_defect(surface, spin, nu: float, grid: Grid,
         raise AssemblyError("multiplier must be a scalar section")
     if phi.kind != KIND_DIRAC:
         raise AssemblyError("phi must be a spinor section")
+    grid = phi.grid
+    if fmul.grid != grid:
+        raise AssemblyError("multiplier and section must share one grid")
     fv = np.asarray(fmul.values, dtype=float)
     h = grid.h
     df = (fv[1:] - fv[:-1]) / h

@@ -26,7 +26,12 @@ from diraclab.eigensolve import (
     smallest_eigenpairs,
     truncation_probe,
 )
-from diraclab.geometry import ConstantWarp, WarpedSurface, area
+from diraclab.geometry import (
+    ConstantWarp,
+    WarpedSurface,
+    area,
+    curvature_profile,
+)
 from diraclab.operators import (
     KIND_DIRAC,
     KIND_LAPLACIAN,
@@ -81,8 +86,8 @@ def test_criterion_2_sphere_dirac_equality_case(sphere_dirac_tone):
         op = assemble_dirac_square(sc.surface, sc.spin, 0.5, grid)
         res = smallest_eigenpairs(op, 1)
         diags.append(killing_equality_check(
-            sc.surface, sc.spin, res.sections[0],
-            math.sqrt(res.eigenvalues[0])))
+            sc.surface, sc.spin, curvature_profile(sc.surface, grid),
+            res.sections[0], math.sqrt(res.eigenvalues[0])))
     killing_ok = (
         all(d.applicable for d in diags)
         and all(d.norm_variation < 1e-2 for d in diags)
@@ -218,8 +223,7 @@ def test_criterion_6_property_suite():
                                    SpinStructure.BOUNDING, 0.5, gg)
         phi = smallest_eigenpairs(op, 1).sections[0]
         fm = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=gg, values=gg.nodes)
-        defects.append(leibniz_defect(cyl.surface, SpinStructure.BOUNDING,
-                                      0.5, gg, fm, phi))
+        defects.append(leibniz_defect(cyl.surface, fm, phi))
     ratios = [a / b for a, b in zip(defects, defects[1:])]
     checks["product-rule defect first order (ratios in [1.7, 2.3])"] = \
         all(1.7 <= r <= 2.3 for r in ratios)

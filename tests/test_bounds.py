@@ -154,7 +154,9 @@ def test_killing_diagnostics_sphere_decrease_under_refinement():
         grid = make_grid(sc.surface, n)
         op = assemble_dirac_square(sc.surface, sc.spin, 0.5, grid)
         res = smallest_eigenpairs(op, 1)
-        diag = killing_equality_check(sc.surface, sc.spin, res.sections[0],
+        diag = killing_equality_check(sc.surface, sc.spin,
+                                      curvature_profile(sc.surface, grid),
+                                      res.sections[0],
                                       math.sqrt(res.eigenvalues[0]))
         assert diag.applicable
         results.append(diag)
@@ -168,7 +170,9 @@ def test_killing_inapplicable_off_equality_case():
     grid = make_grid(sc.surface, 128)
     op = assemble_dirac_square(sc.surface, sc.spin, 0.0, grid)
     res = smallest_eigenpairs(op, 1)
-    diag = killing_equality_check(sc.surface, sc.spin, res.sections[0],
+    diag = killing_equality_check(sc.surface, sc.spin,
+                                  curvature_profile(sc.surface, grid),
+                                  res.sections[0],
                                   math.sqrt(res.eigenvalues[0]))
     assert not diag.applicable
 

@@ -140,7 +140,14 @@ def test_sweep_grid_refinement_errors_decrease(capsys):
     assert 3.0 < errs[1] / errs[2] < 5.0
 
 
-def test_sweep_empty_range_usage_error(capsys):
+def test_sweep_empty_range_usage_error(capsys, monkeypatch):
+    # every value is checked before a row is computed
+    from diraclab import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the range check")
+    monkeypatch.setattr(cli, "fundamental_tone", no_solve)
+    monkeypatch.setattr(cli, "_ScenarioRun", no_solve)
     code, _, _ = run(["sweep", "--sweep", "L="], capsys)
     assert code == 64
     code, _, _ = run(["sweep", "--sweep", "L=5:4:1"], capsys)
@@ -151,7 +158,9 @@ def test_sweep_empty_range_usage_error(capsys):
                  ["--sweep", "L=0"], ["--sweep", "L=-1"],
                  ["--sweep", "L=nan"], ["--sweep", "L=inf"],
                  ["--sweep", "N=8"], ["--sweep", "L=5", "--grid-n", "8"],
-                 ["--sweep", "L=5", "--levels", "0"]):
+                 ["--sweep", "L=5", "--levels", "0"],
+                 ["--sweep", "N=256,8"], ["--sweep", "L=5,-1"],
+                 ["--sweep", "k=1,0"]):
         code, _, err = run(["sweep", *argv], capsys)
         assert (code, err.startswith("usage error")) == (64, True), argv
 
@@ -380,12 +389,64 @@ def test_only_make_grid_classifies_ends(monkeypatch):
     from diraclab.scenarios import find_scenario
     counts = {"end_kind": 0, "make_grid": 0}
     _count_calls(monkeypatch, counts, "end_kind", geometry, "end_kind")
-    for module in (cli, eigensolve):
-        _count_calls(monkeypatch, counts, "make_grid", module, "make_grid")
+    _count_calls(monkeypatch, counts, "make_grid", eigensolve, "make_grid")
     for sid in ("round-sphere", "cusp-cylinder-l10", "growing-curvature"):
         cli.run_scenario(find_scenario(sid))
     assert counts["make_grid"] > 0
     assert counts["end_kind"] == 2 * counts["make_grid"]
+
+
+def _patch_bindings(monkeypatch, fn, wrapper):
+    """Replace fn by wrapper wherever a diraclab module binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "diraclab" or name.startswith("diraclab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_scenario_run_lays_one_grid_ladder(monkeypatch):
+    # the tones, sections, profile and bound checks share one ladder
+    from diraclab import cli, operators
+    from diraclab.eigensolve import GridPolicy
+    from diraclab.scenarios import find_scenario
+    sizes = []
+    real = operators.make_grid
+
+    def counted(surface, n):
+        sizes.append(n)
+        return real(surface, n)
+    _patch_bindings(monkeypatch, real, counted)
+    cli.run_scenario(find_scenario("round-sphere"))
+    assert sizes == [512, 1024, 2048]
+    assert len(sizes) == GridPolicy().levels
+
+
+def test_only_tones_solve_during_a_scenario_run(monkeypatch):
+    # the equality-case check reads the tone's ground section instead of
+    # solving the level-0 problem again
+    from diraclab import cli, eigensolve
+    from diraclab.scenarios import find_scenario
+    depth = [0]
+    calls = {"inside": 0, "outside": 0}
+    real_tone = cli.fundamental_tone
+    real_solve = eigensolve.smallest_eigenpairs
+
+    def tone(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_tone(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def solve(*args, **kwargs):
+        calls["inside" if depth[0] else "outside"] += 1
+        return real_solve(*args, **kwargs)
+    monkeypatch.setattr(cli, "fundamental_tone", tone)
+    _patch_bindings(monkeypatch, real_solve, solve)
+    report = cli.run_scenario(find_scenario("round-sphere"))
+    assert "killing" in report.diagnostics
+    assert calls["inside"] > 0 and calls["outside"] == 0
 
 
 def test_default_report_records_the_grid_constants():

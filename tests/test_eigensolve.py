@@ -20,6 +20,7 @@ from diraclab.operators import (
     KIND_DIRAC,
     KIND_LAPLACIAN,
     MassMatrix,
+    assemble,
     assemble_dirac_square,
     assemble_laplacian,
     make_grid,
@@ -243,6 +244,32 @@ def test_tone_lays_each_level_grid_once(monkeypatch):
                             GridPolicy(base_n=64, levels=3))
     assert sum("value" in rec for rec in tone.per_mode.values()) > 1
     assert sizes == [64, 128, 256]
+
+
+def _fresh_level0_section(surface, kind, spin, nu, base_n, take_second):
+    op = assemble(surface, kind, spin, nu, make_grid(surface, base_n))
+    return smallest_eigenpairs(op, 2 if take_second else 1).sections[-1]
+
+
+def test_tone_ground_is_the_level0_section_of_the_attaining_mode(
+        sphere_dirac_tone):
+    sc = find_scenario("round-sphere")
+    tone = sphere_dirac_tone
+    fresh = _fresh_level0_section(sc.surface, KIND_DIRAC, sc.spin,
+                                  tone.nu_star, GridPolicy().base_n, False)
+    assert tone.ground.grid == fresh.grid
+    assert tone.ground.nu == fresh.nu
+    assert np.array_equal(tone.ground.values, fresh.values)
+
+    # kernel skip: the ground is the second pair of the nu = 0 mode
+    cusp = find_scenario("cusp-cylinder-l10")
+    tone = fundamental_tone(cusp.surface, KIND_LAPLACIAN, None,
+                            GridPolicy(base_n=64, levels=2))
+    assert tone.kernel_skipped and tone.nu_star == 0.0
+    fresh = _fresh_level0_section(cusp.surface, KIND_LAPLACIAN, None, 0.0,
+                                  64, True)
+    assert tone.ground.grid == fresh.grid
+    assert np.array_equal(tone.ground.values, fresh.values)
 
 
 def test_probe_rejects_non_nested_windows():

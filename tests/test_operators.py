@@ -224,8 +224,7 @@ def test_leibniz_defect_constant_multiplier_vanishes():
     phi = smallest_eigenpairs(op, 1).sections[0]
     ones = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid,
                    values=np.ones(grid.n))
-    assert leibniz_defect(s, SpinStructure.NON_BOUNDING, 0.0, grid,
-                          ones, phi) == 0.0
+    assert leibniz_defect(s, ones, phi) == 0.0
 
 
 def leibniz_defect_at(n):
@@ -234,7 +233,7 @@ def leibniz_defect_at(n):
     op = assemble_dirac_square(s, SpinStructure.NON_BOUNDING, 0.0, grid)
     phi = smallest_eigenpairs(op, 1).sections[0]
     fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=grid.nodes)
-    return leibniz_defect(s, SpinStructure.NON_BOUNDING, 0.0, grid, fmul, phi)
+    return leibniz_defect(s, fmul, phi)
 
 
 def test_leibniz_defect_first_order():
@@ -254,11 +253,23 @@ def test_leibniz_defect_cutoff_multiplier_bound():
     t = grid.nodes
     ramp = np.clip(2.0 - np.abs(t - 8.0) / rho, 0.0, 1.0)
     fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=ramp)
-    defect = leibniz_defect(s, SpinStructure.NON_BOUNDING, 0.0, grid,
-                            fmul, phi)
+    defect = leibniz_defect(s, fmul, phi)
     w = s.period * grid.h * np.ones(grid.n)
     phi_norm = math.sqrt(float(np.sum(w * phi.values[0] ** 2)))
     assert defect <= phi_norm / rho + 10.0 * grid.h
+
+
+def test_leibniz_defect_rejects_a_multiplier_from_another_grid():
+    # same node count, another window: the samples would be mixed silently
+    s = cylinder(5.0)
+    grid = make_grid(s, 128)
+    phi = smallest_eigenpairs(assemble_dirac_square(
+        s, SpinStructure.NON_BOUNDING, 0.0, grid), 1).sections[0]
+    other = Grid(a=0.0, b=10.0, n=grid.n)
+    fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=other,
+                   values=np.ones(grid.n))
+    with pytest.raises(AssemblyError):
+        leibniz_defect(s, fmul, phi)
 
 
 def test_dump_operator_matrix_market(tmp_path):
