@@ -33,13 +33,12 @@ from .eigensolve import ToneResult, truncation_probe
 from .errors import AssemblyError, InfiniteAreaError, SchemaError
 from .operators import (
     KIND_DIRAC,
-    KIND_LAPLACIAN,
     Section,
     _check_positive,
     assemble_dirac_square,
     bochner_gradient_energy,
     dirac_energy,
-    leibniz_defect,
+    product_rule_defect,
 )
 from .spin import SpinStructure, mode_in_structure
 
@@ -343,8 +342,7 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos,
         lhs_vecs = [a - b for a, b in
                     zip(d_apply([f_rho * c for c in comps]), d_phi)]
         lhs = l2(lhs_vecs)
-        fm = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=f_rho)
-        prod_defect = leibniz_defect(surface, fm, phi)
+        prod_defect = product_rule_defect(f_rho, comps, w, grid.h)
         tail = l2([(f_rho - 1.0) * v for v in d_phi])
         rhs = phi_norm / rho + tail + prod_defect + 1e-10
         slope = float(np.max(np.abs(np.diff(f_rho))) / grid.h)

@@ -1,13 +1,17 @@
 """Generalized eigensolves, mode sweeps, and refinement studies.
 
-Every tridiagonal block goes to LAPACK bisection after the diagonal-mass
-congruence M^(-1/2) S M^(-1/2), which keeps the bandwidth.  LAPACK gives
-the eigenvector v; the reported eigenvalue is the factored quotient
-energy(v) / (M v, v), which keeps relative accuracy where the bisection
-value carries an absolute error of about eps * ||S|| / ||M|| (Demmel &
-Kahan, 1990).  Each pair must pass the scale-free normwise backward error
-bound ||S v - lam M v|| / ((||S||_1 + |lam| ||M||_1) ||v||) <= n * eps
-(Higham & Higham, 1998).
+Every tridiagonal block goes to LAPACK bisection (dstebz, then dstein for
+the vectors) after the diagonal-mass congruence M^(-1/2) S M^(-1/2), which
+keeps the bandwidth.  The coarsest level bisects the index range from the
+Gershgorin interval; every finer level bisects only a value bracket around
+the same block's values at the coarser level, whose lower end is certified
+below the spectrum in O(n) by the LDL^T factorization dpttrf of T - lo I.
+LAPACK gives the eigenvector v; the reported eigenvalue is the factored
+quotient energy(v) / (M v, v), which keeps relative accuracy where the
+bisection value carries an absolute error of about eps * ||S|| / ||M||
+(Demmel & Kahan, 1990).  Each pair must pass the scale-free normwise
+backward error bound ||S v - lam M v|| / ((||S||_1 + |lam| ||M||_1) ||v||)
+<= n * eps (Higham & Higham, 1998).
 Fundamental tones come from a pruned sweep over circle modes with
 Richardson extrapolation over a geometric (h, delta) refinement sequence.
 """
@@ -18,7 +22,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dstebz, dstein
 
 from .errors import AssemblyError, ConvergenceError
 from .operators import (
@@ -39,6 +43,13 @@ from .spin import SCALAR, enumerate_modes, mode_lower_bound_term
 MAX_MODE_CUTOFF = 64
 
 PROBE_MAX_BASE_N = 800  # node cap of a probe's first window
+
+# A coarser level gives each eigenvalue to a few percent; a bracket starts
+# this far (relative) around it, padded by BRACKET_SLACK * eps * ||T||_1.
+BRACKET_REL = 0.1
+BRACKET_SLACK = 8
+
+_RANGE_VALUE, _RANGE_INDEX = 1, 2  # dstebz RANGE = 'V', 'I'
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,7 @@ class EigenResult:
     residuals: np.ndarray  # normwise backward error of each pair
     grid: Grid
     block_index: np.ndarray
+    block_values: list  # each block's solved values, ascending
 
 
 @dataclass
@@ -112,34 +124,96 @@ def _congruence(block):
             block.off * scale[:-1] * scale[1:])
 
 
-def _solve_block(block, count):
-    """Eigenvectors of the `count` lowest pairs of a block, M-scaled back."""
+def _gershgorin(d, e) -> tuple:
+    """||T||_1 and the Gershgorin interval of the tridiagonal T = (d, e)."""
+    off = np.pad(np.abs(e), 1)
+    radius = off[:-1] + off[1:]
+    return (float(np.max(np.abs(d) + radius)), float(np.min(d - radius)),
+            float(np.max(d + radius)))
+
+
+def _bracket(d, e, count, near) -> tuple:
+    """dstebz on a value range (vl, hi] that holds the `count` lowest values.
+
+    `near` are the same block's values at the coarser level.  lo starts
+    BRACKET_REL below near[0] and hi BRACKET_REL above near[count - 1],
+    each padded by `slack` so that a zero value still leaves vl < hi.
+    dpttrf(d - lo, e) succeeds exactly when lo < lambda_1, up to its
+    backward error of a few eps ||T||_1, so bisection starts `slack` below
+    a certified lo.  A failed certificate moves lo down, and fewer than
+    `count` values in range move hi up, each doubling its distance from
+    near; both stop at the padded Gershgorin interval, where the range
+    holds the whole spectrum.
+    """
+    norm, gl, gu = _gershgorin(d, e)
+    slack = BRACKET_SLACK * np.finfo(float).eps * norm
+    floor, ceil = gl - slack, gu + slack
+    low, top = float(near[0]), float(near[:count][-1])
+    lo = max(floor, low - BRACKET_REL * abs(low) - slack)
+    while lo > floor and dpttrf(d - lo, e)[2] != 0:
+        lo = max(floor, low - 2.0 * (low - lo))
+    hi = min(ceil, top + BRACKET_REL * abs(top) + slack)
+    while True:
+        found = dstebz(d, e, _RANGE_VALUE, lo - slack, hi, 0, 0, 0.0, b"B")
+        if found[0] >= count or hi >= ceil:
+            return found
+        hi = min(ceil, top + 2.0 * (hi - top))
+
+
+def _solve_block(block, count, near=None):
+    """Eigenvectors of the `count` lowest pairs of a block, M-scaled back.
+
+    Without `near`, bisection takes the index range 1..count from the
+    Gershgorin interval; with it, the certified value bracket of _bracket.
+    """
     scale, d, e = _congruence(block)
-    _, V = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-    return V * scale[:, None]
+    if near is None:
+        m, w, iblock, isplit, info = dstebz(d, e, _RANGE_INDEX, 0.0, 1.0,
+                                            1, count, 0.0, b"B")
+    else:
+        m, w, iblock, isplit, info = _bracket(d, e, count, near)
+    if info != 0 or m < count:
+        raise ConvergenceError(
+            f"dstebz found {m} of {count} eigenvalues (info {info})")
+    # the lowest `count`, still grouped by split block as dstein expects
+    keep = np.sort(np.argsort(w[:m], kind="stable")[:count])
+    w = w[keep]
+    iblock[:count] = iblock[keep]
+    V, info = dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise ConvergenceError(f"dstein: {info} eigenvectors did not converge")
+    return V[:, np.argsort(w)] * scale[:, None]
 
 
 def _backward_error(block, lam: float, v: np.ndarray) -> float:
     """||S v - lam M v||_2 / ((||S||_1 + |lam| ||M||_1) ||v||_2)."""
     w = block.mass.weights
-    off = np.pad(np.abs(block.off), 1)
-    norm_s = np.max(np.abs(block.diag) + off[:-1] + off[1:])
+    norm_s = _gershgorin(block.diag, block.off)[0]
     r = block.matvec(v) - lam * w * v
     return float(np.linalg.norm(r) / ((norm_s + abs(lam) * np.max(w))
                                       * np.linalg.norm(v)))
 
 
 def _count_block_below(block, threshold: float) -> int:
+    """Eigenvalues <= threshold, from dstebz's Sturm counts at the ends.
+
+    A tolerance as wide as the range ends the bisection before its first
+    step; the count does not depend on it.
+    """
     _, d, e = _congruence(block)
-    vals = eigh_tridiagonal(d, e, select="v",
-                            select_range=(-1e300, threshold),
-                            eigvals_only=True)
-    return int(len(vals))
+    m, _, _, _, info = dstebz(d, e, _RANGE_VALUE, -np.inf, threshold, 0, 0,
+                              np.inf, b"E")
+    if info != 0:
+        raise ConvergenceError(f"dstebz count failed (info {info})")
+    return int(m)
 
 
-def smallest_eigenpairs(op: ReducedOperator, count: int) -> EigenResult:
+def smallest_eigenpairs(op: ReducedOperator, count: int,
+                        near=None) -> EigenResult:
     """The `count` lowest generalized eigenpairs of (stiffness, mass).
 
+    near, if given, is the block_values of the same operator at a coarser
+    level; each block then bisects only a certified bracket around them.
     Raises ConvergenceError when a pair's backward error is above n * eps.
     """
     if count < 1 or count > op.size - 2:
@@ -148,11 +222,15 @@ def smallest_eigenpairs(op: ReducedOperator, count: int) -> EigenResult:
     per_block = min(count, min(b.n for b in op.blocks) - 2)
     per_block = max(per_block, 1)
     merged = []
+    block_values = []
     for bi, block in enumerate(op.blocks):
-        V = _solve_block(block, per_block)
+        V = _solve_block(block, per_block, None if near is None else near[bi])
+        values = []
         for j in range(V.shape[1]):
             vec = V[:, j] / math.sqrt(block.mass_form(V[:, j]))
-            merged.append((block.energy(vec), bi, vec))
+            values.append(block.energy(vec))
+            merged.append((values[-1], bi, vec))
+        block_values.append(np.sort(values))
     merged.sort(key=lambda rec: (rec[0], rec[1]))
     merged = merged[:count]
 
@@ -177,7 +255,7 @@ def smallest_eigenpairs(op: ReducedOperator, count: int) -> EigenResult:
             sections.append(Section(kind=KIND_LAPLACIAN, nu=op.nu,
                                     grid=op.grid, values=vec))
     return EigenResult(eigenvalues, sections, np.array(residuals), op.grid,
-                       block_index)
+                       block_index, block_values)
 
 
 def richardson(seq) -> tuple:
@@ -205,12 +283,18 @@ def richardson(seq) -> tuple:
 
 
 def _mode_value(surface, kind, spin, nu, grids, pick):
-    """Pair `pick` of one mode per level, extrapolated; its level-0 section."""
+    """Pair `pick` of one mode per level, extrapolated; its level-0 section.
+
+    Each level after the first brackets its solve from the values of the
+    level before.
+    """
     seq = []
     rows = []
+    near = None
     for level, grid in enumerate(grids):
         op = assemble(surface, kind, spin, nu, grid)
-        res = smallest_eigenpairs(op, pick + 1)
+        res = smallest_eigenpairs(op, pick + 1, near)
+        near = res.block_values
         value = float(res.eigenvalues[pick])
         if level == 0:
             ground = res.sections[pick]

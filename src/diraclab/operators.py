@@ -398,14 +398,23 @@ def leibniz_defect(surface, fmul: Section, phi: Section) -> float:
     grid = phi.grid
     if fmul.grid != grid:
         raise AssemblyError("multiplier and section must share one grid")
-    fv = np.asarray(fmul.values, dtype=float)
-    h = grid.h
-    df = (fv[1:] - fv[:-1]) / h
-    total = 0.0
     f_nodes = np.asarray(surface.f(grid.nodes), dtype=float)
     _check_positive(f_nodes, "grid nodes")
-    w = surface.period * f_nodes * h
-    for comp in phi.components():
+    return product_rule_defect(np.asarray(fmul.values, dtype=float),
+                               phi.components(),
+                               surface.period * f_nodes * grid.h, grid.h)
+
+
+def product_rule_defect(fv, comps, w, h: float) -> float:
+    """sqrt(sum w |D(f u) - f' u - f D u|^2) over the components u.
+
+    fv are the multiplier's node values, w the node weights P f h, and D
+    the forward difference at spacing h; leibniz_defect and the cutoff
+    audit share it.
+    """
+    df = (fv[1:] - fv[:-1]) / h
+    total = 0.0
+    for comp in comps:
         u = np.asarray(comp)
         dfu = (fv[1:] * u[1:] - fv[:-1] * u[:-1]) / h
         du = (u[1:] - u[:-1]) / h

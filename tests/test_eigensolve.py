@@ -25,7 +25,12 @@ from diraclab.operators import (
     assemble_laplacian,
     make_grid,
 )
-from diraclab.scenarios import cover_scenario, find_scenario
+from diraclab.cli import run_scenario
+from diraclab.scenarios import (
+    builtin_catalog,
+    cover_scenario,
+    find_scenario,
+)
 from diraclab.spin import SpinStructure
 
 HALF_PI = math.pi / 2
@@ -51,14 +56,18 @@ def test_residuals_within_tolerance():
         assert np.all(np.diff(res.eigenvalues) >= 0)
 
 
+def _dense_stiffness(block):
+    return (np.diag(block.diag) + np.diag(block.off, 1)
+            + np.diag(block.off, -1))
+
+
 def test_blocks_match_dense_generalized_eigh():
     s = sphere()
     grid = make_grid(s, 512)
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
     for block in op.blocks:
-        S = (np.diag(block.diag) + np.diag(block.off, 1)
-             + np.diag(block.off, -1))
-        ref = scipy.linalg.eigh(S, np.diag(block.mass.weights),
+        ref = scipy.linalg.eigh(_dense_stiffness(block),
+                                np.diag(block.mass.weights),
                                 eigvals_only=True, subset_by_index=[0, 3])
         got = smallest_eigenpairs(replace(op, blocks=(block,)), 4)
         assert np.max(np.abs(got.eigenvalues - ref)) <= 1e-8
@@ -72,18 +81,100 @@ def test_cylinder_scalar_ground_above_512_nodes():
 
 
 def test_perturbed_eigenvector_fails_backward_error_gate(monkeypatch):
-    lapack = eigensolve.eigh_tridiagonal
-
-    def perturbed(*args, **kwargs):
-        vals, V = lapack(*args, **kwargs)
-        noise = np.random.default_rng(7).standard_normal(V.shape)
-        return vals, V + 1e-6 * noise / math.sqrt(V.shape[0])
-    monkeypatch.setattr(eigensolve, "eigh_tridiagonal", perturbed)
     s = sphere()
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5,
                                make_grid(s, 512))
-    with pytest.raises(ConvergenceError, match="backward error"):
-        smallest_eigenpairs(op, 1)
+    near = smallest_eigenpairs(op, 1).block_values
+    lapack = eigensolve.dstein
+
+    def perturbed(*args):
+        V, info = lapack(*args)
+        noise = np.random.default_rng(7).standard_normal(V.shape)
+        return V + 1e-6 * noise / math.sqrt(V.shape[0]), info
+    monkeypatch.setattr(eigensolve, "dstein", perturbed)
+    for bracket in (None, near):  # the index path and a bracketed level
+        with pytest.raises(ConvergenceError, match="backward error"):
+            smallest_eigenpairs(op, 1, bracket)
+
+
+def _same_pairs(got, ref):
+    assert np.allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=0)
+    assert np.array_equal(got.block_index, ref.block_index)
+    for a, b in zip(got.sections, ref.sections):
+        # an eigenvector's sign is arbitrary
+        gap = min(np.max(np.abs(a.values - b.values)),
+                  np.max(np.abs(a.values + b.values)))
+        assert gap <= 1e-9 * np.max(np.abs(b.values))
+
+
+def _lapack_calls(monkeypatch):
+    calls = {"dpttrf": [], "dstebz": []}
+    for name, seen in calls.items():
+        def counted(*args, _real=getattr(eigensolve, name), _seen=seen):
+            out = _real(*args)
+            _seen.append(out)
+            return out
+        monkeypatch.setattr(eigensolve, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scale, widened", [(10.0, "dpttrf"),
+                                            (0.01, "dstebz")])
+def test_wrong_bracket_widens_to_the_index_pairs(monkeypatch, scale, widened):
+    # true level-1 values scaled by 10 fail the lower certificate; scaled
+    # by 0.01 they leave too few values below hi
+    sc = find_scenario("round-sphere")
+    grid = GridPolicy().grids(sc.surface)[1]
+    op = assemble(sc.surface, KIND_DIRAC, sc.spin, 0.5, grid)
+    ref = smallest_eigenpairs(op, 2)
+    calls = _lapack_calls(monkeypatch)
+    got = smallest_eigenpairs(op, 2, [scale * v for v in ref.block_values])
+    _same_pairs(got, ref)
+    assert len(calls[widened]) > len(op.blocks)
+    if widened == "dpttrf":
+        assert any(info != 0 for _, _, info in calls["dpttrf"])
+
+
+def test_zero_bracket_on_the_kernel_skip_mode(monkeypatch):
+    cusp = find_scenario("cusp-cylinder-l10")
+    grid = GridPolicy().grids(cusp.surface)[1]
+    op = assemble(cusp.surface, KIND_LAPLACIAN, None, 0.0, grid)
+    ref = smallest_eigenpairs(op, 2)
+    calls = _lapack_calls(monkeypatch)
+    got = smallest_eigenpairs(op, 2, [np.array([0.0])])
+    _same_pairs(got, ref)
+    assert len(calls["dstebz"]) > 1  # hi widened from the zero value
+
+
+def test_bracketed_levels_certify_without_widening(monkeypatch):
+    # level 0 bisects the index range; levels 1 and 2 each take one
+    # certificate and one bisection per block
+    calls = _lapack_calls(monkeypatch)
+    fundamental_tone(sphere(), KIND_DIRAC, SpinStructure.BOUNDING,
+                     GridPolicy(base_n=128, levels=3))
+    certs = calls["dpttrf"]
+    assert certs and all(info == 0 for _, _, info in certs)
+    assert len(calls["dstebz"]) == len(certs) + len(certs) // 2
+
+
+def test_probe_counts_match_dense_eigvalsh(monkeypatch):
+    # the Sturm counts of every probe block of the essential-check
+    # scenarios equal a dense count of the generalized spectrum
+    seen = []
+    real = eigensolve._count_block_below
+
+    def recorded(block, threshold):
+        seen.append((block, threshold, real(block, threshold)))
+        return seen[-1][2]
+    monkeypatch.setattr(eigensolve, "_count_block_below", recorded)
+    for sc in builtin_catalog():
+        if any(e.get("bound") == "essential" for e in sc.expected):
+            run_scenario(sc)
+    assert seen
+    for block, threshold, count in seen:
+        dense = scipy.linalg.eigvalsh(_dense_stiffness(block),
+                                      np.diag(block.mass.weights))
+        assert count == np.sum(dense <= threshold)
 
 
 def test_backward_error_is_scale_free():
