@@ -35,7 +35,6 @@ from .operators import (
     KIND_DIRAC,
     Section,
     _check_positive,
-    assemble_dirac_square,
     bochner_gradient_energy,
     dirac_energy,
     product_rule_defect,
@@ -229,12 +228,15 @@ class KillingDiagnostics:
         }
 
 
-def killing_equality_check(surface, spin, profile, phi: Section,
+def killing_equality_check(surface, op, profile, phi: Section,
                            alpha: float) -> KillingDiagnostics:
     """Norm-constancy and energy-ratio diagnostics for an equality case;
-    profile is the surface's curvature profile on phi's grid."""
+    op is the Dirac square phi was solved on, and profile the surface's
+    curvature profile on phi's grid."""
     if phi.kind != KIND_DIRAC:
         raise AssemblyError("killing check needs a spinor section")
+    if op.kind != KIND_DIRAC or op.nu != phi.nu or op.grid != phi.grid:
+        raise AssemblyError("killing check needs the operator phi solves")
     bound = friedrich_bound(DIM, profile.kappa_spinor) \
         if profile.kappa_spinor > 0 else 0.0
     if bound <= 0 or abs(alpha * alpha - bound) > EQUALITY_REL_TOL * bound:
@@ -242,7 +244,6 @@ def killing_equality_check(surface, spin, profile, phi: Section,
             applicable=False, alpha=alpha,
             note="tone does not attain the curvature bound; equality-case "
                  "diagnostics are not applicable")
-    op = assemble_dirac_square(surface, spin, phi.nu, phi.grid)
     comps = phi.components()
     norms = [float(np.sum(b.mass.weights * np.abs(c) ** 2))
              for b, c in zip(op.blocks, comps)]

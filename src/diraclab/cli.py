@@ -184,7 +184,7 @@ def _bound_verdict(run, exp):
 def _killing(run, exp):
     sc, tone = run.scenario, run.tone(KIND_DIRAC)
     diag = bounds.killing_equality_check(
-        sc.surface, sc.spin, run.profile, tone.ground,
+        sc.surface, tone.ground_op, run.profile, tone.ground,
         math.sqrt(max(tone.lambda_star, 0.0)))
     run.diagnostics["killing"] = detail = diag.to_json()
     if not exp.get("applicable", True):

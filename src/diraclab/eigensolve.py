@@ -14,15 +14,20 @@ backward error bound ||S v - lam M v|| / ((||S||_1 + |lam| ||M||_1) ||v||)
 <= n * eps (Higham & Higham, 1998).
 Fundamental tones come from a pruned sweep over circle modes with
 Richardson extrapolation over a geometric (h, delta) refinement sequence.
+The three LAPACK routines come from scipy's f2py module, loaded by file spec,
+because importing scipy.linalg for them would cost a cold verify more than
+half its time in scipy's array-API shim.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dstebz, dstein
 
 from .errors import AssemblyError, ConvergenceError
 from .operators import (
@@ -50,6 +55,37 @@ BRACKET_REL = 0.1
 BRACKET_SLACK = 8
 
 _RANGE_VALUE, _RANGE_INDEX = 1, 2  # dstebz RANGE = 'V', 'I'
+
+
+def _lapack():
+    """scipy's f2py LAPACK module, without importing scipy.linalg.
+
+    Relies on scipy's private layout scipy/linalg/_flapack<suffix>.  The
+    extension module registers itself under its scipy name, so a later
+    scipy.linalg.lapack import hands out the same routines.  When no such
+    file exists or it does not load, falls back to scipy.linalg's import.
+    """
+    found = importlib.util.find_spec("scipy")
+    if found is not None and found.origin:
+        stem = os.path.join(os.path.dirname(found.origin), "linalg",
+                            "_flapack")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            if not os.path.isfile(stem + suffix):
+                continue
+            try:
+                spec = importlib.util.spec_from_file_location(
+                    "scipy.linalg._flapack", stem + suffix)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+            except (ImportError, OSError):
+                break
+    from scipy.linalg import _flapack
+    return _flapack
+
+
+_flapack = _lapack()
+dpttrf, dstebz, dstein = _flapack.dpttrf, _flapack.dstebz, _flapack.dstein
 
 
 @dataclass(frozen=True)
@@ -105,6 +141,7 @@ class ToneResult:
     flags: list
     kernel_skipped: bool = False
     ground: Section | None = None  # level-0 section of mode nu_star
+    ground_op: ReducedOperator | None = None  # the operator ground solves
 
 
 @dataclass
@@ -283,7 +320,8 @@ def richardson(seq) -> tuple:
 
 
 def _mode_value(surface, kind, spin, nu, grids, pick):
-    """Pair `pick` of one mode per level, extrapolated; its level-0 section.
+    """Pair `pick` of one mode per level, extrapolated; its level-0 section
+    and operator.
 
     Each level after the first brackets its solve from the values of the
     level before.
@@ -297,14 +335,14 @@ def _mode_value(surface, kind, spin, nu, grids, pick):
         near = res.block_values
         value = float(res.eigenvalues[pick])
         if level == 0:
-            ground = res.sections[pick]
+            ground, ground_op = res.sections[pick], op
         seq.append(value)
         delta = DELTA_RATIO * grid.h \
             if "singular" in grid.side_kinds else 0.0
         rows.append({"nu": nu, "level": level, "n": grid.n, "h": grid.h,
                      "delta": delta, "value": value})
     val, bar, order = richardson(seq)
-    return val, bar, order, rows, ground
+    return val, bar, order, rows, (ground, ground_op)
 
 
 def fundamental_tone(surface, kind: str, spin=None,
@@ -319,7 +357,8 @@ def fundamental_tone(surface, kind: str, spin=None,
     kernel is empty and the plain minimum is returned.
 
     grids is the ladder to refine on, policy.grids(surface) if not given;
-    the result's ground is the attaining mode's level-0 section.
+    the result's ground is the attaining mode's level-0 section, and
+    ground_op the operator it solves.
     """
     if kind not in (KIND_LAPLACIAN, KIND_DIRAC):
         raise AssemblyError(f"unknown operator kind {kind!r}")
@@ -341,7 +380,7 @@ def fundamental_tone(surface, kind: str, spin=None,
     best = math.inf
     best_nu = math.nan
     best_bar = math.inf
-    best_ground = None
+    best_ground = (None, None)
     per_mode = {}
     table = []
     certified = False
@@ -375,7 +414,7 @@ def fundamental_tone(surface, kind: str, spin=None,
     return ToneResult(kind=kind, lambda_star=best, nu_star=abs(best_nu),
                       error_bar=best_bar, per_mode=per_mode, table=table,
                       flags=flags, kernel_skipped=kernel_skip,
-                      ground=best_ground)
+                      ground=best_ground[0], ground_op=best_ground[1])
 
 
 def truncation_probe(surface, kind: str, spin, windows, threshold: float,

@@ -86,7 +86,7 @@ def test_criterion_2_sphere_dirac_equality_case(sphere_dirac_tone):
         op = assemble_dirac_square(sc.surface, sc.spin, 0.5, grid)
         res = smallest_eigenpairs(op, 1)
         diags.append(killing_equality_check(
-            sc.surface, sc.spin, curvature_profile(sc.surface, grid),
+            sc.surface, op, curvature_profile(sc.surface, grid),
             res.sections[0], math.sqrt(res.eigenvalues[0])))
     killing_ok = (
         all(d.applicable for d in diags)

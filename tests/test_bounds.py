@@ -35,6 +35,7 @@ from diraclab.operators import (
     KIND_DIRAC,
     Section,
     assemble_dirac_square,
+    assemble_laplacian,
     make_grid,
 )
 from diraclab.scenarios import cover_scenario, find_scenario
@@ -154,7 +155,7 @@ def test_killing_diagnostics_sphere_decrease_under_refinement():
         grid = make_grid(sc.surface, n)
         op = assemble_dirac_square(sc.surface, sc.spin, 0.5, grid)
         res = smallest_eigenpairs(op, 1)
-        diag = killing_equality_check(sc.surface, sc.spin,
+        diag = killing_equality_check(sc.surface, op,
                                       curvature_profile(sc.surface, grid),
                                       res.sections[0],
                                       math.sqrt(res.eigenvalues[0]))
@@ -165,12 +166,30 @@ def test_killing_diagnostics_sphere_decrease_under_refinement():
         results[0].bochner_ratio_deviation < 1e-2
 
 
+def test_killing_check_takes_the_operator_phi_solves():
+    sc = find_scenario("round-sphere")
+    grid = make_grid(sc.surface, 256)
+    prof = curvature_profile(sc.surface, grid)
+    op = assemble_dirac_square(sc.surface, sc.spin, 0.5, grid)
+    res = smallest_eigenpairs(op, 1)
+    alpha = math.sqrt(res.eigenvalues[0])
+    assert killing_equality_check(sc.surface, op, prof, res.sections[0],
+                                  alpha).applicable
+    coarse = make_grid(sc.surface, 128)
+    for other in (assemble_dirac_square(sc.surface, sc.spin, 1.5, grid),
+                  assemble_dirac_square(sc.surface, sc.spin, 0.5, coarse),
+                  assemble_laplacian(sc.surface, 0.5, grid)):
+        with pytest.raises(AssemblyError):
+            killing_equality_check(sc.surface, other, prof, res.sections[0],
+                                   alpha)
+
+
 def test_killing_inapplicable_off_equality_case():
     sc = find_scenario("flat-cylinder-l5-nonbounding")
     grid = make_grid(sc.surface, 128)
     op = assemble_dirac_square(sc.surface, sc.spin, 0.0, grid)
     res = smallest_eigenpairs(op, 1)
-    diag = killing_equality_check(sc.surface, sc.spin,
+    diag = killing_equality_check(sc.surface, op,
                                   curvature_profile(sc.surface, grid),
                                   res.sections[0],
                                   math.sqrt(res.eigenvalues[0]))

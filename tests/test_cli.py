@@ -355,22 +355,30 @@ def test_tone_attaining_mode_detail_carries_tol():
 
 
 def test_import_and_catalog_load_stay_lean():
-    # the CLI import path and catalog load must not pull in scipy modules
-    # that only quadrature, spline warps or MatrixMarket dumps need
+    # the CLI import path, catalog load and a solve must not pull in scipy
+    # modules that only quadrature, spline warps or MatrixMarket dumps
+    # need, nor scipy.linalg, whose import loads numpy.f2py and
+    # numpy.testing: the eigensolver loads its LAPACK routines directly
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
         "import sys\n"
         "import diraclab.cli\n"
         "lean = ('scipy.integrate', 'scipy.interpolate', 'scipy.io',\n"
-        "        'scipy.sparse', 'scipy.sparse.linalg')\n"
+        "        'scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg',\n"
+        "        'numpy.f2py', 'numpy.testing')\n"
         "print(sorted(m for m in lean if m in sys.modules))\n"
         "diraclab.cli.scenarios.builtin_catalog()\n"
+        "print(sorted(m for m in lean if m in sys.modules))\n"
+        "from diraclab import cli\n"
+        "from diraclab.eigensolve import GridPolicy\n"
+        "from diraclab.scenarios import find_scenario\n"
+        "cli.run_scenario(find_scenario('cover-m1'), GridPolicy()).to_json()\n"
         "print(sorted(m for m in lean if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 def _count_calls(monkeypatch, counts, key, module, attr):
@@ -447,6 +455,34 @@ def test_only_tones_solve_during_a_scenario_run(monkeypatch):
     report = cli.run_scenario(find_scenario("round-sphere"))
     assert "killing" in report.diagnostics
     assert calls["inside"] > 0 and calls["outside"] == 0
+
+
+def test_killing_check_reuses_the_tone_operator(monkeypatch):
+    # the equality-case check reads the level-0 operator the tone solved
+    # instead of assembling it again
+    from diraclab import bounds, cli, operators
+    from diraclab.scenarios import find_scenario
+    inside = [False]
+    calls = {"check": 0, "assemble_inside": 0}
+    real_check = bounds.killing_equality_check
+    real_assemble = operators.assemble_dirac_square
+
+    def check(*args, **kwargs):
+        calls["check"] += 1
+        inside[0] = True
+        try:
+            return real_check(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def assemble(*args, **kwargs):
+        calls["assemble_inside"] += inside[0]
+        return real_assemble(*args, **kwargs)
+    monkeypatch.setattr(bounds, "killing_equality_check", check)
+    _patch_bindings(monkeypatch, real_assemble, assemble)
+    report = cli.run_scenario(find_scenario("round-sphere"))
+    assert report.diagnostics["killing"]["applicable"]
+    assert calls == {"check": 1, "assemble_inside": 0}
 
 
 def test_default_report_records_the_grid_constants():

@@ -1,5 +1,11 @@
+import importlib.machinery
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,3 +384,84 @@ def test_probe_round_sphere_counts_stable():
     probe = truncation_probe(s, KIND_DIRAC, SpinStructure.BOUNDING,
                              windows, 10.0, n_base=400)
     assert probe.stable
+
+
+def test_tone_ground_op_is_the_operator_its_ground_solves(sphere_dirac_tone):
+    sc = find_scenario("round-sphere")
+    tone = sphere_dirac_tone
+    op = tone.ground_op
+    assert op.kind == KIND_DIRAC and op.nu == tone.ground.nu
+    assert op.grid == tone.ground.grid
+    fresh = assemble(sc.surface, KIND_DIRAC, sc.spin, tone.nu_star, op.grid)
+    for got, ref in zip(op.blocks, fresh.blocks):
+        assert np.array_equal(got.diag, ref.diag)
+        assert np.array_equal(got.off, ref.off)
+        assert np.array_equal(got.mass.weights, ref.mass.weights)
+
+
+# Runs the three routines as a cold process loads them, without
+# scipy.linalg, on block 0 of round-sphere's nu = 0.5 Dirac mode at level 1.
+_COLD_LAPACK = """
+import sys
+import numpy as np
+from diraclab import eigensolve
+from diraclab.eigensolve import GridPolicy
+from diraclab.operators import KIND_DIRAC, assemble
+from diraclab.scenarios import find_scenario
+sc = find_scenario("round-sphere")
+grid = GridPolicy().grids(sc.surface)[1]
+op = assemble(sc.surface, KIND_DIRAC, sc.spin, 0.5, grid)
+_, d, e = eigensolve._congruence(op.blocks[0])
+m, w, iblock, isplit, info = eigensolve.dstebz(d, e, 2, 0.0, 1.0, 1, 2,
+                                               0.0, b"B")
+V, vinfo = eigensolve.dstein(d, e, w[:m], iblock, isplit)
+lo = 0.9 * w[0]
+dd, ee, pinfo = eigensolve.dpttrf(d - lo, e)
+assert "scipy.linalg" not in sys.modules
+np.savez(sys.argv[1], d=d, e=e, w=w, iblock=iblock, isplit=isplit, V=V,
+         dd=dd, ee=ee, info=[m, info, vinfo, pinfo])
+"""
+
+
+def test_cold_loaded_lapack_matches_scipy_linalg_lapack(tmp_path):
+    from scipy.linalg import lapack
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "cold.npz"
+    subprocess.run([sys.executable, "-c", _COLD_LAPACK, str(out)],
+                   env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    cold = np.load(out)
+    d, e = cold["d"], cold["e"]
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 2,
+                                               0.0, b"B")
+    V, vinfo = lapack.dstein(d, e, w[:m], iblock, isplit)
+    dd, ee, pinfo = lapack.dpttrf(d - 0.9 * w[0], e)
+    assert list(cold["info"]) == [m, info, vinfo, pinfo] == [2, 0, 0, 0]
+    for key, ref in (("w", w), ("iblock", iblock), ("isplit", isplit),
+                     ("V", V), ("dd", dd), ("ee", ee)):
+        assert np.array_equal(cold[key], ref), key
+
+
+def _scipy_at(tmp_path):
+    """A find_spec stand-in that puts scipy in tmp_path, with a _flapack
+    file there that is not an extension module."""
+    linalg = tmp_path / "linalg"
+    linalg.mkdir()
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        (linalg / ("_flapack" + suffix)).write_bytes(b"not a shared object")
+    fake = importlib.machinery.ModuleSpec(
+        "scipy", None, origin=str(tmp_path / "__init__.py"))
+    return lambda name, *args: fake
+
+
+@pytest.mark.parametrize("where", ["no-suffix", "unloadable-file"])
+def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path,
+                                                  where):
+    from scipy.linalg import lapack
+    if where == "no-suffix":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    else:
+        monkeypatch.setattr(importlib.util, "find_spec", _scipy_at(tmp_path))
+    module = eigensolve._lapack()
+    assert module is sys.modules["scipy.linalg._flapack"]
+    assert module.dstebz is lapack.dstebz
+    assert module.dstein is lapack.dstein and module.dpttrf is lapack.dpttrf
