@@ -33,9 +33,8 @@ from .geometry import (  # noqa: F401
 )
 from .spin import (  # noqa: F401
     SCALAR,
-    ModeSet,
     SpinStructure,
-    enumerate_modes,
+    lattice_modes,
     mode_lower_bound_term,
 )
 from .operators import (  # noqa: F401

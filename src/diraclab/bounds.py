@@ -41,7 +41,7 @@ from .operators import (
 )
 from .spin import SpinStructure, mode_in_structure
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 HOLDS = "holds"
 VIOLATED_PREDICTED = "violated-as-predicted"
@@ -70,6 +70,16 @@ def friedrich_bound(n: int, kappa: float) -> float:
     return n * kappa / (n - 1)
 
 
+def _curvature_floor(kappa: float) -> float:
+    """The bound value DIM*kappa/(DIM-1) for kappa > 0, else 0 (degenerate)."""
+    return friedrich_bound(DIM, kappa) if kappa > 0 else 0.0
+
+
+def json_num(x):
+    """x as a JSON number: a float, or None (null) when it is not finite."""
+    return float(x) if math.isfinite(x) else None
+
+
 def area_bound(surface_area: float) -> float:
     """4*pi/area; returns 0 (degenerate) for infinite area."""
     if math.isinf(surface_area):
@@ -92,17 +102,14 @@ class BoundVerdict:
     notes: list = field(default_factory=list)
 
     def to_json(self):
-        def num(x):
-            return float(x) if math.isfinite(x) else None
-
         return {
             "bound": self.bound,
-            "value": num(self.value),
+            "value": json_num(self.value),
             "hypotheses": [{"name": n, "passed": bool(p)}
                            for n, p in self.hypotheses],
-            "lambda_star": num(self.lambda_star),
-            "error_bar": num(self.error_bar),
-            "margin": num(self.margin),
+            "lambda_star": json_num(self.lambda_star),
+            "error_bar": json_num(self.error_bar),
+            "margin": json_num(self.margin),
             "verdict": self.verdict,
             "statistic_source": self.statistic_source,
             "notes": list(self.notes),
@@ -147,7 +154,7 @@ def _verdict(bound, value, hyps, statistic, error_bar, predicted,
 def friedrich_check(surface, profile, tone: ToneResult) -> BoundVerdict:
     """Compare the D^2 tone against n*kappa/(n-1)."""
     kappa = profile.kappa_spinor
-    value = friedrich_bound(DIM, kappa) if kappa > 0 else 0.0
+    value = _curvature_floor(kappa)
     hyps = [("curvature term bounded below by a positive constant",
              kappa > 0)]
     return _verdict("friedrich", value, hyps, tone.lambda_star,
@@ -187,7 +194,7 @@ def lichnerowicz_check(surface, profile, statistic: float, error_bar: float,
     quotient of a mean-zero test function, which upper-bounds it.
     """
     kappa = profile.kappa_oneform
-    value = friedrich_bound(DIM, kappa) if kappa > 0 else 0.0
+    value = _curvature_floor(kappa)
     hyps = [
         ("Ricci curvature bounded below by a positive constant", kappa > 0),
         ("complete (hence compact) surface", complete),
@@ -218,12 +225,9 @@ class KillingDiagnostics:
     def to_json(self):
         return {
             "applicable": self.applicable,
-            "norm_variation": None if math.isnan(self.norm_variation)
-            else float(self.norm_variation),
-            "bochner_ratio_deviation":
-                None if math.isnan(self.bochner_ratio_deviation)
-                else float(self.bochner_ratio_deviation),
-            "alpha": None if math.isnan(self.alpha) else float(self.alpha),
+            "norm_variation": json_num(self.norm_variation),
+            "bochner_ratio_deviation": json_num(self.bochner_ratio_deviation),
+            "alpha": json_num(self.alpha),
             "note": self.note,
         }
 
@@ -237,8 +241,7 @@ def killing_equality_check(surface, op, profile, phi: Section,
         raise AssemblyError("killing check needs a spinor section")
     if op.kind != KIND_DIRAC or op.nu != phi.nu or op.grid != phi.grid:
         raise AssemblyError("killing check needs the operator phi solves")
-    bound = friedrich_bound(DIM, profile.kappa_spinor) \
-        if profile.kappa_spinor > 0 else 0.0
+    bound = _curvature_floor(profile.kappa_spinor)
     if bound <= 0 or abs(alpha * alpha - bound) > EQUALITY_REL_TOL * bound:
         return KillingDiagnostics(
             applicable=False, alpha=alpha,
@@ -372,7 +375,7 @@ def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
     `profile` was sampled on.
     """
     kappa_inf = min(profile.tail_kappa)
-    value = friedrich_bound(DIM, kappa_inf) if kappa_inf > 0 else 0.0
+    value = _curvature_floor(kappa_inf)
     probe_worthy = "cusp" in grid.side_kinds or profile.kappa_growing_ends
     hyps = [("curvature term bounded below at infinity by a positive "
              "constant", kappa_inf > 0)]

@@ -16,6 +16,7 @@ from collections import namedtuple
 from dataclasses import replace
 
 from . import __version__, bounds, geometry, scenarios
+from .bounds import json_num
 from .eigensolve import GridPolicy, fundamental_tone, truncation_probe
 from .errors import CatalogError, DiraclabError, SchemaError
 from .operators import KIND_DIRAC, KIND_LAPLACIAN, assemble, rayleigh_quotient
@@ -89,26 +90,20 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _json_num(value):
-    if _is_number(value):
-        return float(value) if math.isfinite(value) else None
-    return value
-
-
 def _tone_json(tone) -> dict:
     return {
         "kind": tone.kind,
-        "lambda_star": _json_num(tone.lambda_star),
-        "nu_star": _json_num(tone.nu_star),
-        "error_bar": _json_num(tone.error_bar),
+        "lambda_star": json_num(tone.lambda_star),
+        "nu_star": json_num(tone.nu_star),
+        "error_bar": json_num(tone.error_bar),
         "kernel_skipped": tone.kernel_skipped,
         "flags": list(tone.flags),
         "per_mode": [
             {"nu": float(nu),
-             **{k: _json_num(v) for k, v in rec.items()}}
+             **{k: json_num(v) for k, v in rec.items()}}
             for nu, rec in sorted(tone.per_mode.items())
         ],
-        "table": [{k: _json_num(v) for k, v in row.items()}
+        "table": [{k: json_num(v) for k, v in row.items()}
                   for row in tone.table],
     }
 
@@ -178,7 +173,7 @@ def _bound_verdict(run, exp):
     run.verdicts.append(verdict)
     return (verdict.verdict == exp["verdict"],
             {"computed": verdict.verdict, "expected": exp["verdict"],
-             "margin": _json_num(verdict.margin)})
+             "margin": json_num(verdict.margin)})
 
 
 def _killing(run, exp):
@@ -418,7 +413,8 @@ def _sweep_rows(param: str, values, spin: SpinStructure,
             k = int(round(value))
             run = _ScenarioRun(scenarios.cover_scenario(k), policy)
             rq = run.section_rayleigh("f_k")
-            bound = bounds.friedrich_bound(2, run.profile.kappa_oneform)
+            bound = bounds.friedrich_bound(bounds.DIM,
+                                           run.profile.kappa_oneform)
             return {
                 "k": k,
                 "rayleigh": rq,
@@ -490,8 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="base grid size (doubles per refinement level)")
     pv.add_argument("--levels", type=int, default=3,
                     help="refinement levels for extrapolation")
-    pv.add_argument("--modes", type=int, default=8,
-                    help="initial mode cutoff of the sweep")
     pv.add_argument("--tol", type=float, default=1.0,
                     help="scale factor applied to every expected tolerance")
     pv.add_argument("--format", choices=("json", "csv", "pretty"),
@@ -518,11 +512,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_policy(args, **fields) -> GridPolicy:
+def _grid_policy(args) -> GridPolicy:
     """The GridPolicy of --grid-n and --levels, which both commands take."""
     if args.grid_n < 16 or args.levels < 1:
         raise CatalogError("grid-n >= 16 and levels >= 1 required")
-    return GridPolicy(base_n=args.grid_n, levels=args.levels, **fields)
+    return GridPolicy(base_n=args.grid_n, levels=args.levels)
 
 
 def main(argv=None) -> int:
@@ -533,11 +527,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         if args.command == "verify":
-            if args.modes < 1 or args.tol <= 0:
-                raise CatalogError("modes >= 1 and tol > 0 required")
-            return cmd_verify(args.scenario,
-                              _grid_policy(args, mode_cutoff=args.modes),
-                              args.tol, args.format, args.out)
+            if args.tol <= 0:
+                raise CatalogError("tol > 0 required")
+            return cmd_verify(args.scenario, _grid_policy(args), args.tol,
+                              args.format, args.out)
         if args.command == "sweep":
             if "=" not in args.sweep:
                 raise CatalogError("--sweep needs param=range")

@@ -12,8 +12,9 @@ bisection value carries an absolute error of about eps * ||S|| / ||M||
 (Demmel & Kahan, 1990).  Each pair must pass the scale-free normwise
 backward error bound ||S v - lam M v|| / ((||S||_1 + |lam| ||M||_1) ||v||)
 <= n * eps (Higham & Higham, 1998).
-Fundamental tones come from a pruned sweep over circle modes with
-Richardson extrapolation over a geometric (h, delta) refinement sequence.
+Fundamental tones walk the circle modes in ascending |nu|, extrapolating
+each over a geometric (h, delta) refinement sequence, up to the first mode
+whose centrifugal floor certifies the rest; probes walk them the same way.
 The three LAPACK routines come from scipy's f2py module, loaded by file spec,
 because importing scipy.linalg for them would cost a cold verify more than
 half its time in scipy's array-API shim.
@@ -41,10 +42,10 @@ from .operators import (
     assemble,
     make_grid,
 )
-from .spin import SCALAR, enumerate_modes, mode_lower_bound_term
+from .spin import SCALAR, lattice_modes, mode_lower_bound_term
 
 
-# The mode sweep doubles its cutoff from GridPolicy.mode_cutoff up to this.
+# Tone walks and probes look at most at this many lowest nonnegative modes.
 MAX_MODE_CUTOFF = 64
 
 PROBE_MAX_BASE_N = 800  # node cap of a probe's first window
@@ -93,7 +94,7 @@ class GridPolicy:
     """Refinement policy for tone computations.
 
     base_n is the coarsest node count; each of the `levels` refinement
-    steps doubles it; mode_cutoff is the sweep's first mode cutoff.
+    steps doubles it.
     Singular-end truncation distances are tied to the spacing (delta =
     DELTA_RATIO * h, a constant), so one geometric sequence refines h and
     delta together and a single estimated-order Richardson step
@@ -102,7 +103,6 @@ class GridPolicy:
 
     base_n: int = 512
     levels: int = 3
-    mode_cutoff: int = 8
 
     def to_json(self) -> dict:
         """The fields and the three grid constants, for provenance."""
@@ -356,6 +356,10 @@ def fundamental_tone(surface, kind: str, spin=None,
     first nonzero eigenvalue instead; with a Dirichlet boundary present the
     kernel is empty and the plain minimum is returned.
 
+    The walk ends at the first mode whose floor on the coarsest grid is above
+    the best value, recorded as {"pruned_at": floor}; a walk through all
+    MAX_MODE_CUTOFF modes without one is flagged.
+
     grids is the ladder to refine on, policy.grids(surface) if not given;
     the result's ground is the attaining mode's level-0 section, and
     ground_op the operator it solves.
@@ -373,45 +377,27 @@ def fundamental_tone(surface, kind: str, spin=None,
     if "cusp" in ends:
         flags.append("cusp-truncated-upper-estimate")
 
-    cutoff = policy.mode_cutoff
-    modes = enumerate_modes(structure, surface.period, cutoff)
-    pending = sorted({nu for nu in modes.frequencies if nu >= 0})
-
     best = math.inf
     best_nu = math.nan
     best_bar = math.inf
     best_ground = (None, None)
     per_mode = {}
     table = []
-    certified = False
-    while True:
-        for nu in pending:
-            term = mode_lower_bound_term(nu, surface.warp, grids[0])
-            if best < math.inf and term > best:
-                per_mode[nu] = {"pruned_at": term}
-                continue
-            pick = int(kernel_skip and abs(nu) < 1e-12)  # skip the kernel
-            val, bar, order, rows, ground = _mode_value(
-                surface, kind, spin, nu, grids, pick)
-            per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
-            table.extend(rows)
-            if val < best:
-                best, best_nu, best_bar, best_ground = val, nu, bar, ground
-        top = max(abs(nu) for nu in per_mode)
-        top_term = mode_lower_bound_term(top, surface.warp, grids[0])
-        if best < math.inf and top_term > best:
-            certified = True
+    for nu in lattice_modes(structure, surface.period, MAX_MODE_CUTOFF):
+        term = mode_lower_bound_term(nu, surface.warp, grids[0])
+        if term > best:
+            per_mode[nu] = {"pruned_at": term}
             break
-        if cutoff >= MAX_MODE_CUTOFF:
-            break
-        new_cutoff = min(2 * cutoff, MAX_MODE_CUTOFF)
-        bigger = enumerate_modes(structure, surface.period, new_cutoff)
-        pending = sorted({nu for nu in bigger.frequencies
-                          if nu >= 0 and nu not in per_mode})
-        cutoff = new_cutoff
-    if not certified:
+        pick = int(kernel_skip and abs(nu) < 1e-12)  # skip the kernel
+        val, bar, order, rows, ground = _mode_value(
+            surface, kind, spin, nu, grids, pick)
+        per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
+        table.extend(rows)
+        if val < best:
+            best, best_nu, best_bar, best_ground = val, nu, bar, ground
+    else:
         flags.append("sweep-exhausted-without-pruning-certificate")
-    return ToneResult(kind=kind, lambda_star=best, nu_star=abs(best_nu),
+    return ToneResult(kind=kind, lambda_star=best, nu_star=best_nu,
                       error_bar=best_bar, per_mode=per_mode, table=table,
                       flags=flags, kernel_skipped=kernel_skip,
                       ground=best_ground[0], ground_op=best_ground[1])
@@ -426,7 +412,9 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
     counts that keep growing signal spectrum accumulating below it.
     All probe windows use Dirichlet walls and share one node spacing so the
     discrete spaces are genuinely nested; the first window gets n_base
-    nodes, at most PROBE_MAX_BASE_N.
+    nodes, at most PROBE_MAX_BASE_N.  Each window counts modes up to the
+    first floor above the threshold, and raises ConvergenceError when all
+    MAX_MODE_CUTOFF modes stay at or below it.
     """
     windows = [(float(a), float(b)) for a, b in windows]
     for (a0, b0), (a1, b1) in zip(windows, windows[1:]):
@@ -435,21 +423,24 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
     span0 = windows[0][1] - windows[0][0]
     h = span0 / (min(n_base, PROBE_MAX_BASE_N) + 1)
-    modes = enumerate_modes(structure, surface.period, 32)
+    modes = lattice_modes(structure, surface.period, MAX_MODE_CUTOFF)
     counts = []
     for a, b in windows:
         n = max(16, int(round((b - a) / h)) - 1)
         grid = Grid(a=a, b=b, n=n)
         total = 0
-        for nu in sorted({x for x in modes.frequencies if x >= 0}):
-            term = mode_lower_bound_term(nu, surface.warp, grid)
-            if term > threshold:
-                continue
+        for nu in modes:
+            if mode_lower_bound_term(nu, surface.warp, grid) > threshold:
+                break
             op = assemble(surface, kind, spin, nu, grid)
             c = sum(_count_block_below(blk, threshold) for blk in op.blocks)
             if nu > 1e-12:
                 c *= 2  # modes +-nu carry identical spectra
             total += c
+        else:
+            raise ConvergenceError(
+                f"probe window ({a}, {b}): all {MAX_MODE_CUTOFF} mode floors "
+                f"are at or below the threshold {threshold}")
         counts.append(total)
     stable = len(counts) >= 2 and counts[-1] == counts[-2]
     return ProbeResult(threshold=threshold, windows=windows, counts=counts,

@@ -22,7 +22,8 @@ class AssemblyError(DiraclabError):
 
 
 class ConvergenceError(DiraclabError):
-    """An eigenpair's normwise backward error is above n * eps."""
+    """A backward error above n * eps, a LAPACK failure, or a probe whose
+    MAX_MODE_CUTOFF modes all have their floor at or below its threshold."""
 
 
 class CatalogError(DiraclabError):

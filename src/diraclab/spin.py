@@ -5,14 +5,14 @@ the circle factor.  Scalar fields use the integer lattice 2*pi*m/P.
 Spinors see the holonomy of the spin structure: the bounding structure is
 antiperiodic along the circle (half-integer lattice), the non-bounding one
 periodic (integer lattice, which is what admits a parallel spinor on the
-flat cylinder).
+flat cylinder).  Tones and probes walk lattice_modes upward until
+mode_lower_bound_term clears their level.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,23 +40,8 @@ class SpinStructure(enum.Enum):
             raise AssemblyError(f"unknown spin structure {name!r}") from exc
 
 
-#: marker for scalar fields in enumerate_modes
+#: marker for scalar fields in lattice_modes
 SCALAR = "scalar"
-
-
-@dataclass(frozen=True)
-class ModeSet:
-    """Finite, sign-symmetric set of circle frequencies for one field kind."""
-
-    frequencies: tuple
-    field_kind: str  # 'scalar' or 'spinor'
-    cutoff: int
-
-    def __iter__(self):
-        return iter(self.frequencies)
-
-    def __contains__(self, nu):
-        return any(abs(nu - x) <= 1e-12 for x in self.frequencies)
 
 
 def _offset(structure) -> float:
@@ -67,24 +52,17 @@ def _offset(structure) -> float:
     raise AssemblyError(f"expected SpinStructure or SCALAR, got {structure!r}")
 
 
-def enumerate_modes(structure, period: float, cutoff: int) -> ModeSet:
-    """Lowest-|nu| frequencies: 2*cutoff of them, plus nu=0 when present.
+def lattice_modes(structure, period: float, count: int) -> list:
+    """The `count` lowest nonnegative lattice frequencies, ascending.
 
-    nu = 2*pi*(m + eps)/P with eps = 1/2 exactly for bounding spinors.
+    nu = 2*pi*(m + eps)/P, m = 0, 1, ..., with eps = 1/2 exactly for
+    bounding spinors, else 0; mode -nu has the spectrum of mode nu.
     """
-    if cutoff < 1:
-        raise AssemblyError(f"cutoff must be >= 1, got {cutoff}")
     if not period > 0:
         raise AssemblyError(f"period must be positive, got {period}")
     eps = _offset(structure)
     base = 2.0 * math.pi / period
-    if eps == 0.0:
-        ms = range(-cutoff, cutoff + 1)
-    else:
-        ms = range(-cutoff, cutoff)
-    freqs = tuple(sorted(base * (m + eps) for m in ms))
-    kind = SCALAR if structure == SCALAR else "spinor"
-    return ModeSet(frequencies=freqs, field_kind=kind, cutoff=cutoff)
+    return [base * (m + eps) for m in range(count)]
 
 
 def mode_in_structure(nu: float, structure, period: float) -> bool:
@@ -98,8 +76,8 @@ def mode_lower_bound_term(nu: float, warp, grid) -> float:
     """min over the grid of nu^2/f^2, the centrifugal floor of mode nu.
 
     The scalar mode-nu quadratic form dominates this multiple of the mass,
-    so any mode whose floor exceeds the current best eigenvalue cannot
-    improve the sweep and may be skipped.
+    and the floor grows with |nu|, so the first mode whose floor exceeds
+    the best eigenvalue certifies every higher mode.
     """
     f = np.asarray(warp.value(grid.nodes), dtype=float)
     return float(nu * nu * np.min(1.0 / (f * f)))

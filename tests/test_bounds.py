@@ -276,7 +276,7 @@ def test_report_schema_guard_and_csv():
     header = csv_text.splitlines()[0].split(",")
     assert header == bounds.CSV_COLUMNS
     with pytest.raises(SchemaError):
-        load_report(json.dumps({"schema_version": 2}))
+        load_report(json.dumps({"schema_version": 1}))
 
 
 def test_json_has_no_nan_tokens():

@@ -495,7 +495,7 @@ def test_default_report_records_the_grid_constants():
     doc = run_scenario(replace(sc, expected=(area,))).to_json_dict()
     assert doc["provenance"]["policy"] == {
         "base_n": 512, "levels": 3, "delta_ratio": 0.5,
-        "cusp_tail_rel": 1e-6, "mode_cutoff": 8, "max_mode_cutoff": 64}
+        "cusp_tail_rel": 1e-6, "max_mode_cutoff": 64}
 
 
 def test_bench_tracer_targets_resolve():

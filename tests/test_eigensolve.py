@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from diraclab import eigensolve
+from diraclab import cli, eigensolve
 from diraclab.errors import AssemblyError, ConvergenceError
 from diraclab.eigensolve import (
     GridPolicy,
@@ -25,6 +25,7 @@ from diraclab.geometry import ConstantWarp, CosineWarp, WarpedSurface
 from diraclab.operators import (
     KIND_DIRAC,
     KIND_LAPLACIAN,
+    Grid,
     MassMatrix,
     assemble,
     assemble_dirac_square,
@@ -37,7 +38,7 @@ from diraclab.scenarios import (
     cover_scenario,
     find_scenario,
 )
-from diraclab.spin import SpinStructure
+from diraclab.spin import SpinStructure, mode_lower_bound_term
 
 HALF_PI = math.pi / 2
 
@@ -183,6 +184,62 @@ def test_probe_counts_match_dense_eigvalsh(monkeypatch):
         assert count == np.sum(dense <= threshold)
 
 
+SPHERE_PROBE_WINDOWS = [(-1.2, 1.2), (-1.4, 1.4)]
+
+
+def test_probe_counts_every_mode_below_the_threshold():
+    # brute force: every half-integer mode whose floor is at or below the
+    # threshold, dense generalized spectra of its blocks, doubled for
+    # nu > 0; the probe's 45 such modes are more than 32
+    s, threshold = sphere(), 2000.0
+    probe = truncation_probe(s, KIND_DIRAC, SpinStructure.BOUNDING,
+                             SPHERE_PROBE_WINDOWS, threshold, n_base=256)
+    h = 2.4 / 257  # the first window's span over n_base + 1
+    expected = []
+    for a, b in SPHERE_PROBE_WINDOWS:
+        grid = Grid(a=a, b=b, n=int(round((b - a) / h)) - 1)
+        total = 0
+        for nu in (m + 0.5 for m in range(200)):
+            if mode_lower_bound_term(nu, s.warp, grid) > threshold:
+                continue
+            op = assemble(s, KIND_DIRAC, SpinStructure.BOUNDING, nu, grid)
+            for block in op.blocks:
+                dense = scipy.linalg.eigvalsh(_dense_stiffness(block),
+                                              np.diag(block.mass.weights))
+                total += 2 * int(np.sum(dense <= threshold))
+        expected.append(total)
+    assert probe.counts == expected
+
+
+def test_probe_raises_when_every_mode_stays_below_the_threshold():
+    # 63.5^2 < 5000: no mode within MAX_MODE_CUTOFF has its floor above
+    with pytest.raises(ConvergenceError):
+        truncation_probe(sphere(), KIND_DIRAC, SpinStructure.BOUNDING,
+                         SPHERE_PROBE_WINDOWS, 5000.0, n_base=256)
+
+
+def test_default_tones_end_at_one_pruning_certificate(monkeypatch):
+    # solved modes, ascending, then exactly one mode whose floor is above
+    # the tone
+    tones = []
+    real = cli.fundamental_tone
+
+    def recorded(*args, **kwargs):
+        tones.append(real(*args, **kwargs))
+        return tones[-1]
+    monkeypatch.setattr(cli, "fundamental_tone", recorded)
+    for sc in builtin_catalog():
+        run_scenario(sc, GridPolicy())
+    assert tones
+    for tone in tones:
+        modes = list(tone.per_mode)
+        assert modes == sorted(modes)
+        *solved, last = tone.per_mode.values()
+        assert solved and all("value" in rec for rec in solved)
+        assert list(last) == ["pruned_at"]
+        assert last["pruned_at"] > tone.lambda_star
+
+
 def test_backward_error_is_scale_free():
     s = sphere()
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5,
@@ -240,8 +297,8 @@ def test_sphere_dirac_tone(sphere_dirac_tone):
     assert tone.lambda_star == pytest.approx(1.0, abs=1e-3)
     assert tone.nu_star == 0.5
     assert tone.flags == []
-    # higher modes pruned by the centrifugal floor once the tone is known
-    assert "pruned_at" in tone.per_mode[2.5]
+    # the first mode above the tone's floor certifies every higher mode
+    assert "pruned_at" in tone.per_mode[1.5]
 
 
 def test_sphere_scalar_first_nonzero(sphere_laplace_tone):
@@ -316,13 +373,13 @@ def test_probe_growing_curvature_counts_stabilize():
 
 def test_sweep_exhaustion_sets_warning_flag():
     # a very fat cylinder keeps every centrifugal floor below the tone,
-    # so even the sweep's cap of MAX_MODE_CUTOFF can never certify the
+    # so even the walk's cap of MAX_MODE_CUTOFF can never certify the
     # pruning
     fat = WarpedSurface(warp=ConstantWarp(1000.0), t_min=0.0, t_max=5.0,
                         period=2 * math.pi)
     tone = fundamental_tone(
         fat, KIND_DIRAC, SpinStructure.NON_BOUNDING,
-        GridPolicy(base_n=64, levels=1, mode_cutoff=4))
+        GridPolicy(base_n=64, levels=1))
     assert "sweep-exhausted-without-pruning-certificate" in tone.flags
     assert tone.lambda_star == pytest.approx(math.pi ** 2 / 25, rel=1e-3)
 

@@ -3,57 +3,53 @@ import math
 import numpy as np
 import pytest
 
-from diraclab.errors import AssemblyError
 from diraclab.geometry import ConstantWarp, CosineWarp
 from diraclab.operators import Grid
 from diraclab.spin import (
     SCALAR,
     SpinStructure,
-    enumerate_modes,
+    lattice_modes,
     mode_in_structure,
     mode_lower_bound_term,
 )
 
 
 def test_bounding_half_integer_lattice():
-    ms = enumerate_modes(SpinStructure.BOUNDING, 2 * math.pi, 2)
-    assert ms.frequencies == (-1.5, -0.5, 0.5, 1.5)
+    assert lattice_modes(SpinStructure.BOUNDING, 2 * math.pi, 3) == \
+        [0.5, 1.5, 2.5]
 
 
 def test_nonbounding_integer_lattice():
-    ms = enumerate_modes(SpinStructure.NON_BOUNDING, 2 * math.pi, 1)
-    assert ms.frequencies == (-1.0, 0.0, 1.0)
+    assert lattice_modes(SpinStructure.NON_BOUNDING, 2 * math.pi, 3) == \
+        [0.0, 1.0, 2.0]
 
 
 def test_scalar_lattice_on_double_cover():
-    ms = enumerate_modes(SCALAR, 4 * math.pi, 1)
-    assert ms.frequencies == (-0.5, 0.0, 0.5)
+    assert lattice_modes(SCALAR, 4 * math.pi, 3) == [0.0, 0.5, 1.0]
 
 
-def test_mode_sets_closed_under_negation():
+def test_lattice_modes_ascend_on_the_lattice():
     rng = np.random.default_rng(11)
     for _ in range(20):
         period = float(rng.uniform(0.5, 20.0))
-        cutoff = int(rng.integers(1, 9))
+        count = int(rng.integers(1, 65))
         structure = rng.choice([SCALAR, SpinStructure.BOUNDING,
                                 SpinStructure.NON_BOUNDING])
-        ms = enumerate_modes(structure, period, cutoff)
-        for nu in ms.frequencies:
-            assert -nu in ms
-        has_zero = any(abs(x) < 1e-14 for x in ms.frequencies)
-        expect_zero = structure != SpinStructure.BOUNDING
-        assert has_zero == expect_zero
+        modes = lattice_modes(structure, period, count)
+        assert len(modes) == count
+        assert all(lo < hi for lo, hi in zip(modes, modes[1:]))
+        assert all(mode_in_structure(nu, structure, period) for nu in modes)
+        step = 2 * math.pi / period
+        if structure == SpinStructure.BOUNDING:
+            assert modes[0] == 0.5 * step
+        else:
+            assert modes[0] == 0.0
 
 
 def test_bounding_never_contains_zero():
     for period in (1.0, 2 * math.pi, 11.0):
-        ms = enumerate_modes(SpinStructure.BOUNDING, period, 5)
-        assert all(abs(nu) > 1e-12 for nu in ms.frequencies)
-
-
-def test_cutoff_zero_rejected():
-    with pytest.raises(AssemblyError):
-        enumerate_modes(SCALAR, 1.0, 0)
+        modes = lattice_modes(SpinStructure.BOUNDING, period, 5)
+        assert all(nu > 1e-12 for nu in modes)
 
 
 def test_mode_in_structure():
