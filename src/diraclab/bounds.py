@@ -437,6 +437,13 @@ class SpectralReport:
 CSV_COLUMNS = ["scenario", "bound", "value", "lambda_star", "error_bar",
                "margin", "verdict", "statistic_source"]
 
+# The keys a merged report's csv and pretty formats read; verdicts need
+# CSV_COLUMNS[1:].
+REPORT_KEYS = ["scenario", "geometry", "verdicts", "checks",
+               "all_expected_match"]
+GEOMETRY_KEYS = ["area", "kappa_spinor", "spin"]
+CHECK_KEYS = ["name", "passed"]
+
 
 def report_rows(doc: dict) -> list:
     """Flatten a report JSON dict into CSV rows (one per verdict)."""
@@ -467,4 +474,21 @@ def load_report(text: str) -> dict:
         raise SchemaError(
             f"report schema_version {doc.get('schema_version')!r} is not "
             f"{REPORT_SCHEMA_VERSION}")
+    _require_keys(doc, REPORT_KEYS, "report")
+    _require_keys(doc["geometry"], GEOMETRY_KEYS, "report geometry")
+    for part, keys in (("verdicts", CSV_COLUMNS[1:]), ("checks", CHECK_KEYS)):
+        if not isinstance(doc[part], list):
+            raise SchemaError(f"report {part} must be a JSON list")
+        for i, item in enumerate(doc[part]):
+            _require_keys(item, keys, f"report {part}[{i}]")
     return doc
+
+
+def _require_keys(part, keys, where: str):
+    """SchemaError naming the first of `keys` that `part` lacks."""
+    if not isinstance(part, dict):
+        raise SchemaError(f"{where} must be a JSON object, got "
+                          f"{type(part).__name__}")
+    missing = [key for key in keys if key not in part]
+    if missing:
+        raise SchemaError(f"{where} has no key {missing[0]!r}")

@@ -27,6 +27,9 @@ EXIT_INTERNAL = 1
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
 
+# Node cap of the finest grid of a ladder, and of a sweep's N.
+MAX_GRID_NODES = 2 ** 20
+
 
 def _read_input(path: str, what: str) -> str:
     try:
@@ -387,14 +390,15 @@ def _parse_range(spec: str):
 def _sweep_rows(param: str, values, spin: SpinStructure,
                 policy: GridPolicy):
     """One row per value; every value is checked before the first solve."""
-    least = min(values)  # each range is bounded below only
+    least, most = min(values), max(values)
     in_range = {"L": least > 0, "k": round(least) >= 1,
-                "N": round(least) >= 16}
+                "N": 16 <= round(least) and round(most) <= MAX_GRID_NODES}
     if param not in in_range:
         raise CatalogError(f"unknown sweep parameter {param!r}")
     if not in_range[param]:
-        raise CatalogError(f"sweep needs L > 0, k >= 1 and N >= 16, got "
-                           f"{param}={least}")
+        raise CatalogError(f"sweep needs L > 0, k >= 1 and 16 <= N <= "
+                           f"{MAX_GRID_NODES}, got {param} from {least} to "
+                           f"{most}")
 
     def one(value):
         if param == "L":
@@ -513,9 +517,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _grid_policy(args) -> GridPolicy:
-    """The GridPolicy of --grid-n and --levels, which both commands take."""
+    """The GridPolicy of --grid-n and --levels, which both commands take.
+
+    The finest grid, grid-n * 2^(levels - 1) nodes, is capped at
+    MAX_GRID_NODES before any grid is laid out.
+    """
     if args.grid_n < 16 or args.levels < 1:
         raise CatalogError("grid-n >= 16 and levels >= 1 required")
+    if args.grid_n > MAX_GRID_NODES >> (args.levels - 1):
+        raise CatalogError(f"grid-n * 2^(levels - 1) <= {MAX_GRID_NODES} "
+                           f"required, got grid-n {args.grid_n} and levels "
+                           f"{args.levels}")
     return GridPolicy(base_n=args.grid_n, levels=args.levels)
 
 
@@ -527,8 +539,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         if args.command == "verify":
-            if args.tol <= 0:
-                raise CatalogError("tol > 0 required")
+            if not 0 < args.tol < math.inf:
+                raise CatalogError(f"a finite tol > 0 required, got "
+                                   f"{args.tol}")
             return cmd_verify(args.scenario, _grid_policy(args), args.tol,
                               args.format, args.out)
         if args.command == "sweep":

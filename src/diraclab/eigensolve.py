@@ -1,21 +1,26 @@
 """Generalized eigensolves, mode sweeps, and refinement studies.
 
-Every tridiagonal block goes to LAPACK bisection (dstebz, then dstein for
-the vectors) after the diagonal-mass congruence M^(-1/2) S M^(-1/2), which
-keeps the bandwidth.  The coarsest level bisects the index range from the
-Gershgorin interval; every finer level bisects only a value bracket around
-the same block's values at the coarser level, whose lower end is certified
-below the spectrum in O(n) by the LDL^T factorization dpttrf of T - lo I.
-LAPACK gives the eigenvector v; the reported eigenvalue is the factored
-quotient energy(v) / (M v, v), which keeps relative accuracy where the
-bisection value carries an absolute error of about eps * ||S|| / ||M||
-(Demmel & Kahan, 1990).  Each pair must pass the scale-free normwise
-backward error bound ||S v - lam M v|| / ((||S||_1 + |lam| ||M||_1) ||v||)
-<= n * eps (Higham & Higham, 1998).
+Every tridiagonal block is solved after the diagonal-mass congruence
+M^(-1/2) S M^(-1/2), which keeps the bandwidth.  The coarsest level bisects
+the index range from the Gershgorin interval with LAPACK dstebz and takes
+the vectors from dstein.  Every finer level starts from the same block's
+values at the coarser level: one inverse-iteration step and a few
+Rayleigh-quotient steps per pair, each an O(n) dgtsv solve, give vectors
+whose residuals bound an interval around each value (Parlett, 1998, ch. 4).
+The index stays certified in O(n): the LDL^T factorization dpttrf of
+T - lo I puts lo below the spectrum, and one dstebz Sturm count finds
+exactly the wanted values up to the top interval.  A block whose iteration
+or certificate fails bisects its index range as the coarsest level does.
+The reported eigenvalue is the factored quotient energy(v) / (M v, v) of
+the vector v, which keeps relative accuracy where a value of T carries an
+absolute error of about eps * ||S|| / ||M|| (Demmel & Kahan, 1990).  Each
+pair must pass the scale-free normwise backward error bound
+||S v - lam M v|| / ((||S||_1 + |lam| ||M||_1) ||v||) <= n * eps
+(Higham & Higham, 1998).
 Fundamental tones walk the circle modes in ascending |nu|, extrapolating
 each over a geometric (h, delta) refinement sequence, up to the first mode
 whose centrifugal floor certifies the rest; probes walk them the same way.
-The three LAPACK routines come from scipy's f2py module, loaded by file spec,
+The four LAPACK routines come from scipy's f2py module, loaded by file spec,
 because importing scipy.linalg for them would cost a cold verify more than
 half its time in scipy's array-API shim.
 """
@@ -41,6 +46,7 @@ from .operators import (
     Section,
     assemble,
     make_grid,
+    tridiagonal_matvec,
 )
 from .spin import SCALAR, lattice_modes, mode_lower_bound_term
 
@@ -50,10 +56,10 @@ MAX_MODE_CUTOFF = 64
 
 PROBE_MAX_BASE_N = 800  # node cap of a probe's first window
 
-# A coarser level gives each eigenvalue to a few percent; a bracket starts
-# this far (relative) around it, padded by BRACKET_SLACK * eps * ||T||_1.
-BRACKET_REL = 0.1
+# A refined eigenvalue's interval is padded by BRACKET_SLACK * eps * ||T||_1,
+# and its Rayleigh-quotient iteration fails after RQI_STEPS steps.
 BRACKET_SLACK = 8
+RQI_STEPS = 8
 
 _RANGE_VALUE, _RANGE_INDEX = 1, 2  # dstebz RANGE = 'V', 'I'
 
@@ -86,7 +92,8 @@ def _lapack():
 
 
 _flapack = _lapack()
-dpttrf, dstebz, dstein = _flapack.dpttrf, _flapack.dstebz, _flapack.dstein
+dgtsv, dpttrf = _flapack.dgtsv, _flapack.dpttrf
+dstebz, dstein = _flapack.dstebz, _flapack.dstein
 
 
 @dataclass(frozen=True)
@@ -169,46 +176,83 @@ def _gershgorin(d, e) -> tuple:
             float(np.max(d + radius)))
 
 
-def _bracket(d, e, count, near) -> tuple:
-    """dstebz on a value range (vl, hi] that holds the `count` lowest values.
+def _sturm_count(d, e, lo: float, hi: float) -> int:
+    """Eigenvalues of T = (d, e) in (lo, hi], from dstebz's Sturm counts.
 
-    `near` are the same block's values at the coarser level.  lo starts
-    BRACKET_REL below near[0] and hi BRACKET_REL above near[count - 1],
-    each padded by `slack` so that a zero value still leaves vl < hi.
-    dpttrf(d - lo, e) succeeds exactly when lo < lambda_1, up to its
-    backward error of a few eps ||T||_1, so bisection starts `slack` below
-    a certified lo.  A failed certificate moves lo down, and fewer than
-    `count` values in range move hi up, each doubling its distance from
-    near; both stop at the padded Gershgorin interval, where the range
-    holds the whole spectrum.
+    A tolerance as wide as the range ends the bisection before its first
+    step; the count does not depend on it.
     """
-    norm, gl, gu = _gershgorin(d, e)
-    slack = BRACKET_SLACK * np.finfo(float).eps * norm
-    floor, ceil = gl - slack, gu + slack
-    low, top = float(near[0]), float(near[:count][-1])
-    lo = max(floor, low - BRACKET_REL * abs(low) - slack)
-    while lo > floor and dpttrf(d - lo, e)[2] != 0:
-        lo = max(floor, low - 2.0 * (low - lo))
-    hi = min(ceil, top + BRACKET_REL * abs(top) + slack)
-    while True:
-        found = dstebz(d, e, _RANGE_VALUE, lo - slack, hi, 0, 0, 0.0, b"B")
-        if found[0] >= count or hi >= ceil:
-            return found
-        hi = min(ceil, top + 2.0 * (hi - top))
+    m, _, _, _, info = dstebz(d, e, _RANGE_VALUE, lo, hi, 0, 0, np.inf, b"E")
+    if info != 0:
+        raise ConvergenceError(f"dstebz count failed (info {info})")
+    return int(m)
 
 
-def _solve_block(block, count, near=None):
-    """Eigenvectors of the `count` lowest pairs of a block, M-scaled back.
+def _shifted_solve(d, e, shift: float, x):
+    """(T - shift I)^(-1) x by dgtsv, normalized; None if the solve fails."""
+    *_, y, info = dgtsv(e, d - shift, e, x[:, None])
+    norm = np.linalg.norm(y) if info == 0 else math.nan
+    return y[:, 0] / norm if 0.0 < norm < math.inf else None
 
-    Without `near`, bisection takes the index range 1..count from the
-    Gershgorin interval; with it, the certified value bracket of _bracket.
+
+def _refine(d, e, count, near):
+    """Certified vectors of the `count` lowest eigenpairs of T = (d, e), or
+    None.
+
+    `near` are the same block's values at the coarser level.  Pair j starts
+    from cos(j pi (i + 1/2) / n), earlier pairs projected out, takes one
+    inverse-iteration step shifted at near[j], then Rayleigh-quotient steps
+    until two successive quotients rq_j agree within `slack`, at most
+    RQI_STEPS of them.  The residual r_j = ||T x_j - rq_j x_j|| puts an
+    eigenvalue in [rq_j - r_j, rq_j + r_j] (Parlett, 1998, ch. 4); each
+    interval is padded by slack = BRACKET_SLACK * eps * ||T||_1 for the
+    rounding of r_j and of the quotient.  The padded intervals are
+    pairwise disjoint, dpttrf(d - lo, e) succeeds at their lower end lo,
+    so lo < lambda_1 up to dpttrf's backward error, and one Sturm count
+    finds exactly `count` values in (lo - slack, hi], hi their upper end:
+    then interval j holds lambda_(j+1), and x_j is its vector.  A failed
+    solve, a step cap reached or a failed certificate returns None.
     """
-    scale, d, e = _congruence(block)
-    if near is None:
-        m, w, iblock, isplit, info = dstebz(d, e, _RANGE_INDEX, 0.0, 1.0,
-                                            1, count, 0.0, b"B")
-    else:
-        m, w, iblock, isplit, info = _bracket(d, e, count, near)
+    n = d.size
+    slack = BRACKET_SLACK * np.finfo(float).eps * _gershgorin(d, e)[0]
+    phase = (np.arange(n) + 0.5) * (math.pi / n)
+    X = np.empty((n, count))
+    ends = []
+    for j in range(count):
+        x = np.cos(j * phase)
+        x -= X[:, :j] @ (X[:, :j].T @ x)
+        x = _shifted_solve(d, e, float(near[j]), x)
+        rq = math.inf
+        for _ in range(RQI_STEPS):
+            if x is None:
+                return None
+            tx = tridiagonal_matvec(d, e, x)
+            rq, prev = float(x @ tx), rq
+            if abs(rq - prev) <= slack:
+                break
+            x = _shifted_solve(d, e, rq, x)
+        else:
+            return None
+        r = float(np.linalg.norm(tx - rq * x)) + slack
+        if ends and rq - r <= ends[-1][1]:
+            return None
+        ends.append((rq - r, rq + r))
+        X[:, j] = x
+    lo, hi = ends[0][0], ends[-1][1]
+    if dpttrf(d - lo, e)[2] != 0 or _sturm_count(d, e, lo - slack, hi) \
+            != count:
+        return None
+    return X
+
+
+def _bisect(d, e, count):
+    """Vectors of the `count` lowest eigenpairs of T = (d, e), ascending.
+
+    dstebz bisects the index range 1..count from the Gershgorin interval,
+    and dstein takes the vectors.
+    """
+    m, w, iblock, isplit, info = dstebz(d, e, _RANGE_INDEX, 0.0, 1.0, 1,
+                                        count, 0.0, b"B")
     if info != 0 or m < count:
         raise ConvergenceError(
             f"dstebz found {m} of {count} eigenvalues (info {info})")
@@ -219,7 +263,23 @@ def _solve_block(block, count, near=None):
     V, info = dstein(d, e, w, iblock, isplit)
     if info != 0:
         raise ConvergenceError(f"dstein: {info} eigenvectors did not converge")
-    return V[:, np.argsort(w)] * scale[:, None]
+    return V[:, np.argsort(w)]
+
+
+def _solve_block(block, count, near=None):
+    """Eigenvectors of the `count` lowest pairs of a block, M-scaled back.
+
+    With at least `count` values in `near`, _refine iterates from them and
+    certifies the index; without them, or when refinement fails, _bisect
+    takes the index range.
+    """
+    scale, d, e = _congruence(block)
+    X = None
+    if near is not None and len(near) >= count:
+        X = _refine(d, e, count, near)
+    if X is None:
+        X = _bisect(d, e, count)
+    return X * scale[:, None]
 
 
 def _backward_error(block, lam: float, v: np.ndarray) -> float:
@@ -232,17 +292,9 @@ def _backward_error(block, lam: float, v: np.ndarray) -> float:
 
 
 def _count_block_below(block, threshold: float) -> int:
-    """Eigenvalues <= threshold, from dstebz's Sturm counts at the ends.
-
-    A tolerance as wide as the range ends the bisection before its first
-    step; the count does not depend on it.
-    """
+    """Eigenvalues <= threshold of a block, by one Sturm count."""
     _, d, e = _congruence(block)
-    m, _, _, _, info = dstebz(d, e, _RANGE_VALUE, -np.inf, threshold, 0, 0,
-                              np.inf, b"E")
-    if info != 0:
-        raise ConvergenceError(f"dstebz count failed (info {info})")
-    return int(m)
+    return _sturm_count(d, e, -np.inf, threshold)
 
 
 def smallest_eigenpairs(op: ReducedOperator, count: int,
@@ -250,7 +302,8 @@ def smallest_eigenpairs(op: ReducedOperator, count: int,
     """The `count` lowest generalized eigenpairs of (stiffness, mass).
 
     near, if given, is the block_values of the same operator at a coarser
-    level; each block then bisects only a certified bracket around them.
+    level; each block that has a value there for every pair it solves then
+    refines its pairs from them and certifies their index (_solve_block).
     Raises ConvergenceError when a pair's backward error is above n * eps.
     """
     if count < 1 or count > op.size - 2:
@@ -323,7 +376,7 @@ def _mode_value(surface, kind, spin, nu, grids, pick):
     """Pair `pick` of one mode per level, extrapolated; its level-0 section
     and operator.
 
-    Each level after the first brackets its solve from the values of the
+    Each level after the first refines its solve from the values of the
     level before.
     """
     seq = []

@@ -137,6 +137,15 @@ class MassMatrix:
             raise AssemblyError("mass weights must be positive")
 
 
+def tridiagonal_matvec(diag: np.ndarray, off: np.ndarray,
+                       v: np.ndarray) -> np.ndarray:
+    """T v for the symmetric tridiagonal T with diagonals diag and off."""
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
 @dataclass(frozen=True)
 class Block:
     """One tridiagonal stiffness/mass pair of a reduced operator.
@@ -176,10 +185,7 @@ class Block:
         return float(np.sum(self.mass.weights * np.abs(np.asarray(v)) ** 2))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
-        return out
+        return tridiagonal_matvec(self.diag, self.off, v)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,40 @@ def test_verify_unknown_scenario_is_usage_error(capsys):
 
 
 def test_verify_bad_flags_usage_error(capsys):
-    code, _, _ = run(["verify", "--scenario", "round-sphere",
-                      "--grid-n", "4"], capsys)
-    assert code == 64
+    for flags in (["--grid-n", "4"], ["--tol", "inf"], ["--tol", "nan"]):
+        code, _, err = run(["verify", "--scenario", "round-sphere", *flags],
+                           capsys)
+        assert (code, err.startswith("usage error")) == (64, True), flags
+
+
+def test_grid_ladder_above_the_node_cap_is_usage_error(capsys, monkeypatch):
+    # the cap is checked before any grid is laid out or solved; ladders
+    # whose finest grid has exactly MAX_GRID_NODES reach the solver
+    from diraclab import cli
+
+    class Reached(Exception):
+        pass
+
+    def no_solve(*args, **kwargs):
+        raise Reached("reached the solver")
+    monkeypatch.setattr(cli, "fundamental_tone", no_solve)
+    monkeypatch.setattr(cli, "_ScenarioRun", no_solve)
+    cap = cli.MAX_GRID_NODES
+    verify = ["verify", "--scenario", "round-sphere"]
+    for argv, code in (
+            ([*verify, "--grid-n", "1000000000000", "--levels", "1"], 64),
+            ([*verify, "--levels", "40"], 64),
+            ([*verify, "--grid-n", str(cap // 2 + 1), "--levels", "2"], 64),
+            ([*verify, "--grid-n", str(cap // 2), "--levels", "2"], 1),
+            ([*verify, "--grid-n", "16", "--levels", "17"], 1),
+            (["sweep", "--sweep", f"N=64,{cap + 1}"], 64),
+            (["sweep", "--sweep", f"N={cap}"], 1)):
+        got, _, err = run(argv, capsys)
+        assert got == code, argv
+        if code == 1:
+            assert "reached the solver" in err
+        else:
+            assert err.startswith("usage error"), err
 
 
 def test_verify_refined_grid_exits_zero(capsys):
@@ -186,14 +217,33 @@ def test_report_merge_union_and_duplicate_warning(tmp_path, capsys):
 
 
 def test_report_schema_version_mismatch(tmp_path, capsys):
-    # a wrong version, invalid JSON and a non-object are all schema errors
+    # a wrong version, invalid JSON, a non-object and a missing key are all
+    # schema errors
     bad = tmp_path / "bad.json"
     for text in (json.dumps({"schema_version": 99}), "{not json",
-                 json.dumps([1, 2])):
+                 json.dumps([1, 2]), json.dumps({"schema_version": 2})):
         bad.write_text(text)
         code, _, err = run(["report", str(bad)], capsys)
         assert code == 1, text
         assert err.startswith("schema error:"), err
+    assert "'scenario'" in err  # the missing key is named
+
+
+def test_report_missing_nested_key_is_schema_error(tmp_path, capsys):
+    # each key the merge, csv and pretty formats read is checked on load
+    good = tmp_path / "good.json"
+    main(["verify", "--scenario", "flat-cylinder-l2-bounding",
+          "--grid-n", "64", "--levels", "2", "--out", str(good)])
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    for part, key in (("geometry", "spin"), ("verdicts", "margin"),
+                      ("checks", "passed")):
+        doc = json.loads(good.read_text())
+        del (doc[part] if part == "geometry" else doc[part][0])[key]
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["report", str(bad), "--format", "csv"], capsys)
+        assert code == 1 and err.startswith("schema error:"), err
+        assert f"report {part}" in err and repr(key) in err, err
 
 
 def test_report_missing_file_is_usage_error(tmp_path, capsys):

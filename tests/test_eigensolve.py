@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,16 +93,19 @@ def test_perturbed_eigenvector_fails_backward_error_gate(monkeypatch):
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5,
                                make_grid(s, 512))
     near = smallest_eigenpairs(op, 1).block_values
-    lapack = eigensolve.dstein
 
-    def perturbed(*args):
-        V, info = lapack(*args)
-        noise = np.random.default_rng(7).standard_normal(V.shape)
-        return V + 1e-6 * noise / math.sqrt(V.shape[0]), info
-    monkeypatch.setattr(eigensolve, "dstein", perturbed)
-    for bracket in (None, near):  # the index path and a bracketed level
-        with pytest.raises(ConvergenceError, match="backward error"):
-            smallest_eigenpairs(op, 1, bracket)
+    def perturbed(*args, _real):
+        *out, vectors, info = _real(*args)
+        noise = np.random.default_rng(7).standard_normal(vectors.shape)
+        size = np.linalg.norm(vectors, axis=0) / math.sqrt(vectors.shape[0])
+        return (*out, vectors + 1e-6 * size * noise, info)
+    # the index path's dstein vectors, and a refined level's dgtsv solves
+    for name, bracket in (("dstein", None), ("dgtsv", near)):
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolve, name, partial(
+                perturbed, _real=getattr(eigensolve, name)))
+            with pytest.raises(ConvergenceError, match="backward error"):
+                smallest_eigenpairs(op, 1, bracket)
 
 
 def _same_pairs(got, ref):
@@ -115,7 +119,8 @@ def _same_pairs(got, ref):
 
 
 def _lapack_calls(monkeypatch):
-    calls = {"dpttrf": [], "dstebz": []}
+    calls = {"dgtsv": [], "dpttrf": [], "_sturm_count": [], "_refine": [],
+             "_bisect": []}
     for name, seen in calls.items():
         def counted(*args, _real=getattr(eigensolve, name), _seen=seen):
             out = _real(*args)
@@ -125,11 +130,18 @@ def _lapack_calls(monkeypatch):
     return calls
 
 
+def _certified(calls):
+    """Whether each refinement certified its block."""
+    return [out is not None for out in calls["_refine"]]
+
+
 @pytest.mark.parametrize("scale, widened", [(10.0, "dpttrf"),
                                             (0.01, "dstebz")])
 def test_wrong_bracket_widens_to_the_index_pairs(monkeypatch, scale, widened):
-    # true level-1 values scaled by 10 fail the lower certificate; scaled
-    # by 0.01 they leave too few values below hi
+    # `widened` names the certificate that decides: true level-1 values
+    # scaled by 10 lead the iteration to higher pairs, which dpttrf rejects,
+    # and the block falls back to the index path; scaled by 0.01 they still
+    # reach the two lowest pairs, which the dstebz Sturm count certifies
     sc = find_scenario("round-sphere")
     grid = GridPolicy().grids(sc.surface)[1]
     op = assemble(sc.surface, KIND_DIRAC, sc.spin, 0.5, grid)
@@ -137,31 +149,70 @@ def test_wrong_bracket_widens_to_the_index_pairs(monkeypatch, scale, widened):
     calls = _lapack_calls(monkeypatch)
     got = smallest_eigenpairs(op, 2, [scale * v for v in ref.block_values])
     _same_pairs(got, ref)
-    assert len(calls[widened]) > len(op.blocks)
+    assert len(calls["_refine"]) == len(op.blocks)
     if widened == "dpttrf":
-        assert any(info != 0 for _, _, info in calls["dpttrf"])
+        assert all(info != 0 for _, _, info in calls["dpttrf"])
+        assert _certified(calls) == [False] * len(op.blocks)
+        assert len(calls["_bisect"]) == len(op.blocks)
+    else:
+        assert all(_certified(calls)) and not calls["_bisect"]
+
+
+@pytest.mark.parametrize("picks, fails", [((1,), "dpttrf"),
+                                          ((0, 2), "dstebz")])
+def test_near_that_skips_a_pair_fails_a_certificate(monkeypatch, picks,
+                                                     fails):
+    # refined from lambda_2 alone, the one pair converges to lambda_2 and
+    # dpttrf finds a value below its interval; from lambda_1 and lambda_3,
+    # the Sturm count finds three values up to the second interval; either
+    # way the block bisects its index range instead
+    sc = find_scenario("round-sphere")
+    grid = GridPolicy().grids(sc.surface)[1]
+    op = assemble(sc.surface, KIND_DIRAC, sc.spin, 0.5, grid)
+    ref = smallest_eigenpairs(op, len(picks))
+    near = [v[list(picks)] for v in smallest_eigenpairs(op, 3).block_values]
+    calls = _lapack_calls(monkeypatch)
+    got = smallest_eigenpairs(op, len(picks), near)
+    _same_pairs(got, ref)
+    infos = [info for _, _, info in calls["dpttrf"]]
+    assert len(infos) == len(op.blocks)
+    if fails == "dpttrf":
+        assert all(infos) and not calls["_sturm_count"]
+    else:
+        assert not any(infos) and calls["_sturm_count"] == [3, 3]
+    assert _certified(calls) == [False] * len(op.blocks)
+    assert len(calls["_bisect"]) == len(op.blocks)
 
 
 def test_zero_bracket_on_the_kernel_skip_mode(monkeypatch):
+    # near = [0] refines the kernel surrogate itself; for two pairs it is
+    # too short, and the block takes the index path without iterating
     cusp = find_scenario("cusp-cylinder-l10")
     grid = GridPolicy().grids(cusp.surface)[1]
     op = assemble(cusp.surface, KIND_LAPLACIAN, None, 0.0, grid)
-    ref = smallest_eigenpairs(op, 2)
-    calls = _lapack_calls(monkeypatch)
-    got = smallest_eigenpairs(op, 2, [np.array([0.0])])
-    _same_pairs(got, ref)
-    assert len(calls["dstebz"]) > 1  # hi widened from the zero value
+    for count in (1, 2):
+        ref = smallest_eigenpairs(op, count)
+        with monkeypatch.context() as patch:
+            calls = _lapack_calls(patch)
+            got = smallest_eigenpairs(op, count, [np.array([0.0])])
+        _same_pairs(got, ref)
+        if count == 1:
+            assert _certified(calls) == [True] and not calls["_bisect"]
+        else:
+            assert calls["_refine"] == calls["dgtsv"] == []
+            assert len(calls["_bisect"]) == len(op.blocks)
 
 
 def test_bracketed_levels_certify_without_widening(monkeypatch):
-    # level 0 bisects the index range; levels 1 and 2 each take one
-    # certificate and one bisection per block
+    # every default tone of the catalog: level 0 takes the index path,
+    # each finer level refines every block and certifies it
     calls = _lapack_calls(monkeypatch)
-    fundamental_tone(sphere(), KIND_DIRAC, SpinStructure.BOUNDING,
-                     GridPolicy(base_n=128, levels=3))
-    certs = calls["dpttrf"]
-    assert certs and all(info == 0 for _, _, info in certs)
-    assert len(calls["dstebz"]) == len(certs) + len(certs) // 2
+    for sc in builtin_catalog():
+        run_scenario(sc, GridPolicy())
+    refined = _certified(calls)
+    assert refined and all(refined)
+    assert all(info == 0 for _, _, info in calls["dpttrf"])
+    assert len(refined) == 2 * len(calls["_bisect"])
 
 
 def test_probe_counts_match_dense_eigvalsh(monkeypatch):
@@ -456,7 +507,7 @@ def test_tone_ground_op_is_the_operator_its_ground_solves(sphere_dirac_tone):
         assert np.array_equal(got.mass.weights, ref.mass.weights)
 
 
-# Runs the three routines as a cold process loads them, without
+# Runs the four routines as a cold process loads them, without
 # scipy.linalg, on block 0 of round-sphere's nu = 0.5 Dirac mode at level 1.
 _COLD_LAPACK = """
 import sys
@@ -474,9 +525,10 @@ m, w, iblock, isplit, info = eigensolve.dstebz(d, e, 2, 0.0, 1.0, 1, 2,
 V, vinfo = eigensolve.dstein(d, e, w[:m], iblock, isplit)
 lo = 0.9 * w[0]
 dd, ee, pinfo = eigensolve.dpttrf(d - lo, e)
+*_, x, ginfo = eigensolve.dgtsv(e, d - lo, e, V[:, :1])
 assert "scipy.linalg" not in sys.modules
 np.savez(sys.argv[1], d=d, e=e, w=w, iblock=iblock, isplit=isplit, V=V,
-         dd=dd, ee=ee, info=[m, info, vinfo, pinfo])
+         dd=dd, ee=ee, x=x, info=[m, info, vinfo, pinfo, ginfo])
 """
 
 
@@ -492,9 +544,11 @@ def test_cold_loaded_lapack_matches_scipy_linalg_lapack(tmp_path):
                                                0.0, b"B")
     V, vinfo = lapack.dstein(d, e, w[:m], iblock, isplit)
     dd, ee, pinfo = lapack.dpttrf(d - 0.9 * w[0], e)
-    assert list(cold["info"]) == [m, info, vinfo, pinfo] == [2, 0, 0, 0]
+    *_, x, ginfo = lapack.dgtsv(e, d - 0.9 * w[0], e, V[:, :1])
+    assert list(cold["info"]) == [m, info, vinfo, pinfo, ginfo] \
+        == [2, 0, 0, 0, 0]
     for key, ref in (("w", w), ("iblock", iblock), ("isplit", isplit),
-                     ("V", V), ("dd", dd), ("ee", ee)):
+                     ("V", V), ("dd", dd), ("ee", ee), ("x", x)):
         assert np.array_equal(cold[key], ref), key
 
 
@@ -522,3 +576,4 @@ def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path,
     assert module is sys.modules["scipy.linalg._flapack"]
     assert module.dstebz is lapack.dstebz
     assert module.dstein is lapack.dstein and module.dpttrf is lapack.dpttrf
+    assert module.dgtsv is lapack.dgtsv
