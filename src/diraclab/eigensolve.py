@@ -22,7 +22,8 @@ each over a geometric (h, delta) refinement sequence, up to the first mode
 whose centrifugal floor certifies the rest; probes walk them the same way.
 The four LAPACK routines come from scipy's f2py module, loaded by file spec,
 because importing scipy.linalg for them would cost a cold verify more than
-half its time in scipy's array-API shim.
+half its time in scipy's array-API shim.  This is the package's only route
+to scipy: dgtsv also solves geometry.TabulatedWarp's spline moments.
 """
 
 from __future__ import annotations

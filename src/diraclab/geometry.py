@@ -109,12 +109,15 @@ class ExpCuspWarp:
 
 
 class TabulatedWarp:
-    """Cubic-spline warp through sample points (natural end conditions).
+    """Natural cubic-spline warp through sample points.
 
     Lets callers inject custom metrics without symbolic machinery; first and
     second derivatives and the integral come from the spline, which is built
-    on first use.  Samples must be strictly increasing in t and strictly
-    positive in f.
+    on first use.  Its knot second derivatives (moments) solve the
+    tridiagonal system with diagonal 2 (h_i + h_(i+1)) and zero end moments
+    (de Boor, A Practical Guide to Splines, ch. 4) by the eigensolver's
+    LAPACK dgtsv.  Outside the samples the end pieces extrapolate.  Samples
+    must be finite, strictly increasing in t and strictly positive in f.
     """
 
     variant = "tabulated"
@@ -124,6 +127,8 @@ class TabulatedWarp:
         fs = np.asarray(fs, dtype=float)
         if ts.ndim != 1 or ts.size < 4 or ts.shape != fs.shape:
             raise GeometryError("tabulated warp needs >= 4 matched samples")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(fs))):
+            raise GeometryError("tabulated warp samples must be finite")
         if np.any(np.diff(ts) <= 0):
             raise GeometryError("tabulated warp samples must increase in t")
         if np.any(fs <= 0):
@@ -132,22 +137,62 @@ class TabulatedWarp:
         self.fs = fs
 
     @functools.cached_property
-    def _spline(self):
-        from scipy.interpolate import CubicSpline
+    def _coef(self):
+        """Taylor coefficients (c0, c1, c2, c3) of each segment's cubic
+        about its left knot.
+        """
+        from .eigensolve import dgtsv  # eigensolve imports this module
 
-        return CubicSpline(self.ts, self.fs, bc_type="natural")
+        h = np.diff(self.ts)
+        slope = np.diff(self.fs) / h
+        # strictly diagonally dominant, so the solve cannot break down
+        *_, inner, _ = dgtsv(h[1:-1], 2.0 * (h[:-1] + h[1:]), h[1:-1],
+                             6.0 * np.diff(slope)[:, None])
+        moments = np.concatenate([[0.0], inner[:, 0], [0.0]])
+        return (self.fs[:-1],
+                slope - h * (2.0 * moments[:-1] + moments[1:]) / 6.0,
+                moments[:-1] / 2.0,
+                np.diff(moments) / (6.0 * h))
+
+    def _segment(self, t):
+        """The segment index of each t (the end pieces beyond the samples)
+        and its offset from the segment's left knot.
+        """
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.ts, t, side="right") - 1,
+                    0, self.ts.size - 2)
+        return i, t - self.ts[i]
+
+    def _derivative(self, t, order: int):
+        i, x = self._segment(t)
+        out = np.zeros_like(x)
+        for k in range(3, order - 1, -1):
+            out = out * x + math.perm(k, order) * self._coef[k][i]
+        return out
 
     def value(self, t):
-        return self._spline(np.asarray(t, dtype=float))
+        return self._derivative(t, 0)
 
     def deriv(self, t):
-        return self._spline(np.asarray(t, dtype=float), 1)
+        return self._derivative(t, 1)
 
     def second(self, t):
-        return self._spline(np.asarray(t, dtype=float), 2)
+        return self._derivative(t, 2)
+
+    def _primitive(self, i, x):
+        """Integral of segment i's cubic from its left knot to offset x."""
+        c0, c1, c2, c3 = self._coef
+        return x * (c0[i] + x * (c1[i] / 2 + x * (c2[i] / 3 + x * c3[i] / 4)))
 
     def integral(self, a, b):
-        return float(self._spline.integrate(a, b))
+        if b < a:
+            return -self.integral(b, a)
+        # summed segment by segment, so a short span keeps its relative
+        # accuracy instead of cancelling two long running totals
+        (i, j), (xa, xb) = self._segment([a, b])
+        whole = self._primitive(np.arange(i, j), np.diff(self.ts)[i:j])
+        return float(np.sum(whole) + self._primitive(j, xb)
+                     - self._primitive(i, xa))
 
     def to_json(self):
         return {

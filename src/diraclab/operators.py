@@ -218,9 +218,6 @@ class ReducedOperator:
             at += len(m)
         return out
 
-    def mass_dense(self) -> np.ndarray:
-        return np.diag(np.concatenate([b.mass.weights for b in self.blocks]))
-
 
 @dataclass
 class Section:
@@ -427,22 +424,3 @@ def product_rule_defect(fv, comps, w, h: float) -> float:
         defect = dfu - df * u[:-1] - fv[:-1] * du
         total += float(np.sum(w[:-1] * np.abs(defect) ** 2))
     return math.sqrt(total)
-
-
-def dump_operator(op: ReducedOperator, stiffness_path, mass_path=None):
-    """Write the pair in MatrixMarket coordinate format (debug aid).
-
-    Both matrices are built sparse from the block diagonals, so the cost is
-    linear in the operator size.
-    """
-    import scipy.io
-    import scipy.sparse
-
-    s = scipy.sparse.block_diag(
-        [scipy.sparse.diags([b.off, b.diag, b.off], [-1, 0, 1])
-         for b in op.blocks], format="csr")
-    scipy.io.mmwrite(str(stiffness_path), s, symmetry="symmetric")
-    if mass_path is not None:
-        m = scipy.sparse.diags(
-            np.concatenate([b.mass.weights for b in op.blocks]), format="csr")
-        scipy.io.mmwrite(str(mass_path), m, symmetry="symmetric")

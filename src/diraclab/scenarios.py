@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import geometry
-from .errors import CatalogError, GeometryError
+from .errors import AssemblyError, CatalogError, GeometryError
 from .operators import KIND_DIRAC, KIND_LAPLACIAN, Grid, Section
 from .spin import SpinStructure
 
@@ -109,6 +109,9 @@ def scenario_from_json(doc: dict) -> Scenario:
     except GeometryError as exc:
         raise CatalogError(
             f"malformed scenario document: key 'surface': {exc}") from exc
+    except AssemblyError as exc:
+        raise CatalogError(
+            f"malformed scenario document: key 'spin': {exc}") from exc
 
 
 def catalog_to_json(scenarios) -> dict:

@@ -319,6 +319,12 @@ DOCUMENT_CASES = [
     pytest.param(_edit(("sections", 0, "params"),
                        {"t0": 0.0, "length": "x"}), "length",
                  id="boxed-sine-non-numeric-length"),
+    pytest.param(_edit(("surface", "warp"),
+                       {"variant": "tabulated", "ts": [0.0, 1.0, 2.0, 3.0],
+                        "fs": [1.0, float("nan"), 1.0, 1.0]}), "surface",
+                 id="tabulated-warp-with-nan"),
+    pytest.param(_edit(("spin",), "sideways"), "spin",
+                 id="unknown-spin-structure"),
 ]
 
 
@@ -405,10 +411,11 @@ def test_tone_attaining_mode_detail_carries_tol():
 
 
 def test_import_and_catalog_load_stay_lean():
-    # the CLI import path, catalog load and a solve must not pull in scipy
-    # modules that only quadrature, spline warps or MatrixMarket dumps
-    # need, nor scipy.linalg, whose import loads numpy.f2py and
-    # numpy.testing: the eigensolver loads its LAPACK routines directly
+    # the CLI import path, catalog load and every built-in scenario's run
+    # must not pull in scipy modules beyond the LAPACK extension, nor
+    # scipy.linalg, whose import loads numpy.f2py and numpy.testing: the
+    # eigensolver loads its LAPACK routines directly, and tabulated warps
+    # solve their spline on its dgtsv
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
@@ -422,13 +429,33 @@ def test_import_and_catalog_load_stay_lean():
         "print(sorted(m for m in lean if m in sys.modules))\n"
         "from diraclab import cli\n"
         "from diraclab.eigensolve import GridPolicy\n"
-        "from diraclab.scenarios import find_scenario\n"
-        "cli.run_scenario(find_scenario('cover-m1'), GridPolicy()).to_json()\n"
-        "print(sorted(m for m in lean if m in sys.modules))\n"
+        "for sc in diraclab.cli.scenarios.builtin_catalog():\n"
+        "    cli.run_scenario(sc, GridPolicy()).to_json()\n"
+        "    print(sc.id, sorted(m for m in lean if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+    from diraclab.scenarios import builtin_catalog
+    assert proc.stdout.splitlines() == (
+        ["[]", "[]"] + [f"{sc.id} []" for sc in builtin_catalog()])
+
+
+def test_only_eigensolve_imports_scipy():
+    # scipy is a LAPACK provider only, reached through eigensolve._lapack()
+    import ast
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"eigensolve.py"}
 
 
 def _count_calls(monkeypatch, counts, key, module, attr):

@@ -165,6 +165,10 @@ def test_tabulated_warp_validation():
         TabulatedWarp([0, 1, 1, 2], [1, 1, 1, 1])  # not increasing
     with pytest.raises(GeometryError):
         TabulatedWarp([0, 1, 2, 3], [1, -1, 1, 1])  # not positive
+    for ts, fs in (([0, 1, 2, 3], [1, math.nan, 1, 1]),
+                   ([0, 1, 2, math.inf], [1, 1, 1, 1])):
+        with pytest.raises(GeometryError, match="finite"):
+            TabulatedWarp(ts, fs)
 
 
 def test_tabulated_warp_derivatives_match_spline_theory():
@@ -173,6 +177,31 @@ def test_tabulated_warp_derivatives_match_spline_theory():
     probe = np.linspace(0.3, 2.7, 50)
     assert np.max(np.abs(warp.deriv(probe) - np.cos(probe))) < 1e-5
     assert np.max(np.abs(warp.second(probe) + np.sin(probe))) < 1e-3
+    # the catalog tables against scipy's natural spline, inside each table
+    # and 0.01 past each end, where both extrapolate with the end pieces
+    from scipy.interpolate import CubicSpline
+
+    from diraclab.scenarios import find_scenario
+    for scenario in ("cusp-cylinder-l10", "growing-curvature"):
+        warp = find_scenario(scenario).surface.warp
+        ref = CubicSpline(warp.ts, warp.fs, bc_type="natural")
+        lo, hi = warp.ts[0] - 0.01, warp.ts[-1] + 0.01
+        probe = np.concatenate([np.linspace(lo, hi, 4001), warp.ts])
+        for order, got, tol in ((0, warp.value, 1e-15),
+                                (1, warp.deriv, 5e-15),
+                                (2, warp.second, 1e-12)):
+            want = ref(probe, order)
+            assert (np.max(np.abs(got(probe) - want))
+                    <= tol * np.max(np.abs(want))), (scenario, order)
+        # whole table, past both ends, reversed, a short span in each tail
+        # piece, and random spans
+        spans = [(warp.ts[0], warp.ts[-1]), (lo, hi), (hi, lo),
+                 (lo, warp.ts[0]), (warp.ts[-1], hi),
+                 *np.random.default_rng(7).uniform(lo, hi, (200, 2))]
+        for a, b in spans:
+            want = ref.integrate(a, b)
+            assert abs(warp.integral(a, b) - want) <= 1e-14 * abs(want), \
+                (scenario, a, b)
 
 
 def test_constant_warp_requires_positive():

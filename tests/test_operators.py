@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.io
 
 from diraclab.errors import AssemblyError
 from diraclab.geometry import ConstantWarp, CosineWarp, WarpedSurface
@@ -17,7 +16,6 @@ from diraclab.operators import (
     assemble_laplacian,
     block_boundary_conditions,
     bochner_gradient_energy,
-    dump_operator,
     leibniz_defect,
     make_grid,
     rayleigh_quotient,
@@ -270,21 +268,6 @@ def test_leibniz_defect_rejects_a_multiplier_from_another_grid():
                    values=np.ones(grid.n))
     with pytest.raises(AssemblyError):
         leibniz_defect(s, fmul, phi)
-
-
-def test_dump_operator_matrix_market(tmp_path):
-    s = cylinder()
-    grid = make_grid(s, 32)
-    for op in (assemble_laplacian(s, 1.0, grid),
-               assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)):
-        sp = tmp_path / "stiff.mtx"
-        mp = tmp_path / "mass.mtx"
-        dump_operator(op, sp, mp)
-        S = scipy.io.mmread(str(sp)).toarray()
-        M = scipy.io.mmread(str(mp)).toarray()
-        assert S.shape == M.shape == (op.size, op.size)
-        assert np.allclose(S, op.stiffness_dense())
-        assert np.allclose(M, op.mass_dense())
 
 
 def test_section_shape_validation():
