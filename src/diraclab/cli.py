@@ -89,10 +89,6 @@ class _ScenarioRun:
         return self._memo("area", lambda: geometry.area(self.scenario.surface))
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _tone_json(tone) -> dict:
     return {
         "kind": tone.kind,
@@ -125,7 +121,7 @@ def _lichnerowicz(run: _ScenarioRun, exp: dict) -> bounds.BoundVerdict:
     complete = all(k == "cusp" for k in run.grid.side_kinds)
     return bounds.lichnerowicz_check(
         run.scenario.surface, run.profile, stat, bar, complete=complete,
-        predicted=bool(exp.get("predicted", False)), statistic_source=source)
+        predicted=exp.get("predicted", False), statistic_source=source)
 
 
 # bound name -> evaluator (run, expected entry) -> BoundVerdict
@@ -246,6 +242,16 @@ CHECKS = {
 
 _NUMERIC_KEYS = ("value", "tol", "rel_tol", "max_abs", "threshold",
                  "max_norm_variation", "max_bochner_ratio")
+# enumerated key -> the values it may take, all of one JSON type
+_CHOICES = {
+    "operator": (KIND_LAPLACIAN, KIND_DIRAC),
+    "statistic": ("tone", "section"),
+    "behavior": ("stable", "growing"),
+    "verdict": (bounds.HOLDS, bounds.VIOLATED_PREDICTED, bounds.INAPPLICABLE,
+                bounds.VIOLATED_UNEXPECTED),
+    "applicable": (True, False),
+    "predicted": (True, False),
+}
 
 
 def _validate_expected(scenario) -> None:
@@ -257,24 +263,31 @@ def _validate_expected(scenario) -> None:
             raise CatalogError(f"{where}: unknown expected check {kind!r}"
                                if "check" in exp
                                else f"{where}: missing key 'check'")
+        for key, allowed in _CHOICES.items():
+            if key in exp and (type(exp[key]) is not type(allowed[0])
+                               or exp[key] not in allowed):
+                raise CatalogError(f"{where}: key {key!r} must be one of "
+                                   f"{json.dumps(allowed)}, got {exp[key]!r}")
         keys = list(CHECKS[kind].keys)
         if kind == "killing" and exp.get("applicable", True):
             keys += ["max_norm_variation", "max_bochner_ratio"]
-        if exp.get("statistic", "tone") != "tone":
+        if exp.get("statistic") == "section":
             keys.append("section")
         for key in keys:
             if key not in exp:
                 raise CatalogError(f"{where}: missing key {key!r}")
         for key in _NUMERIC_KEYS:
-            if key in exp and not _is_number(exp[key]):
-                raise CatalogError(f"{where}: key {key!r} must be a number, "
-                                   f"got {exp[key]!r}")
-        windows = exp.get("windows", [])
-        if not (isinstance(windows, list) and all(
-                isinstance(w, list) and len(w) == 2
-                and all(_is_number(x) for x in w) for w in windows)):
-            raise CatalogError(
-                f"{where}: key 'windows' must list [start, stop] pairs")
+            if key in exp and not scenarios.is_finite_number(exp[key]):
+                raise CatalogError(f"{where}: key {key!r} must be a finite "
+                                   f"number, got {exp[key]!r}")
+        windows = exp.get("windows")
+        if "windows" in exp and not (
+                isinstance(windows, list) and windows and all(
+                    isinstance(w, list) and len(w) == 2
+                    and all(map(scenarios.is_finite_number, w))
+                    for w in windows)):
+            raise CatalogError(f"{where}: key 'windows' must list one or "
+                               f"more [start, stop] pairs")
         if "bound" in keys and not (isinstance(exp["bound"], str)
                                     and exp["bound"] in BOUNDS):
             raise CatalogError(f"{where}: unknown bound {exp['bound']!r}")

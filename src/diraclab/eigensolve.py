@@ -1,16 +1,15 @@
 """Generalized eigensolves, mode sweeps, and refinement studies.
 
 Every tridiagonal block is solved after the diagonal-mass congruence
-M^(-1/2) S M^(-1/2), which keeps the bandwidth.  The coarsest level bisects
-the index range from the Gershgorin interval with LAPACK dstebz and takes
-the vectors from dstein.  Every finer level starts from the same block's
-values at the coarser level: one inverse-iteration step and a few
-Rayleigh-quotient steps per pair, each an O(n) dgtsv solve, give vectors
-whose residuals bound an interval around each value (Parlett, 1998, ch. 4).
-The index stays certified in O(n): the LDL^T factorization dpttrf of
-T - lo I puts lo below the spectrum, and one dstebz Sturm count finds
-exactly the wanted values up to the top interval.  A block whose iteration
-or certificate fails bisects its index range as the coarsest level does.
+M^(-1/2) S M^(-1/2), which keeps the bandwidth, and every vector comes from
+one certified path.  Each pair is seeded with a value: the same block's at
+the coarser level, or, at the coarsest level and wherever that fails, the
+one LAPACK dstebz bisects from the Gershgorin interval.  One inverse-
+iteration step and a few Rayleigh-quotient steps per pair, each an O(n)
+dgtsv solve, give vectors whose residuals bound an interval around each
+value (Parlett, 1998, ch. 4).  The index is certified in O(n): the
+intervals are disjoint, and one dstebz Sturm count finds exactly the wanted
+number of values up to the top interval.
 The reported eigenvalue is the factored quotient energy(v) / (M v, v) of
 the vector v, which keeps relative accuracy where a value of T carries an
 absolute error of about eps * ||S|| / ||M|| (Demmel & Kahan, 1990).  Each
@@ -20,7 +19,7 @@ pair must pass the scale-free normwise backward error bound
 Fundamental tones walk the circle modes in ascending |nu|, extrapolating
 each over a geometric (h, delta) refinement sequence, up to the first mode
 whose centrifugal floor certifies the rest; probes walk them the same way.
-The four LAPACK routines come from scipy's f2py module, loaded by file spec,
+The two LAPACK routines come from scipy's f2py module, loaded by file spec,
 because importing scipy.linalg for them would cost a cold verify more than
 half its time in scipy's array-API shim.  This is the package's only route
 to scipy: dgtsv also solves geometry.TabulatedWarp's spline moments.
@@ -66,7 +65,8 @@ _RANGE_VALUE, _RANGE_INDEX = 1, 2  # dstebz RANGE = 'V', 'I'
 
 
 def _lapack():
-    """scipy's f2py LAPACK module, without importing scipy.linalg.
+    """scipy's f2py LAPACK module, for its dgtsv and dstebz, without
+    importing scipy.linalg.
 
     Relies on scipy's private layout scipy/linalg/_flapack<suffix>.  The
     extension module registers itself under its scipy name, so a later
@@ -93,8 +93,7 @@ def _lapack():
 
 
 _flapack = _lapack()
-dgtsv, dpttrf = _flapack.dgtsv, _flapack.dpttrf
-dstebz, dstein = _flapack.dstebz, _flapack.dstein
+dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
 
 
 @dataclass(frozen=True)
@@ -169,21 +168,20 @@ def _congruence(block):
             block.off * scale[:-1] * scale[1:])
 
 
-def _gershgorin(d, e) -> tuple:
-    """||T||_1 and the Gershgorin interval of the tridiagonal T = (d, e)."""
+def _norm1(d, e) -> float:
+    """||T||_1 of the symmetric tridiagonal T = (d, e)."""
     off = np.pad(np.abs(e), 1)
-    radius = off[:-1] + off[1:]
-    return (float(np.max(np.abs(d) + radius)), float(np.min(d - radius)),
-            float(np.max(d + radius)))
+    return float(np.max(np.abs(d) + off[:-1] + off[1:]))
 
 
-def _sturm_count(d, e, lo: float, hi: float) -> int:
-    """Eigenvalues of T = (d, e) in (lo, hi], from dstebz's Sturm counts.
+def _count_below(d, e, hi: float) -> int:
+    """Eigenvalues <= hi of T = (d, e), from one dstebz Sturm count.
 
     A tolerance as wide as the range ends the bisection before its first
     step; the count does not depend on it.
     """
-    m, _, _, _, info = dstebz(d, e, _RANGE_VALUE, lo, hi, 0, 0, np.inf, b"E")
+    m, _, _, _, info = dstebz(d, e, _RANGE_VALUE, -np.inf, hi, 0, 0, np.inf,
+                              b"E")
     if info != 0:
         raise ConvergenceError(f"dstebz count failed (info {info})")
     return int(m)
@@ -200,93 +198,83 @@ def _refine(d, e, count, near):
     """Certified vectors of the `count` lowest eigenpairs of T = (d, e), or
     None.
 
-    `near` are the same block's values at the coarser level.  Pair j starts
-    from cos(j pi (i + 1/2) / n), earlier pairs projected out, takes one
+    near[j] estimates lambda_(j+1).  Pair j starts from
+    cos(j pi (i + 1/2) / n), earlier pairs projected out, takes one
     inverse-iteration step shifted at near[j], then Rayleigh-quotient steps
-    until two successive quotients rq_j agree within `slack`, at most
-    RQI_STEPS of them.  The residual r_j = ||T x_j - rq_j x_j|| puts an
-    eigenvalue in [rq_j - r_j, rq_j + r_j] (Parlett, 1998, ch. 4); each
-    interval is padded by slack = BRACKET_SLACK * eps * ||T||_1 for the
-    rounding of r_j and of the quotient.  The padded intervals are
-    pairwise disjoint, dpttrf(d - lo, e) succeeds at their lower end lo,
-    so lo < lambda_1 up to dpttrf's backward error, and one Sturm count
-    finds exactly `count` values in (lo - slack, hi], hi their upper end:
-    then interval j holds lambda_(j+1), and x_j is its vector.  A failed
-    solve, a step cap reached or a failed certificate returns None.
+    until two successive quotients agree within `slack`, at most RQI_STEPS
+    of them; a failed solve (a shift on a value to working precision) ends
+    the iteration at the last vector.  Its quotient rq_j and residual r_j
+    put an eigenvalue in [rq_j - r_j, rq_j + r_j] (Parlett, 1998, ch. 4),
+    padded by slack = BRACKET_SLACK * eps * ||T||_1 for rounding.  When the
+    intervals are disjoint and one Sturm count finds exactly `count` values
+    up to the top one, interval j holds lambda_(j+1), and x_j is its vector.
+    A step cap reached or a failed certificate returns None.
     """
     n = d.size
-    slack = BRACKET_SLACK * np.finfo(float).eps * _gershgorin(d, e)[0]
+    slack = BRACKET_SLACK * np.finfo(float).eps * _norm1(d, e)
     phase = (np.arange(n) + 0.5) * (math.pi / n)
     X = np.empty((n, count))
-    ends = []
+    top = -math.inf
     for j in range(count):
         x = np.cos(j * phase)
         x -= X[:, :j] @ (X[:, :j].T @ x)
-        x = _shifted_solve(d, e, float(near[j]), x)
-        rq = math.inf
+        shift, rq, tx = float(near[j]), math.inf, None
         for _ in range(RQI_STEPS):
-            if x is None:
-                return None
-            tx = tridiagonal_matvec(d, e, x)
-            rq, prev = float(x @ tx), rq
+            y = _shifted_solve(d, e, shift, x)
+            if y is None:
+                break
+            x, tx, prev = y, tridiagonal_matvec(d, e, y), rq
+            rq = shift = float(x @ tx)
             if abs(rq - prev) <= slack:
                 break
-            x = _shifted_solve(d, e, rq, x)
         else:
             return None
+        if tx is None:  # the first solve failed: judge the start vector
+            x = x / np.linalg.norm(x)
+            tx = tridiagonal_matvec(d, e, x)
+            rq = float(x @ tx)
         r = float(np.linalg.norm(tx - rq * x)) + slack
-        if ends and rq - r <= ends[-1][1]:
+        if not rq - r > top:
             return None
-        ends.append((rq - r, rq + r))
+        top = rq + r
         X[:, j] = x
-    lo, hi = ends[0][0], ends[-1][1]
-    if dpttrf(d - lo, e)[2] != 0 or _sturm_count(d, e, lo - slack, hi) \
-            != count:
-        return None
-    return X
+    return X if _count_below(d, e, top) == count else None
 
 
 def _bisect(d, e, count):
-    """Vectors of the `count` lowest eigenpairs of T = (d, e), ascending.
-
-    dstebz bisects the index range 1..count from the Gershgorin interval,
-    and dstein takes the vectors.
-    """
-    m, w, iblock, isplit, info = dstebz(d, e, _RANGE_INDEX, 0.0, 1.0, 1,
-                                        count, 0.0, b"B")
+    """The `count` lowest eigenvalues of T = (d, e), ascending, by dstebz
+    bisection of the index range from the Gershgorin interval."""
+    m, w, _, _, info = dstebz(d, e, _RANGE_INDEX, 0.0, 1.0, 1, count, 0.0,
+                              b"E")
     if info != 0 or m < count:
         raise ConvergenceError(
             f"dstebz found {m} of {count} eigenvalues (info {info})")
-    # the lowest `count`, still grouped by split block as dstein expects
-    keep = np.sort(np.argsort(w[:m], kind="stable")[:count])
-    w = w[keep]
-    iblock[:count] = iblock[keep]
-    V, info = dstein(d, e, w, iblock, isplit)
-    if info != 0:
-        raise ConvergenceError(f"dstein: {info} eigenvectors did not converge")
-    return V[:, np.argsort(w)]
+    return w[:count]
 
 
 def _solve_block(block, count, near=None):
     """Eigenvectors of the `count` lowest pairs of a block, M-scaled back.
 
-    With at least `count` values in `near`, _refine iterates from them and
-    certifies the index; without them, or when refinement fails, _bisect
-    takes the index range.
+    _refine starts from the values in `near` when it has one for every
+    pair; without them, or when that fails, from the block's bisected
+    values.  A block that does not certify raises ConvergenceError.
     """
     scale, d, e = _congruence(block)
     X = None
     if near is not None and len(near) >= count:
         X = _refine(d, e, count, near)
     if X is None:
-        X = _bisect(d, e, count)
+        X = _refine(d, e, count, _bisect(d, e, count))
+    if X is None:
+        raise ConvergenceError(f"no certified eigenvectors for the {count} "
+                               f"lowest pairs of a block of n = {d.size}")
     return X * scale[:, None]
 
 
 def _backward_error(block, lam: float, v: np.ndarray) -> float:
     """||S v - lam M v||_2 / ((||S||_1 + |lam| ||M||_1) ||v||_2)."""
     w = block.mass.weights
-    norm_s = _gershgorin(block.diag, block.off)[0]
+    norm_s = _norm1(block.diag, block.off)
     r = block.matvec(v) - lam * w * v
     return float(np.linalg.norm(r) / ((norm_s + abs(lam) * np.max(w))
                                       * np.linalg.norm(v)))
@@ -295,7 +283,7 @@ def _backward_error(block, lam: float, v: np.ndarray) -> float:
 def _count_block_below(block, threshold: float) -> int:
     """Eigenvalues <= threshold of a block, by one Sturm count."""
     _, d, e = _congruence(block)
-    return _sturm_count(d, e, -np.inf, threshold)
+    return _count_below(d, e, threshold)
 
 
 def smallest_eigenpairs(op: ReducedOperator, count: int,

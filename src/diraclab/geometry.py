@@ -244,6 +244,9 @@ class WarpedSurface:
             raise GeometryError("need t_min < t_max")
         if not self.period > 0:
             raise GeometryError("need circle period P > 0")
+        if len(self.end_labels) != 2:
+            raise GeometryError(f"'end_labels' must name the lower and upper "
+                                f"end, got {list(self.end_labels)!r}")
         for lab in self.end_labels:
             if lab not in (END_BOUNDARY, END_CUSP):
                 raise GeometryError(f"unknown end label {lab!r}")

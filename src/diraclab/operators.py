@@ -156,11 +156,9 @@ class Block:
     the scalar node potential P h nu^2 / f (zero for a Dirac block).
     """
 
-    coef: float  # mu for a Dirac block, nu for the scalar mode
     diag: np.ndarray
     off: np.ndarray
     mass: MassMatrix
-    bc: tuple  # (left, right), each DIRICHLET or FREE
     h: float
     w_e: np.ndarray
     a_e: np.ndarray
@@ -205,18 +203,6 @@ class ReducedOperator:
     @property
     def size(self) -> int:
         return sum(b.n for b in self.blocks)
-
-    def stiffness_dense(self) -> np.ndarray:
-        mats = []
-        for b in self.blocks:
-            m = np.diag(b.diag) + np.diag(b.off, 1) + np.diag(b.off, -1)
-            mats.append(m)
-        out = np.zeros((self.size, self.size))
-        at = 0
-        for m in mats:
-            out[at:at + len(m), at:at + len(m)] = m
-            at += len(m)
-        return out
 
 
 @dataclass
@@ -310,8 +296,8 @@ def _assemble_block(surface, grid: Grid, kind: str, coef: float,
     diag = (w_e * right * right)[:-1] + (w_e * left * left)[1:] + pot
     off = (w_e * left * right)[1:-1]
     mass = MassMatrix(weights=_at_free_sides(P * f_nodes * h, bc, 0.5))
-    return Block(coef=coef, diag=diag, off=off, mass=mass, bc=bc, h=h,
-                 w_e=w_e, a_e=a_e, pot=pot)
+    return Block(diag=diag, off=off, mass=mass, h=h, w_e=w_e, a_e=a_e,
+                 pot=pot)
 
 
 def assemble_laplacian(surface, nu: float, grid: Grid) -> ReducedOperator:

@@ -25,6 +25,12 @@ ANGULAR_FULL = "full_period"
 ANGULAR_HALF = "half_period"
 
 
+def is_finite_number(x) -> bool:
+    """Whether x is a number other than a boolean, NaN and +-Infinity."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) < math.inf)
+
+
 @dataclass(frozen=True)
 class SectionSpec:
     """Closed-form reduced section attached to a scenario."""
@@ -43,12 +49,16 @@ class SectionSpec:
                 f"{where}: unknown field_kind {self.field_kind!r}")
         if self.profile not in ("cos_cap", "boxed_sine"):
             raise CatalogError(f"{where}: unknown profile {self.profile!r}")
-        for key in ("t0", "length") if self.profile == "boxed_sine" else ():
-            x = self.params.get(key)
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
+        if self.angular not in (ANGULAR_FULL, ANGULAR_HALF):
+            raise CatalogError(f"{where}: key 'angular' must be {ANGULAR_FULL}"
+                               f" or {ANGULAR_HALF}, got {self.angular!r}")
+        params = ("t0", "length") if self.profile == "boxed_sine" else ()
+        for key, x in [("mode", self.mode)] + [
+                (k, self.params.get(k)) for k in params]:
+            if not is_finite_number(x) or key == "length" and not x > 0:
                 raise CatalogError(
-                    f"{where}: boxed_sine param {key!r} must be a number, "
-                    f"got {x!r}")
+                    f"{where}: key {key!r} must be a finite number"
+                    f"{' above 0' if key == 'length' else ''}, got {x!r}")
 
     def to_json(self):
         return {

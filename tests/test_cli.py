@@ -294,6 +294,28 @@ OTHER_CASES = [
     pytest.param({"check": "section_norm2", "section": "undeclared",
                   "value": 1.0, "tol": 1e-6}, "undeclared",
                  id="undeclared-section"),
+    pytest.param({"check": "probe", "operator": "dirac", "windows": [[0, 1]],
+                  "threshold": 0.1, "behavior": "stable"}, "operator",
+                 id="unknown-operator"),
+    pytest.param({"check": "bound_verdict", "bound": "area",
+                  "verdict": "holds", "statistic": "mean"}, "statistic",
+                 id="unknown-statistic"),
+    pytest.param({"check": "probe", "windows": [[0, 1]], "threshold": 0.1,
+                  "behavior": "shrinking"}, "behavior",
+                 id="unknown-behavior"),
+    pytest.param({"check": "bound_verdict", "bound": "area",
+                  "verdict": "fails"}, "verdict", id="unknown-verdict"),
+    pytest.param({"check": "killing", "applicable": "false"}, "applicable",
+                 id="string-as-applicable"),
+    pytest.param({"check": "bound_verdict", "bound": "area",
+                  "verdict": "holds", "predicted": "false"}, "predicted",
+                 id="string-as-predicted"),
+    pytest.param({"check": "dirac_tone", "value": float("nan"), "tol": 1e-3},
+                 "value", id="nan-value"),
+    pytest.param({"check": "dirac_tone", "value": 1.0, "tol": float("inf")},
+                 "tol", id="infinite-tol"),
+    pytest.param({"check": "probe", "windows": [], "threshold": 0.1,
+                  "behavior": "stable"}, "windows", id="empty-windows"),
 ]
 
 
@@ -325,6 +347,21 @@ DOCUMENT_CASES = [
                  id="tabulated-warp-with-nan"),
     pytest.param(_edit(("spin",), "sideways"), "spin",
                  id="unknown-spin-structure"),
+    pytest.param(_edit(("sections", 0, "angular"), "quarter_period"),
+                 "angular", id="unknown-section-angular"),
+    pytest.param(_edit(("sections", 0, "mode"), float("nan")), "mode",
+                 id="nan-section-mode"),
+    pytest.param(_edit(("sections", 0, "params"),
+                       {"t0": float("nan"), "length": 3.0}), "t0",
+                 id="boxed-sine-nan-t0"),
+    pytest.param(_edit(("sections", 0, "params"),
+                       {"t0": 0.0, "length": float("inf")}), "length",
+                 id="boxed-sine-infinite-length"),
+    pytest.param(_edit(("sections", 0, "params"),
+                       {"t0": 0.0, "length": 0.0}), "length",
+                 id="boxed-sine-zero-length"),
+    pytest.param(_edit(("surface", "end_labels"), ["boundary"]),
+                 "end_labels", id="one-end-label"),
 ]
 
 
@@ -441,12 +478,18 @@ def test_import_and_catalog_load_stay_lean():
 
 
 def test_only_eigensolve_imports_scipy():
-    # scipy is a LAPACK provider only, reached through eigensolve._lapack()
+    # scipy is a LAPACK provider only, reached through eigensolve._lapack(),
+    # and the package reads two routines from it
     import ast
     src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
     importers = set()
+    routines = set()
     for path in src.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "_flapack":
+                routines.add(node.attr)
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -456,6 +499,7 @@ def test_only_eigensolve_imports_scipy():
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 importers.add(path.name)
     assert importers == {"eigensolve.py"}
+    assert routines == {"dgtsv", "dstebz"}
 
 
 def _count_calls(monkeypatch, counts, key, module, attr):

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -89,29 +88,51 @@ def test_cylinder_scalar_ground_above_512_nodes():
 
 
 def test_perturbed_eigenvector_fails_backward_error_gate(monkeypatch):
+    # noisy dgtsv solves widen each residual interval but still certify
+    # the index, so the backward-error gate must reject the pair, whether
+    # the block is seeded by bisection or by the coarser level's values
     s = sphere()
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5,
                                make_grid(s, 512))
     near = smallest_eigenpairs(op, 1).block_values
 
-    def perturbed(*args, _real):
+    def perturbed(*args, _real=eigensolve.dgtsv):
         *out, vectors, info = _real(*args)
         noise = np.random.default_rng(7).standard_normal(vectors.shape)
         size = np.linalg.norm(vectors, axis=0) / math.sqrt(vectors.shape[0])
         return (*out, vectors + 1e-6 * size * noise, info)
-    # the index path's dstein vectors, and a refined level's dgtsv solves
-    for name, bracket in (("dstein", None), ("dgtsv", near)):
-        with monkeypatch.context() as patch:
-            patch.setattr(eigensolve, name, partial(
-                perturbed, _real=getattr(eigensolve, name)))
-            with pytest.raises(ConvergenceError, match="backward error"):
-                smallest_eigenpairs(op, 1, bracket)
+    monkeypatch.setattr(eigensolve, "dgtsv", perturbed)
+    for bracket in (None, near):
+        with pytest.raises(ConvergenceError, match="backward error"):
+            smallest_eigenpairs(op, 1, bracket)
+
+
+def test_a_block_that_never_certifies_raises(monkeypatch):
+    # no uncertified vector is ever returned: when refinement fails from
+    # the coarser level's values and from the bisected ones, the solve
+    # raises
+    s = sphere()
+    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5,
+                               make_grid(s, 512))
+    near = smallest_eigenpairs(op, 2).block_values
+    monkeypatch.setattr(eigensolve, "_refine", lambda *args: None)
+    for bracket in (None, near):
+        with pytest.raises(ConvergenceError,
+                           match="the 2 lowest pairs of a block of n = 512"):
+            smallest_eigenpairs(op, 2, bracket)
 
 
 def _same_pairs(got, ref):
-    assert np.allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=0)
-    assert np.array_equal(got.block_index, ref.block_index)
-    for a, b in zip(got.sections, ref.sections):
+    # block by block: the two blocks of a Dirac mode may share a value to
+    # rounding, and then their order in the merged list is arbitrary
+    got_order, ref_order = (np.lexsort((res.eigenvalues, res.block_index))
+                            for res in (got, ref))
+    assert np.allclose(got.eigenvalues[got_order],
+                       ref.eigenvalues[ref_order], rtol=1e-12, atol=0)
+    assert np.array_equal(got.block_index[got_order],
+                          ref.block_index[ref_order])
+    for a, b in zip((got.sections[i] for i in got_order),
+                    (ref.sections[i] for i in ref_order)):
         # an eigenvector's sign is arbitrary
         gap = min(np.max(np.abs(a.values - b.values)),
                   np.max(np.abs(a.values + b.values)))
@@ -119,8 +140,7 @@ def _same_pairs(got, ref):
 
 
 def _lapack_calls(monkeypatch):
-    calls = {"dgtsv": [], "dpttrf": [], "_sturm_count": [], "_refine": [],
-             "_bisect": []}
+    calls = {"dgtsv": [], "_count_below": [], "_refine": [], "_bisect": []}
     for name, seen in calls.items():
         def counted(*args, _real=getattr(eigensolve, name), _seen=seen):
             out = _real(*args)
@@ -135,13 +155,14 @@ def _certified(calls):
     return [out is not None for out in calls["_refine"]]
 
 
-@pytest.mark.parametrize("scale, widened", [(10.0, "dpttrf"),
-                                            (0.01, "dstebz")])
-def test_wrong_bracket_widens_to_the_index_pairs(monkeypatch, scale, widened):
-    # `widened` names the certificate that decides: true level-1 values
-    # scaled by 10 lead the iteration to higher pairs, which dpttrf rejects,
-    # and the block falls back to the index path; scaled by 0.01 they still
-    # reach the two lowest pairs, which the dstebz Sturm count certifies
+@pytest.mark.parametrize("scale, seed", [(10.0, "bisected"),
+                                         (0.01, "coarser")])
+def test_wrong_bracket_widens_to_the_index_pairs(monkeypatch, scale, seed):
+    # `seed` names the values the certified vectors are refined from: true
+    # level-1 values scaled by 10 lead the iteration to higher pairs, and
+    # the Sturm count finds more values than pairs below them, so each
+    # block refines again from its bisected values; scaled by 0.01 they
+    # still reach the two lowest pairs, which the count certifies
     sc = find_scenario("round-sphere")
     grid = GridPolicy().grids(sc.surface)[1]
     op = assemble(sc.surface, KIND_DIRAC, sc.spin, 0.5, grid)
@@ -149,23 +170,28 @@ def test_wrong_bracket_widens_to_the_index_pairs(monkeypatch, scale, widened):
     calls = _lapack_calls(monkeypatch)
     got = smallest_eigenpairs(op, 2, [scale * v for v in ref.block_values])
     _same_pairs(got, ref)
-    assert len(calls["_refine"]) == len(op.blocks)
-    if widened == "dpttrf":
-        assert all(info != 0 for _, _, info in calls["dpttrf"])
-        assert _certified(calls) == [False] * len(op.blocks)
-        assert len(calls["_bisect"]) == len(op.blocks)
+    blocks = len(op.blocks)
+    if seed == "bisected":
+        assert _certified(calls) == [False, True] * blocks
+        assert all(found > 2 for found in calls["_count_below"][::2])
+        assert calls["_count_below"][1::2] == [2] * blocks
+        assert len(calls["_bisect"]) == blocks
     else:
-        assert all(_certified(calls)) and not calls["_bisect"]
+        assert _certified(calls) == [True] * blocks
+        assert calls["_count_below"] == [2] * blocks
+        assert not calls["_bisect"]
 
 
-@pytest.mark.parametrize("picks, fails", [((1,), "dpttrf"),
-                                          ((0, 2), "dstebz")])
+@pytest.mark.parametrize("picks, found", [((1,), 2), ((0, 2), 3),
+                                          ((1, 1), None)])
 def test_near_that_skips_a_pair_fails_a_certificate(monkeypatch, picks,
-                                                     fails):
+                                                     found):
     # refined from lambda_2 alone, the one pair converges to lambda_2 and
-    # dpttrf finds a value below its interval; from lambda_1 and lambda_3,
-    # the Sturm count finds three values up to the second interval; either
-    # way the block bisects its index range instead
+    # the Sturm count also finds lambda_1 below its interval; from
+    # lambda_1 and lambda_3, it finds three values up to the second
+    # interval; from lambda_2 twice, both pairs converge to lambda_2, and
+    # their intervals overlap before any count (which would find two
+    # values); each time the block refines again from its bisected values
     sc = find_scenario("round-sphere")
     grid = GridPolicy().grids(sc.surface)[1]
     op = assemble(sc.surface, KIND_DIRAC, sc.spin, 0.5, grid)
@@ -174,19 +200,16 @@ def test_near_that_skips_a_pair_fails_a_certificate(monkeypatch, picks,
     calls = _lapack_calls(monkeypatch)
     got = smallest_eigenpairs(op, len(picks), near)
     _same_pairs(got, ref)
-    infos = [info for _, _, info in calls["dpttrf"]]
-    assert len(infos) == len(op.blocks)
-    if fails == "dpttrf":
-        assert all(infos) and not calls["_sturm_count"]
-    else:
-        assert not any(infos) and calls["_sturm_count"] == [3, 3]
-    assert _certified(calls) == [False] * len(op.blocks)
-    assert len(calls["_bisect"]) == len(op.blocks)
+    blocks = len(op.blocks)
+    rejected = [] if found is None else [found]
+    assert calls["_count_below"] == (rejected + [len(picks)]) * blocks
+    assert _certified(calls) == [False, True] * blocks
+    assert len(calls["_bisect"]) == blocks
 
 
 def test_zero_bracket_on_the_kernel_skip_mode(monkeypatch):
     # near = [0] refines the kernel surrogate itself; for two pairs it is
-    # too short, and the block takes the index path without iterating
+    # too short, and the block refines from its bisected values alone
     cusp = find_scenario("cusp-cylinder-l10")
     grid = GridPolicy().grids(cusp.surface)[1]
     op = assemble(cusp.surface, KIND_LAPLACIAN, None, 0.0, grid)
@@ -196,23 +219,56 @@ def test_zero_bracket_on_the_kernel_skip_mode(monkeypatch):
             calls = _lapack_calls(patch)
             got = smallest_eigenpairs(op, count, [np.array([0.0])])
         _same_pairs(got, ref)
-        if count == 1:
-            assert _certified(calls) == [True] and not calls["_bisect"]
-        else:
-            assert calls["_refine"] == calls["dgtsv"] == []
-            assert len(calls["_bisect"]) == len(op.blocks)
+        assert _certified(calls) == [True] * len(op.blocks)
+        assert len(calls["_bisect"]) == (count - 1) * len(op.blocks)
 
 
 def test_bracketed_levels_certify_without_widening(monkeypatch):
-    # every default tone of the catalog: level 0 takes the index path,
-    # each finer level refines every block and certifies it
+    # every default tone of the catalog: level 0 refines each block from
+    # its bisected values, each finer level from the coarser level's, and
+    # every refinement certifies
     calls = _lapack_calls(monkeypatch)
     for sc in builtin_catalog():
         run_scenario(sc, GridPolicy())
     refined = _certified(calls)
     assert refined and all(refined)
-    assert all(info == 0 for _, _, info in calls["dpttrf"])
-    assert len(refined) == 2 * len(calls["_bisect"])
+    assert len(refined) == GridPolicy().levels * len(calls["_bisect"])
+
+
+def test_singular_first_shift_judges_the_start_vector():
+    # the constant vector, pair 0's start, is the lowest eigenvector of the
+    # Neumann second difference plus I, at 1: the first solve, shifted at 1,
+    # meets an exact zero pivot, and the certificate accepts the start
+    # vector itself
+    n = 32
+    d = np.full(n, 3.0)
+    d[[0, -1]] = 2.0
+    X = eigensolve._refine(d, np.full(n - 1, -1.0), 1, [1.0])
+    assert X is not None
+    assert np.allclose(X[:, 0], 1 / math.sqrt(n), rtol=1e-15, atol=0)
+
+
+# round-sphere at 16 x 5 as the dstein vectors of the bisection path gave
+# it: check name -> computed value and error bar
+SPHERE_16X5 = {"laplace_tone": (1.9999643915235172, 0.0010847117370369555),
+               "dirac_tone": (0.9999936702477775, 0.000203908328368815)}
+
+
+def test_singular_shift_ends_the_iteration_at_a_certified_pair(
+        monkeypatch):
+    # at 16 x 5 one Rayleigh-quotient shift lands on a value of T to
+    # working precision and dgtsv meets an exact zero pivot; the iteration
+    # stops at the vector before that solve, and the certificate accepts it
+    calls = _lapack_calls(monkeypatch)
+    report = run_scenario(find_scenario("round-sphere"), GridPolicy(16, 5))
+    assert any(info != 0 for *_, info in calls["dgtsv"])
+    assert all(_certified(calls))
+    checks = {c["name"]: c for c in report.checks}
+    assert [c["passed"] for c in report.checks] == [True] * 9 + [False]
+    for name, (value, bar) in SPHERE_16X5.items():
+        detail = checks[name]["detail"]
+        assert detail["computed"] == pytest.approx(value, rel=1e-14)
+        assert detail["error_bar"] == pytest.approx(bar, rel=1e-10)
 
 
 def test_probe_counts_match_dense_eigvalsh(monkeypatch):
@@ -507,8 +563,9 @@ def test_tone_ground_op_is_the_operator_its_ground_solves(sphere_dirac_tone):
         assert np.array_equal(got.mass.weights, ref.mass.weights)
 
 
-# Runs the four routines as a cold process loads them, without
-# scipy.linalg, on block 0 of round-sphere's nu = 0.5 Dirac mode at level 1.
+# Runs the two routines as a cold process loads them, without scipy.linalg,
+# on block 0 of round-sphere's nu = 0.5 Dirac mode at level 1: the index
+# range bisection, a Sturm count and one shifted solve.
 _COLD_LAPACK = """
 import sys
 import numpy as np
@@ -520,15 +577,12 @@ sc = find_scenario("round-sphere")
 grid = GridPolicy().grids(sc.surface)[1]
 op = assemble(sc.surface, KIND_DIRAC, sc.spin, 0.5, grid)
 _, d, e = eigensolve._congruence(op.blocks[0])
-m, w, iblock, isplit, info = eigensolve.dstebz(d, e, 2, 0.0, 1.0, 1, 2,
-                                               0.0, b"B")
-V, vinfo = eigensolve.dstein(d, e, w[:m], iblock, isplit)
-lo = 0.9 * w[0]
-dd, ee, pinfo = eigensolve.dpttrf(d - lo, e)
-*_, x, ginfo = eigensolve.dgtsv(e, d - lo, e, V[:, :1])
+m, w, _, _, info = eigensolve.dstebz(d, e, 2, 0.0, 1.0, 1, 2, 0.0, b"E")
+c, _, _, _, cinfo = eigensolve.dstebz(d, e, 1, -np.inf, 1.1 * w[1], 0, 0,
+                                      np.inf, b"E")
+*_, x, ginfo = eigensolve.dgtsv(e, d - 0.9 * w[0], e, np.ones((d.size, 1)))
 assert "scipy.linalg" not in sys.modules
-np.savez(sys.argv[1], d=d, e=e, w=w, iblock=iblock, isplit=isplit, V=V,
-         dd=dd, ee=ee, x=x, info=[m, info, vinfo, pinfo, ginfo])
+np.savez(sys.argv[1], d=d, e=e, w=w, x=x, info=[m, info, c, cinfo, ginfo])
 """
 
 
@@ -540,15 +594,13 @@ def test_cold_loaded_lapack_matches_scipy_linalg_lapack(tmp_path):
                    env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     cold = np.load(out)
     d, e = cold["d"], cold["e"]
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 2,
-                                               0.0, b"B")
-    V, vinfo = lapack.dstein(d, e, w[:m], iblock, isplit)
-    dd, ee, pinfo = lapack.dpttrf(d - 0.9 * w[0], e)
-    *_, x, ginfo = lapack.dgtsv(e, d - 0.9 * w[0], e, V[:, :1])
-    assert list(cold["info"]) == [m, info, vinfo, pinfo, ginfo] \
-        == [2, 0, 0, 0, 0]
-    for key, ref in (("w", w), ("iblock", iblock), ("isplit", isplit),
-                     ("V", V), ("dd", dd), ("ee", ee), ("x", x)):
+    m, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 2, 0.0, b"E")
+    c, _, _, _, cinfo = lapack.dstebz(d, e, 1, -np.inf, 1.1 * w[1], 0, 0,
+                                      np.inf, b"E")
+    *_, x, ginfo = lapack.dgtsv(e, d - 0.9 * w[0], e, np.ones((d.size, 1)))
+    assert list(cold["info"]) == [m, info, c, cinfo, ginfo] \
+        == [2, 0, 2, 0, 0]
+    for key, ref in (("w", w), ("x", x)):
         assert np.array_equal(cold[key], ref), key
 
 
@@ -574,6 +626,4 @@ def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path,
         monkeypatch.setattr(importlib.util, "find_spec", _scipy_at(tmp_path))
     module = eigensolve._lapack()
     assert module is sys.modules["scipy.linalg._flapack"]
-    assert module.dstebz is lapack.dstebz
-    assert module.dstein is lapack.dstein and module.dpttrf is lapack.dpttrf
-    assert module.dgtsv is lapack.dgtsv
+    assert module.dstebz is lapack.dstebz and module.dgtsv is lapack.dgtsv
