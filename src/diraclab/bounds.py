@@ -13,9 +13,9 @@ statistic with its error bar, and one of: holds, violated-as-predicted,
 inapplicable, or violated-unexpected.  The last one should never appear
 for a built-in scenario; it flags a numerical failure.  The
 violated-as-predicted verdict is only emitted when a hypothesis actually
-fails and the scenario is a tracked counterexample family (non-bounding
-spin structures for the area bound, the covering surfaces for the
-first-eigenvalue bound).
+fails and the caller marks the case `predicted`, a tracked counterexample
+family (non-bounding spin structures for the area bound, the covering
+surfaces for the first-eigenvalue bound).
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .eigensolve import ToneResult, truncation_probe
-from .errors import AssemblyError, InfiniteAreaError, SchemaError
+from .eigensolve import truncation_probe
+from .errors import AssemblyError, SchemaError
 from .operators import (
     KIND_DIRAC,
     Section,
@@ -151,42 +150,41 @@ def _verdict(bound, value, hyps, statistic, error_bar, predicted,
                         statistic_source=source, notes=notes)
 
 
-def friedrich_check(surface, profile, tone: ToneResult) -> BoundVerdict:
-    """Compare the D^2 tone against n*kappa/(n-1)."""
+def friedrich_check(profile, statistic: float, error_bar: float,
+                    statistic_source: str, predicted: bool) -> BoundVerdict:
+    """Compare a D^2 statistic against n*kappa/(n-1)."""
     kappa = profile.kappa_spinor
     value = _curvature_floor(kappa)
     hyps = [("curvature term bounded below by a positive constant",
              kappa > 0)]
-    return _verdict("friedrich", value, hyps, tone.lambda_star,
-                    tone.error_bar, False, SOURCE_TONE)
+    return _verdict("friedrich", value, hyps, statistic, error_bar,
+                    predicted, statistic_source)
 
 
-def area_bound_check(surface, spin, statistic: float, error_bar: float,
-                     statistic_source: str = SOURCE_TONE) -> BoundVerdict:
-    """Compare a D^2 statistic against 4*pi/area.
+def area_bound_check(spin, surface_area: float, statistic: float,
+                     error_bar: float, statistic_source: str,
+                     predicted: bool) -> BoundVerdict:
+    """Compare a D^2 statistic against 4*pi/area; surface_area is math.inf
+    where the area diverges.
 
     statistic may be the extrapolated tone or a certified Rayleigh upper
     bound; only the latter can exhibit a violation on surfaces whose tone
     is not desk-computable.
     """
-    try:
-        value = area_bound(geometry.area(surface))
-    except InfiniteAreaError:
-        value = 0.0
-    bounding = spin is SpinStructure.BOUNDING
+    value = area_bound(surface_area)
     hyps = [
         ("genus zero (surface of revolution over an interval)", True),
         ("finite area", value > 0),
-        ("spin structure bounding at infinity", bounding),
+        ("spin structure bounding at infinity",
+         spin is SpinStructure.BOUNDING),
     ]
-    # dropping the spin hypothesis is the tracked case
-    return _verdict("area", value, hyps, statistic, error_bar,
-                    not bounding, statistic_source)
+    return _verdict("area", value, hyps, statistic, error_bar, predicted,
+                    statistic_source)
 
 
-def lichnerowicz_check(surface, profile, statistic: float, error_bar: float,
-                       complete: bool = False, predicted: bool = False,
-                       statistic_source: str = SOURCE_TONE) -> BoundVerdict:
+def lichnerowicz_check(profile, complete: bool, statistic: float,
+                       error_bar: float, statistic_source: str,
+                       predicted: bool) -> BoundVerdict:
     """First nonzero Laplace eigenvalue against n*kappa_ric/(n-1).
 
     The Ricci constant on a surface is the Gauss curvature infimum.  The

@@ -13,12 +13,12 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import replace
 
 from . import __version__, bounds, geometry, scenarios
 from .bounds import json_num
 from .eigensolve import GridPolicy, fundamental_tone, truncation_probe
-from .errors import CatalogError, DiraclabError, SchemaError
+from .errors import (CatalogError, DiraclabError, InfiniteAreaError,
+                     SchemaError)
 from .operators import KIND_DIRAC, KIND_LAPLACIAN, assemble, rayleigh_quotient
 from .spin import SpinStructure
 
@@ -27,8 +27,10 @@ EXIT_INTERNAL = 1
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
 
-# Node cap of the finest grid of a ladder, and of a sweep's N.
+# Node cap of the finest grid of a ladder.
 MAX_GRID_NODES = 2 ** 20
+# Base grid size of a sweep's L and k rows when --grid-n is not given.
+SWEEP_GRID_N = 256
 
 
 def _read_input(path: str, what: str) -> str:
@@ -51,8 +53,9 @@ def _resolve_scenario(selector: str) -> scenarios.Scenario:
 
 
 class _ScenarioRun:
-    """Lazy per-scenario computation cache used by the check evaluators;
-    the tones share one grid ladder, the rest its coarsest grid."""
+    """Lazy per-scenario computation cache, and the one source of the
+    tones, quotients and area that every check, verdict and sweep row
+    reads; the tones share one grid ladder, the rest its coarsest grid."""
 
     def __init__(self, scenario, policy: GridPolicy, tol_scale: float = 1.0):
         self.scenario = scenario
@@ -72,8 +75,7 @@ class _ScenarioRun:
 
     def tone(self, kind: str):
         return self._memo(("tone", kind), lambda: fundamental_tone(
-            self.scenario.surface, kind, self.scenario.spin, self.policy,
-            self.grids))
+            self.scenario.surface, kind, self.scenario.spin, self.grids))
 
     def section_rayleigh(self, name: str) -> float:
         """Rayleigh quotient of a named section for its own field kind."""
@@ -86,7 +88,13 @@ class _ScenarioRun:
         return self._memo(("rq", name), compute)
 
     def area(self) -> float:
-        return self._memo("area", lambda: geometry.area(self.scenario.surface))
+        """The surface's area, math.inf where it diverges."""
+        def compute():
+            try:
+                return geometry.area(self.scenario.surface)
+            except InfiniteAreaError:
+                return math.inf
+        return self._memo("area", compute)
 
 
 def _tone_json(tone) -> dict:
@@ -108,29 +116,27 @@ def _tone_json(tone) -> dict:
 
 
 def _bound_statistic(run: _ScenarioRun, exp: dict):
+    """(statistic, error bar, source, predicted) of a bound entry: its tone
+    (Laplace for lichnerowicz, else Dirac) or, with "statistic": "section",
+    its section's Rayleigh quotient; "predicted" defaults to false."""
+    predicted = exp.get("predicted", False)
     if exp.get("statistic", "tone") == "tone":
         tone = run.tone(KIND_LAPLACIAN if exp["bound"] == "lichnerowicz"
                         else KIND_DIRAC)
-        return tone.lambda_star, tone.error_bar, bounds.SOURCE_TONE
+        return tone.lambda_star, tone.error_bar, bounds.SOURCE_TONE, predicted
     rq = run.section_rayleigh(exp["section"])
-    return rq, 1e-6 * abs(rq) + 1e-12, bounds.SOURCE_UPPER
-
-
-def _lichnerowicz(run: _ScenarioRun, exp: dict) -> bounds.BoundVerdict:
-    stat, bar, source = _bound_statistic(run, exp)
-    complete = all(k == "cusp" for k in run.grid.side_kinds)
-    return bounds.lichnerowicz_check(
-        run.scenario.surface, run.profile, stat, bar, complete=complete,
-        predicted=exp.get("predicted", False), statistic_source=source)
+    return rq, 1e-6 * abs(rq) + 1e-12, bounds.SOURCE_UPPER, predicted
 
 
 # bound name -> evaluator (run, expected entry) -> BoundVerdict
 BOUNDS = {
     "friedrich": lambda run, exp: bounds.friedrich_check(
-        run.scenario.surface, run.profile, run.tone(KIND_DIRAC)),
+        run.profile, *_bound_statistic(run, exp)),
     "area": lambda run, exp: bounds.area_bound_check(
-        run.scenario.surface, run.scenario.spin, *_bound_statistic(run, exp)),
-    "lichnerowicz": _lichnerowicz,
+        run.scenario.spin, run.area(), *_bound_statistic(run, exp)),
+    "lichnerowicz": lambda run, exp: bounds.lichnerowicz_check(
+        run.profile, all(k == "cusp" for k in run.grid.side_kinds),
+        *_bound_statistic(run, exp)),
     "essential": lambda run, exp: bounds.essential_bound_check(
         run.scenario.surface, run.scenario.spin, run.profile, run.grid),
 }
@@ -143,13 +149,17 @@ _Check = namedtuple("_Check", "keys evaluate name")
 def _value_check(name, detail, keys=("value", "tol")) -> _Check:
     """|computed - value| <= tol * tol_scale; detail(run, entry) gives the
     "computed" value (and extra detail), and tol is relative to the value
-    (rel_tol, default 1e-9) when the check takes no tol key."""
+    (rel_tol, default 1e-9) when the check takes no tol key.  The detail
+    writes a computed value that is not finite as null."""
     def evaluate(run, exp):
         out = detail(run, exp)
-        tol = exp["tol"] if "tol" in keys \
-            else exp.get("rel_tol", 1e-9) * abs(exp["value"])
-        out.update(expected=exp["value"], tol=tol * run.tol_scale)
-        return abs(out["computed"] - exp["value"]) <= out["tol"], out
+        tol = run.tol_scale * (
+            exp["tol"] if "tol" in keys
+            else exp.get("rel_tol", 1e-9) * abs(exp["value"]))
+        passed = abs(out["computed"] - exp["value"]) <= tol
+        out.update(computed=json_num(out["computed"]), expected=exp["value"],
+                   tol=tol)
+        return passed, out
     return _Check(keys, evaluate, name)
 
 
@@ -277,14 +287,14 @@ def _validate_expected(scenario) -> None:
             if key not in exp:
                 raise CatalogError(f"{where}: missing key {key!r}")
         for key in _NUMERIC_KEYS:
-            if key in exp and not scenarios.is_finite_number(exp[key]):
+            if key in exp and not geometry.is_finite_number(exp[key]):
                 raise CatalogError(f"{where}: key {key!r} must be a finite "
                                    f"number, got {exp[key]!r}")
         windows = exp.get("windows")
         if "windows" in exp and not (
                 isinstance(windows, list) and windows and all(
                     isinstance(w, list) and len(w) == 2
-                    and all(map(scenarios.is_finite_number, w))
+                    and all(map(geometry.is_finite_number, w))
                     for w in windows)):
             raise CatalogError(f"{where}: key 'windows' must list one or "
                                f"more [start, stop] pairs")
@@ -307,12 +317,8 @@ def run_scenario(scenario, policy: GridPolicy = GridPolicy(),
         checks.append({"name": check.name.format(**exp),
                        "passed": bool(passed), "detail": detail})
 
-    try:
-        area_json = float(run.area())
-    except DiraclabError:
-        area_json = None
     geometry_summary = {
-        "area": area_json,
+        "area": json_num(run.area()),
         "kappa_spinor": float(run.profile.kappa_spinor),
         "kappa_oneform": float(run.profile.kappa_oneform),
         "period": float(scenario.surface.period),
@@ -400,60 +406,49 @@ def _parse_range(spec: str):
     return values
 
 
-def _sweep_rows(param: str, values, spin: SpinStructure,
-                policy: GridPolicy):
-    """One row per value; every value is checked before the first solve."""
-    least, most = min(values), max(values)
-    in_range = {"L": least > 0, "k": round(least) >= 1,
-                "N": 16 <= round(least) and round(most) <= MAX_GRID_NODES}
-    if param not in in_range:
+def _sweep_rows(param: str, values, spin: SpinStructure, grid_n, levels):
+    """One row per value, of numbers `verify` reports on the same ladder:
+    the area verdict of the flat cylinder of length L, the lichnerowicz
+    verdict of the k-fold cover, or the round-sphere Laplace tone on base
+    grids of N nodes, which replace grid_n (None when not given).  Every
+    value and ladder is checked before the first solve."""
+    least = min(values)
+    if param not in ("L", "k", "N"):
         raise CatalogError(f"unknown sweep parameter {param!r}")
-    if not in_range[param]:
-        raise CatalogError(f"sweep needs L > 0, k >= 1 and 16 <= N <= "
-                           f"{MAX_GRID_NODES}, got {param} from {least} to "
-                           f"{most}")
+    if param == "N" and grid_n is not None:
+        raise CatalogError("an N= sweep takes no --grid-n: N is the base grid")
+    if param == "L" and not least > 0 or param == "k" and round(least) < 1:
+        raise CatalogError(f"sweep needs L > 0 and k >= 1, got {param} from "
+                           f"{least} to {max(values)}")
+    base_n = SWEEP_GRID_N if grid_n is None else grid_n
+    policies = [_grid_policy(int(round(v)) if param == "N" else base_n,
+                             levels) for v in values]
 
-    def one(value):
+    def one(value, policy):
+        if param == "N":
+            tone = _ScenarioRun(scenarios.round_sphere_scenario(),
+                                policy).tone(KIND_LAPLACIAN)
+            return {"N": policy.base_n, "lambda_star": tone.lambda_star,
+                    "abs_error": abs(tone.lambda_star - 2.0)}
+        sc, bound = (
+            (scenarios.flat_cylinder_scenario(float(value), spin), "area")
+            if param == "L" else
+            (scenarios.cover_scenario(int(round(value))), "lichnerowicz"))
+        v = BOUNDS[bound](_ScenarioRun(sc, policy), next(
+            e for e in sc.expected if e.get("bound") == bound))
         if param == "L":
-            run = _ScenarioRun(
-                scenarios.flat_cylinder_scenario(float(value), spin), policy)
-            tone = run.tone(KIND_DIRAC)
-            bound = bounds.area_bound(run.area())
-            return {
-                "L": float(value),
-                "lambda_star": tone.lambda_star,
-                "error_bar": tone.error_bar,
-                "area_bound": bound,
-                "margin": tone.lambda_star - bound,
-            }
-        if param == "k":
-            k = int(round(value))
-            run = _ScenarioRun(scenarios.cover_scenario(k), policy)
-            rq = run.section_rayleigh("f_k")
-            bound = bounds.friedrich_bound(bounds.DIM,
-                                           run.profile.kappa_oneform)
-            return {
-                "k": k,
-                "rayleigh": rq,
-                "lichnerowicz_bound": bound,
-                "margin": rq - bound,
-            }
-        sc = scenarios.round_sphere_scenario()
-        n = int(round(value))
-        pol = replace(policy, base_n=n, levels=1)
-        tone = fundamental_tone(sc.surface, KIND_LAPLACIAN, None, pol)
-        return {
-            "N": n,
-            "lambda_star": tone.lambda_star,
-            "abs_error": abs(tone.lambda_star - 2.0),
-        }
+            return {"L": float(value), "lambda_star": v.lambda_star,
+                    "error_bar": v.error_bar, "area_bound": v.value,
+                    "margin": v.margin}
+        return {"k": int(round(value)), "rayleigh": v.lambda_star,
+                "lichnerowicz_bound": v.value, "margin": v.margin}
 
-    return [one(v) for v in values]
+    return [one(v, policy) for v, policy in zip(values, policies)]
 
 
-def cmd_sweep(param: str, values, spin: SpinStructure, policy: GridPolicy,
+def cmd_sweep(param: str, values, spin: SpinStructure, grid_n, levels: int,
               out_format: str, out_path: str | None) -> int:
-    rows = _sweep_rows(param, values, spin, policy)
+    rows = _sweep_rows(param, values, spin, grid_n, levels)
     if out_format == "json":
         _emit(json.dumps({"sweep": param, "rows": rows}, sort_keys=True,
                          indent=2) + "\n", out_path)
@@ -516,7 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--spin", choices=("bounding", "non-bounding"),
                     default="non-bounding",
                     help="spin structure for the L sweep")
-    ps.add_argument("--grid-n", type=int, default=256)
+    ps.add_argument("--grid-n", type=int, default=None,
+                    help=f"base grid size of L and k rows (default "
+                         f"{SWEEP_GRID_N}); an N row's base grid is N")
     ps.add_argument("--levels", type=int, default=2)
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--out", default=None)
@@ -529,19 +526,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_policy(args) -> GridPolicy:
-    """The GridPolicy of --grid-n and --levels, which both commands take.
-
-    The finest grid, grid-n * 2^(levels - 1) nodes, is capped at
-    MAX_GRID_NODES before any grid is laid out.
-    """
-    if args.grid_n < 16 or args.levels < 1:
-        raise CatalogError("grid-n >= 16 and levels >= 1 required")
-    if args.grid_n > MAX_GRID_NODES >> (args.levels - 1):
-        raise CatalogError(f"grid-n * 2^(levels - 1) <= {MAX_GRID_NODES} "
-                           f"required, got grid-n {args.grid_n} and levels "
-                           f"{args.levels}")
-    return GridPolicy(base_n=args.grid_n, levels=args.levels)
+def _grid_policy(base_n: int, levels: int) -> GridPolicy:
+    """The GridPolicy of --grid-n (or a sweep's N) and --levels; its finest
+    grid, base_n * 2^(levels - 1) nodes, is capped at MAX_GRID_NODES before
+    any grid is laid out."""
+    if base_n < 16 or levels < 1:
+        raise CatalogError(f"a base grid >= 16 and levels >= 1 required, "
+                           f"got {base_n} and {levels}")
+    if base_n > MAX_GRID_NODES >> (levels - 1):
+        raise CatalogError(f"base grid * 2^(levels - 1) <= {MAX_GRID_NODES} "
+                           f"required, got {base_n} and levels {levels}")
+    return GridPolicy(base_n=base_n, levels=levels)
 
 
 def main(argv=None) -> int:
@@ -555,15 +550,16 @@ def main(argv=None) -> int:
             if not 0 < args.tol < math.inf:
                 raise CatalogError(f"a finite tol > 0 required, got "
                                    f"{args.tol}")
-            return cmd_verify(args.scenario, _grid_policy(args), args.tol,
-                              args.format, args.out)
+            return cmd_verify(args.scenario,
+                              _grid_policy(args.grid_n, args.levels),
+                              args.tol, args.format, args.out)
         if args.command == "sweep":
             if "=" not in args.sweep:
                 raise CatalogError("--sweep needs param=range")
             param, spec = args.sweep.split("=", 1)
             return cmd_sweep(param, _parse_range(spec),
-                             SpinStructure(args.spin), _grid_policy(args),
-                             args.format, args.out)
+                             SpinStructure(args.spin), args.grid_n,
+                             args.levels, args.format, args.out)
         if args.command == "report":
             return cmd_report(args.paths, args.format, args.out)
         raise CatalogError(f"unknown command {args.command!r}")

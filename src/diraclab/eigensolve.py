@@ -130,7 +130,6 @@ class EigenResult:
     eigenvalues: np.ndarray
     sections: list
     residuals: np.ndarray  # normwise backward error of each pair
-    grid: Grid
     block_index: np.ndarray
     block_values: list  # each block's solved values, ascending
 
@@ -201,13 +200,14 @@ def _refine(d, e, count, near):
     near[j] estimates lambda_(j+1).  Pair j starts from
     cos(j pi (i + 1/2) / n), earlier pairs projected out, takes one
     inverse-iteration step shifted at near[j], then Rayleigh-quotient steps
-    until two successive quotients agree within `slack`, at most RQI_STEPS
-    of them; a failed solve (a shift on a value to working precision) ends
-    the iteration at the last vector.  Its quotient rq_j and residual r_j
-    put an eigenvalue in [rq_j - r_j, rq_j + r_j] (Parlett, 1998, ch. 4),
-    padded by slack = BRACKET_SLACK * eps * ||T||_1 for rounding.  When the
-    intervals are disjoint and one Sturm count finds exactly `count` values
-    up to the top one, interval j holds lambda_(j+1), and x_j is its vector.
+    until a quotient agrees within `slack` with the one before (the first
+    with near[j]), at most RQI_STEPS of them; a failed solve (a shift on a
+    value to working precision) ends the iteration at the last vector.  Its
+    quotient rq_j and residual r_j put an eigenvalue in
+    [rq_j - r_j, rq_j + r_j] (Parlett, 1998, ch. 4), padded by
+    slack = BRACKET_SLACK * eps * ||T||_1 for rounding.  When the intervals
+    are disjoint and one Sturm count finds exactly `count` values up to the
+    top one, interval j holds lambda_(j+1), and x_j is its vector.
     A step cap reached or a failed certificate returns None.
     """
     n = d.size
@@ -218,7 +218,7 @@ def _refine(d, e, count, near):
     for j in range(count):
         x = np.cos(j * phase)
         x -= X[:, :j] @ (X[:, :j].T @ x)
-        shift, rq, tx = float(near[j]), math.inf, None
+        shift, rq, tx = float(near[j]), float(near[j]), None
         for _ in range(RQI_STEPS):
             y = _shifted_solve(d, e, shift, x)
             if y is None:
@@ -333,7 +333,7 @@ def smallest_eigenpairs(op: ReducedOperator, count: int,
         else:
             sections.append(Section(kind=KIND_LAPLACIAN, nu=op.nu,
                                     grid=op.grid, values=vec))
-    return EigenResult(eigenvalues, sections, np.array(residuals), op.grid,
+    return EigenResult(eigenvalues, sections, np.array(residuals),
                        block_index, block_values)
 
 
@@ -387,9 +387,7 @@ def _mode_value(surface, kind, spin, nu, grids, pick):
     return val, bar, order, rows, (ground, ground_op)
 
 
-def fundamental_tone(surface, kind: str, spin=None,
-                     policy: GridPolicy = GridPolicy(),
-                     grids=None) -> ToneResult:
+def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
     """min over circle modes of the extrapolated ground eigenvalue.
 
     For the scalar Laplacian on surfaces with no honest boundary circle
@@ -402,7 +400,7 @@ def fundamental_tone(surface, kind: str, spin=None,
     the best value, recorded as {"pruned_at": floor}; a walk through all
     MAX_MODE_CUTOFF modes without one is flagged.
 
-    grids is the ladder to refine on, policy.grids(surface) if not given;
+    grids is the ladder to refine on, coarsest first (GridPolicy.grids);
     the result's ground is the attaining mode's level-0 section, and
     ground_op the operator it solves.
     """
@@ -411,7 +409,6 @@ def fundamental_tone(surface, kind: str, spin=None,
     if kind == KIND_DIRAC and spin is None:
         raise AssemblyError("dirac tone needs a spin structure")
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
-    grids = grids or policy.grids(surface)
     ends = grids[0].side_kinds
     kernel_skip = kind == KIND_LAPLACIAN and "regular" not in ends
 

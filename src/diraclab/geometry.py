@@ -24,6 +24,20 @@ END_CUSP = "cusp-complete"
 _SINGULAR_REL = 1e-8
 
 
+def is_finite_number(x) -> bool:
+    """Whether x is a number other than a boolean, NaN and +-Infinity."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) < math.inf)
+
+
+def _finite(doc: dict, key: str) -> float:
+    """doc[key] of a JSON document, which must be a finite number."""
+    if not is_finite_number(doc[key]):
+        raise GeometryError(f"key {key!r} must be a finite number, got "
+                            f"{doc[key]!r}")
+    return float(doc[key])
+
+
 class CosineWarp:
     """f(t) = cos t, the round-sphere profile on (-pi/2, pi/2)."""
 
@@ -211,8 +225,8 @@ class TabulatedWarp:
 
 _WARP_VARIANTS = {
     "cosine": lambda d: CosineWarp(),
-    "constant": lambda d: ConstantWarp(d["c"]),
-    "exp_cusp": lambda d: ExpCuspWarp(d["c"]),
+    "constant": lambda d: ConstantWarp(_finite(d, "c")),
+    "exp_cusp": lambda d: ExpCuspWarp(_finite(d, "c")),
     "tabulated": lambda d: TabulatedWarp(d["ts"], d["fs"]),
 }
 
@@ -282,9 +296,9 @@ def surface_from_json(doc: dict) -> WarpedSurface:
         )
     return WarpedSurface(
         warp=warp_from_json(doc["warp"]),
-        t_min=float(doc["t_min"]),
-        t_max=float(doc["t_max"]),
-        period=float(doc["period"]),
+        t_min=_finite(doc, "t_min"),
+        t_max=_finite(doc, "t_max"),
+        period=_finite(doc, "period"),
         end_labels=tuple(doc["end_labels"]),
     )
 

@@ -196,7 +196,6 @@ class ReducedOperator:
 
     kind: str
     nu: float
-    period: float
     grid: Grid
     blocks: tuple
 
@@ -304,8 +303,8 @@ def assemble_laplacian(surface, nu: float, grid: Grid) -> ReducedOperator:
     """Mode-nu scalar Laplacian as a (stiffness, mass) pair."""
     samples = _samples(surface, grid, KIND_LAPLACIAN)
     block = _assemble_block(surface, grid, KIND_LAPLACIAN, float(nu), samples)
-    return ReducedOperator(kind=KIND_LAPLACIAN, nu=float(nu),
-                           period=surface.period, grid=grid, blocks=(block,))
+    return ReducedOperator(kind=KIND_LAPLACIAN, nu=float(nu), grid=grid,
+                           blocks=(block,))
 
 
 def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
@@ -320,8 +319,8 @@ def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
     samples = _samples(surface, grid, KIND_DIRAC)
     blocks = tuple(_assemble_block(surface, grid, KIND_DIRAC, mu, samples)
                    for mu in (-float(nu), +float(nu)))
-    return ReducedOperator(kind=KIND_DIRAC, nu=float(nu),
-                           period=surface.period, grid=grid, blocks=blocks)
+    return ReducedOperator(kind=KIND_DIRAC, nu=float(nu), grid=grid,
+                           blocks=blocks)
 
 
 def assemble(surface, kind: str, spin, nu: float,

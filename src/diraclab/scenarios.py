@@ -25,12 +25,6 @@ ANGULAR_FULL = "full_period"
 ANGULAR_HALF = "half_period"
 
 
-def is_finite_number(x) -> bool:
-    """Whether x is a number other than a boolean, NaN and +-Infinity."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) < math.inf)
-
-
 @dataclass(frozen=True)
 class SectionSpec:
     """Closed-form reduced section attached to a scenario."""
@@ -55,7 +49,8 @@ class SectionSpec:
         params = ("t0", "length") if self.profile == "boxed_sine" else ()
         for key, x in [("mode", self.mode)] + [
                 (k, self.params.get(k)) for k in params]:
-            if not is_finite_number(x) or key == "length" and not x > 0:
+            if (not geometry.is_finite_number(x)
+                    or key == "length" and not x > 0):
                 raise CatalogError(
                     f"{where}: key {key!r} must be a finite number"
                     f"{' above 0' if key == 'length' else ''}, got {x!r}")

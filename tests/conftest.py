@@ -13,10 +13,12 @@ def sphere_scenario():
 @pytest.fixture(scope="session")
 def sphere_dirac_tone(sphere_scenario):
     sc = sphere_scenario
-    return fundamental_tone(sc.surface, KIND_DIRAC, sc.spin, GridPolicy())
+    return fundamental_tone(sc.surface, KIND_DIRAC, sc.spin,
+                            GridPolicy().grids(sc.surface))
 
 
 @pytest.fixture(scope="session")
 def sphere_laplace_tone(sphere_scenario):
     sc = sphere_scenario
-    return fundamental_tone(sc.surface, KIND_LAPLACIAN, None, GridPolicy())
+    return fundamental_tone(sc.surface, KIND_LAPLACIAN, None,
+                            GridPolicy().grids(sc.surface))

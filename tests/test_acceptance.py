@@ -62,8 +62,9 @@ def _criterion(num, ok, detail):
 
 def test_criterion_1_sphere_laplace_tone():
     start = time.perf_counter()
-    tone = fundamental_tone(find_scenario("round-sphere").surface,
-                            KIND_LAPLACIAN, None, GridPolicy(base_n=512))
+    surface = find_scenario("round-sphere").surface
+    tone = fundamental_tone(surface, KIND_LAPLACIAN, None,
+                            GridPolicy(base_n=512).grids(surface))
     elapsed = time.perf_counter() - start
     err = abs(tone.lambda_star - 2.0)
     _criterion(1, err <= 1e-3 and elapsed < 10.0,
@@ -133,16 +134,16 @@ def test_criterion_3_covering_surfaces():
 def test_criterion_4_nonbounding_cylinders_and_crossover():
     ok = True
     details = []
+    ladder = GridPolicy(base_n=256, levels=3).grids
     for L in (2.0, 5.0, 10.0):
         sc = find_scenario(f"flat-cylinder-l{L:g}-nonbounding")
         tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin,
-                                GridPolicy(base_n=256, levels=3))
+                                ladder(sc.surface))
         err = abs(tone.lambda_star - (math.pi / L) ** 2)
         ok &= err <= 1e-3
         details.append(f"L={L:g} err {err:.1e}")
     rows = _sweep_rows("L", [4.5 + 0.25 * i for i in range(5)],
-                       SpinStructure.NON_BOUNDING,
-                       GridPolicy(base_n=128, levels=2))
+                       SpinStructure.NON_BOUNDING, 128, 2)
     signs = [r["margin"] > 0 for r in rows]
     flips = [i for i in range(len(signs) - 1) if signs[i] != signs[i + 1]]
     crossover_ok = len(flips) == 1 and \
@@ -157,10 +158,11 @@ def test_criterion_4_nonbounding_cylinders_and_crossover():
 def test_criterion_5_bounding_cylinders():
     ok = True
     details = []
+    ladder = GridPolicy(base_n=256, levels=3).grids
     for L in (2.0, 5.0, 10.0):
         sc = find_scenario(f"flat-cylinder-l{L:g}-bounding")
         tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin,
-                                GridPolicy(base_n=256, levels=3))
+                                ladder(sc.surface))
         expect = 0.25 + (math.pi / L) ** 2
         err = abs(tone.lambda_star - expect)
         above = tone.lambda_star >= 2.0 / L - 3 * tone.error_bar

@@ -10,6 +10,7 @@ from diraclab.bounds import (
     INAPPLICABLE,
     VIOLATED_PREDICTED,
     VIOLATED_UNEXPECTED,
+    SOURCE_TONE,
     SOURCE_UPPER,
     area_bound,
     area_bound_check,
@@ -22,13 +23,14 @@ from diraclab.bounds import (
     load_report,
     reports_to_csv,
 )
-from diraclab.eigensolve import GridPolicy, ToneResult, smallest_eigenpairs
-from diraclab.errors import AssemblyError, SchemaError
+from diraclab.eigensolve import GridPolicy, smallest_eigenpairs
+from diraclab.errors import AssemblyError, InfiniteAreaError, SchemaError
 from diraclab.geometry import (
     END_BOUNDARY,
     END_CUSP,
     ConstantWarp,
     WarpedSurface,
+    area,
     curvature_profile,
 )
 from diraclab.operators import (
@@ -40,11 +42,6 @@ from diraclab.operators import (
 )
 from diraclab.scenarios import cover_scenario, find_scenario
 from diraclab.spin import SpinStructure
-
-
-def _tone(value, bar=1e-9, kind=KIND_DIRAC):
-    return ToneResult(kind=kind, lambda_star=value, nu_star=0.5,
-                      error_bar=bar, per_mode={}, table=[], flags=[])
 
 
 def test_friedrich_bound_values():
@@ -68,7 +65,6 @@ def test_area_bound_values():
 
 def test_bounds_coincide_on_round_sphere():
     # both closed-form bounds equal 1 there, to 1e-12
-    from diraclab.geometry import area
     sc = find_scenario("round-sphere")
     fb = friedrich_bound(2, 0.5)
     ab = area_bound(area(sc.surface))
@@ -79,7 +75,9 @@ def test_bounds_coincide_on_round_sphere():
 def test_friedrich_check_sphere_holds(sphere_scenario, sphere_dirac_tone):
     sc = sphere_scenario
     prof = curvature_profile(sc.surface, make_grid(sc.surface, 256))
-    v = friedrich_check(sc.surface, prof, sphere_dirac_tone)
+    tone = sphere_dirac_tone
+    v = friedrich_check(prof, tone.lambda_star, tone.error_bar, SOURCE_TONE,
+                        False)
     assert v.verdict == HOLDS
     assert v.value == pytest.approx(1.0, abs=1e-9)
     assert abs(v.margin) < 1e-3
@@ -88,7 +86,7 @@ def test_friedrich_check_sphere_holds(sphere_scenario, sphere_dirac_tone):
 def test_friedrich_check_flat_inapplicable():
     sc = find_scenario("flat-cylinder-l5-nonbounding")
     prof = curvature_profile(sc.surface, make_grid(sc.surface, 128))
-    v = friedrich_check(sc.surface, prof, _tone(math.pi ** 2 / 25))
+    v = friedrich_check(prof, math.pi ** 2 / 25, 1e-9, SOURCE_TONE, False)
     assert v.verdict == INAPPLICABLE
     assert v.value == 0.0
 
@@ -97,24 +95,31 @@ def test_friedrich_check_unexpected_violation_is_flagged(sphere_scenario):
     # a hypothesis-complete violation can only be a numerical failure
     sc = sphere_scenario
     prof = curvature_profile(sc.surface, make_grid(sc.surface, 128))
-    v = friedrich_check(sc.surface, prof, _tone(0.5))
+    v = friedrich_check(prof, 0.5, 1e-9, SOURCE_TONE, False)
     assert v.verdict == VIOLATED_UNEXPECTED
 
 
 def test_area_check_bounding_cylinder_holds():
     sc = find_scenario("flat-cylinder-l5-bounding")
-    v = area_bound_check(sc.surface, sc.spin, 0.25 + math.pi ** 2 / 25, 1e-9)
+    v = area_bound_check(sc.spin, area(sc.surface), 0.25 + math.pi ** 2 / 25,
+                         1e-9, SOURCE_TONE, False)
     assert v.verdict == HOLDS
     assert v.value == pytest.approx(0.4)
 
 
 def test_area_check_nonbounding_violation_only_when_predicted():
     sc = find_scenario("flat-cylinder-l5-nonbounding")
-    v = area_bound_check(sc.surface, sc.spin, math.pi ** 2 / 25, 1e-9)
+    v = area_bound_check(sc.spin, area(sc.surface), math.pi ** 2 / 25, 1e-9,
+                         SOURCE_TONE, True)
     assert v.verdict == VIOLATED_PREDICTED
+    # the same violation without the counterexample marker is no prediction
+    v = area_bound_check(sc.spin, area(sc.surface), math.pi ** 2 / 25, 1e-9,
+                         SOURCE_TONE, False)
+    assert v.verdict == INAPPLICABLE
     # short cylinder: hypothesis still fails but nothing is violated
     sc2 = find_scenario("flat-cylinder-l2-nonbounding")
-    v2 = area_bound_check(sc2.surface, sc2.spin, math.pi ** 2 / 4, 1e-9)
+    v2 = area_bound_check(sc2.spin, area(sc2.surface), math.pi ** 2 / 4,
+                          1e-9, SOURCE_TONE, True)
     assert v2.verdict == HOLDS
     assert any("hypothesis fails" in n for n in v2.notes)
 
@@ -124,7 +129,10 @@ def test_area_check_infinite_area_is_inapplicable():
     surface = WarpedSurface(warp=ConstantWarp(1.0), t_min=0.0,
                             t_max=math.inf, period=2.0 * math.pi,
                             end_labels=(END_BOUNDARY, END_CUSP))
-    v = area_bound_check(surface, SpinStructure.BOUNDING, 1.0, 1e-9)
+    with pytest.raises(InfiniteAreaError):
+        area(surface)
+    v = area_bound_check(SpinStructure.BOUNDING, math.inf, 1.0, 1e-9,
+                         SOURCE_TONE, False)
     assert v.verdict == INAPPLICABLE
     assert v.value == 0.0
     assert dict(v.hypotheses)["finite area"] is False
@@ -134,17 +142,15 @@ def test_area_check_infinite_area_is_inapplicable():
 def test_lichnerowicz_sphere_equality_and_cover_violation():
     sphere = find_scenario("round-sphere")
     prof = curvature_profile(sphere.surface, make_grid(sphere.surface, 256))
-    v = lichnerowicz_check(sphere.surface, prof, 2.0000001, 1e-6)
+    v = lichnerowicz_check(prof, False, 2.0000001, 1e-6, SOURCE_TONE, False)
     assert v.verdict == HOLDS
     m2 = cover_scenario(2)
     prof2 = curvature_profile(m2.surface, make_grid(m2.surface, 256))
-    v2 = lichnerowicz_check(m2.surface, prof2, 0.875, 1e-9, predicted=True,
-                            statistic_source=SOURCE_UPPER)
+    v2 = lichnerowicz_check(prof2, False, 0.875, 1e-9, SOURCE_UPPER, True)
     assert v2.verdict == VIOLATED_PREDICTED
     assert v2.value == pytest.approx(2.0, abs=1e-6)
     # same data without the counterexample marker never claims prediction
-    v3 = lichnerowicz_check(m2.surface, prof2, 0.875, 1e-9, predicted=False,
-                            statistic_source=SOURCE_UPPER)
+    v3 = lichnerowicz_check(prof2, False, 0.875, 1e-9, SOURCE_UPPER, False)
     assert v3.verdict == INAPPLICABLE
 
 

@@ -60,7 +60,8 @@ def test_grid_ladder_above_the_node_cap_is_usage_error(capsys, monkeypatch):
             ([*verify, "--grid-n", str(cap // 2), "--levels", "2"], 1),
             ([*verify, "--grid-n", "16", "--levels", "17"], 1),
             (["sweep", "--sweep", f"N=64,{cap + 1}"], 64),
-            (["sweep", "--sweep", f"N={cap}"], 1)):
+            (["sweep", "--sweep", f"N={cap}"], 64),
+            (["sweep", "--sweep", f"N={cap}", "--levels", "1"], 1)):
         got, _, err = run(argv, capsys)
         assert got == code, argv
         if code == 1:
@@ -77,7 +78,7 @@ def test_verify_refined_grid_exits_zero(capsys):
 
 def test_sweep_refinement_to_2_17_decreases_error(capsys):
     code, out, err = run(["sweep", "--sweep", "N=2048,8192,32768,131072",
-                          "--format", "json"], capsys)
+                          "--levels", "1", "--format", "json"], capsys)
     assert code == 0, err
     errors = [row["abs_error"] for row in json.loads(out)["rows"]]
     assert all(e1 < e0 for e0, e1 in zip(errors, errors[1:])), errors
@@ -93,6 +94,128 @@ def test_verify_nonbounding_cylinder_reports_predicted_violation(
     doc = json.loads(out.read_text())
     area_verdict = next(v for v in doc["verdicts"] if v["bound"] == "area")
     assert area_verdict["verdict"] == "violated-as-predicted"
+
+
+def test_area_verdict_reads_the_entry_predicted_key(tmp_path, capsys):
+    # the tracked-counterexample marker is the entry's, not the spin
+    # structure's: unmarked, the same violation is out of the theorem's
+    # scope, and the expected verdict mismatches
+    from diraclab.scenarios import find_scenario
+    doc = find_scenario("flat-cylinder-l5-nonbounding").to_json()
+    entry = next(e for e in doc["expected"] if e.get("bound") == "area")
+    entry["predicted"] = False
+    path = tmp_path / "unmarked.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code, _, err = run(["verify", "--scenario", str(path), "--grid-n", "64",
+                        "--levels", "2", "--out", str(out)], capsys)
+    assert code == 2, err
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["bound:area"]
+    area = next(c for c in checks if c["name"] == "bound:area")
+    assert area["detail"]["computed"] == "inapplicable"
+
+
+def test_friedrich_entry_reads_a_section_statistic():
+    from dataclasses import replace
+
+    from diraclab.bounds import SOURCE_UPPER
+    from diraclab.cli import run_scenario
+    from diraclab.eigensolve import GridPolicy
+    from diraclab.scenarios import find_scenario
+    sc = find_scenario("flat-cylinder-l5-nonbounding")
+    quotient = next(e for e in sc.expected
+                    if e["check"] == "section_rayleigh")
+    friedrich = {"check": "bound_verdict", "bound": "friedrich",
+                 "verdict": "inapplicable", "statistic": "section",
+                 "section": quotient["section"]}
+    report = run_scenario(replace(sc, expected=(quotient, friedrich)),
+                          GridPolicy(base_n=64, levels=2))
+    (verdict,) = report.verdicts
+    assert verdict.statistic_source == SOURCE_UPPER
+    assert verdict.lambda_star == report.checks[0]["detail"]["computed"]
+    assert report.all_expected_match
+
+
+def test_infinite_area_reads_null_in_every_part_of_a_report(monkeypatch):
+    # the run maps a diverging area to inf once: the geometry summary and
+    # the area check write null, and the area bound degenerates
+    from dataclasses import replace
+
+    from diraclab import cli, geometry
+    from diraclab.eigensolve import GridPolicy
+    from diraclab.errors import InfiniteAreaError
+    from diraclab.scenarios import find_scenario
+
+    def diverges(surface):
+        raise InfiniteAreaError("diverges")
+    monkeypatch.setattr(geometry, "area", diverges)
+    sc = find_scenario("flat-cylinder-l5-bounding")
+    entries = tuple(e for e in sc.expected if e["check"] == "area"
+                    or e.get("bound") == "area")
+    text = cli.run_scenario(replace(sc, expected=entries),
+                            GridPolicy(base_n=64, levels=1)).to_json()
+    assert "Infinity" not in text
+    doc = json.loads(text)
+    assert doc["geometry"]["area"] is None
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["area"]["detail"]["computed"] is None
+    assert not checks["area"]["passed"]
+    (verdict,) = doc["verdicts"]
+    assert (verdict["value"], verdict["verdict"]) == (0.0, "inapplicable")
+
+
+def test_sweep_rows_are_the_numbers_verify_reports(tmp_path, capsys):
+    # at the same --grid-n and --levels, an L row is the area verdict, a k
+    # row the lichnerowicz verdict and an N row the laplace_tone of verify
+    def verify(sid, *grid):
+        out = tmp_path / f"{sid}.json"
+        main(["verify", "--scenario", sid, *grid, "--out", str(out)])
+        return json.loads(out.read_text())
+
+    def sweep(spec, *grid):
+        code, out, err = run(["sweep", "--sweep", spec, *grid,
+                              "--format", "json"], capsys)
+        assert code == 0, err
+        (row,) = json.loads(out)["rows"]
+        return row
+
+    grid = ("--grid-n", "128", "--levels", "2")
+    area = next(v for v in verify("flat-cylinder-l5-nonbounding",
+                                  *grid)["verdicts"] if v["bound"] == "area")
+    assert sweep("L=5", *grid) == {
+        "L": 5.0, "lambda_star": area["lambda_star"],
+        "error_bar": area["error_bar"], "area_bound": area["value"],
+        "margin": area["margin"]}
+    lich = next(v for v in verify("cover-m2", *grid)["verdicts"]
+                if v["bound"] == "lichnerowicz")
+    assert sweep("k=2", *grid) == {
+        "k": 2, "rayleigh": lich["lambda_star"],
+        "lichnerowicz_bound": lich["value"], "margin": lich["margin"]}
+    checks = verify("round-sphere", "--grid-n", "64", "--levels", "3")[
+        "checks"]
+    tone = next(c for c in checks if c["name"] == "laplace_tone")["detail"]
+    assert sweep("N=64", "--levels", "3") == {
+        "N": 64, "lambda_star": tone["computed"],
+        "abs_error": abs(tone["computed"] - tone["expected"])}
+
+
+def test_cli_reaches_tones_and_bounds_only_through_the_scenario_run():
+    # every number a verdict or a sweep row prints comes from _ScenarioRun:
+    # cli.py solves tones and integrates the area nowhere else, and never
+    # evaluates a bound formula itself
+    import ast
+    path = Path(__file__).resolve().parents[1] / "src" / "diraclab" / "cli.py"
+    calls = {}  # callee -> the top-level definitions that call it
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                calls.setdefault(ast.unparse(node.func), set()).add(
+                    getattr(top, "name", None))
+    assert calls["fundamental_tone"] == {"_ScenarioRun"}
+    assert calls["geometry.area"] == {"_ScenarioRun"}
+    assert "bounds.area_bound" not in calls
+    assert "bounds.friedrich_bound" not in calls
 
 
 def test_verify_deterministic_bytes(tmp_path, capsys):
@@ -191,7 +314,7 @@ def test_sweep_empty_range_usage_error(capsys, monkeypatch):
                  ["--sweep", "N=8"], ["--sweep", "L=5", "--grid-n", "8"],
                  ["--sweep", "L=5", "--levels", "0"],
                  ["--sweep", "N=256,8"], ["--sweep", "L=5,-1"],
-                 ["--sweep", "k=1,0"]):
+                 ["--sweep", "k=1,0"], ["--sweep", "N=64", "--grid-n", "128"]):
         code, _, err = run(["sweep", *argv], capsys)
         assert (code, err.startswith("usage error")) == (64, True), argv
 
@@ -362,6 +485,17 @@ DOCUMENT_CASES = [
                  id="boxed-sine-zero-length"),
     pytest.param(_edit(("surface", "end_labels"), ["boundary"]),
                  "end_labels", id="one-end-label"),
+    pytest.param(_edit(("surface", "period"), float("inf")), "period",
+                 id="infinite-period"),
+    pytest.param(_edit(("surface", "warp", "c"), float("inf")), "c",
+                 id="infinite-warp-c"),
+    pytest.param(_edit(("surface",), {
+        "schema_version": 1, "warp": {"variant": "constant", "c": 1.0},
+        "t_min": 0.0, "t_max": float("inf"), "period": 1.0,
+        "end_labels": ["incomplete-boundary", "cusp-complete"]}), "t_max",
+                 id="infinite-t-max-at-a-cusp"),
+    pytest.param(_edit(("surface", "period"), "7"), "period",
+                 id="string-period"),
 ]
 
 

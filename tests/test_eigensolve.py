@@ -248,27 +248,21 @@ def test_singular_first_shift_judges_the_start_vector():
     assert np.allclose(X[:, 0], 1 / math.sqrt(n), rtol=1e-15, atol=0)
 
 
-# round-sphere at 16 x 5 as the dstein vectors of the bisection path gave
-# it: check name -> computed value and error bar
-SPHERE_16X5 = {"laplace_tone": (1.9999643915235172, 0.0010847117370369555),
-               "dirac_tone": (0.9999936702477775, 0.000203908328368815)}
-
-
 def test_singular_shift_ends_the_iteration_at_a_certified_pair(
         monkeypatch):
-    # at 16 x 5 one Rayleigh-quotient shift lands on a value of T to
-    # working precision and dgtsv meets an exact zero pivot; the iteration
-    # stops at the vector before that solve, and the certificate accepts it
+    # seeded 0.5 off, pair 0 of the Neumann second difference plus I
+    # (n = 16) reaches its eigenvector in one step, with the exact quotient
+    # 1; the second solve, shifted there, meets an exact zero pivot, the
+    # iteration stops at the vector of the step before, and the certificate
+    # accepts it
     calls = _lapack_calls(monkeypatch)
-    report = run_scenario(find_scenario("round-sphere"), GridPolicy(16, 5))
-    assert any(info != 0 for *_, info in calls["dgtsv"])
-    assert all(_certified(calls))
-    checks = {c["name"]: c for c in report.checks}
-    assert [c["passed"] for c in report.checks] == [True] * 9 + [False]
-    for name, (value, bar) in SPHERE_16X5.items():
-        detail = checks[name]["detail"]
-        assert detail["computed"] == pytest.approx(value, rel=1e-14)
-        assert detail["error_bar"] == pytest.approx(bar, rel=1e-10)
+    n = 16
+    d = np.full(n, 3.0)
+    d[[0, -1]] = 2.0
+    X = eigensolve._refine(d, np.full(n - 1, -1.0), 1, [1.5])
+    assert [info for *_, info in calls["dgtsv"]] == [0, n]
+    assert X is not None
+    assert np.allclose(np.abs(X[:, 0]), 1 / math.sqrt(n), rtol=1e-15, atol=0)
 
 
 def test_probe_counts_match_dense_eigvalsh(monkeypatch):
@@ -415,8 +409,9 @@ def test_sphere_scalar_first_nonzero(sphere_laplace_tone):
 
 
 def test_cylinder_scalar_tone_has_no_kernel_skip():
-    tone = fundamental_tone(cylinder(5.0), KIND_LAPLACIAN, None,
-                            GridPolicy(base_n=128, levels=2))
+    surface = cylinder(5.0)
+    tone = fundamental_tone(surface, KIND_LAPLACIAN, None,
+                            GridPolicy(base_n=128, levels=2).grids(surface))
     assert not tone.kernel_skipped
     assert tone.lambda_star == pytest.approx(math.pi ** 2 / 25, abs=1e-3)
 
@@ -426,7 +421,7 @@ def test_cover_m2_scalar_mode_below_test_function_quotient():
     # quotient of the matching test function (0.875), down to nu(nu+1)
     sc = cover_scenario(2)
     tone = fundamental_tone(sc.surface, KIND_LAPLACIAN, None,
-                            GridPolicy(base_n=256, levels=3))
+                            GridPolicy(base_n=256, levels=3).grids(sc.surface))
     rec = tone.per_mode[0.5]
     assert rec["value"] <= 0.875
     assert rec["value"] == pytest.approx(0.75, abs=2e-3)
@@ -435,7 +430,7 @@ def test_cover_m2_scalar_mode_below_test_function_quotient():
 def test_cover_m5_dirac_tone_attains_curvature_floor():
     sc = cover_scenario(5)
     tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin,
-                            GridPolicy(base_n=256, levels=3))
+                            GridPolicy(base_n=256, levels=3).grids(sc.surface))
     assert tone.lambda_star == pytest.approx(1.0, abs=1e-3)
     assert tone.nu_star == pytest.approx(0.5, abs=1e-12)
     # every unpruned mode stays above the floor within its error bar
@@ -448,8 +443,9 @@ def test_flat_cylinder_tones_both_structures():
     for L in (2.0, 5.0):
         for spin, shift in ((SpinStructure.NON_BOUNDING, 0.0),
                             (SpinStructure.BOUNDING, 0.25)):
-            tone = fundamental_tone(cylinder(L), KIND_DIRAC, spin,
-                                    GridPolicy(base_n=128, levels=3))
+            surface = cylinder(L)
+            ladder = GridPolicy(base_n=128, levels=3).grids(surface)
+            tone = fundamental_tone(surface, KIND_DIRAC, spin, ladder)
             expect = shift + (math.pi / L) ** 2
             assert tone.lambda_star == pytest.approx(expect, abs=1e-3)
 
@@ -486,7 +482,7 @@ def test_sweep_exhaustion_sets_warning_flag():
                         period=2 * math.pi)
     tone = fundamental_tone(
         fat, KIND_DIRAC, SpinStructure.NON_BOUNDING,
-        GridPolicy(base_n=64, levels=1))
+        GridPolicy(base_n=64, levels=1).grids(fat))
     assert "sweep-exhausted-without-pruning-certificate" in tone.flags
     assert tone.lambda_star == pytest.approx(math.pi ** 2 / 25, rel=1e-3)
 
@@ -501,8 +497,9 @@ def test_tone_lays_each_level_grid_once(monkeypatch):
         sizes.append(n)
         return real(surface, n, **kwargs)
     monkeypatch.setattr(eigensolve, "make_grid", counted)
-    tone = fundamental_tone(sphere(), KIND_LAPLACIAN, None,
-                            GridPolicy(base_n=64, levels=3))
+    surface = sphere()
+    tone = fundamental_tone(surface, KIND_LAPLACIAN, None,
+                            GridPolicy(base_n=64, levels=3).grids(surface))
     assert sum("value" in rec for rec in tone.per_mode.values()) > 1
     assert sizes == [64, 128, 256]
 
@@ -524,8 +521,8 @@ def test_tone_ground_is_the_level0_section_of_the_attaining_mode(
 
     # kernel skip: the ground is the second pair of the nu = 0 mode
     cusp = find_scenario("cusp-cylinder-l10")
-    tone = fundamental_tone(cusp.surface, KIND_LAPLACIAN, None,
-                            GridPolicy(base_n=64, levels=2))
+    ladder = GridPolicy(base_n=64, levels=2).grids(cusp.surface)
+    tone = fundamental_tone(cusp.surface, KIND_LAPLACIAN, None, ladder)
     assert tone.kernel_skipped and tone.nu_star == 0.0
     fresh = _fresh_level0_section(cusp.surface, KIND_LAPLACIAN, None, 0.0,
                                   64, True)

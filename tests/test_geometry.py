@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,12 +151,17 @@ def test_end_kinds():
 def test_surface_json_roundtrip_all_variants():
     ts = np.linspace(0.0, 3.0, 24)
     fs = 2.0 + np.sin(ts)
-    for s in (sphere(), cylinder(), cusp(),
+    for s in (sphere(), cylinder(),
+              replace(cusp(), t_max=8.0, end_labels=(geometry.END_BOUNDARY,
+                                                     geometry.END_BOUNDARY)),
               WarpedSurface(warp=TabulatedWarp(ts, fs), t_min=0.2, t_max=2.8,
                             period=4.0)):
         doc = s.to_json()
         back = surface_from_json(doc)
         assert back.to_json() == doc
+    # a document's numbers are finite; infinite windows stay in the API
+    with pytest.raises(GeometryError, match="'t_max' must be a finite"):
+        surface_from_json(cusp().to_json())
 
 
 def test_tabulated_warp_validation():
