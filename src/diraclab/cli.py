@@ -142,15 +142,17 @@ BOUNDS = {
 }
 
 # keys: entry keys the evaluator needs; evaluate: (run, entry) ->
-# (passed, detail); name: report name, formatted with the entry
-_Check = namedtuple("_Check", "keys evaluate name")
+# (passed, detail); name: report name, formatted with the entry; unread:
+# keys the evaluator never reads, which an entry may not carry
+_Check = namedtuple("_Check", "keys evaluate name unread", defaults=((),))
 
 
 def _value_check(name, detail, keys=("value", "tol")) -> _Check:
     """|computed - value| <= tol * tol_scale; detail(run, entry) gives the
     "computed" value (and extra detail), and tol is relative to the value
-    (rel_tol, default 1e-9) when the check takes no tol key.  The detail
-    writes a computed value that is not finite as null."""
+    (rel_tol, default 1e-9) when the check takes no tol key.  A check takes
+    one of tol and rel_tol, never both.  The detail writes a computed value
+    that is not finite as null."""
     def evaluate(run, exp):
         out = detail(run, exp)
         tol = run.tol_scale * (
@@ -160,7 +162,8 @@ def _value_check(name, detail, keys=("value", "tol")) -> _Check:
         out.update(computed=json_num(out["computed"]), expected=exp["value"],
                    tol=tol)
         return passed, out
-    return _Check(keys, evaluate, name)
+    return _Check(keys, evaluate, name,
+                  ("rel_tol",) if "tol" in keys else ("tol",))
 
 
 def _tone_value(check: str, kind: str) -> _Check:
@@ -252,6 +255,9 @@ CHECKS = {
 
 _NUMERIC_KEYS = ("value", "tol", "rel_tol", "max_abs", "threshold",
                  "max_norm_variation", "max_bochner_ratio")
+# bound_verdict keys that the essential bound, which probes window counts,
+# never reads
+_ESSENTIAL_UNREAD = ("statistic", "section", "predicted")
 # enumerated key -> the values it may take, all of one JSON type
 _CHOICES = {
     "operator": (KIND_LAPLACIAN, KIND_DIRAC),
@@ -278,6 +284,12 @@ def _validate_expected(scenario) -> None:
                                or exp[key] not in allowed):
                 raise CatalogError(f"{where}: key {key!r} must be one of "
                                    f"{json.dumps(allowed)}, got {exp[key]!r}")
+        unread, owner = CHECKS[kind].unread, f"check {kind!r}"
+        if kind == "bound_verdict" and exp.get("bound") == "essential":
+            unread, owner = _ESSENTIAL_UNREAD, "bound 'essential'"
+        for key in unread:
+            if key in exp:
+                raise CatalogError(f"{where}: {owner} takes no key {key!r}")
         keys = list(CHECKS[kind].keys)
         if kind == "killing" and exp.get("applicable", True):
             keys += ["max_norm_variation", "max_bochner_ratio"]

@@ -1,16 +1,15 @@
 """Built-in scenario catalog: geometries, test sections, expected outcomes.
 
-Every scenario ships as JSON (the same schema the CLI accepts for user
-scenarios) with closed-form test sections and a list of expected checks,
-each carrying a provenance note for where its number comes from.
+Every scenario is built by a generator function below, with closed-form
+test sections and a list of expected checks, each carrying a provenance
+note for where its number comes from; ``Scenario.to_json`` writes it in
+the schema the CLI accepts for user scenarios.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from . import geometry
 from .errors import AssemblyError, CatalogError, GeometryError
 from .operators import KIND_DIRAC, KIND_LAPLACIAN, Grid, Section
 from .spin import SpinStructure
-
-CATALOG_SCHEMA_VERSION = 1
 
 ANGULAR_FULL = "full_period"
 ANGULAR_HALF = "half_period"
@@ -54,6 +51,7 @@ class SectionSpec:
                 raise CatalogError(
                     f"{where}: key {key!r} must be a finite number"
                     f"{' above 0' if key == 'length' else ''}, got {x!r}")
+        object.__setattr__(self, "mode", float(self.mode))
 
     def to_json(self):
         return {
@@ -95,9 +93,12 @@ class Scenario:
 
 def scenario_from_json(doc: dict) -> Scenario:
     try:
+        if not isinstance(doc["id"], str):
+            raise CatalogError(f"malformed scenario document: key 'id' must "
+                               f"be a string, got {doc['id']!r}")
         sections = tuple(
             SectionSpec(name=s["name"], field_kind=s["field_kind"],
-                        mode=float(s["mode"]), profile=s["profile"],
+                        mode=s["mode"], profile=s["profile"],
                         params=dict(s.get("params", {})),
                         angular=s.get("angular", ANGULAR_FULL))
             for s in doc.get("sections", []))
@@ -119,35 +120,14 @@ def scenario_from_json(doc: dict) -> Scenario:
             f"malformed scenario document: key 'spin': {exc}") from exc
 
 
-def catalog_to_json(scenarios) -> dict:
-    return {
-        "schema_version": CATALOG_SCHEMA_VERSION,
-        "scenarios": [s.to_json() for s in scenarios],
-    }
-
-
-def catalog_from_json(doc: dict) -> list:
-    if doc.get("schema_version") != CATALOG_SCHEMA_VERSION:
-        raise CatalogError(
-            f"unsupported catalog schema_version "
-            f"{doc.get('schema_version')!r}")
-    out = [scenario_from_json(d) for d in doc["scenarios"]]
-    ids = [s.id for s in out]
-    if len(set(ids)) != len(ids):
-        raise CatalogError("duplicate scenario ids in catalog")
-    return out
-
-
 _CATALOG_CACHE = None
 
 
 def builtin_catalog() -> list:
-    """The shipped scenarios, loaded from the packaged JSON document."""
+    """The built-in scenarios, generated once per process."""
     global _CATALOG_CACHE
     if _CATALOG_CACHE is None:
-        text = resources.files("diraclab.data") \
-            .joinpath("builtin_scenarios.json").read_text()
-        _CATALOG_CACHE = catalog_from_json(json.loads(text))
+        _CATALOG_CACHE = generate_builtin_catalog()
     return list(_CATALOG_CACHE)
 
 
@@ -223,8 +203,7 @@ def mk_orthogonality(scenario: Scenario, grid: Grid,
 
 
 # ---------------------------------------------------------------------------
-# catalog generation (the shipped JSON is produced by generate_builtin_catalog
-# and committed; a regression test keeps the two in sync)
+# catalog generation
 # ---------------------------------------------------------------------------
 
 _HALF_PI = math.pi / 2.0
@@ -492,22 +471,23 @@ def _growing_profile(step: float = 5e-4, f_floor: float = 0.02,
     the interpolated f'' to zero at the outermost samples, never distort
     curvature inside the surface.  Returns (ts, fs, t_surface_end).
     """
-    def rhs(t, y):
-        return np.array([y[1], -(1.0 + t * t) * y[0]])
+    def rhs(t, f, df):
+        return df, -(1.0 + t * t) * f
 
-    y = np.array([1.0, 0.0])
-    t = 0.0
+    f, df, t = 1.0, 0.0, 0.0
     ts = [0.0]
     fs = [1.0]
-    while y[0] > f_pad and t < 3.0:
-        k1 = rhs(t, y)
-        k2 = rhs(t + step / 2, y + step / 2 * k1)
-        k3 = rhs(t + step / 2, y + step / 2 * k2)
-        k4 = rhs(t + step, y + step * k3)
-        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    h2, h6 = step / 2, step / 6
+    while f > f_pad and t < 3.0:
+        a1, b1 = rhs(t, f, df)
+        a2, b2 = rhs(t + h2, f + h2 * a1, df + h2 * b1)
+        a3, b3 = rhs(t + h2, f + h2 * a2, df + h2 * b2)
+        a4, b4 = rhs(t + step, f + step * a3, df + step * b3)
+        f, df = (f + h6 * (a1 + 2 * a2 + 2 * a3 + a4),
+                 df + h6 * (b1 + 2 * b2 + 2 * b3 + b4))
         t += step
         ts.append(t)
-        fs.append(float(y[0]))
+        fs.append(f)
     ts = np.array(ts[::subsample])
     fs = np.array(fs[::subsample])
     inside = ts[fs >= f_floor]
@@ -588,9 +568,3 @@ def generate_builtin_catalog() -> list:
     out.append(long_cylinder_probe_scenario())
     return out
 
-
-def write_builtin_catalog(path) -> None:
-    doc = catalog_to_json(generate_builtin_catalog())
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")

@@ -439,6 +439,14 @@ OTHER_CASES = [
                  "tol", id="infinite-tol"),
     pytest.param({"check": "probe", "windows": [], "threshold": 0.1,
                   "behavior": "stable"}, "windows", id="empty-windows"),
+    pytest.param({"check": "bound_verdict", "bound": "essential",
+                  "verdict": "holds", "statistic": "tone",
+                  "predicted": True}, "statistic",
+                 id="essential-with-statistic"),
+    pytest.param({"check": "area", "value": 1.0, "tol": 1e9}, "tol",
+                 id="area-with-tol"),
+    pytest.param({"check": "dirac_tone", "value": 1.0, "tol": 1e-3,
+                  "rel_tol": 1e9}, "rel_tol", id="tone-with-rel-tol"),
 ]
 
 
@@ -496,6 +504,11 @@ DOCUMENT_CASES = [
                  id="infinite-t-max-at-a-cusp"),
     pytest.param(_edit(("surface", "period"), "7"), "period",
                  id="string-period"),
+    pytest.param(_edit(("sections", 0, "mode"), "0"), "mode",
+                 id="string-section-mode"),
+    pytest.param(_edit(("sections", 0, "mode"), True), "mode",
+                 id="boolean-section-mode"),
+    pytest.param(_edit(("id",), 5), "id", id="numeric-id"),
 ]
 
 

@@ -1,21 +1,21 @@
+import ast
 import json
 import math
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from diraclab import scenarios
 from diraclab.errors import CatalogError
 from diraclab.operators import KIND_DIRAC, KIND_LAPLACIAN, make_grid
 from diraclab.scenarios import (
     builtin_catalog,
-    catalog_from_json,
-    catalog_to_json,
     cover_scenario,
     eval_test_section,
     find_scenario,
-    generate_builtin_catalog,
     mk_orthogonality,
+    scenario_from_json,
     section_norm2,
 )
 
@@ -31,18 +31,32 @@ def test_catalog_ids_unique_and_expected_members():
         assert required in ids
 
 
-def test_catalog_roundtrips_through_json():
-    cat = builtin_catalog()
-    doc = catalog_to_json(cat)
-    back = catalog_from_json(json.loads(json.dumps(doc)))
-    assert catalog_to_json(back) == doc
+def test_builtins_roundtrip_as_scenario_documents():
+    # every built-in is a valid user scenario document that reads back
+    # into the same scenario
+    for sc in builtin_catalog():
+        doc = sc.to_json()
+        back = scenario_from_json(json.loads(json.dumps(doc)))
+        assert back.to_json() == doc, sc.id
 
 
-def test_packaged_catalog_matches_generator():
-    # drift guard between the committed data file and the generator code
-    text = resources.files("diraclab.data") \
-        .joinpath("builtin_scenarios.json").read_text()
-    assert json.loads(text) == catalog_to_json(generate_builtin_catalog())
+def test_catalog_has_one_source():
+    # the generator functions are the only copy of the catalog: the
+    # package ships Python modules only, and reads no packaged data
+    package = Path(scenarios.__file__).parent
+    shipped = {p.relative_to(package).as_posix()
+               for p in package.rglob("*") if "__pycache__" not in p.parts}
+    assert shipped == {p.name for p in package.glob("*.py")}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}"
+                         for alias in node.names]
+            else:
+                continue
+            assert "importlib.resources" not in names, path.name
 
 
 def test_every_expected_value_carries_provenance():
