@@ -24,7 +24,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -74,11 +74,6 @@ def _curvature_floor(kappa: float) -> float:
     return friedrich_bound(DIM, kappa) if kappa > 0 else 0.0
 
 
-def json_num(x):
-    """x as a JSON number: a float, or None (null) when it is not finite."""
-    return float(x) if math.isfinite(x) else None
-
-
 def area_bound(surface_area: float) -> float:
     """4*pi/area; returns 0 (degenerate) for infinite area."""
     if math.isinf(surface_area):
@@ -92,27 +87,13 @@ def area_bound(surface_area: float) -> float:
 class BoundVerdict:
     bound: str
     value: float
-    hypotheses: list  # [(name, passed)]
+    hypotheses: list  # [{"name", "passed"}]
     lambda_star: float
     error_bar: float
     margin: float
     verdict: str
     statistic_source: str = SOURCE_TONE
     notes: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "bound": self.bound,
-            "value": json_num(self.value),
-            "hypotheses": [{"name": n, "passed": bool(p)}
-                           for n, p in self.hypotheses],
-            "lambda_star": json_num(self.lambda_star),
-            "error_bar": json_num(self.error_bar),
-            "margin": json_num(self.margin),
-            "verdict": self.verdict,
-            "statistic_source": self.statistic_source,
-            "notes": list(self.notes),
-        }
 
 
 def _decide(value, hyp_ok, margin, tol, predicted, source, notes):
@@ -141,7 +122,7 @@ def _verdict(bound, value, hyps, statistic, error_bar, predicted,
     MARGIN_BAR_FACTOR error bars plus MARGIN_ABS_FLOOR."""
     notes = []
     margin = statistic - value
-    verdict = _decide(value, all(p for _, p in hyps), margin,
+    verdict = _decide(value, all(h["passed"] for h in hyps), margin,
                       MARGIN_BAR_FACTOR * error_bar + MARGIN_ABS_FLOOR,
                       predicted, source, notes)
     return BoundVerdict(bound=bound, value=value, hypotheses=hyps,
@@ -155,8 +136,8 @@ def friedrich_check(profile, statistic: float, error_bar: float,
     """Compare a D^2 statistic against n*kappa/(n-1)."""
     kappa = profile.kappa_spinor
     value = _curvature_floor(kappa)
-    hyps = [("curvature term bounded below by a positive constant",
-             kappa > 0)]
+    hyps = [{"name": "curvature term bounded below by a positive constant",
+             "passed": kappa > 0}]
     return _verdict("friedrich", value, hyps, statistic, error_bar,
                     predicted, statistic_source)
 
@@ -173,10 +154,11 @@ def area_bound_check(spin, surface_area: float, statistic: float,
     """
     value = area_bound(surface_area)
     hyps = [
-        ("genus zero (surface of revolution over an interval)", True),
-        ("finite area", value > 0),
-        ("spin structure bounding at infinity",
-         spin is SpinStructure.BOUNDING),
+        {"name": "genus zero (surface of revolution over an interval)",
+         "passed": True},
+        {"name": "finite area", "passed": value > 0},
+        {"name": "spin structure bounding at infinity",
+         "passed": spin is SpinStructure.BOUNDING},
     ]
     return _verdict("area", value, hyps, statistic, error_bar, predicted,
                     statistic_source)
@@ -194,8 +176,9 @@ def lichnerowicz_check(profile, complete: bool, statistic: float,
     kappa = profile.kappa_oneform
     value = _curvature_floor(kappa)
     hyps = [
-        ("Ricci curvature bounded below by a positive constant", kappa > 0),
-        ("complete (hence compact) surface", complete),
+        {"name": "Ricci curvature bounded below by a positive constant",
+         "passed": kappa > 0},
+        {"name": "complete (hence compact) surface", "passed": complete},
     ]
     # a mean-zero Rayleigh quotient IS a certificate against a lower bound
     # for the first nonzero eigenvalue, so the upper-bound source may both
@@ -219,15 +202,6 @@ class KillingDiagnostics:
     bochner_ratio_deviation: float = math.nan
     alpha: float = math.nan
     note: str = ""
-
-    def to_json(self):
-        return {
-            "applicable": self.applicable,
-            "norm_variation": json_num(self.norm_variation),
-            "bochner_ratio_deviation": json_num(self.bochner_ratio_deviation),
-            "alpha": json_num(self.alpha),
-            "note": self.note,
-        }
 
 
 def killing_equality_check(surface, op, profile, phi: Section,
@@ -375,8 +349,8 @@ def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
     kappa_inf = min(profile.tail_kappa)
     value = _curvature_floor(kappa_inf)
     probe_worthy = "cusp" in grid.side_kinds or profile.kappa_growing_ends
-    hyps = [("curvature term bounded below at infinity by a positive "
-             "constant", kappa_inf > 0)]
+    hyps = [{"name": "curvature term bounded below at infinity by a "
+                     "positive constant", "passed": kappa_inf > 0}]
     if value <= 0 or not probe_worthy:
         verdict, note = (
             (INAPPLICABLE, "bound value is degenerate; nothing to test")
@@ -416,20 +390,48 @@ class SpectralReport:
     def all_expected_match(self) -> bool:
         return all(c["passed"] for c in self.checks)
 
-    def to_json_dict(self) -> dict:
+    def _fields(self) -> dict:
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "scenario": self.scenario_id,
             "geometry": self.geometry_summary,
-            "verdicts": [v.to_json() for v in self.verdicts],
+            "verdicts": self.verdicts,
             "diagnostics": self.diagnostics,
             "checks": self.checks,
             "provenance": self.provenance,
             "all_expected_match": self.all_expected_match,
         }
 
+    def to_json_dict(self) -> dict:
+        return to_plain(self._fields())
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self._fields())
+
+
+def to_plain(x):
+    """x in JSON values: a number that is not finite becomes None (null), a
+    numpy scalar its Python number, a tuple a list and a dataclass the dict
+    of its fields, at every depth."""
+    if isinstance(x, float):
+        return float(x) if math.isfinite(x) else None
+    if isinstance(x, np.generic):
+        return to_plain(x.item())
+    if isinstance(x, dict):
+        return {k: to_plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [to_plain(v) for v in x]
+    if is_dataclass(x):
+        return to_plain(vars(x))
+    return x
+
+
+def dumps(doc) -> str:
+    """The one writer of the JSON documents diraclab emits: to_plain(doc),
+    keys sorted, indented by two; a value to_plain leaves non-finite is an
+    error, never a NaN or Infinity token."""
+    return json.dumps(to_plain(doc), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 CSV_COLUMNS = ["scenario", "bound", "value", "lambda_star", "error_bar",
@@ -460,9 +462,14 @@ def reports_to_csv(docs: list) -> str:
     return out.getvalue()
 
 
+def _reject_constant(token: str):
+    raise SchemaError(f"report holds the non-standard JSON constant "
+                      f"{token!r}")
+
+
 def load_report(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

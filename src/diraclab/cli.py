@@ -15,7 +15,6 @@ import sys
 from collections import namedtuple
 
 from . import __version__, bounds, geometry, scenarios
-from .bounds import json_num
 from .eigensolve import GridPolicy, fundamental_tone, truncation_probe
 from .errors import (CatalogError, DiraclabError, InfiniteAreaError,
                      SchemaError)
@@ -100,17 +99,14 @@ class _ScenarioRun:
 def _tone_json(tone) -> dict:
     return {
         "kind": tone.kind,
-        "lambda_star": json_num(tone.lambda_star),
-        "nu_star": json_num(tone.nu_star),
-        "error_bar": json_num(tone.error_bar),
+        "lambda_star": tone.lambda_star,
+        "nu_star": tone.nu_star,
+        "error_bar": tone.error_bar,
         "kernel_skipped": tone.kernel_skipped,
-        "flags": list(tone.flags),
-        "per_mode": [
-            {"nu": float(nu),
-             **{k: json_num(v) for k, v in rec.items()}}
-            for nu, rec in sorted(tone.per_mode.items())
-        ],
-        "table": [{k: json_num(v) for k, v in row.items()}
+        "flags": tone.flags,
+        "per_mode": [{"nu": nu, **rec}
+                     for nu, rec in sorted(tone.per_mode.items())],
+        "table": [{k: float(v) for k, v in row.items()}
                   for row in tone.table],
     }
 
@@ -142,9 +138,10 @@ BOUNDS = {
 }
 
 # keys: entry keys the evaluator needs; evaluate: (run, entry) ->
-# (passed, detail); name: report name, formatted with the entry; unread:
-# keys the evaluator never reads, which an entry may not carry
-_Check = namedtuple("_Check", "keys evaluate name unread", defaults=((),))
+# (passed, detail); name: report name, formatted with the entry; optional:
+# the other keys it reads.  An entry carries no key outside these two but
+# "check" and "provenance".
+_Check = namedtuple("_Check", "keys evaluate name optional", defaults=((),))
 
 
 def _value_check(name, detail, keys=("value", "tol")) -> _Check:
@@ -152,18 +149,16 @@ def _value_check(name, detail, keys=("value", "tol")) -> _Check:
     "computed" value (and extra detail), and tol is relative to the value
     (rel_tol, default 1e-9) when the check takes no tol key.  A check takes
     one of tol and rel_tol, never both.  The detail writes a computed value
-    that is not finite as null."""
+    that is not finite as null (bounds.to_plain)."""
     def evaluate(run, exp):
         out = detail(run, exp)
         tol = run.tol_scale * (
             exp["tol"] if "tol" in keys
             else exp.get("rel_tol", 1e-9) * abs(exp["value"]))
         passed = abs(out["computed"] - exp["value"]) <= tol
-        out.update(computed=json_num(out["computed"]), expected=exp["value"],
-                   tol=tol)
+        out.update(expected=exp["value"], tol=tol)
         return passed, out
-    return _Check(keys, evaluate, name,
-                  ("rel_tol",) if "tol" in keys else ("tol",))
+    return _Check(keys, evaluate, name, () if "tol" in keys else ("rel_tol",))
 
 
 def _tone_value(check: str, kind: str) -> _Check:
@@ -185,7 +180,7 @@ def _bound_verdict(run, exp):
     run.verdicts.append(verdict)
     return (verdict.verdict == exp["verdict"],
             {"computed": verdict.verdict, "expected": exp["verdict"],
-             "margin": json_num(verdict.margin)})
+             "margin": verdict.margin})
 
 
 def _killing(run, exp):
@@ -193,7 +188,7 @@ def _killing(run, exp):
     diag = bounds.killing_equality_check(
         sc.surface, tone.ground_op, run.profile, tone.ground,
         math.sqrt(max(tone.lambda_star, 0.0)))
-    run.diagnostics["killing"] = detail = diag.to_json()
+    run.diagnostics["killing"] = detail = diag
     if not exp.get("applicable", True):
         return not diag.applicable, detail
     scale = run.tol_scale
@@ -208,12 +203,7 @@ def _probe(run, exp):
         run.scenario.surface, exp.get("operator", KIND_DIRAC),
         run.scenario.spin, [tuple(w) for w in exp["windows"]],
         exp["threshold"], n_base=run.policy.base_n)
-    run.diagnostics["probe"] = detail = {
-        "threshold": probe.threshold,
-        "windows": [list(w) for w in probe.windows],
-        "counts": probe.counts,
-        "stable": probe.stable,
-    }
+    run.diagnostics["probe"] = detail = probe
     if exp["behavior"] == "stable":
         return probe.stable, detail
     counts = probe.counts
@@ -248,16 +238,15 @@ CHECKS = {
     "orthogonality": _Check(("section", "max_abs"), _orthogonality,
                             "orthogonality:{section}"),
     "bound_verdict": _Check(("bound", "verdict"), _bound_verdict,
-                            "bound:{bound}"),
-    "killing": _Check((), _killing, "killing"),
-    "probe": _Check(("windows", "threshold", "behavior"), _probe, "probe"),
+                            "bound:{bound}",
+                            ("statistic", "section", "predicted")),
+    "killing": _Check((), _killing, "killing", ("applicable",)),
+    "probe": _Check(("windows", "threshold", "behavior"), _probe, "probe",
+                    ("operator",)),
 }
 
 _NUMERIC_KEYS = ("value", "tol", "rel_tol", "max_abs", "threshold",
                  "max_norm_variation", "max_bochner_ratio")
-# bound_verdict keys that the essential bound, which probes window counts,
-# never reads
-_ESSENTIAL_UNREAD = ("statistic", "section", "predicted")
 # enumerated key -> the values it may take, all of one JSON type
 _CHOICES = {
     "operator": (KIND_LAPLACIAN, KIND_DIRAC),
@@ -279,22 +268,24 @@ def _validate_expected(scenario) -> None:
             raise CatalogError(f"{where}: unknown expected check {kind!r}"
                                if "check" in exp
                                else f"{where}: missing key 'check'")
-        for key, allowed in _CHOICES.items():
-            if key in exp and (type(exp[key]) is not type(allowed[0])
-                               or exp[key] not in allowed):
-                raise CatalogError(f"{where}: key {key!r} must be one of "
-                                   f"{json.dumps(allowed)}, got {exp[key]!r}")
-        unread, owner = CHECKS[kind].unread, f"check {kind!r}"
-        if kind == "bound_verdict" and exp.get("bound") == "essential":
-            unread, owner = _ESSENTIAL_UNREAD, "bound 'essential'"
-        for key in unread:
-            if key in exp:
-                raise CatalogError(f"{where}: {owner} takes no key {key!r}")
         keys = list(CHECKS[kind].keys)
         if kind == "killing" and exp.get("applicable", True):
             keys += ["max_norm_variation", "max_bochner_ratio"]
         if exp.get("statistic") == "section":
             keys.append("section")
+        # the essential bound probes window counts and reads no option
+        optional, owner = CHECKS[kind].optional, f"check {kind!r}"
+        if kind == "bound_verdict" and exp.get("bound") == "essential":
+            optional, owner = (), "bound 'essential'"
+        allowed = {"check", "provenance", *keys, *optional}
+        for key in exp:
+            if key not in allowed:
+                raise CatalogError(f"{where}: {owner} takes no key {key!r}")
+        for key, choices in _CHOICES.items():
+            if key in exp and (type(exp[key]) is not type(choices[0])
+                               or exp[key] not in choices):
+                raise CatalogError(f"{where}: key {key!r} must be one of "
+                                   f"{list(choices)}, got {exp[key]!r}")
         for key in keys:
             if key not in exp:
                 raise CatalogError(f"{where}: missing key {key!r}")
@@ -313,6 +304,9 @@ def _validate_expected(scenario) -> None:
         if "bound" in keys and not (isinstance(exp["bound"], str)
                                     and exp["bound"] in BOUNDS):
             raise CatalogError(f"{where}: unknown bound {exp['bound']!r}")
+        if "section" in exp and not isinstance(exp["section"], str):
+            raise CatalogError(f"{where}: key 'section' must be a string, "
+                               f"got {exp['section']!r}")
         if "section" in keys:
             scenario.section_spec(exp["section"])
 
@@ -327,14 +321,14 @@ def run_scenario(scenario, policy: GridPolicy = GridPolicy(),
         check = CHECKS[exp["check"]]
         passed, detail = check.evaluate(run, exp)
         checks.append({"name": check.name.format(**exp),
-                       "passed": bool(passed), "detail": detail})
+                       "passed": passed, "detail": detail})
 
     geometry_summary = {
-        "area": json_num(run.area()),
-        "kappa_spinor": float(run.profile.kappa_spinor),
-        "kappa_oneform": float(run.profile.kappa_oneform),
-        "period": float(scenario.surface.period),
-        "window": [float(run.grid.a), float(run.grid.b)],
+        "area": run.area(),
+        "kappa_spinor": run.profile.kappa_spinor,
+        "kappa_oneform": run.profile.kappa_oneform,
+        "period": scenario.surface.period,
+        "window": [run.grid.a, run.grid.b],
         "spin": None if scenario.spin is None else scenario.spin.to_json(),
     }
     provenance = {
@@ -381,13 +375,12 @@ def _emit(text: str, out_path: str | None):
 def cmd_verify(selector: str, policy: GridPolicy, tol_scale: float,
                out_format: str, out_path: str | None) -> int:
     report = run_scenario(_resolve_scenario(selector), policy, tol_scale)
-    doc = report.to_json_dict()
     if out_format == "json":
         _emit(report.to_json(), out_path)
     elif out_format == "csv":
-        _emit(bounds.reports_to_csv([doc]), out_path)
+        _emit(bounds.reports_to_csv([report.to_json_dict()]), out_path)
     else:
-        _emit(_format_pretty(doc), out_path)
+        _emit(_format_pretty(report.to_json_dict()), out_path)
     return EXIT_OK if report.all_expected_match else EXIT_MISMATCH
 
 
@@ -462,8 +455,7 @@ def cmd_sweep(param: str, values, spin: SpinStructure, grid_n, levels: int,
               out_format: str, out_path: str | None) -> int:
     rows = _sweep_rows(param, values, spin, grid_n, levels)
     if out_format == "json":
-        _emit(json.dumps({"sweep": param, "rows": rows}, sort_keys=True,
-                         indent=2) + "\n", out_path)
+        _emit(bounds.dumps({"sweep": param, "rows": rows}), out_path)
         return EXIT_OK
     cols = list(rows[0].keys())
     lines = [",".join(cols)]
@@ -486,9 +478,8 @@ def cmd_report(paths, out_format: str, out_path: str | None) -> int:
     if out_format == "csv":
         _emit(bounds.reports_to_csv(docs), out_path)
     elif out_format == "json":
-        _emit(json.dumps({"schema_version": bounds.REPORT_SCHEMA_VERSION,
-                          "reports": docs}, sort_keys=True, indent=2) + "\n",
-              out_path)
+        _emit(bounds.dumps({"schema_version": bounds.REPORT_SCHEMA_VERSION,
+                            "reports": docs}), out_path)
     else:
         _emit("".join(_format_pretty(d) for d in docs), out_path)
     return EXIT_OK

@@ -91,20 +91,27 @@ class Scenario:
         }
 
 
+def _string(doc: dict, key: str, default: str | None = None) -> str:
+    """doc[key], or default where the key is absent and a default is given;
+    a string either way."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(value, str):
+        raise CatalogError(f"malformed scenario document: key {key!r} must "
+                           f"be a string, got {value!r}")
+    return value
+
+
 def scenario_from_json(doc: dict) -> Scenario:
     try:
-        if not isinstance(doc["id"], str):
-            raise CatalogError(f"malformed scenario document: key 'id' must "
-                               f"be a string, got {doc['id']!r}")
         sections = tuple(
-            SectionSpec(name=s["name"], field_kind=s["field_kind"],
+            SectionSpec(name=_string(s, "name"), field_kind=s["field_kind"],
                         mode=s["mode"], profile=s["profile"],
                         params=dict(s.get("params", {})),
                         angular=s.get("angular", ANGULAR_FULL))
             for s in doc.get("sections", []))
         return Scenario(
-            id=doc["id"],
-            description=doc.get("description", ""),
+            id=_string(doc, "id"),
+            description=_string(doc, "description", ""),
             surface=geometry.surface_from_json(doc["surface"]),
             spin=SpinStructure.from_json(doc.get("spin")),
             sections=sections,
@@ -236,8 +243,7 @@ def round_sphere_scenario() -> Scenario:
             {"check": "dirac_tone", "value": 1.0, "tol": 1e-3,
              "provenance": "squared spinor spectrum (k+1)^2; equals both "
                            "closed-form bounds"},
-            {"check": "tone_attaining_mode", "operator": "dirac_square",
-             "value": 0.5, "tol": 1e-9,
+            {"check": "tone_attaining_mode", "value": 0.5, "tol": 1e-9,
              "provenance": "half-integer mode of the minimizing section"},
             {"check": "bound_verdict", "bound": "friedrich",
              "verdict": "holds", "provenance": "equality case"},
@@ -275,7 +281,7 @@ def cover_scenario(k: int) -> Scenario:
          "value": 4.0 * k * math.pi / 3.0, "tol": 1e-6,
          "provenance": "separated quadrature (P/2) * int cos^3"},
         {"check": "section_rayleigh", "section": "f_k",
-         "operator": "laplacian_scalar", "value": quotient, "tol": 1e-3,
+         "value": quotient, "tol": 1e-3,
          "provenance": "closed-form quotient 2 - (3/2)(1 - 1/k^2)"},
         {"check": "orthogonality", "section": "f_k", "max_abs": 1e-12,
          "provenance": "mode separation against the constants"},
@@ -357,8 +363,7 @@ def flat_cylinder_scenario(length: float, spin: SpinStructure) -> Scenario:
              "predicted": True, "provenance": prov})
         expected.append(
             {"check": "section_rayleigh", "section": "dirichlet_sine",
-             "operator": "dirac_square", "value": (math.pi / length) ** 2,
-             "tol": 1e-3,
+             "value": (math.pi / length) ** 2, "tol": 1e-3,
              "provenance": "sine profile times the parallel frame is an "
                            "exact reduced eigensection"})
     sections = ()
@@ -445,7 +450,7 @@ def cusp_cylinder_scenario(length: float = 10.0,
              "provenance": "flat middle P*L plus two cusp masses; seams "
                            "blended, tails truncated at 1e-6 relative"},
             {"check": "section_rayleigh", "section": "dirichlet_sine",
-             "operator": "dirac_square", "value": lam, "tol": 1e-3,
+             "value": lam, "tol": 1e-3,
              "provenance": "compactly supported in the flat middle"},
             {"check": "bound_verdict", "bound": "area",
              "verdict": "violated-as-predicted", "predicted": True,

@@ -135,7 +135,8 @@ def test_area_check_infinite_area_is_inapplicable():
                          SOURCE_TONE, False)
     assert v.verdict == INAPPLICABLE
     assert v.value == 0.0
-    assert dict(v.hypotheses)["finite area"] is False
+    passed = {h["name"]: h["passed"] for h in v.hypotheses}
+    assert passed["finite area"] is False
     assert any("degenerate" in n for n in v.notes)
 
 
@@ -285,10 +286,30 @@ def test_report_schema_guard_and_csv():
         load_report(json.dumps({"schema_version": 1}))
 
 
-def test_json_has_no_nan_tokens():
-    from diraclab.cli import run_scenario
-    rep = run_scenario(find_scenario("flat-cylinder-l2-bounding"),
-                       GridPolicy(base_n=64, levels=2))
-    text = rep.to_json()
-    assert "NaN" not in text and "Infinity" not in text
-    json.loads(text)  # strict-parsable
+def test_json_has_no_nan_tokens(tmp_path, capsys):
+    # verify, sweep and report write JSON a strict parser reads: the
+    # essential verdict's margin and the inapplicable killing diagnostics
+    # are not finite, and read null
+    from diraclab.cli import main
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    def emit(*argv):
+        assert main(list(argv)) == 0
+        text = capsys.readouterr().out
+        return text, json.loads(text, parse_constant=reject)
+
+    text, report = emit("verify", "--scenario", "flat-cylinder-l2-bounding",
+                        "--grid-n", "64", "--levels", "2")
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    _, sweep = emit("sweep", "--sweep", "L=2,5", "--grid-n", "64",
+                    "--format", "json")
+    _, merged = emit("report", str(path), "--format", "json")
+    (essential,) = [v for v in report["verdicts"]
+                    if v["bound"] == "essential"]
+    assert essential["margin"] is None
+    assert report["diagnostics"]["killing"]["norm_variation"] is None
+    assert [row["L"] for row in sweep["rows"]] == [2.0, 5.0]
+    assert merged["reports"] == [report]

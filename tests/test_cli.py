@@ -352,6 +352,28 @@ def test_report_schema_version_mismatch(tmp_path, capsys):
     assert "'scenario'" in err  # the missing key is named
 
 
+def test_report_with_nan_or_infinity_tokens_is_schema_error(tmp_path,
+                                                           capsys):
+    # NaN and Infinity are not JSON: a report that carries them is refused
+    # with the token named, never merged and written back
+    good = tmp_path / "good.json"
+    main(["verify", "--scenario", "flat-cylinder-l2-bounding",
+          "--grid-n", "64", "--levels", "2", "--out", str(good)])
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    for part, key, value, token in (
+            ("verdicts", "margin", float("nan"), "NaN"),
+            ("geometry", "area", float("inf"), "Infinity"),
+            ("geometry", "area", -float("inf"), "-Infinity")):
+        doc = json.loads(good.read_text())
+        (doc[part] if part == "geometry" else doc[part][0])[key] = value
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["report", str(bad), "--format", "json"],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("schema error:") and repr(token) in err, err
+
+
 def test_report_missing_nested_key_is_schema_error(tmp_path, capsys):
     # each key the merge, csv and pretty formats read is checked on load
     good = tmp_path / "good.json"
@@ -447,6 +469,21 @@ OTHER_CASES = [
                  id="area-with-tol"),
     pytest.param({"check": "dirac_tone", "value": 1.0, "tol": 1e-3,
                   "rel_tol": 1e9}, "rel_tol", id="tone-with-rel-tol"),
+    pytest.param({"check": "bound_verdict", "bound": "lichnerowicz",
+                  "verdict": "violated-as-predicted", "statistic": "section",
+                  "section": "dirichlet_sine", "predicated": True},
+                 "predicated", id="misspelled-predicted"),
+    pytest.param({"check": "bound_verdict", "bound": "lichnerowicz",
+                  "verdict": "holds", "statistc": "section",
+                  "section": "dirichlet_sine"}, "statistc",
+                 id="misspelled-statistic"),
+    pytest.param({"check": "probe", "operater": "laplacian_scalar",
+                  "windows": [[0, 1]], "threshold": 0.1,
+                  "behavior": "growing"}, "operater",
+                 id="misspelled-operator"),
+    pytest.param({"check": "killing", "applicable": False,
+                  "max_norm_variation": 1e-2}, "max_norm_variation",
+                 id="inapplicable-killing-with-a-limit"),
 ]
 
 
@@ -509,6 +546,13 @@ DOCUMENT_CASES = [
     pytest.param(_edit(("sections", 0, "mode"), True), "mode",
                  id="boolean-section-mode"),
     pytest.param(_edit(("id",), 5), "id", id="numeric-id"),
+    pytest.param(_edit(("sections", 0, "name"), 7), "name",
+                 id="numeric-section-name"),
+    pytest.param(_edit(("expected",), [{
+        "check": "section_norm2", "section": 7, "value": 1.0,
+        "tol": 1e-6}]), "section", id="numeric-entry-section"),
+    pytest.param(_edit(("description",), ["a", "list"]), "description",
+                 id="list-description"),
 ]
 
 
@@ -649,6 +693,32 @@ def test_only_eigensolve_imports_scipy():
     assert routines == {"dgtsv", "dstebz"}
 
 
+def test_json_is_written_by_one_function():
+    # every JSON document goes through bounds.dumps, which applies the null
+    # rule of bounds.to_plain; no module converts numbers on its own
+    import ast
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    writers, converters = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> its innermost enclosing function
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owner[node] = f"{path.stem}.{func.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "json_num":
+                converters.append(owner[node])
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id == "json" \
+                    and node.func.attr in ("dump", "dumps"):
+                writers.append(owner.get(node, f"{path.stem} module"))
+    assert writers == ["bounds.dumps"]
+    assert converters == []
+
+
 def _count_calls(monkeypatch, counts, key, module, attr):
     real = getattr(module, attr)
 
@@ -749,7 +819,7 @@ def test_killing_check_reuses_the_tone_operator(monkeypatch):
     monkeypatch.setattr(bounds, "killing_equality_check", check)
     _patch_bindings(monkeypatch, real_assemble, assemble)
     report = cli.run_scenario(find_scenario("round-sphere"))
-    assert report.diagnostics["killing"]["applicable"]
+    assert report.diagnostics["killing"].applicable
     assert calls == {"check": 1, "assemble_inside": 0}
 
 
