@@ -41,7 +41,6 @@ from .operators import (  # noqa: F401
     KIND_DIRAC,
     KIND_LAPLACIAN,
     Grid,
-    MassMatrix,
     ReducedOperator,
     Section,
     assemble_dirac_square,

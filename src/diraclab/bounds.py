@@ -33,9 +33,9 @@ from .errors import AssemblyError, SchemaError
 from .operators import (
     KIND_DIRAC,
     Section,
-    _check_positive,
     bochner_gradient_energy,
     dirac_energy,
+    node_weights,
     product_rule_defect,
 )
 from .spin import SpinStructure, mode_in_structure
@@ -220,7 +220,7 @@ def killing_equality_check(surface, op, profile, phi: Section,
             note="tone does not attain the curvature bound; equality-case "
                  "diagnostics are not applicable")
     comps = phi.components()
-    norms = [float(np.sum(b.mass.weights * np.abs(c) ** 2))
+    norms = [float(np.sum(b.mass * np.abs(c) ** 2))
              for b, c in zip(op.blocks, comps)]
     total = sum(norms)
     if total <= 0:
@@ -293,11 +293,9 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos,
     rhos = [float(r) for r in rhos]
     if any(r <= 0 or r > radius * (1 + 1e-12) for r in rhos):
         raise AssemblyError(f"rho values must lie in (0, {radius}]")
-    f = np.asarray(surface.f(grid.nodes), dtype=float)
-    _check_positive(f, "grid nodes")
+    w, f = node_weights(surface, grid)
     half_log = np.asarray(surface.fprime(grid.nodes), dtype=float) / (2.0 * f)
     coefs = [half_log + mu / f for mu in (-float(phi.nu), float(phi.nu))]
-    w = surface.period * f * grid.h
 
     def d_apply(values):
         # first-order node factor (A_mu u)_i = (u_{i+1} - u_i)/h + a_mu u_i,
@@ -452,14 +450,18 @@ def report_rows(doc: dict) -> list:
             for v in doc.get("verdicts", [])]
 
 
-def reports_to_csv(docs: list) -> str:
+def csv_text(rows: list, columns: list) -> str:
+    """The one CSV writer: a header of columns, then one line per row."""
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for doc in docs:
-        for row in report_rows(doc):
-            writer.writerow(row)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def reports_to_csv(docs: list) -> str:
+    return csv_text([row for doc in docs for row in report_rows(doc)],
+                    CSV_COLUMNS)
 
 
 def _reject_constant(token: str):
@@ -467,10 +469,12 @@ def _reject_constant(token: str):
                       f"{token!r}")
 
 
-def load_report(text: str) -> dict:
+def load_report(text) -> dict:
+    """The report in text (str, or bytes decoded as UTF-8), its keys
+    checked; any malformed report is a SchemaError."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all expected checks matched, 2 verdict/value mismatch,
 1 internal error, 64 usage error (unknown scenario, bad flags, malformed
-scenario document, missing report file).
+scenario document, unreadable input file, unwritable output path).
 Identical configuration yields byte-identical JSON output.
 """
 
@@ -32,22 +32,27 @@ MAX_GRID_NODES = 2 ** 20
 SWEEP_GRID_N = 256
 
 
-def _read_input(path: str, what: str) -> str:
+def _read_input(path: str, what: str) -> bytes:
+    """The bytes of an input file, which json.loads decodes as UTF-8."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except FileNotFoundError as exc:
         raise CatalogError(f"{what} file not found: {path}") from exc
+    except OSError as exc:
+        raise CatalogError(
+            f"cannot read {what} file {path}: {exc.strerror}") from exc
 
 
 def _resolve_scenario(selector: str) -> scenarios.Scenario:
     if selector.endswith(".json"):
-        text = _read_input(selector, "scenario")
+        data = _read_input(selector, "scenario")
         try:
-            return scenarios.scenario_from_json(json.loads(text))
-        except json.JSONDecodeError as exc:
+            doc = json.loads(data)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CatalogError(
                 f"scenario file {selector} is not valid JSON: {exc}") from exc
+        return scenarios.scenario_from_json(doc)
     return scenarios.find_scenario(selector)
 
 
@@ -365,11 +370,15 @@ def _format_pretty(doc: dict) -> str:
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CatalogError(
+            f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def cmd_verify(selector: str, policy: GridPolicy, tol_scale: float,
@@ -415,18 +424,24 @@ def _sweep_rows(param: str, values, spin: SpinStructure, grid_n, levels):
     """One row per value, of numbers `verify` reports on the same ladder:
     the area verdict of the flat cylinder of length L, the lichnerowicz
     verdict of the k-fold cover, or the round-sphere Laplace tone on base
-    grids of N nodes, which replace grid_n (None when not given).  Every
-    value and ladder is checked before the first solve."""
+    grids of N nodes, which replace grid_n (None when not given); k and N
+    are whole numbers.  Every value and ladder is checked before the first
+    solve."""
     least = min(values)
     if param not in ("L", "k", "N"):
         raise CatalogError(f"unknown sweep parameter {param!r}")
     if param == "N" and grid_n is not None:
         raise CatalogError("an N= sweep takes no --grid-n: N is the base grid")
-    if param == "L" and not least > 0 or param == "k" and round(least) < 1:
+    fractional = [v for v in values
+                  if param != "L" and not float(v).is_integer()]
+    if fractional:
+        raise CatalogError(f"sweep {param} takes whole numbers, got "
+                           f"{fractional[0]!r}")
+    if param == "L" and not least > 0 or param == "k" and least < 1:
         raise CatalogError(f"sweep needs L > 0 and k >= 1, got {param} from "
                            f"{least} to {max(values)}")
     base_n = SWEEP_GRID_N if grid_n is None else grid_n
-    policies = [_grid_policy(int(round(v)) if param == "N" else base_n,
+    policies = [_grid_policy(int(v) if param == "N" else base_n,
                              levels) for v in values]
 
     def one(value, policy):
@@ -438,14 +453,14 @@ def _sweep_rows(param: str, values, spin: SpinStructure, grid_n, levels):
         sc, bound = (
             (scenarios.flat_cylinder_scenario(float(value), spin), "area")
             if param == "L" else
-            (scenarios.cover_scenario(int(round(value))), "lichnerowicz"))
+            (scenarios.cover_scenario(int(value)), "lichnerowicz"))
         v = BOUNDS[bound](_ScenarioRun(sc, policy), next(
             e for e in sc.expected if e.get("bound") == bound))
         if param == "L":
             return {"L": float(value), "lambda_star": v.lambda_star,
                     "error_bar": v.error_bar, "area_bound": v.value,
                     "margin": v.margin}
-        return {"k": int(round(value)), "rayleigh": v.lambda_star,
+        return {"k": int(value), "rayleigh": v.lambda_star,
                 "lichnerowicz_bound": v.value, "margin": v.margin}
 
     return [one(v, policy) for v, policy in zip(values, policies)]
@@ -457,12 +472,7 @@ def cmd_sweep(param: str, values, spin: SpinStructure, grid_n, levels: int,
     if out_format == "json":
         _emit(bounds.dumps({"sweep": param, "rows": rows}), out_path)
         return EXIT_OK
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols))
-    _emit("\n".join(lines) + "\n", out_path)
+    _emit(bounds.csv_text(rows, list(rows[0])), out_path)
     return EXIT_OK
 
 

@@ -162,7 +162,7 @@ class ProbeResult:
 
 def _congruence(block):
     """Scale M^(-1/2) and the diagonals of M^(-1/2) S M^(-1/2) of a block."""
-    scale = 1.0 / np.sqrt(block.mass.weights)
+    scale = 1.0 / np.sqrt(block.mass)
     return (scale, block.diag * scale * scale,
             block.off * scale[:-1] * scale[1:])
 
@@ -273,7 +273,7 @@ def _solve_block(block, count, near=None):
 
 def _backward_error(block, lam: float, v: np.ndarray) -> float:
     """||S v - lam M v||_2 / ((||S||_1 + |lam| ||M||_1) ||v||_2)."""
-    w = block.mass.weights
+    w = block.mass
     norm_s = _norm1(block.diag, block.off)
     r = block.matvec(v) - lam * w * v
     return float(np.linalg.norm(r) / ((norm_s + abs(lam) * np.max(w))

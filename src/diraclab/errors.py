@@ -31,4 +31,5 @@ class CatalogError(DiraclabError):
 
 
 class SchemaError(DiraclabError):
-    """Report or scenario document with an unsupported schema version."""
+    """Malformed report: not JSON, a NaN or Infinity token, another
+    schema_version, or a missing key (raised by bounds.load_report)."""

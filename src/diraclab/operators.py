@@ -122,21 +122,6 @@ def make_grid(surface, n: int) -> Grid:
     return Grid(a=a, b=b, n=n, side_kinds=kinds, side_slopes=tuple(slopes))
 
 
-@dataclass(frozen=True)
-class MassMatrix:
-    """Diagonal weights w_i = P f(t_i) h, trapezoid-corrected at ends.
-
-    The correction halves the weight at a window side with no boundary
-    element (a free side), so that sum(w) tracks the area of the grid span.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.weights <= 0):
-            raise AssemblyError("mass weights must be positive")
-
-
 def tridiagonal_matvec(diag: np.ndarray, off: np.ndarray,
                        v: np.ndarray) -> np.ndarray:
     """T v for the symmetric tridiagonal T with diagonals diag and off."""
@@ -150,15 +135,17 @@ def tridiagonal_matvec(diag: np.ndarray, off: np.ndarray,
 class Block:
     """One tridiagonal stiffness/mass pair of a reduced operator.
 
-    The stiffness is the form energy(u); diag and off are its matrix.  w_e
-    and a_e are the weights P f h (zero at a free side) and coefficients
+    The stiffness is the form energy(u); diag and off are its matrix.  mass
+    holds the diagonal mass weights: the node weights P f h, halved at a
+    free side so that their sum tracks the area of the grid span.  w_e and
+    a_e are the weights P f h (zero at a free side) and coefficients
     f'/(2f) + mu/f (zero for the scalar mode) of the n + 1 elements; pot is
     the scalar node potential P h nu^2 / f (zero for a Dirac block).
     """
 
     diag: np.ndarray
     off: np.ndarray
-    mass: MassMatrix
+    mass: np.ndarray
     h: float
     w_e: np.ndarray
     a_e: np.ndarray
@@ -180,7 +167,7 @@ class Block:
                      + np.sum(self.pot * np.abs(np.asarray(v)) ** 2))
 
     def mass_form(self, v: np.ndarray) -> float:
-        return float(np.sum(self.mass.weights * np.abs(np.asarray(v)) ** 2))
+        return float(np.sum(self.mass * np.abs(np.asarray(v)) ** 2))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return tridiagonal_matvec(self.diag, self.off, v)
@@ -263,22 +250,33 @@ def _at_free_sides(x, bc: tuple, factor: float) -> np.ndarray:
     return x
 
 
+def node_weights(surface, grid: Grid) -> tuple:
+    """The node quadrature: weights P f(t_i) h and f at the grid nodes.
+
+    Every weighted sum over the nodes reads these weights; a block's mass
+    halves them at a free side.
+    """
+    f = np.asarray(surface.f(grid.nodes), dtype=float)
+    _check_positive(f, "grid nodes")
+    return surface.period * f * grid.h, f
+
+
 def _samples(surface, grid: Grid, kind: str) -> tuple:
-    """f at the nodes and at all n + 1 element midpoints, and f'/(2f) at the
-    midpoints for a Dirac operator; both of its blocks share them."""
+    """The node weights and f at the nodes, f at all n + 1 element
+    midpoints, and f'/(2f) at the midpoints for a Dirac operator; both of
+    its blocks share them."""
     mids = grid.a + grid.h * (np.arange(grid.n + 1) + 0.5)
-    f_nodes = np.asarray(surface.f(grid.nodes), dtype=float)
-    _check_positive(f_nodes, "grid nodes")
+    w, f_nodes = node_weights(surface, grid)
     fm = np.asarray(surface.f(mids), dtype=float)
     _check_positive(fm, "element midpoints")
     half_log = (np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm)
                 if kind == KIND_DIRAC else None)
-    return f_nodes, fm, half_log
+    return w, f_nodes, fm, half_log
 
 
 def _assemble_block(surface, grid: Grid, kind: str, coef: float,
                     samples: tuple) -> Block:
-    f_nodes, fm, half_log = samples
+    w, f_nodes, fm, half_log = samples
     h = grid.h
     P = surface.period
     bc = block_boundary_conditions(kind, coef, grid)
@@ -294,9 +292,8 @@ def _assemble_block(surface, grid: Grid, kind: str, coef: float,
     right = 1.0 / h + 0.5 * a_e
     diag = (w_e * right * right)[:-1] + (w_e * left * left)[1:] + pot
     off = (w_e * left * right)[1:-1]
-    mass = MassMatrix(weights=_at_free_sides(P * f_nodes * h, bc, 0.5))
-    return Block(diag=diag, off=off, mass=mass, h=h, w_e=w_e, a_e=a_e,
-                 pot=pot)
+    return Block(diag=diag, off=off, mass=_at_free_sides(w, bc, 0.5), h=h,
+                 w_e=w_e, a_e=a_e, pot=pot)
 
 
 def assemble_laplacian(surface, nu: float, grid: Grid) -> ReducedOperator:
@@ -368,7 +365,7 @@ def bochner_gradient_energy(surface, op: ReducedOperator,
     kap = geometry.gauss_curvature(surface, op.grid.nodes) / 2.0
     curv = 0.0
     for block, comp in zip(op.blocks, phi.components()):
-        curv += float(np.sum(block.mass.weights * kap * np.abs(comp) ** 2))
+        curv += float(np.sum(block.mass * kap * np.abs(comp) ** 2))
     return dirac_energy(op, phi) - curv
 
 
@@ -386,11 +383,9 @@ def leibniz_defect(surface, fmul: Section, phi: Section) -> float:
     grid = phi.grid
     if fmul.grid != grid:
         raise AssemblyError("multiplier and section must share one grid")
-    f_nodes = np.asarray(surface.f(grid.nodes), dtype=float)
-    _check_positive(f_nodes, "grid nodes")
     return product_rule_defect(np.asarray(fmul.values, dtype=float),
                                phi.components(),
-                               surface.period * f_nodes * grid.h, grid.h)
+                               node_weights(surface, grid)[0], grid.h)
 
 
 def product_rule_defect(fv, comps, w, h: float) -> float:

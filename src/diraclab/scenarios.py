@@ -15,7 +15,8 @@ import numpy as np
 
 from . import geometry
 from .errors import AssemblyError, CatalogError, GeometryError
-from .operators import KIND_DIRAC, KIND_LAPLACIAN, Grid, Section
+from .operators import (CUSP_TAIL_REL, KIND_DIRAC, KIND_LAPLACIAN, Grid,
+                        Section, node_weights)
 from .spin import SpinStructure
 
 ANGULAR_FULL = "full_period"
@@ -165,27 +166,19 @@ def eval_test_section(scenario: Scenario, name: str, grid: Grid) -> Section:
     return Section(kind=KIND_DIRAC, nu=spec.mode, grid=grid, values=full)
 
 
-def _trapezoid_weights(surface, grid: Grid) -> np.ndarray:
-    w = np.asarray(surface.f(grid.nodes), dtype=float) * grid.h
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def section_norm2(scenario: Scenario, name: str, grid: Grid) -> float:
     """Weighted L2 norm squared of a named section over the full surface.
 
-    Real cosine modes carry angular mass P/2, everything else the full
-    period (a parallel-frame spinor amplitude integrates |.|^2 = 1).
+    The node weights carry the full period P; a real cosine mode has
+    angular mass P/2, so it takes half of that, and everything else all of
+    it (a parallel-frame spinor amplitude integrates |.|^2 = 1).
     """
     spec = scenario.section_spec(name)
     section = eval_test_section(scenario, name, grid)
-    w = _trapezoid_weights(scenario.surface, grid)
-    radial = sum(float(np.sum(w * np.abs(c) ** 2))
-                 for c in section.components())
-    P = scenario.surface.period
-    angular = 0.5 * P if spec.angular == ANGULAR_HALF else P
-    return angular * radial
+    w, _ = node_weights(scenario.surface, grid)
+    total = sum(float(np.sum(w * np.abs(c) ** 2))
+                for c in section.components())
+    return 0.5 * total if spec.angular == ANGULAR_HALF else total
 
 
 def mk_orthogonality(scenario: Scenario, grid: Grid,
@@ -198,15 +191,12 @@ def mk_orthogonality(scenario: Scenario, grid: Grid,
     """
     spec = scenario.section_spec(name)
     section = eval_test_section(scenario, name, grid)
-    w = _trapezoid_weights(scenario.surface, grid)
-    radial = float(np.sum(w * section.values))
+    w, _ = node_weights(scenario.surface, grid)
     P = scenario.surface.period
     nu = spec.mode
-    if abs(nu) < 1e-300:
-        angular = P
-    else:
-        angular = math.sin(nu * P) / nu
-    return angular * radial
+    # the angular integral as a fraction of the period the weights carry
+    angular = 1.0 if abs(nu) < 1e-300 else math.sin(nu * P) / (nu * P)
+    return angular * float(np.sum(w * section.values))
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +389,17 @@ def _smoothed_ramp(x: np.ndarray, w: float) -> np.ndarray:
 
 
 def _cusp_profile(length: float, cusp_area: float, period: float,
-                  tail_rel: float = 1e-6, blend: float = 0.1,
-                  samples_per_unit: int = 60):
+                  blend: float = 0.1, samples_per_unit: int = 60):
     """Flat middle [0, L] with exponential cusp ends, C2-blended seams.
 
-    The table is padded past the declared truncation points so natural
-    spline ends never distort curvature inside the surface; returns
+    Each cusp is cut where its tail area drops below CUSP_TAIL_REL of the
+    cusp mass, the fraction that cuts an infinite ExpCuspWarp end.  The
+    table is padded past the declared truncation points so natural spline
+    ends never distort curvature inside the surface; returns
     (ts, fs, t_lo, t_hi) with the declared interval.
     """
     beta = period / cusp_area
-    t_tail = math.log(1.0 / tail_rel) / beta
+    t_tail = math.log(1.0 / CUSP_TAIL_REL) / beta
     pad = 10.0 / samples_per_unit
     lo, hi = -t_tail - pad, length + t_tail + pad
     n = max(int((hi - lo) * samples_per_unit), 400)

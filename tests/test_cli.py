@@ -314,7 +314,9 @@ def test_sweep_empty_range_usage_error(capsys, monkeypatch):
                  ["--sweep", "N=8"], ["--sweep", "L=5", "--grid-n", "8"],
                  ["--sweep", "L=5", "--levels", "0"],
                  ["--sweep", "N=256,8"], ["--sweep", "L=5,-1"],
-                 ["--sweep", "k=1,0"], ["--sweep", "N=64", "--grid-n", "128"]):
+                 ["--sweep", "k=1,0"], ["--sweep", "N=64", "--grid-n", "128"],
+                 ["--sweep", "k=1.5"], ["--sweep", "k=1:3:0.5"],
+                 ["--sweep", "N=100.5"]):
         code, _, err = run(["sweep", *argv], capsys)
         assert (code, err.startswith("usage error")) == (64, True), argv
 
@@ -395,6 +397,35 @@ def test_report_missing_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(["report", str(tmp_path / "absent.json")], capsys)
     assert code == 64
     assert "report file not found" in err
+
+
+def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
+    # a directory to read, a non-UTF-8 file and an output path in a missing
+    # directory each exit 64 naming the path; a non-UTF-8 report is a
+    # report that is not valid JSON
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"id": "caf\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "missing" / "x.json"
+    for argv, path in ((["report", str(tmp_path)], tmp_path),
+                       (["verify", "--scenario", str(folder)], folder),
+                       (["verify", "--scenario", str(latin)], latin),
+                       (["verify", "--scenario", "round-sphere", "--grid-n",
+                         "64", "--levels", "2", "--out", str(out)], out)):
+        code, _, err = run(argv, capsys)
+        assert (code, err.startswith("usage error")) == (64, True), argv
+        assert str(path) in err, err
+    code, _, err = run(["report", str(latin)], capsys)
+    assert code == 1
+    assert err.startswith("schema error: report is not valid JSON"), err
+
+
+def test_cover_m1_passes_at_128_nodes(capsys):
+    # the section norm and the Rayleigh quotient share one node quadrature
+    code, _, _ = run(["verify", "--scenario", "cover-m1", "--grid-n", "128"],
+                     capsys)
+    assert code == 0
 
 
 # one valid entry per check kind, and the keys each one cannot do without

@@ -75,7 +75,7 @@ def test_mass_positive_and_tracks_span_area():
     s = cylinder(5.0)
     grid = make_grid(s, 256)
     op = assemble_laplacian(s, 0.0, grid)
-    w = op.blocks[0].mass.weights
+    w = op.blocks[0].mass
     assert np.all(w > 0)
     span_area = s.period * (grid.nodes[-1] - grid.nodes[0])
     assert abs(w.sum() - span_area) <= 3 * grid.h * s.period

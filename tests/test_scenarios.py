@@ -8,7 +8,8 @@ import pytest
 
 from diraclab import scenarios
 from diraclab.errors import CatalogError
-from diraclab.operators import KIND_DIRAC, KIND_LAPLACIAN, make_grid
+from diraclab.operators import (KIND_DIRAC, KIND_LAPLACIAN,
+                                assemble_laplacian, make_grid)
 from diraclab.scenarios import (
     builtin_catalog,
     cover_scenario,
@@ -71,12 +72,19 @@ def test_unknown_scenario_raises():
 
 
 def test_cover_test_function_norm():
-    # separated norm matches (P/2) * 4/3 = 4 k pi / 3
-    for k in (2, 3, 5):
+    # separated norm matches (P/2) * 4/3 = 4 k pi / 3, and is half the mass
+    # form of the mode-1/k Laplace block section_rayleigh divides by
+    for k in (1, 2, 3, 5):
         sc = cover_scenario(k)
-        grid = make_grid(sc.surface, 512)
-        val = section_norm2(sc, "f_k", grid)
-        assert abs(val - 4 * k * math.pi / 3) < 1e-6
+        for n in (128, 512):
+            grid = make_grid(sc.surface, n)
+            val = section_norm2(sc, "f_k", grid)
+            sec = eval_test_section(sc, "f_k", grid)
+            block = assemble_laplacian(sc.surface, sec.nu, grid).blocks[0]
+            assert val == pytest.approx(0.5 * block.mass_form(sec.values),
+                                        rel=1e-13)
+            if n == 512:
+                assert abs(val - 4 * k * math.pi / 3) < 1e-6
 
 
 def test_cover_orthogonality_to_constants():
