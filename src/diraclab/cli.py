@@ -9,8 +9,10 @@ Identical configuration yields byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -369,6 +371,26 @@ def _format_pretty(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(out_path: str | None):
+    """Reject an --out that cannot be written before any work: a directory,
+    a path whose parent is missing or not a writable directory, or a file
+    that is not writable.  _emit still turns a failed write into a usage
+    error."""
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK) or (
+            os.path.exists(out_path) and not os.access(out_path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise CatalogError(f"cannot write {out_path}: {os.strerror(code)}")
+
+
 def _emit(text: str, out_path: str | None):
     if not out_path:
         sys.stdout.write(text)
@@ -559,6 +581,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
+        _check_out(args.out)
         if args.command == "verify":
             if not 0 < args.tol < math.inf:
                 raise CatalogError(f"a finite tol > 0 required, got "

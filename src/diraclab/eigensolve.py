@@ -3,13 +3,15 @@
 Every tridiagonal block is solved after the diagonal-mass congruence
 M^(-1/2) S M^(-1/2), which keeps the bandwidth, and every vector comes from
 one certified path.  Each pair is seeded with a value: the same block's at
-the coarser level, or, at the coarsest level and wherever that fails, the
-one LAPACK dstebz bisects from the Gershgorin interval.  One inverse-
-iteration step and a few Rayleigh-quotient steps per pair, each an O(n)
-dgtsv solve, give vectors whose residuals bound an interval around each
-value (Parlett, 1998, ch. 4).  The index is certified in O(n): the
-intervals are disjoint, and one dstebz Sturm count finds exactly the wanted
-number of values up to the top interval.
+the coarser level; at the coarsest level, the one LAPACK dstebz bisects
+from the Gershgorin interval, on a grid of SEED_N nodes when the ladder
+starts above that; and wherever a seed fails, the block's own bisected
+value.  One inverse-iteration step and a few Rayleigh-quotient steps per
+pair, each an O(n) dgtsv solve, give vectors whose residuals bound an
+interval around each value (Parlett, 1998, ch. 4).  The index is certified
+in O(n): the intervals are disjoint, and the nonpositive pivots of one
+restarted dpttrf factorization count exactly the wanted number of values
+up to the top interval (Sylvester's law of inertia).
 The reported eigenvalue is the factored quotient energy(v) / (M v, v) of
 the vector v, which keeps relative accuracy where a value of T carries an
 absolute error of about eps * ||S|| / ||M|| (Demmel & Kahan, 1990).  Each
@@ -19,10 +21,10 @@ pair must pass the scale-free normwise backward error bound
 Fundamental tones walk the circle modes in ascending |nu|, extrapolating
 each over a geometric (h, delta) refinement sequence, up to the first mode
 whose centrifugal floor certifies the rest; probes walk them the same way.
-The two LAPACK routines come from scipy's f2py module, loaded by file spec,
-because importing scipy.linalg for them would cost a cold verify more than
-half its time in scipy's array-API shim.  This is the package's only route
-to scipy: dgtsv also solves geometry.TabulatedWarp's spline moments.
+The three LAPACK routines come from scipy's f2py module, loaded by file
+spec, because importing scipy.linalg for them would cost a cold verify more
+than half its time in scipy's array-API shim.  This is the package's only
+route to scipy: dgtsv also solves geometry.TabulatedWarp's spline moments.
 """
 
 from __future__ import annotations
@@ -56,16 +58,20 @@ MAX_MODE_CUTOFF = 64
 
 PROBE_MAX_BASE_N = 800  # node cap of a probe's first window
 
+# A tone whose ladder starts above SEED_N nodes seeds its level 0 with the
+# values bisected on one grid of SEED_N nodes.
+SEED_N = 512
+
 # A refined eigenvalue's interval is padded by BRACKET_SLACK * eps * ||T||_1,
 # and its Rayleigh-quotient iteration fails after RQI_STEPS steps.
 BRACKET_SLACK = 8
 RQI_STEPS = 8
 
-_RANGE_VALUE, _RANGE_INDEX = 1, 2  # dstebz RANGE = 'V', 'I'
+_RANGE_INDEX = 2  # dstebz RANGE = 'I'
 
 
 def _lapack():
-    """scipy's f2py LAPACK module, for its dgtsv and dstebz, without
+    """scipy's f2py LAPACK module, for its dgtsv, dpttrf and dstebz, without
     importing scipy.linalg.
 
     Relies on scipy's private layout scipy/linalg/_flapack<suffix>.  The
@@ -93,7 +99,7 @@ def _lapack():
 
 
 _flapack = _lapack()
-dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
+dgtsv, dpttrf, dstebz = _flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz
 
 
 @dataclass(frozen=True)
@@ -169,21 +175,42 @@ def _congruence(block):
 
 def _norm1(d, e) -> float:
     """||T||_1 of the symmetric tridiagonal T = (d, e)."""
-    off = np.pad(np.abs(e), 1)
-    return float(np.max(np.abs(d) + off[:-1] + off[1:]))
+    row = np.abs(d)
+    off = np.abs(e)
+    row[1:] += off
+    row[:-1] += off
+    return float(np.max(row))
 
 
 def _count_below(d, e, hi: float) -> int:
-    """Eigenvalues <= hi of T = (d, e), from one dstebz Sturm count.
+    """Eigenvalues <= hi of T = (d, e): the nonpositive pivots of
+    LDL^T(T - hi I), by Sylvester's law of inertia (Parlett, 1998, ch. 3).
 
-    A tolerance as wide as the range ends the bisection before its first
-    step; the count does not depend on it.
+    dpttrf factors in place and stops at the first pivot <= 0.  That pivot
+    is counted, replaced by min(pivot, -pivmin) as in dstebz's Sturm count
+    (pivmin = tiny * max(1, max e^2)), eliminated from the next diagonal
+    entry, and the factorization restarts there: one pass over n, plus one
+    call per counted value.
     """
-    m, _, _, _, info = dstebz(d, e, _RANGE_VALUE, -np.inf, hi, 0, 0, np.inf,
-                              b"E")
-    if info != 0:
-        raise ConvergenceError(f"dstebz count failed (info {info})")
-    return int(m)
+    n = d.size
+    q = d - hi
+    w = e.copy()
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e,
+                                                          initial=0.0)))
+    count = start = 0
+    while start < n - 1:  # dpttrf takes no matrix of order 1
+        *_, info = dpttrf(q[start:], w[start:], overwrite_d=1, overwrite_e=1)
+        if info == 0:
+            return count
+        if info < 0:
+            raise ConvergenceError(f"dpttrf count failed (info {info})")
+        k = start + info - 1
+        count += 1
+        if k == n - 1:
+            return count
+        q[k + 1] -= e[k] * e[k] / min(q[k], -pivmin)
+        start = k + 1
+    return count + int(q[-1] <= 0.0)
 
 
 def _shifted_solve(d, e, shift: float, x):
@@ -206,7 +233,7 @@ def _refine(d, e, count, near):
     quotient rq_j and residual r_j put an eigenvalue in
     [rq_j - r_j, rq_j + r_j] (Parlett, 1998, ch. 4), padded by
     slack = BRACKET_SLACK * eps * ||T||_1 for rounding.  When the intervals
-    are disjoint and one Sturm count finds exactly `count` values up to the
+    are disjoint and one pivot count finds exactly `count` values up to the
     top one, interval j holds lambda_(j+1), and x_j is its vector.
     A step cap reached or a failed certificate returns None.
     """
@@ -281,7 +308,7 @@ def _backward_error(block, lam: float, v: np.ndarray) -> float:
 
 
 def _count_block_below(block, threshold: float) -> int:
-    """Eigenvalues <= threshold of a block, by one Sturm count."""
+    """Eigenvalues <= threshold of a block, by one pivot count."""
     _, d, e = _congruence(block)
     return _count_below(d, e, threshold)
 
@@ -361,16 +388,21 @@ def richardson(seq) -> tuple:
     return val, abs(val - l2) + 1e-14, p
 
 
-def _mode_value(surface, kind, spin, nu, grids, pick):
+def _mode_value(surface, kind, spin, nu, grids, pick, seed_grid):
     """Pair `pick` of one mode per level, extrapolated; its level-0 section
     and operator.
 
     Each level after the first refines its solve from the values of the
-    level before.
+    level before; level 0 refines from the values each block bisects on
+    seed_grid, when there is one, and bisects its own blocks otherwise.
     """
     seq = []
     rows = []
     near = None
+    if seed_grid is not None:
+        seed_op = assemble(surface, kind, spin, nu, seed_grid)
+        near = [_bisect(*_congruence(b)[1:], pick + 1)
+                for b in seed_op.blocks]
     for level, grid in enumerate(grids):
         op = assemble(surface, kind, spin, nu, grid)
         res = smallest_eigenpairs(op, pick + 1, near)
@@ -401,8 +433,9 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
     MAX_MODE_CUTOFF modes without one is flagged.
 
     grids is the ladder to refine on, coarsest first (GridPolicy.grids);
-    the result's ground is the attaining mode's level-0 section, and
-    ground_op the operator it solves.
+    a ladder that starts above SEED_N nodes seeds level 0 from one grid of
+    SEED_N nodes.  The result's ground is the attaining mode's level-0
+    section, and ground_op the operator it solves.
     """
     if kind not in (KIND_LAPLACIAN, KIND_DIRAC):
         raise AssemblyError(f"unknown operator kind {kind!r}")
@@ -410,6 +443,7 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
         raise AssemblyError("dirac tone needs a spin structure")
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
     ends = grids[0].side_kinds
+    seed_grid = make_grid(surface, SEED_N) if grids[0].n > SEED_N else None
     kernel_skip = kind == KIND_LAPLACIAN and "regular" not in ends
 
     flags = []
@@ -429,7 +463,7 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
             break
         pick = int(kernel_skip and abs(nu) < 1e-12)  # skip the kernel
         val, bar, order, rows, ground = _mode_value(
-            surface, kind, spin, nu, grids, pick)
+            surface, kind, spin, nu, grids, pick, seed_grid)
         per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
         table.extend(rows)
         if val < best:

@@ -421,6 +421,40 @@ def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
     assert err.startswith("schema error: report is not valid JSON"), err
 
 
+def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch):
+    # verify, sweep and report check --out before they solve or read:
+    # a missing parent, a parent that is a file, a directory, and (where
+    # permission bits bind the caller) a read-only parent each exit 64
+    # naming the path
+    from diraclab import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+    for name in ("run_scenario", "_ScenarioRun", "_read_input"):
+        monkeypatch.setattr(cli, name, no_work)
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    locked.chmod(0o500)
+    outs = [tmp_path / "missing" / "x.json", plain / "x.json", tmp_path]
+    if not os.access(locked, os.W_OK):
+        outs.append(locked / "x.json")
+    commands = (["verify", "--scenario", "round-sphere", "--grid-n", "32768",
+                 "--levels", "4"],
+                ["sweep", "--sweep", "N=64,128"],
+                ["report", str(plain)])
+    try:
+        for argv in commands:
+            for out in outs:
+                code, _, err = run(argv + ["--out", str(out)], capsys)
+                assert code == 64, (argv, out)
+                want = f"usage error: cannot write {out}: "
+                assert err.startswith(want), err
+    finally:
+        locked.chmod(0o700)
+
+
 def test_cover_m1_passes_at_128_nodes(capsys):
     # the section norm and the Rayleigh quotient share one node quadrature
     code, _, _ = run(["verify", "--scenario", "cover-m1", "--grid-n", "128"],
@@ -701,7 +735,7 @@ def test_import_and_catalog_load_stay_lean():
 
 def test_only_eigensolve_imports_scipy():
     # scipy is a LAPACK provider only, reached through eigensolve._lapack(),
-    # and the package reads two routines from it
+    # and the package reads three routines from it
     import ast
     src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
     importers = set()
@@ -721,7 +755,7 @@ def test_only_eigensolve_imports_scipy():
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 importers.add(path.name)
     assert importers == {"eigensolve.py"}
-    assert routines == {"dgtsv", "dstebz"}
+    assert routines == {"dgtsv", "dpttrf", "dstebz"}
 
 
 def test_json_is_written_by_one_function():

@@ -159,7 +159,7 @@ def _certified(calls):
 def test_wrong_bracket_widens_to_the_index_pairs(monkeypatch, scale, seed):
     # `seed` names the values the certified vectors are refined from: true
     # level-1 values scaled by 10 lead the iteration to higher pairs, and
-    # the Sturm count finds more values than pairs below them, so each
+    # the pivot count finds more values than pairs below them, so each
     # block refines again from its bisected values; scaled by 0.01 they
     # still reach the two lowest pairs, which the count certifies
     sc = find_scenario("round-sphere")
@@ -186,7 +186,7 @@ def test_wrong_bracket_widens_to_the_index_pairs(monkeypatch, scale, seed):
 def test_near_that_skips_a_pair_fails_a_certificate(monkeypatch, picks,
                                                      found):
     # refined from lambda_2 alone, the one pair converges to lambda_2 and
-    # the Sturm count also finds lambda_1 below its interval; from
+    # the pivot count also finds lambda_1 below its interval; from
     # lambda_1 and lambda_3, it finds three values up to the second
     # interval; from lambda_2 twice, both pairs converge to lambda_2, and
     # their intervals overlap before any count (which would find two
@@ -264,8 +264,122 @@ def test_singular_shift_ends_the_iteration_at_a_certified_pair(
     assert np.allclose(np.abs(X[:, 0]), 1 / math.sqrt(n), rtol=1e-15, atol=0)
 
 
+def _sturm_count(d, e, hi):
+    """dstebz's RANGE = 'V' count of the eigenvalues of (d, e) up to hi."""
+    m, _, _, _, info = eigensolve.dstebz(d, e, 1, -np.inf, hi, 0, 0, np.inf,
+                                         b"E")
+    assert info == 0
+    return int(m)
+
+
+def _both_counts(d, e, hi):
+    return eigensolve._count_below(d, e, hi), _sturm_count(d, e, hi)
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 1000])
+def test_pivot_count_matches_the_sturm_count(n):
+    # below and above the spectrum, and BRACKET_SLACK * eps * ||T||_1 (the
+    # certificate's padding) on either side of an eigenvalue, the pivot
+    # count equals dstebz's; at an eigenvalue and one ulp either side the
+    # two round differently, and each finds one of the two indices there
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    w = eigensolve._bisect(d, e, n)
+    slack = (eigensolve.BRACKET_SLACK * np.finfo(float).eps
+             * eigensolve._norm1(d, e))
+    assert _both_counts(d, e, w[0] - 1.0) == (0, 0)
+    assert _both_counts(d, e, w[-1] + 1.0) == (n, n)
+    for j in np.unique(np.linspace(0, n - 1, 16).astype(int)):
+        assert _both_counts(d, e, w[j] - slack) == (j, j)
+        assert _both_counts(d, e, w[j] + slack) == (j + 1, j + 1)
+        for hi in (np.nextafter(w[j], -np.inf), w[j],
+                   np.nextafter(w[j], np.inf)):
+            assert set(_both_counts(d, e, hi)) <= {j, j + 1}
+
+
+def test_pivot_count_at_zero_pivots_and_split_blocks():
+    # an exact zero pivot first and inside, zero off-diagonals, and pivots
+    # that fail only at the next-to-last index, the last, or both
+    cases = [(np.array([1.0, 3.0, 3.0]), np.ones(2), 1.0, 1),
+             (np.array([2.0, 0.5, 3.0, 3.0]), np.ones(3), 0.0, 1)]
+    for tail in ([-1.0, 3.0], [3.0, -1.0], [-1.0, -1.0]):
+        d = np.full(12, 3.0)
+        d[-2:] = tail
+        cases.append((d, np.full(11, 0.1), 0.0, tail.count(-1.0)))
+    for d, e, hi, want in cases:
+        assert _both_counts(d, e, hi) == (want, want), (d, hi)
+    rng = np.random.default_rng(5)
+    d, e = rng.standard_normal(40), rng.standard_normal(39)
+    e[::4] = 0.0
+    slack = (eigensolve.BRACKET_SLACK * np.finfo(float).eps
+             * eigensolve._norm1(d, e))
+    for j, lam in enumerate(eigensolve._bisect(d, e, d.size)):
+        assert _both_counts(d, e, lam - slack) == (j, j)
+        assert _both_counts(d, e, lam + slack) == (j + 1, j + 1)
+
+
+def test_pivot_count_matches_the_sturm_count_on_every_catalog_count(
+        monkeypatch):
+    # every certificate and probe count of the catalog at 512 x 3
+    seen = []
+    real = eigensolve._count_below
+
+    def recorded(d, e, hi):
+        seen.append((d, e, hi))
+        return real(d, e, hi)
+    monkeypatch.setattr(eigensolve, "_count_below", recorded)
+    for sc in builtin_catalog():
+        run_scenario(sc, GridPolicy(base_n=512, levels=3))
+    assert len(seen) > 100
+    for d, e, hi in seen:
+        assert real(d, e, hi) == _sturm_count(d, e, hi)
+
+
+def test_fine_ladders_seed_level_0_from_one_bisection_at_seed_n(monkeypatch):
+    # on a 2048 x 2 ladder every block bisects only on the SEED_N grid, and
+    # every refinement certifies; each tone agrees to 1e-15 with the one
+    # whose level 0 bisects its own blocks (SEED_N above 2048)
+    bisected, certified = [], []
+    real_bisect, real_refine = eigensolve._bisect, eigensolve._refine
+    real_tone = cli.fundamental_tone
+
+    def bisect(d, e, count):
+        bisected.append(d.size)
+        return real_bisect(d, e, count)
+
+    def refine(*args):
+        out = real_refine(*args)
+        certified.append(out is not None)
+        return out
+
+    def catalog_tones():
+        found = []
+
+        def tone(*args):
+            found.append(real_tone(*args))
+            return found[-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "fundamental_tone", tone)
+            for sc in builtin_catalog():
+                run_scenario(sc, GridPolicy(base_n=2048, levels=2))
+        return [(t.lambda_star, t.nu_star) for t in found]
+    monkeypatch.setattr(eigensolve, "_bisect", bisect)
+    monkeypatch.setattr(eigensolve, "_refine", refine)
+    seeded = catalog_tones()
+    assert set(bisected) == {eigensolve.SEED_N} == {512}
+    assert certified and all(certified)
+    monkeypatch.setattr(eigensolve, "SEED_N", 4096)
+    bisected.clear()
+    unseeded = catalog_tones()
+    assert set(bisected) == {2048}
+    assert len(seeded) == len(unseeded) == 20
+    for (lam, nu), (ref, ref_nu) in zip(seeded, unseeded):
+        assert nu == ref_nu
+        assert abs(lam - ref) <= 1e-15 * abs(ref)
+
+
 def test_probe_counts_match_dense_eigvalsh(monkeypatch):
-    # the Sturm counts of every probe block of the essential-check
+    # the pivot counts of every probe block of the essential-check
     # scenarios equal a dense count of the generalized spectrum
     seen = []
     real = eigensolve._count_block_below
@@ -559,9 +673,10 @@ def test_tone_ground_op_is_the_operator_its_ground_solves(sphere_dirac_tone):
         assert np.array_equal(got.mass, ref.mass)
 
 
-# Runs the two routines as a cold process loads them, without scipy.linalg,
-# on block 0 of round-sphere's nu = 0.5 Dirac mode at level 1: the index
-# range bisection, a Sturm count and one shifted solve.
+# Runs the three routines as a cold process loads them, without
+# scipy.linalg, on block 0 of round-sphere's nu = 0.5 Dirac mode at level 1:
+# the index range bisection, a Sturm count, one shifted solve and one
+# shifted LDL^T factorization.
 _COLD_LAPACK = """
 import sys
 import numpy as np
@@ -577,8 +692,10 @@ m, w, _, _, info = eigensolve.dstebz(d, e, 2, 0.0, 1.0, 1, 2, 0.0, b"E")
 c, _, _, _, cinfo = eigensolve.dstebz(d, e, 1, -np.inf, 1.1 * w[1], 0, 0,
                                       np.inf, b"E")
 *_, x, ginfo = eigensolve.dgtsv(e, d - 0.9 * w[0], e, np.ones((d.size, 1)))
+p, l, finfo = eigensolve.dpttrf(d - 0.9 * w[0], e)
 assert "scipy.linalg" not in sys.modules
-np.savez(sys.argv[1], d=d, e=e, w=w, x=x, info=[m, info, c, cinfo, ginfo])
+np.savez(sys.argv[1], d=d, e=e, w=w, x=x, p=p, l=l,
+         info=[m, info, c, cinfo, ginfo, finfo])
 """
 
 
@@ -594,9 +711,10 @@ def test_cold_loaded_lapack_matches_scipy_linalg_lapack(tmp_path):
     c, _, _, _, cinfo = lapack.dstebz(d, e, 1, -np.inf, 1.1 * w[1], 0, 0,
                                       np.inf, b"E")
     *_, x, ginfo = lapack.dgtsv(e, d - 0.9 * w[0], e, np.ones((d.size, 1)))
-    assert list(cold["info"]) == [m, info, c, cinfo, ginfo] \
-        == [2, 0, 2, 0, 0]
-    for key, ref in (("w", w), ("x", x)):
+    p, l, finfo = lapack.dpttrf(d - 0.9 * w[0], e)
+    assert list(cold["info"]) == [m, info, c, cinfo, ginfo, finfo] \
+        == [2, 0, 2, 0, 0, 0]
+    for key, ref in (("w", w), ("x", x), ("p", p), ("l", l)):
         assert np.array_equal(cold[key], ref), key
 
 
