@@ -16,7 +16,6 @@ from .errors import (  # noqa: F401
     DiraclabError,
     DomainError,
     GeometryError,
-    InfiniteAreaError,
     SchemaError,
 )
 from .geometry import (  # noqa: F401

@@ -357,13 +357,13 @@ def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
         return BoundVerdict(bound="essential", value=value, hypotheses=hyps,
                             lambda_star=math.nan, error_bar=math.nan,
                             margin=math.nan, verdict=verdict, notes=[note])
-    center = 0.5 * (grid.a + grid.b)
-    span = grid.b - grid.a
-    windows = [(center - 0.5 * f * span, center + 0.5 * f * span)
-               for f in ESSENTIAL_WINDOW_FRACTIONS]
+    # centred windows whose widest one is the grid's own (a, b), so none
+    # crosses the surface's ends by a rounding
+    insets = [0.5 * (1.0 - f) * (grid.b - grid.a)
+              for f in ESSENTIAL_WINDOW_FRACTIONS]
+    windows = [(grid.a + d, grid.b - d) for d in insets]
     threshold = ESSENTIAL_PROBE_MARGIN * value
-    probe = truncation_probe(surface, KIND_DIRAC, spin, windows, threshold,
-                             n_base=grid.n)
+    probe = truncation_probe(surface, KIND_DIRAC, spin, windows, threshold)
     notes = [f"counts below {threshold:.6g}: {probe.counts}"]
     verdict = HOLDS if probe.stable else VIOLATED_UNEXPECTED
     if not probe.stable:

@@ -17,9 +17,9 @@ import sys
 from collections import namedtuple
 
 from . import __version__, bounds, geometry, scenarios
-from .eigensolve import GridPolicy, fundamental_tone, truncation_probe
-from .errors import (CatalogError, DiraclabError, InfiniteAreaError,
-                     SchemaError)
+from .eigensolve import (GridPolicy, check_probe_windows, fundamental_tone,
+                         truncation_probe)
+from .errors import AssemblyError, CatalogError, DiraclabError, SchemaError
 from .operators import KIND_DIRAC, KIND_LAPLACIAN, assemble, rayleigh_quotient
 from .spin import SpinStructure
 
@@ -30,6 +30,8 @@ EXIT_USAGE = 64
 
 # Node cap of the finest grid of a ladder.
 MAX_GRID_NODES = 2 ** 20
+# Row cap of a sweep; each row is a scenario run.
+MAX_SWEEP_VALUES = 10_000
 # Base grid size of a sweep's L and k rows when --grid-n is not given.
 SWEEP_GRID_N = 256
 
@@ -95,12 +97,8 @@ class _ScenarioRun:
 
     def area(self) -> float:
         """The surface's area, math.inf where it diverges."""
-        def compute():
-            try:
-                return geometry.area(self.scenario.surface)
-            except InfiniteAreaError:
-                return math.inf
-        return self._memo("area", compute)
+        return self._memo("area",
+                          lambda: geometry.area(self.scenario.surface))
 
 
 def _tone_json(tone) -> dict:
@@ -208,8 +206,7 @@ def _killing(run, exp):
 def _probe(run, exp):
     probe = truncation_probe(
         run.scenario.surface, exp.get("operator", KIND_DIRAC),
-        run.scenario.spin, [tuple(w) for w in exp["windows"]],
-        exp["threshold"], n_base=run.policy.base_n)
+        run.scenario.spin, exp["windows"], exp["threshold"])
     run.diagnostics["probe"] = detail = probe
     if exp["behavior"] == "stable":
         return probe.stable, detail
@@ -300,14 +297,18 @@ def _validate_expected(scenario) -> None:
             if key in exp and not geometry.is_finite_number(exp[key]):
                 raise CatalogError(f"{where}: key {key!r} must be a finite "
                                    f"number, got {exp[key]!r}")
-        windows = exp.get("windows")
-        if "windows" in exp and not (
-                isinstance(windows, list) and windows and all(
+        if "windows" in exp:
+            windows = exp["windows"]
+            if not (isinstance(windows, list) and windows and all(
                     isinstance(w, list) and len(w) == 2
                     and all(map(geometry.is_finite_number, w))
                     for w in windows)):
-            raise CatalogError(f"{where}: key 'windows' must list one or "
-                               f"more [start, stop] pairs")
+                raise CatalogError(f"{where}: key 'windows' must list one "
+                                   f"or more [start, stop] pairs")
+            try:
+                check_probe_windows(scenario.surface, windows)
+            except AssemblyError as exc:
+                raise CatalogError(f"{where}: key 'windows': {exc}") from exc
         if "bound" in keys and not (isinstance(exp["bound"], str)
                                     and exp["bound"] in BOUNDS):
             raise CatalogError(f"{where}: unknown bound {exp['bound']!r}")
@@ -356,9 +357,9 @@ def _format_pretty(doc: dict) -> str:
 
     lines = [f"scenario: {doc['scenario']}"]
     geo = doc["geometry"]
-    lines.append(
-        f"  area={geo['area']}  kappa_spinor={geo['kappa_spinor']:.6g}  "
-        f"spin={geo['spin']}")
+    area = "n/a" if geo["area"] is None else geo["area"]
+    lines.append(f"  area={area}  kappa_spinor={num(geo['kappa_spinor'])}  "
+                 f"spin={geo['spin']}")
     for v in doc["verdicts"]:
         lines.append(
             f"  bound {v['bound']:<13} value={num(v['value']):<12} "
@@ -426,7 +427,8 @@ def _sweep_number(text: str) -> float:
 
 
 def _parse_range(spec: str):
-    # "a:b:step" or comma list
+    """The values of "start:stop:step" or of a comma list, at most
+    MAX_SWEEP_VALUES of them; a range is counted before it is built."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -434,11 +436,16 @@ def _parse_range(spec: str):
         start, stop, step = (_sweep_number(p) for p in parts)
         if step <= 0 or stop < start:
             raise CatalogError(f"empty range {spec!r}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(n)]
+        steps = (stop - start) / step + 1e-9  # inf when the span overflows
+        if not steps < MAX_SWEEP_VALUES:
+            raise CatalogError(f"range {spec!r} has more than "
+                               f"{MAX_SWEEP_VALUES} values")
+        return [start + i * step for i in range(int(math.floor(steps)) + 1)]
     values = [_sweep_number(p) for p in spec.split(",") if p]
     if not values:
         raise CatalogError("empty sweep range")
+    if len(values) > MAX_SWEEP_VALUES:
+        raise CatalogError(f"sweep lists more than {MAX_SWEEP_VALUES} values")
     return values
 
 
@@ -526,12 +533,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "scenario and its expected checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    default = GridPolicy()
     pv = sub.add_parser("verify", help="run one scenario's expected checks")
     pv.add_argument("--scenario", required=True,
                     help="catalog id or path to a scenario JSON file")
-    pv.add_argument("--grid-n", type=int, default=512,
+    pv.add_argument("--grid-n", type=int, default=default.base_n,
                     help="base grid size (doubles per refinement level)")
-    pv.add_argument("--levels", type=int, default=3,
+    pv.add_argument("--levels", type=int, default=default.levels,
                     help="refinement levels for extrapolation")
     pv.add_argument("--tol", type=float, default=1.0,
                     help="scale factor applied to every expected tolerance")

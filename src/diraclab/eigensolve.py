@@ -56,10 +56,9 @@ from .spin import SCALAR, lattice_modes, mode_lower_bound_term
 # Tone walks and probes look at most at this many lowest nonnegative modes.
 MAX_MODE_CUTOFF = 64
 
-PROBE_MAX_BASE_N = 800  # node cap of a probe's first window
-
-# A tone whose ladder starts above SEED_N nodes seeds its level 0 with the
-# values bisected on one grid of SEED_N nodes.
+# The node count of every grid that is not a tone level: the one grid whose
+# bisected values seed level 0 of a ladder that starts above SEED_N nodes,
+# and a probe's first window.
 SEED_N = 512
 
 # A refined eigenvalue's interval is padded by BRACKET_SLACK * eps * ||T||_1,
@@ -476,8 +475,23 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
                       ground=best_ground[0], ground_op=best_ground[1])
 
 
+def check_probe_windows(surface, windows) -> list:
+    """The probe windows as (a, b) floats, each inside the surface and each
+    containing the one before it (1e-12 slack); AssemblyError otherwise."""
+    windows = [(float(a), float(b)) for a, b in windows]
+    for a, b in windows:
+        if not surface.t_min <= a < b <= surface.t_max:
+            raise AssemblyError(
+                f"probe window [{a}, {b}] must have t_min <= a < b <= t_max "
+                f"on [{surface.t_min}, {surface.t_max}]")
+    for (a0, b0), (a1, b1) in zip(windows, windows[1:]):
+        if a1 > a0 + 1e-12 or b1 < b0 - 1e-12:
+            raise AssemblyError("probe windows must be nested and growing")
+    return windows
+
+
 def truncation_probe(surface, kind: str, spin, windows, threshold: float,
-                     n_base: int = 512) -> ProbeResult:
+                     n_base: int = SEED_N) -> ProbeResult:
     """Count eigenvalues below `threshold` on a nested window sequence.
 
     Stabilizing counts indicate purely discrete spectrum below the
@@ -485,17 +499,15 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
     counts that keep growing signal spectrum accumulating below it.
     All probe windows use Dirichlet walls and share one node spacing so the
     discrete spaces are genuinely nested; the first window gets n_base
-    nodes, at most PROBE_MAX_BASE_N.  Each window counts modes up to the
-    first floor above the threshold, and raises ConvergenceError when all
+    nodes, whatever ladder the tones refine on.  The windows must pass
+    check_probe_windows.  Each window counts modes up to the first floor
+    above the threshold, and raises ConvergenceError when all
     MAX_MODE_CUTOFF modes stay at or below it.
     """
-    windows = [(float(a), float(b)) for a, b in windows]
-    for (a0, b0), (a1, b1) in zip(windows, windows[1:]):
-        if a1 > a0 + 1e-12 or b1 < b0 - 1e-12:
-            raise AssemblyError("probe windows must be nested and growing")
+    windows = check_probe_windows(surface, windows)
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
     span0 = windows[0][1] - windows[0][0]
-    h = span0 / (min(n_base, PROBE_MAX_BASE_N) + 1)
+    h = span0 / (n_base + 1)
     modes = lattice_modes(structure, surface.period, MAX_MODE_CUTOFF)
     counts = []
     for a, b in windows:

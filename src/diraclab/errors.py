@@ -13,10 +13,6 @@ class GeometryError(DiraclabError):
     """Invalid surface or warp data."""
 
 
-class InfiniteAreaError(DiraclabError):
-    """The warp integral diverges; area-based bounds are not applicable."""
-
-
 class AssemblyError(DiraclabError):
     """Operator assembly failed (bad warp data, inconsistent mode, ...)."""
 

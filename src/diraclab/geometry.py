@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, InfiniteAreaError
+from .errors import DomainError, GeometryError
 
 END_BOUNDARY = "incomplete-boundary"
 END_CUSP = "cusp-complete"
@@ -111,7 +111,7 @@ class ExpCuspWarp:
         return self.c * np.exp(-np.asarray(t, dtype=float))
 
     def integral(self, a, b):
-        # finite for b = inf; a = -inf diverges and is rejected by area()
+        # finite for b = inf; area() reports a = -inf as diverging
         with np.errstate(over="ignore"):
             return self.c * float(np.exp(-a) - np.exp(-b))
 
@@ -352,21 +352,18 @@ def gauss_curvature(surface: WarpedSurface, t):
 def area(surface: WarpedSurface) -> float:
     """P * integral of f over the interval, in closed form for each warp.
 
-    Raises InfiniteAreaError when the integral diverges (e.g. a constant
-    warp on an infinite interval).
+    math.inf where the integral diverges: an infinite interval with any warp
+    but an exponential cusp decaying toward it.  A result that is NaN or not
+    positive raises GeometryError.
     """
     lo, hi = surface.t_min, surface.t_max
-    if math.isinf(lo) or math.isinf(hi):
-        if not isinstance(surface.warp, ExpCuspWarp):
-            raise InfiniteAreaError(
-                "infinite interval needs an explicit decaying cusp profile"
-            )
-        # c*exp(-t) has finite mass only toward +infinity
-        if math.isinf(lo):
-            raise InfiniteAreaError("exp cusp diverges toward t -> -infinity")
+    # c*exp(-t) has finite mass only toward +infinity
+    if math.isinf(lo) or (math.isinf(hi)
+                          and not isinstance(surface.warp, ExpCuspWarp)):
+        return math.inf
     result = surface.period * surface.warp.integral(lo, hi)
-    if not math.isfinite(result) or result <= 0:
-        raise InfiniteAreaError(f"area came out {result}")
+    if not result > 0:
+        raise GeometryError(f"area came out {result}")
     return result
 
 

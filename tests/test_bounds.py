@@ -24,7 +24,7 @@ from diraclab.bounds import (
     reports_to_csv,
 )
 from diraclab.eigensolve import GridPolicy, smallest_eigenpairs
-from diraclab.errors import AssemblyError, InfiniteAreaError, SchemaError
+from diraclab.errors import AssemblyError, SchemaError
 from diraclab.geometry import (
     END_BOUNDARY,
     END_CUSP,
@@ -129,8 +129,7 @@ def test_area_check_infinite_area_is_inapplicable():
     surface = WarpedSurface(warp=ConstantWarp(1.0), t_min=0.0,
                             t_max=math.inf, period=2.0 * math.pi,
                             end_labels=(END_BOUNDARY, END_CUSP))
-    with pytest.raises(InfiniteAreaError):
-        area(surface)
+    assert area(surface) == math.inf
     v = area_bound_check(SpinStructure.BOUNDING, math.inf, 1.0, 1e-9,
                          SOURCE_TONE, False)
     assert v.verdict == INAPPLICABLE
@@ -270,6 +269,28 @@ def test_essential_check_three_regimes():
     prof = curvature_profile(cusp.surface, grid)
     v = essential_bound_check(cusp.surface, cusp.spin, prof, grid)
     assert v.verdict == INAPPLICABLE  # negative curvature tail
+
+
+def test_essential_windows_stay_inside_a_shifted_surface():
+    # shifted by 0.7, the widest window centred on the grid's midpoint
+    # would round past t_min; the windows start at the grid's own ends
+    from dataclasses import replace
+
+    from diraclab.geometry import TabulatedWarp
+    grow = find_scenario("growing-curvature").surface
+    shift = 0.7
+    moved = replace(grow, warp=TabulatedWarp(grow.warp.ts + shift,
+                                             grow.warp.fs),
+                    t_min=grow.t_min + shift, t_max=grow.t_max + shift)
+    notes = []
+    for surface in (grow, moved):
+        grid = make_grid(surface, 64)
+        prof = curvature_profile(surface, grid)
+        v = essential_bound_check(surface, SpinStructure.BOUNDING, prof,
+                                  grid)
+        assert v.verdict == HOLDS
+        notes.append(v.notes)
+    assert notes[0] == notes[1]
 
 
 def test_report_schema_guard_and_csv():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,14 @@ def test_verify_bad_flags_usage_error(capsys):
         code, _, err = run(["verify", "--scenario", "round-sphere", *flags],
                            capsys)
         assert (code, err.startswith("usage error")) == (64, True), flags
+    # flags argparse itself rejects exit 64 too; --help exits 0
+    for argv in (["--scenario", "round-sphere", "--format", "xml"],
+                 ["--scenario", "round-sphere", "--grid-n", "abc"],
+                 ["--scenario", "round-sphere", "--no-such-flag"], []):
+        code, _, err = run(["verify", *argv], capsys)
+        assert (code, "usage: diraclab" in err) == (64, True), argv
+    code, out, _ = run(["verify", "--help"], capsys)
+    assert code == 0 and "--grid-n" in out
 
 
 def test_grid_ladder_above_the_node_cap_is_usage_error(capsys, monkeypatch):
@@ -138,17 +147,16 @@ def test_friedrich_entry_reads_a_section_statistic():
 
 
 def test_infinite_area_reads_null_in_every_part_of_a_report(monkeypatch):
-    # the run maps a diverging area to inf once: the geometry summary and
-    # the area check write null, and the area bound degenerates
+    # a diverging area is inf: the geometry summary and the area check
+    # write null, and the area bound degenerates
     from dataclasses import replace
 
     from diraclab import cli, geometry
     from diraclab.eigensolve import GridPolicy
-    from diraclab.errors import InfiniteAreaError
     from diraclab.scenarios import find_scenario
 
     def diverges(surface):
-        raise InfiniteAreaError("diverges")
+        return math.inf
     monkeypatch.setattr(geometry, "area", diverges)
     sc = find_scenario("flat-cylinder-l5-bounding")
     entries = tuple(e for e in sc.expected if e["check"] == "area"
@@ -316,7 +324,8 @@ def test_sweep_empty_range_usage_error(capsys, monkeypatch):
                  ["--sweep", "N=256,8"], ["--sweep", "L=5,-1"],
                  ["--sweep", "k=1,0"], ["--sweep", "N=64", "--grid-n", "128"],
                  ["--sweep", "k=1.5"], ["--sweep", "k=1:3:0.5"],
-                 ["--sweep", "N=100.5"]):
+                 ["--sweep", "N=100.5"], ["--sweep", "L=1:2:1e-12"],
+                 ["--sweep", "L=-1e308:1e308:1"]):
         code, _, err = run(["sweep", *argv], capsys)
         assert (code, err.startswith("usage error")) == (64, True), argv
 
@@ -391,6 +400,37 @@ def test_report_missing_nested_key_is_schema_error(tmp_path, capsys):
         code, _, err = run(["report", str(bad), "--format", "csv"], capsys)
         assert code == 1 and err.startswith("schema error:"), err
         assert f"report {part}" in err and repr(key) in err, err
+
+
+def test_verify_csv_and_pretty_formats(tmp_path, capsys):
+    from diraclab.bounds import reports_to_csv
+    outs = {}
+    for fmt in ("json", "csv", "pretty"):
+        code, outs[fmt], _ = run(["verify", "--scenario", "round-sphere",
+                                  "--format", fmt], capsys)
+        assert code == 0, fmt
+    doc = json.loads(outs["json"])
+    assert outs["csv"] == reports_to_csv([doc])
+    assert outs["csv"].splitlines()[1].startswith("round-sphere,")
+    lines = outs["pretty"].splitlines()
+    assert lines[0] == "scenario: round-sphere"
+    assert lines[1] == (f"  area={doc['geometry']['area']}  "
+                        f"kappa_spinor=0.5  spin=bounding")
+    assert lines[-1] == "  all_expected_match: True"
+    assert len(lines) == 3 + len(doc["verdicts"]) + len(doc["checks"])
+
+
+def test_report_pretty_prints_null_numbers_as_na(tmp_path, capsys):
+    # any number in a report may be null (the one null rule)
+    path = tmp_path / "nulls.json"
+    main(["verify", "--scenario", "flat-cylinder-l2-bounding",
+          "--grid-n", "64", "--levels", "2", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc["geometry"].update(area=None, kappa_spinor=None)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["report", str(path), "--format", "pretty"], capsys)
+    assert code == 0, err
+    assert "  area=n/a  kappa_spinor=n/a  spin=" in out
 
 
 def test_report_missing_file_is_usage_error(tmp_path, capsys):
@@ -549,6 +589,16 @@ OTHER_CASES = [
     pytest.param({"check": "killing", "applicable": False,
                   "max_norm_variation": 1e-2}, "max_norm_variation",
                  id="inapplicable-killing-with-a-limit"),
+    # the probe window rule, on the flat cylinder t in [0, 3]
+    pytest.param({"check": "probe", "windows": [[2, 0], [0, 3]],
+                  "threshold": 0.1, "behavior": "stable"}, "windows",
+                 id="reversed-window"),
+    pytest.param({"check": "probe", "windows": [[0, 3], [0, 2]],
+                  "threshold": 0.1, "behavior": "stable"}, "windows",
+                 id="shrinking-windows"),
+    pytest.param({"check": "probe", "windows": [[0, 2], [0, 4]],
+                  "threshold": 0.1, "behavior": "growing"}, "windows",
+                 id="window-past-the-surface"),
 ]
 
 
@@ -814,6 +864,47 @@ def _patch_bindings(monkeypatch, fn, wrapper):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_probes_lay_seed_n_nodes_on_every_ladder(monkeypatch):
+    # a probe's first window has SEED_N nodes whatever ladder the tones
+    # refine on: the probe check and the essential bound pass no n_base
+    from diraclab import cli, eigensolve, operators
+    from diraclab.eigensolve import GridPolicy
+    from diraclab.scenarios import find_scenario
+    built, first = [], []
+    real_probe = eigensolve.truncation_probe
+
+    def grid(*args, **kwargs):
+        built.append(operators.Grid(*args, **kwargs))
+        return built[-1]
+
+    def probe(*args, **kwargs):
+        built.clear()
+        result = real_probe(*args, **kwargs)
+        first.append(built[0].n)
+        return result
+    monkeypatch.setattr(eigensolve, "Grid", grid)
+    _patch_bindings(monkeypatch, real_probe, probe)
+    for policy in (GridPolicy(base_n=64, levels=2), GridPolicy(),
+                   GridPolicy(base_n=8192, levels=4)):
+        for sid in ("growing-curvature", "long-cylinder-probe"):
+            first.clear()
+            cli.run_scenario(find_scenario(sid), policy)
+            assert first and set(first) == {eigensolve.SEED_N}, (policy, sid)
+
+
+def test_verify_reads_its_default_ladder_from_grid_policy(monkeypatch):
+    from diraclab import cli
+    from diraclab.eigensolve import GridPolicy
+
+    def defaults():
+        args = cli._build_parser().parse_args(["verify", "--scenario", "x"])
+        return args.grid_n, args.levels
+    assert defaults() == (GridPolicy().base_n, GridPolicy().levels)
+    monkeypatch.setattr(cli, "GridPolicy",
+                        lambda: GridPolicy(base_n=256, levels=4))
+    assert defaults() == (256, 4)
 
 
 def test_scenario_run_lays_one_grid_ladder(monkeypatch):

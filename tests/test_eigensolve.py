@@ -650,6 +650,20 @@ def test_probe_rejects_non_nested_windows():
                          [(0.0, 8.0), (1.0, 6.0)], 0.1)
 
 
+def test_probe_rejects_windows_off_the_surface():
+    # each window [a, b] needs t_min <= a < b <= t_max; a window that ends
+    # on the surface's end is allowed
+    s = cylinder(10.0)
+    for windows in ([(8.0, 0.0), (0.0, 10.0)], [(0.0, 8.0), (0.0, 16.0)],
+                    [(-1.0, 8.0)]):
+        with pytest.raises(AssemblyError, match="t_min <= a < b <= t_max"):
+            truncation_probe(s, KIND_DIRAC, SpinStructure.NON_BOUNDING,
+                             windows, 0.1)
+    probe = truncation_probe(s, KIND_DIRAC, SpinStructure.NON_BOUNDING,
+                             [(0.0, 5.0), (0.0, 10.0)], 0.1, n_base=64)
+    assert probe.windows == [(0.0, 5.0), (0.0, 10.0)]
+
+
 def test_probe_round_sphere_counts_stable():
     s = sphere()
     d = 0.3

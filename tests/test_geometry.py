@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diraclab import geometry
-from diraclab.errors import DomainError, GeometryError, InfiniteAreaError
+from diraclab.errors import DomainError, GeometryError
 from diraclab.geometry import (
     ConstantWarp,
     CosineWarp,
@@ -116,8 +116,16 @@ def test_area_divergent_raises():
                       period=2 * math.pi,
                       end_labels=(geometry.END_CUSP, geometry.END_BOUNDARY)),
     ):
-        with pytest.raises(InfiniteAreaError):
-            area(s)
+        assert area(s) == math.inf
+
+
+def test_area_that_is_not_positive_raises():
+    # geometry.area owns divergence: a finite interval whose integral comes
+    # out negative (cos < 0 on (2, 4)) is bad data, not a diverging area
+    s = WarpedSurface(warp=CosineWarp(), t_min=2.0, t_max=4.0,
+                      period=2 * math.pi)
+    with pytest.raises(GeometryError, match="area came out"):
+        area(s)
 
 
 def test_curvature_profile_sphere():
