@@ -17,8 +17,8 @@ import sys
 from collections import namedtuple
 
 from . import __version__, bounds, geometry, scenarios
-from .eigensolve import (GridPolicy, check_probe_windows, fundamental_tone,
-                         truncation_probe)
+from .eigensolve import (MAX_GRID_NODES, GridPolicy, check_probe_windows,
+                         fundamental_tone, truncation_probe)
 from .errors import AssemblyError, CatalogError, DiraclabError, SchemaError
 from .operators import KIND_DIRAC, KIND_LAPLACIAN, assemble, rayleigh_quotient
 from .spin import SpinStructure
@@ -28,8 +28,6 @@ EXIT_INTERNAL = 1
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
 
-# Node cap of the finest grid of a ladder.
-MAX_GRID_NODES = 2 ** 20
 # Row cap of a sweep; each row is a scenario run.
 MAX_SWEEP_VALUES = 10_000
 # Base grid size of a sweep's L and k rows when --grid-n is not given.

@@ -25,6 +25,13 @@ The three LAPACK routines come from scipy's f2py module, loaded by file
 spec, because importing scipy.linalg for them would cost a cold verify more
 than half its time in scipy's array-API shim.  This is the package's only
 route to scipy: dgtsv also solves geometry.TabulatedWarp's spline moments.
+The solves and pivot counts run in place on one workspace per thread: six
+float64 scratch vectors that dgtsv (all four overwrite flags) and dpttrf
+overwrite, the matvec and the residual write into, and that grow to the
+largest block solved and are never freed.  A thread keeps about 6 * 8 * n
+bytes for its largest n: about 3 MB after an 8192 x 4 ladder, about 48 MB
+after one whose finest grid has 2^20 nodes.  Scratch views never leave
+this module's kernels; every returned vector and section is a fresh array.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,14 +55,19 @@ from .operators import (
     ReducedOperator,
     Section,
     assemble,
+    lay_grid,
     make_grid,
-    tridiagonal_matvec,
+    sample_grid,
 )
 from .spin import SCALAR, lattice_modes, mode_lower_bound_term
 
 
 # Tone walks and probes look at most at this many lowest nonnegative modes.
 MAX_MODE_CUTOFF = 64
+
+# Node cap of every grid: the finest level of a tone ladder, and each
+# probe window.
+MAX_GRID_NODES = 2 ** 20
 
 # The node count of every grid that is not a tone level: the one grid whose
 # bisected values seed level 0 of a ladder that starts above SEED_N nodes,
@@ -165,6 +178,26 @@ class ProbeResult:
     stable: bool
 
 
+_workspace = threading.local()
+
+
+def _scratch(name: str, n: int) -> np.ndarray:
+    """The first n entries of this thread's float64 scratch vector `name`.
+
+    Each vector grows to the largest n asked of it and is never freed, so
+    the solves of a ladder write into pages that stay mapped instead of
+    fresh arrays that the allocator hands back to the system between
+    modes.  Views of it never leave the kernels below.
+    """
+    bufs = getattr(_workspace, "bufs", None)
+    if bufs is None:
+        bufs = _workspace.bufs = {}
+    buf = bufs.get(name)
+    if buf is None or buf.size < n:
+        buf = bufs[name] = np.empty(n)
+    return buf[:n]
+
+
 def _congruence(block):
     """Scale M^(-1/2) and the diagonals of M^(-1/2) S M^(-1/2) of a block."""
     scale = 1.0 / np.sqrt(block.mass)
@@ -174,8 +207,8 @@ def _congruence(block):
 
 def _norm1(d, e) -> float:
     """||T||_1 of the symmetric tridiagonal T = (d, e)."""
-    row = np.abs(d)
-    off = np.abs(e)
+    row = np.abs(d, out=_scratch("diag", d.size))
+    off = np.abs(e, out=_scratch("dl", e.size))
     row[1:] += off
     row[:-1] += off
     return float(np.max(row))
@@ -192,10 +225,11 @@ def _count_below(d, e, hi: float) -> int:
     call per counted value.
     """
     n = d.size
-    q = d - hi
-    w = e.copy()
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e,
-                                                          initial=0.0)))
+    q = np.subtract(d, hi, out=_scratch("diag", n))
+    w = _scratch("dl", n - 1)
+    w[:] = e
+    e2 = np.multiply(e, e, out=_scratch("tmp", n - 1))
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
     count = start = 0
     while start < n - 1:  # dpttrf takes no matrix of order 1
         *_, info = dpttrf(q[start:], w[start:], overwrite_d=1, overwrite_e=1)
@@ -213,10 +247,31 @@ def _count_below(d, e, hi: float) -> int:
 
 
 def _shifted_solve(d, e, shift: float, x):
-    """(T - shift I)^(-1) x by dgtsv, normalized; None if the solve fails."""
-    *_, y, info = dgtsv(e, d - shift, e, x[:, None])
+    """(T - shift I)^(-1) x by dgtsv, normalized; None if the solve fails.
+
+    dgtsv overwrites its four arguments, scratch copies of e, e, d - shift
+    and x, in place.
+    """
+    n = d.size
+    dl, du = _scratch("dl", n - 1), _scratch("du", n - 1)
+    dl[:] = e
+    du[:] = e
+    b = _scratch("rhs", n)
+    b[:] = x
+    *_, y, info = dgtsv(dl, np.subtract(d, shift, out=_scratch("diag", n)),
+                        du, b[:, None], 1, 1, 1, 1)
     norm = np.linalg.norm(y) if info == 0 else math.nan
     return y[:, 0] / norm if 0.0 < norm < math.inf else None
+
+
+def _matvec(d, e, v):
+    """T v for T = (d, e), into scratch."""
+    n = d.size
+    out = np.multiply(d, v, out=_scratch("tx", n))
+    tmp = np.multiply(e, v[1:], out=_scratch("tmp", n - 1))
+    out[:-1] += tmp
+    out[1:] += np.multiply(e, v[:-1], out=tmp)
+    return out
 
 
 def _refine(d, e, count, near):
@@ -238,18 +293,19 @@ def _refine(d, e, count, near):
     """
     n = d.size
     slack = BRACKET_SLACK * np.finfo(float).eps * _norm1(d, e)
-    phase = (np.arange(n) + 0.5) * (math.pi / n)
+    if count > 1:
+        phase = (np.arange(n) + 0.5) * (math.pi / n)
     X = np.empty((n, count))
     top = -math.inf
     for j in range(count):
-        x = np.cos(j * phase)
+        x = np.cos(j * phase) if j else np.ones(n)  # cos(0) is exactly 1
         x -= X[:, :j] @ (X[:, :j].T @ x)
         shift, rq, tx = float(near[j]), float(near[j]), None
         for _ in range(RQI_STEPS):
             y = _shifted_solve(d, e, shift, x)
             if y is None:
                 break
-            x, tx, prev = y, tridiagonal_matvec(d, e, y), rq
+            x, tx, prev = y, _matvec(d, e, y), rq
             rq = shift = float(x @ tx)
             if abs(rq - prev) <= slack:
                 break
@@ -257,9 +313,10 @@ def _refine(d, e, count, near):
             return None
         if tx is None:  # the first solve failed: judge the start vector
             x = x / np.linalg.norm(x)
-            tx = tridiagonal_matvec(d, e, x)
+            tx = _matvec(d, e, x)
             rq = float(x @ tx)
-        r = float(np.linalg.norm(tx - rq * x)) + slack
+        res = np.multiply(x, rq, out=_scratch("tmp", n))
+        r = float(np.linalg.norm(np.subtract(tx, res, out=res))) + slack
         if not rq - r > top:
             return None
         top = rq + r
@@ -387,23 +444,25 @@ def richardson(seq) -> tuple:
     return val, abs(val - l2) + 1e-14, p
 
 
-def _mode_value(surface, kind, spin, nu, grids, pick, seed_grid):
+def _mode_value(surface, kind, spin, nu, ladder, pick, seed):
     """Pair `pick` of one mode per level, extrapolated; its level-0 section
     and operator.
 
-    Each level after the first refines its solve from the values of the
-    level before; level 0 refines from the values each block bisects on
-    seed_grid, when there is one, and bisects its own blocks otherwise.
+    ladder lists (grid, sample_grid samples) per level, and seed is such a
+    pair or None.  Each level after the first refines its solve from the
+    values of the level before; level 0 refines from the values each block
+    bisects on the seed grid, when there is one, and bisects its own blocks
+    otherwise.
     """
     seq = []
     rows = []
     near = None
-    if seed_grid is not None:
-        seed_op = assemble(surface, kind, spin, nu, seed_grid)
+    if seed is not None:
+        seed_op = assemble(surface, kind, spin, nu, *seed)
         near = [_bisect(*_congruence(b)[1:], pick + 1)
                 for b in seed_op.blocks]
-    for level, grid in enumerate(grids):
-        op = assemble(surface, kind, spin, nu, grid)
+    for level, (grid, samples) in enumerate(ladder):
+        op = assemble(surface, kind, spin, nu, grid, samples)
         res = smallest_eigenpairs(op, pick + 1, near)
         near = res.block_values
         value = float(res.eigenvalues[pick])
@@ -433,8 +492,10 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
 
     grids is the ladder to refine on, coarsest first (GridPolicy.grids);
     a ladder that starts above SEED_N nodes seeds level 0 from one grid of
-    SEED_N nodes.  The result's ground is the attaining mode's level-0
-    section, and ground_op the operator it solves.
+    SEED_N nodes, laid for the end kinds of grids[0].  Each grid is sampled
+    once, and every mode assembles on those samples.  The result's ground
+    is the attaining mode's level-0 section, and ground_op the operator it
+    solves.
     """
     if kind not in (KIND_LAPLACIAN, KIND_DIRAC):
         raise AssemblyError(f"unknown operator kind {kind!r}")
@@ -442,7 +503,11 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
         raise AssemblyError("dirac tone needs a spin structure")
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
     ends = grids[0].side_kinds
-    seed_grid = make_grid(surface, SEED_N) if grids[0].n > SEED_N else None
+    ladder = [(grid, sample_grid(surface, grid, kind)) for grid in grids]
+    seed = None
+    if grids[0].n > SEED_N:
+        seed_grid = lay_grid(surface, SEED_N, ends, grids[0].side_slopes)
+        seed = (seed_grid, sample_grid(surface, seed_grid, kind))
     kernel_skip = kind == KIND_LAPLACIAN and "regular" not in ends
 
     flags = []
@@ -462,7 +527,7 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
             break
         pick = int(kernel_skip and abs(nu) < 1e-12)  # skip the kernel
         val, bar, order, rows, ground = _mode_value(
-            surface, kind, spin, nu, grids, pick, seed_grid)
+            surface, kind, spin, nu, ladder, pick, seed)
         per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
         table.extend(rows)
         if val < best:
@@ -475,9 +540,26 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
                       ground=best_ground[0], ground_op=best_ground[1])
 
 
-def check_probe_windows(surface, windows) -> list:
+def _window_nodes(windows, n_base: int) -> list:
+    """The node count of each probe window: n_base on the first, and the
+    first window's spacing on the rest; AssemblyError above
+    MAX_GRID_NODES, before any grid is laid."""
+    span0 = windows[0][1] - windows[0][0]
+    h = span0 / (n_base + 1)
+    sizes = [max(16, int(round((b - a) / h)) - 1) for a, b in windows]
+    for (a, b), n in zip(windows, sizes):
+        if n > MAX_GRID_NODES:
+            raise AssemblyError(
+                f"probe window [{a}, {b}] at the first window's spacing "
+                f"needs {n} nodes, above the cap of {MAX_GRID_NODES}")
+    return sizes
+
+
+def check_probe_windows(surface, windows, n_base: int = SEED_N) -> list:
     """The probe windows as (a, b) floats, each inside the surface and each
-    containing the one before it (1e-12 slack); AssemblyError otherwise."""
+    containing the one before it (1e-12 slack), and none above
+    MAX_GRID_NODES nodes when the first has n_base; AssemblyError
+    otherwise."""
     windows = [(float(a), float(b)) for a, b in windows]
     for a, b in windows:
         if not surface.t_min <= a < b <= surface.t_max:
@@ -487,6 +569,7 @@ def check_probe_windows(surface, windows) -> list:
     for (a0, b0), (a1, b1) in zip(windows, windows[1:]):
         if a1 > a0 + 1e-12 or b1 < b0 - 1e-12:
             raise AssemblyError("probe windows must be nested and growing")
+    _window_nodes(windows, n_base)
     return windows
 
 
@@ -500,18 +583,15 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
     All probe windows use Dirichlet walls and share one node spacing so the
     discrete spaces are genuinely nested; the first window gets n_base
     nodes, whatever ladder the tones refine on.  The windows must pass
-    check_probe_windows.  Each window counts modes up to the first floor
-    above the threshold, and raises ConvergenceError when all
+    check_probe_windows at n_base.  Each window counts modes up to the
+    first floor above the threshold, and raises ConvergenceError when all
     MAX_MODE_CUTOFF modes stay at or below it.
     """
-    windows = check_probe_windows(surface, windows)
+    windows = check_probe_windows(surface, windows, n_base)
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
-    span0 = windows[0][1] - windows[0][0]
-    h = span0 / (n_base + 1)
     modes = lattice_modes(structure, surface.period, MAX_MODE_CUTOFF)
     counts = []
-    for a, b in windows:
-        n = max(16, int(round((b - a) / h)) - 1)
+    for (a, b), n in zip(windows, _window_nodes(windows, n_base)):
         grid = Grid(a=a, b=b, n=n)
         total = 0
         for nu in modes:

@@ -290,17 +290,22 @@ class WarpedSurface:
 
 
 def surface_from_json(doc: dict) -> WarpedSurface:
+    """The surface of a document; GeometryError where its values do not
+    describe one, its area not positive included (a warp that is not
+    positive on the interval)."""
     if doc.get("schema_version") != 1:
         raise GeometryError(
             f"unsupported surface schema_version {doc.get('schema_version')!r}"
         )
-    return WarpedSurface(
+    surface = WarpedSurface(
         warp=warp_from_json(doc["warp"]),
         t_min=_finite(doc, "t_min"),
         t_max=_finite(doc, "t_max"),
         period=_finite(doc, "period"),
         end_labels=tuple(doc["end_labels"]),
     )
+    area(surface)
+    return surface
 
 
 def _warp_scale(surface: WarpedSurface) -> float:

@@ -93,20 +93,30 @@ class Grid:
 def make_grid(surface, n: int) -> Grid:
     """Compute the solve window for a surface and lay down n nodes.
 
-    Singular ends are truncated at distance delta = DELTA_RATIO * h (the
-    coupling keeps a single refinement parameter); cusp ends are cut where
-    the remaining tail area drops below CUSP_TAIL_REL of the cusp mass.
-    This is the one place that classifies the ends (Grid.side_kinds).
+    This is the one place that classifies the ends (Grid.side_kinds);
+    lay_grid places the window for them.
     """
     kinds = (geometry.end_kind(surface, "lower"),
              geometry.end_kind(surface, "upper"))
+    slopes = tuple(geometry.edge_slope(surface, side)
+                   if kind == "singular" else None
+                   for kind, side in zip(kinds, ("lower", "upper")))
+    return lay_grid(surface, n, kinds, slopes)
+
+
+def lay_grid(surface, n: int, kinds: tuple, slopes: tuple) -> Grid:
+    """n nodes on the solve window of a surface whose ends are already
+    classified: kinds and slopes as in Grid.side_kinds and side_slopes.
+
+    Singular ends are truncated at distance delta = DELTA_RATIO * h (the
+    coupling keeps a single refinement parameter); cusp ends are cut where
+    the remaining tail area drops below CUSP_TAIL_REL of the cusp mass.
+    """
     bounds = [surface.t_min, surface.t_max]
     ratios = [0.0, 0.0]
-    slopes = [None, None]
-    for i, side in enumerate(("lower", "upper")):
+    for i in range(2):
         if kinds[i] == "singular":
             ratios[i] = DELTA_RATIO
-            slopes[i] = geometry.edge_slope(surface, side)
         elif kinds[i] == "cusp" and math.isinf(bounds[i]):
             if not isinstance(surface.warp, geometry.ExpCuspWarp) or i == 0:
                 raise AssemblyError(
@@ -119,7 +129,8 @@ def make_grid(surface, n: int) -> Grid:
     h = span / (n + 1 + ratios[0] + ratios[1])
     a = bounds[0] + ratios[0] * h
     b = bounds[1] - ratios[1] * h
-    return Grid(a=a, b=b, n=n, side_kinds=kinds, side_slopes=tuple(slopes))
+    return Grid(a=a, b=b, n=n, side_kinds=tuple(kinds),
+                side_slopes=tuple(slopes))
 
 
 def tridiagonal_matvec(diag: np.ndarray, off: np.ndarray,
@@ -139,8 +150,10 @@ class Block:
     holds the diagonal mass weights: the node weights P f h, halved at a
     free side so that their sum tracks the area of the grid span.  w_e and
     a_e are the weights P f h (zero at a free side) and coefficients
-    f'/(2f) + mu/f (zero for the scalar mode) of the n + 1 elements; pot is
-    the scalar node potential P h nu^2 / f (zero for a Dirac block).
+    f'/(2f) + mu/f of the n + 1 elements; pot is the scalar node potential
+    P h nu^2 / f.  A scalar block has a_e None and a Dirac block pot None:
+    those terms vanish.  mass and w_e may be read-only arrays that other
+    blocks of the same grid share.
     """
 
     diag: np.ndarray
@@ -148,8 +161,8 @@ class Block:
     mass: np.ndarray
     h: float
     w_e: np.ndarray
-    a_e: np.ndarray
-    pot: np.ndarray
+    a_e: np.ndarray | None
+    pot: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -159,15 +172,23 @@ class Block:
         """(A u)_e = (u_{e+1} - u_e)/h + a_e (u_e + u_{e+1})/2 on all n + 1
         elements, with ghost zeros at both fenceposts."""
         u = np.concatenate([[0.0], np.asarray(v), [0.0]])
-        return (u[1:] - u[:-1]) / self.h + self.a_e * 0.5 * (u[:-1] + u[1:])
+        du = (u[1:] - u[:-1]) / self.h
+        if self.a_e is None:
+            return du
+        return du + self.a_e * 0.5 * (u[:-1] + u[1:])
 
     def energy(self, v: np.ndarray) -> float:
-        """sum_e w_e |(A u)_e|^2 + sum_i pot_i |u_i|^2."""
-        return float(np.sum(self.w_e * np.abs(self.factor(v)) ** 2)
-                     + np.sum(self.pot * np.abs(np.asarray(v)) ** 2))
+        """sum_e w_e (A u)_e^2 + sum_i pot_i u_i^2 of a real vector."""
+        au = self.factor(v)
+        total = np.sum(self.w_e * (au * au))
+        if self.pot is not None:
+            u = np.asarray(v)
+            total = total + np.sum(self.pot * (u * u))
+        return float(total)
 
     def mass_form(self, v: np.ndarray) -> float:
-        return float(np.sum(self.mass * np.abs(np.asarray(v)) ** 2))
+        u = np.asarray(v)
+        return float(np.sum(self.mass * (u * u)))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return tridiagonal_matvec(self.diag, self.off, v)
@@ -241,7 +262,10 @@ def _check_positive(f_vals, what: str):
 
 
 def _at_free_sides(x, bc: tuple, factor: float) -> np.ndarray:
-    """A copy of x with each end entry scaled by factor where bc is free."""
+    """x itself where bc has no free side; else a copy of x with each end
+    entry scaled by factor where bc is free."""
+    if FREE not in bc:
+        return x
     x = np.array(x, dtype=float)
     if bc[0] == FREE:
         x[0] *= factor
@@ -261,71 +285,96 @@ def node_weights(surface, grid: Grid) -> tuple:
     return surface.period * f * grid.h, f
 
 
-def _samples(surface, grid: Grid, kind: str) -> tuple:
-    """The node weights and f at the nodes, f at all n + 1 element
-    midpoints, and f'/(2f) at the midpoints for a Dirac operator; both of
-    its blocks share them."""
+def sample_grid(surface, grid: Grid, kind: str) -> tuple:
+    """What an assembly of `kind` on grid reads, as read-only arrays.
+
+    Returns (w, w_e, f_nodes, fm, half_log): the node weights P f h and the
+    element weights P f h at all n + 1 element midpoints, then f at the
+    nodes for the Laplacian, and f at the midpoints and f'/(2f) there for
+    a Dirac operator (None where the kind reads nothing).  Every block and
+    mode assembled on the grid may share them.
+    """
     mids = grid.a + grid.h * (np.arange(grid.n + 1) + 0.5)
     w, f_nodes = node_weights(surface, grid)
     fm = np.asarray(surface.f(mids), dtype=float)
     _check_positive(fm, "element midpoints")
-    half_log = (np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm)
-                if kind == KIND_DIRAC else None)
-    return w, f_nodes, fm, half_log
+    w_e = surface.period * fm * grid.h
+    if kind == KIND_DIRAC:
+        half_log = np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm)
+        out = (w, w_e, None, fm, half_log)
+    else:
+        out = (w, w_e, f_nodes, None, None)
+    for x in out:
+        if x is not None:
+            x.flags.writeable = False
+    return out
 
 
 def _assemble_block(surface, grid: Grid, kind: str, coef: float,
                     samples: tuple) -> Block:
-    w, f_nodes, fm, half_log = samples
+    w, w_e, f_nodes, fm, half_log = samples
     h = grid.h
-    P = surface.period
     bc = block_boundary_conditions(kind, coef, grid)
-    w_e = _at_free_sides(P * fm * h, bc, 0.0)
-    if kind == KIND_DIRAC:
-        a_e = half_log + coef / fm
-        pot = np.zeros(grid.n)
-    else:
-        a_e = np.zeros(grid.n + 1)
-        pot = _at_free_sides(P * h * coef ** 2 / f_nodes, bc, 0.5)
+    w_e = _at_free_sides(w_e, bc, 0.0)
+    mass = _at_free_sides(w, bc, 0.5)
+    if kind == KIND_LAPLACIAN:
+        # (A u)_e = (u_{e+1} - u_e) / h: the squares of the Dirac rule
+        # below with a_e = 0, without their zero terms
+        pot = _at_free_sides(surface.period * h * coef ** 2 / f_nodes, bc,
+                             0.5)
+        t = w_e * (1.0 / h) * (1.0 / h)
+        return Block(diag=t[:-1] + t[1:] + pot, off=-t[1:-1], mass=mass,
+                     h=h, w_e=w_e, a_e=None, pot=pot)
+    a_e = half_log + coef / fm
     # (A u)_e = left_e u_e + right_e u_{e+1}
     left = -1.0 / h + 0.5 * a_e
     right = 1.0 / h + 0.5 * a_e
-    diag = (w_e * right * right)[:-1] + (w_e * left * left)[1:] + pot
+    diag = (w_e * right * right)[:-1] + (w_e * left * left)[1:]
     off = (w_e * left * right)[1:-1]
-    return Block(diag=diag, off=off, mass=_at_free_sides(w, bc, 0.5), h=h,
-                 w_e=w_e, a_e=a_e, pot=pot)
+    return Block(diag=diag, off=off, mass=mass, h=h, w_e=w_e, a_e=a_e,
+                 pot=None)
 
 
-def assemble_laplacian(surface, nu: float, grid: Grid) -> ReducedOperator:
-    """Mode-nu scalar Laplacian as a (stiffness, mass) pair."""
-    samples = _samples(surface, grid, KIND_LAPLACIAN)
+def assemble_laplacian(surface, nu: float, grid: Grid,
+                       samples=None) -> ReducedOperator:
+    """Mode-nu scalar Laplacian as a (stiffness, mass) pair; samples, when
+    given, are sample_grid(surface, grid, KIND_LAPLACIAN)."""
+    if samples is None:
+        samples = sample_grid(surface, grid, KIND_LAPLACIAN)
     block = _assemble_block(surface, grid, KIND_LAPLACIAN, float(nu), samples)
     return ReducedOperator(kind=KIND_LAPLACIAN, nu=float(nu), grid=grid,
                            blocks=(block,))
 
 
 def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
-                          grid: Grid) -> ReducedOperator:
-    """Mode-nu D^2 as the direct sum of its two half-spinor blocks."""
+                          grid: Grid, samples=None) -> ReducedOperator:
+    """Mode-nu D^2 as the direct sum of its two half-spinor blocks; samples,
+    when given, are sample_grid(surface, grid, KIND_DIRAC)."""
     if not isinstance(spin, SpinStructure):
         raise AssemblyError("dirac assembly needs a SpinStructure")
     if not mode_in_structure(nu, spin, surface.period):
         raise AssemblyError(
             f"mode {nu} is not on the {spin.value} spinor lattice "
             f"for period {surface.period}")
-    samples = _samples(surface, grid, KIND_DIRAC)
+    if samples is None:
+        samples = sample_grid(surface, grid, KIND_DIRAC)
     blocks = tuple(_assemble_block(surface, grid, KIND_DIRAC, mu, samples)
                    for mu in (-float(nu), +float(nu)))
     return ReducedOperator(kind=KIND_DIRAC, nu=float(nu), grid=grid,
                            blocks=blocks)
 
 
-def assemble(surface, kind: str, spin, nu: float,
-             grid: Grid) -> ReducedOperator:
-    """Mode-nu operator of either kind; spin is unused for the Laplacian."""
+def assemble(surface, kind: str, spin, nu: float, grid: Grid,
+             samples=None) -> ReducedOperator:
+    """Mode-nu operator of either kind; spin is unused for the Laplacian.
+
+    samples are sample_grid(surface, grid, kind), which a caller that
+    assembles many modes on one grid passes to each; without them the grid
+    is sampled here.
+    """
     if kind == KIND_LAPLACIAN:
-        return assemble_laplacian(surface, nu, grid)
-    return assemble_dirac_square(surface, spin, nu, grid)
+        return assemble_laplacian(surface, nu, grid, samples)
+    return assemble_dirac_square(surface, spin, nu, grid, samples)
 
 
 def rayleigh_quotient(op: ReducedOperator, phi: Section) -> float:

@@ -599,6 +599,10 @@ OTHER_CASES = [
     pytest.param({"check": "probe", "windows": [[0, 2], [0, 4]],
                   "threshold": 0.1, "behavior": "growing"}, "windows",
                  id="window-past-the-surface"),
+    # at the first window's spacing the second would need 1538999999 nodes
+    pytest.param({"check": "probe", "windows": [[0, 1e-6], [0, 3]],
+                  "threshold": 0.1, "behavior": "growing"}, "windows",
+                 id="window-above-the-node-cap"),
 ]
 
 
@@ -656,6 +660,12 @@ DOCUMENT_CASES = [
                  id="infinite-t-max-at-a-cusp"),
     pytest.param(_edit(("surface", "period"), "7"), "period",
                  id="string-period"),
+    # the round sphere's cosine warp is negative on [2, 4]
+    pytest.param(_edit(("surface",), {
+        "schema_version": 1, "warp": {"variant": "cosine"}, "t_min": 2.0,
+        "t_max": 4.0, "period": 2 * math.pi,
+        "end_labels": ["incomplete-boundary", "incomplete-boundary"]}),
+                 "surface", id="warp-negative-on-the-interval"),
     pytest.param(_edit(("sections", 0, "mode"), "0"), "mode",
                  id="string-section-mode"),
     pytest.param(_edit(("sections", 0, "mode"), True), "mode",

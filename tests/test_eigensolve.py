@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -262,6 +263,125 @@ def test_singular_shift_ends_the_iteration_at_a_certified_pair(
     assert [info for *_, info in calls["dgtsv"]] == [0, n]
     assert X is not None
     assert np.allclose(np.abs(X[:, 0]), 1 / math.sqrt(n), rtol=1e-15, atol=0)
+
+
+def _sphere_dirac_op(n, nu=0.5):
+    sc = find_scenario("round-sphere")
+    return assemble(sc.surface, KIND_DIRAC, sc.spin, nu,
+                    make_grid(sc.surface, n))
+
+
+def _pairs(res):
+    return (res.eigenvalues.copy(), [s.values.copy() for s in res.sections],
+            [v.copy() for v in res.block_values])
+
+
+def _same_bits(a, b):
+    (lam_a, vec_a, blk_a), (lam_b, vec_b, blk_b) = a, b
+    assert np.array_equal(lam_a, lam_b)
+    assert all(np.array_equal(x, y) for x, y in zip(vec_a, vec_b))
+    assert all(np.array_equal(x, y) for x, y in zip(blk_a, blk_b))
+
+
+def test_threads_solve_on_their_own_workspace():
+    # threads solving blocks of different sizes at the same time, more of
+    # them than cores and switching often, give the bits of serial solves:
+    # each thread has its own scratch vectors
+    ops = [_sphere_dirac_op(n, nu) for n, nu in
+           ((4096, 0.5), (1536, 1.5), (2048, 2.5), (700, 0.5))]
+    serial = [_pairs(smallest_eigenpairs(op, 3)) for op in ops]
+    got, errors = [[] for _ in ops], []
+    start = threading.Barrier(len(ops))
+
+    def solve(i):
+        try:
+            start.wait(timeout=60)
+            for _ in range(4):
+                got[i].append(_pairs(smallest_eigenpairs(ops[i], 3)))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+    threads = [threading.Thread(target=solve, args=(i,))
+               for i in range(len(ops))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    for runs, ref in zip(got, serial):
+        assert len(runs) == 4
+        for run in runs:
+            _same_bits(run, ref)
+
+
+def test_results_keep_their_values_after_a_larger_solve():
+    # vectors, sections and refined X never alias the workspace, which a
+    # later, larger solve grows and overwrites
+    op = _sphere_dirac_op(256)
+    res = smallest_eigenpairs(op, 2)
+    before = _pairs(res)
+    _, d, e = eigensolve._congruence(op.blocks[0])
+    X = eigensolve._refine(d, e, 2, res.block_values[0])
+    X_before = X.copy()
+    smallest_eigenpairs(_sphere_dirac_op(8192), 3)
+    _same_bits(_pairs(res), before)
+    assert np.array_equal(X, X_before)
+    for buf in eigensolve._workspace.bufs.values():
+        assert not np.shares_memory(X, buf)
+        assert not any(np.shares_memory(s.values, buf) for s in res.sections)
+
+
+def test_dgtsv_solves_in_place(monkeypatch):
+    # f2py copies no argument: each array dgtsv returns is the scratch
+    # vector it was given
+    shared = []
+    real = eigensolve.dgtsv
+
+    def solve(*args):
+        out = real(*args)
+        shared.append([np.shares_memory(o, a)
+                       for o, a in zip(out[:4], args[:4])])
+        return out
+    monkeypatch.setattr(eigensolve, "dgtsv", solve)
+    smallest_eigenpairs(_sphere_dirac_op(2048), 2)
+    assert shared and all(all(row) and len(row) == 4 for row in shared)
+
+
+def test_tone_samples_each_grid_once(monkeypatch):
+    # every solved mode assembles on one sampling of each ladder grid and
+    # of the seed grid, in place of one per mode and grid
+    sc = find_scenario("cover-m5")
+    grids = GridPolicy(base_n=1024, levels=3).grids(sc.surface)
+    sizes = {"f": [], "fprime": []}
+    for name, seen in sizes.items():
+        def counted(self, t, _real=getattr(WarpedSurface, name), _seen=seen):
+            _seen.append(np.size(t))
+            return _real(self, t)
+        monkeypatch.setattr(WarpedSurface, name, counted)
+    tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin, grids)
+    assert sum("value" in rec for rec in tone.per_mode.values()) > 1
+    ns = [eigensolve.SEED_N] + [g.n for g in grids]
+    assert sorted(sizes["f"]) == sorted(ns + [n + 1 for n in ns])
+    assert sorted(sizes["fprime"]) == [n + 1 for n in ns]
+
+
+def test_probe_window_above_the_node_cap_lays_no_grid(monkeypatch):
+    # the first window's spacing would give the second 1538999999 nodes
+    built = []
+
+    def grid(*args, **kwargs):
+        built.append(kwargs["n"])
+        raise AssertionError("a grid was laid")
+    monkeypatch.setattr(eigensolve, "Grid", grid)
+    with pytest.raises(AssemblyError, match="1538999999 nodes"):
+        truncation_probe(cylinder(3.0), KIND_DIRAC,
+                         SpinStructure.NON_BOUNDING, [(0, 1e-6), (0, 3)], 0.1)
+    assert built == []
 
 
 def _sturm_count(d, e, hi):
