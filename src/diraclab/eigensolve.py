@@ -18,6 +18,12 @@ absolute error of about eps * ||S|| / ||M|| (Demmel & Kahan, 1990).  Each
 pair must pass the scale-free normwise backward error bound
 ||S v - lam M v|| / ((||S||_1 + |lam| ||M||_1) ||v||) <= n * eps
 (Higham & Higham, 1998).
+A Dirac operator's -|nu| block is solved first; where the other block
+equals it, or its mirror image, bit for bit (operators on a mirror-symmetric
+surface, and every mode nu = 0), that block takes the same values and the
+same vectors, reversed for a mirror, since a permuted matrix has the
+permuted eigenpairs: one refinement per mirror pair.  Each copied pair
+still passes the backward-error gate on its own block.
 Fundamental tones walk the circle modes in ascending |nu|, extrapolating
 each over a geometric (h, delta) refinement sequence, up to the first mode
 whose centrifugal floor certifies the rest; probes walk them the same way.
@@ -32,6 +38,9 @@ largest block solved and are never freed.  A thread keeps about 6 * 8 * n
 bytes for its largest n: about 3 MB after an 8192 x 4 ladder, about 48 MB
 after one whose finest grid has 2^20 nodes.  Scratch views never leave
 this module's kernels; every returned vector and section is a fresh array.
+Dot products and norms are numpy's own single-threaded sums (np.einsum),
+never a BLAS kernel, so the bytes of a result do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -246,6 +255,18 @@ def _count_below(d, e, hi: float) -> int:
     return count + int(q[-1] <= 0.0)
 
 
+def _dot(x, y) -> float:
+    """x . y by numpy's own single-threaded loop, not a BLAS kernel, so
+    the sum does not depend on the BLAS thread count and takes no second
+    core."""
+    return float(np.einsum("i,i->", x, y))
+
+
+def _norm2(x) -> float:
+    """||x||_2, summed as _dot."""
+    return math.sqrt(_dot(x, x))
+
+
 def _shifted_solve(d, e, shift: float, x):
     """(T - shift I)^(-1) x by dgtsv, normalized; None if the solve fails.
 
@@ -260,8 +281,9 @@ def _shifted_solve(d, e, shift: float, x):
     b[:] = x
     *_, y, info = dgtsv(dl, np.subtract(d, shift, out=_scratch("diag", n)),
                         du, b[:, None], 1, 1, 1, 1)
-    norm = np.linalg.norm(y) if info == 0 else math.nan
-    return y[:, 0] / norm if 0.0 < norm < math.inf else None
+    y = y[:, 0]
+    norm = _norm2(y) if info == 0 else math.nan
+    return y / norm if 0.0 < norm < math.inf else None
 
 
 def _matvec(d, e, v):
@@ -299,24 +321,26 @@ def _refine(d, e, count, near):
     top = -math.inf
     for j in range(count):
         x = np.cos(j * phase) if j else np.ones(n)  # cos(0) is exactly 1
-        x -= X[:, :j] @ (X[:, :j].T @ x)
+        if j:
+            x -= np.einsum("ij,j->i", X[:, :j], np.einsum("ij,i->j",
+                                                          X[:, :j], x))
         shift, rq, tx = float(near[j]), float(near[j]), None
         for _ in range(RQI_STEPS):
             y = _shifted_solve(d, e, shift, x)
             if y is None:
                 break
             x, tx, prev = y, _matvec(d, e, y), rq
-            rq = shift = float(x @ tx)
+            rq = shift = _dot(x, tx)
             if abs(rq - prev) <= slack:
                 break
         else:
             return None
         if tx is None:  # the first solve failed: judge the start vector
-            x = x / np.linalg.norm(x)
+            x = x / _norm2(x)
             tx = _matvec(d, e, x)
-            rq = float(x @ tx)
+            rq = _dot(x, tx)
         res = np.multiply(x, rq, out=_scratch("tmp", n))
-        r = float(np.linalg.norm(np.subtract(tx, res, out=res))) + slack
+        r = _norm2(np.subtract(tx, res, out=res)) + slack
         if not rq - r > top:
             return None
         top = rq + r
@@ -359,14 +383,27 @@ def _backward_error(block, lam: float, v: np.ndarray) -> float:
     w = block.mass
     norm_s = _norm1(block.diag, block.off)
     r = block.matvec(v) - lam * w * v
-    return float(np.linalg.norm(r) / ((norm_s + abs(lam) * np.max(w))
-                                      * np.linalg.norm(v)))
+    return _norm2(r) / ((norm_s + abs(lam) * float(np.max(w))) * _norm2(v))
 
 
 def _count_block_below(block, threshold: float) -> int:
     """Eigenvalues <= threshold of a block, by one pivot count."""
     _, d, e = _congruence(block)
     return _count_below(d, e, threshold)
+
+
+def _copy_order(block, source):
+    """How block's eigenvectors read from source's, in O(n): slice(None)
+    where the two blocks are equal bit for bit (the two blocks of a Dirac
+    mode 0), the reversing slice where block is source's mirror image (a
+    Dirac mode on a mirror-symmetric surface), None otherwise.  Equal
+    diag, off and mass make the same generalized eigenproblem, whose
+    eigenpairs are source's with the nodes permuted."""
+    for turn in (slice(None), slice(None, None, -1)):
+        if all(np.array_equal(getattr(block, name), getattr(source, name)[turn])
+               for name in ("diag", "off", "mass")):
+            return turn
+    return None
 
 
 def smallest_eigenpairs(op: ReducedOperator, count: int,
@@ -376,24 +413,38 @@ def smallest_eigenpairs(op: ReducedOperator, count: int,
     near, if given, is the block_values of the same operator at a coarser
     level; each block that has a value there for every pair it solves then
     refines its pairs from them and certifies their index (_solve_block).
-    Raises ConvergenceError when a pair's backward error is above n * eps.
+    A block equal to the first one solved, or to its mirror image
+    (_copy_order), takes that block's values and vectors; block_values
+    keeps one array per block, and the merged pairs of all blocks sort by
+    (value, block).  Raises ConvergenceError when a pair's backward error,
+    on its own block, is above n * eps.
     """
     if count < 1 or count > op.size - 2:
         raise AssemblyError(
             f"count must be in [1, {op.size - 2}], got {count}")
     per_block = min(count, min(b.n for b in op.blocks) - 2)
     per_block = max(per_block, 1)
-    merged = []
-    block_values = []
-    for bi, block in enumerate(op.blocks):
+    # a Dirac operator's -|nu| block is solved first, whichever place it
+    # has, so that modes nu and -nu give the same values bit for bit
+    first = int(op.kind == KIND_DIRAC and op.nu < 0)
+    order = [first] + [bi for bi in range(len(op.blocks)) if bi != first]
+    pairs = [None] * len(op.blocks)  # (values, vectors) of each block
+    for bi in order:
+        block = op.blocks[bi]
+        turn = None if bi == first else _copy_order(block, op.blocks[first])
+        if turn is not None:
+            values, vecs = pairs[first]
+            pairs[bi] = (values, [vec[turn] for vec in vecs])
+            continue
         V = _solve_block(block, per_block, None if near is None else near[bi])
-        values = []
-        for j in range(V.shape[1]):
-            vec = V[:, j] / math.sqrt(block.mass_form(V[:, j]))
-            values.append(block.energy(vec))
-            merged.append((values[-1], bi, vec))
-        block_values.append(np.sort(values))
-    merged.sort(key=lambda rec: (rec[0], rec[1]))
+        vecs = [V[:, j] / math.sqrt(block.mass_form(V[:, j]))
+                for j in range(V.shape[1])]
+        pairs[bi] = ([block.energy(vec) for vec in vecs], vecs)
+    merged = sorted(((value, bi, vec)
+                     for bi, (values, vecs) in enumerate(pairs)
+                     for value, vec in zip(values, vecs)),
+                    key=lambda rec: (rec[0], rec[1]))
+    block_values = [np.sort(values) for values, _ in pairs]
     merged = merged[:count]
 
     eigenvalues = np.array([rec[0] for rec in merged])
@@ -583,8 +634,9 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
     All probe windows use Dirichlet walls and share one node spacing so the
     discrete spaces are genuinely nested; the first window gets n_base
     nodes, whatever ladder the tones refine on.  The windows must pass
-    check_probe_windows at n_base.  Each window counts modes up to the
-    first floor above the threshold, and raises ConvergenceError when all
+    check_probe_windows at n_base.  Each window is sampled once, and
+    counts modes, all assembled on those samples, up to the first floor
+    above the threshold; it raises ConvergenceError when all
     MAX_MODE_CUTOFF modes stay at or below it.
     """
     windows = check_probe_windows(surface, windows, n_base)
@@ -593,11 +645,12 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
     counts = []
     for (a, b), n in zip(windows, _window_nodes(windows, n_base)):
         grid = Grid(a=a, b=b, n=n)
+        samples = sample_grid(surface, grid, kind)
         total = 0
         for nu in modes:
             if mode_lower_bound_term(nu, surface.warp, grid) > threshold:
                 break
-            op = assemble(surface, kind, spin, nu, grid)
+            op = assemble(surface, kind, spin, nu, grid, samples)
             c = sum(_count_block_below(blk, threshold) for blk in op.blocks)
             if nu > 1e-12:
                 c *= 2  # modes +-nu carry identical spectra

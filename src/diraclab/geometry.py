@@ -308,6 +308,39 @@ def surface_from_json(doc: dict) -> WarpedSurface:
     return surface
 
 
+def mirror_symmetric(surface: WarpedSurface) -> bool:
+    """Whether the interval is finite and the warp even about its middle
+    m = (t_min + t_max) / 2, so that R: t -> t_min + t_max - t maps the
+    surface onto itself.
+
+    f even makes f' odd: f(R t) = f(t) and f'(R t) = -f'(t).  With
+    (R u)(t) = u(R t), the Dirac factor A_mu = d/dt + f'/(2f) + mu/f gives
+
+        (A_(-mu) R u)(t) = -u'(R t) + (f'(t)/(2f(t)) - mu/f(t)) u(R t)
+                         = -(u' + f'/(2f) u + mu/f u)(R t)
+                         = -(R A_mu u)(t) ,
+
+    so A_(-mu) R = -R A_mu, and the half-spinor block A_mu* A_mu is the
+    R-mirror of A_(-mu)* A_(-mu), with the same spectrum.  A constant warp
+    is always even, a cosine warp when t_min == -t_max, and a tabulated
+    warp when its knots mirror exactly about m and its samples read the
+    same backwards; an exponential cusp never is.
+    """
+    lo, hi = surface.t_min, surface.t_max
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return False
+    warp = surface.warp
+    if isinstance(warp, ConstantWarp):
+        return True
+    if isinstance(warp, CosineWarp):
+        return lo == -hi
+    if isinstance(warp, TabulatedWarp):
+        m = (lo + hi) / 2.0
+        return bool(np.array_equal(warp.ts - m, -(warp.ts[::-1] - m))
+                    and np.array_equal(warp.fs, warp.fs[::-1]))
+    return False
+
+
 def _warp_scale(surface: WarpedSurface) -> float:
     a = surface.t_min if math.isfinite(surface.t_min) else 0.0
     b = surface.t_max if math.isfinite(surface.t_max) else a + 1.0

@@ -18,6 +18,12 @@ window (midpoint coefficients, ghost zeros at both fenceposts), which
 makes the stiffness symmetric positive semidefinite by construction.  A
 free side gets element weight zero instead of a boundary element.  The
 scalar mode is the same sum with A = d/dt plus the node potential.
+On a mirror-symmetric surface (geometry.mirror_symmetric) whose window
+has the same kind and slope at both sides, the reflection R of the window
+gives A_(-mu) R = -R A_mu, so the +|nu| block is the exact mirror image of
+the -|nu| block: that one is assembled from the grid samples, and the
+other holds its arrays reversed, a_e negated.  The solver then refines one
+block per such mode.
 Block.factor gives (A_mu u)_e on those elements; Block.energy and
 dirac_energy sum its weighted squares, so they keep relative accuracy where
 u^T S u would cancel digits of size eps/h^2.
@@ -153,7 +159,8 @@ class Block:
     f'/(2f) + mu/f of the n + 1 elements; pot is the scalar node potential
     P h nu^2 / f.  A scalar block has a_e None and a Dirac block pot None:
     those terms vanish.  mass and w_e may be read-only arrays that other
-    blocks of the same grid share.
+    blocks of the same grid share, and every array of a mirror Dirac block
+    is a read-only reversed view of its partner's (a_e a negated copy).
     """
 
     diag: np.ndarray
@@ -349,7 +356,11 @@ def assemble_laplacian(surface, nu: float, grid: Grid,
 def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
                           grid: Grid, samples=None) -> ReducedOperator:
     """Mode-nu D^2 as the direct sum of its two half-spinor blocks; samples,
-    when given, are sample_grid(surface, grid, KIND_DIRAC)."""
+    when given, are sample_grid(surface, grid, KIND_DIRAC).
+
+    On a mirrored window the -|nu| block is assembled from the samples and
+    the +|nu| block is its mirror image (_mirror_block).
+    """
     if not isinstance(spin, SpinStructure):
         raise AssemblyError("dirac assembly needs a SpinStructure")
     if not mode_in_structure(nu, spin, surface.period):
@@ -358,10 +369,51 @@ def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
             f"for period {surface.period}")
     if samples is None:
         samples = sample_grid(surface, grid, KIND_DIRAC)
-    blocks = tuple(_assemble_block(surface, grid, KIND_DIRAC, mu, samples)
-                   for mu in (-float(nu), +float(nu)))
-    return ReducedOperator(kind=KIND_DIRAC, nu=float(nu), grid=grid,
-                           blocks=blocks)
+    nu = float(nu)
+    if _mirrored_window(surface, grid):
+        source = _assemble_block(surface, grid, KIND_DIRAC, -abs(nu), samples)
+        blocks = (source, _mirror_block(source))
+        if nu < 0:  # blocks[0] carries -nu = +|nu|
+            blocks = blocks[::-1]
+    else:
+        blocks = tuple(_assemble_block(surface, grid, KIND_DIRAC, mu, samples)
+                       for mu in (-nu, +nu))
+    return ReducedOperator(kind=KIND_DIRAC, nu=nu, grid=grid, blocks=blocks)
+
+
+def _mirrored_window(surface, grid: Grid) -> bool:
+    """Whether the reflection t -> a + b - t of the window maps the surface,
+    the grid and the boundary conditions of each Dirac block onto those of
+    its partner: a mirror-symmetric surface, a window centered on its middle
+    to rounding, and the same kind and slope at both window sides."""
+    lo, hi = surface.t_min, surface.t_max
+    offset = (grid.a + grid.b) - (lo + hi)
+    return (grid.side_kinds[0] == grid.side_kinds[1]
+            and grid.side_slopes[0] == grid.side_slopes[1]
+            and geometry.mirror_symmetric(surface)
+            and abs(offset) <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi)))
+
+
+def _mirror_block(block: Block) -> Block:
+    """The Dirac block of coefficient -mu, as the exact mirror image of the
+    block of coefficient mu on a mirrored window (geometry.mirror_symmetric).
+
+    Node i maps to node n - 1 - i and element e to element n - e; the
+    factor changes sign under the reflection, so a_e is reversed and
+    negated.  diag, off, mass and w_e are reversed read-only views of the
+    block's arrays.
+    """
+    a_e = -block.a_e[::-1]
+    a_e.flags.writeable = False
+    return Block(diag=_reversed(block.diag), off=_reversed(block.off),
+                 mass=_reversed(block.mass), h=block.h,
+                 w_e=_reversed(block.w_e), a_e=a_e, pot=None)
+
+
+def _reversed(x: np.ndarray) -> np.ndarray:
+    view = x[::-1]
+    view.flags.writeable = False
+    return view
 
 
 def assemble(surface, kind: str, spin, nu: float, grid: Grid,

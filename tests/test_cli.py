@@ -818,6 +818,50 @@ def test_only_eigensolve_imports_scipy():
     assert routines == {"dgtsv", "dpttrf", "dstebz"}
 
 
+def test_no_module_calls_a_blas_kernel():
+    # reductions over grid vectors are numpy's own single-threaded loops:
+    # a threaded BLAS kernel (matmul, dot, inner, vdot, the norms of
+    # numpy.linalg) would make the bytes of a report depend on the BLAS
+    # thread count and take a second core from other processes
+    import ast
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    banned = {"dot", "inner", "vdot", "matmul", "linalg"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                    and isinstance(node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif isinstance(node, ast.Attribute) and node.attr in banned \
+                    and (node.attr == "dot" or isinstance(node.value, ast.Name)
+                         and node.value.id in ("np", "numpy")):
+                found.append(f"{where} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.startswith("numpy") and (
+                        "linalg" in node.module
+                        or any(a.name in banned for a in node.names)):
+                found.append(f"{where} from {node.module}")
+            elif isinstance(node, ast.Import) and any(
+                    a.name.startswith("numpy.linalg") for a in node.names):
+                found.append(f"{where} import numpy.linalg")
+    assert found == []
+
+
+def test_verify_bytes_do_not_depend_on_the_blas_thread_count():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "diraclab.cli", "verify", "--scenario",
+             "cover-m5", "--grid-n", "8192", "--levels", "4"],
+            env=env, capture_output=True, text=True, check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1] and '"all_expected_match": true' in out[0]
+
+
 def test_json_is_written_by_one_function():
     # every JSON document goes through bounds.dumps, which applies the null
     # rule of bounds.to_plain; no module converts numbers on its own

@@ -27,10 +27,13 @@ from diraclab.operators import (
     KIND_DIRAC,
     KIND_LAPLACIAN,
     Grid,
+    ReducedOperator,
+    _assemble_block,
     assemble,
     assemble_dirac_square,
     assemble_laplacian,
     make_grid,
+    sample_grid,
 )
 from diraclab.cli import run_scenario
 from diraclab.scenarios import (
@@ -38,7 +41,11 @@ from diraclab.scenarios import (
     cover_scenario,
     find_scenario,
 )
-from diraclab.spin import SpinStructure, mode_lower_bound_term
+from diraclab.spin import (
+    SpinStructure,
+    lattice_modes,
+    mode_lower_bound_term,
+)
 
 HALF_PI = math.pi / 2
 
@@ -140,7 +147,8 @@ def _same_pairs(got, ref):
 
 
 def _lapack_calls(monkeypatch):
-    calls = {"dgtsv": [], "_count_below": [], "_refine": [], "_bisect": []}
+    calls = {"dgtsv": [], "_count_below": [], "_refine": [], "_bisect": [],
+             "_solve_block": []}
     for name, seen in calls.items():
         def counted(*args, _real=getattr(eigensolve, name), _seen=seen):
             out = _real(*args)
@@ -155,31 +163,43 @@ def _certified(calls):
     return [out is not None for out in calls["_refine"]]
 
 
+def _dirac_level1_ops():
+    """The nu = 1/2 Dirac operator on the default ladder's level 1 of the
+    round sphere, whose blocks mirror each other, and of its cap
+    (-pi/2, 1.2), whose blocks do not; each with the blocks it solves."""
+    sphere_sc = find_scenario("round-sphere")
+    for surface, solved in ((sphere_sc.surface, 1),
+                            (replace(sphere_sc.surface, t_max=1.2), 2)):
+        grid = GridPolicy().grids(surface)[1]
+        yield assemble(surface, KIND_DIRAC, sphere_sc.spin, 0.5, grid), solved
+
+
 @pytest.mark.parametrize("scale, seed", [(10.0, "bisected"),
                                          (0.01, "coarser")])
 def test_wrong_bracket_widens_to_the_index_pairs(monkeypatch, scale, seed):
     # `seed` names the values the certified vectors are refined from: true
     # level-1 values scaled by 10 lead the iteration to higher pairs, and
     # the pivot count finds more values than pairs below them, so each
-    # block refines again from its bisected values; scaled by 0.01 they
-    # still reach the two lowest pairs, which the count certifies
-    sc = find_scenario("round-sphere")
-    grid = GridPolicy().grids(sc.surface)[1]
-    op = assemble(sc.surface, KIND_DIRAC, sc.spin, 0.5, grid)
-    ref = smallest_eigenpairs(op, 2)
-    calls = _lapack_calls(monkeypatch)
-    got = smallest_eigenpairs(op, 2, [scale * v for v in ref.block_values])
-    _same_pairs(got, ref)
-    blocks = len(op.blocks)
-    if seed == "bisected":
-        assert _certified(calls) == [False, True] * blocks
-        assert all(found > 2 for found in calls["_count_below"][::2])
-        assert calls["_count_below"][1::2] == [2] * blocks
-        assert len(calls["_bisect"]) == blocks
-    else:
-        assert _certified(calls) == [True] * blocks
-        assert calls["_count_below"] == [2] * blocks
-        assert not calls["_bisect"]
+    # solved block refines again from its bisected values; scaled by 0.01
+    # they still reach the two lowest pairs, which the count certifies
+    for op, solved in _dirac_level1_ops():
+        ref = smallest_eigenpairs(op, 2)
+        with monkeypatch.context() as patch:
+            calls = _lapack_calls(patch)
+            got = smallest_eigenpairs(op, 2,
+                                      [scale * v for v in ref.block_values])
+        _same_pairs(got, ref)
+        blocks = len(calls["_solve_block"])
+        assert blocks == solved
+        if seed == "bisected":
+            assert _certified(calls) == [False, True] * blocks
+            assert all(found > 2 for found in calls["_count_below"][::2])
+            assert calls["_count_below"][1::2] == [2] * blocks
+            assert len(calls["_bisect"]) == blocks
+        else:
+            assert _certified(calls) == [True] * blocks
+            assert calls["_count_below"] == [2] * blocks
+            assert not calls["_bisect"]
 
 
 @pytest.mark.parametrize("picks, found", [((1,), 2), ((0, 2), 3),
@@ -191,20 +211,101 @@ def test_near_that_skips_a_pair_fails_a_certificate(monkeypatch, picks,
     # lambda_1 and lambda_3, it finds three values up to the second
     # interval; from lambda_2 twice, both pairs converge to lambda_2, and
     # their intervals overlap before any count (which would find two
-    # values); each time the block refines again from its bisected values
-    sc = find_scenario("round-sphere")
-    grid = GridPolicy().grids(sc.surface)[1]
-    op = assemble(sc.surface, KIND_DIRAC, sc.spin, 0.5, grid)
-    ref = smallest_eigenpairs(op, len(picks))
-    near = [v[list(picks)] for v in smallest_eigenpairs(op, 3).block_values]
-    calls = _lapack_calls(monkeypatch)
-    got = smallest_eigenpairs(op, len(picks), near)
-    _same_pairs(got, ref)
-    blocks = len(op.blocks)
-    rejected = [] if found is None else [found]
-    assert calls["_count_below"] == (rejected + [len(picks)]) * blocks
-    assert _certified(calls) == [False, True] * blocks
-    assert len(calls["_bisect"]) == blocks
+    # values); each time the solved block refines again from its bisected
+    # values
+    for op, solved in _dirac_level1_ops():
+        ref = smallest_eigenpairs(op, len(picks))
+        near = [v[list(picks)]
+                for v in smallest_eigenpairs(op, 3).block_values]
+        with monkeypatch.context() as patch:
+            calls = _lapack_calls(patch)
+            got = smallest_eigenpairs(op, len(picks), near)
+        _same_pairs(got, ref)
+        blocks = len(calls["_solve_block"])
+        assert blocks == solved
+        rejected = [] if found is None else [found]
+        assert calls["_count_below"] == (rejected + [len(picks)]) * blocks
+        assert _certified(calls) == [False, True] * blocks
+        assert len(calls["_bisect"]) == blocks
+
+
+MIRRORED = ("round-sphere", "cover-m3", "flat-cylinder-l5-nonbounding",
+            "growing-curvature")
+
+
+def _mirror_and_other_ops(n=512):
+    """(operator, blocks it solves) for the three lowest Dirac modes of
+    each mirrored kind of surface and of the sphere's cap (-pi/2, 1.2),
+    whose blocks differ, and for mode 0 of the cusp table, whose blocks
+    are equal."""
+    sphere_sc = find_scenario("round-sphere")
+    cusp = find_scenario("cusp-cylinder-l10")
+    cases = [(find_scenario(sid).surface, find_scenario(sid).spin, 3, 1)
+             for sid in MIRRORED]
+    cases += [(replace(sphere_sc.surface, t_max=1.2), sphere_sc.spin, 3, 2),
+              (cusp.surface, cusp.spin, 1, 1)]
+    for surface, spin, modes, solved in cases:
+        grid = make_grid(surface, n)
+        for nu in lattice_modes(spin, surface.period, modes):
+            yield assemble(surface, KIND_DIRAC, spin, nu, grid), solved
+
+
+def test_mirror_operators_refine_one_block(monkeypatch):
+    # the block equal to the solved one, or to its mirror image, takes its
+    # values and vectors: one refinement per mirrored operator, and per
+    # mode 0, whose blocks are equal; two on any other
+    for op, solved in _mirror_and_other_ops():
+        with monkeypatch.context() as patch:
+            calls = _lapack_calls(patch)
+            res = smallest_eigenpairs(op, 3)
+        assert len(calls["_refine"]) == solved, (op.grid, op.nu)
+        if solved == 1:
+            assert np.array_equal(*res.block_values)
+        assert np.all(res.residuals <= op.grid.n * np.finfo(float).eps)
+
+
+def _two_block_op(op, surface):
+    """op with both blocks assembled from the samples, no mirror."""
+    samples = sample_grid(surface, op.grid, KIND_DIRAC)
+    blocks = tuple(_assemble_block(surface, op.grid, KIND_DIRAC, mu, samples)
+                   for mu in (-op.nu, op.nu))
+    return ReducedOperator(kind=KIND_DIRAC, nu=op.nu, grid=op.grid,
+                           blocks=blocks)
+
+
+@pytest.mark.parametrize("n", [512, 8192])
+def test_mirror_values_match_a_two_block_solve(n):
+    for sid in MIRRORED:
+        sc = find_scenario(sid)
+        grid = make_grid(sc.surface, n)
+        for nu in lattice_modes(sc.spin, sc.surface.period, 2):
+            op = assemble(sc.surface, KIND_DIRAC, sc.spin, nu, grid)
+            got = smallest_eigenpairs(op, 3)
+            ref = smallest_eigenpairs(_two_block_op(op, sc.surface), 3)
+            assert np.allclose(got.eigenvalues, ref.eigenvalues,
+                               rtol=1e-14, atol=0), (sid, nu)
+            # the second pair is the first pair's vector, in block 1 and
+            # reversed where block 1 is the mirror image of block 0
+            turn = eigensolve._copy_order(*op.blocks[::-1])
+            assert turn is not None
+            assert list(got.block_index[:2]) == [0, 1]
+            assert np.array_equal(got.sections[1].values[1],
+                                  got.sections[0].values[0][turn])
+
+
+def test_cusp_mode_zero_solves_once_to_the_same_report(monkeypatch):
+    # mu = -0 and +0 assemble equal blocks, so one solve gives both, and
+    # the report is the one that solving both blocks gives
+    cusp = find_scenario("cusp-cylinder-l10")
+    grid = GridPolicy().grids(cusp.surface)[0]
+    op = assemble(cusp.surface, KIND_DIRAC, cusp.spin, 0.0, grid)
+    with monkeypatch.context() as patch:
+        calls = _lapack_calls(patch)
+        smallest_eigenpairs(op, 2)
+    assert len(calls["_refine"]) == 1
+    once = run_scenario(cusp, GridPolicy()).to_json()
+    monkeypatch.setattr(eigensolve, "_copy_order", lambda block, src: None)
+    assert run_scenario(cusp, GridPolicy()).to_json() == once
 
 
 def test_zero_bracket_on_the_kernel_skip_mode(monkeypatch):
@@ -368,6 +469,29 @@ def test_tone_samples_each_grid_once(monkeypatch):
     ns = [eigensolve.SEED_N] + [g.n for g in grids]
     assert sorted(sizes["f"]) == sorted(ns + [n + 1 for n in ns])
     assert sorted(sizes["fprime"]) == [n + 1 for n in ns]
+
+
+def test_probe_samples_each_window_once(monkeypatch):
+    # every counted mode of a window assembles on one sampling of it, in
+    # place of one per mode and window
+    sc = find_scenario("growing-curvature")
+    exp = next(e for e in sc.expected if e["check"] == "probe")
+    windows = [tuple(w) for w in exp["windows"]]
+    ref = truncation_probe(sc.surface, KIND_DIRAC, sc.spin, windows,
+                           exp["threshold"])
+    sizes = {"f": [], "fprime": []}
+    for name, seen in sizes.items():
+        def counted_call(self, t, _real=getattr(WarpedSurface, name),
+                         _seen=seen):
+            _seen.append(np.size(t))
+            return _real(self, t)
+        monkeypatch.setattr(WarpedSurface, name, counted_call)
+    probe = truncation_probe(sc.surface, KIND_DIRAC, sc.spin, windows,
+                             exp["threshold"])
+    assert probe.counts == ref.counts and max(probe.counts) > 1
+    ns = eigensolve._window_nodes(windows, eigensolve.SEED_N)
+    assert sizes["f"] == [m for n in ns for m in (n, n + 1)]
+    assert sizes["fprime"] == [n + 1 for n in ns]
 
 
 def test_probe_window_above_the_node_cap_lays_no_grid(monkeypatch):

@@ -232,3 +232,30 @@ def test_surface_validation():
         # infinite end must carry the cusp label
         WarpedSurface(warp=ExpCuspWarp(1.0), t_min=0.0, t_max=math.inf,
                       period=1.0)
+
+
+def test_mirror_symmetric_surfaces():
+    # every built-in but the cusp table: the sphere, the covers, the flat
+    # cylinders and growing-curvature
+    from diraclab.scenarios import builtin_catalog
+    assert [sc.id for sc in builtin_catalog()
+            if not geometry.mirror_symmetric(sc.surface)] == [
+                "cusp-cylinder-l10"]
+
+
+def test_mirror_symmetric_rejects_what_is_not_even():
+    # the growing-curvature table with one sample nudged by 1 ulp
+    from diraclab.scenarios import find_scenario
+    grown = find_scenario("growing-curvature").surface
+    assert geometry.mirror_symmetric(grown)
+    fs = grown.warp.fs.copy()
+    fs[3] = np.nextafter(fs[3], np.inf)
+    nudged = replace(grown, warp=TabulatedWarp(grown.warp.ts, fs))
+    assert not geometry.mirror_symmetric(nudged)
+    assert not geometry.mirror_symmetric(cusp())
+    assert not geometry.mirror_symmetric(
+        replace(cusp(), t_min=-1.0, t_max=1.0, end_labels=(
+            geometry.END_BOUNDARY, geometry.END_BOUNDARY)))
+    assert not geometry.mirror_symmetric(replace(sphere(), t_max=1.2))
+    assert geometry.mirror_symmetric(sphere(period=10.0))
+    assert geometry.mirror_symmetric(replace(cylinder(), t_min=-3.0))

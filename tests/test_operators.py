@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from diraclab.operators import (
     KIND_LAPLACIAN,
     Grid,
     Section,
+    _assemble_block,
     assemble_dirac_square,
     assemble_laplacian,
     block_boundary_conditions,
@@ -19,10 +21,11 @@ from diraclab.operators import (
     leibniz_defect,
     make_grid,
     rayleigh_quotient,
+    sample_grid,
 )
 from diraclab.eigensolve import smallest_eigenpairs
 from diraclab.scenarios import cover_scenario, find_scenario
-from diraclab.spin import SpinStructure
+from diraclab.spin import SpinStructure, lattice_modes
 
 HALF_PI = math.pi / 2
 
@@ -286,3 +289,60 @@ def test_grid_validation():
         Grid(a=0.0, b=1.0, n=8)  # below the minimum node count
     with pytest.raises(AssemblyError):
         Grid(a=1.0, b=0.0, n=32)
+
+
+def _dirac_ops(sid, n=128, modes=3):
+    """Scenario sid's Dirac operators of its `modes` lowest lattice modes
+    and their negatives on n nodes, with the grid's samples."""
+    sc = find_scenario(sid)
+    grid = make_grid(sc.surface, n)
+    samples = sample_grid(sc.surface, grid, KIND_DIRAC)
+    for nu in lattice_modes(sc.spin, sc.surface.period, modes):
+        for signed in (nu, -nu):
+            yield sc.surface, grid, samples, signed, assemble_dirac_square(
+                sc.surface, sc.spin, signed, grid)
+
+
+def _same_block(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("diag", "off", "mass", "w_e", "a_e"))
+
+
+@pytest.mark.parametrize("sid", ["round-sphere", "cover-m3",
+                                 "flat-cylinder-l5-nonbounding",
+                                 "growing-curvature"])
+def test_mirror_block_is_the_exact_reflection(sid):
+    # the -|nu| block is assembled from the samples, wherever blocks lists
+    # it, and the +|nu| block is its mirror image: the arrays reversed bit
+    # for bit and a_e negated, all read-only
+    for surface, grid, samples, nu, op in _dirac_ops(sid):
+        src = int(nu < 0)
+        source, mirror = op.blocks[src], op.blocks[1 - src]
+        assert _same_block(source, _assemble_block(
+            surface, grid, KIND_DIRAC, -abs(nu), samples))
+        for name in ("diag", "off", "mass", "w_e"):
+            assert np.array_equal(getattr(mirror, name),
+                                  getattr(source, name)[::-1])
+            assert not getattr(mirror, name).flags.writeable
+        assert np.array_equal(mirror.a_e, -source.a_e[::-1])
+        assert not mirror.a_e.flags.writeable
+
+
+def test_blocks_off_the_mirror_are_assembled_from_the_samples():
+    # the cusp table misses the mirror by rounding, the cap (-pi/2, 1.2)
+    # is not even, and a window off the sphere's middle is not centered:
+    # each block is the assembly of its own coefficient, as before
+    sc = find_scenario("round-sphere")
+    cap = replace(sc.surface, t_max=1.2)
+    off_center = Grid(a=-1.0, b=1.2, n=64)
+    cases = list(_dirac_ops("cusp-cylinder-l10"))
+    for surface, grid in ((cap, make_grid(cap, 128)),
+                          (sc.surface, off_center)):
+        samples = sample_grid(surface, grid, KIND_DIRAC)
+        for nu in (0.5, -0.5, 1.5):
+            cases.append((surface, grid, samples, nu, assemble_dirac_square(
+                surface, sc.spin, nu, grid)))
+    for surface, grid, samples, nu, op in cases:
+        for block, mu in zip(op.blocks, (-nu, nu)):
+            assert _same_block(block, _assemble_block(
+                surface, grid, KIND_DIRAC, mu, samples))
