@@ -18,12 +18,13 @@ absolute error of about eps * ||S|| / ||M|| (Demmel & Kahan, 1990).  Each
 pair must pass the scale-free normwise backward error bound
 ||S v - lam M v|| / ((||S||_1 + |lam| ||M||_1) ||v||) <= n * eps
 (Higham & Higham, 1998).
-A Dirac operator's -|nu| block is solved first; where the other block
-equals it, or its mirror image, bit for bit (operators on a mirror-symmetric
-surface, and every mode nu = 0), that block takes the same values and the
-same vectors, reversed for a mirror, since a permuted matrix has the
-permuted eigenpairs: one refinement per mirror pair.  Each copied pair
-still passes the backward-error gate on its own block.
+A Dirac operator's -|nu| block is solved first; where the assembly marks
+the other block as its twin (ReducedOperator.twin: every mode nu = 0, and
+the modes of a mirrored window), that block takes the same values and the
+same vectors read through the twin slice, since a permuted matrix has the
+permuted eigenpairs: one refinement per twin.  Each copied pair still
+passes the backward-error gate on its own block.  Seeds bisect, and probes
+count, a twin's -|nu| block alone.
 Fundamental tones walk the circle modes in ascending |nu|, extrapolating
 each over a geometric (h, delta) refinement sequence, up to the first mode
 whose centrifugal floor certifies the rest; probes walk them the same way.
@@ -382,28 +383,19 @@ def _backward_error(block, lam: float, v: np.ndarray) -> float:
     """||S v - lam M v||_2 / ((||S||_1 + |lam| ||M||_1) ||v||_2)."""
     w = block.mass
     norm_s = _norm1(block.diag, block.off)
-    r = block.matvec(v) - lam * w * v
+    r = _matvec(block.diag, block.off, v) - lam * w * v
     return _norm2(r) / ((norm_s + abs(lam) * float(np.max(w))) * _norm2(v))
 
 
-def _count_block_below(block, threshold: float) -> int:
-    """Eigenvalues <= threshold of a block, by one pivot count."""
-    _, d, e = _congruence(block)
-    return _count_below(d, e, threshold)
-
-
-def _copy_order(block, source):
-    """How block's eigenvectors read from source's, in O(n): slice(None)
-    where the two blocks are equal bit for bit (the two blocks of a Dirac
-    mode 0), the reversing slice where block is source's mirror image (a
-    Dirac mode on a mirror-symmetric surface), None otherwise.  Equal
-    diag, off and mass make the same generalized eigenproblem, whose
-    eigenpairs are source's with the nodes permuted."""
-    for turn in (slice(None), slice(None, None, -1)):
-        if all(np.array_equal(getattr(block, name), getattr(source, name)[turn])
-               for name in ("diag", "off", "mass")):
-            return turn
-    return None
+def _own_blocks(op: ReducedOperator) -> list:
+    """The indices of the blocks whose own pairs are solved, bisected or
+    counted, in that order: a Dirac operator's -|nu| block first, whichever
+    place it has, so that modes nu and -nu give the same values bit for
+    bit, and its twin (op.twin) left out."""
+    first = int(op.kind == KIND_DIRAC and op.nu < 0)
+    if op.twin is not None:
+        return [first]
+    return [first] + [bi for bi in range(len(op.blocks)) if bi != first]
 
 
 def smallest_eigenpairs(op: ReducedOperator, count: int,
@@ -413,33 +405,29 @@ def smallest_eigenpairs(op: ReducedOperator, count: int,
     near, if given, is the block_values of the same operator at a coarser
     level; each block that has a value there for every pair it solves then
     refines its pairs from them and certifies their index (_solve_block).
-    A block equal to the first one solved, or to its mirror image
-    (_copy_order), takes that block's values and vectors; block_values
-    keeps one array per block, and the merged pairs of all blocks sort by
-    (value, block).  Raises ConvergenceError when a pair's backward error,
-    on its own block, is above n * eps.
+    The twin of the first block solved (op.twin) takes that block's
+    values and its vectors read through op.twin; block_values keeps one
+    array per block, and the merged pairs of all blocks sort by (value,
+    block).  Raises ConvergenceError when a pair's backward error, on its
+    own block, is above n * eps.
     """
     if count < 1 or count > op.size - 2:
         raise AssemblyError(
             f"count must be in [1, {op.size - 2}], got {count}")
     per_block = min(count, min(b.n for b in op.blocks) - 2)
     per_block = max(per_block, 1)
-    # a Dirac operator's -|nu| block is solved first, whichever place it
-    # has, so that modes nu and -nu give the same values bit for bit
-    first = int(op.kind == KIND_DIRAC and op.nu < 0)
-    order = [first] + [bi for bi in range(len(op.blocks)) if bi != first]
+    solved = _own_blocks(op)
     pairs = [None] * len(op.blocks)  # (values, vectors) of each block
-    for bi in order:
+    for bi in solved:
         block = op.blocks[bi]
-        turn = None if bi == first else _copy_order(block, op.blocks[first])
-        if turn is not None:
-            values, vecs = pairs[first]
-            pairs[bi] = (values, [vec[turn] for vec in vecs])
-            continue
         V = _solve_block(block, per_block, None if near is None else near[bi])
         vecs = [V[:, j] / math.sqrt(block.mass_form(V[:, j]))
                 for j in range(V.shape[1])]
         pairs[bi] = ([block.energy(vec) for vec in vecs], vecs)
+    for bi, pair in enumerate(pairs):
+        if pair is None:  # the twin of the first block solved
+            values, vecs = pairs[solved[0]]
+            pairs[bi] = (values, [vec[op.twin] for vec in vecs])
     merged = sorted(((value, bi, vec)
                      for bi, (values, vecs) in enumerate(pairs)
                      for value, vec in zip(values, vecs)),
@@ -502,16 +490,17 @@ def _mode_value(surface, kind, spin, nu, ladder, pick, seed):
     ladder lists (grid, sample_grid samples) per level, and seed is such a
     pair or None.  Each level after the first refines its solve from the
     values of the level before; level 0 refines from the values each block
-    bisects on the seed grid, when there is one, and bisects its own blocks
-    otherwise.
+    bisects on the seed grid, when there is one (a twin's -|nu| block
+    alone), and bisects its own blocks otherwise.
     """
     seq = []
     rows = []
     near = None
     if seed is not None:
         seed_op = assemble(surface, kind, spin, nu, *seed)
-        near = [_bisect(*_congruence(b)[1:], pick + 1)
-                for b in seed_op.blocks]
+        near = [None] * len(seed_op.blocks)
+        for bi in _own_blocks(seed_op):
+            near[bi] = _bisect(*_congruence(seed_op.blocks[bi])[1:], pick + 1)
     for level, (grid, samples) in enumerate(ladder):
         op = assemble(surface, kind, spin, nu, grid, samples)
         res = smallest_eigenpairs(op, pick + 1, near)
@@ -636,8 +625,9 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
     nodes, whatever ladder the tones refine on.  The windows must pass
     check_probe_windows at n_base.  Each window is sampled once, and
     counts modes, all assembled on those samples, up to the first floor
-    above the threshold; it raises ConvergenceError when all
-    MAX_MODE_CUTOFF modes stay at or below it.
+    above the threshold, a twin's -|nu| block once for both blocks; it
+    raises ConvergenceError when all MAX_MODE_CUTOFF modes stay at or below
+    it.
     """
     windows = check_probe_windows(surface, windows, n_base)
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
@@ -651,7 +641,10 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
             if mode_lower_bound_term(nu, surface.warp, grid) > threshold:
                 break
             op = assemble(surface, kind, spin, nu, grid, samples)
-            c = sum(_count_block_below(blk, threshold) for blk in op.blocks)
+            c = sum(_count_below(*_congruence(op.blocks[bi])[1:], threshold)
+                    for bi in _own_blocks(op))
+            if op.twin is not None:
+                c *= 2  # the twin block has the same spectrum
             if nu > 1e-12:
                 c *= 2  # modes +-nu carry identical spectra
             total += c

@@ -18,12 +18,14 @@ window (midpoint coefficients, ghost zeros at both fenceposts), which
 makes the stiffness symmetric positive semidefinite by construction.  A
 free side gets element weight zero instead of a boundary element.  The
 scalar mode is the same sum with A = d/dt plus the node potential.
-On a mirror-symmetric surface (geometry.mirror_symmetric) whose window
-has the same kind and slope at both sides, the reflection R of the window
-gives A_(-mu) R = -R A_mu, so the +|nu| block is the exact mirror image of
-the -|nu| block: that one is assembled from the grid samples, and the
-other holds its arrays reversed, a_e negated.  The solver then refines one
-block per such mode.
+The two blocks are one matrix on two kinds of mode, and the assembly
+says so (ReducedOperator.twin): at nu = 0, mu = -0 and +0 assemble the
+same block, which blocks holds twice; on a mirror-symmetric surface
+(geometry.mirror_symmetric) whose window has the same kind and slope at
+both sides, the reflection R of the window gives A_(-mu) R = -R A_mu, so
+the +|nu| block is the exact mirror image of the -|nu| block: that one is
+assembled from the grid samples, and the other holds its arrays reversed,
+a_e negated.  Solves, seeds and probes then work on one block per twin.
 Block.factor gives (A_mu u)_e on those elements; Block.energy and
 dirac_energy sum its weighted squares, so they keep relative accuracy where
 u^T S u would cancel digits of size eps/h^2.
@@ -139,15 +141,6 @@ def lay_grid(surface, n: int, kinds: tuple, slopes: tuple) -> Grid:
                 side_slopes=tuple(slopes))
 
 
-def tridiagonal_matvec(diag: np.ndarray, off: np.ndarray,
-                       v: np.ndarray) -> np.ndarray:
-    """T v for the symmetric tridiagonal T with diagonals diag and off."""
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    return out
-
-
 @dataclass(frozen=True)
 class Block:
     """One tridiagonal stiffness/mass pair of a reduced operator.
@@ -197,9 +190,6 @@ class Block:
         u = np.asarray(v)
         return float(np.sum(self.mass * (u * u)))
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return tridiagonal_matvec(self.diag, self.off, v)
-
 
 @dataclass(frozen=True)
 class ReducedOperator:
@@ -207,12 +197,18 @@ class ReducedOperator:
 
     kind is 'laplacian_scalar' (one block) or 'dirac_square' (two blocks;
     blocks[c] acts on spinor component c with coefficients (-nu, +nu)).
+    twin, which only assemble_dirac_square sets, says that the two blocks
+    are one matrix: the +|nu| block's eigenvectors are the -|nu| block's
+    read through this slice, slice(None) where both entries of blocks are
+    one Block (nu = 0) and the reversing slice where the +|nu| block is the
+    mirror image of the other; None where each block has its own spectrum.
     """
 
     kind: str
     nu: float
     grid: Grid
     blocks: tuple
+    twin: slice | None = None
 
     @property
     def size(self) -> int:
@@ -358,8 +354,9 @@ def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
     """Mode-nu D^2 as the direct sum of its two half-spinor blocks; samples,
     when given, are sample_grid(surface, grid, KIND_DIRAC).
 
-    On a mirrored window the -|nu| block is assembled from the samples and
-    the +|nu| block is its mirror image (_mirror_block).
+    At nu = 0 one block is assembled and held twice (twin slice(None)); on
+    a mirrored window the -|nu| block is assembled from the samples and the
+    +|nu| block is its mirror image (_mirror_block, twin reversing).
     """
     if not isinstance(spin, SpinStructure):
         raise AssemblyError("dirac assembly needs a SpinStructure")
@@ -370,15 +367,22 @@ def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
     if samples is None:
         samples = sample_grid(surface, grid, KIND_DIRAC)
     nu = float(nu)
-    if _mirrored_window(surface, grid):
+    twin = None
+    if nu == 0:
+        block = _assemble_block(surface, grid, KIND_DIRAC, -nu, samples)
+        blocks = (block, block)
+        twin = slice(None)
+    elif _mirrored_window(surface, grid):
         source = _assemble_block(surface, grid, KIND_DIRAC, -abs(nu), samples)
         blocks = (source, _mirror_block(source))
         if nu < 0:  # blocks[0] carries -nu = +|nu|
             blocks = blocks[::-1]
+        twin = slice(None, None, -1)
     else:
         blocks = tuple(_assemble_block(surface, grid, KIND_DIRAC, mu, samples)
                        for mu in (-nu, +nu))
-    return ReducedOperator(kind=KIND_DIRAC, nu=nu, grid=grid, blocks=blocks)
+    return ReducedOperator(kind=KIND_DIRAC, nu=nu, grid=grid, blocks=blocks,
+                           twin=twin)
 
 
 def _mirrored_window(surface, grid: Grid) -> bool:

@@ -818,6 +818,31 @@ def test_only_eigensolve_imports_scipy():
     assert routines == {"dgtsv", "dpttrf", "dstebz"}
 
 
+def test_only_the_assembly_decides_which_blocks_are_twins():
+    # operators.assemble_dirac_square owns the twin relation: only
+    # operators.py asks geometry.mirror_symmetric and sets twin=, and the
+    # solver reads ReducedOperator.twin instead of comparing block arrays
+    import ast
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    askers, setters, compares = set(), set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name == "mirror_symmetric":
+                askers.add(path.name)
+            if name == "array_equal" and path.name == "eigensolve.py":
+                compares.append(node.lineno)
+            if any(kw.arg == "twin" for kw in node.keywords):
+                setters.add(path.name)
+    assert askers == {"operators.py"}
+    assert setters == {"operators.py"}
+    assert compares == []
+
+
 def test_no_module_calls_a_blas_kernel():
     # reductions over grid vectors are numpy's own single-threaded loops:
     # a threaded BLAS kernel (matmul, dot, inner, vdot, the norms of

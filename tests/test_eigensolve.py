@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from diraclab import cli, eigensolve
+from diraclab import bounds, cli, eigensolve
 from diraclab.errors import AssemblyError, ConvergenceError
 from diraclab.eigensolve import (
     GridPolicy,
@@ -286,7 +286,7 @@ def test_mirror_values_match_a_two_block_solve(n):
                                rtol=1e-14, atol=0), (sid, nu)
             # the second pair is the first pair's vector, in block 1 and
             # reversed where block 1 is the mirror image of block 0
-            turn = eigensolve._copy_order(*op.blocks[::-1])
+            turn = op.twin
             assert turn is not None
             assert list(got.block_index[:2]) == [0, 1]
             assert np.array_equal(got.sections[1].values[1],
@@ -294,8 +294,8 @@ def test_mirror_values_match_a_two_block_solve(n):
 
 
 def test_cusp_mode_zero_solves_once_to_the_same_report(monkeypatch):
-    # mu = -0 and +0 assemble equal blocks, so one solve gives both, and
-    # the report is the one that solving both blocks gives
+    # mu = -0 and +0 assemble one block, held twice, so one solve gives
+    # both, and the report is the one that solving both blocks gives
     cusp = find_scenario("cusp-cylinder-l10")
     grid = GridPolicy().grids(cusp.surface)[0]
     op = assemble(cusp.surface, KIND_DIRAC, cusp.spin, 0.0, grid)
@@ -303,9 +303,15 @@ def test_cusp_mode_zero_solves_once_to_the_same_report(monkeypatch):
         calls = _lapack_calls(patch)
         smallest_eigenpairs(op, 2)
     assert len(calls["_refine"]) == 1
-    once = run_scenario(cusp, GridPolicy()).to_json()
-    monkeypatch.setattr(eigensolve, "_copy_order", lambda block, src: None)
+    with monkeypatch.context() as patch:
+        calls = _lapack_calls(patch)
+        once = run_scenario(cusp, GridPolicy()).to_json()
+    real = eigensolve.assemble
+    monkeypatch.setattr(eigensolve, "assemble",
+                        lambda *args: replace(real(*args), twin=None))
+    both = _lapack_calls(monkeypatch)
     assert run_scenario(cusp, GridPolicy()).to_json() == once
+    assert len(both["_refine"]) > len(calls["_refine"])
 
 
 def test_zero_bracket_on_the_kernel_skip_mode(monkeypatch):
@@ -579,6 +585,24 @@ def test_pivot_count_matches_the_sturm_count_on_every_catalog_count(
         assert real(d, e, hi) == _sturm_count(d, e, hi)
 
 
+def test_twin_seeds_bisect_one_block(monkeypatch):
+    # a round-sphere Dirac tone on 8192 x 4: every mode is a mirror twin,
+    # so its seed operator bisects its -|nu| block alone, on SEED_N nodes
+    sc = find_scenario("round-sphere")
+    bisected = []
+    real = eigensolve._bisect
+
+    def bisect(d, e, count):
+        bisected.append(d.size)
+        return real(d, e, count)
+    monkeypatch.setattr(eigensolve, "_bisect", bisect)
+    tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin,
+                            GridPolicy(8192, 4).grids(sc.surface))
+    solved = [nu for nu, rec in tone.per_mode.items() if "value" in rec]
+    assert solved
+    assert bisected == [eigensolve.SEED_N] * len(solved)
+
+
 def test_fine_ladders_seed_level_0_from_one_bisection_at_seed_n(monkeypatch):
     # on a 2048 x 2 ladder every block bisects only on the SEED_N grid, and
     # every refinement certifies; each tone agrees to 1e-15 with the one
@@ -624,14 +648,28 @@ def test_fine_ladders_seed_level_0_from_one_bisection_at_seed_n(monkeypatch):
 
 def test_probe_counts_match_dense_eigvalsh(monkeypatch):
     # the pivot counts of every probe block of the essential-check
-    # scenarios equal a dense count of the generalized spectrum
-    seen = []
-    real = eigensolve._count_block_below
+    # scenarios equal a dense count of the generalized spectrum; each count
+    # follows the congruence of the block it counts
+    seen, blocks = [], []
+    real_congruence = eigensolve._congruence
+    real_count = eigensolve._count_below
+    real_probe = eigensolve.truncation_probe
 
-    def recorded(block, threshold):
-        seen.append((block, threshold, real(block, threshold)))
+    def congruence(block):
+        blocks.append(block)
+        return real_congruence(block)
+
+    def count(d, e, hi):
+        seen.append((blocks[-1], hi, real_count(d, e, hi)))
         return seen[-1][2]
-    monkeypatch.setattr(eigensolve, "_count_block_below", recorded)
+
+    def probe(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolve, "_congruence", congruence)
+            patch.setattr(eigensolve, "_count_below", count)
+            return real_probe(*args, **kwargs)
+    for module in (cli, bounds):
+        monkeypatch.setattr(module, "truncation_probe", probe)
     for sc in builtin_catalog():
         if any(e.get("bound") == "essential" for e in sc.expected):
             run_scenario(sc)
@@ -643,6 +681,48 @@ def test_probe_counts_match_dense_eigvalsh(monkeypatch):
 
 
 SPHERE_PROBE_WINDOWS = [(-1.2, 1.2), (-1.4, 1.4)]
+
+
+def _probe_work(monkeypatch, probe_args, twins=True):
+    """The counts of a probe, the pivot counts it makes, and the twin (or
+    None) of each operator it assembles; twins=False assembles every
+    operator with twin=None, so both blocks of each mode are counted."""
+    ops, pivots = [], []
+    real_assemble, real_count = eigensolve.assemble, eigensolve._count_below
+
+    def assemble(*args):
+        ops.append(real_assemble(*args))
+        if not twins:
+            ops[-1] = replace(ops[-1], twin=None)
+        return ops[-1]
+
+    def count(*args):
+        pivots.append(args[-1])
+        return real_count(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(eigensolve, "assemble", assemble)
+        patch.setattr(eigensolve, "_count_below", count)
+        probe = truncation_probe(*probe_args)
+    return probe.counts, len(pivots), [op.twin for op in ops]
+
+
+def test_probe_counts_each_twin_once(monkeypatch):
+    # on the growing-curvature windows and the sphere's, every mode is a
+    # mirror twin and costs one pivot count per window; the counts are
+    # those of counting both blocks of every mode
+    sc = find_scenario("growing-curvature")
+    exp = next(e for e in sc.expected if e["check"] == "probe")
+    for args in ((sc.surface, KIND_DIRAC, sc.spin,
+                  [tuple(w) for w in exp["windows"]], exp["threshold"]),
+                 (sphere(), KIND_DIRAC, SpinStructure.BOUNDING,
+                  SPHERE_PROBE_WINDOWS, 2000.0, 256)):
+        counts, pivots, twins = _probe_work(monkeypatch, args)
+        ref_counts, ref_pivots, ref_twins = _probe_work(monkeypatch, args,
+                                                        twins=False)
+        assert counts == ref_counts
+        assert twins and all(t == slice(None, None, -1) for t in twins)
+        assert all(t is None for t in ref_twins)
+        assert pivots == len(twins) and ref_pivots == 2 * len(twins)
 
 
 def test_probe_counts_every_mode_below_the_threshold():

@@ -70,8 +70,10 @@ def test_energy_is_the_quadratic_form_of_the_stiffness():
                assemble_laplacian(s, 1.0, grid),
                assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)):
         for block in op.blocks:
-            assert block.energy(u) == pytest.approx(
-                float(u @ block.matvec(u)), rel=1e-12)
+            quadratic = (np.sum(block.diag * u * u)
+                         + 2.0 * np.sum(block.off * u[:-1] * u[1:]))
+            assert block.energy(u) == pytest.approx(float(quadratic),
+                                                    rel=1e-12)
 
 
 def test_mass_positive_and_tracks_span_area():
@@ -314,12 +316,17 @@ def _same_block(a, b):
 def test_mirror_block_is_the_exact_reflection(sid):
     # the -|nu| block is assembled from the samples, wherever blocks lists
     # it, and the +|nu| block is its mirror image: the arrays reversed bit
-    # for bit and a_e negated, all read-only
+    # for bit and a_e negated, all read-only; mode 0 holds its one block
+    # twice
     for surface, grid, samples, nu, op in _dirac_ops(sid):
         src = int(nu < 0)
         source, mirror = op.blocks[src], op.blocks[1 - src]
         assert _same_block(source, _assemble_block(
             surface, grid, KIND_DIRAC, -abs(nu), samples))
+        if nu == 0:
+            assert mirror is source and op.twin == slice(None)
+            continue
+        assert op.twin == slice(None, None, -1)
         for name in ("diag", "off", "mass", "w_e"):
             assert np.array_equal(getattr(mirror, name),
                                   getattr(source, name)[::-1])
@@ -346,3 +353,39 @@ def test_blocks_off_the_mirror_are_assembled_from_the_samples():
         for block, mu in zip(op.blocks, (-nu, nu)):
             assert _same_block(block, _assemble_block(
                 surface, grid, KIND_DIRAC, mu, samples))
+
+
+def _one_matrix(block, source):
+    """The slices that read block's diag, off and mass bit for bit from
+    source's: slice(None) where the two are equal, the reversing slice where
+    block is source's mirror image (both on a flat cylinder, whose blocks
+    are palindromes)."""
+    return [turn for turn in (slice(None), slice(None, None, -1))
+            if all(np.array_equal(getattr(block, name),
+                                  getattr(source, name)[turn])
+                   for name in ("diag", "off", "mass"))]
+
+
+def test_twin_is_set_exactly_where_the_blocks_are_one_matrix():
+    # the 3 lowest modes +-nu of every catalog scenario at n = 512 (the
+    # cusp's modes nu != 0 among them), the cap (-pi/2, 1.2) and the window
+    # (-1, 1.2) off the sphere's middle: twin is set where the +|nu| block
+    # reads as the -|nu| block, and then is such a reading
+    from diraclab.scenarios import builtin_catalog
+    sc = find_scenario("round-sphere")
+    cap = replace(sc.surface, t_max=1.2)
+    cases = [(s.surface, s.spin, make_grid(s.surface, 512))
+             for s in builtin_catalog()]
+    cases += [(cap, sc.spin, make_grid(cap, 512)),
+              (sc.surface, sc.spin, Grid(a=-1.0, b=1.2, n=512))]
+    apart = 0
+    for surface, spin, grid in cases:
+        for nu in lattice_modes(spin, surface.period, 3):
+            for signed in (nu, -nu):
+                op = assemble_dirac_square(surface, spin, signed, grid)
+                src = int(signed < 0)
+                found = _one_matrix(op.blocks[1 - src], op.blocks[src])
+                assert (op.twin is not None) == bool(found), (grid, signed)
+                assert op.twin is None or op.twin in found, (grid, signed)
+                apart += op.twin is None
+    assert apart == 4 + 6 + 6  # cusp nu = 1, 2; the cap; the window
