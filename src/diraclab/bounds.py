@@ -258,8 +258,9 @@ class CutoffReport:
     monotone: bool
 
 
-def _cutoff_profile(grid, rho: float, center: float) -> np.ndarray:
+def _cutoff_profile(grid, rho: float) -> np.ndarray:
     t = grid.nodes
+    center = 0.5 * (grid.a + grid.b)
     raw = np.clip(2.0 - np.abs(t - center) / rho, 0.0, 1.0)
     # two smoothing passes; averaging slopes cannot raise their maximum
     out = raw
@@ -269,13 +270,12 @@ def _cutoff_profile(grid, rho: float, center: float) -> np.ndarray:
     return out
 
 
-def cutoff_stability_check(surface, spin, phi: Section, rhos,
-                           center: float | None = None) -> CutoffReport:
+def cutoff_stability_check(surface, spin, phi: Section, rhos) -> CutoffReport:
     """Build cutoffs f_rho and audit the first-order truncation estimate.
 
-    f_rho is 1 on the ball of radius rho about the center, ramps linearly
-    (slope 1/rho) to 0 at radius 2 rho, and is smoothed; the audit checks
-    max |grad f_rho| <= 1/rho and
+    f_rho is 1 on the ball of radius rho about the middle of phi's grid
+    window, ramps linearly (slope 1/rho) to 0 at radius 2 rho, and is
+    smoothed; the audit checks max |grad f_rho| <= 1/rho and
 
         ||D(f_rho phi) - D phi||
             <= ||phi||/rho + ||(f_rho - 1) D phi|| + product-rule defect,
@@ -287,8 +287,6 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos,
     if not mode_in_structure(phi.nu, spin, surface.period):
         raise AssemblyError(f"mode {phi.nu} is off the {spin} lattice")
     grid = phi.grid
-    if center is None:
-        center = 0.5 * (grid.a + grid.b)
     radius = 0.5 * (grid.b - grid.a)
     rhos = [float(r) for r in rhos]
     if any(r <= 0 or r > radius * (1 + 1e-12) for r in rhos):
@@ -312,7 +310,7 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos,
     d_phi = d_apply(comps)
     defects, rhs_bounds, slopes = [], [], []
     for rho in rhos:
-        f_rho = _cutoff_profile(grid, rho, center)
+        f_rho = _cutoff_profile(grid, rho)
         lhs_vecs = [a - b for a, b in
                     zip(d_apply([f_rho * c for c in comps]), d_phi)]
         lhs = l2(lhs_vecs)

@@ -568,16 +568,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _grid_policy(base_n: int, levels: int) -> GridPolicy:
-    """The GridPolicy of --grid-n (or a sweep's N) and --levels; its finest
-    grid, base_n * 2^(levels - 1) nodes, is capped at MAX_GRID_NODES before
-    any grid is laid out."""
-    if base_n < 16 or levels < 1:
-        raise CatalogError(f"a base grid >= 16 and levels >= 1 required, "
-                           f"got {base_n} and {levels}")
-    if base_n > MAX_GRID_NODES >> (levels - 1):
-        raise CatalogError(f"base grid * 2^(levels - 1) <= {MAX_GRID_NODES} "
-                           f"required, got {base_n} and levels {levels}")
-    return GridPolicy(base_n=base_n, levels=levels)
+    """The GridPolicy of --grid-n (or a sweep's N) and --levels; a ladder
+    it rejects is a usage error."""
+    try:
+        return GridPolicy(base_n=base_n, levels=levels)
+    except AssemblyError as exc:
+        raise CatalogError(str(exc)) from exc
 
 
 def main(argv=None) -> int:

@@ -129,7 +129,9 @@ class GridPolicy:
     """Refinement policy for tone computations.
 
     base_n is the coarsest node count; each of the `levels` refinement
-    steps doubles it.
+    steps doubles it.  A ladder needs base_n >= 16, levels >= 1 and a
+    finest grid of base_n * 2^(levels - 1) <= MAX_GRID_NODES nodes;
+    AssemblyError otherwise, before any grid is laid.
     Singular-end truncation distances are tied to the spacing (delta =
     DELTA_RATIO * h, a constant), so one geometric sequence refines h and
     delta together and a single estimated-order Richardson step
@@ -138,6 +140,16 @@ class GridPolicy:
 
     base_n: int = 512
     levels: int = 3
+
+    def __post_init__(self):
+        if self.base_n < 16 or self.levels < 1:
+            raise AssemblyError(f"a base grid >= 16 and levels >= 1 "
+                                f"required, got {self.base_n} and "
+                                f"{self.levels}")
+        if self.base_n > MAX_GRID_NODES >> (self.levels - 1):
+            raise AssemblyError(f"base grid * 2^(levels - 1) <= "
+                                f"{MAX_GRID_NODES} required, got "
+                                f"{self.base_n} and levels {self.levels}")
 
     def to_json(self) -> dict:
         """The fields and the three grid constants, for provenance."""
@@ -533,7 +545,8 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
     grids is the ladder to refine on, coarsest first (GridPolicy.grids);
     a ladder that starts above SEED_N nodes seeds level 0 from one grid of
     SEED_N nodes, laid for the end kinds of grids[0].  Each grid is sampled
-    once, and every mode assembles on those samples.  The result's ground
+    once (sample_grid): every mode assembles on those samples, and the
+    floors read the level-0 node values.  The result's ground
     is the attaining mode's level-0 section, and ground_op the operator it
     solves.
     """
@@ -543,11 +556,11 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
         raise AssemblyError("dirac tone needs a spin structure")
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
     ends = grids[0].side_kinds
-    ladder = [(grid, sample_grid(surface, grid, kind)) for grid in grids]
+    ladder = [(grid, sample_grid(surface, grid)) for grid in grids]
     seed = None
     if grids[0].n > SEED_N:
         seed_grid = lay_grid(surface, SEED_N, ends, grids[0].side_slopes)
-        seed = (seed_grid, sample_grid(surface, seed_grid, kind))
+        seed = (seed_grid, sample_grid(surface, seed_grid))
     kernel_skip = kind == KIND_LAPLACIAN and "regular" not in ends
 
     flags = []
@@ -561,7 +574,7 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
     per_mode = {}
     table = []
     for nu in lattice_modes(structure, surface.period, MAX_MODE_CUTOFF):
-        term = mode_lower_bound_term(nu, surface.warp, grids[0])
+        term = mode_lower_bound_term(nu, ladder[0][1].f_nodes)
         if term > best:
             per_mode[nu] = {"pruned_at": term}
             break
@@ -580,26 +593,12 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
                       ground=best_ground[0], ground_op=best_ground[1])
 
 
-def _window_nodes(windows, n_base: int) -> list:
-    """The node count of each probe window: n_base on the first, and the
-    first window's spacing on the rest; AssemblyError above
-    MAX_GRID_NODES, before any grid is laid."""
-    span0 = windows[0][1] - windows[0][0]
-    h = span0 / (n_base + 1)
-    sizes = [max(16, int(round((b - a) / h)) - 1) for a, b in windows]
-    for (a, b), n in zip(windows, sizes):
-        if n > MAX_GRID_NODES:
-            raise AssemblyError(
-                f"probe window [{a}, {b}] at the first window's spacing "
-                f"needs {n} nodes, above the cap of {MAX_GRID_NODES}")
-    return sizes
-
-
-def check_probe_windows(surface, windows, n_base: int = SEED_N) -> list:
-    """The probe windows as (a, b) floats, each inside the surface and each
-    containing the one before it (1e-12 slack), and none above
-    MAX_GRID_NODES nodes when the first has n_base; AssemblyError
-    otherwise."""
+def check_probe_windows(surface, windows) -> list:
+    """The probe windows as sized (a, b, n): SEED_N nodes on the first
+    window and its spacing on the rest.  Each window must lie inside the
+    surface and contain the one before it (1e-12 slack), and none may need
+    more than MAX_GRID_NODES nodes; AssemblyError otherwise, before any
+    grid is laid."""
     windows = [(float(a), float(b)) for a, b in windows]
     for a, b in windows:
         if not surface.t_min <= a < b <= surface.t_max:
@@ -609,36 +608,41 @@ def check_probe_windows(surface, windows, n_base: int = SEED_N) -> list:
     for (a0, b0), (a1, b1) in zip(windows, windows[1:]):
         if a1 > a0 + 1e-12 or b1 < b0 - 1e-12:
             raise AssemblyError("probe windows must be nested and growing")
-    _window_nodes(windows, n_base)
-    return windows
+    h = (windows[0][1] - windows[0][0]) / (SEED_N + 1)
+    sized = [(a, b, max(16, int(round((b - a) / h)) - 1)) for a, b in windows]
+    for a, b, n in sized:
+        if n > MAX_GRID_NODES:
+            raise AssemblyError(
+                f"probe window [{a}, {b}] at the first window's spacing "
+                f"needs {n} nodes, above the cap of {MAX_GRID_NODES}")
+    return sized
 
 
-def truncation_probe(surface, kind: str, spin, windows, threshold: float,
-                     n_base: int = SEED_N) -> ProbeResult:
+def truncation_probe(surface, kind: str, spin, windows,
+                     threshold: float) -> ProbeResult:
     """Count eigenvalues below `threshold` on a nested window sequence.
 
     Stabilizing counts indicate purely discrete spectrum below the
     threshold (compact perturbations do not move the essential spectrum);
     counts that keep growing signal spectrum accumulating below it.
     All probe windows use Dirichlet walls and share one node spacing so the
-    discrete spaces are genuinely nested; the first window gets n_base
-    nodes, whatever ladder the tones refine on.  The windows must pass
-    check_probe_windows at n_base.  Each window is sampled once, and
-    counts modes, all assembled on those samples, up to the first floor
-    above the threshold, a twin's -|nu| block once for both blocks; it
-    raises ConvergenceError when all MAX_MODE_CUTOFF modes stay at or below
-    it.
+    discrete spaces are genuinely nested: check_probe_windows sizes them,
+    SEED_N nodes on the first, whatever ladder the tones refine on.  Each
+    window is sampled once, and counts modes, all assembled on those
+    samples, up to the first floor above the threshold (read from the same
+    samples), a twin's -|nu| block once for both blocks; it raises
+    ConvergenceError when all MAX_MODE_CUTOFF modes stay at or below it.
     """
-    windows = check_probe_windows(surface, windows, n_base)
+    sized = check_probe_windows(surface, windows)
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
     modes = lattice_modes(structure, surface.period, MAX_MODE_CUTOFF)
     counts = []
-    for (a, b), n in zip(windows, _window_nodes(windows, n_base)):
+    for a, b, n in sized:
         grid = Grid(a=a, b=b, n=n)
-        samples = sample_grid(surface, grid, kind)
+        samples = sample_grid(surface, grid)
         total = 0
         for nu in modes:
-            if mode_lower_bound_term(nu, surface.warp, grid) > threshold:
+            if mode_lower_bound_term(nu, samples.f_nodes) > threshold:
                 break
             op = assemble(surface, kind, spin, nu, grid, samples)
             c = sum(_count_below(*_congruence(op.blocks[bi])[1:], threshold)
@@ -654,5 +658,6 @@ def truncation_probe(surface, kind: str, spin, windows, threshold: float,
                 f"are at or below the threshold {threshold}")
         counts.append(total)
     stable = len(counts) >= 2 and counts[-1] == counts[-2]
-    return ProbeResult(threshold=threshold, windows=windows, counts=counts,
+    return ProbeResult(threshold=threshold,
+                       windows=[(a, b) for a, b, _ in sized], counts=counts,
                        stable=stable)

@@ -407,7 +407,7 @@ def area(surface: WarpedSurface) -> float:
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """Curvature data sampled on a grid, plus derived lower bounds.
+    """Curvature lower bounds from samples on a grid.
 
     kappa_spinor is the infimum of scal/4 (the spinor curvature term),
     kappa_oneform the infimum of K (the Ricci bound on a surface).  The
@@ -415,12 +415,8 @@ class CurvatureProfile:
     behavior on incomplete surfaces is not missed.
     """
 
-    nodes: np.ndarray
-    gauss: np.ndarray
-    scal: np.ndarray
     kappa_spinor: float
     kappa_oneform: float
-    kappa_positive: bool
     kappa_growing_ends: bool
     tail_kappa: tuple  # per-end infimum of scal/4 over the outer windows
 
@@ -469,12 +465,8 @@ def curvature_profile(surface: WarpedSurface, grid) -> CurvatureProfile:
     grow_hi = (hi_means[2] > hi_means[1] > hi_means[0]
                and hi_means[2] > 1.25 * abs(hi_means[0]) + 1e-12)
     return CurvatureProfile(
-        nodes=nodes,
-        gauss=K,
-        scal=scal,
         kappa_spinor=kappa_spinor,
         kappa_oneform=kappa_oneform,
-        kappa_positive=kappa_spinor > 0,
         kappa_growing_ends=bool(grow_lo and grow_hi),
         tail_kappa=(tail_lo, tail_hi),
     )

@@ -46,6 +46,7 @@ Friedrichs extension at polynomial rates.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,33 +289,31 @@ def node_weights(surface, grid: Grid) -> tuple:
     return surface.period * f * grid.h, f
 
 
-def sample_grid(surface, grid: Grid, kind: str) -> tuple:
-    """What an assembly of `kind` on grid reads, as read-only arrays.
+Samples = namedtuple("Samples", "w w_e f_nodes fm half_log")
 
-    Returns (w, w_e, f_nodes, fm, half_log): the node weights P f h and the
-    element weights P f h at all n + 1 element midpoints, then f at the
-    nodes for the Laplacian, and f at the midpoints and f'/(2f) there for
-    a Dirac operator (None where the kind reads nothing).  Every block and
-    mode assembled on the grid may share them.
+
+def sample_grid(surface, grid: Grid) -> Samples:
+    """The warp sampled once on a grid, as read-only arrays.
+
+    Returns Samples(w, w_e, f_nodes, fm, half_log): the node weights P f h
+    and the element weights P f h at all n + 1 element midpoints, f at the
+    nodes, f at the midpoints and f'/(2f) there.  Every block and mode of
+    either kind assembled on the grid shares them, and mode floors read
+    f_nodes.
     """
     mids = grid.a + grid.h * (np.arange(grid.n + 1) + 0.5)
     w, f_nodes = node_weights(surface, grid)
     fm = np.asarray(surface.f(mids), dtype=float)
     _check_positive(fm, "element midpoints")
-    w_e = surface.period * fm * grid.h
-    if kind == KIND_DIRAC:
-        half_log = np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm)
-        out = (w, w_e, None, fm, half_log)
-    else:
-        out = (w, w_e, f_nodes, None, None)
+    half_log = np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm)
+    out = Samples(w, surface.period * fm * grid.h, f_nodes, fm, half_log)
     for x in out:
-        if x is not None:
-            x.flags.writeable = False
+        x.flags.writeable = False
     return out
 
 
 def _assemble_block(surface, grid: Grid, kind: str, coef: float,
-                    samples: tuple) -> Block:
+                    samples: Samples) -> Block:
     w, w_e, f_nodes, fm, half_log = samples
     h = grid.h
     bc = block_boundary_conditions(kind, coef, grid)
@@ -341,9 +340,9 @@ def _assemble_block(surface, grid: Grid, kind: str, coef: float,
 def assemble_laplacian(surface, nu: float, grid: Grid,
                        samples=None) -> ReducedOperator:
     """Mode-nu scalar Laplacian as a (stiffness, mass) pair; samples, when
-    given, are sample_grid(surface, grid, KIND_LAPLACIAN)."""
+    given, are sample_grid(surface, grid)."""
     if samples is None:
-        samples = sample_grid(surface, grid, KIND_LAPLACIAN)
+        samples = sample_grid(surface, grid)
     block = _assemble_block(surface, grid, KIND_LAPLACIAN, float(nu), samples)
     return ReducedOperator(kind=KIND_LAPLACIAN, nu=float(nu), grid=grid,
                            blocks=(block,))
@@ -352,7 +351,7 @@ def assemble_laplacian(surface, nu: float, grid: Grid,
 def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
                           grid: Grid, samples=None) -> ReducedOperator:
     """Mode-nu D^2 as the direct sum of its two half-spinor blocks; samples,
-    when given, are sample_grid(surface, grid, KIND_DIRAC).
+    when given, are sample_grid(surface, grid).
 
     At nu = 0 one block is assembled and held twice (twin slice(None)); on
     a mirrored window the -|nu| block is assembled from the samples and the
@@ -365,7 +364,7 @@ def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
             f"mode {nu} is not on the {spin.value} spinor lattice "
             f"for period {surface.period}")
     if samples is None:
-        samples = sample_grid(surface, grid, KIND_DIRAC)
+        samples = sample_grid(surface, grid)
     nu = float(nu)
     twin = None
     if nu == 0:
@@ -424,9 +423,9 @@ def assemble(surface, kind: str, spin, nu: float, grid: Grid,
              samples=None) -> ReducedOperator:
     """Mode-nu operator of either kind; spin is unused for the Laplacian.
 
-    samples are sample_grid(surface, grid, kind), which a caller that
-    assembles many modes on one grid passes to each; without them the grid
-    is sampled here.
+    samples are sample_grid(surface, grid), which a caller that assembles
+    many modes on one grid passes to each; without them the grid is
+    sampled here.
     """
     if kind == KIND_LAPLACIAN:
         return assemble_laplacian(surface, nu, grid, samples)
@@ -497,15 +496,13 @@ def product_rule_defect(fv, comps, w, h: float) -> float:
     """sqrt(sum w |D(f u) - f' u - f D u|^2) over the components u.
 
     fv are the multiplier's node values, w the node weights P f h, and D
-    the forward difference at spacing h; leibniz_defect and the cutoff
-    audit share it.
+    the forward difference at spacing h, for which the defect is exactly
+    (f_(i+1) - f_i)(u_(i+1) - u_i)/h: computed in that form, it does not
+    cancel.  leibniz_defect and the cutoff audit share it.
     """
-    df = (fv[1:] - fv[:-1]) / h
+    df = np.diff(fv) / h
     total = 0.0
     for comp in comps:
-        u = np.asarray(comp)
-        dfu = (fv[1:] * u[1:] - fv[:-1] * u[:-1]) / h
-        du = (u[1:] - u[:-1]) / h
-        defect = dfu - df * u[:-1] - fv[:-1] * du
+        defect = df * np.diff(comp)
         total += float(np.sum(w[:-1] * np.abs(defect) ** 2))
     return math.sqrt(total)

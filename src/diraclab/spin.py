@@ -6,7 +6,8 @@ Spinors see the holonomy of the spin structure: the bounding structure is
 antiperiodic along the circle (half-integer lattice), the non-bounding one
 periodic (integer lattice, which is what admits a parallel spinor on the
 flat cylinder).  Tones and probes walk lattice_modes upward until
-mode_lower_bound_term clears their level.
+mode_lower_bound_term, read from the warp's values already sampled on a
+grid's nodes, clears their level.
 """
 
 from __future__ import annotations
@@ -72,12 +73,13 @@ def mode_in_structure(nu: float, structure, period: float) -> bool:
     return abs(m - round(m)) <= 1e-9
 
 
-def mode_lower_bound_term(nu: float, warp, grid) -> float:
-    """min over the grid of nu^2/f^2, the centrifugal floor of mode nu.
+def mode_lower_bound_term(nu: float, f) -> float:
+    """min over the nodes of nu^2/f^2, the centrifugal floor of mode nu;
+    f holds the warp's values at a grid's nodes (the f_nodes of its
+    operators.sample_grid samples).
 
     The scalar mode-nu quadratic form dominates this multiple of the mass,
     and the floor grows with |nu|, so the first mode whose floor exceeds
     the best eigenvalue certifies every higher mode.
     """
-    f = np.asarray(warp.value(grid.nodes), dtype=float)
     return float(nu * nu * np.min(1.0 / (f * f)))

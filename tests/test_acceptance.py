@@ -267,15 +267,14 @@ def test_criterion_7_truncation_probes():
     exp = next(e for e in grow.expected if e["check"] == "probe")
     probe_g = truncation_probe(grow.surface, KIND_DIRAC, grow.spin,
                                [tuple(w) for w in exp["windows"]],
-                               exp["threshold"], n_base=400)
+                               exp["threshold"])
     stable_ok = probe_g.counts[0] == probe_g.counts[1] == probe_g.counts[2]
 
     surf = WarpedSurface(warp=ConstantWarp(1.0), t_min=0.0, t_max=64.0,
                          period=2 * math.pi)
     windows = [(0.0, L) for L in (8.0, 16.0, 32.0, 64.0)]
     probe_c = truncation_probe(surf, KIND_DIRAC,
-                               SpinStructure.NON_BOUNDING, windows, 0.1,
-                               n_base=400)
+                               SpinStructure.NON_BOUNDING, windows, 0.1)
     oracle = [2 * math.floor(L * math.sqrt(0.1) / math.pi)
               for _, L in windows]
     growing_ok = probe_c.counts == oracle and not probe_c.stable

@@ -234,7 +234,7 @@ def test_cutoff_compact_support_inside_radius_gives_zero_defect():
     vals[0] = np.where(inside, np.sin(math.pi * (t - 6.0) / 4.0), 0.0)
     sec = Section(kind=KIND_DIRAC, nu=0.0, grid=grid, values=vals)
     report = cutoff_stability_check(surf, SpinStructure.NON_BOUNDING, sec,
-                                    [7.0], center=8.0)
+                                    [7.0])
     assert report.defects[0] <= 1e-12
 
 

@@ -947,7 +947,7 @@ def _patch_bindings(monkeypatch, fn, wrapper):
 
 def test_probes_lay_seed_n_nodes_on_every_ladder(monkeypatch):
     # a probe's first window has SEED_N nodes whatever ladder the tones
-    # refine on: the probe check and the essential bound pass no n_base
+    # refine on
     from diraclab import cli, eigensolve, operators
     from diraclab.eigensolve import GridPolicy
     from diraclab.scenarios import find_scenario

@@ -17,6 +17,7 @@ from diraclab.errors import AssemblyError, ConvergenceError
 from diraclab.eigensolve import (
     GridPolicy,
     _backward_error,
+    check_probe_windows,
     fundamental_tone,
     richardson,
     smallest_eigenpairs,
@@ -266,7 +267,7 @@ def test_mirror_operators_refine_one_block(monkeypatch):
 
 def _two_block_op(op, surface):
     """op with both blocks assembled from the samples, no mirror."""
-    samples = sample_grid(surface, op.grid, KIND_DIRAC)
+    samples = sample_grid(surface, op.grid)
     blocks = tuple(_assemble_block(surface, op.grid, KIND_DIRAC, mu, samples)
                    for mu in (-op.nu, op.nu))
     return ReducedOperator(kind=KIND_DIRAC, nu=op.nu, grid=op.grid,
@@ -459,45 +460,48 @@ def test_dgtsv_solves_in_place(monkeypatch):
     assert shared and all(all(row) and len(row) == 4 for row in shared)
 
 
-def test_tone_samples_each_grid_once(monkeypatch):
-    # every solved mode assembles on one sampling of each ladder grid and
-    # of the seed grid, in place of one per mode and grid
-    sc = find_scenario("cover-m5")
-    grids = GridPolicy(base_n=1024, levels=3).grids(sc.surface)
-    sizes = {"f": [], "fprime": []}
+def _count_warp_calls(monkeypatch, warp):
+    """The sizes of the arrays that warp's value and deriv are called on."""
+    sizes = {"value": [], "deriv": []}
     for name, seen in sizes.items():
-        def counted(self, t, _real=getattr(WarpedSurface, name), _seen=seen):
+        def counted(self, t, _real=getattr(type(warp), name), _seen=seen):
             _seen.append(np.size(t))
             return _real(self, t)
-        monkeypatch.setattr(WarpedSurface, name, counted)
-    tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin, grids)
-    assert sum("value" in rec for rec in tone.per_mode.values()) > 1
+        monkeypatch.setattr(type(warp), name, counted)
+    return sizes
+
+
+def test_tone_samples_each_grid_once(monkeypatch):
+    # every solved mode assembles on one sampling of each ladder grid and
+    # of the seed grid, in place of one per mode and grid, and the floors
+    # read the level-0 samples: the warp sees each grid once, either kind
+    sc = find_scenario("cover-m5")
+    grids = GridPolicy(base_n=1024, levels=3).grids(sc.surface)
     ns = [eigensolve.SEED_N] + [g.n for g in grids]
-    assert sorted(sizes["f"]) == sorted(ns + [n + 1 for n in ns])
-    assert sorted(sizes["fprime"]) == [n + 1 for n in ns]
+    for kind, spin in ((KIND_DIRAC, sc.spin), (KIND_LAPLACIAN, None)):
+        with monkeypatch.context() as patch:
+            sizes = _count_warp_calls(patch, sc.surface.warp)
+            tone = fundamental_tone(sc.surface, kind, spin, grids)
+        assert sum("value" in rec for rec in tone.per_mode.values()) > 1
+        assert sorted(sizes["value"]) == sorted(ns + [n + 1 for n in ns])
+        assert sorted(sizes["deriv"]) == [n + 1 for n in ns]
 
 
 def test_probe_samples_each_window_once(monkeypatch):
     # every counted mode of a window assembles on one sampling of it, in
-    # place of one per mode and window
+    # place of one per mode and window, and its floors read those samples
     sc = find_scenario("growing-curvature")
     exp = next(e for e in sc.expected if e["check"] == "probe")
     windows = [tuple(w) for w in exp["windows"]]
     ref = truncation_probe(sc.surface, KIND_DIRAC, sc.spin, windows,
                            exp["threshold"])
-    sizes = {"f": [], "fprime": []}
-    for name, seen in sizes.items():
-        def counted_call(self, t, _real=getattr(WarpedSurface, name),
-                         _seen=seen):
-            _seen.append(np.size(t))
-            return _real(self, t)
-        monkeypatch.setattr(WarpedSurface, name, counted_call)
+    sizes = _count_warp_calls(monkeypatch, sc.surface.warp)
     probe = truncation_probe(sc.surface, KIND_DIRAC, sc.spin, windows,
                              exp["threshold"])
     assert probe.counts == ref.counts and max(probe.counts) > 1
-    ns = eigensolve._window_nodes(windows, eigensolve.SEED_N)
-    assert sizes["f"] == [m for n in ns for m in (n, n + 1)]
-    assert sizes["fprime"] == [n + 1 for n in ns]
+    ns = [n for _, _, n in check_probe_windows(sc.surface, windows)]
+    assert sizes["value"] == [m for n in ns for m in (n, n + 1)]
+    assert sizes["deriv"] == [n + 1 for n in ns]
 
 
 def test_probe_window_above_the_node_cap_lays_no_grid(monkeypatch):
@@ -601,6 +605,20 @@ def test_twin_seeds_bisect_one_block(monkeypatch):
     solved = [nu for nu, rec in tone.per_mode.items() if "value" in rec]
     assert solved
     assert bisected == [eigensolve.SEED_N] * len(solved)
+
+
+def test_grid_policy_rejects_an_invalid_ladder_at_construction():
+    # a library caller gets the CLI's check: no IndexError from an empty
+    # ladder, and no grid laid above the node cap
+    for base_n, levels, message in (
+            (512, 0, "levels >= 1 required"),
+            (8, 3, "base grid >= 16"),
+            (2 ** 20, 2, r"base grid \* 2\^\(levels - 1\) <= 1048576")):
+        with pytest.raises(AssemblyError, match=message):
+            GridPolicy(base_n=base_n, levels=levels)
+    policy = GridPolicy(base_n=2 ** 19, levels=2)
+    assert policy.base_n * 2 ** (policy.levels - 1) == \
+        eigensolve.MAX_GRID_NODES
 
 
 def test_fine_ladders_seed_level_0_from_one_bisection_at_seed_n(monkeypatch):
@@ -715,7 +733,7 @@ def test_probe_counts_each_twin_once(monkeypatch):
     for args in ((sc.surface, KIND_DIRAC, sc.spin,
                   [tuple(w) for w in exp["windows"]], exp["threshold"]),
                  (sphere(), KIND_DIRAC, SpinStructure.BOUNDING,
-                  SPHERE_PROBE_WINDOWS, 2000.0, 256)):
+                  SPHERE_PROBE_WINDOWS, 2000.0)):
         counts, pivots, twins = _probe_work(monkeypatch, args)
         ref_counts, ref_pivots, ref_twins = _probe_work(monkeypatch, args,
                                                         twins=False)
@@ -731,14 +749,15 @@ def test_probe_counts_every_mode_below_the_threshold():
     # nu > 0; the probe's 45 such modes are more than 32
     s, threshold = sphere(), 2000.0
     probe = truncation_probe(s, KIND_DIRAC, SpinStructure.BOUNDING,
-                             SPHERE_PROBE_WINDOWS, threshold, n_base=256)
-    h = 2.4 / 257  # the first window's span over n_base + 1
+                             SPHERE_PROBE_WINDOWS, threshold)
+    h = 2.4 / 513  # the first window's span over SEED_N + 1
     expected = []
     for a, b in SPHERE_PROBE_WINDOWS:
         grid = Grid(a=a, b=b, n=int(round((b - a) / h)) - 1)
         total = 0
         for nu in (m + 0.5 for m in range(200)):
-            if mode_lower_bound_term(nu, s.warp, grid) > threshold:
+            floor = mode_lower_bound_term(nu, s.warp.value(grid.nodes))
+            if floor > threshold:
                 continue
             op = assemble(s, KIND_DIRAC, SpinStructure.BOUNDING, nu, grid)
             for block in op.blocks:
@@ -753,7 +772,7 @@ def test_probe_raises_when_every_mode_stays_below_the_threshold():
     # 63.5^2 < 5000: no mode within MAX_MODE_CUTOFF has its floor above
     with pytest.raises(ConvergenceError):
         truncation_probe(sphere(), KIND_DIRAC, SpinStructure.BOUNDING,
-                         SPHERE_PROBE_WINDOWS, 5000.0, n_base=256)
+                         SPHERE_PROBE_WINDOWS, 5000.0)
 
 
 def test_default_tones_end_at_one_pruning_certificate(monkeypatch):
@@ -891,7 +910,7 @@ def test_probe_long_cylinder_counts_match_string_oracle():
     s = cylinder(64.0)
     windows = [(0.0, 8.0), (0.0, 16.0), (0.0, 32.0), (0.0, 64.0)]
     probe = truncation_probe(s, KIND_DIRAC, SpinStructure.NON_BOUNDING,
-                             windows, 0.1, n_base=400)
+                             windows, 0.1)
     # two spinor components of the periodic zero mode, string values
     # pi^2 j^2 / L^2 below 0.1
     expected = [2 * math.floor(L * math.sqrt(0.1) / math.pi)
@@ -906,7 +925,7 @@ def test_probe_growing_curvature_counts_stabilize():
     exp = next(e for e in sc.expected if e["check"] == "probe")
     probe = truncation_probe(sc.surface, KIND_DIRAC, sc.spin,
                              [tuple(w) for w in exp["windows"]],
-                             exp["threshold"], n_base=400)
+                             exp["threshold"])
     assert probe.stable
     assert probe.counts[0] == probe.counts[-1]
 
@@ -984,7 +1003,7 @@ def test_probe_rejects_windows_off_the_surface():
             truncation_probe(s, KIND_DIRAC, SpinStructure.NON_BOUNDING,
                              windows, 0.1)
     probe = truncation_probe(s, KIND_DIRAC, SpinStructure.NON_BOUNDING,
-                             [(0.0, 5.0), (0.0, 10.0)], 0.1, n_base=64)
+                             [(0.0, 5.0), (0.0, 10.0)], 0.1)
     assert probe.windows == [(0.0, 5.0), (0.0, 10.0)]
 
 
@@ -994,7 +1013,7 @@ def test_probe_round_sphere_counts_stable():
     windows = [(-HALF_PI + d / 2 ** i, HALF_PI - d / 2 ** i)
                for i in range(3)]
     probe = truncation_probe(s, KIND_DIRAC, SpinStructure.BOUNDING,
-                             windows, 10.0, n_base=400)
+                             windows, 10.0)
     assert probe.stable
 
 

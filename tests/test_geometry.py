@@ -62,13 +62,6 @@ def test_gauss_curvature_outside_interval_raises():
         gauss_curvature(cylinder(), -0.1)
 
 
-def test_scal_is_twice_gauss_on_grid():
-    s = sphere()
-    grid = make_grid(s, 64)
-    prof = curvature_profile(s, grid)
-    assert np.array_equal(prof.scal, 2.0 * prof.gauss)
-
-
 def test_area_round_sphere():
     assert area(sphere()) == pytest.approx(4 * math.pi, rel=1e-10)
 
@@ -132,7 +125,7 @@ def test_curvature_profile_sphere():
     prof = curvature_profile(sphere(), make_grid(sphere(), 128))
     assert prof.kappa_spinor == pytest.approx(0.5, abs=1e-9)
     assert prof.kappa_oneform == pytest.approx(1.0, abs=1e-9)
-    assert prof.kappa_positive
+    assert prof.kappa_spinor > 0
     assert not prof.kappa_growing_ends
 
 
@@ -140,7 +133,7 @@ def test_curvature_profile_cylinder_flat():
     prof = curvature_profile(cylinder(), make_grid(cylinder(), 64))
     assert prof.kappa_spinor == 0.0
     assert prof.kappa_oneform == 0.0
-    assert not prof.kappa_positive
+    assert not prof.kappa_spinor > 0
 
 
 def test_curvature_profile_exp_cusp():

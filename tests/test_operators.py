@@ -298,7 +298,7 @@ def _dirac_ops(sid, n=128, modes=3):
     and their negatives on n nodes, with the grid's samples."""
     sc = find_scenario(sid)
     grid = make_grid(sc.surface, n)
-    samples = sample_grid(sc.surface, grid, KIND_DIRAC)
+    samples = sample_grid(sc.surface, grid)
     for nu in lattice_modes(sc.spin, sc.surface.period, modes):
         for signed in (nu, -nu):
             yield sc.surface, grid, samples, signed, assemble_dirac_square(
@@ -345,7 +345,7 @@ def test_blocks_off_the_mirror_are_assembled_from_the_samples():
     cases = list(_dirac_ops("cusp-cylinder-l10"))
     for surface, grid in ((cap, make_grid(cap, 128)),
                           (sc.surface, off_center)):
-        samples = sample_grid(surface, grid, KIND_DIRAC)
+        samples = sample_grid(surface, grid)
         for nu in (0.5, -0.5, 1.5):
             cases.append((surface, grid, samples, nu, assemble_dirac_square(
                 surface, sc.spin, nu, grid)))

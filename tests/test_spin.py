@@ -60,19 +60,18 @@ def test_mode_in_structure():
 
 
 def test_mode_lower_bound_term_zero_mode():
-    grid = Grid(a=0.0, b=1.0, n=32)
-    assert mode_lower_bound_term(0.0, ConstantWarp(1.0), grid) == 0.0
+    f = ConstantWarp(1.0).value(Grid(a=0.0, b=1.0, n=32).nodes)
+    assert mode_lower_bound_term(0.0, f) == 0.0
 
 
 def test_mode_lower_bound_term_constant_warp():
-    grid = Grid(a=0.0, b=1.0, n=32)
-    assert mode_lower_bound_term(1.0, ConstantWarp(1.0), grid) == \
-        pytest.approx(1.0, abs=1e-14)
+    f = ConstantWarp(1.0).value(Grid(a=0.0, b=1.0, n=32).nodes)
+    assert mode_lower_bound_term(1.0, f) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_mode_lower_bound_term_cosine_window():
     # window (-pi/2 + 0.1, pi/2 - 0.1); odd node count puts t = 0 on the
     # grid, where (1/4)/cos^2 attains its minimum 1/4
     grid = Grid(a=-math.pi / 2 + 0.1, b=math.pi / 2 - 0.1, n=301)
-    term = mode_lower_bound_term(0.5, CosineWarp(), grid)
+    term = mode_lower_bound_term(0.5, CosineWarp().value(grid.nodes))
     assert term == pytest.approx(0.25, abs=1e-12)
