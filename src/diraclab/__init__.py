@@ -56,6 +56,7 @@ from .eigensolve import (  # noqa: F401
     ToneResult,
     fundamental_tone,
     richardson,
+    sample_ladder,
     smallest_eigenpairs,
     truncation_probe,
 )

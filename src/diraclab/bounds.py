@@ -35,8 +35,8 @@ from .operators import (
     Section,
     bochner_gradient_energy,
     dirac_energy,
-    node_weights,
     product_rule_defect,
+    sample_grid,
 )
 from .spin import SpinStructure, mode_in_structure
 
@@ -291,7 +291,7 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos) -> CutoffReport:
     rhos = [float(r) for r in rhos]
     if any(r <= 0 or r > radius * (1 + 1e-12) for r in rhos):
         raise AssemblyError(f"rho values must lie in (0, {radius}]")
-    w, f = node_weights(surface, grid)
+    w, _, f, _, _ = sample_grid(surface, grid)
     half_log = np.asarray(surface.fprime(grid.nodes), dtype=float) / (2.0 * f)
     coefs = [half_log + mu / f for mu in (-float(phi.nu), float(phi.nu))]
 

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from . import __version__, bounds, geometry, scenarios
 from .eigensolve import (MAX_GRID_NODES, GridPolicy, check_probe_windows,
-                         fundamental_tone, truncation_probe)
+                         fundamental_tone, sample_ladder, truncation_probe)
 from .errors import AssemblyError, CatalogError, DiraclabError, SchemaError
 from .operators import KIND_DIRAC, KIND_LAPLACIAN, assemble, rayleigh_quotient
 from .spin import SpinStructure
@@ -61,7 +61,8 @@ def _resolve_scenario(selector: str) -> scenarios.Scenario:
 class _ScenarioRun:
     """Lazy per-scenario computation cache, and the one source of the
     tones, quotients and area that every check, verdict and sweep row
-    reads; the tones share one grid ladder, the rest its coarsest grid."""
+    reads; the grid ladder is laid once and sampled once, on first use: the
+    tones refine on it, and the section checks read its coarsest grid."""
 
     def __init__(self, scenario, policy: GridPolicy, tol_scale: float = 1.0):
         self.scenario = scenario
@@ -79,9 +80,18 @@ class _ScenarioRun:
             self._cache[key] = compute()
         return self._cache[key]
 
+    def ladder(self) -> tuple:
+        """The sampled ladder (levels, seed) of sample_ladder."""
+        return self._memo("ladder", lambda: sample_ladder(
+            self.scenario.surface, self.grids))
+
+    def samples(self):
+        """The Samples of the coarsest grid, from the sampled ladder."""
+        return self.ladder()[0][0][1]
+
     def tone(self, kind: str):
         return self._memo(("tone", kind), lambda: fundamental_tone(
-            self.scenario.surface, kind, self.scenario.spin, self.grids))
+            self.scenario.surface, kind, self.scenario.spin, self.ladder()))
 
     def section_rayleigh(self, name: str) -> float:
         """Rayleigh quotient of a named section for its own field kind."""
@@ -89,7 +99,7 @@ class _ScenarioRun:
             sc, grid = self.scenario, self.grid
             sec = scenarios.eval_test_section(sc, name, grid)
             op = assemble(sc.surface, sc.section_spec(name).field_kind,
-                          sc.spin, sec.nu, grid)
+                          sc.spin, sec.nu, grid, self.samples())
             return rayleigh_quotient(op, sec)
         return self._memo(("rq", name), compute)
 
@@ -173,7 +183,8 @@ def _tone_value(check: str, kind: str) -> _Check:
 
 
 def _orthogonality(run, exp):
-    value = scenarios.mk_orthogonality(run.scenario, run.grid, exp["section"])
+    value = scenarios.mk_orthogonality(run.scenario, run.grid,
+                                       run.samples().w, exp["section"])
     return (abs(value) <= exp["max_abs"] * run.tol_scale,
             {"computed": value, "max_abs": exp["max_abs"]})
 
@@ -232,7 +243,8 @@ CHECKS = {
     "section_norm2": _value_check(
         "section_norm2:{section}",
         lambda run, exp: {"computed": scenarios.section_norm2(
-            run.scenario, exp["section"], run.grid)}, _SECTION_VALUE),
+            run.scenario, exp["section"], run.grid, run.samples().w)},
+        _SECTION_VALUE),
     "section_rayleigh": _value_check(
         "section_rayleigh:{section}",
         lambda run, exp: {"computed": run.section_rayleigh(exp["section"])},
@@ -261,8 +273,22 @@ _CHOICES = {
 }
 
 
+def _runs_dirac(scenario, exp) -> bool:
+    """Whether a well-formed expected entry runs a Dirac operator on every
+    surface; the essential bound probes only on some, and counts as not."""
+    kind = exp["check"]
+    if kind == "probe":
+        return exp.get("operator", KIND_DIRAC) == KIND_DIRAC
+    if kind == "section_rayleigh" or exp.get("statistic") == "section":
+        return scenario.section_spec(exp["section"]).field_kind == KIND_DIRAC
+    if kind == "bound_verdict":
+        return exp["bound"] in ("friedrich", "area")
+    return kind in ("dirac_tone", "tone_attaining_mode", "killing")
+
+
 def _validate_expected(scenario) -> None:
-    """Reject a malformed expected list before anything is solved."""
+    """Reject a malformed expected list before anything is solved, and an
+    entry that runs a Dirac operator on a scenario without spin."""
     for i, exp in enumerate(scenario.expected):
         where = f"scenario {scenario.id!r} expected[{i}]"
         kind = exp.get("check")
@@ -315,6 +341,9 @@ def _validate_expected(scenario) -> None:
                                f"got {exp['section']!r}")
         if "section" in keys:
             scenario.section_spec(exp["section"])
+        if scenario.spin is None and _runs_dirac(scenario, exp):
+            raise CatalogError(f"{where}: check {kind!r} runs the Dirac "
+                               f"operator, which needs a spin structure")
 
 
 def run_scenario(scenario, policy: GridPolicy = GridPolicy(),

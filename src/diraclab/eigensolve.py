@@ -49,6 +49,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -129,9 +130,9 @@ class GridPolicy:
     """Refinement policy for tone computations.
 
     base_n is the coarsest node count; each of the `levels` refinement
-    steps doubles it.  A ladder needs base_n >= 16, levels >= 1 and a
-    finest grid of base_n * 2^(levels - 1) <= MAX_GRID_NODES nodes;
-    AssemblyError otherwise, before any grid is laid.
+    steps doubles it.  A ladder needs integers (not booleans) base_n >= 16
+    and levels >= 1, and a finest grid of base_n * 2^(levels - 1) <=
+    MAX_GRID_NODES nodes; AssemblyError otherwise, before any grid is laid.
     Singular-end truncation distances are tied to the spacing (delta =
     DELTA_RATIO * h, a constant), so one geometric sequence refines h and
     delta together and a single estimated-order Richardson step
@@ -142,6 +143,10 @@ class GridPolicy:
     levels: int = 3
 
     def __post_init__(self):
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                   for x in (self.base_n, self.levels)):
+            raise AssemblyError(f"an integer base grid and levels required, "
+                                f"got {self.base_n!r} and {self.levels!r}")
         if self.base_n < 16 or self.levels < 1:
             raise AssemblyError(f"a base grid >= 16 and levels >= 1 "
                                 f"required, got {self.base_n} and "
@@ -495,15 +500,15 @@ def richardson(seq) -> tuple:
     return val, abs(val - l2) + 1e-14, p
 
 
-def _mode_value(surface, kind, spin, nu, ladder, pick, seed):
+def _mode_value(surface, kind, spin, nu, levels, pick, seed):
     """Pair `pick` of one mode per level, extrapolated; its level-0 section
     and operator.
 
-    ladder lists (grid, sample_grid samples) per level, and seed is such a
-    pair or None.  Each level after the first refines its solve from the
-    values of the level before; level 0 refines from the values each block
-    bisects on the seed grid, when there is one (a twin's -|nu| block
-    alone), and bisects its own blocks otherwise.
+    levels and seed are as sample_ladder returns them.  Each level after
+    the first refines its solve from the values of the level before;
+    level 0 refines from the values each block bisects on the seed grid,
+    when there is one (a twin's -|nu| block alone), and bisects its own
+    blocks otherwise.
     """
     seq = []
     rows = []
@@ -513,7 +518,7 @@ def _mode_value(surface, kind, spin, nu, ladder, pick, seed):
         near = [None] * len(seed_op.blocks)
         for bi in _own_blocks(seed_op):
             near[bi] = _bisect(*_congruence(seed_op.blocks[bi])[1:], pick + 1)
-    for level, (grid, samples) in enumerate(ladder):
+    for level, (grid, samples) in enumerate(levels):
         op = assemble(surface, kind, spin, nu, grid, samples)
         res = smallest_eigenpairs(op, pick + 1, near)
         near = res.block_values
@@ -529,7 +534,20 @@ def _mode_value(surface, kind, spin, nu, ladder, pick, seed):
     return val, bar, order, rows, (ground, ground_op)
 
 
-def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
+def sample_ladder(surface, grids) -> tuple:
+    """(levels, seed): a (grid, sample_grid samples) pair for each grid of
+    the ladder grids, coarsest first (GridPolicy.grids), and such a pair on
+    SEED_N nodes laid for the end kinds of grids[0] when the ladder starts
+    above SEED_N nodes, else None."""
+    levels = [(grid, sample_grid(surface, grid)) for grid in grids]
+    if grids[0].n <= SEED_N:
+        return levels, None
+    seed_grid = lay_grid(surface, SEED_N, grids[0].side_kinds,
+                         grids[0].side_slopes)
+    return levels, (seed_grid, sample_grid(surface, seed_grid))
+
+
+def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
     """min over circle modes of the extrapolated ground eigenvalue.
 
     For the scalar Laplacian on surfaces with no honest boundary circle
@@ -542,25 +560,19 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
     the best value, recorded as {"pruned_at": floor}; a walk through all
     MAX_MODE_CUTOFF modes without one is flagged.
 
-    grids is the ladder to refine on, coarsest first (GridPolicy.grids);
-    a ladder that starts above SEED_N nodes seeds level 0 from one grid of
-    SEED_N nodes, laid for the end kinds of grids[0].  Each grid is sampled
-    once (sample_grid): every mode assembles on those samples, and the
-    floors read the level-0 node values.  The result's ground
-    is the attaining mode's level-0 section, and ground_op the operator it
-    solves.
+    ladder is the sampled ladder (levels, seed) of sample_ladder, and
+    nothing is laid or sampled here: every mode assembles on those samples,
+    level 0 of a ladder with a seed grid seeds from it, and the floors read
+    the level-0 node values.  The result's ground is the attaining mode's
+    level-0 section, and ground_op the operator it solves.
     """
     if kind not in (KIND_LAPLACIAN, KIND_DIRAC):
         raise AssemblyError(f"unknown operator kind {kind!r}")
     if kind == KIND_DIRAC and spin is None:
         raise AssemblyError("dirac tone needs a spin structure")
     structure = SCALAR if kind == KIND_LAPLACIAN else spin
-    ends = grids[0].side_kinds
-    ladder = [(grid, sample_grid(surface, grid)) for grid in grids]
-    seed = None
-    if grids[0].n > SEED_N:
-        seed_grid = lay_grid(surface, SEED_N, ends, grids[0].side_slopes)
-        seed = (seed_grid, sample_grid(surface, seed_grid))
+    levels, seed = ladder
+    ends = levels[0][0].side_kinds
     kernel_skip = kind == KIND_LAPLACIAN and "regular" not in ends
 
     flags = []
@@ -574,13 +586,13 @@ def fundamental_tone(surface, kind: str, spin, grids) -> ToneResult:
     per_mode = {}
     table = []
     for nu in lattice_modes(structure, surface.period, MAX_MODE_CUTOFF):
-        term = mode_lower_bound_term(nu, ladder[0][1].f_nodes)
+        term = mode_lower_bound_term(nu, levels[0][1].f_nodes)
         if term > best:
             per_mode[nu] = {"pruned_at": term}
             break
         pick = int(kernel_skip and abs(nu) < 1e-12)  # skip the kernel
         val, bar, order, rows, ground = _mode_value(
-            surface, kind, spin, nu, ladder, pick, seed)
+            surface, kind, spin, nu, levels, pick, seed)
         per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
         table.extend(rows)
         if val < best:

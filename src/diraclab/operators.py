@@ -278,17 +278,6 @@ def _at_free_sides(x, bc: tuple, factor: float) -> np.ndarray:
     return x
 
 
-def node_weights(surface, grid: Grid) -> tuple:
-    """The node quadrature: weights P f(t_i) h and f at the grid nodes.
-
-    Every weighted sum over the nodes reads these weights; a block's mass
-    halves them at a free side.
-    """
-    f = np.asarray(surface.f(grid.nodes), dtype=float)
-    _check_positive(f, "grid nodes")
-    return surface.period * f * grid.h, f
-
-
 Samples = namedtuple("Samples", "w w_e f_nodes fm half_log")
 
 
@@ -297,16 +286,19 @@ def sample_grid(surface, grid: Grid) -> Samples:
 
     Returns Samples(w, w_e, f_nodes, fm, half_log): the node weights P f h
     and the element weights P f h at all n + 1 element midpoints, f at the
-    nodes, f at the midpoints and f'/(2f) there.  Every block and mode of
-    either kind assembled on the grid shares them, and mode floors read
-    f_nodes.
+    nodes, f at the midpoints and f'/(2f) there.  w is the one node
+    quadrature: every weighted sum over the nodes reads it, and a block's
+    mass halves it at a free side.  Every block and mode of either kind
+    assembled on the grid shares them, and mode floors read f_nodes.
     """
     mids = grid.a + grid.h * (np.arange(grid.n + 1) + 0.5)
-    w, f_nodes = node_weights(surface, grid)
+    f_nodes = np.asarray(surface.f(grid.nodes), dtype=float)
+    _check_positive(f_nodes, "grid nodes")
     fm = np.asarray(surface.f(mids), dtype=float)
     _check_positive(fm, "element midpoints")
     half_log = np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm)
-    out = Samples(w, surface.period * fm * grid.h, f_nodes, fm, half_log)
+    out = Samples(surface.period * f_nodes * grid.h,
+                  surface.period * fm * grid.h, f_nodes, fm, half_log)
     for x in out:
         x.flags.writeable = False
     return out
@@ -489,7 +481,7 @@ def leibniz_defect(surface, fmul: Section, phi: Section) -> float:
         raise AssemblyError("multiplier and section must share one grid")
     return product_rule_defect(np.asarray(fmul.values, dtype=float),
                                phi.components(),
-                               node_weights(surface, grid)[0], grid.h)
+                               sample_grid(surface, grid).w, grid.h)
 
 
 def product_rule_defect(fv, comps, w, h: float) -> float:

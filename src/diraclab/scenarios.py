@@ -16,7 +16,7 @@ import numpy as np
 from . import geometry
 from .errors import AssemblyError, CatalogError, GeometryError
 from .operators import (CUSP_TAIL_REL, KIND_DIRAC, KIND_LAPLACIAN, Grid,
-                        Section, node_weights)
+                        Section)
 from .spin import SpinStructure
 
 ANGULAR_FULL = "full_period"
@@ -166,32 +166,32 @@ def eval_test_section(scenario: Scenario, name: str, grid: Grid) -> Section:
     return Section(kind=KIND_DIRAC, nu=spec.mode, grid=grid, values=full)
 
 
-def section_norm2(scenario: Scenario, name: str, grid: Grid) -> float:
+def section_norm2(scenario: Scenario, name: str, grid: Grid, w) -> float:
     """Weighted L2 norm squared of a named section over the full surface.
 
-    The node weights carry the full period P; a real cosine mode has
-    angular mass P/2, so it takes half of that, and everything else all of
-    it (a parallel-frame spinor amplitude integrates |.|^2 = 1).
+    w are the node weights of the grid (operators.sample_grid's Samples.w),
+    which carry the full period P; a real cosine mode has angular mass P/2,
+    so it takes half of that, and everything else all of it (a
+    parallel-frame spinor amplitude integrates |.|^2 = 1).
     """
     spec = scenario.section_spec(name)
     section = eval_test_section(scenario, name, grid)
-    w, _ = node_weights(scenario.surface, grid)
     total = sum(float(np.sum(w * np.abs(c) ** 2))
                 for c in section.components())
     return 0.5 * total if spec.angular == ANGULAR_HALF else total
 
 
-def mk_orthogonality(scenario: Scenario, grid: Grid,
+def mk_orthogonality(scenario: Scenario, grid: Grid, w,
                      name: str = "f_k") -> float:
     """Weighted inner product of a separated cosine section with 1.
 
+    w are the node weights of the grid (operators.sample_grid's Samples.w).
     Mode separation makes this vanish exactly (the angular integral of
     cos(nu phi) over a full period is zero for lattice nu != 0); the
     returned value is the floating-point product of the separated factors.
     """
     spec = scenario.section_spec(name)
     section = eval_test_section(scenario, name, grid)
-    w, _ = node_weights(scenario.surface, grid)
     P = scenario.surface.period
     nu = spec.mode
     # the angular integral as a fraction of the period the weights carry

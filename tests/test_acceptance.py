@@ -23,6 +23,7 @@ from diraclab.cli import _sweep_rows, main, run_scenario
 from diraclab.eigensolve import (
     GridPolicy,
     fundamental_tone,
+    sample_ladder,
     smallest_eigenpairs,
     truncation_probe,
 )
@@ -43,6 +44,7 @@ from diraclab.operators import (
     leibniz_defect,
     make_grid,
     rayleigh_quotient,
+    sample_grid,
 )
 from diraclab.scenarios import (
     builtin_catalog,
@@ -63,8 +65,8 @@ def _criterion(num, ok, detail):
 def test_criterion_1_sphere_laplace_tone():
     start = time.perf_counter()
     surface = find_scenario("round-sphere").surface
-    tone = fundamental_tone(surface, KIND_LAPLACIAN, None,
-                            GridPolicy(base_n=512).grids(surface))
+    tone = fundamental_tone(surface, KIND_LAPLACIAN, None, sample_ladder(
+        surface, GridPolicy(base_n=512).grids(surface)))
     elapsed = time.perf_counter() - start
     err = abs(tone.lambda_star - 2.0)
     _criterion(1, err <= 1e-3 and elapsed < 10.0,
@@ -108,13 +110,14 @@ def test_criterion_3_covering_surfaces():
     for k in (2, 3, 5):
         sc = cover_scenario(k)
         grid = make_grid(sc.surface, 512)
-        norm2 = section_norm2(sc, "f_k", grid)
+        w = sample_grid(sc.surface, grid).w
+        norm2 = section_norm2(sc, "f_k", grid, w)
         norm_err = abs(norm2 - 4 * k * math.pi / 3)
         sec = eval_test_section(sc, "f_k", grid)
         op = assemble_laplacian(sc.surface, sec.nu, grid)
         rq = rayleigh_quotient(op, sec)
         rq_err = abs(rq - (2 - 1.5 * (1 - k ** -2)))
-        orth = abs(mk_orthogonality(sc, grid))
+        orth = abs(mk_orthogonality(sc, grid, w))
         rep = run_scenario(sc)
         verdict = next(
             c["detail"]["computed"] for c in rep.checks
@@ -134,11 +137,11 @@ def test_criterion_3_covering_surfaces():
 def test_criterion_4_nonbounding_cylinders_and_crossover():
     ok = True
     details = []
-    ladder = GridPolicy(base_n=256, levels=3).grids
+    policy = GridPolicy(base_n=256, levels=3)
     for L in (2.0, 5.0, 10.0):
         sc = find_scenario(f"flat-cylinder-l{L:g}-nonbounding")
-        tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin,
-                                ladder(sc.surface))
+        tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin, sample_ladder(
+            sc.surface, policy.grids(sc.surface)))
         err = abs(tone.lambda_star - (math.pi / L) ** 2)
         ok &= err <= 1e-3
         details.append(f"L={L:g} err {err:.1e}")
@@ -158,11 +161,11 @@ def test_criterion_4_nonbounding_cylinders_and_crossover():
 def test_criterion_5_bounding_cylinders():
     ok = True
     details = []
-    ladder = GridPolicy(base_n=256, levels=3).grids
+    policy = GridPolicy(base_n=256, levels=3)
     for L in (2.0, 5.0, 10.0):
         sc = find_scenario(f"flat-cylinder-l{L:g}-bounding")
-        tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin,
-                                ladder(sc.surface))
+        tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin, sample_ladder(
+            sc.surface, policy.grids(sc.surface)))
         expect = 0.25 + (math.pi / L) ** 2
         err = abs(tone.lambda_star - expect)
         above = tone.lambda_star >= 2.0 / L - 3 * tone.error_bar

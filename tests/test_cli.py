@@ -711,6 +711,72 @@ def test_malformed_scenario_is_usage_error_before_any_solve(
     assert repr(key) in err
 
 
+# entries of a scenario without spin: the Dirac operator runs (True) or
+# not (False); scalar_sine is a laplacian_scalar section, dirichlet_sine
+# a dirac_square one
+SPIN_FREE_CASES = [
+    pytest.param({"check": "dirac_tone", "value": 1.0, "tol": 1e-3}, True,
+                 id="dirac-tone"),
+    pytest.param({"check": "tone_attaining_mode", "value": 0.0,
+                  "tol": 1e-9}, True, id="tone-attaining-mode"),
+    pytest.param({"check": "killing", "applicable": False}, True,
+                 id="killing"),
+    pytest.param({"check": "probe", **VALID_ENTRIES["probe"]}, True,
+                 id="default-probe"),
+    pytest.param({"check": "probe", "operator": "dirac_square",
+                  **VALID_ENTRIES["probe"]}, True, id="dirac-probe"),
+    pytest.param({"check": "bound_verdict", "bound": "friedrich",
+                  "verdict": "holds"}, True, id="friedrich-tone"),
+    pytest.param({"check": "bound_verdict", "bound": "area",
+                  "verdict": "holds", "statistic": "tone"}, True,
+                 id="area-tone"),
+    pytest.param({"check": "section_rayleigh", "section": "dirichlet_sine",
+                  "value": 1.0, "tol": 1e-3}, True, id="dirac-rayleigh"),
+    pytest.param({"check": "bound_verdict", "bound": "lichnerowicz",
+                  "verdict": "holds", "statistic": "section",
+                  "section": "dirichlet_sine"}, True,
+                 id="lichnerowicz-dirac-section"),
+    pytest.param({"check": "laplace_tone", "value": 1.0, "tol": 1e-3}, False,
+                 id="laplace-tone"),
+    pytest.param({"check": "probe", "operator": "laplacian_scalar",
+                  **VALID_ENTRIES["probe"]}, False, id="laplace-probe"),
+    pytest.param({"check": "bound_verdict", "bound": "lichnerowicz",
+                  "verdict": "holds"}, False, id="lichnerowicz-tone"),
+    pytest.param({"check": "bound_verdict", "bound": "area",
+                  "verdict": "holds", "statistic": "section",
+                  "section": "scalar_sine"}, False, id="area-scalar-section"),
+    pytest.param({"check": "bound_verdict", "bound": "essential",
+                  "verdict": "holds"}, False, id="essential"),
+    pytest.param({"check": "section_rayleigh", "section": "scalar_sine",
+                  "value": 1.0, "tol": 1e-3}, False, id="scalar-rayleigh"),
+    pytest.param({"check": "section_norm2", "section": "dirichlet_sine",
+                  "value": 1.0, "tol": 1e-6}, False, id="dirac-norm"),
+]
+
+
+@pytest.mark.parametrize("entry,runs_dirac", SPIN_FREE_CASES)
+def test_a_dirac_entry_without_spin_is_usage_error_before_any_solve(
+        tmp_path, capsys, monkeypatch, entry, runs_dirac):
+    from diraclab import cli
+    from diraclab.scenarios import flat_cylinder_scenario, scenario_from_json
+    from diraclab.spin import SpinStructure
+    _nothing_solved(monkeypatch)
+    doc = flat_cylinder_scenario(3.0, SpinStructure.NON_BOUNDING).to_json()
+    del doc["spin"]
+    doc["sections"].append({**doc["sections"][0], "name": "scalar_sine",
+                            "field_kind": "laplacian_scalar"})
+    doc["expected"] = [{"check": "area", "value": 1.0}, entry]
+    if not runs_dirac:
+        cli._validate_expected(scenario_from_json(doc))
+        return
+    path = tmp_path / "spinless.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--scenario", str(path)], capsys)
+    assert code == 64, err
+    assert err.startswith("usage error:")
+    assert "expected[1]" in err and "needs a spin structure" in err
+
+
 @pytest.mark.parametrize("doc", [[{"id": "x"}], {"id": "x", "surface": []}],
                          ids=["list-document", "list-surface"])
 def test_non_object_scenario_document_is_usage_error(tmp_path, capsys,
@@ -841,6 +907,25 @@ def test_only_the_assembly_decides_which_blocks_are_twins():
     assert askers == {"operators.py"}
     assert setters == {"operators.py"}
     assert compares == []
+
+
+def test_a_run_samples_grids_only_through_its_ladder():
+    # eigensolve.sample_ladder samples the grids of a scenario run, and
+    # operators.sample_grid owns the node rule: the run front end and the
+    # section checks evaluate no warp and sample no grid of their own
+    import ast
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    found = []
+    for name in ("cli.py", "scenarios.py"):
+        path = src / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            called = ast.unparse(node.func)
+            if (called.split(".")[-1] in ("sample_grid", "node_weights")
+                    or called.endswith((".f", "warp.value"))):
+                found.append(f"{name}:{node.lineno} {called}")
+    assert found == []
 
 
 def test_no_module_calls_a_blas_kernel():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from diraclab import bounds, cli, eigensolve
+from diraclab import bounds, cli, eigensolve, operators
 from diraclab.errors import AssemblyError, ConvergenceError
 from diraclab.eigensolve import (
     GridPolicy,
@@ -20,6 +20,7 @@ from diraclab.eigensolve import (
     check_probe_windows,
     fundamental_tone,
     richardson,
+    sample_ladder,
     smallest_eigenpairs,
     truncation_probe,
 )
@@ -33,6 +34,7 @@ from diraclab.operators import (
     assemble,
     assemble_dirac_square,
     assemble_laplacian,
+    lay_grid,
     make_grid,
     sample_grid,
 )
@@ -471,20 +473,59 @@ def _count_warp_calls(monkeypatch, warp):
     return sizes
 
 
+def _count_sample_grid(monkeypatch):
+    """The grids passed to operators.sample_grid, through every binding of
+    it in a loaded diraclab module."""
+    real, grids = operators.sample_grid, []
+
+    def counted(surface, grid):
+        grids.append(grid)
+        return real(surface, grid)
+    for name, module in list(sys.modules.items()):
+        if name == "diraclab" or name.startswith("diraclab."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return grids
+
+
 def test_tone_samples_each_grid_once(monkeypatch):
-    # every solved mode assembles on one sampling of each ladder grid and
-    # of the seed grid, in place of one per mode and grid, and the floors
-    # read the level-0 samples: the warp sees each grid once, either kind
-    sc = find_scenario("cover-m5")
-    grids = GridPolicy(base_n=1024, levels=3).grids(sc.surface)
-    ns = [eigensolve.SEED_N] + [g.n for g in grids]
+    # both tones and the section checks of a run share one sampling of each
+    # ladder grid and of the seed grid, and a tone handed a sampled ladder
+    # evaluates no warp: the floors read the level-0 samples
+    policy = GridPolicy(base_n=1024, levels=3)
+    for name, reads in (
+            ("round-sphere", {"laplace_tone", "dirac_tone"}),
+            ("cover-m5", {"dirac_tone", "section_norm2:f_k",
+                          "section_rayleigh:f_k", "orthogonality:f_k"})):
+        sc = find_scenario(name)
+        grids = policy.grids(sc.surface)
+        seed = lay_grid(sc.surface, eigensolve.SEED_N, grids[0].side_kinds,
+                        grids[0].side_slopes)
+        with monkeypatch.context() as patch:
+            sampled = _count_sample_grid(patch)
+            report = run_scenario(sc, policy)
+        assert reads <= {check["name"] for check in report.checks}
+        assert sorted(sampled, key=lambda g: g.n) == [seed, *grids]
+    ladder = sample_ladder(sc.surface, grids)
     for kind, spin in ((KIND_DIRAC, sc.spin), (KIND_LAPLACIAN, None)):
         with monkeypatch.context() as patch:
             sizes = _count_warp_calls(patch, sc.surface.warp)
-            tone = fundamental_tone(sc.surface, kind, spin, grids)
+            tone = fundamental_tone(sc.surface, kind, spin, ladder)
         assert sum("value" in rec for rec in tone.per_mode.values()) > 1
-        assert sorted(sizes["value"]) == sorted(ns + [n + 1 for n in ns])
-        assert sorted(sizes["deriv"]) == [n + 1 for n in ns]
+        assert sizes == {"value": [], "deriv": []}
+
+
+def test_a_probe_run_samples_only_its_windows(monkeypatch):
+    # sampling is lazy: a run that reads no tone and no section samples no
+    # ladder grid, however fine the ladder
+    sc = find_scenario("long-cylinder-probe")
+    exp = next(e for e in sc.expected if e["check"] == "probe")
+    sampled = _count_sample_grid(monkeypatch)
+    run_scenario(sc, GridPolicy(base_n=8192, levels=4))
+    windows = check_probe_windows(sc.surface, exp["windows"])
+    assert len(windows) == 4
+    assert [(g.a, g.b, g.n) for g in sampled] == windows
 
 
 def test_probe_samples_each_window_once(monkeypatch):
@@ -600,8 +641,8 @@ def test_twin_seeds_bisect_one_block(monkeypatch):
         bisected.append(d.size)
         return real(d, e, count)
     monkeypatch.setattr(eigensolve, "_bisect", bisect)
-    tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin,
-                            GridPolicy(8192, 4).grids(sc.surface))
+    tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin, sample_ladder(
+        sc.surface, GridPolicy(8192, 4).grids(sc.surface)))
     solved = [nu for nu, rec in tone.per_mode.items() if "value" in rec]
     assert solved
     assert bisected == [eigensolve.SEED_N] * len(solved)
@@ -613,9 +654,14 @@ def test_grid_policy_rejects_an_invalid_ladder_at_construction():
     for base_n, levels, message in (
             (512, 0, "levels >= 1 required"),
             (8, 3, "base grid >= 16"),
-            (2 ** 20, 2, r"base grid \* 2\^\(levels - 1\) <= 1048576")):
+            (2 ** 20, 2, r"base grid \* 2\^\(levels - 1\) <= 1048576"),
+            (100.5, 2, "integer base grid and levels required"),
+            (512, 2.0, "integer base grid and levels required"),
+            ("512", 3, "integer base grid and levels required"),
+            (512, True, "integer base grid and levels required")):
         with pytest.raises(AssemblyError, match=message):
             GridPolicy(base_n=base_n, levels=levels)
+    assert GridPolicy(np.int64(512), 3).grids(sphere())[0].n == 512
     policy = GridPolicy(base_n=2 ** 19, levels=2)
     assert policy.base_n * 2 ** (policy.levels - 1) == \
         eigensolve.MAX_GRID_NODES
@@ -866,8 +912,8 @@ def test_sphere_scalar_first_nonzero(sphere_laplace_tone):
 
 def test_cylinder_scalar_tone_has_no_kernel_skip():
     surface = cylinder(5.0)
-    tone = fundamental_tone(surface, KIND_LAPLACIAN, None,
-                            GridPolicy(base_n=128, levels=2).grids(surface))
+    tone = fundamental_tone(surface, KIND_LAPLACIAN, None, sample_ladder(
+        surface, GridPolicy(base_n=128, levels=2).grids(surface)))
     assert not tone.kernel_skipped
     assert tone.lambda_star == pytest.approx(math.pi ** 2 / 25, abs=1e-3)
 
@@ -876,8 +922,8 @@ def test_cover_m2_scalar_mode_below_test_function_quotient():
     # the nu = 1/2 restriction of the cover Laplacian dips below the
     # quotient of the matching test function (0.875), down to nu(nu+1)
     sc = cover_scenario(2)
-    tone = fundamental_tone(sc.surface, KIND_LAPLACIAN, None,
-                            GridPolicy(base_n=256, levels=3).grids(sc.surface))
+    tone = fundamental_tone(sc.surface, KIND_LAPLACIAN, None, sample_ladder(
+        sc.surface, GridPolicy(base_n=256, levels=3).grids(sc.surface)))
     rec = tone.per_mode[0.5]
     assert rec["value"] <= 0.875
     assert rec["value"] == pytest.approx(0.75, abs=2e-3)
@@ -885,8 +931,8 @@ def test_cover_m2_scalar_mode_below_test_function_quotient():
 
 def test_cover_m5_dirac_tone_attains_curvature_floor():
     sc = cover_scenario(5)
-    tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin,
-                            GridPolicy(base_n=256, levels=3).grids(sc.surface))
+    tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin, sample_ladder(
+        sc.surface, GridPolicy(base_n=256, levels=3).grids(sc.surface)))
     assert tone.lambda_star == pytest.approx(1.0, abs=1e-3)
     assert tone.nu_star == pytest.approx(0.5, abs=1e-12)
     # every unpruned mode stays above the floor within its error bar
@@ -900,7 +946,8 @@ def test_flat_cylinder_tones_both_structures():
         for spin, shift in ((SpinStructure.NON_BOUNDING, 0.0),
                             (SpinStructure.BOUNDING, 0.25)):
             surface = cylinder(L)
-            ladder = GridPolicy(base_n=128, levels=3).grids(surface)
+            ladder = sample_ladder(
+                surface, GridPolicy(base_n=128, levels=3).grids(surface))
             tone = fundamental_tone(surface, KIND_DIRAC, spin, ladder)
             expect = shift + (math.pi / L) ** 2
             assert tone.lambda_star == pytest.approx(expect, abs=1e-3)
@@ -938,7 +985,7 @@ def test_sweep_exhaustion_sets_warning_flag():
                         period=2 * math.pi)
     tone = fundamental_tone(
         fat, KIND_DIRAC, SpinStructure.NON_BOUNDING,
-        GridPolicy(base_n=64, levels=1).grids(fat))
+        sample_ladder(fat, GridPolicy(base_n=64, levels=1).grids(fat)))
     assert "sweep-exhausted-without-pruning-certificate" in tone.flags
     assert tone.lambda_star == pytest.approx(math.pi ** 2 / 25, rel=1e-3)
 
@@ -954,8 +1001,8 @@ def test_tone_lays_each_level_grid_once(monkeypatch):
         return real(surface, n, **kwargs)
     monkeypatch.setattr(eigensolve, "make_grid", counted)
     surface = sphere()
-    tone = fundamental_tone(surface, KIND_LAPLACIAN, None,
-                            GridPolicy(base_n=64, levels=3).grids(surface))
+    tone = fundamental_tone(surface, KIND_LAPLACIAN, None, sample_ladder(
+        surface, GridPolicy(base_n=64, levels=3).grids(surface)))
     assert sum("value" in rec for rec in tone.per_mode.values()) > 1
     assert sizes == [64, 128, 256]
 
@@ -977,7 +1024,8 @@ def test_tone_ground_is_the_level0_section_of_the_attaining_mode(
 
     # kernel skip: the ground is the second pair of the nu = 0 mode
     cusp = find_scenario("cusp-cylinder-l10")
-    ladder = GridPolicy(base_n=64, levels=2).grids(cusp.surface)
+    ladder = sample_ladder(
+        cusp.surface, GridPolicy(base_n=64, levels=2).grids(cusp.surface))
     tone = fundamental_tone(cusp.surface, KIND_LAPLACIAN, None, ladder)
     assert tone.kernel_skipped and tone.nu_star == 0.0
     fresh = _fresh_level0_section(cusp.surface, KIND_LAPLACIAN, None, 0.0,

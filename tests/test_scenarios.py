@@ -9,7 +9,7 @@ import pytest
 from diraclab import scenarios
 from diraclab.errors import CatalogError
 from diraclab.operators import (KIND_DIRAC, KIND_LAPLACIAN,
-                                assemble_laplacian, make_grid)
+                                assemble_laplacian, make_grid, sample_grid)
 from diraclab.scenarios import (
     builtin_catalog,
     cover_scenario,
@@ -78,7 +78,8 @@ def test_cover_test_function_norm():
         sc = cover_scenario(k)
         for n in (128, 512):
             grid = make_grid(sc.surface, n)
-            val = section_norm2(sc, "f_k", grid)
+            val = section_norm2(sc, "f_k", grid,
+                                sample_grid(sc.surface, grid).w)
             sec = eval_test_section(sc, "f_k", grid)
             block = assemble_laplacian(sc.surface, sec.nu, grid).blocks[0]
             assert val == pytest.approx(0.5 * block.mass_form(sec.values),
@@ -91,7 +92,8 @@ def test_cover_orthogonality_to_constants():
     for k in (1, 2, 3):
         sc = cover_scenario(k)
         grid = make_grid(sc.surface, 256)
-        assert abs(mk_orthogonality(sc, grid)) <= 1e-12
+        w = sample_grid(sc.surface, grid).w
+        assert abs(mk_orthogonality(sc, grid, w)) <= 1e-12
 
 
 def test_eval_sections():
