@@ -274,15 +274,15 @@ _CHOICES = {
 
 
 def _runs_dirac(scenario, exp) -> bool:
-    """Whether a well-formed expected entry runs a Dirac operator on every
-    surface; the essential bound probes only on some, and counts as not."""
+    """Whether a well-formed expected entry runs a Dirac operator; the
+    essential bound, a statement about D^2, does on every surface."""
     kind = exp["check"]
     if kind == "probe":
         return exp.get("operator", KIND_DIRAC) == KIND_DIRAC
     if kind == "section_rayleigh" or exp.get("statistic") == "section":
         return scenario.section_spec(exp["section"]).field_kind == KIND_DIRAC
     if kind == "bound_verdict":
-        return exp["bound"] in ("friedrich", "area")
+        return exp["bound"] in ("friedrich", "area", "essential")
     return kind in ("dirac_tone", "tone_attaining_mode", "killing")
 
 

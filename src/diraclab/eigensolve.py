@@ -163,9 +163,12 @@ class GridPolicy:
                 "max_mode_cutoff": MAX_MODE_CUTOFF}
 
     def grids(self, surface) -> list:
-        """The `levels` refinement grids of a surface, coarsest first."""
-        return [make_grid(surface, self.base_n * 2 ** level)
-                for level in range(self.levels)]
+        """The `levels` refinement grids of a surface, coarsest first, laid
+        for the end kinds that make_grid finds on the coarsest."""
+        first = make_grid(surface, self.base_n)
+        return [first] + [lay_grid(surface, self.base_n * 2 ** level,
+                                   first.side_kinds, first.side_slopes)
+                          for level in range(1, self.levels)]
 
 
 @dataclass

@@ -147,14 +147,14 @@ class Block:
     """One tridiagonal stiffness/mass pair of a reduced operator.
 
     The stiffness is the form energy(u); diag and off are its matrix.  mass
-    holds the diagonal mass weights: the node weights P f h, halved at a
-    free side so that their sum tracks the area of the grid span.  w_e and
-    a_e are the weights P f h (zero at a free side) and coefficients
-    f'/(2f) + mu/f of the n + 1 elements; pot is the scalar node potential
-    P h nu^2 / f.  A scalar block has a_e None and a Dirac block pot None:
-    those terms vanish.  mass and w_e may be read-only arrays that other
-    blocks of the same grid share, and every array of a mirror Dirac block
-    is a read-only reversed view of its partner's (a_e a negated copy).
+    holds the diagonal mass weights, the grid's node weights Samples.w =
+    P f h at a free side too.  w_e and a_e are the weights P f h (zero at a
+    free side) and coefficients f'/(2f) + mu/f of the n + 1 elements; pot is
+    the scalar node potential P h nu^2 / f.  A scalar block has a_e None and
+    a Dirac block pot None: those terms vanish.  mass, and w_e without a
+    free side, are read-only arrays that other blocks of the same grid
+    share, and every array of a mirror Dirac block is a read-only reversed
+    view of its partner's (a_e a negated copy).
     """
 
     diag: np.ndarray
@@ -265,17 +265,15 @@ def _check_positive(f_vals, what: str):
         raise AssemblyError(f"warp must be strictly positive on the {what}")
 
 
-def _at_free_sides(x, bc: tuple, factor: float) -> np.ndarray:
-    """x itself where bc has no free side; else a copy of x with each end
-    entry scaled by factor where bc is free."""
-    if FREE not in bc:
-        return x
-    x = np.array(x, dtype=float)
-    if bc[0] == FREE:
-        x[0] *= factor
-    if bc[1] == FREE:
-        x[-1] *= factor
-    return x
+def _at_free_sides(w_e, bc: tuple) -> np.ndarray:
+    """w_e itself where bc has no free side; else a copy of w_e with the
+    end element of each free side zeroed."""
+    ends = [end for end, side in zip((0, -1), bc) if side == FREE]
+    if not ends:
+        return w_e
+    w_e = np.array(w_e, dtype=float)
+    w_e[ends] = 0.0
+    return w_e
 
 
 Samples = namedtuple("Samples", "w w_e f_nodes fm half_log")
@@ -287,9 +285,9 @@ def sample_grid(surface, grid: Grid) -> Samples:
     Returns Samples(w, w_e, f_nodes, fm, half_log): the node weights P f h
     and the element weights P f h at all n + 1 element midpoints, f at the
     nodes, f at the midpoints and f'/(2f) there.  w is the one node
-    quadrature: every weighted sum over the nodes reads it, and a block's
-    mass halves it at a free side.  Every block and mode of either kind
-    assembled on the grid shares them, and mode floors read f_nodes.
+    quadrature: every weighted sum over the nodes reads it, and it is every
+    block's mass.  Every block and mode of either kind assembled on the
+    grid shares them, and mode floors read f_nodes.
     """
     mids = grid.a + grid.h * (np.arange(grid.n + 1) + 0.5)
     f_nodes = np.asarray(surface.f(grid.nodes), dtype=float)
@@ -309,15 +307,13 @@ def _assemble_block(surface, grid: Grid, kind: str, coef: float,
     w, w_e, f_nodes, fm, half_log = samples
     h = grid.h
     bc = block_boundary_conditions(kind, coef, grid)
-    w_e = _at_free_sides(w_e, bc, 0.0)
-    mass = _at_free_sides(w, bc, 0.5)
+    w_e = _at_free_sides(w_e, bc)
     if kind == KIND_LAPLACIAN:
         # (A u)_e = (u_{e+1} - u_e) / h: the squares of the Dirac rule
         # below with a_e = 0, without their zero terms
-        pot = _at_free_sides(surface.period * h * coef ** 2 / f_nodes, bc,
-                             0.5)
+        pot = surface.period * h * coef ** 2 / f_nodes
         t = w_e * (1.0 / h) * (1.0 / h)
-        return Block(diag=t[:-1] + t[1:] + pot, off=-t[1:-1], mass=mass,
+        return Block(diag=t[:-1] + t[1:] + pot, off=-t[1:-1], mass=w,
                      h=h, w_e=w_e, a_e=None, pot=pot)
     a_e = half_log + coef / fm
     # (A u)_e = left_e u_e + right_e u_{e+1}
@@ -325,7 +321,7 @@ def _assemble_block(surface, grid: Grid, kind: str, coef: float,
     right = 1.0 / h + 0.5 * a_e
     diag = (w_e * right * right)[:-1] + (w_e * left * left)[1:]
     off = (w_e * left * right)[1:-1]
-    return Block(diag=diag, off=off, mass=mass, h=h, w_e=w_e, a_e=a_e,
+    return Block(diag=diag, off=off, mass=w, h=h, w_e=w_e, a_e=a_e,
                  pot=None)
 
 

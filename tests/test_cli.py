@@ -746,7 +746,7 @@ SPIN_FREE_CASES = [
                   "verdict": "holds", "statistic": "section",
                   "section": "scalar_sine"}, False, id="area-scalar-section"),
     pytest.param({"check": "bound_verdict", "bound": "essential",
-                  "verdict": "holds"}, False, id="essential"),
+                  "verdict": "holds"}, True, id="essential"),
     pytest.param({"check": "section_rayleigh", "section": "scalar_sine",
                   "value": 1.0, "tol": 1e-3}, False, id="scalar-rayleigh"),
     pytest.param({"check": "section_norm2", "section": "dirichlet_sine",
@@ -775,6 +775,32 @@ def test_a_dirac_entry_without_spin_is_usage_error_before_any_solve(
     assert code == 64, err
     assert err.startswith("usage error:")
     assert "expected[1]" in err and "needs a spin structure" in err
+
+
+@pytest.mark.parametrize("sid", ["growing-curvature",
+                                 "flat-cylinder-l5-nonbounding"])
+def test_an_essential_bound_without_spin_is_usage_error_before_any_solve(
+        tmp_path, capsys, monkeypatch, sid):
+    # the essential floor is a statement about D^2, whether or not the
+    # surface has an end that the bound probes
+    from diraclab import bounds
+    from diraclab.scenarios import find_scenario
+    _nothing_solved(monkeypatch)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a probe ran before validation")
+    monkeypatch.setattr(bounds, "truncation_probe", boom)
+    doc = find_scenario(sid).to_json()
+    del doc["spin"]
+    doc["expected"] = [e for e in doc["expected"]
+                       if e.get("bound") == "essential"]
+    assert len(doc["expected"]) == 1
+    path = tmp_path / "spinless.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--scenario", str(path)], capsys)
+    assert code == 64, err
+    assert "expected[0]" in err and "'bound_verdict'" in err
+    assert "needs a spin structure" in err
 
 
 @pytest.mark.parametrize("doc", [[{"id": "x"}], {"id": "x", "surface": []}],
@@ -1072,20 +1098,23 @@ def test_verify_reads_its_default_ladder_from_grid_policy(monkeypatch):
 
 
 def test_scenario_run_lays_one_grid_ladder(monkeypatch):
-    # the tones, sections, profile and bound checks share one ladder
-    from diraclab import cli, operators
+    # the tones, sections, profile and bound checks share one ladder, whose
+    # ends are classified once, on its coarsest grid
+    from diraclab import cli, geometry, operators
     from diraclab.eigensolve import GridPolicy
     from diraclab.scenarios import find_scenario
-    sizes = []
-    real = operators.make_grid
+    sizes, ends = [], {"end_kind": 0}
+    real = operators.lay_grid
 
-    def counted(surface, n):
+    def counted(surface, n, kinds, slopes):
         sizes.append(n)
-        return real(surface, n)
+        return real(surface, n, kinds, slopes)
     _patch_bindings(monkeypatch, real, counted)
+    _count_calls(monkeypatch, ends, "end_kind", geometry, "end_kind")
     cli.run_scenario(find_scenario("round-sphere"))
     assert sizes == [512, 1024, 2048]
     assert len(sizes) == GridPolicy().levels
+    assert ends["end_kind"] == 2
 
 
 def test_only_tones_solve_during_a_scenario_run(monkeypatch):

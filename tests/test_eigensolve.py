@@ -910,6 +910,20 @@ def test_sphere_scalar_first_nonzero(sphere_laplace_tone):
     assert tone.lambda_star == pytest.approx(2.0, abs=1e-3)
 
 
+def test_equality_case_tones_at_the_default_ladder(sphere_laplace_tone,
+                                                  sphere_dirac_tone):
+    # the closed-form tones whose modes have a free side, at 512 x 3: with
+    # every block's mass the node rule Samples.w, the extrapolated error is
+    # below 3e-8 for the Laplace tone 2 and 6e-9 for each Dirac tone 1
+    assert abs(sphere_laplace_tone.lambda_star - 2.0) < 3e-8
+    assert abs(sphere_dirac_tone.lambda_star - 1.0) < 6e-9
+    for k in (1, 3, 5):
+        sc = cover_scenario(k)
+        tone = fundamental_tone(sc.surface, KIND_DIRAC, sc.spin, sample_ladder(
+            sc.surface, GridPolicy().grids(sc.surface)))
+        assert abs(tone.lambda_star - 1.0) < 6e-9, k
+
+
 def test_cylinder_scalar_tone_has_no_kernel_skip():
     surface = cylinder(5.0)
     tone = fundamental_tone(surface, KIND_LAPLACIAN, None, sample_ladder(
@@ -994,12 +1008,13 @@ def test_tone_lays_each_level_grid_once(monkeypatch):
     # one grid per refinement level, shared by every solved mode and by
     # the pruning terms
     sizes = []
-    real = eigensolve.make_grid
+    real = operators.lay_grid
 
-    def counted(surface, n, **kwargs):
+    def counted(surface, n, kinds, slopes):
         sizes.append(n)
-        return real(surface, n, **kwargs)
-    monkeypatch.setattr(eigensolve, "make_grid", counted)
+        return real(surface, n, kinds, slopes)
+    for module in (operators, eigensolve):
+        monkeypatch.setattr(module, "lay_grid", counted)
     surface = sphere()
     tone = fundamental_tone(surface, KIND_LAPLACIAN, None, sample_ladder(
         surface, GridPolicy(base_n=64, levels=3).grids(surface)))

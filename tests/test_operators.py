@@ -86,6 +86,24 @@ def test_mass_positive_and_tracks_span_area():
     assert abs(w.sum() - span_area) <= 3 * grid.h * s.period
 
 
+def test_every_block_mass_is_the_node_rule_at_a_free_side():
+    # the sphere's Laplace block at nu = 0 is free at both poles and each
+    # Dirac block at nu = +-1/2 at one: the mass is still the grid's
+    # Samples.w, reversed for the mirror (+1/2) block
+    s = sphere()
+    grid = make_grid(s, 512)
+    w = sample_grid(s, grid).w
+    (block,) = assemble_laplacian(s, 0.0, grid).blocks
+    assert block_boundary_conditions(KIND_LAPLACIAN, 0.0, grid) == \
+        (FREE, FREE)
+    assert np.array_equal(block.mass, w)
+    for nu in (0.5, -0.5):
+        op = assemble_dirac_square(s, SpinStructure.BOUNDING, nu, grid)
+        for block, mu in zip(op.blocks, (-nu, nu)):
+            assert FREE in block_boundary_conditions(KIND_DIRAC, mu, grid)
+            assert np.array_equal(block.mass, w[::-1] if mu > 0 else w)
+
+
 def test_boundary_condition_rule_on_sphere():
     s = sphere()
     grid = make_grid(s, 64)
