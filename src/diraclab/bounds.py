@@ -33,12 +33,12 @@ from .errors import AssemblyError, SchemaError
 from .operators import (
     KIND_DIRAC,
     Section,
+    assemble,
     bochner_gradient_energy,
     dirac_energy,
     product_rule_defect,
-    sample_grid,
 )
-from .spin import SpinStructure, mode_in_structure
+from .spin import SpinStructure
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -281,41 +281,36 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos) -> CutoffReport:
             <= ||phi||/rho + ||(f_rho - 1) D phi|| + product-rule defect,
 
     and that the left side decreases along an increasing rho sequence.
+    D is Block.factor of phi's mode on phi's grid; the norms sum over its
+    n + 1 elements with each block's w_e, ||phi|| over phi's element means.
     """
     if phi.kind != KIND_DIRAC:
         raise AssemblyError("cutoff check needs a spinor section")
-    if not mode_in_structure(phi.nu, spin, surface.period):
-        raise AssemblyError(f"mode {phi.nu} is off the {spin} lattice")
     grid = phi.grid
     radius = 0.5 * (grid.b - grid.a)
     rhos = [float(r) for r in rhos]
     if any(r <= 0 or r > radius * (1 + 1e-12) for r in rhos):
         raise AssemblyError(f"rho values must lie in (0, {radius}]")
-    w, _, f, _, _ = sample_grid(surface, grid)
-    half_log = np.asarray(surface.fprime(grid.nodes), dtype=float) / (2.0 * f)
-    coefs = [half_log + mu / f for mu in (-float(phi.nu), float(phi.nu))]
-
-    def d_apply(values):
-        # first-order node factor (A_mu u)_i = (u_{i+1} - u_i)/h + a_mu u_i,
-        # a_mu = f'/(2f) + mu/f, with a ghost zero past the upper end
-        return [np.diff(u, append=0.0) / grid.h + a * u
-                for a, u in zip(coefs, values)]
+    blocks = assemble(surface, KIND_DIRAC, spin, phi.nu, grid).blocks
 
     def l2(vectors):
-        return math.sqrt(sum(float(np.sum(w * np.abs(v) ** 2))
-                             for v in vectors))
+        return math.sqrt(sum(float(np.sum(b.w_e * np.abs(v) ** 2))
+                             for b, v in zip(blocks, vectors)))
+
+    def means(x, ends):
+        x = np.pad(x, 1, mode=ends)
+        return 0.5 * (x[:-1] + x[1:])
 
     comps = phi.components()
-    phi_norm = l2(comps)
-    d_phi = d_apply(comps)
+    phi_norm = l2([means(c, "constant") for c in comps])
+    d_phi = [b.factor(c) for b, c in zip(blocks, comps)]
     defects, rhs_bounds, slopes = [], [], []
     for rho in rhos:
         f_rho = _cutoff_profile(grid, rho)
-        lhs_vecs = [a - b for a, b in
-                    zip(d_apply([f_rho * c for c in comps]), d_phi)]
-        lhs = l2(lhs_vecs)
-        prod_defect = product_rule_defect(f_rho, comps, w, grid.h)
-        tail = l2([(f_rho - 1.0) * v for v in d_phi])
+        lhs = l2([b.factor(f_rho * c) - d
+                  for b, c, d in zip(blocks, comps, d_phi)])
+        prod_defect = product_rule_defect(blocks, f_rho, comps)
+        tail = l2([(means(f_rho, "edge") - 1.0) * d for d in d_phi])
         rhs = phi_norm / rho + tail + prod_defect + 1e-10
         slope = float(np.max(np.abs(np.diff(f_rho))) / grid.h)
         defects.append(lhs)

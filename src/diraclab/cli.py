@@ -17,8 +17,9 @@ import sys
 from collections import namedtuple
 
 from . import __version__, bounds, geometry, scenarios
-from .eigensolve import (MAX_GRID_NODES, GridPolicy, check_probe_windows,
-                         fundamental_tone, sample_ladder, truncation_probe)
+from .eigensolve import (MAX_GRID_NODES, UNCERTIFIED, GridPolicy,
+                         check_probe_windows, fundamental_tone, sample_ladder,
+                         truncation_probe)
 from .errors import AssemblyError, CatalogError, DiraclabError, SchemaError
 from .operators import KIND_DIRAC, KIND_LAPLACIAN, assemble, rayleigh_quotient
 from .spin import SpinStructure
@@ -62,7 +63,8 @@ class _ScenarioRun:
     """Lazy per-scenario computation cache, and the one source of the
     tones, quotients and area that every check, verdict and sweep row
     reads; the grid ladder is laid once and sampled once, on first use: the
-    tones refine on it, and the section checks read its coarsest grid."""
+    tones refine on it, and the section checks read its coarsest grid.
+    tones_read lists the tones read since a check started (_certified)."""
 
     def __init__(self, scenario, policy: GridPolicy, tol_scale: float = 1.0):
         self.scenario = scenario
@@ -73,6 +75,7 @@ class _ScenarioRun:
         self.profile = geometry.curvature_profile(scenario.surface, self.grid)
         self.diagnostics = {}
         self.verdicts = []
+        self.tones_read = []
         self._cache = {}
 
     def _memo(self, key, compute):
@@ -90,8 +93,10 @@ class _ScenarioRun:
         return self.ladder()[0][0][1]
 
     def tone(self, kind: str):
-        return self._memo(("tone", kind), lambda: fundamental_tone(
+        tone = self._memo(("tone", kind), lambda: fundamental_tone(
             self.scenario.surface, kind, self.scenario.spin, self.ladder()))
+        self.tones_read.append(tone)
+        return tone
 
     def section_rayleigh(self, name: str) -> float:
         """Rayleigh quotient of a named section for its own field kind."""
@@ -157,17 +162,22 @@ BOUNDS = {
 _Check = namedtuple("_Check", "keys evaluate name optional", defaults=((),))
 
 
+def _rel_tol(run, exp) -> float:
+    """The tolerance of an entry's value relative to it: rel_tol (default
+    1e-9) times |value|, scaled by --tol."""
+    return run.tol_scale * exp.get("rel_tol", 1e-9) * abs(exp["value"])
+
+
 def _value_check(name, detail, keys=("value", "tol")) -> _Check:
     """|computed - value| <= tol * tol_scale; detail(run, entry) gives the
-    "computed" value (and extra detail), and tol is relative to the value
-    (rel_tol, default 1e-9) when the check takes no tol key.  A check takes
-    one of tol and rel_tol, never both.  The detail writes a computed value
-    that is not finite as null (bounds.to_plain)."""
+    "computed" value (and extra detail), and tol is _rel_tol when the check
+    takes no tol key.  A check takes one of tol and rel_tol, never both.
+    The detail writes a computed value that is not finite as null
+    (bounds.to_plain)."""
     def evaluate(run, exp):
         out = detail(run, exp)
-        tol = run.tol_scale * (
-            exp["tol"] if "tol" in keys
-            else exp.get("rel_tol", 1e-9) * abs(exp["value"]))
+        tol = (run.tol_scale * exp["tol"] if "tol" in keys
+               else _rel_tol(run, exp))
         passed = abs(out["computed"] - exp["value"]) <= tol
         out.update(expected=exp["value"], tol=tol)
         return passed, out
@@ -190,11 +200,19 @@ def _orthogonality(run, exp):
 
 
 def _bound_verdict(run, exp):
+    """The verdict, and with a "value" key the bound value too, within
+    _rel_tol (1e-9 relative, scaled by --tol)."""
     verdict = BOUNDS[exp["bound"]](run, exp)
     run.verdicts.append(verdict)
-    return (verdict.verdict == exp["verdict"],
-            {"computed": verdict.verdict, "expected": exp["verdict"],
-             "margin": verdict.margin})
+    passed = verdict.verdict == exp["verdict"]
+    detail = {"computed": verdict.verdict, "expected": exp["verdict"],
+              "margin": verdict.margin}
+    if "value" in exp:
+        tol = _rel_tol(run, exp)
+        passed = passed and abs(verdict.value - exp["value"]) <= tol
+        detail.update(value=verdict.value, expected_value=exp["value"],
+                      value_tol=tol)
+    return passed, detail
 
 
 def _killing(run, exp):
@@ -253,11 +271,29 @@ CHECKS = {
                             "orthogonality:{section}"),
     "bound_verdict": _Check(("bound", "verdict"), _bound_verdict,
                             "bound:{bound}",
-                            ("statistic", "section", "predicted")),
+                            ("statistic", "section", "predicted", "value")),
     "killing": _Check((), _killing, "killing", ("applicable",)),
     "probe": _Check(("windows", "threshold", "behavior"), _probe, "probe",
                     ("operator",)),
 }
+
+
+def _certified(evaluate):
+    """evaluate, failing wherever a tone it reads carries UNCERTIFIED: its
+    mode walk ended without a pruning certificate, so its minimum over the
+    modes is not certified.  The failing detail names the flag."""
+    def checked(run, exp):
+        run.tones_read = []
+        passed, detail = evaluate(run, exp)
+        if not any(UNCERTIFIED in tone.flags for tone in run.tones_read):
+            return passed, detail
+        plain = detail if isinstance(detail, dict) else vars(detail)
+        return False, {**plain, "flag": UNCERTIFIED}
+    return checked
+
+
+CHECKS = {name: check._replace(evaluate=_certified(check.evaluate))
+          for name, check in CHECKS.items()}
 
 _NUMERIC_KEYS = ("value", "tol", "rel_tol", "max_abs", "threshold",
                  "max_norm_variation", "max_bochner_ratio")

@@ -76,6 +76,9 @@ from .spin import SCALAR, lattice_modes, mode_lower_bound_term
 # Tone walks and probes look at most at this many lowest nonnegative modes.
 MAX_MODE_CUTOFF = 64
 
+# The flag of a tone whose walk ended without a pruning certificate.
+UNCERTIFIED = "sweep-exhausted-without-pruning-certificate"
+
 # Node cap of every grid: the finest level of a tone ladder, and each
 # probe window.
 MAX_GRID_NODES = 2 ** 20
@@ -601,7 +604,7 @@ def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
         if val < best:
             best, best_nu, best_bar, best_ground = val, nu, bar, ground
     else:
-        flags.append("sweep-exhausted-without-pruning-certificate")
+        flags.append(UNCERTIFIED)
     return ToneResult(kind=kind, lambda_star=best, nu_star=best_nu,
                       error_bar=best_bar, per_mode=per_mode, table=table,
                       flags=flags, kernel_skipped=kernel_skip,

@@ -26,9 +26,10 @@ both sides, the reflection R of the window gives A_(-mu) R = -R A_mu, so
 the +|nu| block is the exact mirror image of the -|nu| block: that one is
 assembled from the grid samples, and the other holds its arrays reversed,
 a_e negated.  Solves, seeds and probes then work on one block per twin.
-Block.factor gives (A_mu u)_e on those elements; Block.energy and
-dirac_energy sum its weighted squares, so they keep relative accuracy where
-u^T S u would cancel digits of size eps/h^2.
+Block.factor gives (A_mu u)_e on those elements, the package's one discrete
+Dirac operator: Block.energy and dirac_energy sum its weighted squares, so
+they keep relative accuracy where u^T S u would cancel digits of size
+eps/h^2, and the cutoff and Leibniz audits apply it.
 
 Boundary treatment.  Regular boundary circles and cusp truncations get a
 Dirichlet ghost node (the Friedrichs condition).  At a singular end where
@@ -464,9 +465,10 @@ def bochner_gradient_energy(surface, op: ReducedOperator,
 def leibniz_defect(surface, fmul: Section, phi: Section) -> float:
     """Discrete L2 norm of D(f phi) - grad f . phi - f D phi on phi's grid.
 
-    Uses the first-order node operator and the forward-difference gradient
-    of the sampled multiplier; the defect is O(h) under refinement with
-    leading term h * f' phi', and vanishes identically for constant f.
+    D is Block.factor of the Dirac blocks of phi's mode, assembled on one
+    sample_grid of the grid, and f phi, grad f . phi and f D phi are read on
+    its elements (product_rule_defect): the defect is O(h^2) under
+    refinement, and vanishes identically for constant f or a_e = 0.
     """
     if fmul.kind != KIND_LAPLACIAN:
         raise AssemblyError("multiplier must be a scalar section")
@@ -475,22 +477,25 @@ def leibniz_defect(surface, fmul: Section, phi: Section) -> float:
     grid = phi.grid
     if fmul.grid != grid:
         raise AssemblyError("multiplier and section must share one grid")
-    return product_rule_defect(np.asarray(fmul.values, dtype=float),
-                               phi.components(),
-                               sample_grid(surface, grid).w, grid.h)
+    samples = sample_grid(surface, grid)
+    blocks = [_assemble_block(surface, grid, KIND_DIRAC, mu, samples)
+              for mu in (-float(phi.nu), float(phi.nu))]
+    return product_rule_defect(blocks, fmul.values, phi.components())
 
 
-def product_rule_defect(fv, comps, w, h: float) -> float:
-    """sqrt(sum w |D(f u) - f' u - f D u|^2) over the components u.
+def product_rule_defect(blocks, fv, comps) -> float:
+    """sqrt(sum_e w_e |A(f u)_e - fbar_e (A u)_e - (df_e/h) ubar_e|^2) over
+    the components u of the blocks' Block.factor A.
 
-    fv are the multiplier's node values, w the node weights P f h, and D
-    the forward difference at spacing h, for which the defect is exactly
-    (f_(i+1) - f_i)(u_(i+1) - u_i)/h: computed in that form, it does not
-    cancel.  leibniz_defect and the cutoff audit share it.
+    fv are the multiplier's node values, carried to the fenceposts by its
+    end values; fbar_e, ubar_e are element means and df_e = f_(e+1) - f_e.
+    Since (f u)_(e+1) - (f u)_e = fbar_e du_e + ubar_e df_e, the defect is
+    exactly a_e df_e du_e / 4: computed in that form, it does not cancel.
+    leibniz_defect and the cutoff audit share it.
     """
-    df = np.diff(fv) / h
+    df = np.diff(np.pad(np.asarray(fv, dtype=float), 1, mode="edge"))
     total = 0.0
-    for comp in comps:
-        defect = df * np.diff(comp)
-        total += float(np.sum(w[:-1] * np.abs(defect) ** 2))
+    for block, comp in zip(blocks, comps):
+        defect = 0.25 * block.a_e * df * np.diff(np.pad(comp, 1))
+        total += float(np.sum(block.w_e * defect * defect))
     return math.sqrt(total)

@@ -236,9 +236,11 @@ def round_sphere_scenario() -> Scenario:
             {"check": "tone_attaining_mode", "value": 0.5, "tol": 1e-9,
              "provenance": "half-integer mode of the minimizing section"},
             {"check": "bound_verdict", "bound": "friedrich",
-             "verdict": "holds", "provenance": "equality case"},
+             "verdict": "holds", "value": 1.0,
+             "provenance": "equality case; n kappa/(n-1) = 2 * 1/2"},
             {"check": "bound_verdict", "bound": "area", "verdict": "holds",
-             "provenance": "equality case"},
+             "value": 1.0,
+             "provenance": "equality case; 4 pi/area = 4 pi/(4 pi)"},
             {"check": "bound_verdict", "bound": "lichnerowicz",
              "verdict": "holds", "statistic": "tone",
              "provenance": "equality case for the function Laplacian"},
@@ -279,7 +281,9 @@ def cover_scenario(k: int) -> Scenario:
          "provenance": "pulled-back equality-case section lives in mode "
                        "1/2 on every cover"},
         {"check": "bound_verdict", "bound": "friedrich", "verdict": "holds",
-         "provenance": "curvature bound is insensitive to incompleteness"},
+         "value": 1.0,
+         "provenance": "curvature bound is insensitive to incompleteness; "
+                       "n kappa/(n-1) = 2 * 1/2"},
     ]
     if k == 1:
         expected.append(

@@ -232,8 +232,8 @@ def test_criterion_6_property_suite():
         fm = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=gg, values=gg.nodes)
         defects.append(leibniz_defect(cyl.surface, fm, phi))
     ratios = [a / b for a, b in zip(defects, defects[1:])]
-    checks["product-rule defect first order (ratios in [1.7, 2.3])"] = \
-        all(1.7 <= r <= 2.3 for r in ratios)
+    checks["product-rule defect second order (ratios in [3.4, 4.6])"] = \
+        all(3.4 <= r <= 4.6 for r in ratios)
 
     surf16 = WarpedSurface(warp=ConstantWarp(1.0), t_min=0.0, t_max=16.0,
                            period=2 * math.pi)

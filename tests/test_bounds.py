@@ -244,6 +244,52 @@ def test_cutoff_rejects_oversized_radius():
         cutoff_stability_check(surf, SpinStructure.NON_BOUNDING, phi, [20.0])
 
 
+def _sphere_ground(n=256):
+    sc = find_scenario("round-sphere")
+    grid = make_grid(sc.surface, n)
+    op = assemble_dirac_square(sc.surface, sc.spin, 0.5, grid)
+    return sc, smallest_eigenpairs(op, 1).sections[0]
+
+
+def test_cutoff_check_holds_on_the_sphere_equality_mode():
+    # nu = 1/2: a mirror block pair with free sides and a_e != 0, so the
+    # product-rule term of the right side is not zero
+    sc, phi = _sphere_ground()
+    report = cutoff_stability_check(sc.surface, sc.spin, phi,
+                                    [0.3, 0.6, 1.2])
+    assert report.inequality_ok
+    assert report.slopes_ok
+    assert report.monotone
+    assert all(d > 0 for d in report.defects)
+
+
+def test_cutoff_check_samples_the_warp_slope_once(monkeypatch):
+    # the audit reads f'/(2f) from the blocks it assembles: the warp's
+    # derivative is evaluated only inside one sample_grid
+    from diraclab import operators
+    from diraclab.geometry import CosineWarp
+    sc, phi = _sphere_ground(128)
+    sampling, outside = [], []
+    sample_grid, deriv = operators.sample_grid, CosineWarp.deriv
+
+    def counted_sample_grid(*args, **kwargs):
+        sampling.append(True)
+        try:
+            return sample_grid(*args, **kwargs)
+        finally:
+            sampling[-1] = False
+
+    def watched_deriv(self, t):
+        if not (sampling and sampling[-1]):
+            outside.append(t)
+        return deriv(self, t)
+    monkeypatch.setattr(operators, "sample_grid", counted_sample_grid)
+    monkeypatch.setattr(CosineWarp, "deriv", watched_deriv)
+    cutoff_stability_check(sc.surface, sc.spin, phi, [0.3, 0.6])
+    assert len(sampling) == 1
+    assert outside == []
+
+
 def test_essential_check_three_regimes():
     sphere = find_scenario("round-sphere")
     grid = make_grid(sphere.surface, 256)

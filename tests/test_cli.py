@@ -125,6 +125,63 @@ def test_area_verdict_reads_the_entry_predicted_key(tmp_path, capsys):
     assert area["detail"]["computed"] == "inapplicable"
 
 
+def test_uncertified_tone_fails_every_check_that_reads_it(tmp_path, capsys):
+    # a radius-1000 cylinder keeps every centrifugal floor below the tone,
+    # so the walk ends without a pruning certificate: the tone is right
+    # to 1e-3, yet no check may pass on it
+    from diraclab.eigensolve import UNCERTIFIED
+    from diraclab.scenarios import flat_cylinder_scenario
+    from diraclab.spin import SpinStructure
+    doc = flat_cylinder_scenario(5.0, SpinStructure.NON_BOUNDING).to_json()
+    doc["surface"]["warp"]["c"] = 1000.0
+    doc["expected"] = [
+        {"check": "dirac_tone", "value": math.pi ** 2 / 25, "tol": 1e-3},
+        {"check": "tone_attaining_mode", "value": 0.0, "tol": 1e-9},
+        {"check": "killing", "applicable": False},
+        {"check": "bound_verdict", "bound": "friedrich",
+         "verdict": "inapplicable"},
+        {"check": "area", "value": 2.0 * math.pi * 5000.0}]
+    path = tmp_path / "fat.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code, _, err = run(["verify", "--scenario", str(path), "--grid-n", "64",
+                        "--levels", "2", "--out", str(out)], capsys)
+    assert code == 2, err
+    report = json.loads(out.read_text())
+    assert UNCERTIFIED in report["diagnostics"]["dirac_tone"]["flags"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks.pop("area")["passed"]
+    for name, check in checks.items():
+        assert not check["passed"], name
+        assert check["detail"]["flag"] == UNCERTIFIED, name
+    tone = checks["dirac_tone"]["detail"]
+    assert abs(tone["computed"] - tone["expected"]) <= tone["tol"]
+
+
+def test_bound_verdict_pins_its_value(tmp_path, capsys):
+    # an optional value is compared with the verdict's bound value within
+    # 1e-9 relative, scaled by --tol
+    from diraclab.scenarios import find_scenario
+    doc = find_scenario("round-sphere").to_json()
+    friedrich = next(e for e in doc["expected"]
+                     if e.get("bound") == "friedrich")
+    assert friedrich["value"] == 1.0
+    friedrich["value"] = 1.0 + 1e-6
+    path = tmp_path / "pinned.json"
+    out = tmp_path / "report.json"
+    argv = ["verify", "--scenario", str(path), "--grid-n", "64", "--levels",
+            "2", "--out", str(out)]
+    path.write_text(json.dumps(doc))
+    for tol, code in (("1", 2), ("1e4", 0)):
+        got, _, err = run([*argv, "--tol", tol], capsys)
+        assert got == code, (tol, err)
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    detail = checks["bound:friedrich"]["detail"]
+    assert (detail["value"], detail["expected_value"]) == (1.0, 1.0 + 1e-6)
+    assert detail["value_tol"] == pytest.approx(1e-5 * (1.0 + 1e-6))
+    assert "value" not in checks["bound:lichnerowicz"]["detail"]
+
+
 def test_friedrich_entry_reads_a_section_statistic():
     from dataclasses import replace
 
@@ -1200,3 +1257,60 @@ def test_bench_tracer_targets_resolve():
         for target in targets:
             owner, attr = tracer._resolve(target)
             assert callable(getattr(owner, attr, None)), (layer, target)
+
+
+def test_bench_scripts_name_only_what_the_package_has():
+    # bench/run.py and bench/traced_verify.py reach the package by name:
+    # imports, attributes of the imported modules (also through run.py's
+    # mods["..."] table) and code in strings; each such name must resolve
+    import ast
+    import importlib
+    import re
+
+    def lookup(dotted):
+        parts = dotted.split(".")
+        obj = importlib.import_module(parts[0])
+        for i, part in enumerate(parts[1:], 2):
+            if not hasattr(obj, part):
+                importlib.import_module(".".join(parts[:i]))
+            obj = getattr(obj, part)
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    names = set()
+    for script in ("run.py", "traced_verify.py"):
+        tree = ast.parse((bench / script).read_text())
+        bound = {}  # local name -> the dotted package name it holds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module or "").split(".")[0] == "diraclab":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = \
+                        f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                names.update(a.name for a in node.names
+                             if a.name.split(".")[0] == "diraclab")
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                names.update(re.findall(r"\bdiraclab(?:\.\w+)+",
+                                        node.value))
+        names.update(bound.values())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            base, root = node.value, node
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id == "diraclab":
+                names.add(ast.unparse(node))
+            elif isinstance(base, ast.Name) and base.id in bound:
+                names.add(f"{bound[base.id]}.{node.attr}")
+            elif (isinstance(base, ast.Subscript)
+                  and isinstance(base.slice, ast.Constant)
+                  and base.slice.value in bound):
+                names.add(f"{bound[base.slice.value]}.{node.attr}")
+    # one name of each kind, so that a parse that finds nothing fails
+    assert {"diraclab.cli.run_scenario", "diraclab.cli.main",
+            "diraclab.scenarios.builtin_catalog",
+            "diraclab.builtin_catalog"} <= names, sorted(names)
+    for name in sorted(names):
+        lookup(name)

@@ -113,6 +113,21 @@ _DIRAC_TONE_FAILS = [(sid, check) for sid in ("round-sphere", "cover-m1",
                                                "cover-m5")
                      for check in ("dirac_tone", "bound:friedrich")]
 
+# With no floor above the tone no walk is pruned, and every check that reads
+# the uncertified tone fails: all of round-sphere's and each flat cylinder's,
+# and the Dirac tone and its verdicts elsewhere
+_UNPRUNED_FAILS = (
+    [("round-sphere", "tone_attaining_mode")]
+    + [(sid, check)
+       for sid in ["round-sphere"] + [
+           f"flat-cylinder-l{length}-{spin}" for length in (2, 5, 10)
+           for spin in ("bounding", "nonbounding")]
+       for check in ("laplace_tone", "dirac_tone", "killing", "bound:area",
+                     "bound:friedrich", "bound:lichnerowicz")]
+    + [pair for pair in _DIRAC_TONE_FAILS if pair[0] != "round-sphere"]
+    + [("growing-curvature", "bound:area"),
+       ("growing-curvature", "bound:friedrich")])
+
 # id, replacements, the checks that fail or raise, and for a defect that no
 # check catches the reason it slips through
 DEFECTS = [
@@ -128,13 +143,17 @@ DEFECTS = [
          ("growing-curvature", "bound:friedrich")]), None),
     ("curvature-bound-kappa",
      {bounds.friedrich_bound: lambda n, kappa: kappa},
-     _outcome_of([("round-sphere", "killing")]), None),
+     _outcome_of([("round-sphere", "killing")]
+                 + [(sid, "bound:friedrich") for sid in (
+                     "round-sphere", "cover-m1", "cover-m2", "cover-m3",
+                     "cover-m5")]), None),
     ("every-mode-floor-zero",
      {eigensolve.mode_lower_bound_term: lambda nu, f: 0.0},
-     _outcome_of([("cusp-cylinder-l10", "bound:friedrich"),
-                  ("growing-curvature", "bound:essential"),
-                  ("growing-curvature", "probe"),
-                  ("long-cylinder-probe", "probe")], "ConvergenceError"),
+     {**_outcome_of(_UNPRUNED_FAILS),
+      **_outcome_of([("cusp-cylinder-l10", "bound:friedrich"),
+                     ("growing-curvature", "bound:essential"),
+                     ("growing-curvature", "probe"),
+                     ("long-cylinder-probe", "probe")], "ConvergenceError")},
      None),
     ("floor-prunes-every-mode-from-0.6",
      {eigensolve.mode_lower_bound_term:
@@ -149,7 +168,8 @@ DEFECTS = [
     ("area-bound-2pi-over-area",
      {bounds.area_bound: lambda area: _area_bound(area) / 2},
      _outcome_of([("cusp-cylinder-l10", "bound:area"),
-                  ("flat-cylinder-l5-nonbounding", "bound:area")]), None),
+                  ("flat-cylinder-l5-nonbounding", "bound:area"),
+                  ("round-sphere", "bound:area")]), None),
     ("margin-bar-factor-300",
      {(bounds, "MARGIN_BAR_FACTOR"): 300.0}, {},
      "no built-in verdict has a margin between 3 and 300 error bars"),

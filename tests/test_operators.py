@@ -20,6 +20,7 @@ from diraclab.operators import (
     bochner_gradient_energy,
     leibniz_defect,
     make_grid,
+    product_rule_defect,
     rayleigh_quotient,
     sample_grid,
 )
@@ -251,26 +252,28 @@ def test_leibniz_defect_constant_multiplier_vanishes():
 
 
 def leibniz_defect_at(n):
+    # bounding nu = 1/2 on a constant warp: a_e = -+1/2, so the remainder
+    # a_e df_e du_e / 4 is not identically zero
     s = cylinder(5.0)
     grid = make_grid(s, n)
-    op = assemble_dirac_square(s, SpinStructure.NON_BOUNDING, 0.0, grid)
+    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
     phi = smallest_eigenpairs(op, 1).sections[0]
     fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=grid.nodes)
     return leibniz_defect(s, fmul, phi)
 
 
-def test_leibniz_defect_first_order():
+def test_leibniz_defect_second_order():
     d = [leibniz_defect_at(n) for n in (128, 256, 512)]
     for a, b in zip(d, d[1:]):
-        assert 1.7 <= a / b <= 2.3
+        assert 3.4 <= a / b <= 4.6
 
 
 def test_leibniz_defect_cutoff_multiplier_bound():
-    # for a ramp with slope <= 1/rho the defect stays below
-    # ||phi||/rho plus a first-order term
+    # for a ramp with slope <= 1/rho, |a_e| = 1/2 and |du_e| <= |u_e| +
+    # |u_(e+1)| bound the remainder by h ||phi|| / (4 rho); it is positive
     s = cylinder(16.0)
     grid = make_grid(s, 256)
-    op = assemble_dirac_square(s, SpinStructure.NON_BOUNDING, 0.0, grid)
+    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
     phi = smallest_eigenpairs(op, 1).sections[0]
     rho = 4.0
     t = grid.nodes
@@ -278,8 +281,37 @@ def test_leibniz_defect_cutoff_multiplier_bound():
     fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=ramp)
     defect = leibniz_defect(s, fmul, phi)
     w = s.period * grid.h * np.ones(grid.n)
-    phi_norm = math.sqrt(float(np.sum(w * phi.values[0] ** 2)))
-    assert defect <= phi_norm / rho + 10.0 * grid.h
+    phi_norm = math.sqrt(float(np.sum(w * phi.values ** 2)))
+    assert 0.0 < defect <= grid.h * phi_norm / (4.0 * rho)
+
+
+def test_product_rule_remainder_is_exact_on_the_sphere_blocks():
+    # A(f u)_e - fbar_e (A u)_e - (df_e/h) ubar_e = a_e df_e du_e / 4 to
+    # rounding, f carried to the fenceposts by its end values and u by the
+    # ghost zeros, on both round-sphere nu = 1/2 blocks (one the mirror of
+    # the other, with free sides)
+    s = sphere()
+    grid = make_grid(s, 128)
+    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
+    rng = np.random.default_rng(3)
+    f = np.cos(grid.nodes) + 0.1 * rng.standard_normal(grid.n)
+    fe = np.pad(f, 1, mode="edge")
+    fbar, df = 0.5 * (fe[:-1] + fe[1:]), np.diff(fe)
+    comps, total = rng.standard_normal((2, grid.n)), 0.0
+    for block, u in zip(op.blocks, comps):
+        ue = np.pad(u, 1)
+        ubar, du = 0.5 * (ue[:-1] + ue[1:]), np.diff(ue)
+        afu = block.factor(f * u)
+        rest = afu - fbar * block.factor(u) - df / grid.h * ubar
+        scale = np.max(np.abs(afu)) + np.max(np.abs(block.factor(u)))
+        tol = 64 * np.finfo(float).eps * scale
+        remainder = 0.25 * block.a_e * df * du
+        assert np.max(np.abs(rest - remainder)) <= tol
+        assert np.max(np.abs(remainder)) > 1e3 * tol
+        total += np.sum(block.w_e * remainder ** 2)
+    # product_rule_defect is the weighted norm of exactly that remainder
+    assert product_rule_defect(op.blocks, f, comps) == pytest.approx(
+        math.sqrt(total), rel=1e-12)
 
 
 def test_leibniz_defect_rejects_a_multiplier_from_another_grid():
