@@ -32,6 +32,7 @@ from .eigensolve import truncation_probe
 from .errors import AssemblyError, SchemaError
 from .operators import (
     KIND_DIRAC,
+    KIND_LAPLACIAN,
     Section,
     assemble,
     bochner_gradient_energy,
@@ -60,6 +61,10 @@ EQUALITY_REL_TOL = 0.05
 # that are these fractions of the solve window
 ESSENTIAL_PROBE_MARGIN = 0.95
 ESSENTIAL_WINDOW_FRACTIONS = (0.8, 0.9, 1.0)
+
+# bound name -> the operator whose spectrum it bounds
+BOUND_OPERATORS = {"friedrich": KIND_DIRAC, "area": KIND_DIRAC,
+                   "essential": KIND_DIRAC, "lichnerowicz": KIND_LAPLACIAN}
 
 
 def friedrich_bound(n: int, kappa: float) -> float:
@@ -356,7 +361,8 @@ def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
               for f in ESSENTIAL_WINDOW_FRACTIONS]
     windows = [(grid.a + d, grid.b - d) for d in insets]
     threshold = ESSENTIAL_PROBE_MARGIN * value
-    probe = truncation_probe(surface, KIND_DIRAC, spin, windows, threshold)
+    probe = truncation_probe(surface, BOUND_OPERATORS["essential"], spin,
+                             windows, threshold)
     notes = [f"counts below {threshold:.6g}: {probe.counts}"]
     verdict = HOLDS if probe.stable else VIOLATED_UNEXPECTED
     if not probe.stable:

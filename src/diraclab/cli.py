@@ -64,7 +64,9 @@ class _ScenarioRun:
     tones, quotients and area that every check, verdict and sweep row
     reads; the grid ladder is laid once and sampled once, on first use: the
     tones refine on it, and the section checks read its coarsest grid.
-    tones_read lists the tones read since a check started (_certified)."""
+    Each tone it computes goes into diagnostics under its tone check's
+    name; tones_read lists the tones read since an entry started
+    (_evaluate)."""
 
     def __init__(self, scenario, policy: GridPolicy, tol_scale: float = 1.0):
         self.scenario = scenario
@@ -93,8 +95,12 @@ class _ScenarioRun:
         return self.ladder()[0][0][1]
 
     def tone(self, kind: str):
-        tone = self._memo(("tone", kind), lambda: fundamental_tone(
-            self.scenario.surface, kind, self.scenario.spin, self.ladder()))
+        def compute():
+            tone = fundamental_tone(self.scenario.surface, kind,
+                                    self.scenario.spin, self.ladder())
+            self.diagnostics[_TONE_CHECKS[kind]] = _tone_json(tone)
+            return tone
+        tone = self._memo(("tone", kind), compute)
         self.tones_read.append(tone)
         return tone
 
@@ -114,6 +120,10 @@ class _ScenarioRun:
                           lambda: geometry.area(self.scenario.surface))
 
 
+# operator kind -> the check, and diagnostics key, of its tone
+_TONE_CHECKS = {KIND_LAPLACIAN: "laplace_tone", KIND_DIRAC: "dirac_tone"}
+
+
 def _tone_json(tone) -> dict:
     return {
         "kind": tone.kind,
@@ -130,13 +140,12 @@ def _tone_json(tone) -> dict:
 
 
 def _bound_statistic(run: _ScenarioRun, exp: dict):
-    """(statistic, error bar, source, predicted) of a bound entry: its tone
-    (Laplace for lichnerowicz, else Dirac) or, with "statistic": "section",
-    its section's Rayleigh quotient; "predicted" defaults to false."""
+    """(statistic, error bar, source, predicted) of a bound entry: the tone
+    of the operator it bounds or, with "statistic": "section", its
+    section's Rayleigh quotient; "predicted" defaults to false."""
     predicted = exp.get("predicted", False)
     if exp.get("statistic", "tone") == "tone":
-        tone = run.tone(KIND_LAPLACIAN if exp["bound"] == "lichnerowicz"
-                        else KIND_DIRAC)
+        tone = run.tone(bounds.BOUND_OPERATORS[exp["bound"]])
         return tone.lambda_star, tone.error_bar, bounds.SOURCE_TONE, predicted
     rq = run.section_rayleigh(exp["section"])
     return rq, 1e-6 * abs(rq) + 1e-12, bounds.SOURCE_UPPER, predicted
@@ -184,12 +193,11 @@ def _value_check(name, detail, keys=("value", "tol")) -> _Check:
     return _Check(keys, evaluate, name, () if "tol" in keys else ("rel_tol",))
 
 
-def _tone_value(check: str, kind: str) -> _Check:
+def _tone_value(kind: str) -> _Check:
     def detail(run, exp):
         tone = run.tone(kind)
-        run.diagnostics[check] = _tone_json(tone)
         return {"computed": tone.lambda_star, "error_bar": tone.error_bar}
-    return _value_check(check, detail)
+    return _value_check(_TONE_CHECKS[kind], detail)
 
 
 def _orthogonality(run, exp):
@@ -235,9 +243,11 @@ def _probe(run, exp):
         run.scenario.surface, exp.get("operator", KIND_DIRAC),
         run.scenario.spin, exp["windows"], exp["threshold"])
     run.diagnostics["probe"] = detail = probe
+    counts = probe.counts
+    if exp.get("counts", counts) != counts:
+        return False, detail
     if exp["behavior"] == "stable":
         return probe.stable, detail
-    counts = probe.counts
     return (not probe.stable
             and all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
             and counts[-1] > counts[0]), detail
@@ -253,8 +263,8 @@ CHECKS = {
     "kappa_spinor": _value_check(
         "kappa_spinor",
         lambda run, exp: {"computed": run.profile.kappa_spinor}),
-    "laplace_tone": _tone_value("laplace_tone", KIND_LAPLACIAN),
-    "dirac_tone": _tone_value("dirac_tone", KIND_DIRAC),
+    "laplace_tone": _tone_value(KIND_LAPLACIAN),
+    "dirac_tone": _tone_value(KIND_DIRAC),
     "tone_attaining_mode": _value_check(
         "tone_attaining_mode",
         lambda run, exp: {"computed": run.tone(KIND_DIRAC).nu_star}),
@@ -274,26 +284,24 @@ CHECKS = {
                             ("statistic", "section", "predicted", "value")),
     "killing": _Check((), _killing, "killing", ("applicable",)),
     "probe": _Check(("windows", "threshold", "behavior"), _probe, "probe",
-                    ("operator",)),
+                    ("operator", "counts")),
 }
 
 
-def _certified(evaluate):
-    """evaluate, failing wherever a tone it reads carries UNCERTIFIED: its
+def _evaluate(run: _ScenarioRun, exp: dict) -> dict:
+    """The report record {name, passed, detail} of an expected entry.  The
+    entry fails wherever a tone it reads carries UNCERTIFIED: that tone's
     mode walk ended without a pruning certificate, so its minimum over the
     modes is not certified.  The failing detail names the flag."""
-    def checked(run, exp):
-        run.tones_read = []
-        passed, detail = evaluate(run, exp)
-        if not any(UNCERTIFIED in tone.flags for tone in run.tones_read):
-            return passed, detail
+    check = CHECKS[exp["check"]]
+    run.tones_read = []
+    passed, detail = check.evaluate(run, exp)
+    if any(UNCERTIFIED in tone.flags for tone in run.tones_read):
         plain = detail if isinstance(detail, dict) else vars(detail)
-        return False, {**plain, "flag": UNCERTIFIED}
-    return checked
+        passed, detail = False, {**plain, "flag": UNCERTIFIED}
+    return {"name": check.name.format(**exp), "passed": passed,
+            "detail": detail}
 
-
-CHECKS = {name: check._replace(evaluate=_certified(check.evaluate))
-          for name, check in CHECKS.items()}
 
 _NUMERIC_KEYS = ("value", "tol", "rel_tol", "max_abs", "threshold",
                  "max_norm_variation", "max_bochner_ratio")
@@ -310,20 +318,21 @@ _CHOICES = {
 
 
 def _runs_dirac(scenario, exp) -> bool:
-    """Whether a well-formed expected entry runs a Dirac operator; the
-    essential bound, a statement about D^2, does on every surface."""
+    """Whether a well-formed expected entry runs a Dirac operator; a bound
+    runs the operator it bounds, whatever its statistic or its surface."""
     kind = exp["check"]
     if kind == "probe":
         return exp.get("operator", KIND_DIRAC) == KIND_DIRAC
-    if kind == "section_rayleigh" or exp.get("statistic") == "section":
+    if kind == "section_rayleigh":
         return scenario.section_spec(exp["section"]).field_kind == KIND_DIRAC
     if kind == "bound_verdict":
-        return exp["bound"] in ("friedrich", "area", "essential")
+        return bounds.BOUND_OPERATORS[exp["bound"]] == KIND_DIRAC
     return kind in ("dirac_tone", "tone_attaining_mode", "killing")
 
 
 def _validate_expected(scenario) -> None:
-    """Reject a malformed expected list before anything is solved, and an
+    """Reject a malformed expected list before anything is solved, a bound
+    whose section is not one of the operator it bounds among it, and an
     entry that runs a Dirac operator on a scenario without spin."""
     for i, exp in enumerate(scenario.expected):
         where = f"scenario {scenario.id!r} expected[{i}]"
@@ -369,6 +378,13 @@ def _validate_expected(scenario) -> None:
                 check_probe_windows(scenario.surface, windows)
             except AssemblyError as exc:
                 raise CatalogError(f"{where}: key 'windows': {exc}") from exc
+        if "counts" in exp:
+            counts = exp["counts"]
+            if not (isinstance(counts, list)
+                    and len(counts) == len(exp["windows"])
+                    and all(type(c) is int and c >= 0 for c in counts)):
+                raise CatalogError(f"{where}: key 'counts' must list one "
+                                   f"integer >= 0 per window, got {counts!r}")
         if "bound" in keys and not (isinstance(exp["bound"], str)
                                     and exp["bound"] in BOUNDS):
             raise CatalogError(f"{where}: unknown bound {exp['bound']!r}")
@@ -376,7 +392,12 @@ def _validate_expected(scenario) -> None:
             raise CatalogError(f"{where}: key 'section' must be a string, "
                                f"got {exp['section']!r}")
         if "section" in keys:
-            scenario.section_spec(exp["section"])
+            field_kind = scenario.section_spec(exp["section"]).field_kind
+            operator = bounds.BOUND_OPERATORS.get(exp.get("bound"))
+            if kind == "bound_verdict" and field_kind != operator:
+                raise CatalogError(
+                    f"{where}: bound {exp['bound']!r} bounds {operator}, "
+                    f"but section {exp['section']!r} is {field_kind}")
         if scenario.spin is None and _runs_dirac(scenario, exp):
             raise CatalogError(f"{where}: check {kind!r} runs the Dirac "
                                f"operator, which needs a spin structure")
@@ -387,12 +408,7 @@ def run_scenario(scenario, policy: GridPolicy = GridPolicy(),
     """Evaluate every expected check of a scenario into a SpectralReport."""
     _validate_expected(scenario)
     run = _ScenarioRun(scenario, policy, tol_scale)
-    checks = []
-    for exp in scenario.expected:
-        check = CHECKS[exp["check"]]
-        passed, detail = check.evaluate(run, exp)
-        checks.append({"name": check.name.format(**exp),
-                       "passed": passed, "detail": detail})
+    checks = [_evaluate(run, exp) for exp in scenario.expected]
 
     geometry_summary = {
         "area": run.area(),

@@ -193,6 +193,26 @@ class TabulatedWarp:
     def second(self, t):
         return self._derivative(t, 2)
 
+    def minimum_candidates(self, a: float, b: float) -> np.ndarray:
+        """The knots inside (a, b), and the points there where f' = 0: the
+        only places inside where the spline can take a minimum.  Segment
+        i's f' is the quadratic c1 + 2 c2 x + 3 c3 x^2 in the offset x from
+        its left knot, and its roots are the pair q/(3 c3), c1/q with
+        q = -(c2 + sign(c2) sqrt(c2^2 - 3 c1 c3)), which stays accurate
+        when one root is tiny and gives -c1/(2 c2) where c3 = 0."""
+        _, c1, c2, c3 = self._coef
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * c1 * c3), c2))
+            offsets = np.concatenate([q / (3.0 * c3), c1 / q])
+        left = np.tile(np.arange(c1.size), 2)
+        t = self.ts[left] + offsets
+        keep = np.isfinite(t)
+        t, left = t[keep], left[keep]
+        # a root counts on the piece its segment's cubic governs
+        roots = t[self._segment(t)[0] == left]
+        points = np.concatenate([self.ts, roots])
+        return np.sort(points[(points > a) & (points < b)])
+
     def _primitive(self, i, x):
         """Integral of segment i's cubic from its left knot to offset x."""
         c0, c1, c2, c3 = self._coef
@@ -289,10 +309,28 @@ class WarpedSurface:
         }
 
 
+def warp_positive(surface: WarpedSurface) -> bool:
+    """Whether the warp is positive on the open interval (t_min, t_max),
+    from its exact minimum there.  A constant or cusp warp always is (its
+    c > 0); a cosine where the interval lies in one lobe
+    [2 pi k - pi/2, 2 pi k + pi/2]; a tabulated warp where its spline is
+    positive at its minimum candidates inside the interval, and not
+    negative at the two ends, where a singular end may sit."""
+    lo, hi = surface.t_min, surface.t_max
+    warp = surface.warp
+    if isinstance(warp, CosineWarp):
+        centre = 2.0 * math.pi * round((lo + hi) / (4.0 * math.pi))
+        return centre - math.pi / 2.0 <= lo and hi <= centre + math.pi / 2.0
+    if isinstance(warp, TabulatedWarp):
+        return bool(np.all(warp.value(warp.minimum_candidates(lo, hi)) > 0)
+                    and np.all(warp.value([lo, hi]) >= 0))
+    return True
+
+
 def surface_from_json(doc: dict) -> WarpedSurface:
     """The surface of a document; GeometryError where its values do not
-    describe one, its area not positive included (a warp that is not
-    positive on the interval)."""
+    describe one: a warp that is not positive on the open interval
+    (warp_positive), or an area that does not come out positive."""
     if doc.get("schema_version") != 1:
         raise GeometryError(
             f"unsupported surface schema_version {doc.get('schema_version')!r}"
@@ -304,6 +342,9 @@ def surface_from_json(doc: dict) -> WarpedSurface:
         period=_finite(doc, "period"),
         end_labels=tuple(doc["end_labels"]),
     )
+    if not warp_positive(surface):
+        raise GeometryError(f"the {surface.warp.variant} warp is not "
+                            f"positive on ({surface.t_min}, {surface.t_max})")
     area(surface)
     return surface
 

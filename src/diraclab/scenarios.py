@@ -17,7 +17,7 @@ from . import geometry
 from .errors import AssemblyError, CatalogError, GeometryError
 from .operators import (CUSP_TAIL_REL, KIND_DIRAC, KIND_LAPLACIAN, Grid,
                         Section)
-from .spin import SpinStructure
+from .spin import SCALAR, SpinStructure, mode_in_structure
 
 ANGULAR_FULL = "full_period"
 ANGULAR_HALF = "half_period"
@@ -103,6 +103,10 @@ def _string(doc: dict, key: str, default: str | None = None) -> str:
 
 
 def scenario_from_json(doc: dict) -> Scenario:
+    """The scenario of a document; CatalogError where it describes none,
+    a section whose mode is off its field's Fourier lattice included: the
+    scalar lattice for a laplacian_scalar section, the spin structure's
+    for a dirac_square one where the document has a spin."""
     try:
         sections = tuple(
             SectionSpec(name=_string(s, "name"), field_kind=s["field_kind"],
@@ -110,7 +114,7 @@ def scenario_from_json(doc: dict) -> Scenario:
                         params=dict(s.get("params", {})),
                         angular=s.get("angular", ANGULAR_FULL))
             for s in doc.get("sections", []))
-        return Scenario(
+        scenario = Scenario(
             id=_string(doc, "id"),
             description=_string(doc, "description", ""),
             surface=geometry.surface_from_json(doc["surface"]),
@@ -126,6 +130,18 @@ def scenario_from_json(doc: dict) -> Scenario:
     except AssemblyError as exc:
         raise CatalogError(
             f"malformed scenario document: key 'spin': {exc}") from exc
+    for spec in sections:
+        structure = (SCALAR if spec.field_kind == KIND_LAPLACIAN
+                     else scenario.spin)
+        if structure is not None and not mode_in_structure(
+                spec.mode, structure, scenario.surface.period):
+            lattice = ("scalar" if structure == SCALAR
+                       else f"{structure.value} spinor")
+            raise CatalogError(
+                f"malformed scenario document: section {spec.name!r}: mode "
+                f"{spec.mode} is not on the {lattice} lattice for period "
+                f"{scenario.surface.period}")
+    return scenario
 
 
 _CATALOG_CACHE = None
@@ -536,6 +552,9 @@ def growing_curvature_scenario() -> Scenario:
 def long_cylinder_probe_scenario(total: float = 64.0) -> Scenario:
     windows = [[0.0, total / 8], [0.0, total / 4],
                [0.0, total / 2], [0.0, total]]
+    threshold = 0.1
+    counts = [2 * math.floor(b * math.sqrt(threshold) / math.pi)
+              for _, b in windows]
     return Scenario(
         id="long-cylinder-probe",
         description=(
@@ -550,9 +569,12 @@ def long_cylinder_probe_scenario(total: float = 64.0) -> Scenario:
         sections=(),
         expected=(
             {"check": "probe", "operator": "dirac_square",
-             "threshold": 0.1, "windows": windows, "behavior": "growing",
+             "threshold": threshold, "windows": windows,
+             "behavior": "growing", "counts": counts,
              "provenance": "closed-form string spectrum below the "
-                           "threshold grows linearly with the window"},
+                           "threshold grows linearly with the window: "
+                           "2 #{j >= 1 : (pi j/L)^2 < threshold}, both "
+                           "mode-0 half-spinor blocks holding it"},
         ),
     )
 

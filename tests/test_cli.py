@@ -623,6 +623,14 @@ OTHER_CASES = [
                  "tol", id="infinite-tol"),
     pytest.param({"check": "probe", "windows": [], "threshold": 0.1,
                   "behavior": "stable"}, "windows", id="empty-windows"),
+    pytest.param({"check": "probe", **VALID_ENTRIES["probe"],
+                  "counts": [0]}, "counts", id="one-count-for-two-windows"),
+    pytest.param({"check": "probe", **VALID_ENTRIES["probe"],
+                  "counts": [0, -1]}, "counts", id="negative-count"),
+    pytest.param({"check": "probe", **VALID_ENTRIES["probe"],
+                  "counts": [0, 2.0]}, "counts", id="fractional-count"),
+    pytest.param({"check": "probe", **VALID_ENTRIES["probe"],
+                  "counts": [0, True]}, "counts", id="boolean-count"),
     pytest.param({"check": "bound_verdict", "bound": "essential",
                   "verdict": "holds", "statistic": "tone",
                   "predicted": True}, "statistic",
@@ -723,6 +731,19 @@ DOCUMENT_CASES = [
         "t_max": 4.0, "period": 2 * math.pi,
         "end_labels": ["incomplete-boundary", "incomplete-boundary"]}),
                  "surface", id="warp-negative-on-the-interval"),
+    pytest.param(_edit(("surface",), {
+        "schema_version": 1, "warp": {"variant": "cosine"}, "t_min": -1.5,
+        "t_max": 2.0, "period": 2 * math.pi,
+        "end_labels": ["incomplete-boundary", "incomplete-boundary"]}),
+                 "surface", id="cosine-warp-past-its-lobe"),
+    # every sample is positive, yet the spline dips to -1.19 near t = 1.39
+    pytest.param(_edit(("surface", "warp"), {
+        "variant": "tabulated", "ts": [0.0, 1.0, 1.1, 2.0, 3.0, 4.0],
+        "fs": [1.0, 1.0, 0.001, 1.0, 1.0, 1.0]}), "surface",
+                 id="tabulated-warp-dipping-below-zero"),
+    # 0.3 is off the non-bounding spinor lattice Z of period 2 pi
+    pytest.param(_edit(("sections", 0, "mode"), 0.3), "dirichlet_sine",
+                 id="section-mode-off-the-spinor-lattice"),
     pytest.param(_edit(("sections", 0, "mode"), "0"), "mode",
                  id="string-section-mode"),
     pytest.param(_edit(("sections", 0, "mode"), True), "mode",
@@ -789,19 +810,12 @@ SPIN_FREE_CASES = [
                  id="area-tone"),
     pytest.param({"check": "section_rayleigh", "section": "dirichlet_sine",
                   "value": 1.0, "tol": 1e-3}, True, id="dirac-rayleigh"),
-    pytest.param({"check": "bound_verdict", "bound": "lichnerowicz",
-                  "verdict": "holds", "statistic": "section",
-                  "section": "dirichlet_sine"}, True,
-                 id="lichnerowicz-dirac-section"),
     pytest.param({"check": "laplace_tone", "value": 1.0, "tol": 1e-3}, False,
                  id="laplace-tone"),
     pytest.param({"check": "probe", "operator": "laplacian_scalar",
                   **VALID_ENTRIES["probe"]}, False, id="laplace-probe"),
     pytest.param({"check": "bound_verdict", "bound": "lichnerowicz",
                   "verdict": "holds"}, False, id="lichnerowicz-tone"),
-    pytest.param({"check": "bound_verdict", "bound": "area",
-                  "verdict": "holds", "statistic": "section",
-                  "section": "scalar_sine"}, False, id="area-scalar-section"),
     pytest.param({"check": "bound_verdict", "bound": "essential",
                   "verdict": "holds"}, True, id="essential"),
     pytest.param({"check": "section_rayleigh", "section": "scalar_sine",
@@ -832,6 +846,124 @@ def test_a_dirac_entry_without_spin_is_usage_error_before_any_solve(
     assert code == 64, err
     assert err.startswith("usage error:")
     assert "expected[1]" in err and "needs a spin structure" in err
+
+
+# bound entries whose section is not one of the operator the bound is
+# about: on the spinless cylinder of SPIN_FREE_CASES (sid None), and on
+# built-ins whose verdict would otherwise read the wrong operator
+WRONG_OPERATOR_CASES = [
+    pytest.param(None, "area", "scalar_sine", id="area-scalar-section"),
+    pytest.param(None, "lichnerowicz", "dirichlet_sine",
+                 id="lichnerowicz-dirac-section"),
+    pytest.param("cover-m2", "friedrich", "f_k", id="cover-m2-friedrich"),
+    pytest.param("cover-m2", "area", "f_k", id="cover-m2-area"),
+    pytest.param("flat-cylinder-l5-nonbounding", "lichnerowicz",
+                 "dirichlet_sine", id="nonbounding-cylinder-lichnerowicz"),
+]
+
+
+@pytest.mark.parametrize("sid,bound,section", WRONG_OPERATOR_CASES)
+def test_a_bound_reads_only_a_section_of_its_operator(
+        tmp_path, capsys, monkeypatch, sid, bound, section):
+    # friedrich, area and essential bound D^2 and lichnerowicz the function
+    # Laplacian: a section of the other operator is no statistic for them
+    from diraclab import bounds
+    from diraclab.scenarios import find_scenario, flat_cylinder_scenario
+    from diraclab.spin import SpinStructure
+    _nothing_solved(monkeypatch)
+    if sid is None:
+        doc = flat_cylinder_scenario(3.0,
+                                     SpinStructure.NON_BOUNDING).to_json()
+        del doc["spin"]
+        doc["sections"].append({**doc["sections"][0], "name": "scalar_sine",
+                                "field_kind": "laplacian_scalar"})
+    else:
+        doc = find_scenario(sid).to_json()
+    doc["expected"] = [{"check": "area", "value": 1.0}, {
+        "check": "bound_verdict", "bound": bound, "verdict": "holds",
+        "statistic": "section", "section": section}]
+    path = tmp_path / "wrong-operator.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--scenario", str(path)], capsys)
+    assert code == 64, err
+    kind = next(s["field_kind"] for s in doc["sections"]
+                if s["name"] == section)
+    assert err.startswith("usage error:") and "expected[1]" in err
+    for word in (repr(bound), bounds.BOUND_OPERATORS[bound], repr(section),
+                 kind):
+        assert word in err
+
+
+def test_each_bound_names_the_operator_it_bounds():
+    from diraclab import bounds, cli
+    from diraclab.operators import KIND_DIRAC, KIND_LAPLACIAN
+    assert set(bounds.BOUND_OPERATORS) == set(cli.BOUNDS)
+    assert set(bounds.BOUND_OPERATORS.values()) == {KIND_DIRAC,
+                                                     KIND_LAPLACIAN}
+
+
+def test_the_essential_bound_probes_the_operator_of_its_table_entry(
+        monkeypatch):
+    from diraclab import bounds, cli
+    from diraclab.eigensolve import GridPolicy, ProbeResult
+    from diraclab.operators import KIND_LAPLACIAN
+    from diraclab.scenarios import find_scenario
+    kinds = []
+
+    def probe(surface, kind, spin, windows, threshold):
+        kinds.append(kind)
+        return ProbeResult(threshold=threshold, windows=windows,
+                           counts=[1, 1, 1], stable=True)
+    monkeypatch.setattr(bounds, "truncation_probe", probe)
+    monkeypatch.setitem(bounds.BOUND_OPERATORS, "essential", KIND_LAPLACIAN)
+    sc = find_scenario("growing-curvature")
+    entry = next(e for e in sc.expected if e.get("bound") == "essential")
+    verdict = cli.BOUNDS["essential"](
+        cli._ScenarioRun(sc, GridPolicy(base_n=64, levels=2)), entry)
+    assert (kinds, verdict.verdict) == ([KIND_LAPLACIAN], "holds")
+
+
+def test_one_function_owns_each_check_layer_rule():
+    # the operator of a bound is read from bounds.BOUND_OPERATORS, never
+    # from a bound name, and every entry runs through cli._evaluate
+    import ast
+
+    from diraclab import bounds
+    path = Path(__file__).resolve().parents[1] / "src" / "diraclab" / "cli.py"
+    tree = ast.parse(path.read_text())
+    tops = {getattr(node, "name", None): node for node in tree.body}
+    for name in ("_bound_statistic", "_runs_dirac"):
+        constants = {node.value for node in ast.walk(tops[name])
+                     if isinstance(node, ast.Constant)}
+        assert not constants & set(bounds.BOUND_OPERATORS), name
+    bindings = [node for node in tree.body if isinstance(node, ast.Assign)
+                and any(ast.unparse(t) == "CHECKS" for t in node.targets)]
+    assert len(bindings) == 1
+    calls = {ast.unparse(node.func): getattr(top, "name", None)
+             for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Call)}
+    assert calls["_evaluate"] == "run_scenario"
+    assert "_certified" not in tops
+
+
+def test_a_scalar_section_off_its_lattice_is_usage_error_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # cover-m2's scalar lattice is 0.5 Z: f_k at mode 0.3 would not be
+    # single-valued on the circle
+    from diraclab.scenarios import find_scenario, scenario_from_json
+    _nothing_solved(monkeypatch)
+    doc = find_scenario("cover-m2").to_json()
+    doc["sections"][0]["mode"] = 0.3
+    path = tmp_path / "off-lattice.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--scenario", str(path)], capsys)
+    assert code == 64, err
+    assert err.startswith("usage error:") and "'f_k'" in err
+    # a spinor section of a document without spin has no lattice to be off
+    doc = find_scenario("flat-cylinder-l5-nonbounding").to_json()
+    doc["sections"][0]["mode"] = 0.3
+    del doc["spin"]
+    scenario_from_json(doc)
 
 
 @pytest.mark.parametrize("sid", ["growing-curvature",
@@ -910,6 +1042,44 @@ def test_tone_attaining_mode_detail_carries_tol():
     assert check["name"] == "tone_attaining_mode"
     assert check["detail"]["tol"] == entry["tol"] * 2.0
     assert check["detail"]["computed"] == pytest.approx(0.5)
+
+
+def test_a_report_holds_every_tone_its_run_computes():
+    # the friedrich verdicts of growing-curvature and of the cusp read a
+    # Dirac tone that no tone check of theirs asks for
+    from diraclab.cli import run_scenario
+    from diraclab.eigensolve import GridPolicy
+    from diraclab.scenarios import find_scenario
+    for sid in ("growing-curvature", "cusp-cylinder-l10"):
+        sc = find_scenario(sid)
+        assert "dirac_tone" not in {e["check"] for e in sc.expected}
+        doc = run_scenario(sc, GridPolicy(base_n=64,
+                                          levels=2)).to_json_dict()
+        tone = doc["diagnostics"]["dirac_tone"]
+        friedrich = next(v for v in doc["verdicts"]
+                         if v["bound"] == "friedrich")
+        assert tone["lambda_star"] == friedrich["lambda_star"]
+        assert "laplace_tone" not in doc["diagnostics"]
+    assert "cusp-truncated-upper-estimate" in tone["flags"]
+
+
+def test_probe_counts_match_exactly_whatever_the_tol(tmp_path, capsys):
+    # the string spectrum (pi j/L)^2 of long-cylinder-probe has closed-form
+    # counts below its threshold, and --tol scales no count
+    from diraclab.scenarios import find_scenario
+    doc = find_scenario("long-cylinder-probe").to_json()
+    (probe,) = doc["expected"]
+    assert probe["counts"] == [0, 2, 6, 12]
+    path = tmp_path / "probe.json"
+    for counts, tol, code in (([0, 2, 6, 12], "1", 0),
+                              ([0, 2, 6, 13], "1e9", 2)):
+        probe["counts"] = counts
+        path.write_text(json.dumps(doc))
+        got, out, err = run(["verify", "--scenario", str(path), "--tol", tol],
+                            capsys)
+        assert got == code, err
+        (check,) = json.loads(out)["checks"]
+        assert check["detail"]["counts"] == [0, 2, 6, 12]
 
 
 def test_import_and_catalog_load_stay_lean():

@@ -165,6 +165,35 @@ def test_surface_json_roundtrip_all_variants():
         surface_from_json(cusp().to_json())
 
 
+def test_warp_positive_reads_the_exact_minimum_on_the_interval():
+    # cosine: the interval must lie in one lobe, zero allowed at its ends
+    for lo, hi, positive in ((-HALF_PI, HALF_PI, True), (-1.5, 2.0, False),
+                             (2 * math.pi - 1.0, 2 * math.pi + 1.0, True),
+                             (2.0, 4.0, False)):
+        s = WarpedSurface(warp=CosineWarp(), t_min=lo, t_max=hi,
+                          period=2 * math.pi)
+        assert geometry.warp_positive(s) == positive, (lo, hi)
+    # every sample positive, yet the spline dips below zero between two
+    warp = TabulatedWarp([0.0, 1.0, 1.1, 2.0, 3.0, 4.0],
+                         [1.0, 1.0, 0.001, 1.0, 1.0, 1.0])
+    dense = warp.value(np.linspace(0.0, 4.0, 400_001))
+    low = warp.value(warp.minimum_candidates(0.0, 4.0))
+    assert float(np.min(low)) == pytest.approx(float(np.min(dense)),
+                                               abs=1e-9)
+    assert np.min(low) < -1.19
+    s = WarpedSurface(warp=warp, t_min=0.0, t_max=3.0, period=2 * math.pi)
+    assert not geometry.warp_positive(s)
+    with pytest.raises(GeometryError, match="not positive on"):
+        surface_from_json(s.to_json())
+    # a spline that is zero at an end, where a singular end sits, reads
+    ts = np.linspace(-1.0, 2.0, 13)
+    cone = TabulatedWarp(ts, ts + 1.5)
+    assert geometry.warp_positive(WarpedSurface(
+        warp=cone, t_min=-1.5, t_max=2.0, period=2 * math.pi))
+    assert not geometry.warp_positive(WarpedSurface(
+        warp=cone, t_min=-1.6, t_max=2.0, period=2 * math.pi))
+
+
 def test_tabulated_warp_validation():
     with pytest.raises(GeometryError):
         TabulatedWarp([0, 1, 2], [1, 1, 1])  # too few samples

@@ -30,10 +30,9 @@ def _outcomes() -> dict:
     for sc in scenarios.builtin_catalog():
         run = cli._ScenarioRun(sc, GridPolicy())
         for exp in sc.expected:
-            check = cli.CHECKS[exp["check"]]
-            key = (sc.id, check.name.format(**exp))
+            key = (sc.id, cli.CHECKS[exp["check"]].name.format(**exp))
             try:
-                passed, _ = check.evaluate(run, exp)
+                passed = cli._evaluate(run, exp)["passed"]
             except DiraclabError as exc:
                 out[key] = type(exc).__name__
                 continue
@@ -174,9 +173,8 @@ DEFECTS = [
      {(bounds, "MARGIN_BAR_FACTOR"): 300.0}, {},
      "no built-in verdict has a margin between 3 and 300 error bars"),
     ("probe-counts-halved",
-     {eigensolve.truncation_probe: _probe_counts_halved}, {},
-     "probe entries check only whether the counts are stable or growing, "
-     "which halving keeps"),
+     {eigensolve.truncation_probe: _probe_counts_halved},
+     _outcome_of([("long-cylinder-probe", "probe")]), None),
     ("block-mass-halved-at-a-free-side",
      {_assemble_block: _mass_halved_at_free_sides}, {},
      "it moves five closed-form tones by at most 4e-8, inside their 1e-3 "
