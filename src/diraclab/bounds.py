@@ -34,10 +34,10 @@ from .operators import (
     KIND_DIRAC,
     KIND_LAPLACIAN,
     Section,
-    assemble,
     bochner_gradient_energy,
-    dirac_energy,
+    check_pairing,
     product_rule_defect,
+    section_energy,
 )
 from .spin import SpinStructure
 
@@ -216,8 +216,7 @@ def killing_equality_check(surface, op, profile, phi: Section,
     curvature profile on phi's grid."""
     if phi.kind != KIND_DIRAC:
         raise AssemblyError("killing check needs a spinor section")
-    if op.kind != KIND_DIRAC or op.nu != phi.nu or op.grid != phi.grid:
-        raise AssemblyError("killing check needs the operator phi solves")
+    check_pairing(op, phi)
     bound = _curvature_floor(profile.kappa_spinor)
     if bound <= 0 or abs(alpha * alpha - bound) > EQUALITY_REL_TOL * bound:
         return KillingDiagnostics(
@@ -225,8 +224,7 @@ def killing_equality_check(surface, op, profile, phi: Section,
             note="tone does not attain the curvature bound; equality-case "
                  "diagnostics are not applicable")
     comps = phi.components()
-    norms = [float(np.sum(b.mass * np.abs(c) ** 2))
-             for b, c in zip(op.blocks, comps)]
+    norms = [b.mass_form(c) for b, c in zip(op.blocks, comps)]
     total = sum(norms)
     if total <= 0:
         raise AssemblyError("zero section")
@@ -242,9 +240,8 @@ def killing_equality_check(surface, op, profile, phi: Section,
         dens = sum(np.abs(v) ** 2 for v in mids_avg)
     mean = float(np.mean(dens))
     variation = float((np.max(dens) - np.min(dens)) / mean)
-    energy = dirac_energy(op, phi)
-    ratio_dev = abs(bochner_gradient_energy(surface, op, phi) / energy
-                    - 1.0 / DIM)
+    ratio_dev = abs(bochner_gradient_energy(surface, op, phi)
+                    / section_energy(op, phi) - 1.0 / DIM)
     return KillingDiagnostics(applicable=True, norm_variation=variation,
                               bochner_ratio_deviation=float(ratio_dev),
                               alpha=alpha)
@@ -275,7 +272,7 @@ def _cutoff_profile(grid, rho: float) -> np.ndarray:
     return out
 
 
-def cutoff_stability_check(surface, spin, phi: Section, rhos) -> CutoffReport:
+def cutoff_stability_check(op, phi: Section, rhos) -> CutoffReport:
     """Build cutoffs f_rho and audit the first-order truncation estimate.
 
     f_rho is 1 on the ball of radius rho about the middle of phi's grid
@@ -286,17 +283,17 @@ def cutoff_stability_check(surface, spin, phi: Section, rhos) -> CutoffReport:
             <= ||phi||/rho + ||(f_rho - 1) D phi|| + product-rule defect,
 
     and that the left side decreases along an increasing rho sequence.
-    D is Block.factor of phi's mode on phi's grid; the norms sum over its
+    D is Block.factor of op, phi's Dirac square; the norms sum over its
     n + 1 elements with each block's w_e, ||phi|| over phi's element means.
     """
     if phi.kind != KIND_DIRAC:
         raise AssemblyError("cutoff check needs a spinor section")
-    grid = phi.grid
+    check_pairing(op, phi)
+    grid, blocks = phi.grid, op.blocks
     radius = 0.5 * (grid.b - grid.a)
     rhos = [float(r) for r in rhos]
     if any(r <= 0 or r > radius * (1 + 1e-12) for r in rhos):
         raise AssemblyError(f"rho values must lie in (0, {radius}]")
-    blocks = assemble(surface, KIND_DIRAC, spin, phi.nu, grid).blocks
 
     def l2(vectors):
         return math.sqrt(sum(float(np.sum(b.w_e * np.abs(v) ** 2))

@@ -281,7 +281,7 @@ CHECKS = {
                             "orthogonality:{section}"),
     "bound_verdict": _Check(("bound", "verdict"), _bound_verdict,
                             "bound:{bound}",
-                            ("statistic", "section", "predicted", "value")),
+                            ("statistic", "predicted", "value")),
     "killing": _Check((), _killing, "killing", ("applicable",)),
     "probe": _Check(("windows", "threshold", "behavior"), _probe, "probe",
                     ("operator", "counts")),

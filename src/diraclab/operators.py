@@ -27,9 +27,10 @@ the +|nu| block is the exact mirror image of the -|nu| block: that one is
 assembled from the grid samples, and the other holds its arrays reversed,
 a_e negated.  Solves, seeds and probes then work on one block per twin.
 Block.factor gives (A_mu u)_e on those elements, the package's one discrete
-Dirac operator: Block.energy and dirac_energy sum its weighted squares, so
-they keep relative accuracy where u^T S u would cancel digits of size
-eps/h^2, and the cutoff and Leibniz audits apply it.
+Dirac operator: Block.energy sums its weighted squares, which keeps
+relative accuracy where u^T S u would cancel digits of size eps/h^2;
+section_energy sums Block.energy over the operator a section solves
+(check_pairing), and the cutoff and Leibniz audits apply the factor.
 
 Boundary treatment.  Regular boundary circles and cusp truncations get a
 Dirichlet ghost node (the Friedrichs condition).  At a singular end where
@@ -421,66 +422,66 @@ def assemble(surface, kind: str, spin, nu: float, grid: Grid,
     return assemble_dirac_square(surface, spin, nu, grid, samples)
 
 
+def check_pairing(op: ReducedOperator, phi: Section) -> None:
+    """AssemblyError unless op is the operator phi lives on: of phi's kind,
+    mode nu and grid.  Every section audit calls it."""
+    if (phi.kind, phi.nu) != (op.kind, op.nu):
+        raise AssemblyError(f"{phi.kind} section of mode {phi.nu} on a "
+                            f"{op.kind} operator of mode {op.nu}")
+    if phi.grid != op.grid:
+        raise AssemblyError("section and operator must share one grid")
+
+
+def section_energy(op: ReducedOperator, phi: Section) -> float:
+    """The form every solve on op squares, at phi: the sum of Block.energy
+    over op's blocks, all n + 1 elements with the Dirichlet ends."""
+    check_pairing(op, phi)
+    return sum(b.energy(v) for b, v in zip(op.blocks, phi.components()))
+
+
 def rayleigh_quotient(op: ReducedOperator, phi: Section) -> float:
-    """energy(phi) / (mass phi, phi); an upper bound for the tone."""
-    if phi.kind != op.kind:
-        raise AssemblyError(
-            f"section kind {phi.kind} does not match operator {op.kind}")
-    comps = phi.components()
-    num = sum(b.energy(v) for b, v in zip(op.blocks, comps))
-    den = sum(b.mass_form(v) for b, v in zip(op.blocks, comps))
+    """section_energy / (mass phi, phi); an upper bound for the tone."""
+    num = section_energy(op, phi)
+    den = sum(b.mass_form(v) for b, v in zip(op.blocks, phi.components()))
     if den <= 0:
         raise AssemblyError("section has zero norm")
     return num / den
 
 
-def dirac_energy(op: ReducedOperator, phi: Section) -> float:
-    """||D phi||^2 over the open window (interior elements only)."""
-    if op.kind != KIND_DIRAC:
-        raise AssemblyError("dirac_energy needs a dirac_square operator")
-    total = 0.0
-    for block, comp in zip(op.blocks, phi.components()):
-        au = block.factor(comp)[1:-1]
-        total += float(np.sum(block.w_e[1:-1] * np.abs(au) ** 2))
-    return total
-
-
 def bochner_gradient_energy(surface, op: ReducedOperator,
                             phi: Section) -> float:
-    """||D phi||^2 - (K_spinor phi, phi): the connection energy.
+    """section_energy - (K_spinor phi, phi): the connection energy.
 
     K_spinor = scal/4 is evaluated per node, so the spin connection never
     needs to be assembled; the value is a squared norm up to discretization
     error and must stay >= -solver tolerance wherever scal >= 0.
     """
-    if phi.kind != KIND_DIRAC or op.kind != KIND_DIRAC:
+    if phi.kind != KIND_DIRAC:
         raise AssemblyError("bochner energy is defined for spinor sections")
+    energy = section_energy(op, phi)
     kap = geometry.gauss_curvature(surface, op.grid.nodes) / 2.0
     curv = 0.0
     for block, comp in zip(op.blocks, phi.components()):
         curv += float(np.sum(block.mass * kap * np.abs(comp) ** 2))
-    return dirac_energy(op, phi) - curv
+    return energy - curv
 
 
-def leibniz_defect(surface, fmul: Section, phi: Section) -> float:
+def leibniz_defect(op: ReducedOperator, fmul: Section, phi: Section) -> float:
     """Discrete L2 norm of D(f phi) - grad f . phi - f D phi on phi's grid.
 
-    D is Block.factor of the Dirac blocks of phi's mode, assembled on one
-    sample_grid of the grid, and f phi, grad f . phi and f D phi are read on
-    its elements (product_rule_defect): the defect is O(h^2) under
-    refinement, and vanishes identically for constant f or a_e = 0.
+    D is Block.factor of op, the Dirac square phi solves, and f phi,
+    grad f . phi and f D phi are read on its elements (product_rule_defect):
+    the defect is O(h^2) under refinement, and vanishes identically for
+    constant f or a_e = 0.
     """
     if fmul.kind != KIND_LAPLACIAN:
         raise AssemblyError("multiplier must be a scalar section")
     if phi.kind != KIND_DIRAC:
         raise AssemblyError("phi must be a spinor section")
-    grid = phi.grid
-    if fmul.grid != grid:
+    check_pairing(op, phi)
+    if fmul.grid != phi.grid:
         raise AssemblyError("multiplier and section must share one grid")
-    samples = sample_grid(surface, grid)
-    blocks = [_assemble_block(surface, grid, KIND_DIRAC, mu, samples)
-              for mu in (-float(phi.nu), float(phi.nu))]
-    return product_rule_defect(blocks, fmul.values, phi.components())
+    return product_rule_defect(op.blocks, fmul.values, phi.components())
 
 
 def product_rule_defect(blocks, fv, comps) -> float:

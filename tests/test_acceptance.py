@@ -230,7 +230,7 @@ def test_criterion_6_property_suite():
                                    SpinStructure.BOUNDING, 0.5, gg)
         phi = smallest_eigenpairs(op, 1).sections[0]
         fm = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=gg, values=gg.nodes)
-        defects.append(leibniz_defect(cyl.surface, fm, phi))
+        defects.append(leibniz_defect(op, fm, phi))
     ratios = [a / b for a, b in zip(defects, defects[1:])]
     checks["product-rule defect second order (ratios in [3.4, 4.6])"] = \
         all(3.4 <= r <= 4.6 for r in ratios)
@@ -240,8 +240,7 @@ def test_criterion_6_property_suite():
     g16 = make_grid(surf16, 512)
     op16 = assemble_dirac_square(surf16, SpinStructure.NON_BOUNDING, 0.0, g16)
     phi16 = smallest_eigenpairs(op16, 1).sections[0]
-    rep = cutoff_stability_check(surf16, SpinStructure.NON_BOUNDING, phi16,
-                                 [2.0, 4.0, 8.0])
+    rep = cutoff_stability_check(op16, phi16, [2.0, 4.0, 8.0])
     checks["cutoff slope audit |grad f_rho| <= 1/rho"] = rep.slopes_ok
     checks["cutoff truncation inequality and monotonicity"] = \
         rep.inequality_ok and rep.monotone

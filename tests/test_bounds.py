@@ -35,10 +35,15 @@ from diraclab.geometry import (
 )
 from diraclab.operators import (
     KIND_DIRAC,
+    KIND_LAPLACIAN,
+    Grid,
     Section,
     assemble_dirac_square,
     assemble_laplacian,
+    bochner_gradient_energy,
+    leibniz_defect,
     make_grid,
+    rayleigh_quotient,
 )
 from diraclab.scenarios import cover_scenario, find_scenario
 from diraclab.spin import SpinStructure
@@ -172,22 +177,58 @@ def test_killing_diagnostics_sphere_decrease_under_refinement():
         results[0].bochner_ratio_deviation < 1e-2
 
 
-def test_killing_check_takes_the_operator_phi_solves():
+def test_killing_energy_ratio_reads_the_solvers_energy():
+    # the audits' energy is the form the solve squares, lambda_0 ||phi||_M^2
+    # of smallest_eigenpairs' own value; with kappa = scal/4 = 1/2 on the
+    # unit sphere the Bochner ratio deviation is (lambda_0 - 1)/(2 lambda_0)
     sc = find_scenario("round-sphere")
-    grid = make_grid(sc.surface, 256)
-    prof = curvature_profile(sc.surface, grid)
+    grid = make_grid(sc.surface, 512)
     op = assemble_dirac_square(sc.surface, sc.spin, 0.5, grid)
     res = smallest_eigenpairs(op, 1)
+    phi, lam = res.sections[0], res.eigenvalues[0]
+    pairs = list(zip(op.blocks, phi.components()))
+    curv = sum(float(np.sum(b.mass * 0.5 * c ** 2)) for b, c in pairs)
+    norm2 = sum(b.mass_form(c) for b, c in pairs)
+    assert bochner_gradient_energy(sc.surface, op, phi) + curv == \
+        pytest.approx(lam * norm2, rel=1e-12)
+    diag = killing_equality_check(sc.surface, op,
+                                  curvature_profile(sc.surface, grid), phi,
+                                  math.sqrt(lam))
+    assert diag.bochner_ratio_deviation == pytest.approx(
+        (lam - 1.0) / (2.0 * lam), rel=1e-9)
+
+
+def test_killing_check_takes_the_operator_phi_solves():
+    # every section audit takes the operator phi solves: another mode,
+    # another grid (of another n, or of the same n on another window) and
+    # the other kind each raise, where a quotient would read silently
+    sc = find_scenario("round-sphere")
+    surf = sc.surface
+    grid = make_grid(surf, 256)
+    prof = curvature_profile(surf, grid)
+    op = assemble_dirac_square(surf, sc.spin, 0.5, grid)
+    res = smallest_eigenpairs(op, 1)
+    phi = res.sections[0]
     alpha = math.sqrt(res.eigenvalues[0])
-    assert killing_equality_check(sc.surface, op, prof, res.sections[0],
-                                  alpha).applicable
-    coarse = make_grid(sc.surface, 128)
-    for other in (assemble_dirac_square(sc.surface, sc.spin, 1.5, grid),
-                  assemble_dirac_square(sc.surface, sc.spin, 0.5, coarse),
-                  assemble_laplacian(sc.surface, 0.5, grid)):
-        with pytest.raises(AssemblyError):
-            killing_equality_check(sc.surface, other, prof, res.sections[0],
-                                   alpha)
+    fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid,
+                   values=np.cos(grid.nodes))
+    audits = [lambda o: rayleigh_quotient(o, phi),
+              lambda o: bochner_gradient_energy(surf, o, phi),
+              lambda o: killing_equality_check(surf, o, prof, phi, alpha),
+              lambda o: cutoff_stability_check(o, phi, [0.3, 0.6]),
+              lambda o: leibniz_defect(o, fmul, phi)]
+    assert killing_equality_check(surf, op, prof, phi, alpha).applicable
+    for audit in audits:
+        audit(op)
+    coarse = make_grid(surf, 128)
+    window = Grid(a=0.5 * grid.a, b=0.5 * grid.b, n=grid.n)
+    for other in (assemble_dirac_square(surf, sc.spin, 1.5, grid),
+                  assemble_dirac_square(surf, sc.spin, 0.5, coarse),
+                  assemble_dirac_square(surf, sc.spin, 0.5, window),
+                  assemble_laplacian(surf, 0.5, grid)):
+        for audit in audits:
+            with pytest.raises(AssemblyError):
+                audit(other)
 
 
 def test_killing_inapplicable_off_equality_case():
@@ -210,14 +251,13 @@ def _cylinder_ground(length=16.0, n=512):
     grid = make_grid(surf, n)
     op = assemble_dirac_square(surf, SpinStructure.NON_BOUNDING, 0.0, grid)
     res = smallest_eigenpairs(op, 1)
-    return surf, grid, res.sections[0]
+    return op, grid, res.sections[0]
 
 
 def test_cutoff_check_long_cylinder_monotone_and_audited():
-    surf, grid, phi = _cylinder_ground()
+    op, grid, phi = _cylinder_ground()
     L = 16.0
-    report = cutoff_stability_check(surf, SpinStructure.NON_BOUNDING, phi,
-                                    [L / 8, L / 4, L / 2])
+    report = cutoff_stability_check(op, phi, [L / 8, L / 4, L / 2])
     assert report.inequality_ok
     assert report.slopes_ok
     assert report.monotone
@@ -226,37 +266,35 @@ def test_cutoff_check_long_cylinder_monotone_and_audited():
 
 
 def test_cutoff_compact_support_inside_radius_gives_zero_defect():
-    surf, grid, phi = _cylinder_ground()
+    op, grid, phi = _cylinder_ground()
     # compactly supported section: boxed sine in the middle third
     vals = np.zeros((2, grid.n))
     t = grid.nodes
     inside = (t > 6.0) & (t < 10.0)
     vals[0] = np.where(inside, np.sin(math.pi * (t - 6.0) / 4.0), 0.0)
     sec = Section(kind=KIND_DIRAC, nu=0.0, grid=grid, values=vals)
-    report = cutoff_stability_check(surf, SpinStructure.NON_BOUNDING, sec,
-                                    [7.0])
+    report = cutoff_stability_check(op, sec, [7.0])
     assert report.defects[0] <= 1e-12
 
 
 def test_cutoff_rejects_oversized_radius():
-    surf, grid, phi = _cylinder_ground()
+    op, grid, phi = _cylinder_ground()
     with pytest.raises(AssemblyError):
-        cutoff_stability_check(surf, SpinStructure.NON_BOUNDING, phi, [20.0])
+        cutoff_stability_check(op, phi, [20.0])
 
 
 def _sphere_ground(n=256):
     sc = find_scenario("round-sphere")
     grid = make_grid(sc.surface, n)
     op = assemble_dirac_square(sc.surface, sc.spin, 0.5, grid)
-    return sc, smallest_eigenpairs(op, 1).sections[0]
+    return op, smallest_eigenpairs(op, 1).sections[0]
 
 
 def test_cutoff_check_holds_on_the_sphere_equality_mode():
     # nu = 1/2: a mirror block pair with free sides and a_e != 0, so the
     # product-rule term of the right side is not zero
-    sc, phi = _sphere_ground()
-    report = cutoff_stability_check(sc.surface, sc.spin, phi,
-                                    [0.3, 0.6, 1.2])
+    op, phi = _sphere_ground()
+    report = cutoff_stability_check(op, phi, [0.3, 0.6, 1.2])
     assert report.inequality_ok
     assert report.slopes_ok
     assert report.monotone
@@ -264,30 +302,26 @@ def test_cutoff_check_holds_on_the_sphere_equality_mode():
 
 
 def test_cutoff_check_samples_the_warp_slope_once(monkeypatch):
-    # the audit reads f'/(2f) from the blocks it assembles: the warp's
-    # derivative is evaluated only inside one sample_grid
+    # the audit reads f'/(2f) from the blocks of the operator it is given:
+    # it samples the warp zero times and never evaluates its derivative
     from diraclab import operators
     from diraclab.geometry import CosineWarp
-    sc, phi = _sphere_ground(128)
-    sampling, outside = [], []
+    op, phi = _sphere_ground(128)
+    sampling, deriving = [], []
     sample_grid, deriv = operators.sample_grid, CosineWarp.deriv
 
     def counted_sample_grid(*args, **kwargs):
         sampling.append(True)
-        try:
-            return sample_grid(*args, **kwargs)
-        finally:
-            sampling[-1] = False
+        return sample_grid(*args, **kwargs)
 
     def watched_deriv(self, t):
-        if not (sampling and sampling[-1]):
-            outside.append(t)
+        deriving.append(t)
         return deriv(self, t)
     monkeypatch.setattr(operators, "sample_grid", counted_sample_grid)
     monkeypatch.setattr(CosineWarp, "deriv", watched_deriv)
-    cutoff_stability_check(sc.surface, sc.spin, phi, [0.3, 0.6])
-    assert len(sampling) == 1
-    assert outside == []
+    cutoff_stability_check(op, phi, [0.3, 0.6])
+    assert sampling == []
+    assert deriving == []
 
 
 def test_essential_check_three_regimes():

@@ -598,6 +598,13 @@ OTHER_CASES = [
     pytest.param({"check": "bound_verdict", "bound": "area",
                   "verdict": "holds", "statistic": "section"}, "section",
                  id="section-statistic-without-section"),
+    pytest.param({"check": "bound_verdict", "bound": "area",
+                  "verdict": "holds", "statistic": "tone",
+                  "section": "dirichlet_sine"}, "section",
+                 id="tone-statistic-with-section"),
+    pytest.param({"check": "bound_verdict", "bound": "area",
+                  "verdict": "holds", "section": "dirichlet_sine"},
+                 "section", id="section-without-statistic"),
     pytest.param({"check": "section_norm2", "section": "undeclared",
                   "value": 1.0, "tol": 1e-6}, "undeclared",
                  id="undeclared-section"),

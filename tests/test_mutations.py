@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from diraclab import bounds, cli, eigensolve, operators, scenarios
+from diraclab import bounds, cli, eigensolve, geometry, operators, scenarios
 from diraclab.eigensolve import GridPolicy
 from diraclab.errors import DiraclabError
 
@@ -72,6 +72,7 @@ _assemble_block = operators._assemble_block
 _floor = eigensolve.mode_lower_bound_term
 _area_bound = bounds.area_bound
 _probe = eigensolve.truncation_probe
+_section_energy = operators.section_energy
 
 
 def _finest_level(seq):
@@ -93,6 +94,22 @@ def _mass_halved_at_free_sides(surface, grid, kind, coef, samples):
         if side == operators.FREE:
             mass[end] *= 0.5
     return dataclasses.replace(block, mass=mass)
+
+
+def _energy_without_end_elements(op, phi):
+    total = _section_energy(op, phi)
+    for block, comp in zip(op.blocks, phi.components()):
+        au = block.factor(comp)
+        total -= block.w_e[0] * au[0] ** 2 + block.w_e[-1] * au[-1] ** 2
+    return float(total)
+
+
+def _connection_energy_with_kappa_k(surface, op, phi):
+    # K |phi|^2 in place of scal/4 |phi|^2 = (K/2) |phi|^2
+    kap = geometry.gauss_curvature(surface, op.grid.nodes)
+    return _section_energy(op, phi) - sum(
+        float(np.sum(b.mass * kap * c ** 2))
+        for b, c in zip(op.blocks, phi.components()))
 
 
 def _probe_counts_halved(*args, **kwargs):
@@ -179,6 +196,15 @@ DEFECTS = [
      {_assemble_block: _mass_halved_at_free_sides}, {},
      "it moves five closed-form tones by at most 4e-8, inside their 1e-3 "
      "tolerance; test_operators pins the node rule instead"),
+    ("energy-over-interior-elements-only",
+     {_section_energy: _energy_without_end_elements},
+     _outcome_of([("cover-m1", "bound:lichnerowicz")]
+                 + [(f"flat-cylinder-l{length}-nonbounding",
+                     "section_rayleigh:dirichlet_sine")
+                    for length in (2, 5)]), None),
+    ("connection-energy-with-kappa-k",
+     {operators.bochner_gradient_energy: _connection_energy_with_kappa_k},
+     _outcome_of([("round-sphere", "killing")]), None),
 ]
 
 

@@ -23,6 +23,7 @@ from diraclab.operators import (
     product_rule_defect,
     rayleigh_quotient,
     sample_grid,
+    section_energy,
 )
 from diraclab.eigensolve import smallest_eigenpairs
 from diraclab.scenarios import cover_scenario, find_scenario
@@ -205,27 +206,29 @@ def test_domain_monotonicity_on_nested_windows():
         prev = vals
 
 
-def test_bochner_energy_zero_for_parallel_section():
-    # constant spinor on the flat cylinder in the periodic zero mode:
-    # no connection energy and no curvature term
+def test_bochner_energy_of_parallel_section_is_its_wall_elements():
+    # constant spinor on the flat cylinder in the periodic zero mode: no
+    # curvature term, and no connection energy inside the window; the
+    # Dirichlet walls are not in its form domain, so the energy the solver
+    # squares is that of the two end elements, 2 * (2 pi h) (1/h)^2
     s = cylinder(5.0)
     grid = make_grid(s, 64)
     op = assemble_dirac_square(s, SpinStructure.NON_BOUNDING, 0.0, grid)
     vals = np.zeros((2, grid.n))
     vals[0] = 1.0
     sec = Section(kind=KIND_DIRAC, nu=0.0, grid=grid, values=vals)
-    assert abs(bochner_gradient_energy(s, op, sec)) < 1e-12
+    assert bochner_gradient_energy(s, op, sec) == pytest.approx(
+        4 * math.pi / grid.h, rel=1e-12)
 
 
 def test_bochner_energy_half_split_on_sphere_ground(sphere_dirac_tone):
-    from diraclab.operators import dirac_energy
     s = sphere()
     grid = make_grid(s, 512)
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
     res = smallest_eigenpairs(op, 1)
     phi = res.sections[0]
     bge = bochner_gradient_energy(s, op, phi)
-    assert bge / dirac_energy(op, phi) == pytest.approx(0.5, abs=1e-3)
+    assert bge / section_energy(op, phi) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_bochner_energy_nonnegative_on_curved_scenarios():
@@ -248,7 +251,7 @@ def test_leibniz_defect_constant_multiplier_vanishes():
     phi = smallest_eigenpairs(op, 1).sections[0]
     ones = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid,
                    values=np.ones(grid.n))
-    assert leibniz_defect(s, ones, phi) == 0.0
+    assert leibniz_defect(op, ones, phi) == 0.0
 
 
 def leibniz_defect_at(n):
@@ -259,7 +262,7 @@ def leibniz_defect_at(n):
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
     phi = smallest_eigenpairs(op, 1).sections[0]
     fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=grid.nodes)
-    return leibniz_defect(s, fmul, phi)
+    return leibniz_defect(op, fmul, phi)
 
 
 def test_leibniz_defect_second_order():
@@ -279,7 +282,7 @@ def test_leibniz_defect_cutoff_multiplier_bound():
     t = grid.nodes
     ramp = np.clip(2.0 - np.abs(t - 8.0) / rho, 0.0, 1.0)
     fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=ramp)
-    defect = leibniz_defect(s, fmul, phi)
+    defect = leibniz_defect(op, fmul, phi)
     w = s.period * grid.h * np.ones(grid.n)
     phi_norm = math.sqrt(float(np.sum(w * phi.values ** 2)))
     assert 0.0 < defect <= grid.h * phi_norm / (4.0 * rho)
@@ -318,13 +321,13 @@ def test_leibniz_defect_rejects_a_multiplier_from_another_grid():
     # same node count, another window: the samples would be mixed silently
     s = cylinder(5.0)
     grid = make_grid(s, 128)
-    phi = smallest_eigenpairs(assemble_dirac_square(
-        s, SpinStructure.NON_BOUNDING, 0.0, grid), 1).sections[0]
+    op = assemble_dirac_square(s, SpinStructure.NON_BOUNDING, 0.0, grid)
+    phi = smallest_eigenpairs(op, 1).sections[0]
     other = Grid(a=0.0, b=10.0, n=grid.n)
     fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=other,
                    values=np.ones(grid.n))
     with pytest.raises(AssemblyError):
-        leibniz_defect(s, fmul, phi)
+        leibniz_defect(op, fmul, phi)
 
 
 def test_section_shape_validation():
