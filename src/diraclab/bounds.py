@@ -50,6 +50,8 @@ VIOLATED_UNEXPECTED = "violated-unexpected"
 
 SOURCE_TONE = "extrapolated-tone"
 SOURCE_UPPER = "rayleigh-upper-bound"
+SOURCE_PROBE = "probe-threshold"  # an essential verdict that probes
+SOURCE_NONE = "none"  # an essential verdict without a statistic (NaN)
 
 MARGIN_BAR_FACTOR = 3.0
 MARGIN_ABS_FLOOR = 1e-9
@@ -97,7 +99,7 @@ class BoundVerdict:
     error_bar: float
     margin: float
     verdict: str
-    statistic_source: str = SOURCE_TONE
+    statistic_source: str
     notes: list = field(default_factory=list)
 
 
@@ -214,9 +216,7 @@ def killing_equality_check(surface, op, profile, phi: Section,
     """Norm-constancy and energy-ratio diagnostics for an equality case;
     op is the Dirac square phi was solved on, and profile the surface's
     curvature profile on phi's grid."""
-    if phi.kind != KIND_DIRAC:
-        raise AssemblyError("killing check needs a spinor section")
-    check_pairing(op, phi)
+    check_pairing(op, phi, KIND_DIRAC)
     bound = _curvature_floor(profile.kappa_spinor)
     if bound <= 0 or abs(alpha * alpha - bound) > EQUALITY_REL_TOL * bound:
         return KillingDiagnostics(
@@ -286,9 +286,7 @@ def cutoff_stability_check(op, phi: Section, rhos) -> CutoffReport:
     D is Block.factor of op, phi's Dirac square; the norms sum over its
     n + 1 elements with each block's w_e, ||phi|| over phi's element means.
     """
-    if phi.kind != KIND_DIRAC:
-        raise AssemblyError("cutoff check needs a spinor section")
-    check_pairing(op, phi)
+    check_pairing(op, phi, KIND_DIRAC)
     grid, blocks = phi.grid, op.blocks
     radius = 0.5 * (grid.b - grid.a)
     rhos = [float(r) for r in rhos]
@@ -351,7 +349,8 @@ def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
             (HOLDS, "no end can carry essential spectrum; holds trivially"))
         return BoundVerdict(bound="essential", value=value, hypotheses=hyps,
                             lambda_star=math.nan, error_bar=math.nan,
-                            margin=math.nan, verdict=verdict, notes=[note])
+                            margin=math.nan, verdict=verdict,
+                            statistic_source=SOURCE_NONE, notes=[note])
     # centred windows whose widest one is the grid's own (a, b), so none
     # crosses the surface's ends by a rounding
     insets = [0.5 * (1.0 - f) * (grid.b - grid.a)
@@ -366,7 +365,8 @@ def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
         notes.append("window counts kept growing below the floor")
     return BoundVerdict(bound="essential", value=value, hypotheses=hyps,
                         lambda_star=threshold, error_bar=0.0,
-                        margin=math.nan, verdict=verdict, notes=notes)
+                        margin=math.nan, verdict=verdict,
+                        statistic_source=SOURCE_PROBE, notes=notes)
 
 
 @dataclass

@@ -16,7 +16,7 @@ import os
 import sys
 from collections import namedtuple
 
-from . import __version__, bounds, geometry, scenarios
+from . import __version__, bounds, geometry, operators, scenarios
 from .eigensolve import (MAX_GRID_NODES, UNCERTIFIED, GridPolicy,
                          check_probe_windows, fundamental_tone, sample_ladder,
                          truncation_probe)
@@ -109,8 +109,8 @@ class _ScenarioRun:
         def compute():
             sc, grid = self.scenario, self.grid
             sec = scenarios.eval_test_section(sc, name, grid)
-            op = assemble(sc.surface, sc.section_spec(name).field_kind,
-                          sc.spin, sec.nu, grid, self.samples())
+            op = assemble(sc.surface, sec.kind, sc.spin, sec.nu, grid,
+                          self.samples())
             return rayleigh_quotient(op, sec)
         return self._memo(("rq", name), compute)
 
@@ -203,8 +203,8 @@ def _tone_value(kind: str) -> _Check:
 def _orthogonality(run, exp):
     value = scenarios.mk_orthogonality(run.scenario, run.grid,
                                        run.samples().w, exp["section"])
-    return (abs(value) <= exp["max_abs"] * run.tol_scale,
-            {"computed": value, "max_abs": exp["max_abs"]})
+    max_abs = exp["max_abs"] * run.tol_scale
+    return abs(value) <= max_abs, {"computed": value, "max_abs": max_abs}
 
 
 def _bound_verdict(run, exp):
@@ -307,7 +307,7 @@ _NUMERIC_KEYS = ("value", "tol", "rel_tol", "max_abs", "threshold",
                  "max_norm_variation", "max_bochner_ratio")
 # enumerated key -> the values it may take, all of one JSON type
 _CHOICES = {
-    "operator": (KIND_LAPLACIAN, KIND_DIRAC),
+    "operator": operators.KINDS,
     "statistic": ("tone", "section"),
     "behavior": ("stable", "growing"),
     "verdict": (bounds.HOLDS, bounds.VIOLATED_PREDICTED, bounds.INAPPLICABLE,

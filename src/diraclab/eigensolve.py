@@ -66,11 +66,13 @@ from .operators import (
     ReducedOperator,
     Section,
     assemble,
+    block_section,
+    kind_modes,
     lay_grid,
     make_grid,
     sample_grid,
 )
-from .spin import SCALAR, lattice_modes, mode_lower_bound_term
+from .spin import mode_lower_bound_term
 
 
 # Tone walks and probes look at most at this many lowest nonnegative modes.
@@ -470,14 +472,7 @@ def smallest_eigenpairs(op: ReducedOperator, count: int,
             raise ConvergenceError(
                 f"eigenpair backward error {residuals[-1]:.2e} above "
                 f"n * eps = {bound:.2e}")
-        if op.kind == KIND_DIRAC:
-            full = np.zeros((2, op.grid.n))
-            full[bi] = vec
-            sections.append(Section(kind=KIND_DIRAC, nu=op.nu, grid=op.grid,
-                                    values=full))
-        else:
-            sections.append(Section(kind=KIND_LAPLACIAN, nu=op.nu,
-                                    grid=op.grid, values=vec))
+        sections.append(block_section(op.kind, op.nu, op.grid, bi, vec))
     return EigenResult(eigenvalues, sections, np.array(residuals),
                        block_index, block_values)
 
@@ -572,11 +567,6 @@ def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
     the level-0 node values.  The result's ground is the attaining mode's
     level-0 section, and ground_op the operator it solves.
     """
-    if kind not in (KIND_LAPLACIAN, KIND_DIRAC):
-        raise AssemblyError(f"unknown operator kind {kind!r}")
-    if kind == KIND_DIRAC and spin is None:
-        raise AssemblyError("dirac tone needs a spin structure")
-    structure = SCALAR if kind == KIND_LAPLACIAN else spin
     levels, seed = ladder
     ends = levels[0][0].side_kinds
     kernel_skip = kind == KIND_LAPLACIAN and "regular" not in ends
@@ -591,7 +581,7 @@ def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
     best_ground = (None, None)
     per_mode = {}
     table = []
-    for nu in lattice_modes(structure, surface.period, MAX_MODE_CUTOFF):
+    for nu in kind_modes(kind, spin, surface.period, MAX_MODE_CUTOFF):
         term = mode_lower_bound_term(nu, levels[0][1].f_nodes)
         if term > best:
             per_mode[nu] = {"pruned_at": term}
@@ -652,8 +642,7 @@ def truncation_probe(surface, kind: str, spin, windows,
     ConvergenceError when all MAX_MODE_CUTOFF modes stay at or below it.
     """
     sized = check_probe_windows(surface, windows)
-    structure = SCALAR if kind == KIND_LAPLACIAN else spin
-    modes = lattice_modes(structure, surface.period, MAX_MODE_CUTOFF)
+    modes = kind_modes(kind, spin, surface.period, MAX_MODE_CUTOFF)
     counts = []
     for a, b, n in sized:
         grid = Grid(a=a, b=b, n=n)

@@ -55,10 +55,11 @@ import numpy as np
 
 from . import geometry
 from .errors import AssemblyError
-from .spin import SpinStructure, mode_in_structure
+from .spin import SCALAR, SpinStructure, lattice_modes, mode_in_structure
 
 KIND_LAPLACIAN = "laplacian_scalar"
 KIND_DIRAC = "dirac_square"
+KINDS = (KIND_LAPLACIAN, KIND_DIRAC)  # check_kind rejects any other
 
 DIRICHLET = "dirichlet"
 FREE = "free"
@@ -67,6 +68,22 @@ _GAMMA_EPS = 1e-9
 
 DELTA_RATIO = 0.5
 CUSP_TAIL_REL = 1e-6
+
+
+def check_kind(kind) -> None:
+    """AssemblyError unless kind is in KINDS; Section and assemble call it."""
+    if kind not in KINDS:
+        raise AssemblyError(f"unknown operator kind {kind!r}")
+
+
+def kind_modes(kind: str, spin, period: float, count: int) -> list:
+    """The `count` lowest nonnegative modes of a kind (spin.lattice_modes),
+    on the scalar lattice or on that of the spin a Dirac square needs."""
+    check_kind(kind)
+    if kind == KIND_DIRAC and spin is None:
+        raise AssemblyError(f"{KIND_DIRAC} modes need a spin structure")
+    structure = SCALAR if kind == KIND_LAPLACIAN else spin
+    return lattice_modes(structure, period, count)
 
 
 @dataclass(frozen=True)
@@ -232,6 +249,7 @@ class Section:
     values: np.ndarray
 
     def __post_init__(self):
+        check_kind(self.kind)
         self.values = np.asarray(self.values)
         want = (self.grid.n,) if self.kind == KIND_LAPLACIAN else (2, self.grid.n)
         if self.values.shape != want:
@@ -244,20 +262,25 @@ class Section:
         return [self.values] if self.kind == KIND_LAPLACIAN else list(self.values)
 
 
-def _singular_gamma(kind: str, side: str, c1: float, coef: float) -> float:
-    if kind == KIND_LAPLACIAN:
-        return abs(coef) / c1
-    return 0.5 + coef / c1 if side == "lower" else 0.5 - coef / c1
+def block_section(kind: str, nu: float, grid: Grid, index: int, values):
+    """The section of values in block `index`; a spinor's other is zero."""
+    if kind == KIND_DIRAC:
+        full = np.zeros((2, grid.n))
+        full[index] = values
+        values = full
+    return Section(kind=kind, nu=nu, grid=grid, values=values)
 
 
 def block_boundary_conditions(kind: str, coef: float, grid: Grid) -> tuple:
-    """Dirichlet everywhere except limit-point singular ends (gamma == 0)."""
+    """Dirichlet everywhere except limit-point singular ends: those where
+    the exponent gamma of the module docstring is zero."""
     out = []
-    for i, side in enumerate(("lower", "upper")):
-        if grid.side_kinds[i] != "singular":
+    for end, c1, sign in zip(grid.side_kinds, grid.side_slopes, (1.0, -1.0)):
+        if end != "singular":
             out.append(DIRICHLET)
             continue
-        gamma = _singular_gamma(kind, side, grid.side_slopes[i], coef)
+        gamma = (abs(coef) / c1 if kind == KIND_LAPLACIAN
+                 else 0.5 + sign * coef / c1)
         out.append(FREE if abs(gamma) < _GAMMA_EPS else DIRICHLET)
     return tuple(out)
 
@@ -308,23 +331,19 @@ def _assemble_block(surface, grid: Grid, kind: str, coef: float,
                     samples: Samples) -> Block:
     w, w_e, f_nodes, fm, half_log = samples
     h = grid.h
-    bc = block_boundary_conditions(kind, coef, grid)
-    w_e = _at_free_sides(w_e, bc)
+    w_e = _at_free_sides(w_e, block_boundary_conditions(kind, coef, grid))
+    # (A u)_e = left_e u_e + right_e u_{e+1}: Block.factor, whose weighted
+    # squares are the stiffness; the scalar factor has a_e = 0
     if kind == KIND_LAPLACIAN:
-        # (A u)_e = (u_{e+1} - u_e) / h: the squares of the Dirac rule
-        # below with a_e = 0, without their zero terms
-        pot = surface.period * h * coef ** 2 / f_nodes
-        t = w_e * (1.0 / h) * (1.0 / h)
-        return Block(diag=t[:-1] + t[1:] + pot, off=-t[1:-1], mass=w,
-                     h=h, w_e=w_e, a_e=None, pot=pot)
-    a_e = half_log + coef / fm
-    # (A u)_e = left_e u_e + right_e u_{e+1}
-    left = -1.0 / h + 0.5 * a_e
-    right = 1.0 / h + 0.5 * a_e
+        a_e, pot = None, surface.period * h * coef ** 2 / f_nodes
+        left, right = -1.0 / h, 1.0 / h
+    else:
+        a_e, pot = half_log + coef / fm, None
+        left, right = -1.0 / h + 0.5 * a_e, 1.0 / h + 0.5 * a_e
     diag = (w_e * right * right)[:-1] + (w_e * left * left)[1:]
-    off = (w_e * left * right)[1:-1]
-    return Block(diag=diag, off=off, mass=w, h=h, w_e=w_e, a_e=a_e,
-                 pot=None)
+    return Block(diag=diag if pot is None else diag + pot,
+                 off=(w_e * left * right)[1:-1], mass=w, h=h, w_e=w_e,
+                 a_e=a_e, pot=pot)
 
 
 def assemble_laplacian(surface, nu: float, grid: Grid,
@@ -411,20 +430,23 @@ def _reversed(x: np.ndarray) -> np.ndarray:
 
 def assemble(surface, kind: str, spin, nu: float, grid: Grid,
              samples=None) -> ReducedOperator:
-    """Mode-nu operator of either kind; spin is unused for the Laplacian.
+    """Mode-nu operator of a kind in KINDS; spin is unused for Laplacians.
 
     samples are sample_grid(surface, grid), which a caller that assembles
     many modes on one grid passes to each; without them the grid is
     sampled here.
     """
+    check_kind(kind)
     if kind == KIND_LAPLACIAN:
         return assemble_laplacian(surface, nu, grid, samples)
     return assemble_dirac_square(surface, spin, nu, grid, samples)
 
 
-def check_pairing(op: ReducedOperator, phi: Section) -> None:
-    """AssemblyError unless op is the operator phi lives on: of phi's kind,
-    mode nu and grid.  Every section audit calls it."""
+def check_pairing(op: ReducedOperator, phi: Section, kind=None) -> None:
+    """AssemblyError unless op is the operator phi lives on, of phi's kind,
+    mode nu and grid, and that kind is `kind` where an audit names one."""
+    if kind is not None and phi.kind != kind:
+        raise AssemblyError(f"{phi.kind} section where the audit needs {kind}")
     if (phi.kind, phi.nu) != (op.kind, op.nu):
         raise AssemblyError(f"{phi.kind} section of mode {phi.nu} on a "
                             f"{op.kind} operator of mode {op.nu}")
@@ -456,14 +478,11 @@ def bochner_gradient_energy(surface, op: ReducedOperator,
     needs to be assembled; the value is a squared norm up to discretization
     error and must stay >= -solver tolerance wherever scal >= 0.
     """
-    if phi.kind != KIND_DIRAC:
-        raise AssemblyError("bochner energy is defined for spinor sections")
-    energy = section_energy(op, phi)
+    check_pairing(op, phi, KIND_DIRAC)
     kap = geometry.gauss_curvature(surface, op.grid.nodes) / 2.0
-    curv = 0.0
-    for block, comp in zip(op.blocks, phi.components()):
-        curv += float(np.sum(block.mass * kap * np.abs(comp) ** 2))
-    return energy - curv
+    return section_energy(op, phi) - sum(
+        float(np.sum(b.mass * kap * np.abs(c) ** 2))
+        for b, c in zip(op.blocks, phi.components()))
 
 
 def leibniz_defect(op: ReducedOperator, fmul: Section, phi: Section) -> float:
@@ -472,15 +491,11 @@ def leibniz_defect(op: ReducedOperator, fmul: Section, phi: Section) -> float:
     D is Block.factor of op, the Dirac square phi solves, and f phi,
     grad f . phi and f D phi are read on its elements (product_rule_defect):
     the defect is O(h^2) under refinement, and vanishes identically for
-    constant f or a_e = 0.
+    constant f or a_e = 0.  fmul must be a scalar section on phi's grid.
     """
-    if fmul.kind != KIND_LAPLACIAN:
-        raise AssemblyError("multiplier must be a scalar section")
-    if phi.kind != KIND_DIRAC:
-        raise AssemblyError("phi must be a spinor section")
-    check_pairing(op, phi)
-    if fmul.grid != phi.grid:
-        raise AssemblyError("multiplier and section must share one grid")
+    check_pairing(op, phi, KIND_DIRAC)
+    if fmul.kind != KIND_LAPLACIAN or fmul.grid != phi.grid:
+        raise AssemblyError("multiplier must be a scalar on phi's grid")
     return product_rule_defect(op.blocks, fmul.values, phi.components())
 
 

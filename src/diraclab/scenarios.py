@@ -15,8 +15,8 @@ import numpy as np
 
 from . import geometry
 from .errors import AssemblyError, CatalogError, GeometryError
-from .operators import (CUSP_TAIL_REL, KIND_DIRAC, KIND_LAPLACIAN, Grid,
-                        Section)
+from .operators import (CUSP_TAIL_REL, KIND_DIRAC, KIND_LAPLACIAN, KINDS,
+                        Grid, Section, block_section)
 from .spin import SCALAR, SpinStructure, mode_in_structure
 
 ANGULAR_FULL = "full_period"
@@ -36,7 +36,7 @@ class SectionSpec:
 
     def __post_init__(self):
         where = f"section {self.name!r}"
-        if self.field_kind not in (KIND_LAPLACIAN, KIND_DIRAC):
+        if self.field_kind not in KINDS:
             raise CatalogError(
                 f"{where}: unknown field_kind {self.field_kind!r}")
         if self.profile not in ("cos_cap", "boxed_sine"):
@@ -174,12 +174,7 @@ def eval_test_section(scenario: Scenario, name: str, grid: Grid) -> Section:
         inside = (t > t0) & (t < t0 + length)
         values = np.where(inside,
                           np.sin(np.pi * (t - t0) / length), 0.0)
-    if spec.field_kind == KIND_LAPLACIAN:
-        return Section(kind=KIND_LAPLACIAN, nu=spec.mode, grid=grid,
-                       values=values)
-    full = np.zeros((2, grid.n))
-    full[0] = values
-    return Section(kind=KIND_DIRAC, nu=spec.mode, grid=grid, values=full)
+    return block_section(spec.field_kind, spec.mode, grid, 0, values)
 
 
 def section_norm2(scenario: Scenario, name: str, grid: Grid, w) -> float:

@@ -10,6 +10,8 @@ from diraclab.bounds import (
     INAPPLICABLE,
     VIOLATED_PREDICTED,
     VIOLATED_UNEXPECTED,
+    SOURCE_NONE,
+    SOURCE_PROBE,
     SOURCE_TONE,
     SOURCE_UPPER,
     area_bound,
@@ -23,7 +25,7 @@ from diraclab.bounds import (
     load_report,
     reports_to_csv,
 )
-from diraclab.eigensolve import GridPolicy, smallest_eigenpairs
+from diraclab.eigensolve import GridPolicy, ProbeResult, smallest_eigenpairs
 from diraclab.errors import AssemblyError, SchemaError
 from diraclab.geometry import (
     END_BOUNDARY,
@@ -254,6 +256,26 @@ def _cylinder_ground(length=16.0, n=512):
     return op, grid, res.sections[0]
 
 
+def test_every_spinor_audit_rejects_a_section_of_another_kind():
+    # a scalar ground and the operator it solves pair, but no spinor audit
+    # takes them; nor does leibniz_defect take a spinor multiplier
+    op, grid, psi = _cylinder_ground(n=64)
+    surf = WarpedSurface(warp=ConstantWarp(1.0), t_min=0.0, t_max=16.0,
+                         period=2 * math.pi)
+    lap = assemble_laplacian(surf, 0.0, grid)
+    phi = smallest_eigenpairs(lap, 1).sections[0]
+    prof = curvature_profile(surf, grid)
+    audits = [lambda: killing_equality_check(surf, lap, prof, phi, 1.0),
+              lambda: cutoff_stability_check(lap, phi, [4.0]),
+              lambda: bochner_gradient_energy(surf, lap, phi),
+              lambda: leibniz_defect(lap, phi, phi)]
+    for audit in audits:
+        with pytest.raises(AssemblyError, match="audit needs dirac_square"):
+            audit()
+    with pytest.raises(AssemblyError, match="multiplier"):
+        leibniz_defect(op, psi, psi)
+
+
 def test_cutoff_check_long_cylinder_monotone_and_audited():
     op, grid, phi = _cylinder_ground()
     L = 16.0
@@ -324,31 +346,47 @@ def test_cutoff_check_samples_the_warp_slope_once(monkeypatch):
     assert deriving == []
 
 
+def _essential(sid, n):
+    sc = find_scenario(sid)
+    grid = make_grid(sc.surface, n)
+    prof = curvature_profile(sc.surface, grid)
+    return essential_bound_check(sc.surface, sc.spin, prof, grid)
+
+
 def test_essential_check_three_regimes():
-    sphere = find_scenario("round-sphere")
-    grid = make_grid(sphere.surface, 256)
-    prof = curvature_profile(sphere.surface, grid)
-    v = essential_bound_check(sphere.surface, sphere.spin, prof, grid)
+    # each verdict names its statistic: the probe's threshold where it
+    # probes, none (NaN) where it does not
+    v = _essential("round-sphere", 256)
     assert v.verdict == HOLDS  # no essential ends, positive floor
+    assert v.statistic_source == SOURCE_NONE and math.isnan(v.lambda_star)
 
-    cyl = find_scenario("flat-cylinder-l5-bounding")
-    grid = make_grid(cyl.surface, 128)
-    prof = curvature_profile(cyl.surface, grid)
-    v = essential_bound_check(cyl.surface, cyl.spin, prof, grid)
+    v = _essential("flat-cylinder-l5-bounding", 128)
     assert v.verdict == INAPPLICABLE  # degenerate floor
+    assert v.statistic_source == SOURCE_NONE and math.isnan(v.lambda_star)
 
-    grow = find_scenario("growing-curvature")
-    grid = make_grid(grow.surface, 256)
-    prof = curvature_profile(grow.surface, grid)
-    v = essential_bound_check(grow.surface, grow.spin, prof, grid)
+    v = _essential("growing-curvature", 256)
     assert v.verdict == HOLDS
     assert any("counts below" in n for n in v.notes)
+    assert v.statistic_source == SOURCE_PROBE
+    assert v.lambda_star == bounds.ESSENTIAL_PROBE_MARGIN * v.value
 
-    cusp = find_scenario("cusp-cylinder-l10")
-    grid = make_grid(cusp.surface, 256)
-    prof = curvature_profile(cusp.surface, grid)
-    v = essential_bound_check(cusp.surface, cusp.spin, prof, grid)
+    v = _essential("cusp-cylinder-l10", 256)
     assert v.verdict == INAPPLICABLE  # negative curvature tail
+    assert v.statistic_source == SOURCE_NONE and math.isnan(v.lambda_star)
+
+
+def test_essential_counts_that_keep_growing_are_unexpected(monkeypatch):
+    # spectrum accumulating below the floor is a violation with all
+    # hypotheses met
+    def growing(surface, kind, spin, windows, threshold):
+        return ProbeResult(threshold=threshold, windows=windows,
+                           counts=[2, 4, 6], stable=False)
+    monkeypatch.setattr(bounds, "truncation_probe", growing)
+    v = _essential("growing-curvature", 64)
+    assert v.verdict == VIOLATED_UNEXPECTED
+    assert v.statistic_source == SOURCE_PROBE
+    assert v.notes[-1] == "window counts kept growing below the floor"
+    assert "[2, 4, 6]" in v.notes[0]
 
 
 def test_essential_windows_stay_inside_a_shifted_surface():

@@ -1034,6 +1034,23 @@ def test_check_tables_match_the_catalog():
                                if e["check"] == "bound_verdict"}
 
 
+def test_orthogonality_reports_the_limit_it_applied(tmp_path, capsys):
+    # like every check, the detail writes the scaled limit: max_abs * --tol
+    from diraclab.scenarios import find_scenario
+    doc = find_scenario("cover-m2").to_json()
+    doc["expected"] = [e for e in doc["expected"]
+                       if e["check"] == "orthogonality"]
+    (entry,) = doc["expected"]
+    path = tmp_path / "orthogonality.json"
+    path.write_text(json.dumps(doc))
+    for tol in ("1", "10"):
+        code, out, err = run(["verify", "--scenario", str(path), "--grid-n",
+                              "64", "--levels", "2", "--tol", tol], capsys)
+        assert code == 0, err
+        (check,) = json.loads(out)["checks"]
+        assert check["detail"]["max_abs"] == entry["max_abs"] * float(tol)
+
+
 def test_tone_attaining_mode_detail_carries_tol():
     from dataclasses import replace
 
@@ -1256,6 +1273,41 @@ def test_json_is_written_by_one_function():
                 writers.append(owner.get(node, f"{path.stem} module"))
     assert writers == ["bounds.dumps"]
     assert converters == []
+
+
+def test_operators_alone_lists_the_kinds_and_lays_out_spinors():
+    # outside operators, no module spells both operator kinds in one
+    # tuple, list or set (operators.KINDS), nor allocates a (2, n) spinor
+    # array (operators.block_section)
+    import ast
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    kind_of = {"KIND_LAPLACIAN": "laplacian", "laplacian_scalar": "laplacian",
+               "KIND_DIRAC": "dirac", "dirac_square": "dirac"}
+
+    def spelled(node):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.value if isinstance(node, ast.Constant) else None)
+        return kind_of.get(name) if isinstance(name, str) else None
+
+    def spinor_shape(node):
+        return (isinstance(node, ast.Tuple) and node.elts
+                and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value == 2)
+
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "operators":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and {
+                    "laplacian", "dirac"} <= {spelled(e) for e in node.elts}:
+                found.append((path.stem, node.lineno, "kinds"))
+            if isinstance(node, ast.Call) and any(
+                    spinor_shape(arg) for arg in node.args[:1]
+                    + [k.value for k in node.keywords if k.arg == "shape"]):
+                found.append((path.stem, node.lineno, "spinor"))
+    assert found == []
 
 
 def _count_calls(monkeypatch, counts, key, module, attr):

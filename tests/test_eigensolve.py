@@ -559,6 +559,21 @@ def test_probe_window_above_the_node_cap_lays_no_grid(monkeypatch):
     assert built == []
 
 
+def test_both_mode_walks_share_the_kind_rule():
+    # the probe and the tone walk the lattice of their kind, and reject an
+    # unknown kind and a Dirac walk without spin, before any solve
+    s = cylinder(3.0)
+    ladder = sample_ladder(s, GridPolicy(base_n=32, levels=1).grids(s))
+    walks = [lambda kind, spin: truncation_probe(s, kind, spin,
+                                                 [(0.0, 3.0)], 1.0),
+             lambda kind, spin: fundamental_tone(s, kind, spin, ladder)]
+    for walk in walks:
+        with pytest.raises(AssemblyError, match="unknown operator kind"):
+            walk("bogus", SpinStructure.BOUNDING)
+        with pytest.raises(AssemblyError, match="need a spin structure"):
+            walk(KIND_DIRAC, None)
+
+
 def _sturm_count(d, e, hi):
     """dstebz's RANGE = 'V' count of the eigenvalues of (d, e) up to hi."""
     m, _, _, _, info = eigensolve.dstebz(d, e, 1, -np.inf, hi, 0, 0, np.inf,
@@ -893,6 +908,12 @@ def test_richardson_handles_non_geometric_noise():
     val, bar, order = richardson([1.0, 1.2, 1.1])
     assert val == 1.1
     assert bar > 0
+
+
+def test_richardson_keeps_a_sequence_that_stopped_moving():
+    # a zero last difference has no ratio: the last level, the bar floor
+    # and an infinite order
+    assert richardson([1.0, 0.5, 0.5]) == (0.5, 1e-14, math.inf)
 
 
 def test_sphere_dirac_tone(sphere_dirac_tone):

@@ -11,9 +11,11 @@ from diraclab.operators import (
     FREE,
     KIND_DIRAC,
     KIND_LAPLACIAN,
+    KINDS,
     Grid,
     Section,
     _assemble_block,
+    assemble,
     assemble_dirac_square,
     assemble_laplacian,
     block_boundary_conditions,
@@ -337,6 +339,32 @@ def test_section_shape_validation():
     with pytest.raises(AssemblyError):
         Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid,
                 values=np.full(32, math.nan))
+
+
+def test_an_unknown_kind_is_an_assembly_error():
+    # a misspelled kind is rejected, never assembled or read as a Dirac
+    # square
+    grid = Grid(a=0.0, b=5.0, n=32)
+    assert KINDS == (KIND_LAPLACIAN, KIND_DIRAC)
+    with pytest.raises(AssemblyError, match="unknown operator kind"):
+        assemble(cylinder(), "bogus", SpinStructure.BOUNDING, 0.5, grid)
+    with pytest.raises(AssemblyError, match="unknown operator kind"):
+        Section(kind="bogus", nu=0.5, grid=grid, values=np.ones((2, 32)))
+
+
+def test_the_scalar_block_is_the_factor_rule_plus_its_potential():
+    # one stiffness formula: a scalar block of mode nu is, bit for bit, the
+    # Dirac block whose factor has a_e = 0, plus the node potential
+    s = cylinder()
+    grid = make_grid(s, 64)
+    samples = sample_grid(s, grid)
+    flat = samples._replace(half_log=np.zeros_like(samples.half_log))
+    for nu in (0.0, 1.0, 3.0):
+        scalar = _assemble_block(s, grid, KIND_LAPLACIAN, nu, samples)
+        dirac = _assemble_block(s, grid, KIND_DIRAC, 0.0, flat)
+        assert not np.any(dirac.a_e)
+        assert np.array_equal(scalar.diag, dirac.diag + scalar.pot)
+        assert np.array_equal(scalar.off, dirac.off)
 
 
 def test_grid_validation():
