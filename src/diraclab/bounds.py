@@ -330,19 +330,18 @@ def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
     """Essential-spectrum floor n*kappa_inf/(n-1) via window stability.
 
     kappa_inf is the curvature-term infimum over the outermost windows of
-    the ends.  With no complete end and positive kappa_inf the essential
-    spectrum is empty and the verdict holds trivially.  Otherwise the
-    check counts eigenvalues below a threshold just under the floor on
-    growing windows: a stabilizing count means only discrete spectrum
-    lives below the floor.  The windows are fractions of `grid`, the grid
-    `profile` was sampled on.
+    the ends.  Only a complete end (WarpedSurface.complete_ends) can carry
+    essential spectrum, so with none and positive kappa_inf the verdict
+    holds trivially.  Otherwise the check counts eigenvalues below a
+    threshold just under the floor on growing windows: a stabilizing count
+    means only discrete spectrum lives below the floor.  The windows are
+    fractions of `grid`, the grid `profile` was sampled on.
     """
     kappa_inf = min(profile.tail_kappa)
     value = _curvature_floor(kappa_inf)
-    probe_worthy = "cusp" in grid.side_kinds or profile.kappa_growing_ends
     hyps = [{"name": "curvature term bounded below at infinity by a "
                      "positive constant", "passed": kappa_inf > 0}]
-    if value <= 0 or not probe_worthy:
+    if value <= 0 or not any(surface.complete_ends):
         verdict, note = (
             (INAPPLICABLE, "bound value is degenerate; nothing to test")
             if value <= 0 else

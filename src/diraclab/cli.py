@@ -158,7 +158,7 @@ BOUNDS = {
     "area": lambda run, exp: bounds.area_bound_check(
         run.scenario.spin, run.area(), *_bound_statistic(run, exp)),
     "lichnerowicz": lambda run, exp: bounds.lichnerowicz_check(
-        run.profile, all(k == "cusp" for k in run.grid.side_kinds),
+        run.profile, all(run.scenario.surface.complete_ends),
         *_bound_statistic(run, exp)),
     "essential": lambda run, exp: bounds.essential_bound_check(
         run.scenario.surface, run.scenario.spin, run.profile, run.grid),
@@ -303,8 +303,10 @@ def _evaluate(run: _ScenarioRun, exp: dict) -> dict:
             "detail": detail}
 
 
-_NUMERIC_KEYS = ("value", "tol", "rel_tol", "max_abs", "threshold",
-                 "max_norm_variation", "max_bochner_ratio")
+# the numeric keys that bound a distance: below 0 no value passes them
+_LIMIT_KEYS = ("tol", "rel_tol", "max_abs", "max_norm_variation",
+               "max_bochner_ratio")
+_NUMERIC_KEYS = ("value", "threshold", *_LIMIT_KEYS)
 # enumerated key -> the values it may take, all of one JSON type
 _CHOICES = {
     "operator": operators.KINDS,
@@ -366,6 +368,9 @@ def _validate_expected(scenario) -> None:
             if key in exp and not geometry.is_finite_number(exp[key]):
                 raise CatalogError(f"{where}: key {key!r} must be a finite "
                                    f"number, got {exp[key]!r}")
+            if key in _LIMIT_KEYS and key in exp and exp[key] < 0:
+                raise CatalogError(f"{where}: key {key!r} must be >= 0, "
+                                   f"got {exp[key]!r}")
         if "windows" in exp:
             windows = exp["windows"]
             if not (isinstance(windows, list) and windows and all(
@@ -529,8 +534,10 @@ def _parse_range(spec: str):
 
 
 def _sweep_rows(param: str, values, spin: SpinStructure, grid_n, levels):
-    """One row per value, of numbers `verify` reports on the same ladder:
-    the area verdict of the flat cylinder of length L, the lichnerowicz
+    """(rows, flagged): one row per value, of numbers `verify` reports on
+    the same ladder, and the rows whose tone is flagged UNCERTIFIED, which
+    fail as the check they come from would in `verify` (_evaluate).  A row
+    is the area verdict of the flat cylinder of length L, the lichnerowicz
     verdict of the k-fold cover, or the round-sphere Laplace tone on base
     grids of N nodes, which replace grid_n (None when not given); k and N
     are whole numbers.  Every value and ladder is checked before the first
@@ -553,35 +560,42 @@ def _sweep_rows(param: str, values, spin: SpinStructure, grid_n, levels):
                              levels) for v in values]
 
     def one(value, policy):
-        if param == "N":
-            tone = _ScenarioRun(scenarios.round_sphere_scenario(),
-                                policy).tone(KIND_LAPLACIAN)
-            return {"N": policy.base_n, "lambda_star": tone.lambda_star,
-                    "abs_error": abs(tone.lambda_star - 2.0)}
-        sc, bound = (
-            (scenarios.flat_cylinder_scenario(float(value), spin), "area")
+        sc, key, wanted = (
+            (scenarios.round_sphere_scenario(), "check", "laplace_tone")
+            if param == "N" else
+            (scenarios.flat_cylinder_scenario(float(value), spin), "bound",
+             "area")
             if param == "L" else
-            (scenarios.cover_scenario(int(value)), "lichnerowicz"))
-        v = BOUNDS[bound](_ScenarioRun(sc, policy), next(
-            e for e in sc.expected if e.get("bound") == bound))
+            (scenarios.cover_scenario(int(value)), "bound", "lichnerowicz"))
+        run = _ScenarioRun(sc, policy)
+        flagged = "flag" in _evaluate(run, next(
+            e for e in sc.expected if e.get(key) == wanted))["detail"]
+        if param == "N":
+            tone = run.tone(KIND_LAPLACIAN)
+            return {"N": policy.base_n, "lambda_star": tone.lambda_star,
+                    "abs_error": abs(tone.lambda_star - 2.0)}, flagged
+        v = run.verdicts[-1]
         if param == "L":
             return {"L": float(value), "lambda_star": v.lambda_star,
                     "error_bar": v.error_bar, "area_bound": v.value,
-                    "margin": v.margin}
+                    "margin": v.margin}, flagged
         return {"k": int(value), "rayleigh": v.lambda_star,
-                "lichnerowicz_bound": v.value, "margin": v.margin}
+                "lichnerowicz_bound": v.value, "margin": v.margin}, flagged
 
-    return [one(v, policy) for v, policy in zip(values, policies)]
+    done = [one(v, policy) for v, policy in zip(values, policies)]
+    return [row for row, _ in done], [row for row, bad in done if bad]
 
 
 def cmd_sweep(param: str, values, spin: SpinStructure, grid_n, levels: int,
               out_format: str, out_path: str | None) -> int:
-    rows = _sweep_rows(param, values, spin, grid_n, levels)
-    if out_format == "json":
-        _emit(bounds.dumps({"sweep": param, "rows": rows}), out_path)
-        return EXIT_OK
-    _emit(bounds.csv_text(rows, list(rows[0])), out_path)
-    return EXIT_OK
+    """Emit the rows; EXIT_MISMATCH, naming each flagged row on stderr."""
+    rows, flagged = _sweep_rows(param, values, spin, grid_n, levels)
+    _emit(bounds.dumps({"sweep": param, "rows": rows}) if out_format == "json"
+          else bounds.csv_text(rows, list(rows[0])), out_path)
+    for row in flagged:
+        print(f"sweep row {param}={row[param]}: its tone is flagged "
+              f"{UNCERTIFIED}", file=sys.stderr)
+    return EXIT_MISMATCH if flagged else EXIT_OK
 
 
 def cmd_report(paths, out_format: str, out_path: str | None) -> int:

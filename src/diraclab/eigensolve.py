@@ -527,10 +527,8 @@ def _mode_value(surface, kind, spin, nu, levels, pick, seed):
         if level == 0:
             ground, ground_op = res.sections[pick], op
         seq.append(value)
-        delta = DELTA_RATIO * grid.h \
-            if "singular" in grid.side_kinds else 0.0
         rows.append({"nu": nu, "level": level, "n": grid.n, "h": grid.h,
-                     "delta": delta, "value": value})
+                     "delta": grid.delta, "value": value})
     val, bar, order = richardson(seq)
     return val, bar, order, rows, (ground, ground_op)
 
@@ -559,7 +557,8 @@ def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
 
     The walk ends at the first mode whose floor on the coarsest grid is above
     the best value, recorded as {"pruned_at": floor}; a walk through all
-    MAX_MODE_CUTOFF modes without one is flagged.
+    MAX_MODE_CUTOFF modes without one is flagged, and so is the tone, an
+    upper estimate, of a surface with a complete end (complete_ends).
 
     ladder is the sampled ladder (levels, seed) of sample_ladder, and
     nothing is laid or sampled here: every mode assembles on those samples,
@@ -568,12 +567,10 @@ def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
     level-0 section, and ground_op the operator it solves.
     """
     levels, seed = ladder
-    ends = levels[0][0].side_kinds
-    kernel_skip = kind == KIND_LAPLACIAN and "regular" not in ends
+    kernel_skip = kind == KIND_LAPLACIAN and not levels[0][0].boundary_circle
 
-    flags = []
-    if "cusp" in ends:
-        flags.append("cusp-truncated-upper-estimate")
+    flags = (["cusp-truncated-upper-estimate"]
+             if any(surface.complete_ends) else [])
 
     best = math.inf
     best_nu = math.nan

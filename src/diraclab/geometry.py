@@ -58,9 +58,6 @@ class CosineWarp:
     def to_json(self):
         return {"variant": self.variant}
 
-    def __eq__(self, other):
-        return isinstance(other, CosineWarp)
-
 
 class ConstantWarp:
     """f(t) = c > 0, a flat cylinder of circumference P*c."""
@@ -86,9 +83,6 @@ class ConstantWarp:
 
     def to_json(self):
         return {"variant": self.variant, "c": self.c}
-
-    def __eq__(self, other):
-        return isinstance(other, ConstantWarp) and other.c == self.c
 
 
 class ExpCuspWarp:
@@ -117,9 +111,6 @@ class ExpCuspWarp:
 
     def to_json(self):
         return {"variant": self.variant, "c": self.c}
-
-    def __eq__(self, other):
-        return isinstance(other, ExpCuspWarp) and other.c == self.c
 
 
 class TabulatedWarp:
@@ -235,13 +226,6 @@ class TabulatedWarp:
             "fs": [float(x) for x in self.fs],
         }
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TabulatedWarp)
-            and np.array_equal(other.ts, self.ts)
-            and np.array_equal(other.fs, self.fs)
-        )
-
 
 _WARP_VARIANTS = {
     "cosine": lambda d: CosineWarp(),
@@ -288,6 +272,13 @@ class WarpedSurface:
             raise GeometryError("infinite lower end must be cusp-complete")
         if math.isinf(self.t_max) and self.end_labels[1] != END_CUSP:
             raise GeometryError("infinite upper end must be cusp-complete")
+
+    @property
+    def complete_ends(self) -> tuple:
+        """Whether the lower and upper end are complete: labeled
+        cusp-complete, the one label end_kind reads as 'cusp'.  Only such
+        an end can carry essential spectrum (Persson, 1960)."""
+        return tuple(label == END_CUSP for label in self.end_labels)
 
     def f(self, t):
         return self.warp.value(t)
@@ -396,13 +387,10 @@ def end_kind(surface: WarpedSurface, side: str) -> str:
     degenerates and the truncated problem needs the singular-end treatment
     in the operators module.  Regular ends are honest boundary circles.
     """
-    i = 0 if side == "lower" else 1
-    if surface.end_labels[i] == END_CUSP:
+    if surface.complete_ends[0 if side == "lower" else 1]:
         return "cusp"
     t_end = surface.t_min if side == "lower" else surface.t_max
-    span = min(surface.t_max - surface.t_min, 1.0) if math.isfinite(
-        surface.t_max - surface.t_min
-    ) else 1.0
+    span = min(surface.t_max - surface.t_min, 1.0)
     probe = t_end + 1e-12 * span if side == "lower" else t_end - 1e-12 * span
     f_end = float(surface.f(probe))
     return "singular" if f_end <= _SINGULAR_REL * _warp_scale(surface) else "regular"
@@ -458,7 +446,6 @@ class CurvatureProfile:
 
     kappa_spinor: float
     kappa_oneform: float
-    kappa_growing_ends: bool
     tail_kappa: tuple  # per-end infimum of scal/4 over the outer windows
 
 
@@ -472,7 +459,6 @@ def curvature_profile(surface: WarpedSurface, grid) -> CurvatureProfile:
     if np.any(nodes <= surface.t_min) or np.any(nodes >= surface.t_max):
         raise DomainError("grid nodes outside the open interval")
     K = gauss_curvature(surface, nodes)
-    scal = 2.0 * K
 
     # refine the infimum near both ends of the sampled span: monotone tails
     # toward an end can dip below every interior node value
@@ -487,27 +473,11 @@ def curvature_profile(surface: WarpedSurface, grid) -> CurvatureProfile:
     K_all = np.concatenate([K, gauss_curvature(surface, np.asarray(extras))]) \
         if extras else K
 
-    kappa_oneform = float(np.min(K_all))
-    kappa_spinor = float(np.min(K_all) / 2.0)  # inf scal/4 = inf K/2
-
-    # outermost 10% windows at each end drive the liminf-at-infinity stand-in
+    # outermost 10% windows at each end drive the liminf-at-infinity
+    # stand-in, the infimum of scal/4 = K/2 there
     w = max(2, len(nodes) // 10)
-    tail_lo = float(np.min(scal[:w]) / 4.0)
-    tail_hi = float(np.min(scal[-w:]) / 4.0)
-
-    # growth indicator: spinor curvature climbing monotonically outward
-    # through three chunks per side and clearly above the interior level
-    kt = scal / 4.0
-    chunks = np.array_split(np.arange(len(nodes)), 6)
-    lo_means = [float(np.mean(kt[idx])) for idx in chunks[:3]]
-    hi_means = [float(np.mean(kt[idx])) for idx in chunks[3:]]
-    grow_lo = (lo_means[0] > lo_means[1] > lo_means[2]
-               and lo_means[0] > 1.25 * abs(lo_means[2]) + 1e-12)
-    grow_hi = (hi_means[2] > hi_means[1] > hi_means[0]
-               and hi_means[2] > 1.25 * abs(hi_means[0]) + 1e-12)
     return CurvatureProfile(
-        kappa_spinor=kappa_spinor,
-        kappa_oneform=kappa_oneform,
-        kappa_growing_ends=bool(grow_lo and grow_hi),
-        tail_kappa=(tail_lo, tail_hi),
+        kappa_spinor=float(np.min(K_all) / 2.0),  # inf scal/4 = inf K/2
+        kappa_oneform=float(np.min(K_all)),
+        tail_kappa=(float(np.min(K[:w]) / 2.0), float(np.min(K[-w:]) / 2.0)),
     )

@@ -76,13 +76,18 @@ def check_kind(kind) -> None:
         raise AssemblyError(f"unknown operator kind {kind!r}")
 
 
-def kind_modes(kind: str, spin, period: float, count: int) -> list:
-    """The `count` lowest nonnegative modes of a kind (spin.lattice_modes),
-    on the scalar lattice or on that of the spin a Dirac square needs."""
+def kind_lattice(kind: str, spin):
+    """The Fourier lattice of a kind's modes: SCALAR for the Laplacian, the
+    spin structure for a Dirac square, None for one without spin."""
     check_kind(kind)
-    if kind == KIND_DIRAC and spin is None:
+    return SCALAR if kind == KIND_LAPLACIAN else spin
+
+
+def kind_modes(kind: str, spin, period: float, count: int) -> list:
+    """The `count` lowest nonnegative modes on a kind's kind_lattice."""
+    structure = kind_lattice(kind, spin)
+    if structure is None:
         raise AssemblyError(f"{KIND_DIRAC} modes need a spin structure")
-    structure = SCALAR if kind == KIND_LAPLACIAN else spin
     return lattice_modes(structure, period, count)
 
 
@@ -116,6 +121,16 @@ class Grid:
     @property
     def nodes(self) -> np.ndarray:
         return self.a + self.h * np.arange(1, self.n + 1)
+
+    @property
+    def delta(self) -> float:
+        """DELTA_RATIO * h where lay_grid truncates a singular side, else 0."""
+        return DELTA_RATIO * self.h if "singular" in self.side_kinds else 0.0
+
+    @property
+    def boundary_circle(self) -> bool:
+        """Whether a side is cut from an honest boundary circle."""
+        return "regular" in self.side_kinds
 
 
 def make_grid(surface, n: int) -> Grid:
@@ -491,11 +506,13 @@ def leibniz_defect(op: ReducedOperator, fmul: Section, phi: Section) -> float:
     D is Block.factor of op, the Dirac square phi solves, and f phi,
     grad f . phi and f D phi are read on its elements (product_rule_defect):
     the defect is O(h^2) under refinement, and vanishes identically for
-    constant f or a_e = 0.  fmul must be a scalar section on phi's grid.
+    constant f or a_e = 0.  fmul must be a scalar section of mode 0 on
+    phi's grid: a rotation-invariant f, the only one the rule holds for.
     """
     check_pairing(op, phi, KIND_DIRAC)
-    if fmul.kind != KIND_LAPLACIAN or fmul.grid != phi.grid:
-        raise AssemblyError("multiplier must be a scalar on phi's grid")
+    if fmul.kind != KIND_LAPLACIAN or fmul.nu != 0 or fmul.grid != phi.grid:
+        raise AssemblyError(f"multiplier must be a mode-0 scalar on phi's "
+                            f"grid, got {fmul.kind} of mode {fmul.nu}")
     return product_rule_defect(op.blocks, fmul.values, phi.components())
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import geometry
 from .errors import AssemblyError, CatalogError, GeometryError
 from .operators import (CUSP_TAIL_REL, KIND_DIRAC, KIND_LAPLACIAN, KINDS,
-                        Grid, Section, block_section)
+                        Grid, Section, block_section, kind_lattice)
 from .spin import SCALAR, SpinStructure, mode_in_structure
 
 ANGULAR_FULL = "full_period"
@@ -131,8 +131,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise CatalogError(
             f"malformed scenario document: key 'spin': {exc}") from exc
     for spec in sections:
-        structure = (SCALAR if spec.field_kind == KIND_LAPLACIAN
-                     else scenario.spin)
+        structure = kind_lattice(spec.field_kind, scenario.spin)
         if structure is not None and not mode_in_structure(
                 spec.mode, structure, scenario.surface.period):
             lattice = ("scalar" if structure == SCALAR
@@ -536,7 +535,8 @@ def growing_curvature_scenario() -> Scenario:
              "provenance": "bounding structure on a finite-area surface"},
             {"check": "bound_verdict", "bound": "essential",
              "verdict": "holds",
-             "provenance": "window counts below the floor stabilize"},
+             "provenance": "incomplete: both ends are boundary circles, "
+                           "which carry no essential spectrum"},
             {"check": "probe", "operator": "dirac_square",
              "threshold": 3.5, "windows": windows, "behavior": "stable",
              "provenance": "discrete spectrum below a fixed threshold"},

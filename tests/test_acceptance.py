@@ -145,8 +145,9 @@ def test_criterion_4_nonbounding_cylinders_and_crossover():
         err = abs(tone.lambda_star - (math.pi / L) ** 2)
         ok &= err <= 1e-3
         details.append(f"L={L:g} err {err:.1e}")
-    rows = _sweep_rows("L", [4.5 + 0.25 * i for i in range(5)],
-                       SpinStructure.NON_BOUNDING, 128, 2)
+    rows, flagged = _sweep_rows("L", [4.5 + 0.25 * i for i in range(5)],
+                                SpinStructure.NON_BOUNDING, 128, 2)
+    ok &= flagged == []
     signs = [r["margin"] > 0 for r in rows]
     flips = [i for i in range(len(signs) - 1) if signs[i] != signs[i + 1]]
     crossover_ok = len(flips) == 1 and \

@@ -31,6 +31,7 @@ from diraclab.geometry import (
     END_BOUNDARY,
     END_CUSP,
     ConstantWarp,
+    CosineWarp,
     WarpedSurface,
     area,
     curvature_profile,
@@ -346,33 +347,65 @@ def test_cutoff_check_samples_the_warp_slope_once(monkeypatch):
     assert deriving == []
 
 
+def _essential_on(surface, spin, n):
+    grid = make_grid(surface, n)
+    prof = curvature_profile(surface, grid)
+    return essential_bound_check(surface, spin, prof, grid)
+
+
 def _essential(sid, n):
     sc = find_scenario(sid)
-    grid = make_grid(sc.surface, n)
-    prof = curvature_profile(sc.surface, grid)
-    return essential_bound_check(sc.surface, sc.spin, prof, grid)
+    return _essential_on(sc.surface, sc.spin, n)
+
+
+def _complete_cap():
+    """A spherical cap cos t on (-1.2, 1.2) with both ends labeled
+    cusp-complete: a complete end with the positive floor 1."""
+    return WarpedSurface(warp=CosineWarp(), t_min=-1.2, t_max=1.2,
+                         period=2.0 * math.pi, end_labels=(END_CUSP,) * 2)
 
 
 def test_essential_check_three_regimes():
     # each verdict names its statistic: the probe's threshold where it
     # probes, none (NaN) where it does not
-    v = _essential("round-sphere", 256)
-    assert v.verdict == HOLDS  # no essential ends, positive floor
-    assert v.statistic_source == SOURCE_NONE and math.isnan(v.lambda_star)
+    for sid, n in (("round-sphere", 256), ("growing-curvature", 256)):
+        v = _essential(sid, n)
+        assert v.verdict == HOLDS  # no complete end, positive floor
+        assert v.statistic_source == SOURCE_NONE and math.isnan(v.lambda_star)
+        assert v.notes == ["no end can carry essential spectrum; holds "
+                           "trivially"]
 
     v = _essential("flat-cylinder-l5-bounding", 128)
     assert v.verdict == INAPPLICABLE  # degenerate floor
     assert v.statistic_source == SOURCE_NONE and math.isnan(v.lambda_star)
 
-    v = _essential("growing-curvature", 256)
-    assert v.verdict == HOLDS
-    assert any("counts below" in n for n in v.notes)
-    assert v.statistic_source == SOURCE_PROBE
-    assert v.lambda_star == bounds.ESSENTIAL_PROBE_MARGIN * v.value
-
     v = _essential("cusp-cylinder-l10", 256)
     assert v.verdict == INAPPLICABLE  # negative curvature tail
     assert v.statistic_source == SOURCE_NONE and math.isnan(v.lambda_star)
+
+
+def test_no_built_in_probes_for_its_essential_verdict(monkeypatch):
+    # no built-in has a complete end with a positive curvature floor, so no
+    # essential verdict of the catalog counts window eigenvalues
+    from diraclab.scenarios import builtin_catalog
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the essential check probed")
+    monkeypatch.setattr(bounds, "truncation_probe", boom)
+    for sc in builtin_catalog():
+        if sc.spin is not None:
+            _essential(sc.id, 64)
+
+
+def test_essential_check_probes_a_complete_end_with_a_positive_floor():
+    # the cap has the floor 1; its Dirac square has nothing below 0.95 on
+    # any window
+    v = _essential_on(_complete_cap(), SpinStructure.BOUNDING, 64)
+    assert (v.verdict, v.statistic_source) == (HOLDS, SOURCE_PROBE)
+    assert v.value == pytest.approx(1.0, rel=1e-6)
+    assert v.lambda_star == bounds.ESSENTIAL_PROBE_MARGIN * v.value
+    assert v.notes == [f"counts below {v.lambda_star:.6g}: [0, 0, 0]"]
+    assert v.notes[0].startswith("counts below 0.95")
 
 
 def test_essential_counts_that_keep_growing_are_unexpected(monkeypatch):
@@ -382,7 +415,7 @@ def test_essential_counts_that_keep_growing_are_unexpected(monkeypatch):
         return ProbeResult(threshold=threshold, windows=windows,
                            counts=[2, 4, 6], stable=False)
     monkeypatch.setattr(bounds, "truncation_probe", growing)
-    v = _essential("growing-curvature", 64)
+    v = _essential_on(_complete_cap(), SpinStructure.BOUNDING, 64)
     assert v.verdict == VIOLATED_UNEXPECTED
     assert v.statistic_source == SOURCE_PROBE
     assert v.notes[-1] == "window counts kept growing below the floor"
@@ -391,22 +424,22 @@ def test_essential_counts_that_keep_growing_are_unexpected(monkeypatch):
 
 def test_essential_windows_stay_inside_a_shifted_surface():
     # shifted by 0.7, the widest window centred on the grid's midpoint
-    # would round past t_min; the windows start at the grid's own ends
+    # would round past t_min; the windows start at the grid's own ends.
+    # The growing-curvature profile, with both ends labeled complete so
+    # that the check probes
     from dataclasses import replace
 
     from diraclab.geometry import TabulatedWarp
-    grow = find_scenario("growing-curvature").surface
+    grow = replace(find_scenario("growing-curvature").surface,
+                   end_labels=(END_CUSP,) * 2)
     shift = 0.7
     moved = replace(grow, warp=TabulatedWarp(grow.warp.ts + shift,
                                              grow.warp.fs),
                     t_min=grow.t_min + shift, t_max=grow.t_max + shift)
     notes = []
     for surface in (grow, moved):
-        grid = make_grid(surface, 64)
-        prof = curvature_profile(surface, grid)
-        v = essential_bound_check(surface, SpinStructure.BOUNDING, prof,
-                                  grid)
-        assert v.verdict == HOLDS
+        v = _essential_on(surface, SpinStructure.BOUNDING, 64)
+        assert (v.verdict, v.statistic_source) == (HOLDS, SOURCE_PROBE)
         notes.append(v.notes)
     assert notes[0] == notes[1]
 

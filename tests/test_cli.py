@@ -265,6 +265,28 @@ def test_sweep_rows_are_the_numbers_verify_reports(tmp_path, capsys):
         "abs_error": abs(tone["computed"] - tone["expected"])}
 
 
+def test_a_sweep_row_whose_tone_is_uncertified_exits_two(capsys):
+    # (pi/0.04)^2 = 6168 lies above every floor nu^2 up to nu = 63, so the
+    # L = 0.04 tone walk ends without a pruning certificate; verify fails
+    # every check that reads such a tone, and so does the sweep row.  The
+    # rows print as before, and the L = 2 row is not named
+    from diraclab.eigensolve import UNCERTIFIED
+    grid = ("--grid-n", "64", "--levels", "2")
+    code, out, err = run(["sweep", "--sweep", "L=0.04", *grid], capsys)
+    assert code == 2, err
+    assert out.splitlines()[0] == "L,lambda_star,error_bar,area_bound,margin"
+    assert out.splitlines()[1].startswith("0.04,6168.19")
+    assert err == f"sweep row L=0.04: its tone is flagged {UNCERTIFIED}\n"
+    code, out, err = run(["sweep", "--sweep", "L=2,0.04", *grid,
+                          "--format", "json"], capsys)
+    assert code == 2
+    assert [row["L"] for row in json.loads(out)["rows"]] == [2.0, 0.04]
+    assert err.splitlines() == [
+        f"sweep row L=0.04: its tone is flagged {UNCERTIFIED}"]
+    code, _, err = run(["sweep", "--sweep", "L=2", *grid], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_cli_reaches_tones_and_bounds_only_through_the_scenario_run():
     # every number a verdict or a sweep row prints comes from _ScenarioRun:
     # cli.py solves tones and integrates the area nowhere else, and never
@@ -644,6 +666,19 @@ OTHER_CASES = [
                  id="essential-with-statistic"),
     pytest.param({"check": "area", "value": 1.0, "tol": 1e9}, "tol",
                  id="area-with-tol"),
+    # a limit below 0 admits no value
+    pytest.param({"check": "laplace_tone", "value": 2.4674, "tol": -1e-3},
+                 "tol", id="negative-tol"),
+    pytest.param({"check": "area", "value": 1.0, "rel_tol": -1e-9},
+                 "rel_tol", id="negative-rel-tol"),
+    pytest.param({"check": "orthogonality", "section": "dirichlet_sine",
+                  "max_abs": -1e-12}, "max_abs", id="negative-max-abs"),
+    pytest.param({"check": "killing", "max_norm_variation": -1e-2,
+                  "max_bochner_ratio": 1e-2}, "max_norm_variation",
+                 id="negative-max-norm-variation"),
+    pytest.param({"check": "killing", "max_norm_variation": 1e-2,
+                  "max_bochner_ratio": -1e-2}, "max_bochner_ratio",
+                 id="negative-max-bochner-ratio"),
     pytest.param({"check": "dirac_tone", "value": 1.0, "tol": 1e-3,
                   "rel_tol": 1e9}, "rel_tol", id="tone-with-rel-tol"),
     pytest.param({"check": "bound_verdict", "bound": "lichnerowicz",
@@ -911,8 +946,13 @@ def test_each_bound_names_the_operator_it_bounds():
 
 def test_the_essential_bound_probes_the_operator_of_its_table_entry(
         monkeypatch):
+    # on the growing-curvature profile with both ends labeled complete, so
+    # that the check probes
+    from dataclasses import replace
+
     from diraclab import bounds, cli
     from diraclab.eigensolve import GridPolicy, ProbeResult
+    from diraclab.geometry import END_CUSP
     from diraclab.operators import KIND_LAPLACIAN
     from diraclab.scenarios import find_scenario
     kinds = []
@@ -924,6 +964,8 @@ def test_the_essential_bound_probes_the_operator_of_its_table_entry(
     monkeypatch.setattr(bounds, "truncation_probe", probe)
     monkeypatch.setitem(bounds.BOUND_OPERATORS, "essential", KIND_LAPLACIAN)
     sc = find_scenario("growing-curvature")
+    sc = replace(sc, surface=replace(sc.surface,
+                                     end_labels=(END_CUSP,) * 2))
     entry = next(e for e in sc.expected if e.get("bound") == "essential")
     verdict = cli.BOUNDS["essential"](
         cli._ScenarioRun(sc, GridPolicy(base_n=64, levels=2)), entry)
@@ -932,7 +974,8 @@ def test_the_essential_bound_probes_the_operator_of_its_table_entry(
 
 def test_one_function_owns_each_check_layer_rule():
     # the operator of a bound is read from bounds.BOUND_OPERATORS, never
-    # from a bound name, and every entry runs through cli._evaluate
+    # from a bound name, and every entry runs through cli._evaluate, for
+    # a scenario run and for a sweep row alike
     import ast
 
     from diraclab import bounds
@@ -946,11 +989,28 @@ def test_one_function_owns_each_check_layer_rule():
     bindings = [node for node in tree.body if isinstance(node, ast.Assign)
                 and any(ast.unparse(t) == "CHECKS" for t in node.targets)]
     assert len(bindings) == 1
-    calls = {ast.unparse(node.func): getattr(top, "name", None)
-             for top in tree.body for node in ast.walk(top)
-             if isinstance(node, ast.Call)}
-    assert calls["_evaluate"] == "run_scenario"
+    calls = {}  # callee -> the top-level definitions that call it
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                calls.setdefault(ast.unparse(node.func), set()).add(
+                    getattr(top, "name", None))
+    assert calls["_evaluate"] == {"run_scenario", "_sweep_rows"}
+    assert "BOUNDS" not in ast.unparse(tops["_sweep_rows"])
     assert "_certified" not in tops
+
+
+def test_only_operators_and_geometry_spell_the_end_kinds():
+    # every other module asks a Grid or a WarpedSurface about its ends
+    import ast
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    for path in sorted(src.glob("*.py")):
+        if path.stem in ("operators", "geometry"):
+            continue
+        spelled = [node.lineno for node in ast.walk(ast.parse(
+            path.read_text())) if isinstance(node, ast.Constant)
+            and node.value in ("regular", "singular", "cusp")]
+        assert spelled == [], path.name
 
 
 def test_a_scalar_section_off_its_lattice_is_usage_error_before_any_solve(
@@ -1320,8 +1380,9 @@ def _count_calls(monkeypatch, counts, key, module, attr):
 
 
 def test_only_make_grid_classifies_ends(monkeypatch):
-    # every end_kind call comes from make_grid, two per grid: the tone,
-    # bound and completeness code read Grid.side_kinds instead
+    # every end_kind call comes from make_grid, two per grid: the tone and
+    # bound code read Grid.side_kinds instead, and the completeness code
+    # WarpedSurface.complete_ends
     from diraclab import cli, eigensolve, geometry
     from diraclab.scenarios import find_scenario
     counts = {"end_kind": 0, "make_grid": 0}

@@ -726,9 +726,10 @@ def test_fine_ladders_seed_level_0_from_one_bisection_at_seed_n(monkeypatch):
 
 
 def test_probe_counts_match_dense_eigvalsh(monkeypatch):
-    # the pivot counts of every probe block of the essential-check
-    # scenarios equal a dense count of the generalized spectrum; each count
-    # follows the congruence of the block it counts
+    # the pivot counts of every probe block that the scenarios with an
+    # essential entry run (growing-curvature's probe check; no built-in
+    # essential verdict probes) equal a dense count of the generalized
+    # spectrum; each count follows the congruence of the block it counts
     seen, blocks = [], []
     real_congruence = eigensolve._congruence
     real_count = eigensolve._count_below

@@ -126,7 +126,6 @@ def test_curvature_profile_sphere():
     assert prof.kappa_spinor == pytest.approx(0.5, abs=1e-9)
     assert prof.kappa_oneform == pytest.approx(1.0, abs=1e-9)
     assert prof.kappa_spinor > 0
-    assert not prof.kappa_growing_ends
 
 
 def test_curvature_profile_cylinder_flat():
@@ -147,6 +146,19 @@ def test_end_kinds():
     assert end_kind(cylinder(), "lower") == "regular"
     assert end_kind(cusp(), "upper") == "cusp"
     assert end_kind(cusp(), "lower") == "regular"
+
+
+def test_complete_ends_are_the_ends_end_kind_reads_as_cusp():
+    # completeness is read from the end labels alone, so a cusp-complete
+    # end on a finite interval is complete and a pole is not
+    assert sphere().complete_ends == (False, False)
+    assert cylinder().complete_ends == (False, False)
+    assert cusp().complete_ends == (False, True)
+    both = replace(sphere(), end_labels=(geometry.END_CUSP,) * 2)
+    assert both.complete_ends == (True, True)
+    for s in (sphere(), cylinder(), cusp(), both):
+        assert s.complete_ends == tuple(end_kind(s, side) == "cusp"
+                                        for side in ("lower", "upper"))
 
 
 def test_surface_json_roundtrip_all_variants():

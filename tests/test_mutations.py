@@ -167,7 +167,6 @@ DEFECTS = [
      {eigensolve.mode_lower_bound_term: lambda nu, f: 0.0},
      {**_outcome_of(_UNPRUNED_FAILS),
       **_outcome_of([("cusp-cylinder-l10", "bound:friedrich"),
-                     ("growing-curvature", "bound:essential"),
                      ("growing-curvature", "probe"),
                      ("long-cylinder-probe", "probe")], "ConvergenceError")},
      None),

@@ -20,6 +20,7 @@ from diraclab.operators import (
     assemble_laplacian,
     block_boundary_conditions,
     bochner_gradient_energy,
+    kind_lattice,
     leibniz_defect,
     make_grid,
     product_rule_defect,
@@ -29,7 +30,7 @@ from diraclab.operators import (
 )
 from diraclab.eigensolve import smallest_eigenpairs
 from diraclab.scenarios import cover_scenario, find_scenario
-from diraclab.spin import SpinStructure, lattice_modes
+from diraclab.spin import SCALAR, SpinStructure, lattice_modes
 
 HALF_PI = math.pi / 2
 
@@ -330,6 +331,39 @@ def test_leibniz_defect_rejects_a_multiplier_from_another_grid():
                    values=np.ones(grid.n))
     with pytest.raises(AssemblyError):
         leibniz_defect(op, fmul, phi)
+
+
+def test_leibniz_defect_rejects_a_multiplier_of_another_mode():
+    # the product rule it audits holds for a rotation-invariant f only: a
+    # mode-3 multiplier would be read as its mode-0 profile
+    s = cylinder(5.0)
+    grid = make_grid(s, 128)
+    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
+    phi = smallest_eigenpairs(op, 1).sections[0]
+    fmul = Section(kind=KIND_LAPLACIAN, nu=3.0, grid=grid, values=grid.nodes)
+    with pytest.raises(AssemblyError, match="got laplacian_scalar of mode 3.0"):
+        leibniz_defect(op, fmul, phi)
+    assert leibniz_defect(op, replace(fmul, nu=0.0), phi) > 0.0
+
+
+def test_one_rule_gives_the_lattice_of_each_kind(monkeypatch):
+    # kind_modes and a scenario document's section check read one rule: the
+    # scalar lattice for the Laplacian, the spin structure for a Dirac
+    # square, and none for a Dirac square without spin
+    from diraclab import scenarios
+    for spin in (None, SpinStructure.BOUNDING):
+        assert kind_lattice(KIND_LAPLACIAN, spin) == SCALAR
+        assert kind_lattice(KIND_DIRAC, spin) is spin
+    with pytest.raises(AssemblyError, match="unknown operator kind"):
+        kind_lattice("bogus", None)
+    asked = []
+
+    def lattice(kind, spin):
+        asked.append(kind)
+        return kind_lattice(kind, spin)
+    monkeypatch.setattr(scenarios, "kind_lattice", lattice)
+    scenarios.scenario_from_json(cover_scenario(2).to_json())
+    assert asked == [KIND_LAPLACIAN]
 
 
 def test_section_shape_validation():
