@@ -142,9 +142,9 @@ def _tone_json(tone) -> dict:
 def _bound_statistic(run: _ScenarioRun, exp: dict):
     """(statistic, error bar, source, predicted) of a bound entry: the tone
     of the operator it bounds or, with "statistic": "section", its
-    section's Rayleigh quotient; "predicted" defaults to false."""
-    predicted = exp.get("predicted", False)
-    if exp.get("statistic", "tone") == "tone":
+    section's Rayleigh quotient."""
+    predicted = exp["predicted"]
+    if exp["statistic"] == "tone":
         tone = run.tone(bounds.BOUND_OPERATORS[exp["bound"]])
         return tone.lambda_star, tone.error_bar, bounds.SOURCE_TONE, predicted
     rq = run.section_rayleigh(exp["section"])
@@ -165,28 +165,23 @@ BOUNDS = {
 }
 
 # keys: entry keys the evaluator needs; evaluate: (run, entry) ->
-# (passed, detail); name: report name, formatted with the entry; optional:
-# the other keys it reads.  An entry carries no key outside these two but
-# "check" and "provenance".
+# (passed, detail), where the entry holds its _DEFAULTS and its limits
+# scaled by --tol (_evaluate); name: report name, formatted with the entry;
+# optional: the other keys it reads.  An entry carries no key outside these
+# two but "check" and "provenance".
 _Check = namedtuple("_Check", "keys evaluate name optional", defaults=((),))
 
 
-def _rel_tol(run, exp) -> float:
-    """The tolerance of an entry's value relative to it: rel_tol (default
-    1e-9) times |value|, scaled by --tol."""
-    return run.tol_scale * exp.get("rel_tol", 1e-9) * abs(exp["value"])
-
-
 def _value_check(name, detail, keys=("value", "tol")) -> _Check:
-    """|computed - value| <= tol * tol_scale; detail(run, entry) gives the
-    "computed" value (and extra detail), and tol is _rel_tol when the check
+    """|computed - value| <= tol; detail(run, entry) gives the "computed"
+    value (and extra detail), and tol is rel_tol * |value| when the check
     takes no tol key.  A check takes one of tol and rel_tol, never both.
     The detail writes a computed value that is not finite as null
     (bounds.to_plain)."""
     def evaluate(run, exp):
         out = detail(run, exp)
-        tol = (run.tol_scale * exp["tol"] if "tol" in keys
-               else _rel_tol(run, exp))
+        tol = (exp["tol"] if "tol" in keys
+               else exp["rel_tol"] * abs(exp["value"]))
         passed = abs(out["computed"] - exp["value"]) <= tol
         out.update(expected=exp["value"], tol=tol)
         return passed, out
@@ -203,20 +198,20 @@ def _tone_value(kind: str) -> _Check:
 def _orthogonality(run, exp):
     value = scenarios.mk_orthogonality(run.scenario, run.grid,
                                        run.samples().w, exp["section"])
-    max_abs = exp["max_abs"] * run.tol_scale
-    return abs(value) <= max_abs, {"computed": value, "max_abs": max_abs}
+    return (abs(value) <= exp["max_abs"],
+            {"computed": value, "max_abs": exp["max_abs"]})
 
 
 def _bound_verdict(run, exp):
     """The verdict, and with a "value" key the bound value too, within
-    _rel_tol (1e-9 relative, scaled by --tol)."""
+    rel_tol * |value|."""
     verdict = BOUNDS[exp["bound"]](run, exp)
     run.verdicts.append(verdict)
     passed = verdict.verdict == exp["verdict"]
     detail = {"computed": verdict.verdict, "expected": exp["verdict"],
               "margin": verdict.margin}
     if "value" in exp:
-        tol = _rel_tol(run, exp)
+        tol = exp["rel_tol"] * abs(exp["value"])
         passed = passed and abs(verdict.value - exp["value"]) <= tol
         detail.update(value=verdict.value, expected_value=exp["value"],
                       value_tol=tol)
@@ -229,18 +224,17 @@ def _killing(run, exp):
         sc.surface, tone.ground_op, run.profile, tone.ground,
         math.sqrt(max(tone.lambda_star, 0.0)))
     run.diagnostics["killing"] = detail = diag
-    if not exp.get("applicable", True):
+    if not exp["applicable"]:
         return not diag.applicable, detail
-    scale = run.tol_scale
     return (diag.applicable
-            and diag.norm_variation <= exp["max_norm_variation"] * scale
+            and diag.norm_variation <= exp["max_norm_variation"]
             and diag.bochner_ratio_deviation
-            <= exp["max_bochner_ratio"] * scale), detail
+            <= exp["max_bochner_ratio"]), detail
 
 
 def _probe(run, exp):
     probe = truncation_probe(
-        run.scenario.surface, exp.get("operator", KIND_DIRAC),
+        run.scenario.surface, exp["operator"],
         run.scenario.spin, exp["windows"], exp["threshold"])
     run.diagnostics["probe"] = detail = probe
     counts = probe.counts
@@ -289,11 +283,14 @@ CHECKS = {
 
 
 def _evaluate(run: _ScenarioRun, exp: dict) -> dict:
-    """The report record {name, passed, detail} of an expected entry.  The
-    entry fails wherever a tone it reads carries UNCERTIFIED: that tone's
-    mode walk ended without a pruning certificate, so its minimum over the
-    modes is not certified.  The failing detail names the flag."""
+    """The report record {name, passed, detail} of an expected entry, read
+    with its _DEFAULTS and with its limits scaled by --tol.  The entry fails
+    wherever a tone it reads carries UNCERTIFIED: that tone's mode walk
+    ended without a pruning certificate, so its minimum over the modes is
+    not certified.  The failing detail names the flag."""
     check = CHECKS[exp["check"]]
+    exp = {**_DEFAULTS, **exp}
+    exp.update((k, exp[k] * run.tol_scale) for k in _LIMIT_KEYS if k in exp)
     run.tones_read = []
     passed, detail = check.evaluate(run, exp)
     if any(UNCERTIFIED in tone.flags for tone in run.tones_read):
@@ -303,12 +300,15 @@ def _evaluate(run: _ScenarioRun, exp: dict) -> dict:
             "detail": detail}
 
 
-# the numeric keys that bound a distance: below 0 no value passes them
+# the numeric keys that bound a distance, which --tol scales
 _LIMIT_KEYS = ("tol", "rel_tol", "max_abs", "max_norm_variation",
                "max_bochner_ratio")
-_NUMERIC_KEYS = ("value", "threshold", *_LIMIT_KEYS)
+# optional key -> its value in an entry that leaves it out
+_DEFAULTS = {"rel_tol": 1e-9, "operator": KIND_DIRAC, "statistic": "tone",
+             "predicted": False, "applicable": True}
 # enumerated key -> the values it may take, all of one JSON type
 _CHOICES = {
+    "bound": tuple(BOUNDS),
     "operator": operators.KINDS,
     "statistic": ("tone", "section"),
     "behavior": ("stable", "growing"),
@@ -317,14 +317,32 @@ _CHOICES = {
     "applicable": (True, False),
     "predicted": (True, False),
 }
+# entry key -> (what its value must be, test); a limit below 0 admits no
+# value, and a probe threshold below 0 no eigenvalue
+_RULES = {
+    "value": ("a finite number", geometry.is_finite_number),
+    **dict.fromkeys((*_LIMIT_KEYS, "threshold"), (
+        "a finite number >= 0",
+        lambda x: geometry.is_finite_number(x) and x >= 0)),
+    **{key: (f"one of {list(c)}", lambda x, c=c: type(x) is type(c[0])
+             and x in c) for key, c in _CHOICES.items()},
+    "section": ("a string", lambda x: isinstance(x, str)),
+    "windows": ("one or more [start, stop] pairs",
+                lambda x: isinstance(x, list) and x != [] and all(
+                    isinstance(w, list) and len(w) == 2
+                    and all(map(geometry.is_finite_number, w)) for w in x)),
+    "counts": ("a list of integers >= 0", lambda x: isinstance(x, list)
+               and all(type(c) is int and c >= 0 for c in x)),
+}
 
 
 def _runs_dirac(scenario, exp) -> bool:
-    """Whether a well-formed expected entry runs a Dirac operator; a bound
-    runs the operator it bounds, whatever its statistic or its surface."""
+    """Whether a well-formed expected entry with its _DEFAULTS runs a Dirac
+    operator; a bound runs the operator it bounds, whatever its statistic
+    or its surface."""
     kind = exp["check"]
     if kind == "probe":
-        return exp.get("operator", KIND_DIRAC) == KIND_DIRAC
+        return exp["operator"] == KIND_DIRAC
     if kind == "section_rayleigh":
         return scenario.section_spec(exp["section"]).field_kind == KIND_DIRAC
     if kind == "bound_verdict":
@@ -333,9 +351,9 @@ def _runs_dirac(scenario, exp) -> bool:
 
 
 def _validate_expected(scenario) -> None:
-    """Reject a malformed expected list before anything is solved, a bound
-    whose section is not one of the operator it bounds among it, and an
-    entry that runs a Dirac operator on a scenario without spin."""
+    """Reject a malformed expected list before anything is solved: a value
+    that breaks its key's _RULES rule, and entries whose keys do not fit
+    each other or the scenario, Dirac entries without spin among them."""
     for i, exp in enumerate(scenario.expected):
         where = f"scenario {scenario.id!r} expected[{i}]"
         kind = exp.get("check")
@@ -343,10 +361,15 @@ def _validate_expected(scenario) -> None:
             raise CatalogError(f"{where}: unknown expected check {kind!r}"
                                if "check" in exp
                                else f"{where}: missing key 'check'")
+        for key, value in exp.items():
+            if key in _RULES and not _RULES[key][1](value):
+                raise CatalogError(f"{where}: key {key!r} must be "
+                                   f"{_RULES[key][0]}, got {value!r}")
+        full = {**_DEFAULTS, **exp}
         keys = list(CHECKS[kind].keys)
-        if kind == "killing" and exp.get("applicable", True):
+        if kind == "killing" and full["applicable"]:
             keys += ["max_norm_variation", "max_bochner_ratio"]
-        if exp.get("statistic") == "section":
+        if full["statistic"] == "section":
             keys.append("section")
         # the essential bound probes window counts and reads no option
         optional, owner = CHECKS[kind].optional, f"check {kind!r}"
@@ -356,46 +379,17 @@ def _validate_expected(scenario) -> None:
         for key in exp:
             if key not in allowed:
                 raise CatalogError(f"{where}: {owner} takes no key {key!r}")
-        for key, choices in _CHOICES.items():
-            if key in exp and (type(exp[key]) is not type(choices[0])
-                               or exp[key] not in choices):
-                raise CatalogError(f"{where}: key {key!r} must be one of "
-                                   f"{list(choices)}, got {exp[key]!r}")
         for key in keys:
             if key not in exp:
                 raise CatalogError(f"{where}: missing key {key!r}")
-        for key in _NUMERIC_KEYS:
-            if key in exp and not geometry.is_finite_number(exp[key]):
-                raise CatalogError(f"{where}: key {key!r} must be a finite "
-                                   f"number, got {exp[key]!r}")
-            if key in _LIMIT_KEYS and key in exp and exp[key] < 0:
-                raise CatalogError(f"{where}: key {key!r} must be >= 0, "
-                                   f"got {exp[key]!r}")
         if "windows" in exp:
-            windows = exp["windows"]
-            if not (isinstance(windows, list) and windows and all(
-                    isinstance(w, list) and len(w) == 2
-                    and all(map(geometry.is_finite_number, w))
-                    for w in windows)):
-                raise CatalogError(f"{where}: key 'windows' must list one "
-                                   f"or more [start, stop] pairs")
             try:
-                check_probe_windows(scenario.surface, windows)
+                check_probe_windows(scenario.surface, exp["windows"])
             except AssemblyError as exc:
                 raise CatalogError(f"{where}: key 'windows': {exc}") from exc
-        if "counts" in exp:
-            counts = exp["counts"]
-            if not (isinstance(counts, list)
-                    and len(counts) == len(exp["windows"])
-                    and all(type(c) is int and c >= 0 for c in counts)):
-                raise CatalogError(f"{where}: key 'counts' must list one "
-                                   f"integer >= 0 per window, got {counts!r}")
-        if "bound" in keys and not (isinstance(exp["bound"], str)
-                                    and exp["bound"] in BOUNDS):
-            raise CatalogError(f"{where}: unknown bound {exp['bound']!r}")
-        if "section" in exp and not isinstance(exp["section"], str):
-            raise CatalogError(f"{where}: key 'section' must be a string, "
-                               f"got {exp['section']!r}")
+        if "counts" in exp and len(exp["counts"]) != len(exp["windows"]):
+            raise CatalogError(f"{where}: key 'counts' must hold one count "
+                               f"per window, got {exp['counts']!r}")
         if "section" in keys:
             field_kind = scenario.section_spec(exp["section"]).field_kind
             operator = bounds.BOUND_OPERATORS.get(exp.get("bound"))
@@ -403,7 +397,7 @@ def _validate_expected(scenario) -> None:
                 raise CatalogError(
                     f"{where}: bound {exp['bound']!r} bounds {operator}, "
                     f"but section {exp['section']!r} is {field_kind}")
-        if scenario.spin is None and _runs_dirac(scenario, exp):
+        if scenario.spin is None and _runs_dirac(scenario, full):
             raise CatalogError(f"{where}: check {kind!r} runs the Dirac "
                                f"operator, which needs a spin structure")
 
@@ -568,12 +562,13 @@ def _sweep_rows(param: str, values, spin: SpinStructure, grid_n, levels):
             if param == "L" else
             (scenarios.cover_scenario(int(value)), "bound", "lichnerowicz"))
         run = _ScenarioRun(sc, policy)
-        flagged = "flag" in _evaluate(run, next(
+        detail = _evaluate(run, next(
             e for e in sc.expected if e.get(key) == wanted))["detail"]
+        flagged = "flag" in detail
         if param == "N":
-            tone = run.tone(KIND_LAPLACIAN)
-            return {"N": policy.base_n, "lambda_star": tone.lambda_star,
-                    "abs_error": abs(tone.lambda_star - 2.0)}, flagged
+            return {"N": policy.base_n, "lambda_star": detail["computed"],
+                    "abs_error": abs(detail["computed"]
+                                     - detail["expected"])}, flagged
         v = run.verdicts[-1]
         if param == "L":
             return {"L": float(value), "lambda_star": v.lambda_star,

@@ -583,7 +583,7 @@ def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
         if term > best:
             per_mode[nu] = {"pruned_at": term}
             break
-        pick = int(kernel_skip and abs(nu) < 1e-12)  # skip the kernel
+        pick = int(kernel_skip and nu == 0)  # skip the kernel
         val, bar, order, rows, ground = _mode_value(
             surface, kind, spin, nu, levels, pick, seed)
         per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
@@ -653,7 +653,7 @@ def truncation_probe(surface, kind: str, spin, windows,
                     for bi in _own_blocks(op))
             if op.twin is not None:
                 c *= 2  # the twin block has the same spectrum
-            if nu > 1e-12:
+            if nu != 0:
                 c *= 2  # modes +-nu carry identical spectra
             total += c
         else:

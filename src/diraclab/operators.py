@@ -83,6 +83,17 @@ def kind_lattice(kind: str, spin):
     return SCALAR if kind == KIND_LAPLACIAN else spin
 
 
+def check_on_lattice(kind: str, spin, nu: float, period: float) -> None:
+    """AssemblyError unless mode nu lies on its kind's kind_lattice; a Dirac
+    square without spin has no lattice to be off."""
+    structure = kind_lattice(kind, spin)
+    if structure is not None and not mode_in_structure(nu, structure, period):
+        lattice = ("scalar" if structure == SCALAR
+                   else f"{structure.value} spinor")
+        raise AssemblyError(
+            f"mode {nu} is not on the {lattice} lattice for period {period}")
+
+
 def kind_modes(kind: str, spin, period: float, count: int) -> list:
     """The `count` lowest nonnegative modes on a kind's kind_lattice."""
     structure = kind_lattice(kind, spin)
@@ -365,6 +376,7 @@ def assemble_laplacian(surface, nu: float, grid: Grid,
                        samples=None) -> ReducedOperator:
     """Mode-nu scalar Laplacian as a (stiffness, mass) pair; samples, when
     given, are sample_grid(surface, grid)."""
+    check_on_lattice(KIND_LAPLACIAN, None, nu, surface.period)
     if samples is None:
         samples = sample_grid(surface, grid)
     block = _assemble_block(surface, grid, KIND_LAPLACIAN, float(nu), samples)
@@ -383,10 +395,7 @@ def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
     """
     if not isinstance(spin, SpinStructure):
         raise AssemblyError("dirac assembly needs a SpinStructure")
-    if not mode_in_structure(nu, spin, surface.period):
-        raise AssemblyError(
-            f"mode {nu} is not on the {spin.value} spinor lattice "
-            f"for period {surface.period}")
+    check_on_lattice(KIND_DIRAC, spin, nu, surface.period)
     if samples is None:
         samples = sample_grid(surface, grid)
     nu = float(nu)

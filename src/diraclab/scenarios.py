@@ -16,8 +16,8 @@ import numpy as np
 from . import geometry
 from .errors import AssemblyError, CatalogError, GeometryError
 from .operators import (CUSP_TAIL_REL, KIND_DIRAC, KIND_LAPLACIAN, KINDS,
-                        Grid, Section, block_section, kind_lattice)
-from .spin import SCALAR, SpinStructure, mode_in_structure
+                        Grid, Section, block_section, check_on_lattice)
+from .spin import SpinStructure
 
 ANGULAR_FULL = "full_period"
 ANGULAR_HALF = "half_period"
@@ -103,10 +103,10 @@ def _string(doc: dict, key: str, default: str | None = None) -> str:
 
 
 def scenario_from_json(doc: dict) -> Scenario:
-    """The scenario of a document; CatalogError where it describes none,
-    a section whose mode is off its field's Fourier lattice included: the
-    scalar lattice for a laplacian_scalar section, the spin structure's
-    for a dirac_square one where the document has a spin."""
+    """The scenario of a document; CatalogError where it describes none: a
+    section whose mode is off its field's Fourier lattice (check_on_lattice)
+    or a boxed sine whose support misses the open interval (t_min, t_max)
+    included."""
     try:
         sections = tuple(
             SectionSpec(name=_string(s, "name"), field_kind=s["field_kind"],
@@ -130,16 +130,20 @@ def scenario_from_json(doc: dict) -> Scenario:
     except AssemblyError as exc:
         raise CatalogError(
             f"malformed scenario document: key 'spin': {exc}") from exc
+    lo, hi = scenario.surface.t_min, scenario.surface.t_max
     for spec in sections:
-        structure = kind_lattice(spec.field_kind, scenario.spin)
-        if structure is not None and not mode_in_structure(
-                spec.mode, structure, scenario.surface.period):
-            lattice = ("scalar" if structure == SCALAR
-                       else f"{structure.value} spinor")
-            raise CatalogError(
-                f"malformed scenario document: section {spec.name!r}: mode "
-                f"{spec.mode} is not on the {lattice} lattice for period "
-                f"{scenario.surface.period}")
+        where = f"malformed scenario document: section {spec.name!r}"
+        try:
+            check_on_lattice(spec.field_kind, scenario.spin, spec.mode,
+                             scenario.surface.period)
+        except AssemblyError as exc:
+            raise CatalogError(f"{where}: {exc}") from exc
+        if spec.profile == "boxed_sine":
+            t0 = spec.params["t0"]
+            t1 = t0 + spec.params["length"]
+            if not (t0 < hi and t1 > lo):
+                raise CatalogError(f"{where}: support ({t0}, {t1}) misses "
+                                   f"the surface interval ({lo}, {hi})")
     return scenario
 
 
@@ -205,7 +209,7 @@ def mk_orthogonality(scenario: Scenario, grid: Grid, w,
     P = scenario.surface.period
     nu = spec.mode
     # the angular integral as a fraction of the period the weights carry
-    angular = 1.0 if abs(nu) < 1e-300 else math.sin(nu * P) / (nu * P)
+    angular = 1.0 if nu == 0 else math.sin(nu * P) / (nu * P)
     return angular * float(np.sum(w * section.values))
 
 

@@ -204,7 +204,8 @@ def test_killing_energy_ratio_reads_the_solvers_energy():
 def test_killing_check_takes_the_operator_phi_solves():
     # every section audit takes the operator phi solves: another mode,
     # another grid (of another n, or of the same n on another window) and
-    # the other kind each raise, where a quotient would read silently
+    # the other kind each raise, where a quotient would read silently; the
+    # Laplacian takes mode 1, on its lattice Z, since no scalar mode is 0.5
     sc = find_scenario("round-sphere")
     surf = sc.surface
     grid = make_grid(surf, 256)
@@ -228,7 +229,7 @@ def test_killing_check_takes_the_operator_phi_solves():
     for other in (assemble_dirac_square(surf, sc.spin, 1.5, grid),
                   assemble_dirac_square(surf, sc.spin, 0.5, coarse),
                   assemble_dirac_square(surf, sc.spin, 0.5, window),
-                  assemble_laplacian(surf, 0.5, grid)):
+                  assemble_laplacian(surf, 1.0, grid)):
         for audit in audits:
             with pytest.raises(AssemblyError):
                 audit(other)

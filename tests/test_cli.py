@@ -681,6 +681,9 @@ OTHER_CASES = [
                  id="negative-max-bochner-ratio"),
     pytest.param({"check": "dirac_tone", "value": 1.0, "tol": 1e-3,
                   "rel_tol": 1e9}, "rel_tol", id="tone-with-rel-tol"),
+    # no eigenvalue lies below 0, so every count would be 0 and stable
+    pytest.param({"check": "probe", **VALID_ENTRIES["probe"],
+                  "threshold": -1.0}, "threshold", id="negative-threshold"),
     pytest.param({"check": "bound_verdict", "bound": "lichnerowicz",
                   "verdict": "violated-as-predicted", "statistic": "section",
                   "section": "dirichlet_sine", "predicated": True},
@@ -798,6 +801,14 @@ DOCUMENT_CASES = [
         "tol": 1e-6}]), "section", id="numeric-entry-section"),
     pytest.param(_edit(("description",), ["a", "list"]), "description",
                  id="list-description"),
+    # a boxed sine whose support misses the cylinder's (0, 3) is the zero
+    # section, whose norm and orthogonality checks would pass vacuously
+    pytest.param(_edit(("sections", 0, "params"),
+                       {"t0": 100.0, "length": 1.0}), "dirichlet_sine",
+                 id="section-outside-its-surface"),
+    pytest.param(_edit(("sections", 0, "params"),
+                       {"t0": -1.0, "length": 1.0}), "dirichlet_sine",
+                 id="section-ending-at-t-min"),
 ]
 
 
@@ -996,8 +1007,61 @@ def test_one_function_owns_each_check_layer_rule():
                 calls.setdefault(ast.unparse(node.func), set()).add(
                     getattr(top, "name", None))
     assert calls["_evaluate"] == {"run_scenario", "_sweep_rows"}
-    assert "BOUNDS" not in ast.unparse(tops["_sweep_rows"])
+    # a sweep row reads the record of its entry: no tone, bound or
+    # closed form of its own
+    sweep = ast.unparse(tops["_sweep_rows"])
+    assert "BOUNDS" not in sweep and ".tone(" not in sweep
+    assert 2.0 not in {node.value for node in ast.walk(tops["_sweep_rows"])
+                       if isinstance(node, ast.Constant)}
     assert "_certified" not in tops
+
+
+def test_tol_scales_limits_once_and_defaults_are_spelled_once():
+    # only _evaluate reads the run's --tol scale, and no .get in cli
+    # passes a default of its own for a key that _DEFAULTS fills in
+    import ast
+
+    from diraclab import cli
+    path = Path(__file__).resolve().parents[1] / "src" / "diraclab" / "cli.py"
+    readers, gets = set(), []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "tol_scale" \
+                    and isinstance(node.ctx, ast.Load):
+                readers.add(getattr(top, "name", None))
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "get" and len(node.args) == 2 \
+                    and isinstance(node.args[0], ast.Constant) \
+                    and node.args[0].value in cli._DEFAULTS:
+                gets.append(ast.unparse(node))
+    assert readers == {"_evaluate"}
+    assert gets == []
+
+
+def test_the_zero_mode_is_tested_exactly():
+    # every walked mode is exactly base * (m + eps), so no comparison on
+    # nu holds a nonzero constant, which would be a tolerance
+    import ast
+
+    def number(node):
+        try:
+            value = ast.literal_eval(node)
+        except ValueError:
+            return None
+        return value if type(value) in (int, float) else None
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            if any(isinstance(name, ast.Name) and name.id == "nu"
+                   for side in sides for name in ast.walk(side)) \
+                    and any(number(side) for side in sides):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_only_operators_and_geometry_spell_the_end_kinds():
@@ -1080,6 +1144,11 @@ def test_valid_entries_and_inapplicable_killing_pass_validation():
     sc = flat_cylinder_scenario(3.0, SpinStructure.NON_BOUNDING)
     entries = [{"check": c, **e} for c, e in VALID_ENTRIES.items()]
     entries.append({"check": "killing", "applicable": False})
+    # 0 is a legal limit and a legal probe threshold
+    entries.append({"check": "probe", **VALID_ENTRIES["probe"],
+                    "threshold": 0})
+    entries.append({"check": "orthogonality", "section": "dirichlet_sine",
+                    "max_abs": 0.0})
     cli._validate_expected(replace(sc, expected=tuple(entries)))
 
 

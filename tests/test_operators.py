@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from diraclab.operators import (
     assemble_laplacian,
     block_boundary_conditions,
     bochner_gradient_energy,
+    check_on_lattice,
     kind_lattice,
     leibniz_defect,
     make_grid,
@@ -347,23 +349,44 @@ def test_leibniz_defect_rejects_a_multiplier_of_another_mode():
 
 
 def test_one_rule_gives_the_lattice_of_each_kind(monkeypatch):
-    # kind_modes and a scenario document's section check read one rule: the
-    # scalar lattice for the Laplacian, the spin structure for a Dirac
-    # square, and none for a Dirac square without spin
-    from diraclab import scenarios
+    # kind_modes, both assemblies and a scenario document's section check
+    # read one rule: the scalar lattice for the Laplacian, the spin
+    # structure for a Dirac square, and none for a Dirac square without
+    # spin; scenarios reaches it only through operators.check_on_lattice
+    from diraclab import operators, scenarios
     for spin in (None, SpinStructure.BOUNDING):
         assert kind_lattice(KIND_LAPLACIAN, spin) == SCALAR
         assert kind_lattice(KIND_DIRAC, spin) is spin
     with pytest.raises(AssemblyError, match="unknown operator kind"):
         kind_lattice("bogus", None)
+    for name in ("SCALAR", "mode_in_structure", "kind_lattice"):
+        assert not hasattr(scenarios, name), name
     asked = []
 
     def lattice(kind, spin):
         asked.append(kind)
         return kind_lattice(kind, spin)
-    monkeypatch.setattr(scenarios, "kind_lattice", lattice)
+    monkeypatch.setattr(operators, "kind_lattice", lattice)
     scenarios.scenario_from_json(cover_scenario(2).to_json())
     assert asked == [KIND_LAPLACIAN]
+
+
+def test_an_off_lattice_mode_is_not_assembled():
+    # the scalar lattice of period 2 pi is Z, and the non-bounding spinor
+    # lattice too; a Dirac square without spin has no lattice to be off
+    s = sphere()
+    grid = make_grid(s, 64)
+    scalar = re.escape(f"mode 0.5 is not on the scalar lattice for period "
+                       f"{2 * math.pi}")
+    for build in (lambda: assemble_laplacian(s, 0.5, grid),
+                  lambda: assemble(s, KIND_LAPLACIAN, None, 0.5, grid)):
+        with pytest.raises(AssemblyError, match=scalar):
+            build()
+    with pytest.raises(AssemblyError, match="mode 0.5 is not on the "
+                       "non-bounding spinor lattice"):
+        assemble(s, KIND_DIRAC, SpinStructure.NON_BOUNDING, 0.5, grid)
+    assemble_laplacian(s, 1.0, grid)
+    check_on_lattice(KIND_DIRAC, None, 0.3, 2 * math.pi)
 
 
 def test_section_shape_validation():
