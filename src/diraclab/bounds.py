@@ -326,7 +326,8 @@ def cutoff_stability_check(op, phi: Section, rhos) -> CutoffReport:
         monotone=bool(mono))
 
 
-def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
+def essential_bound_check(surface, spin, profile, grid,
+                          read=None) -> BoundVerdict:
     """Essential-spectrum floor n*kappa_inf/(n-1) via window stability.
 
     kappa_inf is the curvature-term infimum over the outermost windows of
@@ -335,7 +336,8 @@ def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
     holds trivially.  Otherwise the check counts eigenvalues below a
     threshold just under the floor on growing windows: a stabilizing count
     means only discrete spectrum lives below the floor.  The windows are
-    fractions of `grid`, the grid `profile` was sampled on.
+    fractions of `grid`, the grid `profile` was sampled on.  The probe
+    result goes into the list `read`, when given, for its flags.
     """
     kappa_inf = min(profile.tail_kappa)
     value = _curvature_floor(kappa_inf)
@@ -358,6 +360,8 @@ def essential_bound_check(surface, spin, profile, grid) -> BoundVerdict:
     threshold = ESSENTIAL_PROBE_MARGIN * value
     probe = truncation_probe(surface, BOUND_OPERATORS["essential"], spin,
                              windows, threshold)
+    if read is not None:
+        read.append(probe)
     notes = [f"counts below {threshold:.6g}: {probe.counts}"]
     verdict = HOLDS if probe.stable else VIOLATED_UNEXPECTED
     if not probe.stable:

@@ -65,7 +65,7 @@ class _ScenarioRun:
     reads; the grid ladder is laid once and sampled once, on first use: the
     tones refine on it, and the section checks read its coarsest grid.
     Each tone it computes goes into diagnostics under its tone check's
-    name; tones_read lists the tones read since an entry started
+    name; read lists the tones and probes read since an entry started
     (_evaluate)."""
 
     def __init__(self, scenario, policy: GridPolicy, tol_scale: float = 1.0):
@@ -77,7 +77,7 @@ class _ScenarioRun:
         self.profile = geometry.curvature_profile(scenario.surface, self.grid)
         self.diagnostics = {}
         self.verdicts = []
-        self.tones_read = []
+        self.read = []
         self._cache = {}
 
     def _memo(self, key, compute):
@@ -101,7 +101,7 @@ class _ScenarioRun:
             self.diagnostics[_TONE_CHECKS[kind]] = _tone_json(tone)
             return tone
         tone = self._memo(("tone", kind), compute)
-        self.tones_read.append(tone)
+        self.read.append(tone)
         return tone
 
     def section_rayleigh(self, name: str) -> float:
@@ -161,7 +161,8 @@ BOUNDS = {
         run.profile, all(run.scenario.surface.complete_ends),
         *_bound_statistic(run, exp)),
     "essential": lambda run, exp: bounds.essential_bound_check(
-        run.scenario.surface, run.scenario.spin, run.profile, run.grid),
+        run.scenario.surface, run.scenario.spin, run.profile, run.grid,
+        run.read),
 }
 
 # keys: entry keys the evaluator needs; evaluate: (run, entry) ->
@@ -237,6 +238,7 @@ def _probe(run, exp):
         run.scenario.surface, exp["operator"],
         run.scenario.spin, exp["windows"], exp["threshold"])
     run.diagnostics["probe"] = detail = probe
+    run.read.append(probe)
     counts = probe.counts
     if exp.get("counts", counts) != counts:
         return False, detail
@@ -285,15 +287,16 @@ CHECKS = {
 def _evaluate(run: _ScenarioRun, exp: dict) -> dict:
     """The report record {name, passed, detail} of an expected entry, read
     with its _DEFAULTS and with its limits scaled by --tol.  The entry fails
-    wherever a tone it reads carries UNCERTIFIED: that tone's mode walk
-    ended without a pruning certificate, so its minimum over the modes is
-    not certified.  The failing detail names the flag."""
+    wherever a tone or probe it reads carries UNCERTIFIED: its mode walk
+    ended without a pruning certificate, so a tone's minimum over the modes,
+    or a probe's counts, are not certified.  The failing detail names the
+    flag."""
     check = CHECKS[exp["check"]]
     exp = {**_DEFAULTS, **exp}
     exp.update((k, exp[k] * run.tol_scale) for k in _LIMIT_KEYS if k in exp)
-    run.tones_read = []
+    run.read = []
     passed, detail = check.evaluate(run, exp)
-    if any(UNCERTIFIED in tone.flags for tone in run.tones_read):
+    if any(UNCERTIFIED in result.flags for result in run.read):
         plain = detail if isinstance(detail, dict) else vars(detail)
         passed, detail = False, {**plain, "flag": UNCERTIFIED}
     return {"name": check.name.format(**exp), "passed": passed,
@@ -318,12 +321,14 @@ _CHOICES = {
     "predicted": (True, False),
 }
 # entry key -> (what its value must be, test); a limit below 0 admits no
-# value, and a probe threshold below 0 no eigenvalue
+# value, and a probe threshold at or below 0 no eigenvalue
 _RULES = {
     "value": ("a finite number", geometry.is_finite_number),
-    **dict.fromkeys((*_LIMIT_KEYS, "threshold"), (
+    **dict.fromkeys(_LIMIT_KEYS, (
         "a finite number >= 0",
         lambda x: geometry.is_finite_number(x) and x >= 0)),
+    "threshold": ("a finite number > 0",
+                  lambda x: geometry.is_finite_number(x) and x > 0),
     **{key: (f"one of {list(c)}", lambda x, c=c: type(x) is type(c[0])
              and x in c) for key, c in _CHOICES.items()},
     "section": ("a string", lambda x: isinstance(x, str)),

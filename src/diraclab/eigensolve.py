@@ -25,9 +25,9 @@ same vectors read through the twin slice, since a permuted matrix has the
 permuted eigenpairs: one refinement per twin.  Each copied pair still
 passes the backward-error gate on its own block.  Seeds bisect, and probes
 count, a twin's -|nu| block alone.
-Fundamental tones walk the circle modes in ascending |nu|, extrapolating
-each over a geometric (h, delta) refinement sequence, up to the first mode
-whose centrifugal floor certifies the rest; probes walk them the same way.
+Fundamental tones and probes share one walk over the circle modes
+(_mode_walk); tones extrapolate each mode over a geometric (h, delta)
+refinement sequence.
 The three LAPACK routines come from scipy's f2py module, loaded by file
 spec, because importing scipy.linalg for them would cost a cold verify more
 than half its time in scipy's array-API shim.  This is the package's only
@@ -52,7 +52,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from .spin import mode_lower_bound_term
 # Tone walks and probes look at most at this many lowest nonnegative modes.
 MAX_MODE_CUTOFF = 64
 
-# The flag of a tone whose walk ended without a pruning certificate.
+# The flag of a tone or probe whose walk ended without a pruning certificate.
 UNCERTIFIED = "sweep-exhausted-without-pruning-certificate"
 
 # Node cap of every grid: the finest level of a tone ladder, and each
@@ -211,6 +211,7 @@ class ProbeResult:
     windows: list
     counts: list
     stable: bool
+    flags: list = field(default_factory=list)  # UNCERTIFIED, as a tone's
 
 
 _workspace = threading.local()
@@ -501,18 +502,22 @@ def richardson(seq) -> tuple:
     return val, abs(val - l2) + 1e-14, p
 
 
-def _mode_value(surface, kind, spin, nu, levels, pick, seed):
-    """Pair `pick` of one mode per level, extrapolated; its level-0 section
-    and operator.
+def _add_mode(tone: ToneResult, surface, spin, nu, ladder) -> None:
+    """Fold mode nu into tone: its ground pair (the next one, past the
+    kernel, where tone.kernel_skipped and nu == 0), extrapolated over the
+    ladder, goes into tone.per_mode and tone.table, and where it is below
+    tone.lambda_star, it and its level-0 section and operator become the
+    tone's.
 
-    levels and seed are as sample_ladder returns them.  Each level after
+    ladder is (levels, seed) as sample_ladder returns it.  Each level after
     the first refines its solve from the values of the level before;
     level 0 refines from the values each block bisects on the seed grid,
     when there is one (a twin's -|nu| block alone), and bisects its own
     blocks otherwise.
     """
+    levels, seed = ladder
+    kind, pick = tone.kind, int(tone.kernel_skipped and nu == 0)
     seq = []
-    rows = []
     near = None
     if seed is not None:
         seed_op = assemble(surface, kind, spin, nu, *seed)
@@ -527,10 +532,13 @@ def _mode_value(surface, kind, spin, nu, levels, pick, seed):
         if level == 0:
             ground, ground_op = res.sections[pick], op
         seq.append(value)
-        rows.append({"nu": nu, "level": level, "n": grid.n, "h": grid.h,
-                     "delta": grid.delta, "value": value})
+        tone.table.append({"nu": nu, "level": level, "n": grid.n,
+                           "h": grid.h, "delta": grid.delta, "value": value})
     val, bar, order = richardson(seq)
-    return val, bar, order, rows, (ground, ground_op)
+    tone.per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
+    if val < tone.lambda_star:
+        tone.lambda_star, tone.nu_star, tone.error_bar = val, nu, bar
+        tone.ground, tone.ground_op = ground, ground_op
 
 
 def sample_ladder(surface, grids) -> tuple:
@@ -546,6 +554,27 @@ def sample_ladder(surface, grids) -> tuple:
     return levels, (seed_grid, sample_grid(surface, seed_grid))
 
 
+def _mode_walk(surface, kind: str, spin, samples, level, visit,
+               flags: list) -> dict:
+    """visit(nu) for a kind's circle modes in ascending |nu| up to the first
+    whose floor mode_lower_bound_term(nu, samples.f_nodes) is above level(),
+    read again at each step; returns {nu: {"pruned_at": floor}} for that
+    mode.  A walk exhausted after MAX_MODE_CUTOFF modes returns {} and puts
+    UNCERTIFIED in flags, once.
+
+    The floor is proven for the scalar form only; a Dirac block's cross
+    term nu f' / f^2 can be negative (ROADMAP item 8).
+    """
+    for nu in kind_modes(kind, spin, surface.period, MAX_MODE_CUTOFF):
+        floor = mode_lower_bound_term(nu, samples.f_nodes)
+        if floor > level():
+            return {nu: {"pruned_at": floor}}
+        visit(nu)
+    if UNCERTIFIED not in flags:
+        flags.append(UNCERTIFIED)
+    return {}
+
+
 def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
     """min over circle modes of the extrapolated ground eigenvalue.
 
@@ -555,10 +584,10 @@ def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
     first nonzero eigenvalue instead; with a Dirichlet boundary present the
     kernel is empty and the plain minimum is returned.
 
-    The walk ends at the first mode whose floor on the coarsest grid is above
-    the best value, recorded as {"pruned_at": floor}; a walk through all
-    MAX_MODE_CUTOFF modes without one is flagged, and so is the tone, an
-    upper estimate, of a surface with a complete end (complete_ends).
+    The modes are those _mode_walk visits below the best value so far, and
+    per_mode records the one it prunes at.  An exhausted walk is flagged,
+    and so is the tone, an upper estimate, of a surface with a complete end
+    (complete_ends).
 
     ladder is the sampled ladder (levels, seed) of sample_ladder, and
     nothing is laid or sampled here: every mode assembles on those samples,
@@ -566,36 +595,17 @@ def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
     the level-0 node values.  The result's ground is the attaining mode's
     level-0 section, and ground_op the operator it solves.
     """
-    levels, seed = ladder
-    kernel_skip = kind == KIND_LAPLACIAN and not levels[0][0].boundary_circle
-
+    grid, samples = ladder[0][0]  # the coarsest level
     flags = (["cusp-truncated-upper-estimate"]
              if any(surface.complete_ends) else [])
-
-    best = math.inf
-    best_nu = math.nan
-    best_bar = math.inf
-    best_ground = (None, None)
-    per_mode = {}
-    table = []
-    for nu in kind_modes(kind, spin, surface.period, MAX_MODE_CUTOFF):
-        term = mode_lower_bound_term(nu, levels[0][1].f_nodes)
-        if term > best:
-            per_mode[nu] = {"pruned_at": term}
-            break
-        pick = int(kernel_skip and nu == 0)  # skip the kernel
-        val, bar, order, rows, ground = _mode_value(
-            surface, kind, spin, nu, levels, pick, seed)
-        per_mode[nu] = {"value": val, "error_bar": bar, "order": order}
-        table.extend(rows)
-        if val < best:
-            best, best_nu, best_bar, best_ground = val, nu, bar, ground
-    else:
-        flags.append(UNCERTIFIED)
-    return ToneResult(kind=kind, lambda_star=best, nu_star=best_nu,
-                      error_bar=best_bar, per_mode=per_mode, table=table,
-                      flags=flags, kernel_skipped=kernel_skip,
-                      ground=best_ground[0], ground_op=best_ground[1])
+    tone = ToneResult(kind=kind, lambda_star=math.inf, nu_star=math.nan,
+                      error_bar=math.inf, per_mode={}, table=[], flags=flags,
+                      kernel_skipped=(kind == KIND_LAPLACIAN
+                                      and not grid.boundary_circle))
+    tone.per_mode.update(_mode_walk(
+        surface, kind, spin, samples, lambda: tone.lambda_star,
+        lambda nu: _add_mode(tone, surface, spin, nu, ladder), tone.flags))
+    return tone
 
 
 def check_probe_windows(surface, windows) -> list:
@@ -633,21 +643,19 @@ def truncation_probe(surface, kind: str, spin, windows,
     All probe windows use Dirichlet walls and share one node spacing so the
     discrete spaces are genuinely nested: check_probe_windows sizes them,
     SEED_N nodes on the first, whatever ladder the tones refine on.  Each
-    window is sampled once, and counts modes, all assembled on those
-    samples, up to the first floor above the threshold (read from the same
-    samples), a twin's -|nu| block once for both blocks; it raises
-    ConvergenceError when all MAX_MODE_CUTOFF modes stay at or below it.
+    window is sampled once, and counts the modes _mode_walk visits below
+    the threshold, all assembled on those samples (the floors read the same
+    samples), a twin's -|nu| block once for both blocks; an exhausted walk
+    flags the result.
     """
     sized = check_probe_windows(surface, windows)
-    modes = kind_modes(kind, spin, surface.period, MAX_MODE_CUTOFF)
-    counts = []
+    counts, flags = [], []
     for a, b, n in sized:
         grid = Grid(a=a, b=b, n=n)
         samples = sample_grid(surface, grid)
-        total = 0
-        for nu in modes:
-            if mode_lower_bound_term(nu, samples.f_nodes) > threshold:
-                break
+        per_mode = []
+
+        def count(nu):
             op = assemble(surface, kind, spin, nu, grid, samples)
             c = sum(_count_below(*_congruence(op.blocks[bi])[1:], threshold)
                     for bi in _own_blocks(op))
@@ -655,13 +663,11 @@ def truncation_probe(surface, kind: str, spin, windows,
                 c *= 2  # the twin block has the same spectrum
             if nu != 0:
                 c *= 2  # modes +-nu carry identical spectra
-            total += c
-        else:
-            raise ConvergenceError(
-                f"probe window ({a}, {b}): all {MAX_MODE_CUTOFF} mode floors "
-                f"are at or below the threshold {threshold}")
-        counts.append(total)
+            per_mode.append(c)
+        _mode_walk(surface, kind, spin, samples, lambda: threshold, count,
+                   flags)
+        counts.append(sum(per_mode))
     stable = len(counts) >= 2 and counts[-1] == counts[-2]
     return ProbeResult(threshold=threshold,
                        windows=[(a, b) for a, b, _ in sized], counts=counts,
-                       stable=stable)
+                       stable=stable, flags=flags)

@@ -18,8 +18,8 @@ class AssemblyError(DiraclabError):
 
 
 class ConvergenceError(DiraclabError):
-    """A backward error above n * eps, a LAPACK failure, or a probe whose
-    MAX_MODE_CUTOFF modes all have their floor at or below its threshold."""
+    """A backward error above n * eps or a LAPACK failure; a mode walk that
+    finds no pruning floor is flagged UNCERTIFIED, never raised."""
 
 
 class CatalogError(DiraclabError):

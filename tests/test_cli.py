@@ -681,9 +681,12 @@ OTHER_CASES = [
                  id="negative-max-bochner-ratio"),
     pytest.param({"check": "dirac_tone", "value": 1.0, "tol": 1e-3,
                   "rel_tol": 1e9}, "rel_tol", id="tone-with-rel-tol"),
-    # no eigenvalue lies below 0, so every count would be 0 and stable
+    # no eigenvalue lies at or below 0, so every count would be 0 and
+    # stable
     pytest.param({"check": "probe", **VALID_ENTRIES["probe"],
                   "threshold": -1.0}, "threshold", id="negative-threshold"),
+    pytest.param({"check": "probe", **VALID_ENTRIES["probe"],
+                  "threshold": 0}, "threshold", id="zero-threshold"),
     pytest.param({"check": "bound_verdict", "bound": "lichnerowicz",
                   "verdict": "violated-as-predicted", "statistic": "section",
                   "section": "dirichlet_sine", "predicated": True},
@@ -983,6 +986,58 @@ def test_the_essential_bound_probes_the_operator_of_its_table_entry(
     assert (kinds, verdict.verdict) == ([KIND_LAPLACIAN], "holds")
 
 
+def test_an_essential_probe_that_finds_no_floor_fails_with_the_flag(
+        monkeypatch):
+    # with every floor at 0 the window probe of a complete end walks all
+    # MAX_MODE_CUTOFF modes: its counts are uncertified, so the verdict
+    # that reads them fails and names the flag
+    from dataclasses import replace
+
+    from diraclab import cli, eigensolve
+    from diraclab.eigensolve import UNCERTIFIED, GridPolicy
+    from diraclab.geometry import END_CUSP
+    from diraclab.scenarios import find_scenario
+    sc = find_scenario("growing-curvature")
+    sc = replace(sc, surface=replace(sc.surface,
+                                     end_labels=(END_CUSP,) * 2))
+    entry = next(e for e in sc.expected if e.get("bound") == "essential")
+    policy = GridPolicy(base_n=64, levels=2)
+    record = cli._evaluate(cli._ScenarioRun(sc, policy), entry)
+    assert record["passed"] and "flag" not in record["detail"]
+    monkeypatch.setattr(eigensolve, "mode_lower_bound_term",
+                        lambda nu, f: 0.0)
+    record = cli._evaluate(cli._ScenarioRun(sc, policy), entry)
+    assert record["name"] == "bound:essential"
+    assert not record["passed"]
+    assert record["detail"]["flag"] == UNCERTIFIED
+
+
+@pytest.mark.parametrize("threshold,exit_code", [(1e9, 2), (0, 64)])
+def test_a_probe_threshold_above_every_floor_is_flagged_not_raised(
+        tmp_path, capsys, threshold, exit_code):
+    # at 1e9 no mode within MAX_MODE_CUTOFF has its floor above the
+    # threshold: the probe check fails with the flag (exit 2), where an
+    # exhausted probe used to be an internal error (exit 1); a threshold
+    # of 0 counts nothing and is a usage error
+    from diraclab.eigensolve import UNCERTIFIED
+    from diraclab.scenarios import find_scenario
+    doc = find_scenario("growing-curvature").to_json()
+    doc["expected"] = [{**e, "threshold": threshold}
+                       for e in doc["expected"] if e["check"] == "probe"]
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", "--scenario", str(path), "--grid-n",
+                          "64", "--levels", "2"], capsys)
+    assert code == exit_code, err
+    if exit_code == 64:
+        assert "'threshold'" in err and "> 0" in err
+        return
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "probe" and not check["passed"]
+    assert check["detail"]["flag"] == UNCERTIFIED
+    assert check["detail"]["flags"] == [UNCERTIFIED]
+
+
 def test_one_function_owns_each_check_layer_rule():
     # the operator of a bound is read from bounds.BOUND_OPERATORS, never
     # from a bound name, and every entry runs through cli._evaluate, for
@@ -1144,9 +1199,7 @@ def test_valid_entries_and_inapplicable_killing_pass_validation():
     sc = flat_cylinder_scenario(3.0, SpinStructure.NON_BOUNDING)
     entries = [{"check": c, **e} for c, e in VALID_ENTRIES.items()]
     entries.append({"check": "killing", "applicable": False})
-    # 0 is a legal limit and a legal probe threshold
-    entries.append({"check": "probe", **VALID_ENTRIES["probe"],
-                    "threshold": 0})
+    # 0 is a legal limit
     entries.append({"check": "orthogonality", "section": "dirichlet_sine",
                     "max_abs": 0.0})
     cli._validate_expected(replace(sc, expected=tuple(entries)))

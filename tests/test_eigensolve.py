@@ -15,6 +15,7 @@ import scipy.linalg
 from diraclab import bounds, cli, eigensolve, operators
 from diraclab.errors import AssemblyError, ConvergenceError
 from diraclab.eigensolve import (
+    UNCERTIFIED,
     GridPolicy,
     _backward_error,
     check_probe_windows,
@@ -830,11 +831,30 @@ def test_probe_counts_every_mode_below_the_threshold():
     assert probe.counts == expected
 
 
-def test_probe_raises_when_every_mode_stays_below_the_threshold():
-    # 63.5^2 < 5000: no mode within MAX_MODE_CUTOFF has its floor above
-    with pytest.raises(ConvergenceError):
-        truncation_probe(sphere(), KIND_DIRAC, SpinStructure.BOUNDING,
-                         SPHERE_PROBE_WINDOWS, 5000.0)
+def test_probe_is_flagged_when_every_mode_stays_below_the_threshold():
+    # 63.5^2 < 5000: no mode within MAX_MODE_CUTOFF has its floor above, so
+    # the counts of those modes come back flagged, not raised
+    probe = truncation_probe(sphere(), KIND_DIRAC, SpinStructure.BOUNDING,
+                             SPHERE_PROBE_WINDOWS, 5000.0)
+    assert probe.flags == [UNCERTIFIED]
+    assert len(probe.counts) == len(SPHERE_PROBE_WINDOWS)
+    assert all(c > 0 for c in probe.counts)
+
+
+def test_only_the_mode_walk_reads_the_floor():
+    # tones and probes share one walk, so one call site of the floor
+    import ast
+    calls = []
+    for path in (Path(__file__).resolve().parents[1]
+                 / "src" / "diraclab").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            calls += [(path.name, getattr(top, "name", None))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(
+                          node.func, "attr", None)) == "mode_lower_bound_term"]
+    assert calls == [("eigensolve.py", "_mode_walk")]
 
 
 def test_default_tones_end_at_one_pruning_certificate(monkeypatch):

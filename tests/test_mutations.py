@@ -129,9 +129,10 @@ _DIRAC_TONE_FAILS = [(sid, check) for sid in ("round-sphere", "cover-m1",
                                                "cover-m5")
                      for check in ("dirac_tone", "bound:friedrich")]
 
-# With no floor above the tone no walk is pruned, and every check that reads
-# the uncertified tone fails: all of round-sphere's and each flat cylinder's,
-# and the Dirac tone and its verdicts elsewhere
+# With no floor above the tone or threshold no walk is pruned, and every
+# check that reads an uncertified tone or probe fails: all of round-sphere's
+# and each flat cylinder's, the Dirac tone and its verdicts elsewhere, and
+# each probe check
 _UNPRUNED_FAILS = (
     [("round-sphere", "tone_attaining_mode")]
     + [(sid, check)
@@ -142,7 +143,8 @@ _UNPRUNED_FAILS = (
                      "bound:friedrich", "bound:lichnerowicz")]
     + [pair for pair in _DIRAC_TONE_FAILS if pair[0] != "round-sphere"]
     + [("growing-curvature", "bound:area"),
-       ("growing-curvature", "bound:friedrich")])
+       ("growing-curvature", "bound:friedrich"),
+       ("growing-curvature", "probe"), ("long-cylinder-probe", "probe")])
 
 # id, replacements, the checks that fail or raise, and for a defect that no
 # check catches the reason it slips through
@@ -166,9 +168,8 @@ DEFECTS = [
     ("every-mode-floor-zero",
      {eigensolve.mode_lower_bound_term: lambda nu, f: 0.0},
      {**_outcome_of(_UNPRUNED_FAILS),
-      **_outcome_of([("cusp-cylinder-l10", "bound:friedrich"),
-                     ("growing-curvature", "probe"),
-                     ("long-cylinder-probe", "probe")], "ConvergenceError")},
+      **_outcome_of([("cusp-cylinder-l10", "bound:friedrich")],
+                    "ConvergenceError")},
      None),
     ("floor-prunes-every-mode-from-0.6",
      {eigensolve.mode_lower_bound_term:
