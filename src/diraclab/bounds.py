@@ -426,9 +426,99 @@ def to_plain(x):
 def dumps(doc) -> str:
     """The one writer of the JSON documents diraclab emits: to_plain(doc),
     keys sorted, indented by two; a value to_plain leaves non-finite is an
-    error, never a NaN or Infinity token."""
-    return json.dumps(to_plain(doc), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    error, never a NaN or Infinity token.
+
+    The text is exactly json.dumps(to_plain(doc), sort_keys=True, indent=2,
+    allow_nan=False) + "\\n", written in one pass over doc: the standard
+    library has no C encoder for an indented document, so it would walk
+    the plain copy in Python generators once more.
+    """
+    out = []
+    _write(doc, out.append, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+_float_text = float.__repr__
+_int_text = int.__repr__
+
+
+def _write(x, emit, newline: str) -> None:
+    """emit the JSON text of to_plain(x), nested inside the indent that
+    `newline` (a newline and its spaces) opens: to_plain's tests in its
+    order, then the json module's on what it leaves."""
+    cls = type(x)
+    if cls is float:
+        emit(_float_text(x) if math.isfinite(x) else "null")
+    elif cls is str:
+        emit(_escape(x))
+    elif cls is dict or cls is list or cls is tuple:
+        _write_container(x, emit, newline)
+    elif cls is int:
+        emit(_int_text(x))
+    elif cls is bool or x is None:
+        emit("true" if x is True else "false" if x is False else "null")
+    elif isinstance(x, float):  # a numpy float64 among them
+        emit(_float_text(x) if math.isfinite(x) else "null")
+    elif isinstance(x, np.generic):
+        _write(x.item(), emit, newline)
+    elif isinstance(x, (dict, list, tuple)):
+        _write_container(x, emit, newline)
+    elif is_dataclass(x):
+        _write(vars(x), emit, newline)
+    elif isinstance(x, str):
+        emit(_escape(x))
+    elif isinstance(x, int):
+        emit(_int_text(x))
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON "
+                        f"serializable")
+
+
+def _write_container(x, emit, newline: str) -> None:
+    """A dict with its keys sorted, or a list or tuple, as _write."""
+    inner = newline + "  "
+    if isinstance(x, dict):
+        if not x:
+            emit("{}")
+            return
+        start = "{" + inner
+        for key, value in sorted(x.items()):
+            emit(start + (_escape(key) if type(key) is str
+                          else _key_text(key)) + ": ")
+            _write(value, emit, inner)
+            start = "," + inner
+        emit(newline + "}")
+        return
+    if not x:
+        emit("[]")
+        return
+    start = "[" + inner
+    for value in x:
+        emit(start)
+        _write(value, emit, inner)
+        start = "," + inner
+    emit(newline + "]")
+
+
+def _key_text(key) -> str:
+    """A dict key as the json module writes it; to_plain keeps keys, so a
+    float key that is not finite is a ValueError."""
+    if isinstance(key, str):
+        return _escape(key)
+    if isinstance(key, float):
+        if not math.isfinite(key):
+            raise ValueError(f"Out of range float values are not JSON "
+                             f"compliant: {key!r}")
+        return _escape(_float_text(key))
+    if key is True or key is False or key is None:
+        return '"true"' if key is True else '"false"' if key is False \
+            else '"null"'
+    if isinstance(key, int):
+        return _escape(_int_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not "
+                    f"{type(key).__name__}")
 
 
 CSV_COLUMNS = ["scenario", "bound", "value", "lambda_star", "error_bar",

@@ -66,7 +66,12 @@ class _ScenarioRun:
     tones refine on it, and the section checks read its coarsest grid.
     Each tone it computes goes into diagnostics under its tone check's
     name; read lists the tones and probes read since an entry started
-    (_evaluate)."""
+    (_evaluate).
+
+    A section whose Rayleigh quotient an entry reads must not vanish at
+    every node of the coarsest grid: that is a CatalogError, raised once
+    the grids are laid and before any solve.
+    """
 
     def __init__(self, scenario, policy: GridPolicy, tol_scale: float = 1.0):
         self.scenario = scenario
@@ -79,6 +84,12 @@ class _ScenarioRun:
         self.verdicts = []
         self.read = []
         self._cache = {}
+        for name in _rayleigh_sections(scenario):
+            if not self.section(name).values.any():
+                raise CatalogError(
+                    f"scenario {scenario.id!r}: section {name!r} is zero at "
+                    f"every node of the n = {self.grid.n} base grid, so its "
+                    f"Rayleigh quotient has no norm")
 
     def _memo(self, key, compute):
         if key not in self._cache:
@@ -104,12 +115,16 @@ class _ScenarioRun:
         self.read.append(tone)
         return tone
 
+    def section(self, name: str):
+        """A named section sampled on the coarsest grid."""
+        return self._memo(("section", name), lambda: (
+            scenarios.eval_test_section(self.scenario, name, self.grid)))
+
     def section_rayleigh(self, name: str) -> float:
         """Rayleigh quotient of a named section for its own field kind."""
         def compute():
-            sc, grid = self.scenario, self.grid
-            sec = scenarios.eval_test_section(sc, name, grid)
-            op = assemble(sc.surface, sec.kind, sc.spin, sec.nu, grid,
+            sc, sec = self.scenario, self.section(name)
+            op = assemble(sc.surface, sec.kind, sc.spin, sec.nu, self.grid,
                           self.samples())
             return rayleigh_quotient(op, sec)
         return self._memo(("rq", name), compute)
@@ -118,6 +133,15 @@ class _ScenarioRun:
         """The surface's area, math.inf where it diverges."""
         return self._memo("area",
                           lambda: geometry.area(self.scenario.surface))
+
+
+def _rayleigh_sections(scenario) -> list:
+    """The sections whose Rayleigh quotient an expected entry reads: a
+    section_rayleigh check's, and a bound's with "statistic": "section"."""
+    return [exp["section"] for exp in scenario.expected
+            if exp["check"] == "section_rayleigh"
+            or exp["check"] == "bound_verdict"
+            and exp.get("statistic") == "section"]
 
 
 # operator kind -> the check, and diagnostics key, of its tone

@@ -35,23 +35,32 @@ route to scipy: dgtsv also solves geometry.TabulatedWarp's spline moments.
 The solves and pivot counts run in place on one workspace per thread: six
 float64 scratch vectors that dgtsv (all four overwrite flags) and dpttrf
 overwrite, the matvec and the residual write into, and that grow to the
-largest block solved and are never freed.  A thread keeps about 6 * 8 * n
-bytes for its largest n: about 3 MB after an 8192 x 4 ladder, about 48 MB
-after one whose finest grid has 2^20 nodes.  Scratch views never leave
-this module's kernels; every returned vector and section is a fresh array.
+largest block solved and are never freed.  _scratch(n) hands a kernel the
+views of all six for a block of order n, and keeps those of the last n, so
+the kernels of one block neither look a vector up nor slice it.  A thread
+keeps about 6 * 8 * n bytes for its largest n: about 3 MB after an
+8192 x 4 ladder, about 48 MB after one whose finest grid has 2^20 nodes.
+Scratch views never leave this module's kernels; every returned vector and
+section is a fresh array, or a twin's view of one.
+smallest_eigenpairs returns each pair's vector; EigenResult.section(j)
+lays one out as a Section when called, and EigenResult.sections all of
+them when first read.  A tone builds one Section per solved mode: its
+level-0 ground, the one ToneResult.ground can hold.
 Dot products and norms are numpy's own single-threaded sums (np.einsum),
 never a BLAS kernel, so the bytes of a result do not depend on the BLAS
-thread count.
+thread count; the other reductions are ndarray methods.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import numbers
 import os
 import threading
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -178,13 +187,31 @@ class GridPolicy:
 
 @dataclass
 class EigenResult:
-    """Low eigenpairs of one reduced operator."""
+    """Low eigenpairs of one reduced operator of a kind, mode nu and grid.
+
+    vectors[j] is pair j's eigenvector on its block, block_index[j].
+    section(j) lays it out as a Section of the operator, built when called,
+    and sections holds every pair's, built when first read.  The result
+    keeps none of the operator's arrays.
+    """
 
     eigenvalues: np.ndarray
-    sections: list
+    vectors: list
     residuals: np.ndarray  # normwise backward error of each pair
     block_index: np.ndarray
     block_values: list  # each block's solved values, ascending
+    kind: str
+    nu: float
+    grid: Grid
+
+    def section(self, j: int) -> Section:
+        """Pair j's eigenvector as a Section (block_section)."""
+        return block_section(self.kind, self.nu, self.grid,
+                             int(self.block_index[j]), self.vectors[j])
+
+    @functools.cached_property
+    def sections(self) -> list:
+        return [self.section(j) for j in range(len(self.vectors))]
 
 
 @dataclass
@@ -214,24 +241,50 @@ class ProbeResult:
     flags: list = field(default_factory=list)  # UNCERTIFIED, as a tone's
 
 
-_workspace = threading.local()
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+# The scratch vectors of a block of order n: diag, rhs and tx hold n
+# entries, dl, du and tmp n - 1.
+_Scratch = namedtuple("_Scratch", "diag rhs tx dl du tmp")
 
 
-def _scratch(name: str, n: int) -> np.ndarray:
-    """The first n entries of this thread's float64 scratch vector `name`.
+class _Workspace(threading.local):
+    """One thread's scratch vectors: bufs maps each _Scratch name to its
+    float64 array, and views holds the _Scratch views of the last order n
+    asked for."""
 
-    Each vector grows to the largest n asked of it and is never freed, so
-    the solves of a ladder write into pages that stay mapped instead of
+    def __init__(self):
+        self.bufs = {}
+        self.n = 0
+        self.views = None
+
+
+_workspace = _Workspace()
+
+
+def _scratch(n: int) -> _Scratch:
+    """This thread's scratch vectors for a block of order n, as views.
+
+    Every vector grows to the largest size asked of it and is never freed,
+    so the solves of a ladder write into pages that stay mapped instead of
     fresh arrays that the allocator hands back to the system between
-    modes.  Views of it never leave the kernels below.
+    modes.  The views of the last n are kept, so the kernels of one block
+    take them without a lookup or a slice.  Views never leave the kernels
+    below.
     """
-    bufs = getattr(_workspace, "bufs", None)
-    if bufs is None:
-        bufs = _workspace.bufs = {}
-    buf = bufs.get(name)
-    if buf is None or buf.size < n:
-        buf = bufs[name] = np.empty(n)
-    return buf[:n]
+    ws = _workspace
+    if ws.n != n:
+        ws.n, ws.views = 0, None  # the old views let go of a vector that grows
+        views = []
+        for i, name in enumerate(_Scratch._fields):
+            size = n - (i >= 3)
+            buf = ws.bufs.get(name)
+            if buf is None or buf.size < size:
+                buf = ws.bufs[name] = np.empty(size)
+            views.append(buf[:size])
+        ws.views, ws.n = _Scratch(*views), n
+    return ws.views
 
 
 def _congruence(block):
@@ -243,11 +296,12 @@ def _congruence(block):
 
 def _norm1(d, e) -> float:
     """||T||_1 of the symmetric tridiagonal T = (d, e)."""
-    row = np.abs(d, out=_scratch("diag", d.size))
-    off = np.abs(e, out=_scratch("dl", e.size))
+    ws = _scratch(d.size)
+    row = np.abs(d, out=ws.diag)
+    off = np.abs(e, out=ws.dl)
     row[1:] += off
     row[:-1] += off
-    return float(np.max(row))
+    return float(row.max())
 
 
 def _count_below(d, e, hi: float) -> int:
@@ -261,11 +315,12 @@ def _count_below(d, e, hi: float) -> int:
     call per counted value.
     """
     n = d.size
-    q = np.subtract(d, hi, out=_scratch("diag", n))
-    w = _scratch("dl", n - 1)
+    ws = _scratch(n)
+    q = np.subtract(d, hi, out=ws.diag)
+    w = ws.dl
     w[:] = e
-    e2 = np.multiply(e, e, out=_scratch("tmp", n - 1))
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
+    e2 = np.multiply(e, e, out=ws.tmp)
+    pivmin = _TINY * max(1.0, float(e2.max(initial=0.0)))
     count = start = 0
     while start < n - 1:  # dpttrf takes no matrix of order 1
         *_, info = dpttrf(q[start:], w[start:], overwrite_d=1, overwrite_e=1)
@@ -300,14 +355,13 @@ def _shifted_solve(d, e, shift: float, x):
     dgtsv overwrites its four arguments, scratch copies of e, e, d - shift
     and x, in place.
     """
-    n = d.size
-    dl, du = _scratch("dl", n - 1), _scratch("du", n - 1)
+    ws = _scratch(d.size)
+    dl, du, b = ws.dl, ws.du, ws.rhs
     dl[:] = e
     du[:] = e
-    b = _scratch("rhs", n)
     b[:] = x
-    *_, y, info = dgtsv(dl, np.subtract(d, shift, out=_scratch("diag", n)),
-                        du, b[:, None], 1, 1, 1, 1)
+    *_, y, info = dgtsv(dl, np.subtract(d, shift, out=ws.diag), du,
+                        b[:, None], 1, 1, 1, 1)
     y = y[:, 0]
     norm = _norm2(y) if info == 0 else math.nan
     return y / norm if 0.0 < norm < math.inf else None
@@ -315,9 +369,9 @@ def _shifted_solve(d, e, shift: float, x):
 
 def _matvec(d, e, v):
     """T v for T = (d, e), into scratch."""
-    n = d.size
-    out = np.multiply(d, v, out=_scratch("tx", n))
-    tmp = np.multiply(e, v[1:], out=_scratch("tmp", n - 1))
+    ws = _scratch(d.size)
+    out = np.multiply(d, v, out=ws.tx)
+    tmp = np.multiply(e, v[1:], out=ws.tmp)
     out[:-1] += tmp
     out[1:] += np.multiply(e, v[:-1], out=tmp)
     return out
@@ -341,7 +395,7 @@ def _refine(d, e, count, near):
     A step cap reached or a failed certificate returns None.
     """
     n = d.size
-    slack = BRACKET_SLACK * np.finfo(float).eps * _norm1(d, e)
+    slack = BRACKET_SLACK * _EPS * _norm1(d, e)
     if count > 1:
         phase = (np.arange(n) + 0.5) * (math.pi / n)
     X = np.empty((n, count))
@@ -366,7 +420,7 @@ def _refine(d, e, count, near):
             x = x / _norm2(x)
             tx = _matvec(d, e, x)
             rq = _dot(x, tx)
-        res = np.multiply(x, rq, out=_scratch("tmp", n))
+        res = np.multiply(x, rq, out=_scratch(n).rhs)
         r = _norm2(np.subtract(tx, res, out=res)) + slack
         if not rq - r > top:
             return None
@@ -410,7 +464,7 @@ def _backward_error(block, lam: float, v: np.ndarray) -> float:
     w = block.mass
     norm_s = _norm1(block.diag, block.off)
     r = _matvec(block.diag, block.off, v) - lam * w * v
-    return _norm2(r) / ((norm_s + abs(lam) * float(np.max(w))) * _norm2(v))
+    return _norm2(r) / ((norm_s + abs(lam) * float(w.max())) * _norm2(v))
 
 
 def _own_blocks(op: ReducedOperator) -> list:
@@ -463,19 +517,18 @@ def smallest_eigenpairs(op: ReducedOperator, count: int,
 
     eigenvalues = np.array([rec[0] for rec in merged])
     block_index = np.array([rec[1] for rec in merged])
-    sections = []
     residuals = []
     for lam, bi, vec in merged:
         block = op.blocks[bi]
         residuals.append(_backward_error(block, lam, vec))
-        bound = block.n * np.finfo(float).eps
+        bound = block.n * _EPS
         if residuals[-1] > bound:
             raise ConvergenceError(
                 f"eigenpair backward error {residuals[-1]:.2e} above "
                 f"n * eps = {bound:.2e}")
-        sections.append(block_section(op.kind, op.nu, op.grid, bi, vec))
-    return EigenResult(eigenvalues, sections, np.array(residuals),
-                       block_index, block_values)
+    return EigenResult(eigenvalues, [rec[2] for rec in merged],
+                       np.array(residuals), block_index, block_values,
+                       op.kind, op.nu, op.grid)
 
 
 def richardson(seq) -> tuple:
@@ -507,7 +560,7 @@ def _add_mode(tone: ToneResult, surface, spin, nu, ladder) -> None:
     kernel, where tone.kernel_skipped and nu == 0), extrapolated over the
     ladder, goes into tone.per_mode and tone.table, and where it is below
     tone.lambda_star, it and its level-0 section and operator become the
-    tone's.
+    tone's.  That section is the one Section the mode builds.
 
     ladder is (levels, seed) as sample_ladder returns it.  Each level after
     the first refines its solve from the values of the level before;
@@ -530,7 +583,7 @@ def _add_mode(tone: ToneResult, surface, spin, nu, ladder) -> None:
         near = res.block_values
         value = float(res.eigenvalues[pick])
         if level == 0:
-            ground, ground_op = res.sections[pick], op
+            ground, ground_op = res.section(pick), op
         seq.append(value)
         tone.table.append({"nu": nu, "level": level, "n": grid.n,
                            "h": grid.h, "delta": grid.delta, "value": value})

@@ -49,6 +49,9 @@ class CosineWarp:
     def deriv(self, t):
         return -np.sin(t)
 
+    def value_and_deriv(self, t):
+        return self.value(t), self.deriv(t)
+
     def second(self, t):
         return -np.cos(t)
 
@@ -75,6 +78,9 @@ class ConstantWarp:
     def deriv(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
+    def value_and_deriv(self, t):
+        return self.value(t), self.deriv(t)
+
     def second(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
@@ -100,6 +106,12 @@ class ExpCuspWarp:
 
     def deriv(self, t):
         return -self.c * np.exp(-np.asarray(t, dtype=float))
+
+    def value_and_deriv(self, t):
+        """value(t) and deriv(t), the same bits from one exp: -c * e^-t
+        rounds as -(c * e^-t)."""
+        f = self.value(t)
+        return f, -f
 
     def second(self, t):
         return self.c * np.exp(-np.asarray(t, dtype=float))
@@ -168,21 +180,30 @@ class TabulatedWarp:
                     0, self.ts.size - 2)
         return i, t - self.ts[i]
 
-    def _derivative(self, t, order: int):
+    def _derivatives(self, t, orders):
+        """The derivatives of the given orders at t, by Horner's rule on one
+        segment lookup; each coefficient is gathered once, for every order
+        that reads it."""
         i, x = self._segment(t)
-        out = np.zeros_like(x)
-        for k in range(3, order - 1, -1):
-            out = out * x + math.perm(k, order) * self._coef[k][i]
-        return out
+        outs = [np.zeros_like(x) for _ in orders]
+        for k in range(3, min(orders) - 1, -1):
+            c = self._coef[k][i]
+            for j, order in enumerate(orders):
+                if k >= order:
+                    outs[j] = outs[j] * x + math.perm(k, order) * c
+        return outs
 
     def value(self, t):
-        return self._derivative(t, 0)
+        return self._derivatives(t, (0,))[0]
 
     def deriv(self, t):
-        return self._derivative(t, 1)
+        return self._derivatives(t, (1,))[0]
 
     def second(self, t):
-        return self._derivative(t, 2)
+        return self._derivatives(t, (2,))[0]
+
+    def value_and_deriv(self, t):
+        return tuple(self._derivatives(t, (0, 1)))
 
     def minimum_candidates(self, a: float, b: float) -> np.ndarray:
         """The knots inside (a, b), and the points there where f' = 0: the
@@ -285,6 +306,11 @@ class WarpedSurface:
 
     def fprime(self, t):
         return self.warp.deriv(t)
+
+    def f_and_fprime(self, t):
+        """(f(t), f'(t)) from one evaluation of the warp where it shares
+        work: one segment lookup of a tabulated warp, one exp of a cusp."""
+        return self.warp.value_and_deriv(t)
 
     def fsecond(self, t):
         return self.warp.second(t)

@@ -65,6 +65,7 @@ DIRICHLET = "dirichlet"
 FREE = "free"
 
 _GAMMA_EPS = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 DELTA_RATIO = 0.5
 CUSP_TAIL_REL = 1e-6
@@ -226,15 +227,15 @@ class Block:
     def energy(self, v: np.ndarray) -> float:
         """sum_e w_e (A u)_e^2 + sum_i pot_i u_i^2 of a real vector."""
         au = self.factor(v)
-        total = np.sum(self.w_e * (au * au))
+        total = (self.w_e * (au * au)).sum()
         if self.pot is not None:
             u = np.asarray(v)
-            total = total + np.sum(self.pot * (u * u))
+            total = total + (self.pot * (u * u)).sum()
         return float(total)
 
     def mass_form(self, v: np.ndarray) -> float:
         u = np.asarray(v)
-        return float(np.sum(self.mass * (u * u)))
+        return float((self.mass * (u * u)).sum())
 
 
 @dataclass(frozen=True)
@@ -312,7 +313,9 @@ def block_boundary_conditions(kind: str, coef: float, grid: Grid) -> tuple:
 
 
 def _check_positive(f_vals, what: str):
-    if np.any(~np.isfinite(f_vals)) or np.any(f_vals <= 0):
+    """AssemblyError unless every value is finite and above 0; a NaN fails
+    both comparisons."""
+    if not (f_vals.min() > 0 and f_vals.max() < math.inf):
         raise AssemblyError(f"warp must be strictly positive on the {what}")
 
 
@@ -343,9 +346,10 @@ def sample_grid(surface, grid: Grid) -> Samples:
     mids = grid.a + grid.h * (np.arange(grid.n + 1) + 0.5)
     f_nodes = np.asarray(surface.f(grid.nodes), dtype=float)
     _check_positive(f_nodes, "grid nodes")
-    fm = np.asarray(surface.f(mids), dtype=float)
+    fm, fprime = (np.asarray(x, dtype=float)
+                  for x in surface.f_and_fprime(mids))
     _check_positive(fm, "element midpoints")
-    half_log = np.asarray(surface.fprime(mids), dtype=float) / (2.0 * fm)
+    half_log = fprime / (2.0 * fm)
     out = Samples(surface.period * f_nodes * grid.h,
                   surface.period * fm * grid.h, f_nodes, fm, half_log)
     for x in out:
@@ -366,10 +370,14 @@ def _assemble_block(surface, grid: Grid, kind: str, coef: float,
     else:
         a_e, pot = half_log + coef / fm, None
         left, right = -1.0 / h + 0.5 * a_e, 1.0 / h + 0.5 * a_e
-    diag = (w_e * right * right)[:-1] + (w_e * left * left)[1:]
-    return Block(diag=diag if pot is None else diag + pot,
-                 off=(w_e * left * right)[1:-1], mass=w, h=h, w_e=w_e,
-                 a_e=a_e, pot=pot)
+    # w_e * left is formed once for both diagonals, and squared in place
+    # once the off-diagonal has read it
+    w_left = w_e * left
+    off = (w_left * right)[1:-1]
+    w_left *= left
+    diag = (w_e * right * right)[:-1] + w_left[1:]
+    return Block(diag=diag if pot is None else diag + pot, off=off, mass=w,
+                 h=h, w_e=w_e, a_e=a_e, pot=pot)
 
 
 def assemble_laplacian(surface, nu: float, grid: Grid,
@@ -427,7 +435,7 @@ def _mirrored_window(surface, grid: Grid) -> bool:
     return (grid.side_kinds[0] == grid.side_kinds[1]
             and grid.side_slopes[0] == grid.side_slopes[1]
             and geometry.mirror_symmetric(surface)
-            and abs(offset) <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi)))
+            and abs(offset) <= 4 * _EPS * max(abs(lo), abs(hi)))
 
 
 def _mirror_block(block: Block) -> Block:

@@ -486,3 +486,49 @@ def test_json_has_no_nan_tokens(tmp_path, capsys):
     assert report["diagnostics"]["killing"]["norm_variation"] is None
     assert [row["L"] for row in sweep["rows"]] == [2.0, 5.0]
     assert merged["reports"] == [report]
+
+
+def _stdlib_dumps(doc) -> str:
+    """The reference text bounds.dumps must write."""
+    return json.dumps(bounds.to_plain(doc), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("base_n", [128, 512])
+def test_dumps_writes_the_stdlib_text_of_every_built_in_report(base_n):
+    from diraclab.cli import run_scenario
+    from diraclab.scenarios import builtin_catalog
+    for sc in builtin_catalog():
+        report = run_scenario(sc, GridPolicy(base_n=base_n, levels=3))
+        assert report.to_json() == _stdlib_dumps(report._fields()), sc.id
+
+
+def test_dumps_writes_the_stdlib_text_of_every_value_kind():
+    # the null rule of to_plain, numpy scalars, tuples, empty containers,
+    # a dataclass, signed zero, exponent floats and escaped strings, at
+    # several depths; and the errors the stdlib raises where it raises
+    from dataclasses import dataclass as plain_dataclass
+
+    @plain_dataclass
+    class Record:
+        x: float = math.nan
+        pair: tuple = (1, np.float32(2.5))
+
+    doc = {"nan": math.nan, "inf": [math.inf, -math.inf],
+           "f64": np.float64(0.1), "f64_nan": np.float64(math.nan),
+           "f32": np.float32(0.1), "i64": np.int64(-3),
+           "bools": [np.bool_(True), np.bool_(False), True, False],
+           "tuple": (1, (2.0, []), {}), "empty": {}, "none": [],
+           "record": Record(), "zero": -0.0, "small": 1e-06,
+           "big": 10 ** 30, "null": None,
+           "text": "héllo ✓ \"q\" \\ \n\t\x01 \U0001f600",
+           "café \"key\"": [[[]], [{}], {"k": [Record()]}]}
+    for value in (doc, [doc, 1, "s"], {1: "a", 2.5: "b", False: "c"},
+                  1.5, math.nan, "s", [], {}, Record(), np.float64(2.0)):
+        assert bounds.dumps(value) == _stdlib_dumps(value)
+    for bad in ({"k": object()}, {(1,): 2}, {math.nan: 1}, {"a": 1, 2: 3},
+                [{1, 2}]):
+        with pytest.raises((TypeError, ValueError)) as want:
+            _stdlib_dumps(bad)
+        with pytest.raises(want.type, match=str(want.value)):
+            bounds.dumps(bad)

@@ -845,6 +845,33 @@ def test_malformed_scenario_is_usage_error_before_any_solve(
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("entry", [
+    {"check": "section_rayleigh", "section": "dirichlet_sine", "value": 1.0,
+     "tol": 1e-3},
+    {"check": "bound_verdict", "bound": "area", "verdict": "holds",
+     "statistic": "section", "section": "dirichlet_sine"},
+], ids=["section-rayleigh", "bound-statistic"])
+def test_a_section_zero_at_every_node_is_usage_error_before_any_solve(
+        tmp_path, capsys, monkeypatch, entry):
+    # the support (2.999, 3.999) meets the cylinder's (0, 3), but no node of
+    # the 64-node grid (h = 3/65) lies in it: a Rayleigh quotient without a
+    # norm, which exited 1 mid-run
+    from diraclab.scenarios import flat_cylinder_scenario
+    from diraclab.spin import SpinStructure
+    _nothing_solved(monkeypatch)
+    doc = flat_cylinder_scenario(3.0, SpinStructure.NON_BOUNDING).to_json()
+    doc["expected"] = [{"check": "dirac_tone", "value": 1.0, "tol": 1e-3},
+                       entry]
+    doc["sections"][0]["params"] = {"t0": 2.999, "length": 1.0}
+    path = tmp_path / "zero-section.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--scenario", str(path), "--grid-n", "64",
+                        "--levels", "2"], capsys)
+    assert code == 64, err
+    assert err.startswith("usage error:")
+    assert "'dirichlet_sine'" in err and "n = 64" in err
+
+
 # entries of a scenario without spin: the Dirac operator runs (True) or
 # not (False); scalar_sine is a laplacian_scalar section, dirichlet_sine
 # a dirac_square one
@@ -1432,28 +1459,27 @@ def test_verify_bytes_do_not_depend_on_the_blas_thread_count():
 
 
 def test_json_is_written_by_one_function():
-    # every JSON document goes through bounds.dumps, which applies the null
-    # rule of bounds.to_plain; no module converts numbers on its own
+    # no module but bounds writes JSON: every document goes through
+    # bounds.dumps, which applies the null rule of bounds.to_plain, and no
+    # module converts numbers on its own; json is read elsewhere only to
+    # parse (load, loads, JSONDecodeError)
     import ast
     src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
-    writers, converters = [], []
+    readers = {"load", "loads", "JSONDecodeError"}
+    writers, converters = set(), []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        owner = {}  # node -> its innermost enclosing function
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef):
-                for node in ast.walk(func):
-                    owner[node] = f"{path.stem}.{func.name}"
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name == "json_num":
-                converters.append(owner[node])
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and isinstance(node.func.value, ast.Name) \
-                    and node.func.value.id == "json" \
-                    and node.func.attr in ("dump", "dumps"):
-                writers.append(owner.get(node, f"{path.stem} module"))
-    assert writers == ["bounds.dumps"]
+                converters.append(path.stem)
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "json" and node.attr not in readers:
+                writers.add(path.stem)
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "json":
+                writers.add(path.stem)
+    assert writers == {"bounds"}
     assert converters == []
 
 

@@ -464,8 +464,9 @@ def test_dgtsv_solves_in_place(monkeypatch):
 
 
 def _count_warp_calls(monkeypatch, warp):
-    """The sizes of the arrays that warp's value and deriv are called on."""
-    sizes = {"value": [], "deriv": []}
+    """The sizes of the arrays that warp's value, deriv and value_and_deriv
+    are called on."""
+    sizes = {"value": [], "deriv": [], "value_and_deriv": []}
     for name, seen in sizes.items():
         def counted(self, t, _real=getattr(type(warp), name), _seen=seen):
             _seen.append(np.size(t))
@@ -514,7 +515,7 @@ def test_tone_samples_each_grid_once(monkeypatch):
             sizes = _count_warp_calls(patch, sc.surface.warp)
             tone = fundamental_tone(sc.surface, kind, spin, ladder)
         assert sum("value" in rec for rec in tone.per_mode.values()) > 1
-        assert sizes == {"value": [], "deriv": []}
+        assert sizes == {"value": [], "deriv": [], "value_and_deriv": []}
 
 
 def test_a_probe_run_samples_only_its_windows(monkeypatch):
@@ -531,7 +532,9 @@ def test_a_probe_run_samples_only_its_windows(monkeypatch):
 
 def test_probe_samples_each_window_once(monkeypatch):
     # every counted mode of a window assembles on one sampling of it, in
-    # place of one per mode and window, and its floors read those samples
+    # place of one per mode and window, and its floors read those samples:
+    # f at the n nodes, and f with f' at the n + 1 midpoints from one
+    # evaluation
     sc = find_scenario("growing-curvature")
     exp = next(e for e in sc.expected if e["check"] == "probe")
     windows = [tuple(w) for w in exp["windows"]]
@@ -542,8 +545,8 @@ def test_probe_samples_each_window_once(monkeypatch):
                              exp["threshold"])
     assert probe.counts == ref.counts and max(probe.counts) > 1
     ns = [n for _, _, n in check_probe_windows(sc.surface, windows)]
-    assert sizes["value"] == [m for n in ns for m in (n, n + 1)]
-    assert sizes["deriv"] == [n + 1 for n in ns]
+    assert sizes == {"value": ns, "deriv": [],
+                     "value_and_deriv": [n + 1 for n in ns]}
 
 
 def test_probe_window_above_the_node_cap_lays_no_grid(monkeypatch):
@@ -1203,3 +1206,42 @@ def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path,
     module = eigensolve._lapack()
     assert module is sys.modules["scipy.linalg._flapack"]
     assert module.dstebz is lapack.dstebz and module.dgtsv is lapack.dgtsv
+
+
+def test_a_tone_builds_one_section_per_solved_mode(monkeypatch):
+    # only the level-0 ground of each solved mode becomes a Section (the
+    # second pair of nu = 0 under the kernel skip); the finer levels, whose
+    # sections nothing reads, build none
+    sc = find_scenario("round-sphere")
+    grids = GridPolicy(base_n=128, levels=3).grids(sc.surface)
+    ladder = sample_ladder(sc.surface, grids)
+    built, real = [], eigensolve.block_section
+
+    def counted(kind, nu, grid, index, values):
+        built.append((kind, nu, grid))
+        return real(kind, nu, grid, index, values)
+    monkeypatch.setattr(eigensolve, "block_section", counted)
+    modes = 0
+    for kind, spin in ((KIND_DIRAC, sc.spin), (KIND_LAPLACIAN, None)):
+        built.clear()
+        tone = fundamental_tone(sc.surface, kind, spin, ladder)
+        solved = [nu for nu, rec in tone.per_mode.items() if "value" in rec]
+        modes += len(solved)
+        assert built == [(kind, nu, grids[0]) for nu in solved]
+        assert tone.ground.nu == tone.nu_star
+        assert tone.ground.grid == grids[0]
+    assert modes > 2
+
+
+def test_a_direct_caller_gets_every_section():
+    # each pair's vector laid out in its block, the other spinor component
+    # zero; read twice, the same list
+    op = _sphere_dirac_op(256, 1.5)
+    res = smallest_eigenpairs(op, 3)
+    assert len(res.sections) == 3 and res.sections is res.sections
+    for j, sec in enumerate(res.sections):
+        bi = res.block_index[j]
+        assert (sec.kind, sec.nu, sec.grid) == (op.kind, op.nu, op.grid)
+        assert np.array_equal(sec.values[bi], res.vectors[j])
+        assert not sec.values[1 - bi].any()
+        assert np.array_equal(res.section(j).values, sec.values)
