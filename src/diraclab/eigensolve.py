@@ -4,14 +4,15 @@ Every tridiagonal block is solved after the diagonal-mass congruence
 M^(-1/2) S M^(-1/2), which keeps the bandwidth, and every vector comes from
 one certified path.  Each pair is seeded with a value: the same block's at
 the coarser level; at the coarsest level, the one LAPACK dstebz bisects
-from the Gershgorin interval, on a grid of SEED_N nodes when the ladder
-starts above that; and wherever a seed fails, the block's own bisected
-value.  One inverse-iteration step and a few Rayleigh-quotient steps per
-pair, each an O(n) dgtsv solve, give vectors whose residuals bound an
-interval around each value (Parlett, 1998, ch. 4).  The index is certified
-in O(n): the intervals are disjoint, and the nonpositive pivots of one
-restarted dpttrf factorization count exactly the wanted number of values
-up to the top interval (Sylvester's law of inertia).
+from the Gershgorin interval on the ladder's seed grid, with 1/16 of the
+coarsest level's nodes, at least 16 and at most SEED_N (sample_ladder);
+and wherever a seed fails, or a direct caller gives none, the block's own
+bisected value.  One inverse-iteration step and a few Rayleigh-quotient
+steps per pair, each an O(n) dgtsv solve, give vectors whose residuals
+bound an interval around each value (Parlett, 1998, ch. 4).  The index is
+certified in O(n): the intervals are disjoint, and the nonpositive pivots
+of one restarted dpttrf factorization count exactly the wanted number of
+values up to the top interval (Sylvester's law of inertia).
 The reported eigenvalue is the factored quotient energy(v) / (M v, v) of
 the vector v, which keeps relative accuracy where a value of T carries an
 absolute error of about eps * ||S|| / ||M|| (Demmel & Kahan, 1990).  Each
@@ -94,9 +95,8 @@ UNCERTIFIED = "sweep-exhausted-without-pruning-certificate"
 # probe window.
 MAX_GRID_NODES = 2 ** 20
 
-# The node count of every grid that is not a tone level: the one grid whose
-# bisected values seed level 0 of a ladder that starts above SEED_N nodes,
-# and a probe's first window.
+# The node cap of a ladder's seed grid, whose bisected values seed its level
+# 0 (sample_ladder), and the node count of a probe's first window.
 SEED_N = 512
 
 # A refined eigenvalue's interval is padded by BRACKET_SLACK * eps * ||T||_1,
@@ -444,8 +444,9 @@ def _solve_block(block, count, near=None):
     """Eigenvectors of the `count` lowest pairs of a block, M-scaled back.
 
     _refine starts from the values in `near` when it has one for every
-    pair; without them, or when that fails, from the block's bisected
-    values.  A block that does not certify raises ConvergenceError.
+    pair; without them (a direct caller's solve), or when that fails, from
+    the block's bisected values.  A block that does not certify raises
+    ConvergenceError.
     """
     scale, d, e = _congruence(block)
     X = None
@@ -562,21 +563,18 @@ def _add_mode(tone: ToneResult, surface, spin, nu, ladder) -> None:
     tone.lambda_star, it and its level-0 section and operator become the
     tone's.  That section is the one Section the mode builds.
 
-    ladder is (levels, seed) as sample_ladder returns it.  Each level after
-    the first refines its solve from the values of the level before;
-    level 0 refines from the values each block bisects on the seed grid,
-    when there is one (a twin's -|nu| block alone), and bisects its own
-    blocks otherwise.
+    ladder is (levels, seed) as sample_ladder returns it.  Level 0 refines
+    its solve from the values each block bisects on the seed grid (a twin's
+    -|nu| block alone), and each level after it from the values of the
+    level before.
     """
     levels, seed = ladder
     kind, pick = tone.kind, int(tone.kernel_skipped and nu == 0)
     seq = []
-    near = None
-    if seed is not None:
-        seed_op = assemble(surface, kind, spin, nu, *seed)
-        near = [None] * len(seed_op.blocks)
-        for bi in _own_blocks(seed_op):
-            near[bi] = _bisect(*_congruence(seed_op.blocks[bi])[1:], pick + 1)
+    seed_op = assemble(surface, kind, spin, nu, *seed)
+    near = [None] * len(seed_op.blocks)
+    for bi in _own_blocks(seed_op):
+        near[bi] = _bisect(*_congruence(seed_op.blocks[bi])[1:], pick + 1)
     for level, (grid, samples) in enumerate(levels):
         op = assemble(surface, kind, spin, nu, grid, samples)
         res = smallest_eigenpairs(op, pick + 1, near)
@@ -597,13 +595,12 @@ def _add_mode(tone: ToneResult, surface, spin, nu, ladder) -> None:
 def sample_ladder(surface, grids) -> tuple:
     """(levels, seed): a (grid, sample_grid samples) pair for each grid of
     the ladder grids, coarsest first (GridPolicy.grids), and such a pair on
-    SEED_N nodes laid for the end kinds of grids[0] when the ladder starts
-    above SEED_N nodes, else None."""
+    the seed grid: min(SEED_N, max(16, n0 // 16)) nodes, n0 the node count
+    of grids[0], laid for the end kinds of grids[0]."""
     levels = [(grid, sample_grid(surface, grid)) for grid in grids]
-    if grids[0].n <= SEED_N:
-        return levels, None
-    seed_grid = lay_grid(surface, SEED_N, grids[0].side_kinds,
-                         grids[0].side_slopes)
+    first = grids[0]
+    seed_grid = lay_grid(surface, min(SEED_N, max(16, first.n // 16)),
+                         first.side_kinds, first.side_slopes)
     return levels, (seed_grid, sample_grid(surface, seed_grid))
 
 
@@ -644,9 +641,9 @@ def fundamental_tone(surface, kind: str, spin, ladder) -> ToneResult:
 
     ladder is the sampled ladder (levels, seed) of sample_ladder, and
     nothing is laid or sampled here: every mode assembles on those samples,
-    level 0 of a ladder with a seed grid seeds from it, and the floors read
-    the level-0 node values.  The result's ground is the attaining mode's
-    level-0 section, and ground_op the operator it solves.
+    level 0 seeds from the seed grid, and the floors read the level-0 node
+    values.  The result's ground is the attaining mode's level-0 section,
+    and ground_op the operator it solves.
     """
     grid, samples = ladder[0][0]  # the coarsest level
     flags = (["cusp-truncated-upper-estimate"]

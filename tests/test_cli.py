@@ -1594,7 +1594,8 @@ def test_verify_reads_its_default_ladder_from_grid_policy(monkeypatch):
 
 def test_scenario_run_lays_one_grid_ladder(monkeypatch):
     # the tones, sections, profile and bound checks share one ladder, whose
-    # ends are classified once, on its coarsest grid
+    # ends are classified once, on its coarsest grid; its seed grid, 512 //
+    # 16 nodes, is laid once beside the levels
     from diraclab import cli, geometry, operators
     from diraclab.eigensolve import GridPolicy
     from diraclab.scenarios import find_scenario
@@ -1607,8 +1608,8 @@ def test_scenario_run_lays_one_grid_ladder(monkeypatch):
     _patch_bindings(monkeypatch, real, counted)
     _count_calls(monkeypatch, ends, "end_kind", geometry, "end_kind")
     cli.run_scenario(find_scenario("round-sphere"))
-    assert sizes == [512, 1024, 2048]
-    assert len(sizes) == GridPolicy().levels
+    assert sizes == [512, 1024, 2048, 32]
+    assert len(sizes) == GridPolicy().levels + 1
     assert ends["end_kind"] == 2
 
 

@@ -493,8 +493,8 @@ def _count_sample_grid(monkeypatch):
 
 def test_tone_samples_each_grid_once(monkeypatch):
     # both tones and the section checks of a run share one sampling of each
-    # ladder grid and of the seed grid, and a tone handed a sampled ladder
-    # evaluates no warp: the floors read the level-0 samples
+    # ladder grid and of the seed grid (1024 // 16 nodes), and a tone handed
+    # a sampled ladder evaluates no warp: the floors read the level-0 samples
     policy = GridPolicy(base_n=1024, levels=3)
     for name, reads in (
             ("round-sphere", {"laplace_tone", "dirac_tone"}),
@@ -502,7 +502,7 @@ def test_tone_samples_each_grid_once(monkeypatch):
                           "section_rayleigh:f_k", "orthogonality:f_k"})):
         sc = find_scenario(name)
         grids = policy.grids(sc.surface)
-        seed = lay_grid(sc.surface, eigensolve.SEED_N, grids[0].side_kinds,
+        seed = lay_grid(sc.surface, 64, grids[0].side_kinds,
                         grids[0].side_slopes)
         with monkeypatch.context() as patch:
             sampled = _count_sample_grid(patch)
@@ -687,12 +687,11 @@ def test_grid_policy_rejects_an_invalid_ladder_at_construction():
 
 
 def test_fine_ladders_seed_level_0_from_one_bisection_at_seed_n(monkeypatch):
-    # on a 2048 x 2 ladder every block bisects only on the SEED_N grid, and
-    # every refinement certifies; each tone agrees to 1e-15 with the one
-    # whose level 0 bisects its own blocks (SEED_N above 2048)
+    # every ladder bisects only on its seed grid, n0 // 16 nodes of a first
+    # grid of n0 (at least 16, at most SEED_N, as on a fine ladder), and
+    # every refinement from those seeds certifies
     bisected, certified = [], []
     real_bisect, real_refine = eigensolve._bisect, eigensolve._refine
-    real_tone = cli.fundamental_tone
 
     def bisect(d, e, count):
         bisected.append(d.size)
@@ -702,31 +701,99 @@ def test_fine_ladders_seed_level_0_from_one_bisection_at_seed_n(monkeypatch):
         out = real_refine(*args)
         certified.append(out is not None)
         return out
-
-    def catalog_tones():
-        found = []
-
-        def tone(*args):
-            found.append(real_tone(*args))
-            return found[-1]
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "fundamental_tone", tone)
-            for sc in builtin_catalog():
-                run_scenario(sc, GridPolicy(base_n=2048, levels=2))
-        return [(t.lambda_star, t.nu_star) for t in found]
     monkeypatch.setattr(eigensolve, "_bisect", bisect)
     monkeypatch.setattr(eigensolve, "_refine", refine)
-    seeded = catalog_tones()
-    assert set(bisected) == {eigensolve.SEED_N} == {512}
-    assert certified and all(certified)
-    monkeypatch.setattr(eigensolve, "SEED_N", 4096)
-    bisected.clear()
-    unseeded = catalog_tones()
-    assert set(bisected) == {2048}
-    assert len(seeded) == len(unseeded) == 20
-    for (lam, nu), (ref, ref_nu) in zip(seeded, unseeded):
-        assert nu == ref_nu
-        assert abs(lam - ref) <= 1e-15 * abs(ref)
+    for base_n, levels, seed_n in ((64, 2, 16), (128, 3, 16), (512, 3, 32),
+                                   (8192, 2, eigensolve.SEED_N)):
+        bisected.clear()
+        certified.clear()
+        for sc in builtin_catalog():
+            run_scenario(sc, GridPolicy(base_n=base_n, levels=levels))
+        assert set(bisected) == {seed_n}, base_n
+        assert certified and all(certified), base_n
+
+
+def test_seed_grid_is_16_times_coarser_than_the_first_grid(monkeypatch):
+    # min(SEED_N, max(16, n0 // 16)) nodes, laid for the first grid's ends
+    # (no grid is sampled here)
+    monkeypatch.setattr(eigensolve, "sample_grid", lambda surface, grid: 0)
+    s = find_scenario("flat-cylinder-l2-bounding").surface
+    for n0, seed_n in ((16, 16), (128, 16), (512, 32), (8192, 512),
+                       (2 ** 20, 512)):
+        first = make_grid(s, n0)
+        seed = lay_grid(s, seed_n, first.side_kinds, first.side_slopes)
+        assert sample_ladder(s, [first]) == ([(first, 0)], (seed, 0))
+
+
+def _catalog_tones(monkeypatch, policy, names=None):
+    """(tone, surface, kind, spin, ladder) of every tone, and the check
+    outcomes, of the built-ins run at policy."""
+    tones, outcomes = [], []
+    real_tone = cli.fundamental_tone
+
+    def tone(surface, kind, spin, ladder):
+        tones.append((real_tone(surface, kind, spin, ladder), surface, kind,
+                      spin, ladder))
+        return tones[-1][0]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "fundamental_tone", tone)
+        for sc in builtin_catalog():
+            if names is None or sc.id in names:
+                report = run_scenario(sc, policy)
+                outcomes.append([(c["name"], c["passed"])
+                                 for c in report.checks])
+    return tones, outcomes
+
+
+@pytest.mark.parametrize("base_n", [128, 512])
+def test_seeded_level_0_agrees_with_a_block_s_own_bisection(monkeypatch,
+                                                            base_n):
+    # each tone's level-0 value, refined from the seed grid's values, is
+    # within 1e-14 of the unseeded solve, which bisects the block itself
+    tones, _ = _catalog_tones(monkeypatch, GridPolicy(base_n=base_n))
+    assert len(tones) == 20
+    for tone, surface, kind, spin, ladder in tones:
+        grid, samples = ladder[0][0]
+        for row in tone.table:
+            if row["level"] == 0:
+                pick = int(tone.kernel_skipped and row["nu"] == 0)
+                op = assemble(surface, kind, spin, row["nu"], grid, samples)
+                ref = smallest_eigenpairs(op, pick + 1).eigenvalues[pick]
+                assert abs(row["value"] - ref) <= 1e-14 * abs(ref)
+
+
+def test_a_wrong_seed_cannot_select_the_wrong_pair(monkeypatch):
+    # lambda_2 planted in place of lambda_1 among the seed grid's bisected
+    # values: the refinement from it does not certify, the block falls
+    # back to its own bisection, and every tone and check outcome is the
+    # unplanted run's
+    names = {"round-sphere", "flat-cylinder-l2-bounding", "cover-m5"}
+    policy = GridPolicy(base_n=512, levels=3)
+    seed_n = 32
+    fallbacks = []
+    real_bisect = eigensolve._bisect
+
+    def planted(d, e, count):
+        if d.size != seed_n:
+            fallbacks.append(d.size)
+            return real_bisect(d, e, count)
+        w = real_bisect(d, e, max(count, 2))
+        return np.concatenate([w[1:2], w[1:count]])
+    tones, outcomes = _catalog_tones(monkeypatch, policy, names)
+    monkeypatch.setattr(eigensolve, "_bisect", planted)
+    planted_tones, planted_outcomes = _catalog_tones(monkeypatch, policy,
+                                                     names)
+    assert fallbacks and set(fallbacks) == {512}
+    assert planted_outcomes == outcomes
+    assert len(planted_tones) == len(tones) == 5
+    for (tone, *_), (ref, *_) in zip(planted_tones, tones):
+        assert (tone.nu_star, tone.flags) == (ref.nu_star, ref.flags)
+        assert [sorted(rec) for rec in tone.per_mode.values()] == \
+            [sorted(rec) for rec in ref.per_mode.values()]
+        assert len(tone.table) == len(ref.table)
+        for row, ref_row in zip(tone.table, ref.table):
+            assert abs(row["value"] - ref_row["value"]) <= \
+                1e-14 * abs(ref_row["value"])
 
 
 def test_probe_counts_match_dense_eigvalsh(monkeypatch):
@@ -1050,8 +1117,8 @@ def test_sweep_exhaustion_sets_warning_flag():
 
 
 def test_tone_lays_each_level_grid_once(monkeypatch):
-    # one grid per refinement level, shared by every solved mode and by
-    # the pruning terms
+    # one grid per refinement level and one seed grid (64 // 16 nodes, at
+    # least 16), shared by every solved mode and by the pruning terms
     sizes = []
     real = operators.lay_grid
 
@@ -1064,12 +1131,20 @@ def test_tone_lays_each_level_grid_once(monkeypatch):
     tone = fundamental_tone(surface, KIND_LAPLACIAN, None, sample_ladder(
         surface, GridPolicy(base_n=64, levels=3).grids(surface)))
     assert sum("value" in rec for rec in tone.per_mode.values()) > 1
-    assert sizes == [64, 128, 256]
+    assert sizes == [64, 128, 256, 16]
 
 
 def _fresh_level0_section(surface, kind, spin, nu, base_n, take_second):
-    op = assemble(surface, kind, spin, nu, make_grid(surface, base_n))
-    return smallest_eigenpairs(op, 2 if take_second else 1).sections[-1]
+    # a level-0 solve seeded, as a tone's, from the values each block
+    # bisects on a seed grid of base_n // 16 nodes, at least 16
+    count = 2 if take_second else 1
+    grid = make_grid(surface, base_n)
+    seed = lay_grid(surface, max(16, base_n // 16), grid.side_kinds,
+                    grid.side_slopes)
+    near = [eigensolve._bisect(*eigensolve._congruence(block)[1:], count)
+            for block in assemble(surface, kind, spin, nu, seed).blocks]
+    op = assemble(surface, kind, spin, nu, grid)
+    return smallest_eigenpairs(op, count, near).sections[-1]
 
 
 def test_tone_ground_is_the_level0_section_of_the_attaining_mode(
