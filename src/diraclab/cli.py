@@ -21,7 +21,8 @@ from .eigensolve import (MAX_GRID_NODES, UNCERTIFIED, GridPolicy,
                          check_probe_windows, fundamental_tone, sample_ladder,
                          truncation_probe)
 from .errors import AssemblyError, CatalogError, DiraclabError, SchemaError
-from .operators import KIND_DIRAC, KIND_LAPLACIAN, assemble, rayleigh_quotient
+from .operators import (KIND_DIRAC, KIND_LAPLACIAN, assemble, mass_norm2,
+                        rayleigh_quotient)
 from .spin import SpinStructure
 
 EXIT_OK = 0
@@ -68,9 +69,10 @@ class _ScenarioRun:
     name; read lists the tones and probes read since an entry started
     (_evaluate).
 
-    A section whose Rayleigh quotient an entry reads must not vanish at
-    every node of the coarsest grid: that is a CatalogError, raised once
-    the grids are laid and before any solve.
+    A section whose Rayleigh quotient an entry reads must have a mass norm
+    on the coarsest grid, the norm the quotient divides by: one that comes
+    out 0 (the section vanishes at every node, or its squares underflow) is
+    a CatalogError, raised once the grids are laid and before any solve.
     """
 
     def __init__(self, scenario, policy: GridPolicy, tol_scale: float = 1.0):
@@ -85,11 +87,12 @@ class _ScenarioRun:
         self.read = []
         self._cache = {}
         for name in _rayleigh_sections(scenario):
-            if not self.section(name).values.any():
+            if not mass_norm2(self.section_operator(name),
+                              self.section(name)) > 0:
                 raise CatalogError(
-                    f"scenario {scenario.id!r}: section {name!r} is zero at "
-                    f"every node of the n = {self.grid.n} base grid, so its "
-                    f"Rayleigh quotient has no norm")
+                    f"scenario {scenario.id!r}: section {name!r} has mass "
+                    f"norm 0 on the n = {self.grid.n} base grid, the norm "
+                    f"its Rayleigh quotient divides by")
 
     def _memo(self, key, compute):
         if key not in self._cache:
@@ -120,14 +123,19 @@ class _ScenarioRun:
         return self._memo(("section", name), lambda: (
             scenarios.eval_test_section(self.scenario, name, self.grid)))
 
-    def section_rayleigh(self, name: str) -> float:
-        """Rayleigh quotient of a named section for its own field kind."""
+    def section_operator(self, name: str):
+        """The operator of a named section's own field kind and mode, on
+        the coarsest grid."""
         def compute():
             sc, sec = self.scenario, self.section(name)
-            op = assemble(sc.surface, sec.kind, sc.spin, sec.nu, self.grid,
-                          self.samples())
-            return rayleigh_quotient(op, sec)
-        return self._memo(("rq", name), compute)
+            return assemble(sc.surface, sec.kind, sc.spin, sec.nu, self.grid,
+                            self.samples())
+        return self._memo(("op", name), compute)
+
+    def section_rayleigh(self, name: str) -> float:
+        """Rayleigh quotient of a named section for its own field kind."""
+        return self._memo(("rq", name), lambda: rayleigh_quotient(
+            self.section_operator(name), self.section(name)))
 
     def area(self) -> float:
         """The surface's area, math.inf where it diverges."""

@@ -4,6 +4,14 @@ All built-in geometry is a surface of revolution over an interval
 (t_min, t_max) with circle period P.  Gauss curvature is K = -f''/f, the
 scalar curvature is 2K, the curvature term acting on spinors is scal/4 and
 the one acting on 1-forms is K itself.
+
+A warp is the profile f.  It has one evaluator, derivatives(t, orders),
+which returns the list of f^(k)(t) for each k of orders (0, 1 or 2), in
+that order; a call that groups orders shares the work they have in common
+(one cos, one exp, one segment lookup) and returns the same bits as one
+call per order.  The geometry functions here and operators.sample_grid
+are its only callers.  A warp also has integral(a, b), the closed-form
+integral of f, to_json() and a variant name.
 """
 
 from __future__ import annotations
@@ -43,17 +51,11 @@ class CosineWarp:
 
     variant = "cosine"
 
-    def value(self, t):
-        return np.cos(t)
-
-    def deriv(self, t):
-        return -np.sin(t)
-
-    def value_and_deriv(self, t):
-        return self.value(t), self.deriv(t)
-
-    def second(self, t):
-        return -np.cos(t)
+    def derivatives(self, t, orders):
+        """cos t, -sin t and -cos t for orders 0, 1 and 2, from one cos."""
+        cos = np.cos(t)
+        return [-np.sin(t) if k == 1 else -cos if k == 2 else cos
+                for k in orders]
 
     def integral(self, a, b):
         return math.sin(b) - math.sin(a)
@@ -72,17 +74,11 @@ class ConstantWarp:
             raise GeometryError(f"constant warp needs c > 0, got {c}")
         self.c = float(c)
 
-    def value(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.c)
-
-    def deriv(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def value_and_deriv(self, t):
-        return self.value(t), self.deriv(t)
-
-    def second(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+    def derivatives(self, t, orders):
+        """c for order 0, zeros for orders 1 and 2."""
+        t = np.asarray(t, dtype=float)
+        return [np.full_like(t, self.c) if k == 0 else np.zeros_like(t)
+                for k in orders]
 
     def integral(self, a, b):
         return self.c * (b - a)
@@ -101,20 +97,11 @@ class ExpCuspWarp:
             raise GeometryError(f"cusp warp needs c > 0, got {c}")
         self.c = float(c)
 
-    def value(self, t):
-        return self.c * np.exp(-np.asarray(t, dtype=float))
-
-    def deriv(self, t):
-        return -self.c * np.exp(-np.asarray(t, dtype=float))
-
-    def value_and_deriv(self, t):
-        """value(t) and deriv(t), the same bits from one exp: -c * e^-t
-        rounds as -(c * e^-t)."""
-        f = self.value(t)
-        return f, -f
-
-    def second(self, t):
-        return self.c * np.exp(-np.asarray(t, dtype=float))
+    def derivatives(self, t, orders):
+        """c e^-t for orders 0 and 2, and -(c e^-t) for order 1, from one
+        exp: -c * e^-t rounds as -(c * e^-t)."""
+        f = self.c * np.exp(-np.asarray(t, dtype=float))
+        return [-f if k == 1 else f for k in orders]
 
     def integral(self, a, b):
         # finite for b = inf; area() reports a = -inf as diverging
@@ -130,7 +117,8 @@ class TabulatedWarp:
 
     Lets callers inject custom metrics without symbolic machinery; first and
     second derivatives and the integral come from the spline, which is built
-    on first use.  Its knot second derivatives (moments) solve the
+    on first use, and derivatives looks up each point's segment once for
+    every order it is asked.  Its knot second derivatives (moments) solve the
     tridiagonal system with diagonal 2 (h_i + h_(i+1)) and zero end moments
     (de Boor, A Practical Guide to Splines, ch. 4) by the eigensolver's
     LAPACK dgtsv.  Outside the samples the end pieces extrapolate.  Samples
@@ -180,7 +168,7 @@ class TabulatedWarp:
                     0, self.ts.size - 2)
         return i, t - self.ts[i]
 
-    def _derivatives(self, t, orders):
+    def derivatives(self, t, orders):
         """The derivatives of the given orders at t, by Horner's rule on one
         segment lookup; each coefficient is gathered once, for every order
         that reads it."""
@@ -192,18 +180,6 @@ class TabulatedWarp:
                 if k >= order:
                     outs[j] = outs[j] * x + math.perm(k, order) * c
         return outs
-
-    def value(self, t):
-        return self._derivatives(t, (0,))[0]
-
-    def deriv(self, t):
-        return self._derivatives(t, (1,))[0]
-
-    def second(self, t):
-        return self._derivatives(t, (2,))[0]
-
-    def value_and_deriv(self, t):
-        return tuple(self._derivatives(t, (0, 1)))
 
     def minimum_candidates(self, a: float, b: float) -> np.ndarray:
         """The knots inside (a, b), and the points there where f' = 0: the
@@ -269,7 +245,9 @@ class WarpedSurface:
 
     t_max may be math.inf only when the upper end is labeled cusp-complete
     (the profile then must decay fast enough for finite area).
-    end_labels tags the lower and upper end, in that order.
+    end_labels tags the lower and upper end, in that order.  The profile f
+    is read through warp.derivatives; the surface adds no evaluator of its
+    own.
     """
 
     warp: object
@@ -281,8 +259,11 @@ class WarpedSurface:
     def __post_init__(self):
         if not self.t_min < self.t_max:
             raise GeometryError("need t_min < t_max")
-        if not self.period > 0:
-            raise GeometryError("need circle period P > 0")
+        # the mode lattice steps by 2 pi/P, which a tiny P overflows
+        if not (self.period > 0
+                and math.isfinite(2.0 * math.pi / self.period)):
+            raise GeometryError(f"need circle period P > 0 with a finite "
+                                f"lattice step 2 pi/P, got {self.period}")
         if len(self.end_labels) != 2:
             raise GeometryError(f"'end_labels' must name the lower and upper "
                                 f"end, got {list(self.end_labels)!r}")
@@ -301,19 +282,11 @@ class WarpedSurface:
         an end can carry essential spectrum (Persson, 1960)."""
         return tuple(label == END_CUSP for label in self.end_labels)
 
-    def f(self, t):
-        return self.warp.value(t)
-
-    def fprime(self, t):
-        return self.warp.deriv(t)
-
-    def f_and_fprime(self, t):
-        """(f(t), f'(t)) from one evaluation of the warp where it shares
-        work: one segment lookup of a tabulated warp, one exp of a cusp."""
-        return self.warp.value_and_deriv(t)
-
-    def fsecond(self, t):
-        return self.warp.second(t)
+    @functools.cached_property
+    def mirrored(self) -> bool:
+        """mirror_symmetric(self), decided once for the surface: its fields
+        are frozen, and the answer lives as long as it does."""
+        return mirror_symmetric(self)
 
     def to_json(self):
         return {
@@ -339,8 +312,9 @@ def warp_positive(surface: WarpedSurface) -> bool:
         centre = 2.0 * math.pi * round((lo + hi) / (4.0 * math.pi))
         return centre - math.pi / 2.0 <= lo and hi <= centre + math.pi / 2.0
     if isinstance(warp, TabulatedWarp):
-        return bool(np.all(warp.value(warp.minimum_candidates(lo, hi)) > 0)
-                    and np.all(warp.value([lo, hi]) >= 0))
+        (inside,) = warp.derivatives(warp.minimum_candidates(lo, hi), (0,))
+        (ends,) = warp.derivatives([lo, hi], (0,))
+        return bool(np.all(inside > 0) and np.all(ends >= 0))
     return True
 
 
@@ -403,7 +377,7 @@ def _warp_scale(surface: WarpedSurface) -> float:
     a = surface.t_min if math.isfinite(surface.t_min) else 0.0
     b = surface.t_max if math.isfinite(surface.t_max) else a + 1.0
     probe = np.linspace(a + 1e-9 * (b - a), b - 1e-9 * (b - a), 33)
-    return float(np.max(surface.f(probe)))
+    return float(np.max(surface.warp.derivatives(probe, (0,))[0]))
 
 
 def end_kind(surface: WarpedSurface, side: str) -> str:
@@ -418,14 +392,14 @@ def end_kind(surface: WarpedSurface, side: str) -> str:
     t_end = surface.t_min if side == "lower" else surface.t_max
     span = min(surface.t_max - surface.t_min, 1.0)
     probe = t_end + 1e-12 * span if side == "lower" else t_end - 1e-12 * span
-    f_end = float(surface.f(probe))
+    f_end = surface.warp.derivatives(probe, (0,))[0]
     return "singular" if f_end <= _SINGULAR_REL * _warp_scale(surface) else "regular"
 
 
 def edge_slope(surface: WarpedSurface, side: str) -> float:
     """|f'| at a singular end; sets the local cone rate f ~ c1 * r."""
     t_end = surface.t_min if side == "lower" else surface.t_max
-    c1 = abs(float(surface.fprime(t_end)))
+    c1 = abs(float(surface.warp.derivatives(t_end, (1,))[0]))
     if not (math.isfinite(c1) and c1 > 0):
         raise GeometryError(f"degenerate edge slope at {side} end")
     return c1
@@ -438,7 +412,8 @@ def gauss_curvature(surface: WarpedSurface, t):
         raise DomainError(
             f"t outside ({surface.t_min}, {surface.t_max})"
         )
-    out = -surface.fsecond(arr) / surface.f(arr)
+    f, f2 = surface.warp.derivatives(arr, (0, 2))
+    out = -f2 / f
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 

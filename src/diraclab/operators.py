@@ -344,10 +344,11 @@ def sample_grid(surface, grid: Grid) -> Samples:
     grid shares them, and mode floors read f_nodes.
     """
     mids = grid.a + grid.h * (np.arange(grid.n + 1) + 0.5)
-    f_nodes = np.asarray(surface.f(grid.nodes), dtype=float)
+    (f_nodes,) = surface.warp.derivatives(grid.nodes, (0,))
+    f_nodes = np.asarray(f_nodes, dtype=float)
     _check_positive(f_nodes, "grid nodes")
     fm, fprime = (np.asarray(x, dtype=float)
-                  for x in surface.f_and_fprime(mids))
+                  for x in surface.warp.derivatives(mids, (0, 1)))
     _check_positive(fm, "element midpoints")
     half_log = fprime / (2.0 * fm)
     out = Samples(surface.period * f_nodes * grid.h,
@@ -428,13 +429,14 @@ def assemble_dirac_square(surface, spin: SpinStructure, nu: float,
 def _mirrored_window(surface, grid: Grid) -> bool:
     """Whether the reflection t -> a + b - t of the window maps the surface,
     the grid and the boundary conditions of each Dirac block onto those of
-    its partner: a mirror-symmetric surface, a window centered on its middle
-    to rounding, and the same kind and slope at both window sides."""
+    its partner: a mirror-symmetric surface (WarpedSurface.mirrored, decided
+    once per surface), a window centered on its middle to rounding, and the
+    same kind and slope at both window sides."""
     lo, hi = surface.t_min, surface.t_max
     offset = (grid.a + grid.b) - (lo + hi)
     return (grid.side_kinds[0] == grid.side_kinds[1]
             and grid.side_slopes[0] == grid.side_slopes[1]
-            and geometry.mirror_symmetric(surface)
+            and surface.mirrored
             and abs(offset) <= 4 * _EPS * max(abs(lo), abs(hi)))
 
 
@@ -493,10 +495,16 @@ def section_energy(op: ReducedOperator, phi: Section) -> float:
     return sum(b.energy(v) for b, v in zip(op.blocks, phi.components()))
 
 
+def mass_norm2(op: ReducedOperator, phi: Section) -> float:
+    """(mass phi, phi): the sum of Block.mass_form over op's blocks."""
+    check_pairing(op, phi)
+    return sum(b.mass_form(v) for b, v in zip(op.blocks, phi.components()))
+
+
 def rayleigh_quotient(op: ReducedOperator, phi: Section) -> float:
-    """section_energy / (mass phi, phi); an upper bound for the tone."""
+    """section_energy / mass_norm2; an upper bound for the tone."""
     num = section_energy(op, phi)
-    den = sum(b.mass_form(v) for b, v in zip(op.blocks, phi.components()))
+    den = mass_norm2(op, phi)
     if den <= 0:
         raise AssemblyError("section has zero norm")
     return num / den

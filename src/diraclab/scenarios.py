@@ -45,13 +45,15 @@ class SectionSpec:
             raise CatalogError(f"{where}: key 'angular' must be {ANGULAR_FULL}"
                                f" or {ANGULAR_HALF}, got {self.angular!r}")
         params = ("t0", "length") if self.profile == "boxed_sine" else ()
+        # a Laplacian block squares its mode in the centrifugal term
+        rules = {"mode": " whose square is finite", "length": " above 0"}
         for key, x in [("mode", self.mode)] + [
                 (k, self.params.get(k)) for k in params]:
             if (not geometry.is_finite_number(x)
-                    or key == "length" and not x > 0):
-                raise CatalogError(
-                    f"{where}: key {key!r} must be a finite number"
-                    f"{' above 0' if key == 'length' else ''}, got {x!r}")
+                    or key == "length" and not x > 0
+                    or key == "mode" and not float(x) * float(x) < math.inf):
+                raise CatalogError(f"{where}: key {key!r} must be a finite "
+                                   f"number{rules.get(key, '')}, got {x!r}")
         object.__setattr__(self, "mode", float(self.mode))
 
     def to_json(self):
@@ -154,12 +156,14 @@ def builtin_catalog() -> list:
     """The built-in scenarios, generated once per process."""
     global _CATALOG_CACHE
     if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = generate_builtin_catalog()
+        _CATALOG_CACHE = list(_generate_builtins())
     return list(_CATALOG_CACHE)
 
 
 def find_scenario(selector: str) -> Scenario:
-    for sc in builtin_catalog():
+    """The built-in scenario of an id: from builtin_catalog()'s list where
+    it is built, else built in catalog order up to the match only."""
+    for sc in _CATALOG_CACHE or _generate_builtins():
         if sc.id == selector:
             return sc
     raise CatalogError(f"unknown scenario id {selector!r}")
@@ -578,14 +582,15 @@ def long_cylinder_probe_scenario(total: float = 64.0) -> Scenario:
     )
 
 
-def generate_builtin_catalog() -> list:
-    out = [round_sphere_scenario()]
-    out += [cover_scenario(k) for k in (1, 2, 3, 5)]
+def _generate_builtins():
+    """The built-in scenarios in catalog order, each built when reached."""
+    yield round_sphere_scenario()
+    for k in (1, 2, 3, 5):
+        yield cover_scenario(k)
     for length in (2.0, 5.0, 10.0):
-        out.append(flat_cylinder_scenario(length, SpinStructure.BOUNDING))
-        out.append(flat_cylinder_scenario(length, SpinStructure.NON_BOUNDING))
-    out.append(cusp_cylinder_scenario())
-    out.append(growing_curvature_scenario())
-    out.append(long_cylinder_probe_scenario())
-    return out
+        yield flat_cylinder_scenario(length, SpinStructure.BOUNDING)
+        yield flat_cylinder_scenario(length, SpinStructure.NON_BOUNDING)
+    yield cusp_cylinder_scenario()
+    yield growing_curvature_scenario()
+    yield long_cylinder_probe_scenario()
 

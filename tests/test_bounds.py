@@ -327,25 +327,26 @@ def test_cutoff_check_holds_on_the_sphere_equality_mode():
 
 def test_cutoff_check_samples_the_warp_slope_once(monkeypatch):
     # the audit reads f'/(2f) from the blocks of the operator it is given:
-    # it samples the warp zero times and never evaluates its derivative
+    # it samples the warp zero times and never evaluates it or its
+    # derivative
     from diraclab import operators
     from diraclab.geometry import CosineWarp
     op, phi = _sphere_ground(128)
-    sampling, deriving = [], []
-    sample_grid, deriv = operators.sample_grid, CosineWarp.deriv
+    sampling, evaluated = [], []
+    sample_grid, derivatives = operators.sample_grid, CosineWarp.derivatives
 
     def counted_sample_grid(*args, **kwargs):
         sampling.append(True)
         return sample_grid(*args, **kwargs)
 
-    def watched_deriv(self, t):
-        deriving.append(t)
-        return deriv(self, t)
+    def watched_derivatives(self, t, orders):
+        evaluated.append(tuple(orders))
+        return derivatives(self, t, orders)
     monkeypatch.setattr(operators, "sample_grid", counted_sample_grid)
-    monkeypatch.setattr(CosineWarp, "deriv", watched_deriv)
+    monkeypatch.setattr(CosineWarp, "derivatives", watched_derivatives)
     cutoff_stability_check(op, phi, [0.3, 0.6])
     assert sampling == []
-    assert deriving == []
+    assert evaluated == []
 
 
 def _essential_on(surface, spin, n):

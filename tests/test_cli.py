@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -872,6 +873,46 @@ def test_a_section_zero_at_every_node_is_usage_error_before_any_solve(
     assert "'dirichlet_sine'" in err and "n = 64" in err
 
 
+def _edit_section(name, key, value):
+    """A document edit: set key of the named section, or of its params."""
+    def edit(doc):
+        spec = next(s for s in doc["sections"] if s["name"] == name)
+        (spec["params"] if key in spec["params"] else spec)[key] = value
+    return edit
+
+
+# finite documents whose numbers overflow or underflow downstream, and
+# exited 1: a period whose lattice step 2 pi/P is inf (its lattice modes
+# came out NaN), a mode whose square is inf in the Laplacian's
+# centrifugal term, and a boxed sine so long that its node values (about
+# 1e-299) square to 0, so the Rayleigh quotient divided by a zero norm
+OUT_OF_RANGE_CASES = [
+    pytest.param("cover-m2", _edit(("surface", "period"), 1e-308),
+                 "'surface'", id="period-with-an-infinite-lattice-step"),
+    pytest.param("cover-m2", _edit_section("f_k", "mode", 1e300), "'f_k'",
+                 id="section-mode-with-an-infinite-square"),
+    pytest.param("cusp-cylinder-l10",
+                 _edit_section("dirichlet_sine", "length", 1e300),
+                 "'dirichlet_sine'", id="section-whose-squares-underflow"),
+]
+
+
+@pytest.mark.parametrize("sid,edit,named", OUT_OF_RANGE_CASES)
+def test_a_document_out_of_floating_range_is_usage_error_before_any_solve(
+        tmp_path, capsys, monkeypatch, sid, edit, named):
+    from diraclab.scenarios import find_scenario
+    _nothing_solved(monkeypatch)
+    doc = find_scenario(sid).to_json()
+    edit(doc)
+    path = tmp_path / "out-of-range.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--scenario", str(path), "--grid-n", "64",
+                        "--levels", "2"], capsys)
+    assert code == 64, err
+    assert err.startswith("usage error:")
+    assert named in err
+
+
 # entries of a scenario without spin: the Dirac operator runs (True) or
 # not (False); scalar_sine is a laplacian_scalar section, dirichlet_sine
 # a dirac_square one
@@ -1370,27 +1411,39 @@ def test_only_eigensolve_imports_scipy():
     assert routines == {"dgtsv", "dpttrf", "dstebz"}
 
 
+def _called_name(call):
+    """The name a call calls: f of f(...) and of x.f(...)."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+
+
 def test_only_the_assembly_decides_which_blocks_are_twins():
     # operators.assemble_dirac_square owns the twin relation: only
-    # operators.py asks geometry.mirror_symmetric and sets twin=, and the
-    # solver reads ReducedOperator.twin instead of comparing block arrays
-    import ast
+    # operators.py reads a surface's mirror symmetry and sets twin=, which
+    # WarpedSurface.mirrored, the one caller of geometry.mirror_symmetric,
+    # decides once per surface; and the solver reads ReducedOperator.twin
+    # instead of comparing block arrays
     src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
-    askers, setters, compares = set(), set(), []
+    askers, readers, setters, compares = [], set(), set(), []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                askers += [(path.name, node.name) for call in ast.walk(node)
+                           if isinstance(call, ast.Call)
+                           and _called_name(call) == "mirror_symmetric"]
+            if isinstance(node, ast.Attribute) and node.attr == "mirrored":
+                readers.add(path.name)
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(
-                func, "id", None)
-            if name == "mirror_symmetric":
-                askers.add(path.name)
+            name = _called_name(node)
             if name == "array_equal" and path.name == "eigensolve.py":
                 compares.append(node.lineno)
             if any(kw.arg == "twin" for kw in node.keywords):
                 setters.add(path.name)
-    assert askers == {"operators.py"}
+    assert askers == [("geometry.py", "mirrored")]
+    assert readers == {"operators.py"}
     assert setters == {"operators.py"}
     assert compares == []
 
@@ -1408,8 +1461,8 @@ def test_a_run_samples_grids_only_through_its_ladder():
             if not isinstance(node, ast.Call):
                 continue
             called = ast.unparse(node.func)
-            if (called.split(".")[-1] in ("sample_grid", "node_weights")
-                    or called.endswith((".f", "warp.value"))):
+            if called.split(".")[-1] in ("sample_grid", "node_weights",
+                                         "derivatives"):
                 found.append(f"{name}:{node.lineno} {called}")
     assert found == []
 

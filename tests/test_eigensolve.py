@@ -464,15 +464,14 @@ def test_dgtsv_solves_in_place(monkeypatch):
 
 
 def _count_warp_calls(monkeypatch, warp):
-    """The sizes of the arrays that warp's value, deriv and value_and_deriv
-    are called on."""
-    sizes = {"value": [], "deriv": [], "value_and_deriv": []}
-    for name, seen in sizes.items():
-        def counted(self, t, _real=getattr(type(warp), name), _seen=seen):
-            _seen.append(np.size(t))
-            return _real(self, t)
-        monkeypatch.setattr(type(warp), name, counted)
-    return sizes
+    """(array size, orders) of each call of warp's derivatives, in order."""
+    calls, real = [], type(warp).derivatives
+
+    def counted(self, t, orders):
+        calls.append((np.size(t), tuple(orders)))
+        return real(self, t, orders)
+    monkeypatch.setattr(type(warp), "derivatives", counted)
+    return calls
 
 
 def _count_sample_grid(monkeypatch):
@@ -512,10 +511,10 @@ def test_tone_samples_each_grid_once(monkeypatch):
     ladder = sample_ladder(sc.surface, grids)
     for kind, spin in ((KIND_DIRAC, sc.spin), (KIND_LAPLACIAN, None)):
         with monkeypatch.context() as patch:
-            sizes = _count_warp_calls(patch, sc.surface.warp)
+            calls = _count_warp_calls(patch, sc.surface.warp)
             tone = fundamental_tone(sc.surface, kind, spin, ladder)
         assert sum("value" in rec for rec in tone.per_mode.values()) > 1
-        assert sizes == {"value": [], "deriv": [], "value_and_deriv": []}
+        assert calls == []
 
 
 def test_a_probe_run_samples_only_its_windows(monkeypatch):
@@ -533,20 +532,19 @@ def test_a_probe_run_samples_only_its_windows(monkeypatch):
 def test_probe_samples_each_window_once(monkeypatch):
     # every counted mode of a window assembles on one sampling of it, in
     # place of one per mode and window, and its floors read those samples:
-    # f at the n nodes, and f with f' at the n + 1 midpoints from one
-    # evaluation
+    # f at the n nodes, and f with f' at the n + 1 midpoints from one call
     sc = find_scenario("growing-curvature")
     exp = next(e for e in sc.expected if e["check"] == "probe")
     windows = [tuple(w) for w in exp["windows"]]
     ref = truncation_probe(sc.surface, KIND_DIRAC, sc.spin, windows,
                            exp["threshold"])
-    sizes = _count_warp_calls(monkeypatch, sc.surface.warp)
+    calls = _count_warp_calls(monkeypatch, sc.surface.warp)
     probe = truncation_probe(sc.surface, KIND_DIRAC, sc.spin, windows,
                              exp["threshold"])
     assert probe.counts == ref.counts and max(probe.counts) > 1
     ns = [n for _, _, n in check_probe_windows(sc.surface, windows)]
-    assert sizes == {"value": ns, "deriv": [],
-                     "value_and_deriv": [n + 1 for n in ns]}
+    assert calls == [call for n in ns
+                     for call in ((n, (0,)), (n + 1, (0, 1)))]
 
 
 def test_probe_window_above_the_node_cap_lays_no_grid(monkeypatch):
@@ -889,7 +887,8 @@ def test_probe_counts_every_mode_below_the_threshold():
         grid = Grid(a=a, b=b, n=int(round((b - a) / h)) - 1)
         total = 0
         for nu in (m + 0.5 for m in range(200)):
-            floor = mode_lower_bound_term(nu, s.warp.value(grid.nodes))
+            floor = mode_lower_bound_term(
+                nu, s.warp.derivatives(grid.nodes, (0,))[0])
             if floor > threshold:
                 continue
             op = assemble(s, KIND_DIRAC, SpinStructure.BOUNDING, nu, grid)

@@ -188,8 +188,8 @@ def test_warp_positive_reads_the_exact_minimum_on_the_interval():
     # every sample positive, yet the spline dips below zero between two
     warp = TabulatedWarp([0.0, 1.0, 1.1, 2.0, 3.0, 4.0],
                          [1.0, 1.0, 0.001, 1.0, 1.0, 1.0])
-    dense = warp.value(np.linspace(0.0, 4.0, 400_001))
-    low = warp.value(warp.minimum_candidates(0.0, 4.0))
+    (dense,) = warp.derivatives(np.linspace(0.0, 4.0, 400_001), (0,))
+    (low,) = warp.derivatives(warp.minimum_candidates(0.0, 4.0), (0,))
     assert float(np.min(low)) == pytest.approx(float(np.min(dense)),
                                                abs=1e-9)
     assert np.min(low) < -1.19
@@ -223,8 +223,9 @@ def test_tabulated_warp_derivatives_match_spline_theory():
     ts = np.linspace(0.0, 3.0, 400)
     warp = TabulatedWarp(ts, 2.0 + np.sin(ts))
     probe = np.linspace(0.3, 2.7, 50)
-    assert np.max(np.abs(warp.deriv(probe) - np.cos(probe))) < 1e-5
-    assert np.max(np.abs(warp.second(probe) + np.sin(probe))) < 1e-3
+    deriv, second = warp.derivatives(probe, (1, 2))
+    assert np.max(np.abs(deriv - np.cos(probe))) < 1e-5
+    assert np.max(np.abs(second + np.sin(probe))) < 1e-3
     # the catalog tables against scipy's natural spline, inside each table
     # and 0.01 past each end, where both extrapolate with the end pieces
     from scipy.interpolate import CubicSpline
@@ -235,11 +236,11 @@ def test_tabulated_warp_derivatives_match_spline_theory():
         ref = CubicSpline(warp.ts, warp.fs, bc_type="natural")
         lo, hi = warp.ts[0] - 0.01, warp.ts[-1] + 0.01
         probe = np.concatenate([np.linspace(lo, hi, 4001), warp.ts])
-        for order, got, tol in ((0, warp.value, 1e-15),
-                                (1, warp.deriv, 5e-15),
-                                (2, warp.second, 1e-12)):
+        for order, got, tol in zip((0, 1, 2),
+                                   warp.derivatives(probe, (0, 1, 2)),
+                                   (1e-15, 5e-15, 1e-12)):
             want = ref(probe, order)
-            assert (np.max(np.abs(got(probe) - want))
+            assert (np.max(np.abs(got - want))
                     <= tol * np.max(np.abs(want))), (scenario, order)
         # whole table, past both ends, reversed, a short span in each tail
         # piece, and random spans
@@ -250,6 +251,93 @@ def test_tabulated_warp_derivatives_match_spline_theory():
             want = ref.integrate(a, b)
             assert abs(warp.integral(a, b) - want) <= 1e-14 * abs(want), \
                 (scenario, a, b)
+
+
+def _bits(x):
+    """The shape and the bytes of a float array or scalar."""
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+def _horner(warp, t):
+    """f, f' and f'' of a tabulated warp at t, spelled out from its segment
+    coefficients by Horner's rule."""
+    i, x = warp._segment(t)
+    c0, c1, c2, c3 = (c[i] for c in warp._coef)
+    return ((c3 * x + c2) * x + c1) * x + c0, \
+        (3 * c3 * x + 2 * c2) * x + c1, 6 * c3 * x + 2 * c2
+
+
+# one warp of each variant, and its f, f' and f'' in closed form
+CLOSED_FORMS = [
+    (CosineWarp(), lambda t: (np.cos(t), -np.sin(t), -np.cos(t))),
+    (ConstantWarp(1.7), lambda t: (np.full_like(np.asarray(t, float), 1.7),
+                                   np.zeros_like(np.asarray(t, float)),
+                                   np.zeros_like(np.asarray(t, float)))),
+    (ExpCuspWarp(1.3), lambda t: (1.3 * np.exp(-np.asarray(t, float)),
+                                  -1.3 * np.exp(-np.asarray(t, float)),
+                                  1.3 * np.exp(-np.asarray(t, float)))),
+    (TabulatedWarp(np.linspace(-1.0, 2.0, 9) ** 3,
+                   2.0 + np.sin(np.arange(9.0))), None),
+]
+
+
+@pytest.mark.parametrize("warp,closed", CLOSED_FORMS,
+                         ids=lambda x: getattr(x, "variant", ""))
+def test_each_warp_s_derivatives_are_its_closed_forms_bit_for_bit(warp,
+                                                                   closed):
+    # inside and past the ends of the table, at and between its knots, and
+    # a scalar; orders 0, 1 and 2 from one call
+    closed = closed or (lambda t: _horner(warp, t))
+    for t in (np.linspace(-1.5, 8.5, 1001), np.linspace(-1.0, 2.0, 9) ** 3,
+              0.3, -1.2):
+        got = warp.derivatives(t, (0, 1, 2))
+        assert [_bits(g) for g in got] == [_bits(w) for w in closed(t)], t
+
+
+@pytest.mark.parametrize("warp", [w for w, _ in CLOSED_FORMS],
+                         ids=lambda w: w.variant)
+def test_grouping_orders_in_one_call_never_changes_a_bit(warp):
+    import itertools
+    t = np.linspace(-1.5, 8.5, 1001)
+    alone = {k: _bits(warp.derivatives(t, (k,))[0]) for k in (0, 1, 2)}
+    for size in (1, 2, 3):
+        for orders in itertools.permutations((0, 1, 2), size):
+            got = warp.derivatives(t, orders)
+            assert [_bits(g) for g in got] == [alone[k] for k in orders]
+
+
+REMOVED_EVALUATORS = {"value", "deriv", "second", "value_and_deriv",
+                      "f", "fprime", "f_and_fprime", "fsecond"}
+
+
+def test_each_warp_has_one_evaluator_and_two_modules_call_it():
+    # every warp evaluates f, f' and f'' through derivatives(t, orders)
+    # alone: no module calls or defines the four evaluators it replaced on
+    # a warp, nor the surface's four pass-throughs, and only the geometry
+    # functions and operators.sample_grid evaluate a warp
+    import ast
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    removed, callers = [], set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and \
+                    node.name in REMOVED_EVALUATORS:
+                removed.append(f"{path.name}:{node.lineno} def {node.name}")
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr in REMOVED_EVALUATORS:
+                removed.append(f"{path.name}:{node.lineno} "
+                               f"{ast.unparse(node.func)}")
+            if node.func.attr == "derivatives":
+                callers.add(path.name)
+    assert removed == []
+    assert callers == {"geometry.py", "operators.py"}
+    for warp, _ in CLOSED_FORMS:
+        assert not REMOVED_EVALUATORS & set(dir(warp))
+    assert not REMOVED_EVALUATORS & set(dir(sphere()))
 
 
 def test_constant_warp_requires_positive():

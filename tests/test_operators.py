@@ -493,6 +493,29 @@ def test_blocks_off_the_mirror_are_assembled_from_the_samples():
                 surface, grid, KIND_DIRAC, mu, samples))
 
 
+def test_a_surface_decides_its_mirror_symmetry_once(monkeypatch):
+    # WarpedSurface.mirrored asks geometry.mirror_symmetric on first read
+    # and keeps the answer on the surface: every later Dirac assembly on it
+    # reads that, and a replaced surface decides anew
+    from diraclab import geometry
+    asked, real = [], geometry.mirror_symmetric
+
+    def counted(surface):
+        asked.append(surface)
+        return real(surface)
+    monkeypatch.setattr(geometry, "mirror_symmetric", counted)
+    sc = find_scenario("growing-curvature")
+    surface = replace(sc.surface)
+    grid = make_grid(surface, 64)
+    for nu in lattice_modes(sc.spin, surface.period, 3):
+        assert assemble_dirac_square(surface, sc.spin, nu, grid).twin
+    nudged = replace(surface, t_max=surface.t_max - 0.5)
+    assert assemble_dirac_square(nudged, sc.spin, 0.5,
+                                 make_grid(nudged, 64)).twin is None
+    assert asked == [surface, nudged]
+    assert asked[0] is surface and asked[1] is nudged
+
+
 def _one_matrix(block, source):
     """The slices that read block's diag, off and mass bit for bit from
     source's: slice(None) where the two are equal, the reversing slice where

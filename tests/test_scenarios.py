@@ -71,6 +71,28 @@ def test_unknown_scenario_raises():
         find_scenario("no-such-scenario")
 
 
+def test_find_scenario_builds_the_catalog_only_up_to_its_match(
+        monkeypatch):
+    # from an empty cache, resolving one id builds the built-ins before it
+    # in catalog order and stops: round-sphere needs neither the cusp table
+    # nor growing-curvature's integration, the two costly builds
+    catalog = builtin_catalog()
+
+    def costly(*args, **kwargs):
+        raise AssertionError("a later built-in was built")
+    monkeypatch.setattr(scenarios, "_CATALOG_CACHE", None)
+    monkeypatch.setattr(scenarios, "_cusp_profile", costly)
+    monkeypatch.setattr(scenarios, "_growing_profile", costly)
+    for sc in catalog[:-3]:
+        assert find_scenario(sc.id).to_json() == sc.to_json()
+    assert scenarios._CATALOG_CACHE is None
+    # with the cache built, every id resolves to the catalog's own object
+    monkeypatch.setattr(scenarios, "_CATALOG_CACHE", catalog)
+    assert all(find_scenario(sc.id) is sc for sc in catalog)
+    with pytest.raises(CatalogError):
+        find_scenario("no-such-scenario")
+
+
 def test_cover_test_function_norm():
     # separated norm matches (P/2) * 4/3 = 4 k pi / 3, and is half the mass
     # form of the mode-1/k Laplace block section_rayleigh divides by

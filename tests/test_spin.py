@@ -60,12 +60,12 @@ def test_mode_in_structure():
 
 
 def test_mode_lower_bound_term_zero_mode():
-    f = ConstantWarp(1.0).value(Grid(a=0.0, b=1.0, n=32).nodes)
+    (f,) = ConstantWarp(1.0).derivatives(Grid(a=0.0, b=1.0, n=32).nodes, (0,))
     assert mode_lower_bound_term(0.0, f) == 0.0
 
 
 def test_mode_lower_bound_term_constant_warp():
-    f = ConstantWarp(1.0).value(Grid(a=0.0, b=1.0, n=32).nodes)
+    (f,) = ConstantWarp(1.0).derivatives(Grid(a=0.0, b=1.0, n=32).nodes, (0,))
     assert mode_lower_bound_term(1.0, f) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -73,5 +73,6 @@ def test_mode_lower_bound_term_cosine_window():
     # window (-pi/2 + 0.1, pi/2 - 0.1); odd node count puts t = 0 on the
     # grid, where (1/4)/cos^2 attains its minimum 1/4
     grid = Grid(a=-math.pi / 2 + 0.1, b=math.pi / 2 - 0.1, n=301)
-    term = mode_lower_bound_term(0.5, CosineWarp().value(grid.nodes))
+    (f,) = CosineWarp().derivatives(grid.nodes, (0,))
+    term = mode_lower_bound_term(0.5, f)
     assert term == pytest.approx(0.25, abs=1e-12)
