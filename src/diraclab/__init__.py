@@ -45,7 +45,6 @@ from .operators import (  # noqa: F401
     assemble_dirac_square,
     assemble_laplacian,
     bochner_gradient_energy,
-    leibniz_defect,
     make_grid,
     rayleigh_quotient,
 )

@@ -399,39 +399,22 @@ class SpectralReport:
             "all_expected_match": self.all_expected_match,
         }
 
-    def to_json_dict(self) -> dict:
-        return to_plain(self._fields())
-
     def to_json(self) -> str:
         return dumps(self._fields())
 
 
-def to_plain(x):
-    """x in JSON values: a number that is not finite becomes None (null), a
-    numpy scalar its Python number, a tuple a list and a dataclass the dict
-    of its fields, at every depth."""
-    if isinstance(x, float):
-        return float(x) if math.isfinite(x) else None
-    if isinstance(x, np.generic):
-        return to_plain(x.item())
-    if isinstance(x, dict):
-        return {k: to_plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [to_plain(v) for v in x]
-    if is_dataclass(x):
-        return to_plain(vars(x))
-    return x
-
-
 def dumps(doc) -> str:
-    """The one writer of the JSON documents diraclab emits: to_plain(doc),
-    keys sorted, indented by two; a value to_plain leaves non-finite is an
-    error, never a NaN or Infinity token.
+    """The one writer of the JSON documents diraclab emits: doc in JSON
+    values, keys sorted, indented by two.  A number that is not finite is
+    written as null, a numpy scalar as its Python number, a tuple as a list
+    and a dataclass as the dict of its fields, at every depth; a float dict
+    key that is not finite is an error, never a NaN or Infinity token.
 
-    The text is exactly json.dumps(to_plain(doc), sort_keys=True, indent=2,
-    allow_nan=False) + "\\n", written in one pass over doc: the standard
-    library has no C encoder for an indented document, so it would walk
-    the plain copy in Python generators once more.
+    The text is exactly that of json.dumps(sort_keys=True, indent=2,
+    allow_nan=False) + "\\n" over the converted copy of doc (the tests
+    keep that conversion as the reference), written in one pass over doc:
+    the standard library has no C encoder for an indented document, so it
+    would walk the copy in Python generators once more.
     """
     out = []
     _write(doc, out.append, "\n")
@@ -445,9 +428,9 @@ _int_text = int.__repr__
 
 
 def _write(x, emit, newline: str) -> None:
-    """emit the JSON text of to_plain(x), nested inside the indent that
-    `newline` (a newline and its spaces) opens: to_plain's tests in its
-    order, then the json module's on what it leaves."""
+    """emit the JSON text of x as dumps writes it, nested inside the indent
+    that `newline` (a newline and its spaces) opens: the conversion's tests
+    in its order, then the json module's on what it leaves."""
     cls = type(x)
     if cls is float:
         emit(_float_text(x) if math.isfinite(x) else "null")
@@ -503,7 +486,7 @@ def _write_container(x, emit, newline: str) -> None:
 
 
 def _key_text(key) -> str:
-    """A dict key as the json module writes it; to_plain keeps keys, so a
+    """A dict key as the json module writes it; dumps converts no key, so a
     float key that is not finite is a ValueError."""
     if isinstance(key, str):
         return _escape(key)

@@ -17,9 +17,8 @@ import sys
 from collections import namedtuple
 
 from . import __version__, bounds, geometry, operators, scenarios
-from .eigensolve import (MAX_GRID_NODES, UNCERTIFIED, GridPolicy,
-                         check_probe_windows, fundamental_tone, sample_ladder,
-                         truncation_probe)
+from .eigensolve import (UNCERTIFIED, GridPolicy, check_probe_windows,
+                         fundamental_tone, sample_ladder, truncation_probe)
 from .errors import AssemblyError, CatalogError, DiraclabError, SchemaError
 from .operators import (KIND_DIRAC, KIND_LAPLACIAN, assemble, mass_norm2,
                         rayleigh_quotient)
@@ -210,7 +209,7 @@ def _value_check(name, detail, keys=("value", "tol")) -> _Check:
     value (and extra detail), and tol is rel_tol * |value| when the check
     takes no tol key.  A check takes one of tol and rel_tol, never both.
     The detail writes a computed value that is not finite as null
-    (bounds.to_plain)."""
+    (bounds.dumps)."""
     def evaluate(run, exp):
         out = detail(run, exp)
         tol = (exp["tol"] if "tol" in keys
@@ -519,15 +518,21 @@ def _emit(text: str, out_path: str | None):
             f"cannot write {out_path}: {exc.strerror}") from exc
 
 
+def _render(docs: list, out_format: str) -> str:
+    """The csv or pretty text of loaded reports (bounds.load_report)."""
+    if out_format == "csv":
+        return bounds.reports_to_csv(docs)
+    return "".join(_format_pretty(d) for d in docs)
+
+
 def cmd_verify(selector: str, policy: GridPolicy, tol_scale: float,
                out_format: str, out_path: str | None) -> int:
+    """Emit the report's JSON text, or its csv or pretty rendering, which
+    `report` gives over that text."""
     report = run_scenario(_resolve_scenario(selector), policy, tol_scale)
-    if out_format == "json":
-        _emit(report.to_json(), out_path)
-    elif out_format == "csv":
-        _emit(bounds.reports_to_csv([report.to_json_dict()]), out_path)
-    else:
-        _emit(_format_pretty(report.to_json_dict()), out_path)
+    text = report.to_json()
+    _emit(text if out_format == "json"
+          else _render([bounds.load_report(text)], out_format), out_path)
     return EXIT_OK if report.all_expected_match else EXIT_MISMATCH
 
 
@@ -639,13 +644,9 @@ def cmd_report(paths, out_format: str, out_path: str | None) -> int:
                   f"keeping the later file {path}", file=sys.stderr)
         merged[doc["scenario"]] = doc
     docs = [merged[k] for k in sorted(merged)]
-    if out_format == "csv":
-        _emit(bounds.reports_to_csv(docs), out_path)
-    elif out_format == "json":
-        _emit(bounds.dumps({"schema_version": bounds.REPORT_SCHEMA_VERSION,
-                            "reports": docs}), out_path)
-    else:
-        _emit("".join(_format_pretty(d) for d in docs), out_path)
+    _emit(bounds.dumps({"schema_version": bounds.REPORT_SCHEMA_VERSION,
+                        "reports": docs}) if out_format == "json"
+          else _render(docs, out_format), out_path)
     return EXIT_OK
 
 

@@ -5,14 +5,15 @@ M^(-1/2) S M^(-1/2), which keeps the bandwidth, and every vector comes from
 one certified path.  Each pair is seeded with a value: the same block's at
 the coarser level; at the coarsest level, the one LAPACK dstebz bisects
 from the Gershgorin interval on the ladder's seed grid, with 1/16 of the
-coarsest level's nodes, at least 16 and at most SEED_N (sample_ladder);
-and wherever a seed fails, or a direct caller gives none, the block's own
-bisected value.  One inverse-iteration step and a few Rayleigh-quotient
-steps per pair, each an O(n) dgtsv solve, give vectors whose residuals
-bound an interval around each value (Parlett, 1998, ch. 4).  The index is
-certified in O(n): the intervals are disjoint, and the nonpositive pivots
-of one restarted dpttrf factorization count exactly the wanted number of
-values up to the top interval (Sylvester's law of inertia).
+coarsest level's nodes, at least 16 and at most SEED_N (sample_ladder; at
+16 nodes it is the coarsest level itself); and wherever a seed fails, or a
+direct caller gives none, the block's own bisected value.  One
+inverse-iteration step and a few Rayleigh-quotient steps per pair, each an
+O(n) dgtsv solve, give vectors whose residuals bound an interval around
+each value (Parlett, 1998, ch. 4).  The index is certified in O(n): the
+intervals are disjoint, and the nonpositive pivots of one restarted dpttrf
+factorization count exactly the wanted number of values up to the top
+interval (Sylvester's law of inertia).
 The reported eigenvalue is the factored quotient energy(v) / (M v, v) of
 the vector v, which keeps relative accuracy where a value of T carries an
 absolute error of about eps * ||S|| / ||M|| (Demmel & Kahan, 1990).  Each
@@ -44,9 +45,8 @@ keeps about 6 * 8 * n bytes for its largest n: about 3 MB after an
 Scratch views never leave this module's kernels; every returned vector and
 section is a fresh array, or a twin's view of one.
 smallest_eigenpairs returns each pair's vector; EigenResult.section(j)
-lays one out as a Section when called, and EigenResult.sections all of
-them when first read.  A tone builds one Section per solved mode: its
-level-0 ground, the one ToneResult.ground can hold.
+lays one out as a Section when called.  A tone builds one Section per
+solved mode: its level-0 ground, the one ToneResult.ground can hold.
 Dot products and norms are numpy's own single-threaded sums (np.einsum),
 never a BLAS kernel, so the bytes of a result do not depend on the BLAS
 thread count; the other reductions are ndarray methods.
@@ -54,7 +54,6 @@ thread count; the other reductions are ndarray methods.
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -190,9 +189,8 @@ class EigenResult:
     """Low eigenpairs of one reduced operator of a kind, mode nu and grid.
 
     vectors[j] is pair j's eigenvector on its block, block_index[j].
-    section(j) lays it out as a Section of the operator, built when called,
-    and sections holds every pair's, built when first read.  The result
-    keeps none of the operator's arrays.
+    section(j) lays it out as a Section of the operator, built when called.
+    The result keeps none of the operator's arrays.
     """
 
     eigenvalues: np.ndarray
@@ -208,10 +206,6 @@ class EigenResult:
         """Pair j's eigenvector as a Section (block_section)."""
         return block_section(self.kind, self.nu, self.grid,
                              int(self.block_index[j]), self.vectors[j])
-
-    @functools.cached_property
-    def sections(self) -> list:
-        return [self.section(j) for j in range(len(self.vectors))]
 
 
 @dataclass
@@ -392,6 +386,11 @@ def _refine(d, e, count, near):
     slack = BRACKET_SLACK * eps * ||T||_1 for rounding.  When the intervals
     are disjoint and one pivot count finds exactly `count` values up to the
     top one, interval j holds lambda_(j+1), and x_j is its vector.
+    Where the first solve fails, the start vector itself is judged; where
+    its interval is not above the one before, or a pivot count finds other
+    than j + 1 values up to its top, pair j starts once more, shifted at
+    near[j] - slack: a seed bisected on the same block can sit on its value
+    to the last bit.
     A step cap reached or a failed certificate returns None.
     """
     n = d.size
@@ -401,27 +400,32 @@ def _refine(d, e, count, near):
     X = np.empty((n, count))
     top = -math.inf
     for j in range(count):
-        x = np.cos(j * phase) if j else np.ones(n)  # cos(0) is exactly 1
+        start = np.cos(j * phase) if j else np.ones(n)  # cos(0) is exactly 1
         if j:
-            x -= np.einsum("ij,j->i", X[:, :j], np.einsum("ij,i->j",
-                                                          X[:, :j], x))
-        shift, rq, tx = float(near[j]), float(near[j]), None
-        for _ in range(RQI_STEPS):
-            y = _shifted_solve(d, e, shift, x)
-            if y is None:
+            start -= np.einsum("ij,j->i", X[:, :j], np.einsum(
+                "ij,i->j", X[:, :j], start))
+        for first in (float(near[j]), float(near[j]) - slack):
+            x, shift, rq, tx = start, first, first, None
+            for _ in range(RQI_STEPS):
+                y = _shifted_solve(d, e, shift, x)
+                if y is None:
+                    break
+                x, tx, prev = y, _matvec(d, e, y), rq
+                rq = shift = _dot(x, tx)
+                if abs(rq - prev) <= slack:
+                    break
+            else:
+                return None
+            judged = tx is None
+            if judged:  # the first solve failed: judge the start vector
+                x = x / _norm2(x)
+                tx = _matvec(d, e, x)
+                rq = _dot(x, tx)
+            res = np.multiply(x, rq, out=_scratch(n).rhs)
+            r = _norm2(np.subtract(tx, res, out=res)) + slack
+            if not judged or (rq - r > top
+                              and _count_below(d, e, rq + r) == j + 1):
                 break
-            x, tx, prev = y, _matvec(d, e, y), rq
-            rq = shift = _dot(x, tx)
-            if abs(rq - prev) <= slack:
-                break
-        else:
-            return None
-        if tx is None:  # the first solve failed: judge the start vector
-            x = x / _norm2(x)
-            tx = _matvec(d, e, x)
-            rq = _dot(x, tx)
-        res = np.multiply(x, rq, out=_scratch(n).rhs)
-        r = _norm2(np.subtract(tx, res, out=res)) + slack
         if not rq - r > top:
             return None
         top = rq + r
@@ -566,17 +570,19 @@ def _add_mode(tone: ToneResult, surface, spin, nu, ladder) -> None:
     ladder is (levels, seed) as sample_ladder returns it.  Level 0 refines
     its solve from the values each block bisects on the seed grid (a twin's
     -|nu| block alone), and each level after it from the values of the
-    level before.
+    level before.  Where the seed is level 0 itself, its one operator is
+    both bisected and solved.
     """
     levels, seed = ladder
     kind, pick = tone.kind, int(tone.kernel_skipped and nu == 0)
     seq = []
-    seed_op = assemble(surface, kind, spin, nu, *seed)
-    near = [None] * len(seed_op.blocks)
-    for bi in _own_blocks(seed_op):
-        near[bi] = _bisect(*_congruence(seed_op.blocks[bi])[1:], pick + 1)
+    op = assemble(surface, kind, spin, nu, *seed)
+    near = [None] * len(op.blocks)
+    for bi in _own_blocks(op):
+        near[bi] = _bisect(*_congruence(op.blocks[bi])[1:], pick + 1)
     for level, (grid, samples) in enumerate(levels):
-        op = assemble(surface, kind, spin, nu, grid, samples)
+        if levels[level] is not seed:
+            op = assemble(surface, kind, spin, nu, grid, samples)
         res = smallest_eigenpairs(op, pick + 1, near)
         near = res.block_values
         value = float(res.eigenvalues[pick])
@@ -596,11 +602,15 @@ def sample_ladder(surface, grids) -> tuple:
     """(levels, seed): a (grid, sample_grid samples) pair for each grid of
     the ladder grids, coarsest first (GridPolicy.grids), and such a pair on
     the seed grid: min(SEED_N, max(16, n0 // 16)) nodes, n0 the node count
-    of grids[0], laid for the end kinds of grids[0]."""
+    of grids[0], laid for the end kinds of grids[0].  Where that is n0
+    (n0 = 16), the seed is levels[0] itself, laid and sampled once."""
     levels = [(grid, sample_grid(surface, grid)) for grid in grids]
     first = grids[0]
-    seed_grid = lay_grid(surface, min(SEED_N, max(16, first.n // 16)),
-                         first.side_kinds, first.side_slopes)
+    seed_n = min(SEED_N, max(16, first.n // 16))
+    if seed_n == first.n:
+        return levels, levels[0]
+    seed_grid = lay_grid(surface, seed_n, first.side_kinds,
+                         first.side_slopes)
     return levels, (seed_grid, sample_grid(surface, seed_grid))
 
 

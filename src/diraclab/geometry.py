@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,10 @@ _SINGULAR_REL = 1e-8
 
 
 def is_finite_number(x) -> bool:
-    """Whether x is a number other than a boolean, NaN and +-Infinity."""
+    """Whether x is a number other than a boolean, NaN and +-Infinity, and
+    inside the float range: a JSON integer such as 10**400 is not."""
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) < math.inf)
+            and abs(x) <= sys.float_info.max)
 
 
 def _finite(doc: dict, key: str) -> float:
@@ -128,8 +130,12 @@ class TabulatedWarp:
     variant = "tabulated"
 
     def __init__(self, ts, fs):
-        ts = np.asarray(ts, dtype=float)
-        fs = np.asarray(fs, dtype=float)
+        try:
+            ts = np.asarray(ts, dtype=float)
+            fs = np.asarray(fs, dtype=float)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise GeometryError("tabulated warp samples must be finite") \
+                from exc
         if ts.ndim != 1 or ts.size < 4 or ts.shape != fs.shape:
             raise GeometryError("tabulated warp needs >= 4 matched samples")
         if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(fs))):

@@ -30,7 +30,7 @@ Block.factor gives (A_mu u)_e on those elements, the package's one discrete
 Dirac operator: Block.energy sums its weighted squares, which keeps
 relative accuracy where u^T S u would cancel digits of size eps/h^2;
 section_energy sums Block.energy over the operator a section solves
-(check_pairing), and the cutoff and Leibniz audits apply the factor.
+(check_pairing), and the cutoff audit applies the factor.
 
 Boundary treatment.  Regular boundary circles and cusp truncations get a
 Dirichlet ghost node (the Friedrichs condition).  At a singular end where
@@ -525,22 +525,6 @@ def bochner_gradient_energy(surface, op: ReducedOperator,
         for b, c in zip(op.blocks, phi.components()))
 
 
-def leibniz_defect(op: ReducedOperator, fmul: Section, phi: Section) -> float:
-    """Discrete L2 norm of D(f phi) - grad f . phi - f D phi on phi's grid.
-
-    D is Block.factor of op, the Dirac square phi solves, and f phi,
-    grad f . phi and f D phi are read on its elements (product_rule_defect):
-    the defect is O(h^2) under refinement, and vanishes identically for
-    constant f or a_e = 0.  fmul must be a scalar section of mode 0 on
-    phi's grid: a rotation-invariant f, the only one the rule holds for.
-    """
-    check_pairing(op, phi, KIND_DIRAC)
-    if fmul.kind != KIND_LAPLACIAN or fmul.nu != 0 or fmul.grid != phi.grid:
-        raise AssemblyError(f"multiplier must be a mode-0 scalar on phi's "
-                            f"grid, got {fmul.kind} of mode {fmul.nu}")
-    return product_rule_defect(op.blocks, fmul.values, phi.components())
-
-
 def product_rule_defect(blocks, fv, comps) -> float:
     """sqrt(sum_e w_e |A(f u)_e - fbar_e (A u)_e - (df_e/h) ubar_e|^2) over
     the components u of the blocks' Block.factor A.
@@ -549,7 +533,7 @@ def product_rule_defect(blocks, fv, comps) -> float:
     end values; fbar_e, ubar_e are element means and df_e = f_(e+1) - f_e.
     Since (f u)_(e+1) - (f u)_e = fbar_e du_e + ubar_e df_e, the defect is
     exactly a_e df_e du_e / 4: computed in that form, it does not cancel.
-    leibniz_defect and the cutoff audit share it.
+    The cutoff audit (bounds.cutoff_stability_check) reads it.
     """
     df = np.diff(np.pad(np.asarray(fv, dtype=float), 1, mode="edge"))
     total = 0.0

@@ -52,7 +52,7 @@ def test_verify_bad_flags_usage_error(capsys):
 def test_grid_ladder_above_the_node_cap_is_usage_error(capsys, monkeypatch):
     # the cap is checked before any grid is laid out or solved; ladders
     # whose finest grid has exactly MAX_GRID_NODES reach the solver
-    from diraclab import cli
+    from diraclab import cli, eigensolve
 
     class Reached(Exception):
         pass
@@ -61,7 +61,7 @@ def test_grid_ladder_above_the_node_cap_is_usage_error(capsys, monkeypatch):
         raise Reached("reached the solver")
     monkeypatch.setattr(cli, "fundamental_tone", no_solve)
     monkeypatch.setattr(cli, "_ScenarioRun", no_solve)
-    cap = cli.MAX_GRID_NODES
+    cap = eigensolve.MAX_GRID_NODES
     verify = ["verify", "--scenario", "round-sphere"]
     for argv, code in (
             ([*verify, "--grid-n", "1000000000000", "--levels", "1"], 64),
@@ -500,6 +500,21 @@ def test_verify_csv_and_pretty_formats(tmp_path, capsys):
     assert len(lines) == 3 + len(doc["verdicts"]) + len(doc["checks"])
 
 
+def test_verify_renders_what_report_renders_for_its_json(tmp_path, capsys):
+    # verify's csv and pretty formats are report's over verify's own JSON
+    # text, for every built-in, whatever its exit code
+    from diraclab.scenarios import builtin_catalog
+    for sc in builtin_catalog():
+        ladder = ["--scenario", sc.id, "--grid-n", "64", "--levels", "2"]
+        code, text, _ = run(["verify", *ladder], capsys)
+        path = tmp_path / f"{sc.id}.json"
+        path.write_text(text)
+        for fmt in ("csv", "pretty"):
+            got = run(["verify", *ladder, "--format", fmt], capsys)
+            want = run(["report", str(path), "--format", fmt], capsys)
+            assert got == (code, want[1], ""), (sc.id, fmt)
+
+
 def test_report_pretty_prints_null_numbers_as_na(tmp_path, capsys):
     # any number in a report may be null (the one null rule)
     path = tmp_path / "nulls.json"
@@ -894,6 +909,16 @@ OUT_OF_RANGE_CASES = [
     pytest.param("cusp-cylinder-l10",
                  _edit_section("dirichlet_sine", "length", 1e300),
                  "'dirichlet_sine'", id="section-whose-squares-underflow"),
+    # a JSON integer beyond the float range, which float() cannot convert
+    pytest.param("cover-m2", _edit(("surface", "period"), 10 ** 400),
+                 "'period'", id="period-beyond-the-float-range"),
+    pytest.param("cover-m2", _edit_section("f_k", "mode", 10 ** 400),
+                 "'mode'", id="section-mode-beyond-the-float-range"),
+    pytest.param("cover-m2", _edit(("expected", 0, "value"), 10 ** 400),
+                 "'value'", id="expected-value-beyond-the-float-range"),
+    pytest.param("cusp-cylinder-l10",
+                 _edit(("surface", "warp", "fs", 1), -10 ** 400),
+                 "'surface'", id="tabulated-sample-beyond-the-float-range"),
 ]
 
 
@@ -911,6 +936,26 @@ def test_a_document_out_of_floating_range_is_usage_error_before_any_solve(
     assert code == 64, err
     assert err.startswith("usage error:")
     assert named in err
+
+
+@pytest.mark.parametrize("sid,edge", [("cover-m2", ("t_min", 0.0)),
+                                      ("cover-m3", ("t_max", -1.0))],
+                         ids=["hemisphere", "cap"])
+@pytest.mark.parametrize("levels", ["1", "2", "3"])
+def test_a_16_node_ladder_certifies_a_hemisphere_and_a_cap(
+        tmp_path, capsys, sid, edge, levels):
+    # legal surfaces whose 16-node level 0 bisects a value its shifted
+    # solve meets exactly; they mismatch (exit 2), since their expected
+    # values are the whole sphere's
+    from diraclab.scenarios import find_scenario
+    doc = find_scenario(sid).to_json()
+    doc["surface"][edge[0]] = edge[1]
+    path = tmp_path / "part.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", "--scenario", str(path), "--grid-n",
+                          "16", "--levels", levels], capsys)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["all_expected_match"] is False
 
 
 # entries of a scenario without spin: the Dirac operator runs (True) or
@@ -1327,8 +1372,8 @@ def test_a_report_holds_every_tone_its_run_computes():
     for sid in ("growing-curvature", "cusp-cylinder-l10"):
         sc = find_scenario(sid)
         assert "dirac_tone" not in {e["check"] for e in sc.expected}
-        doc = run_scenario(sc, GridPolicy(base_n=64,
-                                          levels=2)).to_json_dict()
+        doc = json.loads(run_scenario(sc, GridPolicy(base_n=64,
+                                                     levels=2)).to_json())
         tone = doc["diagnostics"]["dirac_tone"]
         friedrich = next(v for v in doc["verdicts"]
                          if v["bound"] == "friedrich")
@@ -1384,6 +1429,28 @@ def test_import_and_catalog_load_stay_lean():
     from diraclab.scenarios import builtin_catalog
     assert proc.stdout.splitlines() == (
         ["[]", "[]"] + [f"{sc.id} []" for sc in builtin_catalog()])
+
+
+def test_every_src_module_reads_each_name_it_imports():
+    # an import nothing reads is dead code that every cold start compiles
+    # and runs; __init__ imports to export, and __future__ sets a mode
+    import ast
+    src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or isinstance(
+                    node, ast.ImportFrom) and node.module != "__future__":
+                unread += [f"{path.name}:{node.lineno} {bound}"
+                           for alias in node.names
+                           if (bound := alias.asname
+                               or alias.name.split(".")[0]) not in read]
+    assert unread == []
 
 
 def test_only_eigensolve_imports_scipy():
@@ -1513,7 +1580,7 @@ def test_verify_bytes_do_not_depend_on_the_blas_thread_count():
 
 def test_json_is_written_by_one_function():
     # no module but bounds writes JSON: every document goes through
-    # bounds.dumps, which applies the null rule of bounds.to_plain, and no
+    # bounds.dumps, which writes a number that is not finite as null, and no
     # module converts numbers on its own; json is read elsewhere only to
     # parse (load, loads, JSONDecodeError)
     import ast
@@ -1728,7 +1795,7 @@ def test_default_report_records_the_grid_constants():
     from diraclab.scenarios import find_scenario
     sc = find_scenario("round-sphere")
     area = next(e for e in sc.expected if e["check"] == "area")
-    doc = run_scenario(replace(sc, expected=(area,))).to_json_dict()
+    doc = json.loads(run_scenario(replace(sc, expected=(area,))).to_json())
     assert doc["provenance"]["policy"] == {
         "base_n": 512, "levels": 3, "delta_ratio": 0.5,
         "cusp_tail_rel": 1e-6, "max_mode_cutoff": 64}

@@ -142,8 +142,8 @@ def _same_pairs(got, ref):
                        ref.eigenvalues[ref_order], rtol=1e-12, atol=0)
     assert np.array_equal(got.block_index[got_order],
                           ref.block_index[ref_order])
-    for a, b in zip((got.sections[i] for i in got_order),
-                    (ref.sections[i] for i in ref_order)):
+    for a, b in zip((got.section(i) for i in got_order),
+                    (ref.section(i) for i in ref_order)):
         # an eigenvector's sign is arbitrary
         gap = min(np.max(np.abs(a.values - b.values)),
                   np.max(np.abs(a.values + b.values)))
@@ -293,8 +293,8 @@ def test_mirror_values_match_a_two_block_solve(n):
             turn = op.twin
             assert turn is not None
             assert list(got.block_index[:2]) == [0, 1]
-            assert np.array_equal(got.sections[1].values[1],
-                                  got.sections[0].values[0][turn])
+            assert np.array_equal(got.section(1).values[1],
+                                  got.section(0).values[0][turn])
 
 
 def test_cusp_mode_zero_solves_once_to_the_same_report(monkeypatch):
@@ -376,6 +376,54 @@ def test_singular_shift_ends_the_iteration_at_a_certified_pair(
     assert np.allclose(np.abs(X[:, 0]), 1 / math.sqrt(n), rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("sid,edge,nu", [
+    ("cover-m2", {"t_min": 0.0}, 0.5),
+    ("cover-m3", {"t_max": -1.0}, 1.5),
+], ids=["hemisphere", "cap"])
+def test_a_bisected_shift_on_an_eigenvalue_still_certifies(
+        monkeypatch, sid, edge, nu):
+    # on 16 nodes the second block's bisected value is its eigenvalue to
+    # the last bit: its first solve meets an exact zero pivot, the start
+    # vector fails its certificate, and the pair starts once more, shifted
+    # slack below, where one solve certifies it
+    sc = find_scenario(sid)
+    surface = replace(sc.surface, **edge)
+    op = assemble(surface, KIND_DIRAC, sc.spin, nu, make_grid(surface, 16))
+    calls = _lapack_calls(monkeypatch)
+    res = smallest_eigenpairs(op, 1)
+    assert [info for *_, info in calls["dgtsv"]] == [0, 16, 0]
+    assert _certified(calls) == [True, True]
+    assert res.residuals[0] <= 16 * np.finfo(float).eps
+
+
+def test_a_16_node_ladder_is_its_own_seed(monkeypatch):
+    # the seed grid of a 16-node ladder is its level 0: no second grid is
+    # laid or sampled, and a tone assembles each solved mode once per level,
+    # level 0's operator both bisected and solved
+    sc = find_scenario("round-sphere")
+    grids = GridPolicy(base_n=16, levels=2).grids(sc.surface)
+    sampled, assembled = [], []
+
+    def count_samples(surface, grid, _real=eigensolve.sample_grid):
+        sampled.append(grid)
+        return _real(surface, grid)
+
+    def count_assembly(surface, kind, spin, nu, grid, samples,
+                       _real=eigensolve.assemble):
+        assembled.append((nu, grid))
+        return _real(surface, kind, spin, nu, grid, samples)
+    monkeypatch.setattr(eigensolve, "sample_grid", count_samples)
+    monkeypatch.setattr(eigensolve, "assemble", count_assembly)
+    ladder = sample_ladder(sc.surface, grids)
+    assert sampled == grids and ladder[1] is ladder[0][0]
+    for kind, spin in ((KIND_DIRAC, sc.spin), (KIND_LAPLACIAN, None)):
+        assembled.clear()
+        tone = fundamental_tone(sc.surface, kind, spin, ladder)
+        solved = [nu for nu, rec in tone.per_mode.items() if "value" in rec]
+        assert solved
+        assert assembled == [(nu, grid) for nu in solved for grid in grids]
+
+
 def _sphere_dirac_op(n, nu=0.5):
     sc = find_scenario("round-sphere")
     return assemble(sc.surface, KIND_DIRAC, sc.spin, nu,
@@ -383,7 +431,8 @@ def _sphere_dirac_op(n, nu=0.5):
 
 
 def _pairs(res):
-    return (res.eigenvalues.copy(), [s.values.copy() for s in res.sections],
+    return (res.eigenvalues.copy(),
+            [res.section(j).values.copy() for j in range(len(res.vectors))],
             [v.copy() for v in res.block_values])
 
 
@@ -444,7 +493,8 @@ def test_results_keep_their_values_after_a_larger_solve():
     assert np.array_equal(X, X_before)
     for buf in eigensolve._workspace.bufs.values():
         assert not np.shares_memory(X, buf)
-        assert not any(np.shares_memory(s.values, buf) for s in res.sections)
+        assert not any(np.shares_memory(res.section(j).values, buf)
+                       for j in range(len(res.vectors)))
 
 
 def test_dgtsv_solves_in_place(monkeypatch):
@@ -955,7 +1005,7 @@ def test_backward_error_is_scale_free():
     res = smallest_eigenpairs(op, 1)
     block = op.blocks[res.block_index[0]]
     lam = res.eigenvalues[0]
-    vec = res.sections[0].values[res.block_index[0]]
+    vec = res.section(0).values[res.block_index[0]]
     # a perturbed pair, so the residual is well above rounding
     vec = vec + 1e-6 * np.random.default_rng(7).standard_normal(vec.shape)
     err = _backward_error(block, lam, vec)
@@ -1143,7 +1193,7 @@ def _fresh_level0_section(surface, kind, spin, nu, base_n, take_second):
     near = [eigensolve._bisect(*eigensolve._congruence(block)[1:], count)
             for block in assemble(surface, kind, spin, nu, seed).blocks]
     op = assemble(surface, kind, spin, nu, grid)
-    return smallest_eigenpairs(op, count, near).sections[-1]
+    return smallest_eigenpairs(op, count, near).section(count - 1)
 
 
 def test_tone_ground_is_the_level0_section_of_the_attaining_mode(
@@ -1309,13 +1359,12 @@ def test_a_tone_builds_one_section_per_solved_mode(monkeypatch):
 
 def test_a_direct_caller_gets_every_section():
     # each pair's vector laid out in its block, the other spinor component
-    # zero; read twice, the same list
+    # zero
     op = _sphere_dirac_op(256, 1.5)
     res = smallest_eigenpairs(op, 3)
-    assert len(res.sections) == 3 and res.sections is res.sections
-    for j, sec in enumerate(res.sections):
-        bi = res.block_index[j]
+    assert len(res.vectors) == 3
+    for j in range(3):
+        sec, bi = res.section(j), res.block_index[j]
         assert (sec.kind, sec.nu, sec.grid) == (op.kind, op.nu, op.grid)
         assert np.array_equal(sec.values[bi], res.vectors[j])
         assert not sec.values[1 - bi].any()
-        assert np.array_equal(res.section(j).values, sec.values)

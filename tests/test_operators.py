@@ -23,7 +23,6 @@ from diraclab.operators import (
     bochner_gradient_energy,
     check_on_lattice,
     kind_lattice,
-    leibniz_defect,
     make_grid,
     product_rule_defect,
     rayleigh_quotient,
@@ -141,7 +140,7 @@ def test_rayleigh_quotient_of_eigenvector_is_eigenvalue():
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5,
                                make_grid(s, 128))
     res = smallest_eigenpairs(op, 1)
-    rq = rayleigh_quotient(op, res.sections[0])
+    rq = rayleigh_quotient(op, res.section(0))
     assert rq == pytest.approx(res.eigenvalues[0], rel=1e-12)
 
 
@@ -231,7 +230,7 @@ def test_bochner_energy_half_split_on_sphere_ground(sphere_dirac_tone):
     grid = make_grid(s, 512)
     op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
     res = smallest_eigenpairs(op, 1)
-    phi = res.sections[0]
+    phi = res.section(0)
     bge = bochner_gradient_energy(s, op, phi)
     assert bge / section_energy(op, phi) == pytest.approx(0.5, abs=1e-3)
 
@@ -247,50 +246,6 @@ def test_bochner_energy_nonnegative_on_curved_scenarios():
             sec = Section(kind=KIND_DIRAC, nu=nu, grid=grid,
                           values=rng.standard_normal((2, grid.n)))
             assert bochner_gradient_energy(sc.surface, op, sec) >= -1e-8
-
-
-def test_leibniz_defect_constant_multiplier_vanishes():
-    s = cylinder(5.0)
-    grid = make_grid(s, 128)
-    op = assemble_dirac_square(s, SpinStructure.NON_BOUNDING, 0.0, grid)
-    phi = smallest_eigenpairs(op, 1).sections[0]
-    ones = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid,
-                   values=np.ones(grid.n))
-    assert leibniz_defect(op, ones, phi) == 0.0
-
-
-def leibniz_defect_at(n):
-    # bounding nu = 1/2 on a constant warp: a_e = -+1/2, so the remainder
-    # a_e df_e du_e / 4 is not identically zero
-    s = cylinder(5.0)
-    grid = make_grid(s, n)
-    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
-    phi = smallest_eigenpairs(op, 1).sections[0]
-    fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=grid.nodes)
-    return leibniz_defect(op, fmul, phi)
-
-
-def test_leibniz_defect_second_order():
-    d = [leibniz_defect_at(n) for n in (128, 256, 512)]
-    for a, b in zip(d, d[1:]):
-        assert 3.4 <= a / b <= 4.6
-
-
-def test_leibniz_defect_cutoff_multiplier_bound():
-    # for a ramp with slope <= 1/rho, |a_e| = 1/2 and |du_e| <= |u_e| +
-    # |u_(e+1)| bound the remainder by h ||phi|| / (4 rho); it is positive
-    s = cylinder(16.0)
-    grid = make_grid(s, 256)
-    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
-    phi = smallest_eigenpairs(op, 1).sections[0]
-    rho = 4.0
-    t = grid.nodes
-    ramp = np.clip(2.0 - np.abs(t - 8.0) / rho, 0.0, 1.0)
-    fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=grid, values=ramp)
-    defect = leibniz_defect(op, fmul, phi)
-    w = s.period * grid.h * np.ones(grid.n)
-    phi_norm = math.sqrt(float(np.sum(w * phi.values ** 2)))
-    assert 0.0 < defect <= grid.h * phi_norm / (4.0 * rho)
 
 
 def test_product_rule_remainder_is_exact_on_the_sphere_blocks():
@@ -320,32 +275,6 @@ def test_product_rule_remainder_is_exact_on_the_sphere_blocks():
     # product_rule_defect is the weighted norm of exactly that remainder
     assert product_rule_defect(op.blocks, f, comps) == pytest.approx(
         math.sqrt(total), rel=1e-12)
-
-
-def test_leibniz_defect_rejects_a_multiplier_from_another_grid():
-    # same node count, another window: the samples would be mixed silently
-    s = cylinder(5.0)
-    grid = make_grid(s, 128)
-    op = assemble_dirac_square(s, SpinStructure.NON_BOUNDING, 0.0, grid)
-    phi = smallest_eigenpairs(op, 1).sections[0]
-    other = Grid(a=0.0, b=10.0, n=grid.n)
-    fmul = Section(kind=KIND_LAPLACIAN, nu=0.0, grid=other,
-                   values=np.ones(grid.n))
-    with pytest.raises(AssemblyError):
-        leibniz_defect(op, fmul, phi)
-
-
-def test_leibniz_defect_rejects_a_multiplier_of_another_mode():
-    # the product rule it audits holds for a rotation-invariant f only: a
-    # mode-3 multiplier would be read as its mode-0 profile
-    s = cylinder(5.0)
-    grid = make_grid(s, 128)
-    op = assemble_dirac_square(s, SpinStructure.BOUNDING, 0.5, grid)
-    phi = smallest_eigenpairs(op, 1).sections[0]
-    fmul = Section(kind=KIND_LAPLACIAN, nu=3.0, grid=grid, values=grid.nodes)
-    with pytest.raises(AssemblyError, match="got laplacian_scalar of mode 3.0"):
-        leibniz_defect(op, fmul, phi)
-    assert leibniz_defect(op, replace(fmul, nu=0.0), phi) > 0.0
 
 
 def test_one_rule_gives_the_lattice_of_each_kind(monkeypatch):
