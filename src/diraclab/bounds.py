@@ -404,17 +404,19 @@ class SpectralReport:
 
 
 def dumps(doc) -> str:
-    """The one writer of the JSON documents diraclab emits: doc in JSON
-    values, keys sorted, indented by two.  A number that is not finite is
-    written as null, a numpy scalar as its Python number, a tuple as a list
-    and a dataclass as the dict of its fields, at every depth; a float dict
-    key that is not finite is an error, never a NaN or Infinity token.
+    """The one writer of the JSON documents diraclab emits: doc, keys
+    sorted, indented by two.  It writes the values a report holds, of
+    exactly these types, at every depth: float (one that is not finite as
+    null), str, int, bool, None, dict with str keys, list, tuple (as a
+    list) and dataclass (as the dict of its fields).  Any other value, a
+    numpy scalar or a subclass among them, or any other key, is a
+    TypeError naming its type.
 
     The text is exactly that of json.dumps(sort_keys=True, indent=2,
-    allow_nan=False) + "\\n" over the converted copy of doc (the tests
-    keep that conversion as the reference), written in one pass over doc:
-    the standard library has no C encoder for an indented document, so it
-    would walk the copy in Python generators once more.
+    allow_nan=False) + "\\n" over doc with those conversions (the tests
+    keep them as the reference), written in one pass over doc: the
+    standard library has no C encoder for an indented document, so it
+    would walk a converted copy in Python generators once more.
     """
     out = []
     _write(doc, out.append, "\n")
@@ -429,8 +431,8 @@ _int_text = int.__repr__
 
 def _write(x, emit, newline: str) -> None:
     """emit the JSON text of x as dumps writes it, nested inside the indent
-    that `newline` (a newline and its spaces) opens: the conversion's tests
-    in its order, then the json module's on what it leaves."""
+    that `newline` (a newline and its spaces) opens; TypeError for a value
+    of any type dumps does not write."""
     cls = type(x)
     if cls is float:
         emit(_float_text(x) if math.isfinite(x) else "null")
@@ -442,21 +444,12 @@ def _write(x, emit, newline: str) -> None:
         emit(_int_text(x))
     elif cls is bool or x is None:
         emit("true" if x is True else "false" if x is False else "null")
-    elif isinstance(x, float):  # a numpy float64 among them
-        emit(_float_text(x) if math.isfinite(x) else "null")
-    elif isinstance(x, np.generic):
-        _write(x.item(), emit, newline)
-    elif isinstance(x, (dict, list, tuple)):
-        _write_container(x, emit, newline)
     elif is_dataclass(x):
         _write(vars(x), emit, newline)
-    elif isinstance(x, str):
-        emit(_escape(x))
-    elif isinstance(x, int):
-        emit(_int_text(x))
-    else:
-        raise TypeError(f"Object of type {cls.__name__} is not JSON "
-                        f"serializable")
+    else:  # a numpy bool is named numpy.bool, not bool
+        name = (cls.__name__ if cls.__module__ == "builtins"
+                else f"{cls.__module__}.{cls.__qualname__}")
+        raise TypeError(f"Object of type {name} is not JSON serializable")
 
 
 def _write_container(x, emit, newline: str) -> None:
@@ -468,8 +461,10 @@ def _write_container(x, emit, newline: str) -> None:
             return
         start = "{" + inner
         for key, value in sorted(x.items()):
-            emit(start + (_escape(key) if type(key) is str
-                          else _key_text(key)) + ": ")
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            emit(start + _escape(key) + ": ")
             _write(value, emit, inner)
             start = "," + inner
         emit(newline + "}")
@@ -483,25 +478,6 @@ def _write_container(x, emit, newline: str) -> None:
         _write(value, emit, inner)
         start = "," + inner
     emit(newline + "]")
-
-
-def _key_text(key) -> str:
-    """A dict key as the json module writes it; dumps converts no key, so a
-    float key that is not finite is a ValueError."""
-    if isinstance(key, str):
-        return _escape(key)
-    if isinstance(key, float):
-        if not math.isfinite(key):
-            raise ValueError(f"Out of range float values are not JSON "
-                             f"compliant: {key!r}")
-        return _escape(_float_text(key))
-    if key is True or key is False or key is None:
-        return '"true"' if key is True else '"false"' if key is False \
-            else '"null"'
-    if isinstance(key, int):
-        return _escape(_int_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not "
-                    f"{type(key).__name__}")
 
 
 CSV_COLUMNS = ["scenario", "bound", "value", "lambda_star", "error_bar",
@@ -546,7 +522,7 @@ def load_report(text) -> dict:
     checked; any malformed report is a SchemaError."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also bad UTF-8 and an over-long integer
         raise SchemaError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(

@@ -52,7 +52,7 @@ def _resolve_scenario(selector: str) -> scenarios.Scenario:
         data = _read_input(selector, "scenario")
         try:
             doc = json.loads(data)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # also bad UTF-8 and an over-long integer
             raise CatalogError(
                 f"scenario file {selector} is not valid JSON: {exc}") from exc
         return scenarios.scenario_from_json(doc)

@@ -10,10 +10,11 @@ coarsest level's nodes, at least 16 and at most SEED_N (sample_ladder; at
 direct caller gives none, the block's own bisected value.  One
 inverse-iteration step and a few Rayleigh-quotient steps per pair, each an
 O(n) dgtsv solve, give vectors whose residuals bound an interval around
-each value (Parlett, 1998, ch. 4).  The index is certified in O(n): the
-intervals are disjoint, and the nonpositive pivots of one restarted dpttrf
-factorization count exactly the wanted number of values up to the top
-interval (Sylvester's law of inertia).
+each value (Parlett, 1998, ch. 4); a pair whose first solve is singular
+starts once more, shifted BRACKET_SLACK * eps * ||T||_1 below.  The index
+is certified in O(n): the intervals are disjoint, and the nonpositive
+pivots of one restarted dpttrf factorization count exactly the wanted
+number of values up to the top interval (Sylvester's law of inertia).
 The reported eigenvalue is the factored quotient energy(v) / (M v, v) of
 the vector v, which keeps relative accuracy where a value of T carries an
 absolute error of about eps * ||S|| / ||M|| (Demmel & Kahan, 1990).  Each
@@ -379,19 +380,18 @@ def _refine(d, e, count, near):
     cos(j pi (i + 1/2) / n), earlier pairs projected out, takes one
     inverse-iteration step shifted at near[j], then Rayleigh-quotient steps
     until a quotient agrees within `slack` with the one before (the first
-    with near[j]), at most RQI_STEPS of them; a failed solve (a shift on a
-    value to working precision) ends the iteration at the last vector.  Its
-    quotient rq_j and residual r_j put an eigenvalue in
-    [rq_j - r_j, rq_j + r_j] (Parlett, 1998, ch. 4), padded by
-    slack = BRACKET_SLACK * eps * ||T||_1 for rounding.  When the intervals
-    are disjoint and one pivot count finds exactly `count` values up to the
-    top one, interval j holds lambda_(j+1), and x_j is its vector.
-    Where the first solve fails, the start vector itself is judged; where
-    its interval is not above the one before, or a pivot count finds other
-    than j + 1 values up to its top, pair j starts once more, shifted at
-    near[j] - slack: a seed bisected on the same block can sit on its value
-    to the last bit.
-    A step cap reached or a failed certificate returns None.
+    with near[j]), at most RQI_STEPS of them.  A first solve that fails (a
+    shift on a value to working precision: a seed bisected on the same
+    block can sit on its value to the last bit) starts the pair once more,
+    shifted at near[j] - slack; a failed solve after that ends the
+    iteration at the last vector.  Its quotient rq_j and residual r_j put
+    an eigenvalue in [rq_j - r_j, rq_j + r_j] (Parlett, 1998, ch. 4),
+    padded by slack = BRACKET_SLACK * eps * ||T||_1 for rounding.  When the
+    intervals are disjoint and one pivot count finds exactly `count` values
+    up to the top one, interval j holds lambda_(j+1), and x_j is its
+    vector.
+    A step cap reached, a pair without a vector or a failed certificate
+    returns None.
     """
     n = d.size
     slack = BRACKET_SLACK * _EPS * _norm1(d, e)
@@ -400,12 +400,13 @@ def _refine(d, e, count, near):
     X = np.empty((n, count))
     top = -math.inf
     for j in range(count):
-        start = np.cos(j * phase) if j else np.ones(n)  # cos(0) is exactly 1
+        x = np.cos(j * phase) if j else np.ones(n)  # cos(0) is exactly 1
         if j:
-            start -= np.einsum("ij,j->i", X[:, :j], np.einsum(
-                "ij,i->j", X[:, :j], start))
+            x -= np.einsum("ij,j->i", X[:, :j], np.einsum("ij,i->j",
+                                                          X[:, :j], x))
+        tx = None
         for first in (float(near[j]), float(near[j]) - slack):
-            x, shift, rq, tx = start, first, first, None
+            shift = rq = first
             for _ in range(RQI_STEPS):
                 y = _shifted_solve(d, e, shift, x)
                 if y is None:
@@ -416,16 +417,12 @@ def _refine(d, e, count, near):
                     break
             else:
                 return None
-            judged = tx is None
-            if judged:  # the first solve failed: judge the start vector
-                x = x / _norm2(x)
-                tx = _matvec(d, e, x)
-                rq = _dot(x, tx)
-            res = np.multiply(x, rq, out=_scratch(n).rhs)
-            r = _norm2(np.subtract(tx, res, out=res)) + slack
-            if not judged or (rq - r > top
-                              and _count_below(d, e, rq + r) == j + 1):
+            if tx is not None:
                 break
+        if tx is None:
+            return None
+        res = np.multiply(x, rq, out=_scratch(n).rhs)
+        r = _norm2(np.subtract(tx, res, out=res)) + slack
         if not rq - r > top:
             return None
         top = rq + r
@@ -684,12 +681,17 @@ def check_probe_windows(surface, windows) -> list:
         if a1 > a0 + 1e-12 or b1 < b0 - 1e-12:
             raise AssemblyError("probe windows must be nested and growing")
     h = (windows[0][1] - windows[0][0]) / (SEED_N + 1)
-    sized = [(a, b, max(16, int(round((b - a) / h)) - 1)) for a, b in windows]
-    for a, b, n in sized:
-        if n > MAX_GRID_NODES:
+    sized = []
+    for a, b in windows:
+        # a first window of subnormal width makes h tiny, or 0, and the
+        # step count of a wider window infinite
+        steps = (b - a) / h if h else math.inf
+        if not steps < MAX_GRID_NODES + 1.5:  # round(steps) - 1 nodes
             raise AssemblyError(
                 f"probe window [{a}, {b}] at the first window's spacing "
-                f"needs {n} nodes, above the cap of {MAX_GRID_NODES}")
+                f"needs {steps - 1:.0f} nodes, above the cap of "
+                f"{MAX_GRID_NODES}")
+        sized.append((a, b, max(16, round(steps) - 1)))
     return sized
 
 

@@ -40,6 +40,15 @@ def is_finite_number(x) -> bool:
             and abs(x) <= sys.float_info.max)
 
 
+def _squares_in_range(f) -> bool:
+    """Whether every f is positive with f^2 and 1/f^2 finite: the spinor
+    floor reads nu^2 / f^2 at every node (spin.mode_lower_bound_term)."""
+    f = np.asarray(f, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        f2 = f * f
+        return bool(np.all((f > 0) & (f2 < math.inf) & (1.0 / f2 < math.inf)))
+
+
 def _finite(doc: dict, key: str) -> float:
     """doc[key] of a JSON document, which must be a finite number."""
     if not is_finite_number(doc[key]):
@@ -72,8 +81,9 @@ class ConstantWarp:
     variant = "constant"
 
     def __init__(self, c: float = 1.0):
-        if not c > 0:
-            raise GeometryError(f"constant warp needs c > 0, got {c}")
+        if not _squares_in_range(c):
+            raise GeometryError(f"constant warp needs c > 0 with c^2 and "
+                                f"1/c^2 finite, got {c}")
         self.c = float(c)
 
     def derivatives(self, t, orders):
@@ -95,8 +105,9 @@ class ExpCuspWarp:
     variant = "exp_cusp"
 
     def __init__(self, c: float = 1.0):
-        if not c > 0:
-            raise GeometryError(f"cusp warp needs c > 0, got {c}")
+        if not _squares_in_range(c):
+            raise GeometryError(f"cusp warp needs c > 0 with c^2 and 1/c^2 "
+                                f"finite, got {c}")
         self.c = float(c)
 
     def derivatives(self, t, orders):
@@ -193,10 +204,17 @@ class TabulatedWarp:
         i's f' is the quadratic c1 + 2 c2 x + 3 c3 x^2 in the offset x from
         its left knot, and its roots are the pair q/(3 c3), c1/q with
         q = -(c2 + sign(c2) sqrt(c2^2 - 3 c1 c3)), which stays accurate
-        when one root is tiny and gives -c1/(2 c2) where c3 = 0."""
+        when one root is tiny and gives -c1/(2 c2) where c3 = 0.  A
+        discriminant c2^2 - 3 c1 c3 out of the float range is a
+        GeometryError."""
         _, c1, c2, c3 = self._coef
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = c2 * c2 - 3.0 * c1 * c3
+        if not np.all(np.isfinite(disc)):
+            raise GeometryError("tabulated warp samples give a spline out "
+                                "of the float range")
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * c1 * c3), c2))
+            q = -(c2 + np.copysign(np.sqrt(disc), c2))
             offsets = np.concatenate([q / (3.0 * c3), c1 / q])
         left = np.tile(np.arange(c1.size), 2)
         t = self.ts[left] + offsets
@@ -311,23 +329,30 @@ def warp_positive(surface: WarpedSurface) -> bool:
     c > 0); a cosine where the interval lies in one lobe
     [2 pi k - pi/2, 2 pi k + pi/2]; a tabulated warp where its spline is
     positive at its minimum candidates inside the interval, and not
-    negative at the two ends, where a singular end may sit."""
+    negative at the two ends, where a singular end may sit.  The spline's
+    squares must also be finite at both, and its reciprocal squares at the
+    candidates: huge samples, or end pieces extrapolated far past them,
+    leave the float range."""
     lo, hi = surface.t_min, surface.t_max
     warp = surface.warp
     if isinstance(warp, CosineWarp):
         centre = 2.0 * math.pi * round((lo + hi) / (4.0 * math.pi))
         return centre - math.pi / 2.0 <= lo and hi <= centre + math.pi / 2.0
     if isinstance(warp, TabulatedWarp):
-        (inside,) = warp.derivatives(warp.minimum_candidates(lo, hi), (0,))
-        (ends,) = warp.derivatives([lo, hi], (0,))
-        return bool(np.all(inside > 0) and np.all(ends >= 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            (inside,) = warp.derivatives(
+                warp.minimum_candidates(lo, hi), (0,))
+            (ends,) = warp.derivatives([lo, hi], (0,))
+            return (_squares_in_range(inside)
+                    and bool(np.all((ends >= 0) & (ends * ends < math.inf))))
     return True
 
 
 def surface_from_json(doc: dict) -> WarpedSurface:
     """The surface of a document; GeometryError where its values do not
-    describe one: a warp that is not positive on the open interval
-    (warp_positive), or an area that does not come out positive."""
+    describe one: a warp that is not positive on the open interval, or
+    whose square is not finite there (warp_positive), or an area that
+    does not come out positive."""
     if doc.get("schema_version") != 1:
         raise GeometryError(
             f"unsupported surface schema_version {doc.get('schema_version')!r}"
@@ -341,7 +366,8 @@ def surface_from_json(doc: dict) -> WarpedSurface:
     )
     if not warp_positive(surface):
         raise GeometryError(f"the {surface.warp.variant} warp is not "
-                            f"positive on ({surface.t_min}, {surface.t_max})")
+                            f"positive on ({surface.t_min}, {surface.t_max}),"
+                            f" or its square is not finite there")
     area(surface)
     return surface
 

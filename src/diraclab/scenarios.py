@@ -179,8 +179,10 @@ def eval_test_section(scenario: Scenario, name: str, grid: Grid) -> Section:
         t0 = float(spec.params["t0"])
         length = float(spec.params["length"])
         inside = (t > t0) & (t < t0 + length)
-        values = np.where(inside,
-                          np.sin(np.pi * (t - t0) / length), 0.0)
+        # evaluated on its support alone: off it, (t - t0) / length may
+        # overflow for a short support
+        values = np.zeros_like(t)
+        values[inside] = np.sin(np.pi * (t[inside] - t0) / length)
     return block_section(spec.field_kind, spec.mode, grid, 0, values)
 
 

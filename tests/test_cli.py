@@ -919,6 +919,29 @@ OUT_OF_RANGE_CASES = [
     pytest.param("cusp-cylinder-l10",
                  _edit(("surface", "warp", "fs", 1), -10 ** 400),
                  "'surface'", id="tabulated-sample-beyond-the-float-range"),
+    # a warp whose square or reciprocal square leaves the float range,
+    # where the spinor floor reads nu^2 / f^2 (overflow and divide by zero
+    # warnings, then exit 1)
+    pytest.param("flat-cylinder-l2-bounding",
+                 _edit(("surface", "warp", "c"), 1e300), "'surface'",
+                 id="constant-warp-whose-square-overflows"),
+    pytest.param("long-cylinder-probe",
+                 _edit(("surface", "warp", "c"), 1e-308), "'surface'",
+                 id="constant-warp-whose-square-underflows"),
+    pytest.param("growing-curvature",
+                 _edit(("surface", "warp", "fs", 1), 1e300), "'surface'",
+                 id="tabulated-sample-whose-spline-overflows"),
+    pytest.param("cusp-cylinder-l10", _edit(("surface", "t_max"), 1e300),
+                 "'surface'", id="tabulated-warp-extrapolated-to-overflow"),
+    # a boxed sine whose phase overflows off its short support
+    pytest.param("flat-cylinder-l2-nonbounding",
+                 _edit_section("dirichlet_sine", "length", 1e-308),
+                 "'dirichlet_sine'", id="boxed-sine-of-subnormal-length"),
+    # a first probe window so short that the next needs infinitely many
+    # nodes at its spacing
+    pytest.param("long-cylinder-probe",
+                 _edit(("expected", 0, "windows", 0, 1), 1e-308),
+                 "'windows'", id="probe-window-of-subnormal-length"),
 ]
 
 
@@ -927,7 +950,8 @@ def test_a_document_out_of_floating_range_is_usage_error_before_any_solve(
         tmp_path, capsys, monkeypatch, sid, edit, named):
     from diraclab.scenarios import find_scenario
     _nothing_solved(monkeypatch)
-    doc = find_scenario(sid).to_json()
+    # a deep copy: to_json shares the built-in's nested lists
+    doc = json.loads(json.dumps(find_scenario(sid).to_json()))
     edit(doc)
     path = tmp_path / "out-of-range.json"
     path.write_text(json.dumps(doc))
@@ -936,6 +960,96 @@ def test_a_document_out_of_floating_range_is_usage_error_before_any_solve(
     assert code == 64, err
     assert err.startswith("usage error:")
     assert named in err
+
+
+def test_a_json_integer_past_the_digit_limit_is_not_valid_json(tmp_path,
+                                                                capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal of more than 4300 digits: a scenario document exited
+    # 1 with an internal error, and so did a report
+    from diraclab.scenarios import find_scenario
+    huge = "1" + "0" * 5000
+    doc = find_scenario("cover-m2").to_json()
+    doc["surface"]["period"] = "PERIOD"
+    scenario = tmp_path / "huge-period.json"
+    scenario.write_text(json.dumps(doc).replace('"PERIOD"', huge))
+    code, _, err = run(["verify", "--scenario", str(scenario), "--grid-n",
+                        "16", "--levels", "1"], capsys)
+    assert code == 64, err
+    assert err.startswith("usage error:") and str(scenario) in err
+    report = tmp_path / "huge-version.json"
+    report.write_text('{"schema_version": %s}' % huge)
+    code, _, err = run(["report", str(report)], capsys)
+    assert code == 1
+    assert err.startswith("schema error: report is not valid JSON"), err
+
+
+# A single-field fuzzer: each leaf of a built-in document, and the first
+# two items of each list, set to one of these values or deleted (_DELETE)
+FUZZ_VALUES = [None, True, "x", [], {}, 0, -1, 0.0, -0.0, 1e-308, 1e300,
+               10 ** 400, -10 ** 400, 2 ** 63, 1.5]
+_DELETE = object()
+
+
+def _fuzz_targets(doc, path=()):
+    """The paths of every leaf of doc and of the first two items of each
+    list, depth first."""
+    items = doc.items() if isinstance(doc, dict) else list(enumerate(doc))[:2]
+    for key, value in items:
+        nested = isinstance(value, (dict, list))
+        if isinstance(doc, list) or not nested:
+            yield path + (key,)
+        if nested:
+            yield from _fuzz_targets(value, path + (key,))
+
+
+def _mutated(doc, path, value):
+    """A copy of doc with the item at path set to value, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_no_single_field_mutation_of_a_document_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    # every mutation of one built-in per warp variant, section profile and
+    # probe kind (cosine and cos_cap, constant and boxed_sine, tabulated and
+    # a Dirac probe), and a seeded draw of 16 mutations of each other
+    # built-in, at 16 x 1 and with warnings as errors: each exits 0, 2 or
+    # 64, or 1 with a solver error (flat bounding cylinders of t_max 1e300,
+    # 2^63 or 1e-308 keep that), never an internal error
+    import random
+
+    from diraclab import cli
+    from diraclab.scenarios import builtin_catalog
+    parser = cli._build_parser()  # built once: half the time of a request
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    full = {"cover-m2", "flat-cylinder-l2-nonbounding", "growing-curvature"}
+    draw = random.Random(22)
+    path = tmp_path / "mutated.json"
+    bad, runs = [], 0
+    for sc in builtin_catalog():
+        doc = sc.to_json()
+        cases = [(target, value) for target in _fuzz_targets(doc)
+                 for value in FUZZ_VALUES + [_DELETE]]
+        if sc.id not in full:
+            cases = draw.sample(cases, 16)
+        for target, value in cases:
+            path.write_text(json.dumps(_mutated(doc, target, value)))
+            code, _, err = run(["verify", "--scenario", str(path),
+                                "--grid-n", "16", "--levels", "1"], capsys)
+            runs += 1
+            if code not in (0, 2, 64) and not (
+                    code == 1 and err.startswith("error: ")):
+                bad.append((sc.id, target, value, code, err))
+    assert runs == 432 + 464 + 384 + 11 * 16
+    assert bad == []
 
 
 @pytest.mark.parametrize("sid,edge", [("cover-m2", ("t_min", 0.0)),
@@ -1429,6 +1543,27 @@ def test_import_and_catalog_load_stay_lean():
     from diraclab.scenarios import builtin_catalog
     assert proc.stdout.splitlines() == (
         ["[]", "[]"] + [f"{sc.id} []" for sc in builtin_catalog()])
+
+
+def test_every_name_the_bench_tracer_patches_resolves(monkeypatch):
+    # bench/tracer.py wraps each target of its LAYERS by name; a name the
+    # package no longer has stops every `--trace 1` run with an
+    # AttributeError.  The tracer is loaded from its file, unchanged, and
+    # leaves no bytecode beside it
+    import importlib
+    import importlib.util
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [target for names, _ in tracer.LAYERS.values()
+               for target in names]
+    assert targets
+    for target in targets:
+        importlib.import_module(target.partition(":")[0])
+        owner, attr = tracer._resolve(target)
+        assert callable(getattr(owner, attr, None)), target
 
 
 def test_every_src_module_reads_each_name_it_imports():

@@ -337,26 +337,31 @@ def test_zero_bracket_on_the_kernel_skip_mode(monkeypatch):
 def test_bracketed_levels_certify_without_widening(monkeypatch):
     # every default tone of the catalog: level 0 refines each block from
     # its bisected values, each finer level from the coarser level's, and
-    # every refinement certifies
+    # every refinement certifies; no shifted solve is singular, so the
+    # retry of a singular first shift never runs on a built-in
     calls = _lapack_calls(monkeypatch)
     for sc in builtin_catalog():
         run_scenario(sc, GridPolicy())
     refined = _certified(calls)
     assert refined and all(refined)
     assert len(refined) == GridPolicy().levels * len(calls["_bisect"])
+    infos = [info for *_, info in calls["dgtsv"]]
+    assert infos and not any(infos)
 
 
-def test_singular_first_shift_judges_the_start_vector():
+def test_singular_first_shift_retries_slack_below(monkeypatch):
     # the constant vector, pair 0's start, is the lowest eigenvector of the
     # Neumann second difference plus I, at 1: the first solve, shifted at 1,
-    # meets an exact zero pivot, and the certificate accepts the start
-    # vector itself
+    # meets an exact zero pivot, and the retry, shifted slack below 1,
+    # reaches that vector and certifies the pair
+    calls = _lapack_calls(monkeypatch)
     n = 32
     d = np.full(n, 3.0)
     d[[0, -1]] = 2.0
     X = eigensolve._refine(d, np.full(n - 1, -1.0), 1, [1.0])
+    assert [info for *_, info in calls["dgtsv"]][:2] == [n, 0]
     assert X is not None
-    assert np.allclose(X[:, 0], 1 / math.sqrt(n), rtol=1e-15, atol=0)
+    assert np.allclose(np.abs(X[:, 0]), 1 / math.sqrt(n), rtol=1e-15, atol=0)
 
 
 def test_singular_shift_ends_the_iteration_at_a_certified_pair(
@@ -383,9 +388,8 @@ def test_singular_shift_ends_the_iteration_at_a_certified_pair(
 def test_a_bisected_shift_on_an_eigenvalue_still_certifies(
         monkeypatch, sid, edge, nu):
     # on 16 nodes the second block's bisected value is its eigenvalue to
-    # the last bit: its first solve meets an exact zero pivot, the start
-    # vector fails its certificate, and the pair starts once more, shifted
-    # slack below, where one solve certifies it
+    # the last bit: its first solve meets an exact zero pivot, and the pair
+    # starts once more, shifted slack below, where one solve certifies it
     sc = find_scenario(sid)
     surface = replace(sc.surface, **edge)
     op = assemble(surface, KIND_DIRAC, sc.spin, nu, make_grid(surface, 16))
