@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -650,7 +651,10 @@ def cmd_report(paths, out_format: str, out_path: str | None) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it as it
+    was, so every main() call shares it."""
     parser = argparse.ArgumentParser(
         prog="diraclab",
         description="Spectral bounds laboratory for surfaces of revolution. "
@@ -705,9 +709,8 @@ def _grid_policy(base_n: int, levels: int) -> GridPolicy:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

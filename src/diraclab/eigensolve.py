@@ -8,13 +8,17 @@ from the Gershgorin interval on the ladder's seed grid, with 1/16 of the
 coarsest level's nodes, at least 16 and at most SEED_N (sample_ladder; at
 16 nodes it is the coarsest level itself); and wherever a seed fails, or a
 direct caller gives none, the block's own bisected value.  One
-inverse-iteration step and a few Rayleigh-quotient steps per pair, each an
-O(n) dgtsv solve, give vectors whose residuals bound an interval around
-each value (Parlett, 1998, ch. 4); a pair whose first solve is singular
-starts once more, shifted BRACKET_SLACK * eps * ||T||_1 below.  The index
-is certified in O(n): the intervals are disjoint, and the nonpositive
-pivots of one restarted dpttrf factorization count exactly the wanted
-number of values up to the top interval (Sylvester's law of inertia).
+inverse-iteration step and a few Rayleigh-quotient steps per pair give
+vectors whose residuals bound an interval around each value (Parlett,
+1998, ch. 4).  One routine, _factor, factors every shifted block T - s I
+in O(n): a dpttrf LDL^T that restarts past each nonpositive pivot.  Each
+step solves on it with dpttrs, a pivot in (-eps * slack, 0] held at
+-eps * slack (slack = BRACKET_SLACK * eps * ||T||_1), so a shift on an
+eigenvalue gives that value's vector (inverse iteration on an LDL^T, as in
+Dhillon & Parlett, 2004).  The index is certified in O(n): the intervals
+are disjoint, and the nonpositive pivots of one factorization count exactly
+the wanted number of values up to the top interval (Sylvester's law of
+inertia).
 The reported eigenvalue is the factored quotient energy(v) / (M v, v) of
 the vector v, which keeps relative accuracy where a value of T carries an
 absolute error of about eps * ||S|| / ||M|| (Demmel & Kahan, 1990).  Each
@@ -31,18 +35,18 @@ count, a twin's -|nu| block alone.
 Fundamental tones and probes share one walk over the circle modes
 (_mode_walk); tones extrapolate each mode over a geometric (h, delta)
 refinement sequence.
-The three LAPACK routines come from scipy's f2py module, loaded by file
-spec, because importing scipy.linalg for them would cost a cold verify more
-than half its time in scipy's array-API shim.  This is the package's only
-route to scipy: dgtsv also solves geometry.TabulatedWarp's spline moments.
-The solves and pivot counts run in place on one workspace per thread: six
-float64 scratch vectors that dgtsv (all four overwrite flags) and dpttrf
-overwrite, the matvec and the residual write into, and that grow to the
-largest block solved and are never freed.  _scratch(n) hands a kernel the
-views of all six for a block of order n, and keeps those of the last n, so
-the kernels of one block neither look a vector up nor slice it.  A thread
-keeps about 6 * 8 * n bytes for its largest n: about 3 MB after an
-8192 x 4 ladder, about 48 MB after one whose finest grid has 2^20 nodes.
+The LAPACK routines come from scipy's f2py module, loaded by file spec,
+because importing scipy.linalg for them would cost a cold verify more than
+half its time in scipy's array-API shim.  This is the package's only route
+to scipy: dptsv solves geometry.TabulatedWarp's spline moments.
+The solves and pivot counts run in place on one workspace per thread: five
+float64 scratch vectors that dpttrf and dpttrs overwrite, the matvec and
+the residual write into, and that grow to the largest block solved and are
+never freed.  _scratch(n) hands a kernel the views of all five for a block
+of order n, and keeps those of the last n, so the kernels of one block
+neither look a vector up nor slice it.  A thread keeps about 5 * 8 * n
+bytes for its largest n: about 2.6 MB after an 8192 x 4 ladder, about
+40 MB after one whose finest grid has 2^20 nodes.
 Scratch views never leave this module's kernels; every returned vector and
 section is a fresh array, or a twin's view of one.
 smallest_eigenpairs returns each pair's vector; EigenResult.section(j)
@@ -108,8 +112,8 @@ _RANGE_INDEX = 2  # dstebz RANGE = 'I'
 
 
 def _lapack():
-    """scipy's f2py LAPACK module, for its dgtsv, dpttrf and dstebz, without
-    importing scipy.linalg.
+    """scipy's f2py LAPACK module, for its dpttrf, dpttrs, dptsv and dstebz,
+    without importing scipy.linalg.
 
     Relies on scipy's private layout scipy/linalg/_flapack<suffix>.  The
     extension module registers itself under its scipy name, so a later
@@ -136,7 +140,8 @@ def _lapack():
 
 
 _flapack = _lapack()
-dgtsv, dpttrf, dstebz = _flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz
+dpttrf, dpttrs, dptsv, dstebz = (_flapack.dpttrf, _flapack.dpttrs,
+                                 _flapack.dptsv, _flapack.dstebz)
 
 
 @dataclass(frozen=True)
@@ -240,8 +245,8 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 # The scratch vectors of a block of order n: diag, rhs and tx hold n
-# entries, dl, du and tmp n - 1.
-_Scratch = namedtuple("_Scratch", "diag rhs tx dl du tmp")
+# entries, dl and tmp n - 1.
+_Scratch = namedtuple("_Scratch", "diag rhs tx dl tmp")
 
 
 class _Workspace(threading.local):
@@ -299,37 +304,49 @@ def _norm1(d, e) -> float:
     return float(row.max())
 
 
-def _count_below(d, e, hi: float) -> int:
-    """Eigenvalues <= hi of T = (d, e): the nonpositive pivots of
-    LDL^T(T - hi I), by Sylvester's law of inertia (Parlett, 1998, ch. 3).
+def _factor(d, e, shift: float, floor: float) -> int:
+    """The restarted LDL^T factorization of T - shift I, T = (d, e), into
+    scratch (D in diag, the subdiagonal of L in dl), and its number of
+    nonpositive pivots: the eigenvalues <= shift, by Sylvester's law of
+    inertia (Parlett, 1998, ch. 3).
 
     dpttrf factors in place and stops at the first pivot <= 0.  That pivot
-    is counted, replaced by min(pivot, -pivmin) as in dstebz's Sturm count
-    (pivmin = tiny * max(1, max e^2)), eliminated from the next diagonal
-    entry, and the factorization restarts there: one pass over n, plus one
-    call per counted value.
+    is counted and held at min(pivot, -floor); its multiplier e_k / pivot,
+    which dpttrf leaves unset, is stored; the pivot is eliminated from the
+    next diagonal entry, and the factorization restarts there: one pass
+    over n, plus one call per counted value.
     """
     n = d.size
     ws = _scratch(n)
-    q = np.subtract(d, hi, out=ws.diag)
+    q = np.subtract(d, shift, out=ws.diag)
     w = ws.dl
     w[:] = e
-    e2 = np.multiply(e, e, out=ws.tmp)
-    pivmin = _TINY * max(1.0, float(e2.max(initial=0.0)))
     count = start = 0
     while start < n - 1:  # dpttrf takes no matrix of order 1
-        *_, info = dpttrf(q[start:], w[start:], overwrite_d=1, overwrite_e=1)
-        if info == 0:
+        # overwrite_d and overwrite_e passed by position, which f2py parses
+        # in half the time of keywords
+        *_, info = dpttrf(q[start:], w[start:], 1, 1)
+        if info == 0:  # f2py sizes every argument, so info is never < 0
             return count
-        if info < 0:
-            raise ConvergenceError(f"dpttrf count failed (info {info})")
         k = start + info - 1
         count += 1
+        p = q[k] = min(q[k], -floor)
         if k == n - 1:
             return count
-        q[k + 1] -= e[k] * e[k] / min(q[k], -pivmin)
+        w[k] = e[k] / p
+        q[k + 1] -= e[k] * e[k] / p
         start = k + 1
-    return count + int(q[-1] <= 0.0)
+    if q[-1] <= 0.0:
+        count += 1
+        q[-1] = min(q[-1], -floor)
+    return count
+
+
+def _count_below(d, e, hi: float) -> int:
+    """Eigenvalues <= hi of T = (d, e): the count of _factor at hi, with
+    the floor of dstebz's Sturm count, pivmin = tiny * max(1, max e^2)."""
+    e2 = np.multiply(e, e, out=_scratch(d.size).tmp)
+    return _factor(d, e, hi, _TINY * max(1.0, float(e2.max(initial=0.0))))
 
 
 def _dot(x, y) -> float:
@@ -344,21 +361,18 @@ def _norm2(x) -> float:
     return math.sqrt(_dot(x, x))
 
 
-def _shifted_solve(d, e, shift: float, x):
-    """(T - shift I)^(-1) x by dgtsv, normalized; None if the solve fails.
+def _shifted_solve(d, e, shift: float, x, slack: float):
+    """(T - shift I)^(-1) x, normalized; None if it is not finite.
 
-    dgtsv overwrites its four arguments, scratch copies of e, e, d - shift
-    and x, in place.
+    dpttrs solves on _factor's LDL^T, whose pivots in (-eps * slack, 0] are
+    held at -eps * slack, so a shift on an eigenvalue returns that value's
+    vector.  The solution overwrites a scratch copy of x.
     """
     ws = _scratch(d.size)
-    dl, du, b = ws.dl, ws.du, ws.rhs
-    dl[:] = e
-    du[:] = e
-    b[:] = x
-    *_, y, info = dgtsv(dl, np.subtract(d, shift, out=ws.diag), du,
-                        b[:, None], 1, 1, 1, 1)
-    y = y[:, 0]
-    norm = _norm2(y) if info == 0 else math.nan
+    _factor(d, e, shift, _EPS * slack)
+    ws.rhs[:] = x
+    y, _ = dpttrs(ws.diag, ws.dl, ws.rhs, overwrite_b=1)
+    norm = _norm2(y)
     return y / norm if 0.0 < norm < math.inf else None
 
 
@@ -380,16 +394,16 @@ def _refine(d, e, count, near):
     cos(j pi (i + 1/2) / n), earlier pairs projected out, takes one
     inverse-iteration step shifted at near[j], then Rayleigh-quotient steps
     until a quotient agrees within `slack` with the one before (the first
-    with near[j]), at most RQI_STEPS of them.  A first solve that fails (a
-    shift on a value to working precision: a seed bisected on the same
-    block can sit on its value to the last bit) starts the pair once more,
-    shifted at near[j] - slack; a failed solve after that ends the
-    iteration at the last vector.  Its quotient rq_j and residual r_j put
-    an eigenvalue in [rq_j - r_j, rq_j + r_j] (Parlett, 1998, ch. 4),
-    padded by slack = BRACKET_SLACK * eps * ||T||_1 for rounding.  When the
-    intervals are disjoint and one pivot count finds exactly `count` values
-    up to the top one, interval j holds lambda_(j+1), and x_j is its
-    vector.
+    with near[j]), at most RQI_STEPS of them.  A shift on a value to working
+    precision (a seed bisected on the same block can sit on its value to
+    the last bit) solves on a pivot held at -eps * slack (_shifted_solve);
+    a solve that comes out not finite ends the iteration at the last
+    vector, or fails the pair at its first.  Its quotient rq_j and residual
+    r_j put an eigenvalue in [rq_j - r_j, rq_j + r_j] (Parlett, 1998,
+    ch. 4), padded by slack = BRACKET_SLACK * eps * ||T||_1 for rounding.
+    When the intervals are disjoint and one pivot count finds exactly
+    `count` values up to the top one, interval j holds lambda_(j+1), and
+    x_j is its vector.
     A step cap reached, a pair without a vector or a failed certificate
     returns None.
     """
@@ -404,21 +418,18 @@ def _refine(d, e, count, near):
         if j:
             x -= np.einsum("ij,j->i", X[:, :j], np.einsum("ij,i->j",
                                                           X[:, :j], x))
+        shift = rq = float(near[j])
         tx = None
-        for first in (float(near[j]), float(near[j]) - slack):
-            shift = rq = first
-            for _ in range(RQI_STEPS):
-                y = _shifted_solve(d, e, shift, x)
-                if y is None:
-                    break
-                x, tx, prev = y, _matvec(d, e, y), rq
-                rq = shift = _dot(x, tx)
-                if abs(rq - prev) <= slack:
-                    break
-            else:
-                return None
-            if tx is not None:
+        for _ in range(RQI_STEPS):
+            y = _shifted_solve(d, e, shift, x, slack)
+            if y is None:
                 break
+            x, tx, prev = y, _matvec(d, e, y), rq
+            rq = shift = _dot(x, tx)
+            if abs(rq - prev) <= slack:
+                break
+        else:
+            return None
         if tx is None:
             return None
         res = np.multiply(x, rq, out=_scratch(n).rhs)

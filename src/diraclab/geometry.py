@@ -134,7 +134,7 @@ class TabulatedWarp:
     every order it is asked.  Its knot second derivatives (moments) solve the
     tridiagonal system with diagonal 2 (h_i + h_(i+1)) and zero end moments
     (de Boor, A Practical Guide to Splines, ch. 4) by the eigensolver's
-    LAPACK dgtsv.  Outside the samples the end pieces extrapolate.  Samples
+    LAPACK dptsv.  Outside the samples the end pieces extrapolate.  Samples
     must be finite, strictly increasing in t and strictly positive in f.
     """
 
@@ -163,12 +163,13 @@ class TabulatedWarp:
         """Taylor coefficients (c0, c1, c2, c3) of each segment's cubic
         about its left knot.
         """
-        from .eigensolve import dgtsv  # eigensolve imports this module
+        from .eigensolve import dptsv  # eigensolve imports this module
 
         h = np.diff(self.ts)
         slope = np.diff(self.fs) / h
-        # strictly diagonally dominant, so the solve cannot break down
-        *_, inner, _ = dgtsv(h[1:-1], 2.0 * (h[:-1] + h[1:]), h[1:-1],
+        # symmetric and strictly diagonally dominant with a positive
+        # diagonal, so positive definite: the LDL^T solve cannot break down
+        *_, inner, _ = dptsv(2.0 * (h[:-1] + h[1:]), h[1:-1],
                              6.0 * np.diff(slope)[:, None])
         moments = np.concatenate([[0.0], inner[:, 0], [0.0]])
         return (self.fs[:-1],

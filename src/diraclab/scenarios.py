@@ -8,6 +8,7 @@ the schema the CLI accepts for user scenarios.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -62,7 +63,7 @@ class SectionSpec:
             "field_kind": self.field_kind,
             "mode": self.mode,
             "profile": self.profile,
-            "params": dict(self.params),
+            "params": copy.deepcopy(self.params),
             "angular": self.angular,
         }
 
@@ -90,7 +91,7 @@ class Scenario:
             "surface": self.surface.to_json(),
             "spin": None if self.spin is None else self.spin.to_json(),
             "sections": [s.to_json() for s in self.sections],
-            "expected": [dict(e) for e in self.expected],
+            "expected": copy.deepcopy(list(self.expected)),
         }
 
 

@@ -49,6 +49,22 @@ def test_verify_bad_flags_usage_error(capsys):
     assert code == 0 and "--grid-n" in out
 
 
+def test_main_builds_its_parser_once(capsys):
+    # every main() call of a process shares one parser, and a usage error
+    # exits 64 with the same text whatever calls came before it
+    from diraclab import cli
+    cli._build_parser.cache_clear()
+    bad_format = ["verify", "--scenario", "round-sphere", "--format", "xml"]
+    first = run(bad_format, capsys)
+    other = run(["sweep", "--no-such-flag"], capsys)
+    again = run(bad_format, capsys)
+    assert cli._build_parser.cache_info()[:2] == (2, 1)  # hits, misses
+    assert first == again and first[0] == other[0] == 64
+    assert first[2] != other[2]
+    assert "usage: diraclab verify" in first[2]
+    assert "invalid choice: 'xml'" in first[2]
+
+
 def test_grid_ladder_above_the_node_cap_is_usage_error(capsys, monkeypatch):
     # the cap is checked before any grid is laid out or solved; ladders
     # whose finest grid has exactly MAX_GRID_NODES reach the solver
@@ -1017,7 +1033,7 @@ def _mutated(doc, path, value):
 
 
 def test_no_single_field_mutation_of_a_document_is_an_internal_error(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys):
     # every mutation of one built-in per warp variant, section profile and
     # probe kind (cosine and cos_cap, constant and boxed_sine, tabulated and
     # a Dirac probe), and a seeded draw of 16 mutations of each other
@@ -1026,10 +1042,7 @@ def test_no_single_field_mutation_of_a_document_is_an_internal_error(
     # 2^63 or 1e-308 keep that), never an internal error
     import random
 
-    from diraclab import cli
     from diraclab.scenarios import builtin_catalog
-    parser = cli._build_parser()  # built once: half the time of a request
-    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
     full = {"cover-m2", "flat-cylinder-l2-nonbounding", "growing-curvature"}
     draw = random.Random(22)
     path = tmp_path / "mutated.json"
@@ -1058,9 +1071,9 @@ def test_no_single_field_mutation_of_a_document_is_an_internal_error(
 @pytest.mark.parametrize("levels", ["1", "2", "3"])
 def test_a_16_node_ladder_certifies_a_hemisphere_and_a_cap(
         tmp_path, capsys, sid, edge, levels):
-    # legal surfaces whose 16-node level 0 bisects a value its shifted
-    # solve meets exactly; they mismatch (exit 2), since their expected
-    # values are the whole sphere's
+    # legal surfaces whose 16-node level 0 bisects a value on one of its
+    # eigenvalues to the last bit; they mismatch (exit 2), since their
+    # expected values are the whole sphere's
     from diraclab.scenarios import find_scenario
     doc = find_scenario(sid).to_json()
     doc["surface"][edge[0]] = edge[1]
@@ -1520,7 +1533,7 @@ def test_import_and_catalog_load_stay_lean():
     # must not pull in scipy modules beyond the LAPACK extension, nor
     # scipy.linalg, whose import loads numpy.f2py and numpy.testing: the
     # eigensolver loads its LAPACK routines directly, and tabulated warps
-    # solve their spline on its dgtsv
+    # solve their spline on its dptsv
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
@@ -1590,7 +1603,7 @@ def test_every_src_module_reads_each_name_it_imports():
 
 def test_only_eigensolve_imports_scipy():
     # scipy is a LAPACK provider only, reached through eigensolve._lapack(),
-    # and the package reads three routines from it
+    # and the package reads four routines from it
     import ast
     src = Path(__file__).resolve().parents[1] / "src" / "diraclab"
     importers = set()
@@ -1610,7 +1623,7 @@ def test_only_eigensolve_imports_scipy():
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 importers.add(path.name)
     assert importers == {"eigensolve.py"}
-    assert routines == {"dgtsv", "dpttrf", "dstebz"}
+    assert routines == {"dpttrf", "dpttrs", "dptsv", "dstebz"}
 
 
 def _called_name(call):
@@ -1835,13 +1848,16 @@ def test_probes_lay_seed_n_nodes_on_every_ladder(monkeypatch):
 
 
 def test_verify_reads_its_default_ladder_from_grid_policy(monkeypatch):
+    # read when the parser is built: a fresh build, past the cached parser
+    # that main() shares, sees the patched policy and leaves the cache
     from diraclab import cli
     from diraclab.eigensolve import GridPolicy
 
-    def defaults():
-        args = cli._build_parser().parse_args(["verify", "--scenario", "x"])
+    def defaults(build=cli._build_parser.__wrapped__):
+        args = build().parse_args(["verify", "--scenario", "x"])
         return args.grid_n, args.levels
-    assert defaults() == (GridPolicy().base_n, GridPolicy().levels)
+    assert defaults() == defaults(cli._build_parser) == (
+        GridPolicy().base_n, GridPolicy().levels)
     monkeypatch.setattr(cli, "GridPolicy",
                         lambda: GridPolicy(base_n=256, levels=4))
     assert defaults() == (256, 4)

@@ -99,7 +99,7 @@ def test_cylinder_scalar_ground_above_512_nodes():
 
 
 def test_perturbed_eigenvector_fails_backward_error_gate(monkeypatch):
-    # noisy dgtsv solves widen each residual interval but still certify
+    # noisy dpttrs solves widen each residual interval but still certify
     # the index, so the backward-error gate must reject the pair, whether
     # the block is seeded by bisection or by the coarser level's values
     s = sphere()
@@ -107,12 +107,12 @@ def test_perturbed_eigenvector_fails_backward_error_gate(monkeypatch):
                                make_grid(s, 512))
     near = smallest_eigenpairs(op, 1).block_values
 
-    def perturbed(*args, _real=eigensolve.dgtsv):
-        *out, vectors, info = _real(*args)
+    def perturbed(*args, _real=eigensolve.dpttrs, **kwargs):
+        vectors, info = _real(*args, **kwargs)
         noise = np.random.default_rng(7).standard_normal(vectors.shape)
         size = np.linalg.norm(vectors, axis=0) / math.sqrt(vectors.shape[0])
-        return (*out, vectors + 1e-6 * size * noise, info)
-    monkeypatch.setattr(eigensolve, "dgtsv", perturbed)
+        return vectors + 1e-6 * size * noise, info
+    monkeypatch.setattr(eigensolve, "dpttrs", perturbed)
     for bracket in (None, near):
         with pytest.raises(ConvergenceError, match="backward error"):
             smallest_eigenpairs(op, 1, bracket)
@@ -151,7 +151,11 @@ def _same_pairs(got, ref):
 
 
 def _lapack_calls(monkeypatch):
-    calls = {"dgtsv": [], "_count_below": [], "_refine": [], "_bisect": [],
+    """The outputs of each named kernel, in order, and under "dpttrs"
+    whether each shifted solve's factorization held a pivot at its floor:
+    the pivots dpttrs solved on, left in the scratch diagonal, read
+    against the solve's floor."""
+    calls = {"_count_below": [], "_refine": [], "_bisect": [],
              "_solve_block": []}
     for name, seen in calls.items():
         def counted(*args, _real=getattr(eigensolve, name), _seen=seen):
@@ -159,6 +163,14 @@ def _lapack_calls(monkeypatch):
             _seen.append(out)
             return out
         monkeypatch.setattr(eigensolve, name, counted)
+    held = calls["dpttrs"] = []
+
+    def solve(d, e, shift, x, slack, _real=eigensolve._shifted_solve):
+        y = _real(d, e, shift, x, slack)
+        pivots = eigensolve._scratch(d.size).diag
+        held.append(bool(np.any(pivots == -(np.finfo(float).eps * slack))))
+        return y
+    monkeypatch.setattr(eigensolve, "_shifted_solve", solve)
     return calls
 
 
@@ -337,29 +349,29 @@ def test_zero_bracket_on_the_kernel_skip_mode(monkeypatch):
 def test_bracketed_levels_certify_without_widening(monkeypatch):
     # every default tone of the catalog: level 0 refines each block from
     # its bisected values, each finer level from the coarser level's, and
-    # every refinement certifies; no shifted solve is singular, so the
-    # retry of a singular first shift never runs on a built-in
+    # every refinement certifies; no shifted solve is singular, so no
+    # pivot of a built-in's solves is held at the floor
     calls = _lapack_calls(monkeypatch)
     for sc in builtin_catalog():
         run_scenario(sc, GridPolicy())
     refined = _certified(calls)
     assert refined and all(refined)
     assert len(refined) == GridPolicy().levels * len(calls["_bisect"])
-    infos = [info for *_, info in calls["dgtsv"]]
-    assert infos and not any(infos)
+    held = calls["dpttrs"]
+    assert held and not any(held)
 
 
-def test_singular_first_shift_retries_slack_below(monkeypatch):
+def test_singular_first_shift_solves_on_its_floored_pivot(monkeypatch):
     # the constant vector, pair 0's start, is the lowest eigenvector of the
     # Neumann second difference plus I, at 1: the first solve, shifted at 1,
-    # meets an exact zero pivot, and the retry, shifted slack below 1,
-    # reaches that vector and certifies the pair
+    # meets an exact zero pivot, holds it at the floor and reaches that
+    # vector, whose quotient 1 ends the iteration and certifies the pair
     calls = _lapack_calls(monkeypatch)
     n = 32
     d = np.full(n, 3.0)
     d[[0, -1]] = 2.0
     X = eigensolve._refine(d, np.full(n - 1, -1.0), 1, [1.0])
-    assert [info for *_, info in calls["dgtsv"]][:2] == [n, 0]
+    assert calls["dpttrs"] == [True]
     assert X is not None
     assert np.allclose(np.abs(X[:, 0]), 1 / math.sqrt(n), rtol=1e-15, atol=0)
 
@@ -368,15 +380,15 @@ def test_singular_shift_ends_the_iteration_at_a_certified_pair(
         monkeypatch):
     # seeded 0.5 off, pair 0 of the Neumann second difference plus I
     # (n = 16) reaches its eigenvector in one step, with the exact quotient
-    # 1; the second solve, shifted there, meets an exact zero pivot, the
-    # iteration stops at the vector of the step before, and the certificate
-    # accepts it
+    # 1; the second solve, shifted there, meets an exact zero pivot, holds
+    # it at the floor and returns the same vector, whose quotient stops the
+    # iteration, and the certificate accepts it
     calls = _lapack_calls(monkeypatch)
     n = 16
     d = np.full(n, 3.0)
     d[[0, -1]] = 2.0
     X = eigensolve._refine(d, np.full(n - 1, -1.0), 1, [1.5])
-    assert [info for *_, info in calls["dgtsv"]] == [0, n]
+    assert calls["dpttrs"] == [False, True]
     assert X is not None
     assert np.allclose(np.abs(X[:, 0]), 1 / math.sqrt(n), rtol=1e-15, atol=0)
 
@@ -388,14 +400,23 @@ def test_singular_shift_ends_the_iteration_at_a_certified_pair(
 def test_a_bisected_shift_on_an_eigenvalue_still_certifies(
         monkeypatch, sid, edge, nu):
     # on 16 nodes the second block's bisected value is its eigenvalue to
-    # the last bit: its first solve meets an exact zero pivot, and the pair
-    # starts once more, shifted slack below, where one solve certifies it
+    # the last bit (a pivoted LU of the shifted block meets an exact zero
+    # pivot there): the last pivot of its LDL^T is of rounding size, inside
+    # the certificate's slack and above the floor, and one solve on it
+    # certifies the pair
     sc = find_scenario(sid)
     surface = replace(sc.surface, **edge)
     op = assemble(surface, KIND_DIRAC, sc.spin, nu, make_grid(surface, 16))
+    _, d, e = eigensolve._congruence(op.blocks[1])
+    slack = (eigensolve.BRACKET_SLACK * np.finfo(float).eps
+             * eigensolve._norm1(d, e))
+    floor = np.finfo(float).eps * slack
+    eigensolve._factor(d, e, float(eigensolve._bisect(d, e, 1)[0]), floor)
+    pivot = eigensolve._scratch(16).diag[-1]
+    assert floor < abs(pivot) <= slack
     calls = _lapack_calls(monkeypatch)
     res = smallest_eigenpairs(op, 1)
-    assert [info for *_, info in calls["dgtsv"]] == [0, 16, 0]
+    assert calls["dpttrs"] == [False, False]
     assert _certified(calls) == [True, True]
     assert res.residuals[0] <= 16 * np.finfo(float).eps
 
@@ -501,20 +522,30 @@ def test_results_keep_their_values_after_a_larger_solve():
                        for j in range(len(res.vectors)))
 
 
-def test_dgtsv_solves_in_place(monkeypatch):
-    # f2py copies no argument: each array dgtsv returns is the scratch
-    # vector it was given
-    shared = []
-    real = eigensolve.dgtsv
+def test_factorization_solves_in_place(monkeypatch):
+    # f2py copies no argument: each array dpttrf and dpttrs return is the
+    # scratch vector it was given, the pivots and multipliers of dpttrf
+    # and the right-hand side of dpttrs
+    shared = {"dpttrf": [], "dpttrs": []}
 
-    def solve(*args):
-        out = real(*args)
-        shared.append([np.shares_memory(o, a)
-                       for o, a in zip(out[:4], args[:4])])
-        return out
-    monkeypatch.setattr(eigensolve, "dgtsv", solve)
+    def in_place(name, overwritten):
+        real = getattr(eigensolve, name)
+
+        def kernel(*args, **kwargs):
+            out = real(*args, **kwargs)
+            shared[name].append([
+                np.shares_memory(o, a) and any(
+                    np.shares_memory(a, buf)
+                    for buf in eigensolve._workspace.bufs.values())
+                for o, a in zip(out, (args[i] for i in overwritten))])
+            return out
+        monkeypatch.setattr(eigensolve, name, kernel)
+    in_place("dpttrf", (0, 1))
+    in_place("dpttrs", (2,))
     smallest_eigenpairs(_sphere_dirac_op(2048), 2)
-    assert shared and all(all(row) and len(row) == 4 for row in shared)
+    for name, width in (("dpttrf", 2), ("dpttrs", 1)):
+        rows = shared[name]
+        assert rows and all(all(row) and len(row) == width for row in rows)
 
 
 def _count_warp_calls(monkeypatch, warp):
@@ -682,6 +713,50 @@ def test_pivot_count_at_zero_pivots_and_split_blocks():
     for j, lam in enumerate(eigensolve._bisect(d, e, d.size)):
         assert _both_counts(d, e, lam - slack) == (j, j)
         assert _both_counts(d, e, lam + slack) == (j + 1, j + 1)
+
+
+@pytest.mark.parametrize("n", [16, 64, 1000])
+def test_shifted_solve_matches_a_dense_reference(n):
+    # below the spectrum and midway between neighbours, the solve on the
+    # restarted LDL^T is the normalized dense solve up to sign, and the
+    # factorization counts what dstebz counts; on an eigenvalue (eigvalsh's,
+    # to working precision) it is that value's eigenvector, and each count
+    # is one of the two indices there, since the pivots and the Sturm
+    # recurrence round differently (as in the pivot-count tests).  Errors
+    # are held to n * eps * ||T||_1 over the conditioning of each problem:
+    # the distance to the spectrum, or the gap times the start vector's
+    # component along the eigenvector
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    w, V = np.linalg.eigh(dense)
+    norm1 = eigensolve._norm1(d, e)
+    slack = eigensolve.BRACKET_SLACK * eps * norm1
+    x = rng.standard_normal(n)
+    picks = np.unique(np.linspace(0, n - 1, 16).astype(int))
+    shifts = [(w[0] - 1.0, None)]
+    shifts += [(0.5 * (w[j] + w[j + 1]), None) for j in picks[:-1]]
+    shifts += [(w[j], j) for j in picks]
+    for shift, on in shifts:
+        y = eigensolve._shifted_solve(d, e, shift, x, slack)
+        counts = {eigensolve._factor(d, e, shift, eps * slack),
+                  eigensolve._count_below(d, e, shift),
+                  _sturm_count(d, e, shift)}
+        if on is None:
+            ref = np.linalg.solve(dense - shift * np.eye(n), x)
+            ref /= np.linalg.norm(ref)
+            assert len(counts) == 1
+            tol = n * eps * norm1 / np.min(np.abs(w - shift))
+        else:
+            ref = V[:, on]
+            assert counts <= {on, on + 1}
+            gap = min(abs(w[on] - w[k]) for k in (on - 1, on + 1)
+                      if 0 <= k < n)
+            tol = n * eps * norm1 / (gap * abs(x @ ref))
+        assert y is not None
+        err = min(np.max(np.abs(y - ref)), np.max(np.abs(y + ref)))
+        assert err <= tol, (shift, on, err, tol)
 
 
 def test_pivot_count_matches_the_sturm_count_on_every_catalog_count(
@@ -1266,10 +1341,10 @@ def test_tone_ground_op_is_the_operator_its_ground_solves(sphere_dirac_tone):
         assert np.array_equal(got.mass, ref.mass)
 
 
-# Runs the three routines as a cold process loads them, without
+# Runs the four routines as a cold process loads them, without
 # scipy.linalg, on block 0 of round-sphere's nu = 0.5 Dirac mode at level 1:
-# the index range bisection, a Sturm count, one shifted solve and one
-# shifted LDL^T factorization.
+# the index range bisection, a Sturm count, one shifted LDL^T factorization,
+# a solve on it, and one factor-and-solve.
 _COLD_LAPACK = """
 import sys
 import numpy as np
@@ -1284,11 +1359,12 @@ _, d, e = eigensolve._congruence(op.blocks[0])
 m, w, _, _, info = eigensolve.dstebz(d, e, 2, 0.0, 1.0, 1, 2, 0.0, b"E")
 c, _, _, _, cinfo = eigensolve.dstebz(d, e, 1, -np.inf, 1.1 * w[1], 0, 0,
                                       np.inf, b"E")
-*_, x, ginfo = eigensolve.dgtsv(e, d - 0.9 * w[0], e, np.ones((d.size, 1)))
 p, l, finfo = eigensolve.dpttrf(d - 0.9 * w[0], e)
+x, tinfo = eigensolve.dpttrs(p, l, np.ones((d.size, 1)))
+*_, y, sinfo = eigensolve.dptsv(d - 0.9 * w[0], e, np.ones((d.size, 1)))
 assert "scipy.linalg" not in sys.modules
-np.savez(sys.argv[1], d=d, e=e, w=w, x=x, p=p, l=l,
-         info=[m, info, c, cinfo, ginfo, finfo])
+np.savez(sys.argv[1], d=d, e=e, w=w, x=x, y=y, p=p, l=l,
+         info=[m, info, c, cinfo, finfo, tinfo, sinfo])
 """
 
 
@@ -1303,11 +1379,12 @@ def test_cold_loaded_lapack_matches_scipy_linalg_lapack(tmp_path):
     m, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 2, 0.0, b"E")
     c, _, _, _, cinfo = lapack.dstebz(d, e, 1, -np.inf, 1.1 * w[1], 0, 0,
                                       np.inf, b"E")
-    *_, x, ginfo = lapack.dgtsv(e, d - 0.9 * w[0], e, np.ones((d.size, 1)))
     p, l, finfo = lapack.dpttrf(d - 0.9 * w[0], e)
-    assert list(cold["info"]) == [m, info, c, cinfo, ginfo, finfo] \
-        == [2, 0, 2, 0, 0, 0]
-    for key, ref in (("w", w), ("x", x), ("p", p), ("l", l)):
+    x, tinfo = lapack.dpttrs(p, l, np.ones((d.size, 1)))
+    *_, y, sinfo = lapack.dptsv(d - 0.9 * w[0], e, np.ones((d.size, 1)))
+    assert list(cold["info"]) == [m, info, c, cinfo, finfo, tinfo, sinfo] \
+        == [2, 0, 2, 0, 0, 0, 0]
+    for key, ref in (("w", w), ("x", x), ("y", y), ("p", p), ("l", l)):
         assert np.array_equal(cold[key], ref), key
 
 
@@ -1333,7 +1410,8 @@ def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path,
         monkeypatch.setattr(importlib.util, "find_spec", _scipy_at(tmp_path))
     module = eigensolve._lapack()
     assert module is sys.modules["scipy.linalg._flapack"]
-    assert module.dstebz is lapack.dstebz and module.dgtsv is lapack.dgtsv
+    for name in ("dpttrf", "dpttrs", "dptsv", "dstebz"):
+        assert getattr(module, name) is getattr(lapack, name), name
 
 
 def test_a_tone_builds_one_section_per_solved_mode(monkeypatch):

@@ -41,6 +41,32 @@ def test_builtins_roundtrip_as_scenario_documents():
         assert back.to_json() == doc, sc.id
 
 
+def _edit_every_item(node):
+    """Overwrite every leaf under a JSON container, in place, and add an
+    item to every dict and list on the way."""
+    for key, value in list(node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            _edit_every_item(value)
+        else:
+            node[key] = "edited"
+    if isinstance(node, dict):
+        node["edited"] = "edited"
+    else:
+        node.append("edited")
+
+
+def test_editing_a_document_leaves_the_built_in_unchanged():
+    # to_json shares no container with the cached built-in at any depth:
+    # a probe's windows, a section's params and every other nested item
+    # of the document can be edited in place
+    for sc in builtin_catalog():
+        ref = json.loads(json.dumps(sc.to_json()))
+        _edit_every_item(sc.to_json())
+        assert sc.to_json() == ref, sc.id
+        assert find_scenario(sc.id).to_json() == ref, sc.id
+
+
 def test_catalog_has_one_source():
     # the generator functions are the only copy of the catalog: the
     # package ships Python modules only, and reads no packaged data
